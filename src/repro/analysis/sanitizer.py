@@ -41,6 +41,7 @@ import numpy as np
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.core.errors import PhaseConflictError
+from repro.core.rowset import ranks_disjoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.phase import PhaseRecorder
@@ -112,18 +113,15 @@ class PhaseSanitizer:
         if len(by_rank) < 2:
             return []  # single writer: R3 program order, deterministic
 
-        # Cheap row-level filter: distinct writers with disjoint axis-0
-        # footprints cannot conflict.
-        rank_rows = [
-            np.unique(np.concatenate([e.rows.materialize() for e in revs]))
-            for revs in by_rank.values()
-        ]
-        all_rows = np.concatenate(rank_rows)
-        if np.unique(all_rows).size == all_rows.size:
-            return []
-
         shared = evs[0].shared
         instance = evs[0].instance
+        # Cheap row-level filter: distinct writers with disjoint axis-0
+        # footprints cannot conflict.
+        if ranks_disjoint(
+            [[e.rows for e in revs] for revs in by_rank.values()], shared.shape[0]
+        ):
+            return []
+
         data = shared._data if instance is None else shared._data[instance]
         shape = data.shape
         varname = shared.name if instance is None else f"{shared.name}@node{instance}"

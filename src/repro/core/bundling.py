@@ -12,13 +12,17 @@ counts that the network model turns into bundled message costs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.phase import PhaseRecorder
+from repro.core.rowset import block_counts
 from repro.core.shared import GlobalShared, RowSpec
 from repro.obs.events import BundleFlushed
+
+_SPEC_UID = operator.attrgetter("uid")
 
 
 @dataclass
@@ -50,69 +54,8 @@ class NodeTraffic:
         return sum(p.write_elems for p in self.peers)
 
 
-def _unique_rows(specs: list[RowSpec]) -> np.ndarray:
-    """Deduplicated union of the rows in ``specs``."""
-    if not specs:
-        return np.empty(0, dtype=np.int64)
-    if len(specs) == 1:
-        rows = specs[0].materialize()
-        return np.unique(rows)
-    return np.unique(np.concatenate([s.materialize() for s in specs]))
-
-
-def _owner_counts(shared: GlobalShared, rows: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Unique-element count per owning node for the given rows."""
-    if rows.size == 0:
-        return np.zeros(n_nodes, dtype=np.int64)
-    owners = shared.owner_of(rows)
-    return np.bincount(owners, minlength=n_nodes) * shared._trailing
-
-
-def _spec_owner_counts(
-    shared: GlobalShared, specs: list[RowSpec], n_nodes: int
-) -> np.ndarray:
-    """Unique-element count per owning node for the union of ``specs``.
-
-    When every spec is a plain contiguous range — the overwhelmingly
-    common case for block-partitioned VP loops — the union is computed
-    as a merged interval set clipped against the block-partition
-    boundaries, with nothing materialised.  Each merged interval's
-    per-owner overlap length equals the number of unique rows
-    ``np.unique`` + ``bincount`` would attribute to that owner, so the
-    counts are identical to the materialising path (which remains the
-    fallback for strided and fancy-index specs).
-    """
-    if not all(s.is_contiguous for s in specs):
-        return _owner_counts(shared, _unique_rows(specs), n_nodes)
-    ivs = sorted((s.start, s.stop) for s in specs if s.stop > s.start)
-    counts = np.zeros(n_nodes, dtype=np.int64)
-    if not ivs:
-        return counts
-    starts = shared._starts
-    merged: list[tuple[int, int]] = []
-    cur_lo, cur_hi = ivs[0]
-    for lo, hi in ivs[1:]:
-        if lo <= cur_hi:
-            cur_hi = max(cur_hi, hi)
-        else:
-            merged.append((cur_lo, cur_hi))
-            cur_lo, cur_hi = lo, hi
-    merged.append((cur_lo, cur_hi))
-    for lo, hi in merged:
-        # Owners of the first and last row of the interval (the same
-        # side="right" rule as GlobalShared.owner_of, so zero-width
-        # partitions resolve identically).
-        o0 = int(np.searchsorted(starts, lo, side="right")) - 1
-        o1 = int(np.searchsorted(starts, hi - 1, side="right")) - 1
-        for o in range(o0, o1 + 1):
-            a = max(lo, int(starts[o]))
-            b = min(hi, int(starts[o + 1]))
-            counts[o] += b - a
-    return counts * shared._trailing
-
-
 def _owner_elem_pairs(
-    shared: GlobalShared, specs: list[RowSpec], n_nodes: int, exact_elems: int
+    shared: GlobalShared, specs: list[RowSpec], exact_elems: int
 ) -> tuple[tuple[int, int], ...]:
     """``(owner, elems)`` pairs for the union of ``specs``, memoised.
 
@@ -122,23 +65,28 @@ def _owner_elem_pairs(
     one element per touched owner — exactly what
     :func:`aggregate_traffic` previously computed inline per phase.
 
+    The per-owner unique-row counts come from
+    :func:`repro.core.rowset.block_counts` against the block-partition
+    boundaries (exact on each of its three set forms).
+
     On the fast hot path, access records (and hence their
     :class:`RowSpec` objects) are cached per index expression, so an
     iterative solver presents the *same* spec objects phase after
     phase; the whole owner split is then a dictionary hit.  Keyed by
-    spec object identities plus the exact element total; the memo
-    value pins the spec objects, so a key's ids can never be recycled
-    while the entry lives.  Legacy mode builds fresh specs every
-    access and bypasses the memo entirely.
+    the specs' never-recycled ``uid`` serials plus the exact element
+    total, so the memo pins neither the specs nor their index arrays — a
+    data-driven kernel's never-repeating footprints cost it a tuple of
+    ints each.  Legacy mode builds fresh specs every access and
+    bypasses the memo entirely.
     """
     fast = shared.runtime.zero_copy_reads
     if fast:
         cache = shared._counts_cache
-        key = (tuple(map(id, specs)), exact_elems)
+        key = (tuple(map(_SPEC_UID, specs)), exact_elems)
         hit = cache.get(key)
         if hit is not None:
-            return hit[1]
-    counts = _spec_owner_counts(shared, specs, n_nodes)
+            return hit
+    counts = block_counts(specs, shared._starts) * shared._trailing
     raw = sum(s.count for s in specs) * shared._trailing
     scale = 1.0 if raw <= 0 else min(1.0, exact_elems / raw)
     pairs = tuple(
@@ -148,12 +96,12 @@ def _owner_elem_pairs(
     if fast:
         if len(cache) >= 4096:
             cache.clear()
-        cache[key] = (list(specs), pairs)
+        cache[key] = pairs
     return pairs
 
 
 def aggregate_traffic(
-    recorder: PhaseRecorder, n_nodes: int, *, tracer=None
+    recorder: PhaseRecorder, *, tracer=None
 ) -> dict[int, NodeTraffic]:
     """Aggregate a phase's recorded global-shared accesses.
 
@@ -183,7 +131,7 @@ def aggregate_traffic(
 
     for (node_id, shared), (specs, exact_elems) in recorder.global_read_recs.items():
         nt = entry(node_id)
-        pairs = _owner_elem_pairs(shared, specs, n_nodes, exact_elems)
+        pairs = _owner_elem_pairs(shared, specs, exact_elems)
         local = remote = peers = 0
         for owner, elems in pairs:
             if owner == node_id:
@@ -211,7 +159,7 @@ def aggregate_traffic(
 
     for (node_id, shared), (specs, exact_elems) in recorder.global_write_recs.items():
         nt = entry(node_id)
-        pairs = _owner_elem_pairs(shared, specs, n_nodes, exact_elems)
+        pairs = _owner_elem_pairs(shared, specs, exact_elems)
         local = remote = peers = 0
         for owner, elems in pairs:
             if owner == node_id:

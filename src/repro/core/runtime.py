@@ -346,7 +346,9 @@ class PpmRuntime:
         — the worker process pool plus every shared-memory segment.
         Idempotent, and reached on *every* ``run_ppm`` exit path
         (success, application crash, ``KeyboardInterrupt``), so no
-        worker process or ``/dev/shm`` segment outlives the program."""
+        worker process or ``/dev/shm`` segment outlives the program.
+        Also forgets the shared variables' memoised access records, so
+        nothing they hold waits for a garbage collection."""
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
@@ -355,6 +357,8 @@ class PpmRuntime:
             backend.close()
         if self.shm is not None:
             self.shm.close()
+        for shared in self.shared_registry.values():
+            shared._drop_caches()
 
     def __enter__(self) -> "PpmRuntime":
         return self
@@ -905,7 +909,7 @@ class PpmRuntime:
 
         cfg = self.config
         net = self.cluster.network
-        traffic = aggregate_traffic(recorder, self.cluster.n_nodes, tracer=tr)
+        traffic = aggregate_traffic(recorder, tracer=tr)
 
         in_cpu: dict[int, float] = {}
         comm_costs = {}
@@ -1128,7 +1132,7 @@ class PpmRuntime:
 
         # Global-shared *reads* are permitted in node phases; their
         # fetch traffic is charged here (writes were rejected earlier).
-        traffic = aggregate_traffic(recorder, self.cluster.n_nodes, tracer=tr)
+        traffic = aggregate_traffic(recorder, tracer=tr)
         nt = traffic.get(node_id)
         if nt is None:
             comm_cost = ZERO_COST

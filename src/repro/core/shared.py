@@ -26,6 +26,7 @@ wall-clock performance").
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from time import perf_counter
 from typing import TYPE_CHECKING
@@ -48,12 +49,15 @@ ACCUMULATE_UFUNCS = {
 }
 
 
+_SPEC_UIDS = itertools.count()
+
+
 class RowSpec:
     """Rows (axis-0 indices) touched by one access, in a cheap range
     form (contiguous or strided, nothing materialised) or a
     materialised index-array form."""
 
-    __slots__ = ("start", "stop", "step", "array")
+    __slots__ = ("start", "stop", "step", "array", "uid")
 
     def __init__(
         self,
@@ -66,6 +70,10 @@ class RowSpec:
         self.stop = stop
         self.step = step
         self.array = array
+        #: Process-unique serial number.  Unlike ``id()`` it is never
+        #: recycled, so a memo can key on it without keeping the spec
+        #: (and its index array) alive.
+        self.uid = next(_SPEC_UIDS)
 
     @classmethod
     def from_range(cls, start: int, stop: int) -> "RowSpec":
@@ -102,6 +110,19 @@ class RowSpec:
         if self.array is not None:
             return self.array
         return np.arange(self.start, self.stop, self.step, dtype=np.int64)
+
+    def index(self) -> np.ndarray | slice:
+        """Index expression selecting exactly these rows along axis 0
+        (the index array, or a positive-step slice — nothing
+        materialised); what the row-set bitmaps mark and probe with."""
+        if self.array is not None:
+            return self.array
+        r = range(self.start, self.stop, self.step)
+        if not r:
+            return slice(0, 0)
+        if self.step < 0:
+            r = r[::-1]
+        return slice(r.start, r.stop, r.step)
 
     def bounds(self) -> tuple[int, int]:
         """Half-open ``[lo, hi)`` hull of the rows (``(0, 0)`` when
@@ -267,10 +288,12 @@ def _normalize_rows(idx: object, n0: int) -> RowSpec:
             )
         return RowSpec.from_array(np.nonzero(arr)[0].astype(np.int64))
     arr = arr.astype(np.int64, copy=False).ravel()
-    if arr.size and (arr.min() < -n0 or arr.max() >= n0):
-        raise IndexError(f"row indices out of range for axis of length {n0}")
-    if arr.size and arr.min() < 0:
-        arr = np.where(arr < 0, arr + n0, arr)
+    if arr.size:
+        lo = arr.min()
+        if lo < -n0 or arr.max() >= n0:
+            raise IndexError(f"row indices out of range for axis of length {n0}")
+        if lo < 0:
+            arr = np.where(arr < 0, arr + n0, arr)
     return RowSpec.from_array(arr)
 
 
@@ -322,6 +345,10 @@ class _SharedBase:
         # (a VP's chunk slice, its column-footprint array), so the
         # normalisation/counting work is done once per distinct index.
         self._access_cache: dict = {}
+        # Weak references to the live index arrays behind the id-keyed
+        # entries of _access_cache; each one's callback evicts its
+        # entry when the array dies.
+        self._index_refs: dict = {}
         # Owner-count memo for the bundling engine (global-shared only;
         # see repro.core.bundling).
         self._counts_cache: dict = {}
@@ -342,9 +369,12 @@ class _SharedBase:
         and non-boolean index arrays (keyed by object identity, entry
         dropped when the array is garbage-collected — index arrays are
         treated as immutable between accesses, matching how phase code
-        uses a precomputed footprint).  Boolean masks and tuple indices
-        select value- or shape-dependent element sets, so they are
-        recomputed every access.
+        uses a precomputed footprint).  An id-keyed entry never
+        references its index array: the cached spec owns a copy of the
+        rows, so the array's lifetime stays the caller's and its death
+        evicts the entry.  Boolean masks and tuple indices select
+        value- or shape-dependent element sets, so they are recomputed
+        every access.
         """
         t = type(idx)
         if t is slice:
@@ -367,16 +397,35 @@ class _SharedBase:
         if rec is None:
             rows = _normalize_rows(idx, self.shape[0])
             n_elem = self._count_elements(idx, rows, data)
+            if t is np.ndarray:
+                if np.may_share_memory(rows.array, idx):
+                    rows = RowSpec.from_array(rows.array.copy())
+                # Drop the id-keyed entry when the index array dies, so
+                # a recycled id can never resolve to stale rows.
+                self._index_refs[key] = weakref.ref(idx, self._evictor(key))
             rec = (
                 rows, n_elem, _rows_exact(idx), view_kind,
                 self._acall + n_elem * self._elem_rate,
             )
-            if t is np.ndarray:
-                # Drop the id-keyed entry when the index array dies, so
-                # a recycled id can never resolve to stale rows.
-                weakref.finalize(idx, self._access_cache.pop, key, None)
             self._access_cache[key] = rec
         return rec
+
+    def _evictor(self, key: tuple):
+        """Weak-reference callback dropping the id-keyed entry ``key``.
+        It holds the two dicts, not ``self``."""
+        records, refs = self._access_cache, self._index_refs
+
+        def evict(_ref) -> None:
+            records.pop(key, None)
+            refs.pop(key, None)
+
+        return evict
+
+    def _drop_caches(self) -> None:
+        """Forget every memoised access record (``PpmRuntime.close``)."""
+        self._access_cache.clear()
+        self._index_refs.clear()
+        self._counts_cache.clear()
 
     def __reduce__(self):
         return (_unpickle_shared, (self.name,))

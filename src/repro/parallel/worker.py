@@ -39,6 +39,7 @@ import numpy as np
 from repro.core import shared as shared_mod
 from repro.core.constructs import PhaseDecl
 from repro.core.phase import CommitPlanCache, PhaseRecorder, _RANK_KEY
+from repro.core.rowset import union_rows
 from repro.core.shared import GlobalShared, NodeShared
 from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
@@ -569,7 +570,7 @@ class _WorkerDo:
         cached = self._footprints.get(key)
         if cached is not None and plan is not None and cached[0] is plan:
             return cached[1]
-        rows = np.unique(np.concatenate([ev.rows.materialize() for ev in evs]))
+        rows = union_rows([ev.rows for ev in evs], evs[0].shared.shape[0])
         if plan is not None:
             self._footprints[key] = (plan, rows)
         return rows

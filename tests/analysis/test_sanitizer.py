@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.analysis.sanitizer as sanitizer_module
 from repro.analysis import PhaseSanitizer
 from repro.analysis.diagnostics import Diagnostic
+from repro.config import testing as mkconfig
 from repro.core import PhaseConflictError, ppm_function, run_ppm
 from repro.machine import Cluster
 
@@ -259,6 +263,100 @@ class TestModes:
         assert ppm_off.elapsed == ppm_on.elapsed
         assert ppm_on.diagnostics == []
         assert ppm_on.runtime.sanitizer.phases_checked == 2
+
+
+# ======================================================================
+# The row-level pre-filter only ever skips groups the element-exact
+# classification would find clean
+# ======================================================================
+@ppm_function
+def _table_kernel(ctx, X, table):
+    """Each VP plays back its own list of ``(kind, index, value)`` ops;
+    ``kind`` is "write" or an accumulate operator."""
+    yield ctx.global_phase
+    for kind, idx, value in table[ctx.global_rank]:
+        if kind == "write":
+            X[idx] = value
+        else:
+            X.accumulate(idx, value, op=kind)
+
+
+def _diagnostics(table, shape, *, bypass: bool):
+    """Findings of one phase over ``table`` (one op list per VP of a
+    1-node cluster); ``bypass`` sends every group down the
+    element-exact path by making the pre-filter see an overlap."""
+
+    def main(ppm):
+        X = ppm.global_shared("x", shape)
+        ppm.do(len(table), _table_kernel, X, table)
+
+    config = mkconfig(n_nodes=1, cores_per_node=len(table))
+    saved = sanitizer_module.ranks_disjoint
+    if bypass:
+        sanitizer_module.ranks_disjoint = lambda rank_specs, extent: False
+    try:
+        ppm, _ = run_ppm(main, Cluster(config), sanitize="warn")
+    finally:
+        sanitizer_module.ranks_disjoint = saved
+    return ppm.diagnostics
+
+
+_ROWS = 8
+_row = st.integers(0, _ROWS - 1)
+_row_index = st.one_of(
+    _row,
+    st.builds(slice, _row, st.integers(0, _ROWS)),
+    st.builds(slice, st.none(), st.none(), st.sampled_from([2, 3, -1, -2])),
+    st.lists(_row, min_size=1, max_size=4).map(np.array),
+)
+_value = st.sampled_from([0.0, 1.0, 2.0])
+_write = st.tuples(
+    st.just("write"),
+    # Partial-row tuple indices: rows overlap where elements may not.
+    st.one_of(_row_index, st.tuples(_row_index, st.integers(0, 1))),
+    _value,
+)
+_accumulate = st.tuples(st.sampled_from(["add", "maximum"]), _row_index, _value)
+_tables = st.lists(
+    st.lists(st.one_of(_write, _accumulate), max_size=3), min_size=2, max_size=4
+)
+
+
+class TestRowPrefilter:
+    DEMOS = {
+        # rule -> per-rank op tables (docs/DIAGNOSTICS.md's triggers)
+        "PPM201": [[("write", 0, 1.0)], [("write", 0, 2.0)]],
+        "PPM202": [[("write", 1, 5.0)], [("add", np.array([1]), 2.0)]],
+        "PPM203": [[("write", slice(0, 3), 7.0)], [("write", 2, 7.0)]],
+    }
+
+    @pytest.mark.parametrize("rule", sorted(DEMOS))
+    def test_demos_classify_identically(self, rule):
+        found = _diagnostics(self.DEMOS[rule], (_ROWS, 2), bypass=False)
+        assert rules_of(found) == [rule]
+        assert found == _diagnostics(self.DEMOS[rule], (_ROWS, 2), bypass=True)
+
+    def test_disjoint_writers_are_filtered_before_classification(self, monkeypatch):
+        """Chunked slice writes and a strided/fancy pair with disjoint
+        rows: no finding, and the element-exact path is never entered."""
+        monkeypatch.setattr(
+            sanitizer_module.PhaseSanitizer,
+            "_split_ww",
+            lambda *a: pytest.fail("classified a row-disjoint group"),
+        )
+        chunks = [[("write", slice(2 * r, 2 * r + 2), 1.0)] for r in range(4)]
+        mixed = [[("write", slice(None, None, 2), 1.0)], [("add", np.array([1, 3, 3]), 1.0)]]
+        for table in (chunks, mixed):
+            assert _diagnostics(table, (_ROWS, 2), bypass=False) == []
+
+    @given(_tables)
+    @settings(deadline=None, max_examples=60)
+    def test_random_mixes_classify_identically(self, table):
+        fast = _diagnostics(table, (_ROWS, 2), bypass=False)
+        exact = _diagnostics(table, (_ROWS, 2), bypass=True)
+        assert [
+            (d.rule, d.severity, d.rows, d.ranks, d.variable, d.message) for d in fast
+        ] == [(d.rule, d.severity, d.rows, d.ranks, d.variable, d.message) for d in exact]
 
 
 # ======================================================================

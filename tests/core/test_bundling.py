@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.config import testing as mkconfig
-from repro.core.bundling import _unique_rows, aggregate_traffic
+from repro.core.bundling import aggregate_traffic
 from repro.core.phase import PhaseRecorder
 from repro.core.program import PpmProgram
 from repro.core.shared import RowSpec
@@ -18,25 +18,6 @@ def ppm4():
     return PpmProgram(Cluster(mkconfig(n_nodes=4, cores_per_node=2)))
 
 
-class TestUniqueRows:
-    def test_empty(self):
-        assert _unique_rows([]).size == 0
-
-    def test_single_range(self):
-        rows = _unique_rows([RowSpec.from_range(2, 5)])
-        assert rows.tolist() == [2, 3, 4]
-
-    def test_deduplicates_across_specs(self):
-        rows = _unique_rows(
-            [
-                RowSpec.from_range(0, 4),
-                RowSpec.from_array(np.array([2, 3, 7])),
-                RowSpec.from_array(np.array([7, 7])),
-            ]
-        )
-        assert rows.tolist() == [0, 1, 2, 3, 7]
-
-
 class TestAggregation:
     def _recorder_with_read(self, shared, node_id, rows):
         rec = PhaseRecorder("global")
@@ -46,7 +27,7 @@ class TestAggregation:
     def test_local_reads_not_remote(self, ppm4):
         A = ppm4.global_shared("A", 8)  # node i owns rows [2i, 2i+2)
         rec = self._recorder_with_read(A, 0, RowSpec.from_range(0, 2))
-        traffic = aggregate_traffic(rec, 4)
+        traffic = aggregate_traffic(rec)
         nt = traffic[0]
         assert nt.local_read_elems == 2
         assert nt.remote_read_elems == 0
@@ -55,7 +36,7 @@ class TestAggregation:
     def test_remote_reads_split_by_owner(self, ppm4):
         A = ppm4.global_shared("A", 8)
         rec = self._recorder_with_read(A, 0, RowSpec.from_range(0, 8))
-        traffic = aggregate_traffic(rec, 4)
+        traffic = aggregate_traffic(rec)
         nt = traffic[0]
         assert nt.local_read_elems == 2
         owners = sorted((p.owner, p.read_elems) for p in nt.peers)
@@ -68,7 +49,7 @@ class TestAggregation:
         rec = PhaseRecorder("global")
         for _ in range(10):
             rec.add_global_read(0, A, RowSpec.from_array(np.array([7])), 1)
-        traffic = aggregate_traffic(rec, 4)
+        traffic = aggregate_traffic(rec)
         assert traffic[0].remote_read_elems == 1
 
     def test_reads_and_writes_kept_separate(self, ppm4):
@@ -76,7 +57,7 @@ class TestAggregation:
         rec = PhaseRecorder("global")
         rec.add_global_read(0, A, RowSpec.from_range(6, 8), 2)
         rec.add_global_write(0, A, RowSpec.from_range(6, 7), 1, 0, None)
-        traffic = aggregate_traffic(rec, 4)
+        traffic = aggregate_traffic(rec)
         nt = traffic[0]
         peer = nt.peers[0]
         assert peer.owner == 3
@@ -86,7 +67,7 @@ class TestAggregation:
     def test_trailing_dimensions_multiply_elements(self, ppm4):
         A = ppm4.global_shared("A", (8, 5))
         rec = self._recorder_with_read(A, 0, RowSpec.from_range(2, 4))
-        traffic = aggregate_traffic(rec, 4)
+        traffic = aggregate_traffic(rec)
         assert traffic[0].peers[0].read_elems == 10  # 2 rows x 5
 
     def test_multiple_shareds_tracked_independently(self, ppm4):
@@ -95,7 +76,7 @@ class TestAggregation:
         rec = PhaseRecorder("global")
         rec.add_global_read(0, A, RowSpec.from_range(6, 8), 2)
         rec.add_global_read(0, B, RowSpec.from_range(6, 8), 2)
-        traffic = aggregate_traffic(rec, 4)
+        traffic = aggregate_traffic(rec)
         assert len(traffic[0].peers) == 2
         assert {p.shared.name for p in traffic[0].peers} == {"A", "B"}
 
@@ -104,6 +85,6 @@ class TestAggregation:
         rec = PhaseRecorder("global")
         rec.add_global_read(0, A, RowSpec.from_range(2, 4), 2)
         rec.add_global_read(1, A, RowSpec.from_range(0, 2), 2)
-        traffic = aggregate_traffic(rec, 4)
+        traffic = aggregate_traffic(rec)
         assert traffic[0].peers[0].owner == 1
         assert traffic[1].peers[0].owner == 0

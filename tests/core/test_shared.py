@@ -3,11 +3,16 @@ indexing normalisation."""
 
 from __future__ import annotations
 
+import gc
+import importlib
+import weakref
+
 import numpy as np
 import pytest
 
+from repro.apps.graph import hashed_graph, ppm_bfs, serial_bfs
 from repro.config import testing as mkconfig
-from repro.core import run_ppm
+from repro.core import ppm_function, run_ppm
 from repro.core.errors import SharedAccessError
 from repro.core.program import PpmProgram
 from repro.core.shared import RowSpec, _normalize_rows
@@ -58,8 +63,11 @@ class TestRowNormalisation:
         assert spec.materialize().tolist() == [9, 0]
 
     def test_fancy_out_of_range(self):
-        with pytest.raises(IndexError):
-            _normalize_rows(np.array([10]), 10)
+        message = "row indices out of range for axis of length 10"
+        for bad in ([10], [0, -11], [-11, 10]):
+            with pytest.raises(IndexError, match=message):
+                _normalize_rows(np.array(bad), 10)
+        assert _normalize_rows(np.array([], dtype=np.int64), 10).count == 0
 
     def test_bool_mask(self):
         mask = np.array([True, False, True, False])
@@ -253,3 +261,97 @@ class TestNodeSharedInPhase:
         _, m = run_ppm(main, Cluster(mkconfig(n_nodes=1, cores_per_node=2)))
         assert m[0, 1] == 5.0 and m[1, 1] == 5.0
         assert m.sum() == 10.0
+
+
+class TestAccessCacheLifetime:
+    """Id-keyed access records live exactly as long as the index array
+    they were built from — and never keep it alive themselves."""
+
+    @staticmethod
+    def _in_phase(fn):
+        """Run ``fn(ctx, X)`` on one VP inside a global phase; returns
+        the shared variable (kept alive by the caller)."""
+
+        @ppm_function
+        def kernel(ctx, X):
+            yield ctx.global_phase
+            fn(ctx, X)
+
+        def main(ppm):
+            X = ppm.global_shared("x", 16)
+            ppm.do(1, kernel, X)
+            return X
+
+        cluster = Cluster(mkconfig(n_nodes=1, cores_per_node=1))
+        return run_ppm(main, cluster)[1]
+
+    def test_repeated_index_array_hits_the_cache(self):
+        cols = np.array([1, 5, 9])
+        seen = []
+
+        def body(ctx, X):
+            for _ in range(2):
+                X[cols]
+                seen.append(X._access_cache[("a", id(cols))][0])
+
+        self._in_phase(body)
+        assert seen[0] is seen[1]
+        assert seen[0].array.tolist() == [1, 5, 9]
+        assert not np.may_share_memory(seen[0].array, cols)
+
+    def test_entry_dies_with_its_index_array(self):
+        sizes = []
+
+        def body(ctx, X):
+            rows = np.array([2, 3])
+            ref = weakref.ref(rows)
+            X[rows]
+            sizes.append((len(X._access_cache), len(X._index_refs)))
+            del rows
+            assert ref() is None, "the cache entry pinned its index array"
+            sizes.append((len(X._access_cache), len(X._index_refs)))
+
+        self._in_phase(body)
+        assert sizes == [(1, 1), (0, 0)]
+
+    def test_close_forgets_entries_of_arrays_that_live_on(self):
+        cols = np.array([4, 4, 7])
+
+        def body(ctx, X):
+            X[cols]
+            X.accumulate(cols, 1.0)
+
+        X = self._in_phase(body)
+        assert not X._access_cache and not X._index_refs and not X._counts_cache
+
+    def test_three_bfs_runs_retain_nothing(self, monkeypatch):
+        """The regression behind perfbench's bfs_scatter RSS finding:
+        every level's frontier array used to stay reachable from a
+        ``weakref.finalize`` registered on itself."""
+        born: list[weakref.ref] = []
+
+        class NumpySpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def unique(a):
+                out = np.unique(a)
+                born.append(weakref.ref(out))
+                return out
+
+        # (the package attribute of the same name is the function)
+        module = importlib.import_module("repro.apps.graph.ppm_bfs")
+        monkeypatch.setattr(module, "np", NumpySpy())
+        graph = hashed_graph(1500, degree=6, seed=3)
+        want = serial_bfs(graph, 0)
+        finalizers = []
+        for _ in range(3):
+            n_born = len(born)
+            dist, _ = ppm_bfs(graph, 0, Cluster(mkconfig(n_nodes=4, cores_per_node=2)))
+            assert np.array_equal(dist, want)
+            assert len(born) > n_born  # the kernel went through the spy
+            gc.collect()
+            finalizers.append(len(weakref.finalize._registry))
+            assert sum(r() is not None for r in born) == 0
+        assert finalizers[0] == finalizers[1] == finalizers[2]
