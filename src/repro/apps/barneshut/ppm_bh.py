@@ -85,7 +85,6 @@ def ppm_bh_simulate(
     leaf_size: int = 16,
     vp_per_core: int = 2,
     trace=None,
-    hot_path: str = "fast",
     **run_opts,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Run the PPM Barnes-Hut on the cluster.
@@ -111,7 +110,5 @@ def ppm_bh_simulate(
         )
         return POSM.committed, VEL.committed
 
-    ppm, (posm, vel_out) = run_ppm(
-        main, cluster, trace=trace, hot_path=hot_path, **run_opts
-    )
+    ppm, (posm, vel_out) = run_ppm(main, cluster, trace=trace, **run_opts)
     return posm[:, 0:3], vel_out, ppm.elapsed

@@ -100,7 +100,6 @@ def ppm_cg_solve(
     tol: float = 1e-8,
     vp_per_core: int = 2,
     trace=None,
-    hot_path: str = "fast",
     **run_opts,
 ) -> tuple[CgResult, float]:
     """Solve the problem with the PPM CG on the given cluster.
@@ -129,9 +128,7 @@ def ppm_cg_solve(
         ppm.do(k, _cg_kernel, problem.A, xs, rs, ps, qs, stats, b_norm, max_iters, tol)
         return xs.committed, stats.committed
 
-    ppm, (x, stats) = run_ppm(
-        main, cluster, trace=trace, hot_path=hot_path, **run_opts
-    )
+    ppm, (x, stats) = run_ppm(main, cluster, trace=trace, **run_opts)
     result = CgResult(
         x=x,
         iterations=int(stats[1]),

@@ -69,7 +69,6 @@ def ppm_generate(
     *,
     vp_per_core: int = 2,
     trace=None,
-    hot_path: str = "fast",
     **run_opts,
 ) -> tuple[sp.coo_matrix, float]:
     """Generate the matrix with PPM on the given cluster.
@@ -89,8 +88,6 @@ def ppm_generate(
         ppm.do(k, _gen_kernel, problem, CACHE, VALS)
         return VALS.committed
 
-    ppm, vals = run_ppm(
-        main, cluster, trace=trace, hot_path=hot_path, **run_opts
-    )
+    ppm, vals = run_ppm(main, cluster, trace=trace, **run_opts)
     matrix = slots_to_coo(problem, vals)
     return matrix, ppm.elapsed

@@ -49,7 +49,6 @@ def ppm_bfs(
     *,
     vp_per_core: int = 2,
     trace=None,
-    hot_path: str = "fast",
     **run_opts,
 ) -> tuple[np.ndarray, float]:
     """Run the PPM BFS; returns distances and the simulated time."""
@@ -62,7 +61,5 @@ def ppm_bfs(
         ppm.do(k, _bfs_kernel, graph, DIST)
         return DIST.committed
 
-    ppm, dist = run_ppm(
-        main, cluster, trace=trace, hot_path=hot_path, **run_opts
-    )
+    ppm, dist = run_ppm(main, cluster, trace=trace, **run_opts)
     return dist, ppm.elapsed

@@ -86,7 +86,6 @@ def ppm_mg_solve(
     nu2: int = 2,
     vp_per_core: int = 2,
     trace=None,
-    hot_path: str = "fast",
     **run_opts,
 ) -> tuple[np.ndarray, float]:
     """Run the PPM V-cycles; returns the finest iterate and the
@@ -103,7 +102,5 @@ def ppm_mg_solve(
         ppm.do(k, _mg_kernel, problem, U, F, R, cycles, nu1, nu2)
         return U[0].committed
 
-    ppm, u = run_ppm(
-        main, cluster, trace=trace, hot_path=hot_path, **run_opts
-    )
+    ppm, u = run_ppm(main, cluster, trace=trace, **run_opts)
     return u, ppm.elapsed

@@ -63,7 +63,6 @@ def ppm_trsv(
     *,
     vp_per_core: int = 2,
     trace=None,
-    hot_path: str = "fast",
     **run_opts,
 ) -> tuple[np.ndarray, float]:
     """Solve with PPM on the cluster; returns x and simulated time."""
@@ -75,7 +74,5 @@ def ppm_trsv(
         ppm.do(k, _trsv_kernel, problem, X)
         return X.committed
 
-    ppm, x = run_ppm(
-        main, cluster, trace=trace, hot_path=hot_path, **run_opts
-    )
+    ppm, x = run_ppm(main, cluster, trace=trace, **run_opts)
     return x, ppm.elapsed

@@ -33,7 +33,7 @@ from repro.bench.figures import (
 from repro.bench.obs_traffic import obs_cg_traffic
 from repro.bench.report import render_chart, save_result
 from repro.bench.resilience import bench_resilience
-from repro.bench.wallclock import wallclock
+from repro.bench.wallclock import guard_band
 
 EXPERIMENTS: dict[str, Callable] = {
     "fig1": fig1_cg,
@@ -49,7 +49,7 @@ EXPERIMENTS: dict[str, Callable] = {
     "ext_trsv": ext_trsv,
     "ext_multigrid": ext_multigrid,
     "obs_cg": obs_cg_traffic,
-    "wallclock": wallclock,
+    "wallclock": guard_band,
     "resilience": bench_resilience,
     "analyzer": analyzer_cost,
 }

@@ -69,23 +69,20 @@ def _owner_elem_pairs(
     :func:`repro.core.rowset.block_counts` against the block-partition
     boundaries (exact on each of its three set forms).
 
-    On the fast hot path, access records (and hence their
-    :class:`RowSpec` objects) are cached per index expression, so an
-    iterative solver presents the *same* spec objects phase after
+    Access records (and hence their :class:`RowSpec` objects) are
+    cached per index expression, so an iterative solver presents the
+    *same* spec objects phase after
     phase; the whole owner split is then a dictionary hit.  Keyed by
     the specs' never-recycled ``uid`` serials plus the exact element
     total, so the memo pins neither the specs nor their index arrays — a
     data-driven kernel's never-repeating footprints cost it a tuple of
-    ints each.  Legacy mode builds fresh specs every access and
-    bypasses the memo entirely.
+    ints each.
     """
-    fast = shared.runtime.zero_copy_reads
-    if fast:
-        cache = shared._counts_cache
-        key = (tuple(map(_SPEC_UID, specs)), exact_elems)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    cache = shared._counts_cache
+    key = (tuple(map(_SPEC_UID, specs)), exact_elems)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     counts = block_counts(specs, shared._starts) * shared._trailing
     raw = sum(s.count for s in specs) * shared._trailing
     scale = 1.0 if raw <= 0 else min(1.0, exact_elems / raw)
@@ -93,10 +90,9 @@ def _owner_elem_pairs(
         (int(o), max(1, int(round(counts[o] * scale))))
         for o in np.nonzero(counts)[0]
     )
-    if fast:
-        if len(cache) >= 4096:
-            cache.clear()
-        cache[key] = pairs
+    if len(cache) >= 4096:
+        cache.clear()
+    cache[key] = pairs
     return pairs
 
 

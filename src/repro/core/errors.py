@@ -87,12 +87,12 @@ class ParallelError(PpmError):
 
 class ParallelConfigError(ParallelError, ValueError):
     """The process execution backend was configured in a way it cannot
-    honour — an unpicklable kernel, an invalid worker count, or a
-    feature combination (threads executor, resilience, ``sanitize=
-    "auto"``) the backend does not support.
+    honour — an unpicklable kernel, an invalid executor or worker
+    count, supervision without worker processes, or a worker reply
+    that cannot cross the process boundary.
 
-    ``code`` carries the diagnostic rule id (``PPM501``..``PPM504``,
-    see docs/DIAGNOSTICS.md), mirroring how resilience configuration
+    ``code`` carries the diagnostic rule id (``PPM501``, ``PPM502``,
+    ``PPM504``, ``PPM601``/``PPM602``; see docs/DIAGNOSTICS.md), mirroring how resilience configuration
     errors carry ``PPM3xx`` codes."""
 
     def __init__(self, message: str, *, code: str) -> None:

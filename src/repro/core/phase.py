@@ -9,7 +9,9 @@ but the commit itself is the runtime's hottest bulk operation, so
 :meth:`PhaseRecorder.apply_writes` turns the per-access
 :class:`~repro.core.shared.WriteEvent` stream into a handful of
 vectorized numpy operations (see "Commit engine" below) instead of
-replaying every buffered access one Python call at a time.
+replaying every buffered access one Python call at a time.  The
+one-op-at-a-time reading of the same rules is the test oracle,
+``tests/reference.py``.
 
 Commit engine
 -------------
@@ -19,17 +21,26 @@ Buffered operations sort once by ``(global VP rank, program order)``
 array ``(shared, instance)``.  Operations on *different* targets never
 interact, so the partition preserves semantics exactly.  Within one
 target the ordered stream splits into maximal runs of one
-``(kind, op)``:
+``(kind, op)``.  Only runs whose every operation carries a
+materialised index array batch — those are the fetches fancy replay
+would scatter one op at a time:
 
 * a run of plain writes concatenates row/value arrays in rank order
-  and resolves conflicts with a single ``np.lexsort`` (last writer per
-  row wins — bitwise what sequential replay produces);
+  and resolves conflicts with a single ``np.lexsort`` (stable,
+  position-tiebroken: the last writer per row wins — bitwise what
+  sequential replay produces);
 * a run of same-operator accumulates concatenates and applies one
   ``np.ufunc.at`` (unbuffered, in index order — bitwise identical to
   per-op application, including floating-point accumulation order);
-* anything the batcher cannot prove exact (partial-row tuple indices,
-  exotic value shapes) replays per-op via
-  :meth:`~repro.core.shared.WriteEvent.replay`, the legacy path.
+* everything else — range/slice specs (a contiguous slice assignment
+  is already one C-level block copy; concatenating such runs costs
+  more than replaying them), partial-row tuple indices, values that do
+  not broadcast to their row block — replays per-op via
+  :meth:`~repro.core.shared.WriteEvent.replay`.
+
+The index side of each run (concatenated rows, lexsort products) is
+compiled once into a :class:`_TargetPlan` and reused while the access
+pattern repeats (:class:`CommitPlanCache`).
 """
 
 from __future__ import annotations
@@ -50,69 +61,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _RANK_KEY = operator.attrgetter("rank")
 
 
-def _flush_write_run(target: np.ndarray, run: list[WriteEvent]) -> None:
-    """Apply a run of plain writes with one fancy assignment.
-
-    Rows and values concatenate in ``(rank, seq)`` order; the lexsort
-    (stable, position-tiebroken) picks the *last* write per row, which
-    is exactly the element the sequential replay would leave behind.
-    Falls back to per-op replay when a value cannot be broadcast to its
-    row block.
-    """
-    trailing = target.shape[1:]
-    dtype = target.dtype
-    try:
-        rows_parts = []
-        val_parts = []
-        for ev in run:
-            r = ev.rows.materialize()
-            v = np.broadcast_to(np.asarray(ev.value, dtype=dtype), (r.size,) + trailing)
-            rows_parts.append(r)
-            val_parts.append(v)
-        rows = np.concatenate(rows_parts)
-        vals = np.concatenate(val_parts)
-    except (ValueError, TypeError):
-        for ev in run:
-            ev.replay(target)
-        return
-    order = np.lexsort((np.arange(rows.size), rows))
-    rows = rows[order]
-    last = np.ones(rows.size, dtype=bool)
-    last[:-1] = rows[1:] != rows[:-1]
-    target[rows[last]] = vals[order[last]]
-
-
-def _flush_accumulate_run(target: np.ndarray, run: list[WriteEvent], op: str) -> None:
-    """Apply a run of same-operator accumulates with one ``ufunc.at``.
-
-    ``ufunc.at`` is unbuffered and walks the index array in order, so
-    concatenating the per-op rows/values in ``(rank, seq)`` order
-    reproduces the sequential per-op application bit for bit (the
-    floating-point combination order is unchanged).
-    """
-    trailing = target.shape[1:]
-    try:
-        rows_parts = []
-        val_parts = []
-        for ev in run:
-            r = ev.rows.materialize()
-            v = np.broadcast_to(np.asarray(ev.value), (r.size,) + trailing)
-            rows_parts.append(r)
-            val_parts.append(v)
-        rows = np.concatenate(rows_parts)
-        vals = np.concatenate(val_parts)
-    except (ValueError, TypeError):
-        for ev in run:
-            ev.replay(target)
-        return
-    ACCUMULATE_UFUNCS[op].at(target, rows, vals)
-
-
 class _RunPlan:
     """Cached products of one maximal same-``(kind, op)`` batchable run
-    — everything :func:`_flush_write_run` / :func:`_flush_accumulate_run`
-    derive from the *index* side of the run, which iterative kernels
-    repeat bit-for-bit every round while only the values change."""
+    — everything derived from the *index* side of the run, which
+    iterative kernels repeat bit-for-bit every round while only the
+    values change: per-op row counts, and either the concatenated rows
+    (accumulates) or the last-writer rows plus the positions of their
+    values (writes)."""
 
     __slots__ = ("op", "sizes", "rows_last", "take", "rows")
 
@@ -145,9 +100,9 @@ def _plan_matches(plan: _TargetPlan, evs: list[WriteEvent]) -> bool:
 
 
 def _build_target_plan(evs: list[WriteEvent]) -> _TargetPlan:
-    """Segment one target's stream exactly as
-    :func:`_apply_target_stream` would, pre-computing each batchable
-    run's concatenated rows and (for writes) the lexsort products."""
+    """Segment one target's rank-ordered stream into maximal
+    same-``(kind, op)`` runs, pre-computing each batchable run's
+    concatenated rows and (for writes) the lexsort products."""
     plan = _TargetPlan()
     plan.keys = [(ev.kind, ev.op, ev.rows, ev.rows_exact) for ev in evs]
     segments: list[tuple] = []
@@ -188,10 +143,10 @@ def _build_target_plan(evs: list[WriteEvent]) -> _TargetPlan:
 
 
 def _apply_plan(target: np.ndarray, evs: list[WriteEvent], plan: _TargetPlan) -> None:
-    """Replay one target's stream through its cached plan — bitwise
-    what :func:`_apply_target_stream` computes, with the per-round work
-    reduced to value broadcasting and one fancy assignment (or
-    ``ufunc.at``) per run."""
+    """Replay one target's stream through its plan: the per-round
+    work is value broadcasting and one fancy assignment (or
+    ``ufunc.at``) per batched run.  A run whose values do not
+    broadcast to their row blocks replays per-op instead."""
     trailing = target.shape[1:]
     dtype = target.dtype
     for kind, i, j, run in plan.segments:
@@ -227,9 +182,9 @@ def _apply_plan(target: np.ndarray, evs: list[WriteEvent], plan: _TargetPlan) ->
 class CommitPlanCache:
     """Cross-round cache of :class:`_TargetPlan` replay recipes.
 
-    The vectorized commit engine re-derives the same lexsorted index
-    buffers every round of an iterative solver; this cache keys each
-    target's compiled access pattern by ``(shared name, instance)``,
+    An iterative solver presents the same index buffers every round;
+    this cache keys each target's compiled access pattern by
+    ``(shared name, instance)``,
     validates it against the incoming stream by row-spec identity, and
     replays on a hit.  Used by the inline runtime
     (``PpmRuntime.commit_plans``) and by the worker-side zero-merge
@@ -260,36 +215,6 @@ class CommitPlanCache:
 
     def stats(self) -> tuple[int, int]:
         return self.hits, self.misses
-
-
-def _apply_target_stream(target: np.ndarray, evs: list[WriteEvent]) -> None:
-    """Apply one target's rank-ordered operation stream in maximal
-    same-``(kind, op)`` runs.
-
-    Only runs whose every operation carries a materialised index array
-    batch — those are the fetches fancy replay would scatter one op at
-    a time.  Range/slice specs replay instead: a contiguous slice
-    assignment is already a single C-level block copy, and profiling
-    shows concatenating such runs costs more than replaying them.
-    """
-    n = len(evs)
-    i = 0
-    while i < n:
-        first = evs[i]
-        j = i + 1
-        batchable = first.rows_exact and first.rows.array is not None
-        while j < n and evs[j].kind == first.kind and evs[j].op == first.op:
-            ev = evs[j]
-            batchable = batchable and ev.rows_exact and ev.rows.array is not None
-            j += 1
-        if j - i == 1 or not batchable:
-            for ev in evs[i:j]:
-                ev.replay(target)
-        elif first.kind == "write":
-            _flush_write_run(target, evs[i:j])
-        else:
-            _flush_accumulate_run(target, evs[i:j], first.op)
-        i = j
 
 
 class PhaseRecorder:
@@ -363,10 +288,6 @@ class PhaseRecorder:
         same objects the commit engine applies)."""
         return [ev for ev in self.write_ops if ev is not None]
 
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def add_global_read(self, node_id: int, shared: "GlobalShared", rows: RowSpec, n_elem: int) -> None:
         rec = self.global_read_recs.get((node_id, shared))
         if rec is None:
@@ -388,26 +309,9 @@ class PhaseRecorder:
             rec = self.global_write_recs[(node_id, shared)] = [[], 0]
         rec[0].append(rows)
         rec[1] += n_elem
-        seq = self.next_seq()
+        self._seq += 1
         if event is not None:
-            event.seq = seq
-            self.write_ops.append(event)
-
-    def add_node_read(self, n_elem: int) -> None:
-        self.node_read_ops += 1
-        self.node_read_elems += n_elem
-
-    def add_node_write(
-        self,
-        node_id: int,
-        n_elem: int,
-        global_rank: int,
-        event: WriteEvent | None = None,
-    ) -> None:
-        self.node_write_elems[node_id] += n_elem
-        seq = self.next_seq()
-        if event is not None:
-            event.seq = seq
+            event.seq = self._seq
             self.write_ops.append(event)
 
     # ------------------------------------------------------------------
@@ -472,22 +376,16 @@ class PhaseRecorder:
 
     # ------------------------------------------------------------------
     def apply_writes(
-        self,
-        *,
-        engine: str = "vectorized",
-        plans: CommitPlanCache | None = None,
-        prune: frozenset = frozenset(),
+        self, plans: CommitPlanCache, *, prune: frozenset = frozenset()
     ) -> None:
         """Commit all buffered writes.
 
         Operations apply in increasing (global VP rank, program order),
         so conflicting plain writes resolve deterministically with the
         highest-ranked writer winning — the documented PPM conflict
-        rule of this reproduction.  ``engine`` selects the batched
-        vectorized commit (default) or the legacy one-op-at-a-time
-        replay (reference semantics; the property tests assert the two
-        are bitwise identical).  ``plans`` optionally supplies a
-        :class:`CommitPlanCache` so iterative kernels pay index
+        rule of this reproduction (``tests/reference.py`` is its
+        one-op-at-a-time oracle).  ``plans`` is the runtime's
+        :class:`CommitPlanCache`, so iterative kernels pay index
         compilation once per access pattern instead of every round.
         ``prune`` names shared variables whose liveness certificate
         allows the commit to skip copy-on-commit and apply in place
@@ -505,13 +403,7 @@ class PhaseRecorder:
             target = evs[0].shared._commit_target(
                 evs[0].instance, prune=evs[0].shared.name in prune
             )
-            if engine == "legacy":
-                for ev in evs:
-                    ev.replay(target)
-            elif plans is not None:
-                plans.apply(target, evs)
-            else:
-                _apply_target_stream(target, evs)
+            plans.apply(target, evs)
 
     def resolve_collectives(self) -> int:
         """Resolve all collective slots; returns total contributions."""

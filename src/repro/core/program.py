@@ -61,10 +61,8 @@ class PpmProgram:
         self,
         cluster: Cluster,
         *,
-        vp_executor: str = "sequential",
         sanitize: str | bool | None = None,
         trace: "PhaseTrace | bool | None" = None,
-        hot_path: str = "fast",
         resilience=None,
         executor: str = "inline",
         workers: int | None = None,
@@ -85,10 +83,8 @@ class PpmProgram:
             )
         self.runtime = PpmRuntime(
             cluster,
-            vp_executor=vp_executor,
             sanitize=sanitize,
             trace=tracer,
-            hot_path=hot_path,
             resilience=resilience,
             executor=executor,
             workers=workers,
@@ -100,7 +96,8 @@ class PpmProgram:
         self.cluster = cluster
 
     def close(self) -> None:
-        """Release runtime resources (the VP thread pool, if any)."""
+        """Release runtime resources (the process executor's worker
+        pool and shared-memory segments, if any)."""
         self.runtime.close()
 
     def __enter__(self) -> "PpmProgram":
@@ -227,10 +224,8 @@ def run_ppm(
     main: Callable,
     cluster: Cluster,
     *args: object,
-    vp_executor: str = "sequential",
     sanitize: str | bool | None = None,
     trace: "PhaseTrace | bool | None" = None,
-    hot_path: str = "fast",
     faults=None,
     checkpoint_every: int | None = None,
     resilience=None,
@@ -249,10 +244,6 @@ def run_ppm(
         Driver function, called as ``main(ppm, *args, **kwargs)``.
     cluster:
         The simulated machine.
-    vp_executor:
-        ``"sequential"`` (default) or ``"threads"`` — run VP phase
-        bodies as real threads (identical results and simulated
-        times; see :class:`~repro.core.runtime.PpmRuntime`).
     sanitize:
         ``None`` (default, off), ``"warn"``/``True`` (record
         phase-conflict diagnostics on ``ppm.diagnostics``),
@@ -271,12 +262,6 @@ def run_ppm(
         aggregates them into a
         :class:`~repro.obs.metrics.RunReport`.  Tracing never changes
         simulated results or times.
-    hot_path:
-        ``"fast"`` (default) — zero-copy snapshot reads, vectorized
-        commit, lock elision in the sequential engine; or ``"legacy"``
-        — copy-on-read and one-op-at-a-time commit replay (reference
-        semantics).  Results and simulated times are bitwise identical
-        either way; see :class:`~repro.core.runtime.PpmRuntime`.
     faults:
         ``None`` (default) or a
         :class:`~repro.resilience.faults.FaultPlan` — a deterministic,
@@ -304,9 +289,7 @@ def run_ppm(
         :mod:`multiprocessing.shared_memory` (committed arrays and
         simulated times stay bitwise-identical; see docs/PARALLEL.md).
         Requires a picklable kernel and arguments
-        (:class:`~repro.core.errors.ParallelConfigError` ``PPM501``)
-        and cannot combine with ``vp_executor="threads"``
-        (``PPM503``).
+        (:class:`~repro.core.errors.ParallelConfigError` ``PPM501``).
     workers:
         Worker process count for ``executor="process"`` (default:
         :func:`repro.parallel.default_workers`, the CPU count clamped
@@ -364,8 +347,7 @@ def run_ppm(
     if supervision is None:
         return _run_once(
             main, cluster, args, kwargs,
-            vp_executor=vp_executor, sanitize=sanitize, trace=trace,
-            hot_path=hot_path, faults=faults,
+            sanitize=sanitize, trace=trace, faults=faults,
             checkpoint_every=checkpoint_every, resilience=resilience,
             executor=executor, workers=workers, zero_merge=zero_merge,
             supervision=None, supervision_state=None, snapshot=snapshot,
@@ -391,8 +373,7 @@ def run_ppm(
         try:
             return _run_once(
                 main, cluster, args, kwargs,
-                vp_executor=vp_executor, sanitize=sanitize, trace=trace,
-                hot_path=hot_path, faults=faults,
+                sanitize=sanitize, trace=trace, faults=faults,
                 checkpoint_every=checkpoint_every, resilience=resilience,
                 executor=executor, workers=workers, zero_merge=zero_merge,
                 supervision=supervision, supervision_state=state,
@@ -424,19 +405,16 @@ def run_ppm(
 
 def _run_once(
     main, cluster, args, kwargs, *,
-    vp_executor, sanitize, trace, hot_path, faults, checkpoint_every,
-    resilience, executor, workers, zero_merge, supervision,
-    supervision_state, snapshot,
+    sanitize, trace, faults, checkpoint_every, resilience, executor,
+    workers, zero_merge, supervision, supervision_state, snapshot,
 ):
     """One complete driver execution (one pool configuration); the
     body ``run_ppm`` wraps in its supervised degradation loop."""
     if faults is None and checkpoint_every is None and resilience is None:
         ppm = PpmProgram(
             cluster,
-            vp_executor=vp_executor,
             sanitize=sanitize,
             trace=trace,
-            hot_path=hot_path,
             executor=executor,
             workers=workers,
             zero_merge=zero_merge,
@@ -473,10 +451,8 @@ def _run_once(
     for _ in range(manager.policy.max_incarnations):
         ppm = PpmProgram(
             cluster,
-            vp_executor=vp_executor,
             sanitize=sanitize,
             trace=trace,
-            hot_path=hot_path,
             resilience=manager,
             executor=executor,
             workers=workers,

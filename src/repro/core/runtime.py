@@ -19,8 +19,6 @@ in the cluster's logical clocks.
 from __future__ import annotations
 
 import inspect
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,7 +43,6 @@ from repro.core.scheduler import (
     node_compute_time,
     peer_owner_messages,
 )
-from repro.core.shared import GlobalShared, RowSpec
 from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
 from repro.machine.network import ZERO_COST
@@ -108,24 +105,21 @@ class DoStats:
 class PpmRuntime:
     """Shared-variable registry plus the phase execution engine.
 
-    ``vp_executor`` selects how phase bodies run: ``"sequential"``
-    (default, fully deterministic single-thread engine) or
-    ``"threads"`` — VPs execute as real threads, the paper's "think of
-    them as threads" reading.  Both modes produce identical results
-    and identical simulated times: phase bodies are independent by
-    construction (snapshot reads, buffered writes), recording is
-    lock-protected, and the commit still applies writes in global-VP-
-    rank order.
+    There is one engine: VP phase bodies run as loops on a single
+    thread (paper section 3.4, "converting VP work into loops"),
+    shared-variable accesses record straight into the phase's
+    :class:`~repro.core.phase.PhaseRecorder`, and the commit applies
+    the buffered writes in global-VP-rank order through the
+    :class:`~repro.core.phase.CommitPlanCache`.  ``executor="process"``
+    places the same engine on real cores, one VP shard per worker.
     """
 
     def __init__(
         self,
         cluster: Cluster,
         *,
-        vp_executor: str = "sequential",
         sanitize: str | bool | None = None,
         trace=None,
-        hot_path: str = "fast",
         resilience=None,
         executor: str = "inline",
         workers: int | None = None,
@@ -134,14 +128,6 @@ class PpmRuntime:
         supervision_state=None,
         snapshot: str = "full",
     ) -> None:
-        if vp_executor not in ("sequential", "threads"):
-            raise ValueError(
-                f"vp_executor must be 'sequential' or 'threads', got {vp_executor!r}"
-            )
-        if hot_path not in ("fast", "legacy"):
-            raise ValueError(
-                f"hot_path must be 'fast' or 'legacy', got {hot_path!r}"
-            )
         if snapshot not in ("full", "pruned"):
             raise ValueError(
                 f"snapshot must be 'full' or 'pruned', got {snapshot!r}"
@@ -158,13 +144,6 @@ class PpmRuntime:
                     code="PPM502",
                 )
             workers = int(workers)
-        if executor == "process" and vp_executor == "threads":
-            raise ParallelConfigError(
-                "executor='process' already parallelises phase bodies "
-                "across worker processes; vp_executor='threads' cannot "
-                "be combined with it",
-                code="PPM503",
-            )
         if supervision is not None and executor != "process":
             raise ParallelConfigError(
                 "supervision= configures worker-process crash recovery "
@@ -201,25 +180,11 @@ class PpmRuntime:
 
             self.shm = ShmRegistry()
         self.cluster = cluster
-        self.vp_executor = vp_executor
-        #: Hot-path selector.  ``"fast"`` (default) enables zero-copy
-        #: snapshot reads, the vectorized commit engine and sequential
-        #: lock elision; ``"legacy"`` restores copy-on-read and
-        #: one-op-at-a-time commit replay — the reference semantics the
-        #: property tests and the wall-clock benchmark's "before"
-        #: column run against.  Both produce bitwise-identical
-        #: committed arrays and simulated times.
-        self.hot_path = hot_path
-        self.zero_copy_reads = hot_path == "fast"
-        self.commit_engine = "vectorized" if hot_path == "fast" else "legacy"
-        #: Cross-round commit-plan cache: the vectorized engine
-        #: compiles each target's access pattern (lexsorted index
-        #: buffers, slice replays, ufunc.at argument tuples) once and
-        #: revalidates it by interned-spec identity every round; None
-        #: in legacy mode (one-op-at-a-time replay has no plans).
-        self.commit_plans = (
-            CommitPlanCache() if self.commit_engine == "vectorized" else None
-        )
+        #: Cross-round commit-plan cache: the commit engine compiles
+        #: each target's access pattern (lexsorted index buffers, slice
+        #: replays, ufunc.at argument tuples) once and revalidates it
+        #: by interned-spec identity every round.
+        self.commit_plans = CommitPlanCache()
         #: Zero-merge commit switch (``executor="process"`` only):
         #: rounds whose phases carry a conflict-freedom certificate
         #: commit worker-side, straight into the shared-memory
@@ -289,17 +254,8 @@ class PpmRuntime:
         self.stats_commit_copy_bytes = 0
         #: Certificate of the kernel currently inside ``do``, or None.
         self._active_cert = None
-        self._tls = threading.local()
-        # Seed the constructing thread so hot paths can read
-        # ``_tls.cursor`` directly (no getattr default needed).
-        self._tls.cursor = None
-        # Lock strategy, chosen once: the sequential engine records
-        # from a single thread and elides the lock entirely (a plain
-        # boolean branch, cheaper than entering even a no-op context
-        # manager on every shared-variable access).
-        self._record_lock = threading.Lock()
-        self._needs_lock = vp_executor == "threads" or hot_path == "legacy"
-        self._pool: ThreadPoolExecutor | None = None
+        #: The VP whose code is executing (None in driver code).
+        self.cursor: VpContext | None = None
         # Per-access cost constants, hoisted out of the recording hot
         # path (MachineConfig is frozen, so these cannot go stale).
         cfg = cluster.config
@@ -312,21 +268,10 @@ class PpmRuntime:
         # node's peer footprint (elems + itemsize per peer) and the
         # phase's latency rounds, never on node/owner identities, and
         # iterative solvers repeat the same footprints every phase.
-        # Bypassed when tracing (per-transfer events must be emitted)
-        # and in legacy mode.
+        # Bypassed when tracing (per-transfer events must be emitted).
         self._comm_cost_cache: dict = {}
         #: Per-phase timing breakdowns, appended as phases commit.
         self.profile: list[PhaseProfile] = []
-
-    @property
-    def cursor(self) -> VpContext | None:
-        """The VP whose code is executing on *this* thread (None in
-        driver code)."""
-        return getattr(self._tls, "cursor", None)
-
-    @cursor.setter
-    def cursor(self, value: VpContext | None) -> None:
-        self._tls.cursor = value
 
     @property
     def config(self) -> MachineConfig:
@@ -341,17 +286,13 @@ class PpmRuntime:
     # Lifecycle
     # ==================================================================
     def close(self) -> None:
-        """Release runtime resources: the lazily created VP thread pool
-        of the ``"threads"`` executor, and — under the process executor
-        — the worker process pool plus every shared-memory segment.
+        """Release runtime resources: under the process executor, the
+        worker process pool plus every shared-memory segment.
         Idempotent, and reached on *every* ``run_ppm`` exit path
         (success, application crash, ``KeyboardInterrupt``), so no
         worker process or ``/dev/shm`` segment outlives the program.
         Also forgets the shared variables' memoised access records, so
         nothing they hold waits for a garbage collection."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
         backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
@@ -377,76 +318,6 @@ class PpmRuntime:
             )
         return self.phase
 
-    def record_global_read(
-        self, shared: GlobalShared, rows: RowSpec, n_elem: int, ctx=None
-    ) -> None:
-        phase = self.phase
-        if phase is None:
-            phase = self._require_phase()
-        if ctx is None:
-            ctx = self.cursor
-        ctx._cost += self._access_call + n_elem * self._access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_global_read(ctx.node_id, shared, rows, n_elem)
-        else:
-            phase.add_global_read(ctx.node_id, shared, rows, n_elem)
-
-    def record_global_write(
-        self,
-        shared: GlobalShared,
-        rows: RowSpec,
-        n_elem: int,
-        event=None,
-        ctx=None,
-    ) -> None:
-        phase = self.phase
-        if phase is None:
-            phase = self._require_phase()
-        if phase.kind == "node":
-            raise SharedAccessError(
-                "global shared variables cannot be written inside a node "
-                "phase; use a global phase"
-            )
-        if ctx is None:
-            ctx = self.cursor
-        ctx._cost += self._access_call + n_elem * self._access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_global_write(
-                    ctx.node_id, shared, rows, n_elem, ctx.global_rank, event
-                )
-        else:
-            phase.add_global_write(
-                ctx.node_id, shared, rows, n_elem, ctx.global_rank, event
-            )
-
-    def record_node_read(self, shared, n_elem: int, ctx=None) -> None:
-        phase = self.phase
-        if phase is None:
-            phase = self._require_phase()
-        if ctx is None:
-            ctx = self.cursor
-        ctx._cost += self._access_call + n_elem * self._node_access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_node_read(n_elem)
-        else:
-            phase.add_node_read(n_elem)
-
-    def record_node_write(self, shared, n_elem: int, event=None, ctx=None) -> None:
-        phase = self.phase
-        if phase is None:
-            phase = self._require_phase()
-        if ctx is None:
-            ctx = self.cursor
-        ctx._cost += self._access_call + n_elem * self._node_access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_node_write(ctx.node_id, n_elem, ctx.global_rank, event)
-        else:
-            phase.add_node_write(ctx.node_id, n_elem, ctx.global_rank, event)
-
     def record_collective(self, ctx: VpContext, kind: str, value: object, op) -> CollectiveHandle:
         phase = self.phase
         if phase is None:
@@ -456,22 +327,17 @@ class PpmRuntime:
         # (the recorder of a node phase belongs to a single node, so
         # the same slot machinery scopes it naturally).
         index = ctx._coll_index
-        if self._needs_lock:
-            with self._record_lock:
-                slot = phase.collective_slot(index, kind, op)
-                handle = slot.add(ctx.global_rank, value)
+        slots = phase.collective_slots
+        if index < len(slots):
+            slot = slots[index]
+            # Identity match is the common case; the full
+            # compatibility check handles equal-but-distinct ops.
+            if kind != slot.kind or op is not slot.op:
+                slot.check_compatible(kind, op)
         else:
-            slots = phase.collective_slots
-            if index < len(slots):
-                slot = slots[index]
-                # Identity match is the common case; the full
-                # compatibility check handles equal-but-distinct ops.
-                if kind != slot.kind or op is not slot.op:
-                    slot.check_compatible(kind, op)
-            else:
-                slot = phase.collective_slot(index, kind, op)
-            handle = CollectiveHandle(slot.kind)
-            slot.entries.append((ctx.global_rank, value, handle))
+            slot = phase.collective_slot(index, kind, op)
+        handle = CollectiveHandle(slot.kind)
+        slot.entries.append((ctx.global_rank, value, handle))
         ctx._coll_index = index + 1
         # Contribution cost: one runtime-library call.
         ctx._cost += self._access_call
@@ -692,8 +558,7 @@ class PpmRuntime:
         phase (or the prologue) up to the next phase declaration."""
         if vp.done:
             return
-        tls = self._tls
-        tls.cursor = vp.ctx
+        self.cursor = vp.ctx
         try:
             decl = next(vp.gen)
         except StopIteration:
@@ -708,7 +573,7 @@ class PpmRuntime:
                 phase_index=vp.phase_index,
             ) from exc
         finally:
-            tls.cursor = None
+            self.cursor = None
         if not isinstance(decl, PhaseDecl):
             raise PhaseUsageError(
                 f"PPM functions must yield phase declarations "
@@ -730,37 +595,34 @@ class PpmRuntime:
         self._assign_cores(vps)
         self.phase = recorder
         try:
-            if self.vp_executor == "threads":
-                self._execute_threaded(recorder, vps)
-            else:
-                tr = recorder.tracer
-                core_costs = recorder.core_costs
-                # VPs arrive node-major, so the inner per-core dict is
-                # fetched once per node run.  Costs still accumulate
-                # one VP at a time — the float summation order is part
-                # of the bitwise-identity contract.
-                run_node = -1
-                inner = None
-                for vp in vps:
-                    if vp.done:
-                        continue
-                    ctx = vp.ctx
-                    ctx._cost = 0.0
-                    ctx._coll_index = 0
-                    self._advance(vp)
-                    cost = ctx._cost
-                    if tr is not None:
-                        recorder.add_vp_cost(
-                            ctx.node_id, ctx.core_id, cost, vp=ctx.global_rank
-                        )
-                    elif cost:
-                        if ctx.node_id != run_node:
-                            run_node = ctx.node_id
-                            inner = core_costs[run_node]
-                        core = ctx.core_id
-                        inner[core] = inner.get(core, 0.0) + cost
-                    vp.last_cost = cost
-                    ctx._cost = 0.0
+            tr = recorder.tracer
+            core_costs = recorder.core_costs
+            # VPs arrive node-major, so the inner per-core dict is
+            # fetched once per node run.  Costs still accumulate one VP
+            # at a time — the float summation order is part of the
+            # bitwise-identity contract.
+            run_node = -1
+            inner = None
+            for vp in vps:
+                if vp.done:
+                    continue
+                ctx = vp.ctx
+                ctx._cost = 0.0
+                ctx._coll_index = 0
+                self._advance(vp)
+                cost = ctx._cost
+                if tr is not None:
+                    recorder.add_vp_cost(
+                        ctx.node_id, ctx.core_id, cost, vp=ctx.global_rank
+                    )
+                elif cost:
+                    if ctx.node_id != run_node:
+                        run_node = ctx.node_id
+                        inner = core_costs[run_node]
+                    core = ctx.core_id
+                    inner[core] = inner.get(core, 0.0) + cost
+                vp.last_cost = cost
+                ctx._cost = 0.0
         finally:
             self.phase = None
 
@@ -789,42 +651,6 @@ class PpmRuntime:
                 continue  # no history yet: keep the static chunks
             for vp in node_vps:
                 vp.ctx.core_id = assignment[vp.ctx.node_rank]
-
-    def _execute_threaded(self, recorder: PhaseRecorder, vps: list[_VpRecord]) -> None:
-        """Run phase bodies as real threads (the paper's VPs-as-
-        threads reading).  Results and times match the sequential
-        engine: bodies only see the snapshot, recording is locked, and
-        the rank-ordered commit makes the outcome order-independent."""
-        if self._pool is None:
-            import os
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(2, min(16, os.cpu_count() or 4)),
-                thread_name_prefix="ppm-vp",
-            )
-
-        def run_one(vp: _VpRecord):
-            if vp.done:
-                return None
-            ctx = vp.ctx
-            ctx._cost = 0.0
-            ctx._coll_index = 0
-            try:
-                self._advance(vp)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                return exc
-            with self._record_lock:
-                recorder.add_vp_cost(
-                    ctx.node_id, ctx.core_id, ctx._cost, vp=ctx.global_rank
-                )
-            vp.last_cost = ctx._cost
-            ctx._cost = 0.0
-            return None
-
-        errors = list(self._pool.map(run_one, vps))
-        for vp, err in zip(vps, errors):
-            if err is not None:
-                raise err
 
     # ------------------------------------------------------------------
     def _run_global_phase(
@@ -889,10 +715,7 @@ class PpmRuntime:
             self.sanitizer.check_phase(recorder, phase_index=phase_index)
         if certified:
             self.stats_certified_phases += 1
-        prune = self._prune_names
-        recorder.apply_writes(
-            engine=self.commit_engine, plans=self.commit_plans, prune=prune
-        )
+        recorder.apply_writes(self.commit_plans, prune=self._prune_names)
         if tr is not None and self.stats_pruned_commits > p0:
             tr.emit(
                 SnapshotPruned(
@@ -920,7 +743,7 @@ class PpmRuntime:
         # exchange); memoise instead of re-deriving a single-peer
         # NodeTraffic cost per peer.
         peer_msg_cache: dict[tuple[int, int, int], int] = {}
-        cost_cache = self._comm_cost_cache if tr is None and self.zero_copy_reads else None
+        cost_cache = self._comm_cost_cache if tr is None else None
         for node_id, nt in traffic.items():
             if cost_cache is not None:
                 ck = (
@@ -1109,11 +932,7 @@ class PpmRuntime:
             self.sanitizer.check_phase(recorder, phase_index=phase_index)
         if certified:
             self.stats_certified_phases += 1
-        recorder.apply_writes(
-            engine=self.commit_engine,
-            plans=self.commit_plans,
-            prune=self._prune_names,
-        )
+        recorder.apply_writes(self.commit_plans, prune=self._prune_names)
         if tr is not None and self.stats_pruned_commits > p0:
             tr.emit(
                 SnapshotPruned(
@@ -1136,7 +955,7 @@ class PpmRuntime:
         nt = traffic.get(node_id)
         if nt is None:
             comm_cost = ZERO_COST
-        elif tr is None and self.zero_copy_reads:
+        elif tr is None:
             cost_cache = self._comm_cost_cache
             ck = (
                 recorder.latency_rounds,

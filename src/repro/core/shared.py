@@ -187,7 +187,7 @@ class WriteEvent:
 
     def replay(self, target: np.ndarray) -> None:
         """Apply this operation to ``target`` exactly as the original
-        access would have (the legacy/fallback commit path)."""
+        access would have (the commit engine's in-plan fallback)."""
         if self.kind == "write":
             target[self.idx] = self.value
         else:
@@ -448,12 +448,10 @@ class _SharedBase:
 
     @staticmethod
     def _copy_out(value):
-        """Snapshot-read results must not alias the committed store
-        (the legacy hot path and driver-level reads)."""
+        """Driver-level reads must not alias the committed store."""
         if isinstance(value, np.ndarray):
             return value.copy()
         return value
-
 
 
 class GlobalShared(_SharedBase):
@@ -590,100 +588,65 @@ class GlobalShared(_SharedBase):
     # -- access ----------------------------------------------------------
     def __getitem__(self, idx):
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             return self._copy_out(self._data[idx])
-        if rt.zero_copy_reads:
-            # Recording is inlined here (every Python call is
-            # measurable at this frequency); semantics are identical to
-            # rt.record_global_read.
-            data = self._ro
-            rows, n_elem, _, view_kind, cost = self._access_record(idx, data)
-            phase = rt.phase
-            if phase is None:
-                rt._require_phase()
-            ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_global_read(ctx.node_id, self, rows, n_elem)
-            else:
-                recs = phase.global_read_recs
-                rec = recs.get((ctx.node_id, self))
-                if rec is None:
-                    rec = recs[(ctx.node_id, self)] = [[], 0]
-                rec[0].append(rows)
-                rec[1] += n_elem
-            value = data[idx]
-            if view_kind:
-                if isinstance(value, np.ndarray):
-                    self._views_taken = True
-            elif (
-                view_kind is None
-                and isinstance(value, np.ndarray)
-                and np.may_share_memory(value, data)
-            ):
+        # Recording is inlined in every accessor (each Python call is
+        # measurable at this frequency): charge the VP, then extend the
+        # phase recorder's rec map / op stream directly.
+        data = self._ro
+        rows, n_elem, _, view_kind, cost = self._access_record(idx, data)
+        phase = rt.phase
+        if phase is None:
+            rt._require_phase()
+        ctx._cost += cost
+        recs = phase.global_read_recs
+        rec = recs.get((ctx.node_id, self))
+        if rec is None:
+            rec = recs[(ctx.node_id, self)] = [[], 0]
+        rec[0].append(rows)
+        rec[1] += n_elem
+        value = data[idx]
+        if view_kind:
+            if isinstance(value, np.ndarray):
                 self._views_taken = True
-            return value
-        data = self._data
-        rows = _normalize_rows(idx, self.shape[0])
-        n_elem = self._count_elements(idx, rows, data)
-        rt.record_global_read(self, rows, n_elem, ctx)
-        return self._copy_out(data[idx])
+        elif (
+            view_kind is None
+            and isinstance(value, np.ndarray)
+            and np.may_share_memory(value, data)
+        ):
+            self._views_taken = True
+        return value
 
     def __setitem__(self, idx, value) -> None:
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._data[idx] = value
             return
-        if rt.zero_copy_reads:
-            rows, n_elem, rows_exact, _vk, cost = self._access_record(idx, self._data)
-            if isinstance(value, np.ndarray):
-                value = np.array(value, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, None, "write", None, idx, value, rows, rank, rows_exact
-            )
-            # Inlined rt.record_global_write (identical semantics).
-            phase = rt.phase
-            if phase is None:
-                rt._require_phase()
-            if phase.kind == "node":
-                raise SharedAccessError(
-                    "global shared variables cannot be written inside a node "
-                    "phase; use a global phase"
-                )
-            ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_global_write(
-                        ctx.node_id, self, rows, n_elem, rank, event
-                    )
-            else:
-                recs = phase.global_write_recs
-                rec = recs.get((ctx.node_id, self))
-                if rec is None:
-                    rec = recs[(ctx.node_id, self)] = [[], 0]
-                rec[0].append(rows)
-                rec[1] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
-            return
-        rows = _normalize_rows(idx, self.shape[0])
-        n_elem = self._count_elements(idx, rows, self._data)
-        rows_exact = _rows_exact(idx)
-        value_copy = np.array(value, dtype=self.dtype, copy=True) if isinstance(value, np.ndarray) else value
+        rows, n_elem, rows_exact, _vk, cost = self._access_record(idx, self._data)
+        if isinstance(value, np.ndarray):
+            value = np.array(value, dtype=self.dtype, copy=True)
         event = WriteEvent(
-            self, None, "write", None, idx, value_copy, rows,
-            ctx.global_rank, rows_exact,
+            self, None, "write", None, idx, value, rows, ctx.global_rank, rows_exact
         )
-        rt.record_global_write(self, rows, n_elem, event, ctx)
+        phase = rt.phase
+        if phase is None:
+            rt._require_phase()
+        if phase.kind == "node":
+            raise SharedAccessError(
+                "global shared variables cannot be written inside a node "
+                "phase; use a global phase"
+            )
+        ctx._cost += cost
+        recs = phase.global_write_recs
+        rec = recs.get((ctx.node_id, self))
+        if rec is None:
+            rec = recs[(ctx.node_id, self)] = [[], 0]
+        rec[0].append(rows)
+        rec[1] += n_elem
+        event.seq = phase._seq = phase._seq + 1
+        phase.write_ops.append(event)
 
     def accumulate(self, rows, values, op: str = "add") -> None:
         """Combine ``values`` into ``self[rows]`` at phase commit with a
@@ -696,56 +659,34 @@ class GlobalShared(_SharedBase):
                 f"unknown accumulate op {op!r}; expected one of {sorted(ACCUMULATE_UFUNCS)}"
             ) from None
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             ufunc.at(self._data, rows, values)
             return
-        if rt.zero_copy_reads:
-            spec, _, rows_exact, _vk, _c = self._access_record(rows, self._data)
-            n_elem = spec.count * self._trailing
-            if isinstance(values, np.ndarray):
-                values = np.array(values, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, None, "accumulate", op, rows, values, spec, rank, rows_exact
-            )
-            # Inlined rt.record_global_write (identical semantics).
-            phase = rt.phase
-            if phase is None:
-                rt._require_phase()
-            if phase.kind == "node":
-                raise SharedAccessError(
-                    "global shared variables cannot be written inside a node "
-                    "phase; use a global phase"
-                )
-            ctx._cost += rt._access_call + n_elem * rt._access_elem
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_global_write(
-                        ctx.node_id, self, spec, n_elem, rank, event
-                    )
-            else:
-                recs = phase.global_write_recs
-                rec = recs.get((ctx.node_id, self))
-                if rec is None:
-                    rec = recs[(ctx.node_id, self)] = [[], 0]
-                rec[0].append(spec)
-                rec[1] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
-            return
-        spec = _normalize_rows(rows, self.shape[0])
-        rows_exact = _rows_exact(rows)
+        spec, _, rows_exact, _vk, _c = self._access_record(rows, self._data)
         n_elem = spec.count * self._trailing
-        vals = np.array(values, dtype=self.dtype, copy=True) if isinstance(values, np.ndarray) else values
+        if isinstance(values, np.ndarray):
+            values = np.array(values, dtype=self.dtype, copy=True)
         event = WriteEvent(
-            self, None, "accumulate", op, rows, vals, spec,
-            ctx.global_rank, rows_exact,
+            self, None, "accumulate", op, rows, values, spec, ctx.global_rank, rows_exact
         )
-        rt.record_global_write(self, spec, n_elem, event, ctx)
+        phase = rt.phase
+        if phase is None:
+            rt._require_phase()
+        if phase.kind == "node":
+            raise SharedAccessError(
+                "global shared variables cannot be written inside a node "
+                "phase; use a global phase"
+            )
+        ctx._cost += rt._access_call + n_elem * rt._access_elem
+        recs = phase.global_write_recs
+        rec = recs.get((ctx.node_id, self))
+        if rec is None:
+            rec = recs[(ctx.node_id, self)] = [[], 0]
+        rec[0].append(spec)
+        rec[1] += n_elem
+        event.seq = phase._seq = phase._seq + 1
+        phase.write_ops.append(event)
 
     @property
     def committed(self) -> np.ndarray:
@@ -855,82 +796,49 @@ class NodeShared(_SharedBase):
 
     def __getitem__(self, idx):
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._current_node()  # raises the driver-level usage error
         node = ctx.node_id
-        if rt.zero_copy_reads:
-            data = self._ro[node]
-            rows, n_elem, _, view_kind, cost = self._access_record(idx, data)
-            phase = rt.phase
-            if phase is None:
-                rt._require_phase()
-            ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_node_read(n_elem)
-            else:
-                phase.node_read_ops += 1
-                phase.node_read_elems += n_elem
-            value = data[idx]
-            if view_kind:
-                if isinstance(value, np.ndarray):
-                    self._views_taken[node] = True
-            elif (
-                view_kind is None
-                and isinstance(value, np.ndarray)
-                and np.may_share_memory(value, data)
-            ):
+        data = self._ro[node]
+        rows, n_elem, _, view_kind, cost = self._access_record(idx, data)
+        phase = rt.phase
+        if phase is None:
+            rt._require_phase()
+        ctx._cost += cost
+        phase.node_read_ops += 1
+        phase.node_read_elems += n_elem
+        value = data[idx]
+        if view_kind:
+            if isinstance(value, np.ndarray):
                 self._views_taken[node] = True
-            return value
-        data = self._data[node]
-        rows = _normalize_rows(idx, self.shape[0])
-        n_elem = self._count_elements(idx, rows, data)
-        rt.record_node_read(self, n_elem, ctx)
-        return self._copy_out(data[idx])
+        elif (
+            view_kind is None
+            and isinstance(value, np.ndarray)
+            and np.may_share_memory(value, data)
+        ):
+            self._views_taken[node] = True
+        return value
 
     def __setitem__(self, idx, value) -> None:
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._current_node()
         node = ctx.node_id
-        if rt.zero_copy_reads:
-            rows, n_elem, rows_exact, _vk, cost = self._access_record(idx, self._data[node])
-            if isinstance(value, np.ndarray):
-                value = np.array(value, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, node, "write", None, idx, value, rows, rank, rows_exact
-            )
-            # Inlined rt.record_node_write (identical semantics).
-            phase = rt.phase
-            if phase is None:
-                rt._require_phase()
-            ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_node_write(node, n_elem, rank, event)
-            else:
-                phase.node_write_elems[node] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
-            return
-        rows = _normalize_rows(idx, self.shape[0])
-        n_elem = self._count_elements(idx, rows, self._data[node])
-        rows_exact = _rows_exact(idx)
-        value_copy = np.array(value, dtype=self.dtype, copy=True) if isinstance(value, np.ndarray) else value
+        rows, n_elem, rows_exact, _vk, cost = self._access_record(idx, self._data[node])
+        if isinstance(value, np.ndarray):
+            value = np.array(value, dtype=self.dtype, copy=True)
         event = WriteEvent(
-            self, node, "write", None, idx, value_copy, rows,
-            ctx.global_rank, rows_exact,
+            self, node, "write", None, idx, value, rows, ctx.global_rank, rows_exact
         )
-        rt.record_node_write(self, n_elem, event, ctx)
+        phase = rt.phase
+        if phase is None:
+            rt._require_phase()
+        ctx._cost += cost
+        phase.node_write_elems[node] += n_elem
+        event.seq = phase._seq = phase._seq + 1
+        phase.write_ops.append(event)
 
     def accumulate(self, rows, values, op: str = "add") -> None:
         """Node-level analogue of :meth:`GlobalShared.accumulate`."""
@@ -939,44 +847,24 @@ class NodeShared(_SharedBase):
                 f"unknown accumulate op {op!r}; expected one of {sorted(ACCUMULATE_UFUNCS)}"
             )
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._current_node()
         node = ctx.node_id
-        if rt.zero_copy_reads:
-            spec, _, rows_exact, _vk, _c = self._access_record(rows, self._data[node])
-            n_elem = spec.count * self._trailing
-            if isinstance(values, np.ndarray):
-                values = np.array(values, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, node, "accumulate", op, rows, values, spec, rank, rows_exact
-            )
-            # Inlined rt.record_node_write (identical semantics).
-            phase = rt.phase
-            if phase is None:
-                rt._require_phase()
-            ctx._cost += rt._access_call + n_elem * rt._node_access_elem
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_node_write(node, n_elem, rank, event)
-            else:
-                phase.node_write_elems[node] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
-            return
-        spec = _normalize_rows(rows, self.shape[0])
-        rows_exact = _rows_exact(rows)
+        spec, _, rows_exact, _vk, _c = self._access_record(rows, self._data[node])
         n_elem = spec.count * self._trailing
-        vals = np.array(values, dtype=self.dtype, copy=True) if isinstance(values, np.ndarray) else values
+        if isinstance(values, np.ndarray):
+            values = np.array(values, dtype=self.dtype, copy=True)
         event = WriteEvent(
-            self, node, "accumulate", op, rows, vals, spec,
-            ctx.global_rank, rows_exact,
+            self, node, "accumulate", op, rows, values, spec, ctx.global_rank, rows_exact
         )
-        rt.record_node_write(self, n_elem, event, ctx)
+        phase = rt.phase
+        if phase is None:
+            rt._require_phase()
+        ctx._cost += rt._access_call + n_elem * rt._node_access_elem
+        phase.node_write_elems[node] += n_elem
+        event.seq = phase._seq = phase._seq + 1
+        phase.write_ops.append(event)
 
     def __len__(self) -> int:
         return self.shape[0]

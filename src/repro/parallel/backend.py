@@ -132,7 +132,6 @@ class ProcessBackend:
                 code="PPM501",
             ) from exc
         common = {
-            "hot_path": rt.hot_path,
             "kernel": blob,
             "counts": list(counts),
             "default_decl": (default_decl.kind, default_decl.latency_rounds),
@@ -151,7 +150,6 @@ class ProcessBackend:
             rt._active_cert is not None
             and rt.zero_merge
             and (rt.sanitizer is None or rt.sanitize_auto)
-            and rt.commit_engine == "vectorized"
         )
         total = sum(counts)
         w = self.n_workers
@@ -612,7 +610,7 @@ class ProcessBackend:
         # Interned per (worker, id): iterative kernels reuse the same
         # index arrays phase after phase, so the parent presents stable
         # RowSpec objects to the bundling memo — the same cache-hit
-        # behaviour the inline fast path gets from its access cache.
+        # behaviour the inline engine gets from its access cache.
         spec = self._specs[w].get(iid)
         if spec is None:
             spec = self._specs[w][iid] = RowSpec.from_array(

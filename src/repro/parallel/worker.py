@@ -99,7 +99,7 @@ class _WorkerDo:
         # lazily, never the other way around at module level.
         from repro.core.runtime import PpmRuntime, _VpRecord
 
-        self.rt = PpmRuntime(self.cluster, hot_path=common["hot_path"])
+        self.rt = PpmRuntime(self.cluster)
         # Shared-variable proxies: identical handles to the parent's,
         # except their committed stores are the mapped segments.
         self.proxies: dict[str, object] = {}

@@ -1,14 +1,15 @@
-"""The fast hot path is an optimisation, not a semantics change.
+"""The hot path is an optimisation, not a semantics change.
 
-``hot_path="fast"`` (zero-copy snapshot reads, the vectorized commit
-engine, sequential lock elision) must be observationally identical to
-``hot_path="legacy"`` (copy-on-read, one-op-at-a-time commit replay):
-bitwise-equal committed arrays and bitwise-equal simulated times, for
-any program.  The hypothesis tests below throw randomly generated
-conflicting write/accumulate streams at both engines; the rest of the
-module pins down the zero-copy view semantics and two regressions
-(numpy-integer VP counts, thread-pool shutdown) fixed alongside the
-overhaul.
+The runtime has one engine: zero-copy snapshot reads, memoised access
+records and a batched, plan-cached commit.  What it must compute is
+fixed by docs/SEMANTICS.md, and ``tests/reference.py`` is that rule
+written one operation at a time on a plain numpy array.  The
+hypothesis tests below throw randomly generated conflicting
+write/accumulate streams at the engine and require the committed bytes
+to equal the oracle's, and require a memoised access record (which
+carries the simulated per-access cost) to equal a freshly computed
+one.  The rest of the module pins down the zero-copy view semantics,
+numpy-integer VP counts and ``close()``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from hypothesis import strategies as st
 
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
+from repro.core.program import PpmProgram
 from repro.machine import Cluster
+from tests.reference import commit_oracle
 
 N = 24  # rows of the shared array the generated programs target
 VPS = 4  # 2 nodes x 2 VPs
@@ -78,38 +81,90 @@ def _apply_ops(ctx, xs, per_vp):
     xs[:]
 
 
-def _run(shared_kind: str, per_vp, hot_path: str):
+def _run(shared_kind: str, per_vp) -> np.ndarray:
     def main(ppm):
         if shared_kind == "global":
             xs = ppm.global_shared("x", N)
         else:
             xs = ppm.node_shared("x", N)
-        ppm.reset_clocks()
         ppm.do(2, _apply_ops, xs, per_vp)
         if shared_kind == "global":
             return xs.committed.copy()
         return np.concatenate([np.asarray(xs.instance(i)) for i in range(2)])
 
-    ppm, out = run_ppm(main, _cluster(), hot_path=hot_path)
-    return out, ppm.elapsed
+    return run_ppm(main, _cluster())[1]
 
 
-class TestFastEqualsLegacy:
+class TestCommitMatchesOracle:
     @settings(max_examples=30, deadline=None)
     @given(per_vp=_programs)
     def test_global_shared_commit_bitwise_equal(self, per_vp):
-        out_fast, t_fast = _run("global", per_vp, "fast")
-        out_legacy, t_legacy = _run("global", per_vp, "legacy")
-        assert out_fast.tobytes() == out_legacy.tobytes()
-        assert t_fast == t_legacy
+        want = commit_oracle(np.zeros(N), per_vp)
+        assert _run("global", per_vp).tobytes() == want.tobytes()
 
     @settings(max_examples=15, deadline=None)
     @given(per_vp=_programs)
     def test_node_shared_commit_bitwise_equal(self, per_vp):
-        out_fast, t_fast = _run("node", per_vp, "fast")
-        out_legacy, t_legacy = _run("node", per_vp, "legacy")
-        assert out_fast.tobytes() == out_legacy.tobytes()
-        assert t_fast == t_legacy
+        # One instance per node, written by that node's two VPs only.
+        want = np.concatenate(
+            [commit_oracle(np.zeros(N), per_vp[2 * i : 2 * i + 2]) for i in range(2)]
+        )
+        assert _run("node", per_vp).tobytes() == want.tobytes()
+
+
+# ----------------------------------------------------------------------
+# Memoised access records
+# ----------------------------------------------------------------------
+
+COLS = 3  # trailing axis of the 2-D array the index strategies target
+
+_steps = st.sampled_from([None, 1, 2, -1, -3])
+_idx_slice = st.builds(
+    slice,
+    st.none() | st.integers(-N, N),
+    st.none() | st.integers(-N, N),
+    _steps,
+)
+_idx_int = st.integers(-N, N - 1)
+_idx_fancy = st.lists(st.integers(-N, N - 1), max_size=8).map(
+    lambda xs: np.array(xs, dtype=np.int64)
+)
+_idx_col = st.integers(0, COLS - 1) | st.just(slice(None)) | st.just(slice(1, COLS))
+_idx_tuple = st.tuples(_idx_slice | _idx_int | _idx_fancy, _idx_col)
+_indices = _idx_slice | _idx_int | _idx_fancy | _idx_tuple
+
+
+def _record_key(rec):
+    rows, n_elem, rows_exact, _view_kind, cost = rec
+    return (rows.materialize().tolist(), n_elem, rows_exact, cost)
+
+
+class TestAccessRecordMemo:
+    """A warm ``_access_record`` must equal a cold one: the memo may
+    save the normalisation work, never change the rows bundling sees or
+    the simulated cost the VP is charged."""
+
+    @pytest.mark.parametrize("kind", ["global", "node"])
+    @settings(max_examples=60, deadline=None)
+    @given(indices=st.lists(_indices, min_size=1, max_size=6))
+    def test_warm_record_equals_cold_record(self, kind, indices):
+        with PpmProgram(_cluster()) as ppm:
+            if kind == "global":
+                xs = ppm.global_shared("x", (N, COLS))
+                data = xs._data
+            else:
+                xs = ppm.node_shared("x", (N, COLS))
+                data = xs._data[0]
+            first = [xs._access_record(idx, data) for idx in indices]
+            warm = [xs._access_record(idx, data) for idx in indices]
+            for idx, a, b in zip(indices, first, warm):
+                if type(idx) is not tuple:  # slice / int / index array: memoised
+                    assert a is b
+            cold = []
+            for idx in indices:
+                xs._drop_caches()
+                cold.append(xs._access_record(idx, data))
+            assert [_record_key(r) for r in warm] == [_record_key(r) for r in cold]
 
 
 # ----------------------------------------------------------------------
@@ -134,7 +189,7 @@ class TestZeroCopyViews:
             xs[:] = np.arange(8.0)
             ppm.do(1, probe, xs)
 
-        run_ppm(main, _cluster(n_nodes=1, cores=1), hot_path="fast")
+        run_ppm(main, _cluster(n_nodes=1, cores=1))
         assert seen["writeable"] is False
         assert seen["owns"] is True  # a view, not a fresh copy
 
@@ -157,25 +212,9 @@ class TestZeroCopyViews:
             xs[:] = np.arange(8.0)
             ppm.do(1, hold, xs)
 
-        run_ppm(main, _cluster(n_nodes=1, cores=1), hot_path="fast")
+        run_ppm(main, _cluster(n_nodes=1, cores=1))
         np.testing.assert_array_equal(seen["held"], np.arange(4.0))
         np.testing.assert_array_equal(seen["fresh"], np.full(4, 7.0))
-
-    def test_legacy_mode_still_returns_copies(self):
-        seen = {}
-
-        @ppm_function
-        def probe(ctx, xs):
-            yield ctx.global_phase
-            chunk = xs[0:4]
-            seen["writeable"] = chunk.flags.writeable
-
-        def main(ppm):
-            xs = ppm.global_shared("x", 8)
-            ppm.do(1, probe, xs)
-
-        run_ppm(main, _cluster(n_nodes=1, cores=1), hot_path="legacy")
-        assert seen["writeable"] is True
 
 
 # ----------------------------------------------------------------------
@@ -207,42 +246,49 @@ class TestNumpyIntVpCounts:
             run_ppm(main, _cluster())
 
 
+@ppm_function
+def _read_all(ctx, xs):
+    yield ctx.global_phase
+    xs[:]
+
+
 class TestRuntimeClose:
-    def test_threaded_pool_shut_down_by_run_ppm(self):
+    """``close()`` releases what the runtime holds.  Under the inline
+    executor that is the shared variables' memoised access records
+    (tests/parallel/test_teardown.py covers the process executor's
+    pool and segments)."""
+
+    def test_close_is_idempotent_and_do_after_close_works(self):
+        ppm = PpmProgram(_cluster())
+        xs = ppm.global_shared("x", 8)
+        ppm.do(2, _read_all, xs)
+        ppm.close()
+        ppm.close()
+        assert not xs._access_cache
+        ppm.do(2, _read_all, xs)  # a closed runtime keeps working
+        assert xs._access_cache
+        ppm.close()
+
+    def test_context_manager_closes(self):
+        with PpmProgram(_cluster()) as ppm:
+            xs = ppm.global_shared("x", 8)
+            ppm.do(2, _read_all, xs)
+            assert xs._access_cache
+        assert not xs._access_cache
+
+    def test_run_ppm_closes_on_keyboard_interrupt(self):
+        held = {}
+
         @ppm_function
-        def touch(ctx):
+        def interrupted(ctx, xs):
             yield ctx.global_phase
+            xs[:]
+            raise KeyboardInterrupt
 
         def main(ppm):
-            ppm.do(2, touch)
-            return ppm.runtime
+            held["xs"] = xs = ppm.global_shared("x", 8)
+            ppm.do(2, interrupted, xs)
 
-        _, runtime = run_ppm(main, _cluster(), vp_executor="threads")
-        assert runtime._pool is None  # run_ppm closed it
-
-    def test_context_manager_closes_pool(self):
-        from repro.core.program import PpmProgram
-
-        @ppm_function
-        def touch(ctx):
-            yield ctx.global_phase
-
-        with PpmProgram(_cluster(), vp_executor="threads") as ppm:
-            ppm.do(2, touch)
-            assert ppm.runtime._pool is not None
-        assert ppm.runtime._pool is None
-
-    def test_close_is_idempotent_and_pool_recreated(self):
-        from repro.core.program import PpmProgram
-
-        @ppm_function
-        def touch(ctx):
-            yield ctx.global_phase
-
-        ppm = PpmProgram(_cluster(), vp_executor="threads")
-        ppm.do(2, touch)
-        ppm.close()
-        ppm.close()
-        ppm.do(2, touch)  # pool transparently recreated
-        assert ppm.runtime._pool is not None
-        ppm.close()
+        with pytest.raises(KeyboardInterrupt):
+            run_ppm(main, _cluster())
+        assert not held["xs"]._access_cache

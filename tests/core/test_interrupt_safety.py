@@ -1,6 +1,8 @@
 """Interrupt safety of ``run_ppm``: a KeyboardInterrupt inside a VP
-body must propagate (not be swallowed or re-wrapped), must not leak a
-partial commit, and must leave no live worker pool behind."""
+body must propagate (not be swallowed or re-wrapped) and must not leak
+a partial commit.  (That ``run_ppm`` still closes the runtime is
+``test_hot_path.py::TestRuntimeClose``; that the process executor
+leaves no worker or segment behind is tests/parallel/test_teardown.py.)"""
 
 from __future__ import annotations
 
@@ -28,9 +30,8 @@ def _interrupting(ctx, A, interrupt):
     A[ctx.global_rank] = 3.0
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads"])
 class TestKeyboardInterrupt:
-    def test_propagates_uncommitted(self, executor):
+    def test_propagates_uncommitted(self):
         """The interrupt surfaces as KeyboardInterrupt (BaseException
         must not be converted to VpProgramError) and the interrupted
         phase's buffered writes never commit."""
@@ -43,31 +44,17 @@ class TestKeyboardInterrupt:
             ppm.do(2, _interrupting, A, interrupt=True)
 
         with pytest.raises(KeyboardInterrupt):
-            run_ppm(main, _cluster(), vp_executor=executor)
+            run_ppm(main, _cluster())
         committed = state["A"].committed
         # Phase 0 (writes of 1.0) committed; the interrupted phase 1
         # aborted before its barrier, so no element ever became 2.0.
         assert np.array_equal(committed, np.full(4, 1.0))
 
-    def test_thread_pool_shut_down(self, executor):
-        """run_ppm's cleanup must release the VP pool even when the
-        driver dies mid-phase."""
-        captured = {}
-
-        def main(ppm):
-            A = ppm.global_shared("A", 4)
-            captured["runtime"] = ppm.runtime
-            ppm.do(2, _interrupting, A, interrupt=True)
-
-        with pytest.raises(KeyboardInterrupt):
-            run_ppm(main, _cluster(), vp_executor=executor)
-        assert captured["runtime"]._pool is None
-
-    def test_clean_run_unaffected(self, executor):
+    def test_clean_run_unaffected(self):
         def main(ppm):
             A = ppm.global_shared("A", 4)
             ppm.do(2, _interrupting, A, interrupt=False)
             return A.committed
 
-        _, a = run_ppm(main, _cluster(), vp_executor=executor)
+        _, a = run_ppm(main, _cluster())
         assert np.array_equal(a, np.full(4, 3.0))

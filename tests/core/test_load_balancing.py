@@ -94,11 +94,3 @@ class TestLoadBalancing:
             _elapsed(load_balancing=True),
         ]
         assert times[0] == times[1]
-
-    def test_works_with_threaded_executor(self):
-        cluster = Cluster(
-            mkconfig(n_nodes=1, cores_per_node=4, load_balancing=True)
-        )
-        ppm, out = run_ppm(_main, cluster, vp_executor="threads")
-        assert ppm.elapsed == _elapsed(load_balancing=True)
-        assert (out == np.arange(8, dtype=float)).all()

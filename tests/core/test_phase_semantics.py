@@ -94,9 +94,8 @@ class TestSnapshotReads:
         assert out.tolist() == [0.0, 2.0, 4.0, 6.0]
 
     def test_read_cannot_mutate_committed_store(self):
-        # Snapshot reads are read-only views on the fast path (mutation
-        # raises) and defensive copies on the legacy path (mutation is
-        # swallowed); either way nothing leaks into the committed store.
+        # Snapshot reads are read-only views (mutation raises), so
+        # nothing leaks into the committed store.
         @ppm_function
         def mutate_read(ctx, A, out):
             yield ctx.global_phase
@@ -108,16 +107,15 @@ class TestSnapshotReads:
             yield ctx.global_phase
             out[0] = A[0]
 
-        for hot_path in ("fast", "legacy"):
-            def main(ppm):
-                A = ppm.global_shared("A", 4)
-                out = ppm.global_shared("out", 1)
-                A[:] = 1.0
-                ppm.do([1, 0], mutate_read, A, out)
-                return out.committed
+        def main(ppm):
+            A = ppm.global_shared("A", 4)
+            out = ppm.global_shared("out", 1)
+            A[:] = 1.0
+            ppm.do([1, 0], mutate_read, A, out)
+            return out.committed
 
-            _, out = run_ppm(main, _cluster(), hot_path=hot_path)
-            assert out[0] == 1.0
+        _, out = run_ppm(main, _cluster())
+        assert out[0] == 1.0
 
     def test_write_buffers_copy_of_source_array(self):
         @ppm_function

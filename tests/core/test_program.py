@@ -3,6 +3,8 @@ summaries, clock reset, local_view casting rules."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,32 @@ class TestDriverApi:
 
         _, a = run_ppm(main, _cluster())
         assert (a == 7.0).all()
+
+
+class TestKnobBudget:
+    """Every ``run_ppm`` option multiplies the configurations that must
+    stay bitwise-identical, so adding one takes a deliberate edit here."""
+
+    def test_run_ppm_keyword_only_names_are_pinned(self):
+        kw_only = [
+            name
+            for name, p in inspect.signature(run_ppm).parameters.items()
+            if p.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+        assert kw_only == [
+            "sanitize", "trace", "faults", "checkpoint_every", "resilience",
+            "executor", "workers", "zero_merge", "supervision", "snapshot",
+        ]
+
+    @pytest.mark.parametrize(
+        "removed", [{"hot_path": "legacy"}, {"vp_executor": "threads"}]
+    )
+    def test_removed_knobs_are_not_silently_accepted(self, removed):
+        def main(ppm):
+            return None
+
+        with pytest.raises(TypeError):
+            run_ppm(main, _cluster(), **removed)
 
 
 class TestSummary:

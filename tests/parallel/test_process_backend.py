@@ -94,14 +94,6 @@ class TestConfigErrors:
         with pytest.raises(ParallelConfigError):
             run_ppm(main_mixed, _cluster(), workers=0)
 
-    def test_vp_threads_combo_ppm503(self):
-        with pytest.raises(ParallelConfigError) as ei:
-            run_ppm(
-                main_mixed, _cluster(), executor="process",
-                vp_executor="threads",
-            )
-        assert ei.value.code == "PPM503"
-
     def test_supervision_requires_process_ppm602(self):
         from repro.parallel import SupervisionPolicy
 
