@@ -82,7 +82,7 @@ class PhaseSanitizer:
         """Classify this phase's write footprints; called by the
         runtime at commit time, before any buffered write applies."""
         self.phases_checked += 1
-        events = recorder.write_events
+        events = recorder.write_ops
         if not events:
             return
         groups: dict[tuple[int, int | None], list["WriteEvent"]] = defaultdict(list)
@@ -239,7 +239,7 @@ class PhaseSanitizer:
         same = np.ones(data.shape, dtype=bool)
         for rank in sorted(wmask):
             scratch = data.copy()
-            for ev in sorted(by_rank[rank], key=lambda e: e.seq):
+            for ev in by_rank[rank]:  # recording order = program order
                 ev.replay(scratch)
             m = wmask[rank]
             new = m & ~seen

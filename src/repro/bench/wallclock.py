@@ -39,36 +39,6 @@ from repro.bench.harness import SweepResult
 from repro.config import franklin
 from repro.machine import Cluster
 
-#: Multicore before/after of the ``executor="process"`` backend,
-#: measured once on the development host (8 hardware cores) — the CI
-#: container is single-core, where a process pool pays IPC overhead
-#: with no cores to win back, so live CI numbers cannot show the
-#: speedup.  The acceptance figure is recorded with its methodology;
-#: every run re-measures ``measured_*`` live next to it.
-PROCESS_BASELINE = {
-    "rev": "zero-merge commit overhaul (this tree); "
-    "record-shipping predecessor measured at dc7552a",
-    "host": "8-core development host; re-run on any multicore machine "
-    "to reproduce (the CI container is single-core)",
-    "workers": 4,
-    "methodology": (
-        "Figure-1 CG sweep (full size), inline and process executors "
-        "alternating in the same measurement window, one warmup pass "
-        "each, min over 5 interleaved reps; process pool at 4 workers "
-        "(default_workers clamp on the 8-core host).  The zero-merge "
-        "row commits CG's certified phases worker-side (digest-only "
-        "replies); the record_shipping row is the same window's "
-        "measurement of the dc7552a protocol, kept for the before/after"
-    ),
-    "cg_fig1": {
-        "inline_s": 2.183,
-        "process_s": 0.846,
-        "speedup": 2.58,
-        "plan_cache_hit_rate": 0.96,
-    },
-    "record_shipping": {"inline_s": 2.183, "process_s": 1.247, "speedup": 1.75},
-}
-
 #: CI guard band: traced / sanitized runs may cost at most this factor
 #: over the untraced default on the same workload.  Generous on
 #: purpose — observability is allowed to cost something, it is not
@@ -347,9 +317,10 @@ def wallclock_process(
     the executors (the backend's contract, enforced by
     ``tests/parallel/``); only the host clock moves.  On a single-core
     host the process rows are *slower* — the pool pays fork + IPC with
-    no extra cores to win back — which is why the acceptance figure in
-    ``BENCH_wallclock.json`` carries the recorded multicore baseline
-    (:data:`PROCESS_BASELINE`) next to the live measurement.
+    no extra cores to win back — and the recording 2-core host measures
+    about 0.56x too (perfbench's ``parallel.speedup_vs_inline`` is the
+    gated figure); ``BENCH_wallclock.json`` carries only what a run
+    measured.
     """
     if workers is None:
         from repro.parallel.backend import default_workers
@@ -420,9 +391,8 @@ def wallclock_process(
             f"min of {reps} interleaved rep(s); simulated times and "
             "committed arrays are bitwise identical between executors. "
             "On a single-core host the process column is expected to be "
-            "slower (fork + IPC, no cores to win back); the multicore "
-            "acceptance figure lives in BENCH_wallclock.json "
-            "(process_backend.baseline). "
+            "slower (fork + IPC, no cores to win back); the gated figure "
+            "is perfbench's parallel.speedup_vs_inline. "
             "plan_hit_rate / merge_bytes_avoided are the zero-merge "
             "statistics of each workload's final process run. "
             + " | ".join(notes)
@@ -530,32 +500,6 @@ def write_process_json(
         "workers": workers,
         "units": "host seconds (wall clock), not simulated seconds",
         "measured": _rows_by_name(result),
-        "baseline": PROCESS_BASELINE,
-        "acceptance": {
-            "workload": "cg_fig1 (Figure-1 CG sweep, PPM side)",
-            "workers": PROCESS_BASELINE["workers"],
-            "inline_s": PROCESS_BASELINE["cg_fig1"]["inline_s"],
-            "process_s": PROCESS_BASELINE["cg_fig1"]["process_s"],
-            "speedup": PROCESS_BASELINE["cg_fig1"]["speedup"],
-            "plan_cache_hit_rate": PROCESS_BASELINE["cg_fig1"][
-                "plan_cache_hit_rate"
-            ],
-            "record_shipping_speedup": PROCESS_BASELINE["record_shipping"][
-                "speedup"
-            ],
-            "target": 2.5,
-            "note": (
-                "speedup is the recorded multicore baseline of the "
-                "zero-merge commit path (see baseline.methodology); "
-                "record_shipping_speedup is the same window's "
-                "measurement of the previous ship-every-record "
-                "protocol.  'measured' is re-measured live by every "
-                "run — its plan_hit_rate/merge_bytes_avoided columns "
-                "are live on any host, while the wall-clock speedup is "
-                "expected to fall below target on single-core hosts, "
-                "where the pool has no cores to win back"
-            ),
-        },
         **({"equivalence_check": check} if check is not None else {}),
     })
 

@@ -15,14 +15,12 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.phase import PhaseRecorder
 from repro.core.rowset import block_counts
 from repro.core.shared import GlobalShared, RowSpec
 from repro.obs.events import BundleFlushed
 
-_SPEC_UID = operator.attrgetter("uid")
+_SPEC_COUNT = operator.attrgetter("count")
 
 
 @dataclass
@@ -54,51 +52,65 @@ class NodeTraffic:
         return sum(p.write_elems for p in self.peers)
 
 
+class PhaseTraffic(dict):
+    """``node id -> NodeTraffic`` for one phase, plus ``flushes``: the
+    per-(node, variable, direction) aggregation rows behind the
+    :class:`~repro.obs.events.BundleFlushed` events, in emission order
+    — kept so a traced repeat of the phase shape reports them
+    (:func:`emit_bundles`) without aggregating again."""
+
+    __slots__ = ("flushes",)
+
+
+def emit_bundles(traffic: PhaseTraffic, tracer) -> None:
+    """One ``BundleFlushed`` event per aggregation row of ``traffic``."""
+    for row in traffic.flushes:
+        tracer.emit(BundleFlushed(tracer.phase, *row))
+
+
 def _owner_elem_pairs(
     shared: GlobalShared, specs: list[RowSpec], exact_elems: int
-) -> tuple[tuple[int, int], ...]:
-    """``(owner, elems)`` pairs for the union of ``specs``, memoised.
+) -> list[tuple[int, int]]:
+    """``(owner, elems)`` pairs for the union of ``specs``.
 
-    ``elems`` is the owner's unique-row count scaled by the access
-    density (tuple indices may address only part of each row; the
-    exact per-access element totals tell us by how much), floored at
-    one element per touched owner — exactly what
-    :func:`aggregate_traffic` previously computed inline per phase.
-
-    The per-owner unique-row counts come from
-    :func:`repro.core.rowset.block_counts` against the block-partition
-    boundaries (exact on each of its three set forms).
-
-    Access records (and hence their :class:`RowSpec` objects) are
-    cached per index expression, so an iterative solver presents the
-    *same* spec objects phase after
-    phase; the whole owner split is then a dictionary hit.  Keyed by
-    the specs' never-recycled ``uid`` serials plus the exact element
-    total, so the memo pins neither the specs nor their index arrays — a
-    data-driven kernel's never-repeating footprints cost it a tuple of
-    ints each.
+    ``elems`` is the owner's unique-row count
+    (:func:`repro.core.rowset.block_counts` against the block-partition
+    boundaries, exact on each of its three set forms) scaled by the
+    access density — tuple indices may address only part of each row;
+    the exact per-access element totals tell us by how much — and
+    floored at one element per touched owner.
     """
-    cache = shared._counts_cache
-    key = (tuple(map(_SPEC_UID, specs)), exact_elems)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    counts = block_counts(specs, shared._starts) * shared._trailing
-    raw = sum(s.count for s in specs) * shared._trailing
-    scale = 1.0 if raw <= 0 else min(1.0, exact_elems / raw)
-    pairs = tuple(
-        (int(o), max(1, int(round(counts[o] * scale))))
-        for o in np.nonzero(counts)[0]
-    )
-    if len(cache) >= 4096:
-        cache.clear()
-    cache[key] = pairs
-    return pairs
+    trailing = shared._trailing
+    pairs = block_counts(specs, shared._starts)
+    raw = sum(map(_SPEC_COUNT, specs)) * trailing
+    if exact_elems < raw:
+        scale = exact_elems / raw
+        return [(o, max(1, int(round(n * trailing * scale)))) for o, n in pairs]
+    return [(o, n * trailing) for o, n in pairs]
 
 
-def aggregate_traffic(
-    recorder: PhaseRecorder, *, tracer=None
-) -> dict[int, NodeTraffic]:
+def _groups(footprints: list, ends) -> dict[tuple, list]:
+    """``(node id, shared) -> [row specs, exact element total]`` over a
+    recorder's flat footprint list, ``ends`` closing each node's run —
+    in first-access order, which is the order the per-group trace
+    events are emitted in."""
+    groups: dict[tuple, list] = {}
+    lo = 0
+    for node_id, hi in ends:
+        run: dict = {}  # this run's groups, by variable
+        for spec in footprints[lo:hi]:
+            group = run.get(spec.shared)
+            if group is None:
+                group = run[spec.shared] = groups.setdefault(
+                    (node_id, spec.shared), [[], 0]
+                )
+            group[0].append(spec)
+            group[1] += spec.elems
+        lo = hi
+    return groups
+
+
+def aggregate_traffic(recorder: PhaseRecorder, *, tracer=None) -> PhaseTraffic:
     """Aggregate a phase's recorded global-shared accesses.
 
     Returns a :class:`NodeTraffic` for every node that touched a
@@ -107,78 +119,47 @@ def aggregate_traffic(
     :class:`~repro.obs.events.BundleFlushed` event is emitted per
     (node, variable, direction) aggregation — the raw-vs-deduplicated
     numbers behind the runtime's bundling claim.
+
+    This is the inspector half of a phase plan: the runtime calls it
+    for the first round of each phase shape and replays the result
+    (and, when traced, its events) for the repeats.
     """
-    traffic: dict[int, NodeTraffic] = {}
-
-    def entry(node_id: int) -> NodeTraffic:
-        if node_id not in traffic:
-            traffic[node_id] = NodeTraffic(node_id)
-        return traffic[node_id]
-
+    traffic = PhaseTraffic()
+    flushes = traffic.flushes = []
     peer_map: dict[tuple[int, int, int], PeerTraffic] = {}
-
-    def peer_entry(nt: NodeTraffic, shared: GlobalShared, owner: int) -> PeerTraffic:
-        key = (nt.node_id, id(shared), owner)
-        p = peer_map.get(key)
-        if p is None:
-            p = peer_map[key] = PeerTraffic(shared=shared, owner=owner)
-            nt.peers.append(p)
-        return p
-
-    for (node_id, shared), (specs, exact_elems) in recorder.global_read_recs.items():
-        nt = entry(node_id)
-        pairs = _owner_elem_pairs(shared, specs, exact_elems)
-        local = remote = peers = 0
-        for owner, elems in pairs:
-            if owner == node_id:
-                nt.local_read_elems += elems
-                local += elems
-            else:
-                peer_entry(nt, shared, owner).read_elems += elems
+    marks = recorder.marks
+    for direction, groups in (
+        ("read", _groups(recorder.reads, [(n, r) for n, r, _w in marks])),
+        ("write", _groups(recorder.writes, [(n, w) for n, _r, w in marks])),
+    ):
+        for (node_id, shared), (specs, exact_elems) in groups.items():
+            nt = traffic.get(node_id)
+            if nt is None:
+                nt = traffic[node_id] = NodeTraffic(node_id)
+            local = remote = peers = 0
+            for owner, elems in _owner_elem_pairs(shared, specs, exact_elems):
+                if owner == node_id:
+                    local += elems
+                    continue
+                key = (node_id, id(shared), owner)
+                p = peer_map.get(key)
+                if p is None:
+                    p = peer_map[key] = PeerTraffic(shared=shared, owner=owner)
+                    nt.peers.append(p)
+                if direction == "read":
+                    p.read_elems += elems
+                else:
+                    p.write_elems += elems
                 remote += elems
                 peers += 1
-        if tracer is not None:
-            tracer.emit(
-                BundleFlushed(
-                    phase=tracer.phase,
-                    node=node_id,
-                    variable=shared.name,
-                    direction="read",
-                    raw_ops=len(specs),
-                    raw_elems=exact_elems,
-                    unique_elems=local + remote,
-                    local_elems=local,
-                    remote_elems=remote,
-                    peers=peers,
-                )
-            )
-
-    for (node_id, shared), (specs, exact_elems) in recorder.global_write_recs.items():
-        nt = entry(node_id)
-        pairs = _owner_elem_pairs(shared, specs, exact_elems)
-        local = remote = peers = 0
-        for owner, elems in pairs:
-            if owner == node_id:
-                nt.local_write_elems += elems
-                local += elems
+            if direction == "read":
+                nt.local_read_elems += local
             else:
-                peer_entry(nt, shared, owner).write_elems += elems
-                remote += elems
-                peers += 1
-        if tracer is not None:
-            tracer.emit(
-                BundleFlushed(
-                    phase=tracer.phase,
-                    node=node_id,
-                    variable=shared.name,
-                    direction="write",
-                    raw_ops=len(specs),
-                    raw_elems=exact_elems,
-                    unique_elems=local + remote,
-                    local_elems=local,
-                    remote_elems=remote,
-                    peers=peers,
-                )
+                nt.local_write_elems += local
+            flushes.append(
+                (node_id, shared.name, direction, len(specs), exact_elems,
+                 local + remote, local, remote, peers)
             )
-
+    if tracer is not None:
+        emit_bundles(traffic, tracer)
     return traffic

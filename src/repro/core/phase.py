@@ -41,10 +41,24 @@ would scatter one op at a time:
 The index side of each run (concatenated rows, lexsort products) is
 compiled once into a :class:`_TargetPlan` and reused while the access
 pattern repeats (:class:`CommitPlanCache`).
+
+Phase plans
+-----------
+
+An iterative kernel repeats whole *phases*, not just commit streams:
+the same VPs touch the same rows of the same variables in the same
+order, round after round, and only the values differ.
+:meth:`PhaseRecorder.signature` names that shape — a tuple of serial
+numbers, holding no array — and the runtime keeps one
+:class:`PhasePlan` per signature for the duration of a ``do``: the
+first occurrence *inspects* (rank sort, target grouping, plan
+compilation here; bundling and communication costs in the runtime),
+every repeat *executes* the stored recipe on that round's values.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import defaultdict
 from typing import TYPE_CHECKING
@@ -56,9 +70,13 @@ from repro.core.shared import ACCUMULATE_UFUNCS, RowSpec, WriteEvent
 from repro.obs.events import VpScheduled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.shared import GlobalShared, NodeShared
+    from repro.core.shared import GlobalShared
 
 _RANK_KEY = operator.attrgetter("rank")
+_OP_KEY = operator.attrgetter("op")
+_ROWS_UID = operator.attrgetter("rows.uid")
+_SPEC_UID = operator.attrgetter("uid")
+_PLAN_SERIALS = itertools.count()
 
 
 class _RunPlan:
@@ -79,9 +97,11 @@ class _TargetPlan:
     ``keys`` holds per-event ``(kind, op, RowSpec, rows_exact)``
     tuples; the row specs are strong references, so validating an
     incoming stream by ``is``-identity is exact — a spec object can
-    never be recycled while the plan holds it."""
+    never be recycled while the plan holds it.  ``serial`` is a
+    never-recycled number by which a :class:`PhasePlan` refers to the
+    compiled plan without keeping it (or its index buffers) alive."""
 
-    __slots__ = ("keys", "segments")
+    __slots__ = ("keys", "segments", "serial")
 
 
 def _plan_matches(plan: _TargetPlan, evs: list[WriteEvent]) -> bool:
@@ -104,6 +124,7 @@ def _build_target_plan(evs: list[WriteEvent]) -> _TargetPlan:
     same-``(kind, op)`` runs, pre-computing each batchable run's
     concatenated rows and (for writes) the lexsort products."""
     plan = _TargetPlan()
+    plan.serial = next(_PLAN_SERIALS)
     plan.keys = [(ev.kind, ev.op, ev.rows, ev.rows_exact) for ev in evs]
     segments: list[tuple] = []
     n = len(evs)
@@ -183,10 +204,9 @@ class CommitPlanCache:
     """Cross-round cache of :class:`_TargetPlan` replay recipes.
 
     An iterative solver presents the same index buffers every round;
-    this cache keys each target's compiled access pattern by
-    ``(shared name, instance)``,
-    validates it against the incoming stream by row-spec identity, and
-    replays on a hit.  Used by the inline runtime
+    this cache keeps one compiled access pattern per target, keyed by
+    ``(shared name, instance)``, and replays it while the incoming
+    stream is the one it was compiled from.  Used by the inline runtime
     (``PpmRuntime.commit_plans``) and by the worker-side zero-merge
     committer of the process backend; a mismatched round simply
     rebuilds (counted in :attr:`misses`), so the cache can never change
@@ -200,25 +220,78 @@ class CommitPlanCache:
         self.hits = 0
         self.misses = 0
 
-    def apply(self, target: np.ndarray, evs: list[WriteEvent]) -> None:
+    def apply(self, target: np.ndarray, evs, serial: int | None = None) -> int:
         """Apply one target's rank-ordered stream, via the cached plan
-        when it still matches."""
+        when it still matches; returns the serial of the plan used.
+
+        ``serial`` is how a :class:`PhasePlan` executor names the plan
+        its inspector round compiled: the phase signature has already
+        proved this stream identical to that round's, so finding the
+        same serial in the target's slot replaces the per-event
+        row-spec identity check."""
         key = (evs[0].shared.name, evs[0].instance)
         plan = self._plans.get(key)
-        if plan is not None and _plan_matches(plan, evs):
+        if plan is not None and (plan.serial == serial or _plan_matches(plan, evs)):
             self.hits += 1
         else:
             plan = _build_target_plan(evs)
             self._plans[key] = plan
             self.misses += 1
         _apply_plan(target, evs, plan)
+        return plan.serial
 
     def stats(self) -> tuple[int, int]:
         return self.hits, self.misses
 
 
+def _picker(positions: list[int]):
+    """Callable selecting ``positions`` from a phase's operation list
+    (a slice when they form a contiguous run, so one target's whole
+    stream is one C-level copy)."""
+    lo, hi = positions[0], positions[-1] + 1
+    if positions == list(range(lo, hi)):
+        return operator.itemgetter(slice(lo, hi))
+    return operator.itemgetter(*positions)
+
+
+def _footprint(shared: "GlobalShared", rows: RowSpec, n_elem: int) -> RowSpec:
+    """``rows`` as the footprint of one access to ``shared``."""
+    return RowSpec(rows.start, rows.stop, rows.step, rows.array, shared, n_elem)
+
+
+class PhasePlan:
+    """What one phase shape costs and how it commits, resolved once.
+
+    ``recipe`` is the commit half, filled by
+    :meth:`PhaseRecorder.apply_writes`: per target, in commit order, a
+    ``[picker, serial]`` pair — the positions of the target's
+    operations in the phase's recording-order operation list (already
+    in rank order) and the serial of the :class:`_TargetPlan` compiled
+    for them.  ``costs`` is the timing half, filled by the runtime's
+    inspector round.  Neither references an index array: the
+    compiled buffers live in the :class:`CommitPlanCache`, one plan per
+    target, so a shape that never repeats costs its signature and a few
+    small tuples."""
+
+    __slots__ = ("recipe", "costs")
+
+    def __init__(self) -> None:
+        self.recipe: list | None = None
+        self.costs = None
+
+
 class PhaseRecorder:
     """Mutable record of one phase's shared-memory activity.
+
+    Accesses are recorded flat, one list append each: ``reads`` and
+    ``writes`` hold the footprints (:class:`~repro.core.shared.RowSpec`
+    with its variable and element count) of the global-shared reads
+    and writes/accumulates in recording order, ``marks`` closes each
+    issuing node's run of both lists, and ``write_ops`` holds every
+    buffered operation (node-shared ones included).  Nothing is
+    grouped or counted while VPs run — a repeated phase shape never
+    needs it (:meth:`signature`), and a new one groups at the barrier
+    (:func:`repro.core.bundling.aggregate_traffic`).
 
     ``tracer``/``phase_index`` connect the recorder to the
     observability bus (:mod:`repro.obs`): when a tracer is attached,
@@ -238,62 +311,39 @@ class PhaseRecorder:
         self.latency_rounds = latency_rounds
         self.tracer = tracer
         self.phase_index = phase_index
-        # (node id, shared) -> [list[RowSpec], exact element count].
-        # One flat dict per direction instead of nested per-node maps:
-        # recording is per-access, so every removed hash lookup counts.
-        # The exact counts matter because row specs overcount when a
-        # tuple index touches only part of each row; the aggregator
-        # rescales row-derived counts by them.
-        self.global_read_recs: dict[tuple, list] = {}
-        self.global_write_recs: dict[tuple, list] = {}
-        # Buffered operations, one WriteEvent per __setitem__/accumulate.
+        self.reads: list[RowSpec] = []
+        self.writes: list[RowSpec] = []
+        # (node id, len(reads), len(writes)) after each run of accesses
+        # issued from one node; a node may close several runs.
+        self.marks: list[tuple[int, int, int]] = []
+        # Buffered operations, one WriteEvent per __setitem__/accumulate,
+        # in recording order (VPs run in rank order, so also rank order).
         self.write_ops: list[WriteEvent] = []
-        self._seq = 0
         # node id -> elements written to node-shared instances there.
         self.node_write_elems: dict[int, int] = defaultdict(int)
         # node id -> core id -> accumulated VP cpu seconds.
         self.core_costs: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
         # Matched collective slots, in call order.
         self.collective_slots: list[CollectiveSlot] = []
-        # Node-shared read tallies (node reads record no row specs, so
-        # these cannot be derived from the rec maps the way the
-        # global-read statistics are).
-        self.node_read_ops = 0
-        self.node_read_elems = 0
 
     # ------------------------------------------------------------------
-    # Statistics, derived on demand so the per-access hot path pays no
-    # bookkeeping beyond the rec-map updates it needs anyway.
-    @property
-    def read_ops(self) -> int:
-        return self.node_read_ops + sum(
-            len(r[0]) for r in self.global_read_recs.values()
-        )
+    # Entry points for whoever records on a VP's behalf: the process
+    # backend's parent (worker reports arrive in contiguous global-rank
+    # shard order, so absorbing them worker by worker reproduces the
+    # lists the inline engine records VP by VP) and tests.
+    def close_run(self, node_id: int) -> None:
+        """Everything recorded since the last mark was issued from
+        ``node_id`` (the engine calls this after stepping a node's VPs)."""
+        self.marks.append((node_id, len(self.reads), len(self.writes)))
 
-    @property
-    def read_elems(self) -> int:
-        return self.node_read_elems + sum(
-            r[1] for r in self.global_read_recs.values()
-        )
-
-    @property
-    def write_elems(self) -> int:
-        return sum(r[1] for r in self.global_write_recs.values()) + sum(
-            self.node_write_elems.values()
-        )
-
-    @property
-    def write_events(self) -> list[WriteEvent]:
-        """The buffered operations, as the sanitizer consumes them (the
-        same objects the commit engine applies)."""
-        return [ev for ev in self.write_ops if ev is not None]
+    def absorb(self, node_id: int, reads, writes) -> None:
+        """Append one node's run of global-shared access footprints."""
+        self.reads.extend(reads)
+        self.writes.extend(writes)
+        self.close_run(node_id)
 
     def add_global_read(self, node_id: int, shared: "GlobalShared", rows: RowSpec, n_elem: int) -> None:
-        rec = self.global_read_recs.get((node_id, shared))
-        if rec is None:
-            rec = self.global_read_recs[(node_id, shared)] = [[], 0]
-        rec[0].append(rows)
-        rec[1] += n_elem
+        self.absorb(node_id, [_footprint(shared, rows, n_elem)], ())
 
     def add_global_write(
         self,
@@ -304,50 +354,9 @@ class PhaseRecorder:
         global_rank: int,
         event: WriteEvent | None = None,
     ) -> None:
-        rec = self.global_write_recs.get((node_id, shared))
-        if rec is None:
-            rec = self.global_write_recs[(node_id, shared)] = [[], 0]
-        rec[0].append(rows)
-        rec[1] += n_elem
-        self._seq += 1
+        self.absorb(node_id, (), [_footprint(shared, rows, n_elem)])
         if event is not None:
-            event.seq = self._seq
             self.write_ops.append(event)
-
-    # ------------------------------------------------------------------
-    # Bulk merge entry points for the process execution backend
-    # (:mod:`repro.parallel`): worker recorders arrive as per-worker
-    # reports in contiguous global-rank shard order, so extending the
-    # rec lists / op stream worker by worker reproduces exactly the
-    # structures the inline engine records VP by VP.
-    def absorb_global_reads(self, entries) -> None:
-        """Merge ``(node_id, shared, [RowSpec, ...], n_elem)`` tuples
-        into the read rec map, preserving arrival order."""
-        recs = self.global_read_recs
-        for node_id, shared, specs, n_elem in entries:
-            rec = recs.get((node_id, shared))
-            if rec is None:
-                rec = recs[(node_id, shared)] = [[], 0]
-            rec[0].extend(specs)
-            rec[1] += n_elem
-
-    def absorb_global_writes(self, entries) -> None:
-        """Write-side analogue of :meth:`absorb_global_reads` (rec map
-        only; the buffered operations arrive via :meth:`absorb_ops`)."""
-        recs = self.global_write_recs
-        for node_id, shared, specs, n_elem in entries:
-            rec = recs.get((node_id, shared))
-            if rec is None:
-                rec = recs[(node_id, shared)] = [[], 0]
-            rec[0].extend(specs)
-            rec[1] += n_elem
-
-    def absorb_ops(self, events) -> None:
-        """Append reconstructed :class:`WriteEvent`\\ s in program
-        order, assigning commit sequence numbers as recording would."""
-        for ev in events:
-            ev.seq = self._seq = self._seq + 1
-            self.write_ops.append(ev)
 
     def add_vp_cost(
         self, node_id: int, core_id: int, cost: float, *, vp: int = -1
@@ -375,8 +384,39 @@ class PhaseRecorder:
         return slot
 
     # ------------------------------------------------------------------
+    def signature(self, certified: bool) -> tuple:
+        """This phase's *access signature*: everything its traffic,
+        communication cost and commit order are functions of, as
+        serial numbers — phase kind, latency rounds, certified flag,
+        each node's ordered read and write footprints, every buffered
+        operation's (row spec, writer rank, accumulate op) in program
+        order, and the node-shared write totals.  A memoised
+        footprint's serial stands for its variable, rows, exactness
+        and element count (``_access_record``), so two phases with
+        equal signatures bundle, cost and commit identically whatever
+        their values; unmemoised footprints (tuple and boolean-mask
+        indices) carry fresh serials and never compare equal.  Built
+        in a few C-speed passes; holds no spec or array."""
+        ops = self.write_ops
+        return (
+            self.kind,
+            self.latency_rounds,
+            certified,
+            tuple(self.marks),
+            tuple(map(_SPEC_UID, self.reads)),
+            tuple(map(_SPEC_UID, self.writes)),
+            tuple(map(_ROWS_UID, ops)),
+            tuple(map(_RANK_KEY, ops)),
+            tuple(map(_OP_KEY, ops)),
+            tuple(self.node_write_elems.items()),
+        )
+
     def apply_writes(
-        self, plans: CommitPlanCache, *, prune: frozenset = frozenset()
+        self,
+        plans: CommitPlanCache,
+        *,
+        prune: frozenset = frozenset(),
+        plan: PhasePlan | None = None,
     ) -> None:
         """Commit all buffered writes.
 
@@ -384,26 +424,38 @@ class PhaseRecorder:
         so conflicting plain writes resolve deterministically with the
         highest-ranked writer winning — the documented PPM conflict
         rule of this reproduction (``tests/reference.py`` is its
-        one-op-at-a-time oracle).  ``plans`` is the runtime's
-        :class:`CommitPlanCache`, so iterative kernels pay index
-        compilation once per access pattern instead of every round.
-        ``prune`` names shared variables whose liveness certificate
-        allows the commit to skip copy-on-commit and apply in place
-        (``run_ppm(..., snapshot="pruned")``).
+        one-op-at-a-time oracle).  ``plans`` is the
+        :class:`CommitPlanCache` holding the compiled per-target index
+        buffers.  ``plan`` is this phase shape's :class:`PhasePlan`:
+        its first round sorts by rank, groups by target and stores the
+        outcome as the plan's recipe; later rounds pick each target's
+        operations by position and replay — no sort, no regrouping, no
+        per-event validation.  ``prune`` names shared variables whose
+        liveness certificate allows the commit to skip copy-on-commit
+        and apply in place (``run_ppm(..., snapshot="pruned")``).
         """
-        if not self.write_ops:
+        ops = self.write_ops
+        if not ops:
             return
-        # write_ops is appended in seq order, so a stable sort on rank
-        # alone yields (rank, seq) order.
-        ops = sorted(self.write_ops, key=_RANK_KEY)
-        groups: dict[tuple[int, int | None], list[WriteEvent]] = {}
-        for ev in ops:
-            groups.setdefault((id(ev.shared), ev.instance), []).append(ev)
-        for evs in groups.values():
-            target = evs[0].shared._commit_target(
-                evs[0].instance, prune=evs[0].shared.name in prune
+        recipe = plan.recipe if plan is not None else None
+        if recipe is None:
+            # ops is in program order, so a stable sort on rank alone
+            # yields (rank, program order).
+            ranks = list(map(_RANK_KEY, ops))
+            groups: dict[tuple[int, int | None], list[int]] = {}
+            for i in sorted(range(len(ops)), key=ranks.__getitem__):
+                ev = ops[i]
+                groups.setdefault((id(ev.shared), ev.instance), []).append(i)
+            recipe = [[_picker(positions), None] for positions in groups.values()]
+            if plan is not None:
+                plan.recipe = recipe
+        for entry in recipe:
+            evs = entry[0](ops)
+            shared = evs[0].shared
+            target = shared._commit_target(
+                evs[0].instance, prune=shared.name in prune
             )
-            plans.apply(target, evs)
+            entry[1] = plans.apply(target, evs, entry[1])
 
     def resolve_collectives(self) -> int:
         """Resolve all collective slots; returns total contributions."""

@@ -4,8 +4,9 @@ Three consumers ask the same two questions about the axis-0 rows a
 list of access records touches, and this module is the one place that
 answers them:
 
-* **the union** — as unique-row counts per block of a partition
-  (:func:`block_counts`: the bundling engine's per-owner split) or as
+* **the union** — as unique-row counts per touched block of a
+  partition (:func:`block_counts`: the bundling engine's per-owner
+  split) or as
   a sorted row array (:func:`union_rows`: the zero-merge worker's
   commit footprint);
 * **cross-writer disjointness** — whether any row is covered by two
@@ -36,6 +37,8 @@ blocks own nothing on every path.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -50,23 +53,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: 1/250 of the extent for extents from 2e4 to 1e7.
 _SPARSE_DIVISOR = 256
 
+_START = attrgetter("start")
+_STOP = attrgetter("stop")
+
 
 def _merged_intervals(specs: Iterable["RowSpec"]) -> list[tuple[int, int]]:
     """Sorted, pairwise non-touching ``[lo, hi)`` intervals covering
     the union of contiguous ``specs``."""
-    ivs = sorted((s.start, s.stop) for s in specs if s.stop > s.start)
-    if not ivs:
-        return ivs
     merged: list[tuple[int, int]] = []
-    cur_lo, cur_hi = ivs[0]
-    for lo, hi in ivs[1:]:
+    cur_lo = cur_hi = -1
+    for lo, hi in sorted(zip(map(_START, specs), map(_STOP, specs))):
+        if hi <= lo:
+            continue
         if lo <= cur_hi:
             if hi > cur_hi:
                 cur_hi = hi
         else:
-            merged.append((cur_lo, cur_hi))
+            if cur_hi > cur_lo:
+                merged.append((cur_lo, cur_hi))
             cur_lo, cur_hi = lo, hi
-    merged.append((cur_lo, cur_hi))
+    if cur_hi > cur_lo:
+        merged.append((cur_lo, cur_hi))
     return merged
 
 
@@ -84,25 +91,37 @@ def union_rows(specs: Sequence["RowSpec"], extent: int) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def block_counts(specs: Sequence["RowSpec"], starts: np.ndarray) -> np.ndarray:
-    """Unique rows of the union of ``specs`` falling in each block
-    ``[starts[i], starts[i + 1])`` of a partition of ``[0, starts[-1])``
-    — what deduplicating the rows, ``owner_of`` and ``bincount`` would
+def block_counts(specs: Sequence["RowSpec"], starts: np.ndarray) -> list[tuple[int, int]]:
+    """``(block, unique rows)`` for every block ``[starts[i],
+    starts[i + 1])`` of a partition of ``[0, starts[-1])`` that the
+    union of ``specs`` touches, in block order — the non-zero entries
+    of what deduplicating the rows, ``owner_of`` and ``bincount`` would
     count."""
-    if not all(s.is_contiguous for s in specs):
-        rows = union_rows(specs, int(starts[-1]))
-        # rows is sorted: its insertion points at the boundaries are
-        # the running counts of rows below each boundary.
-        return np.diff(np.searchsorted(rows, starts))
-    counts = np.zeros(len(starts) - 1, dtype=np.int64)
+    for s in specs:
+        if s.array is not None or s.step != 1:
+            rows = union_rows(specs, int(starts[-1]))
+            # rows is sorted: its insertion points at the boundaries are
+            # the running counts of rows below each boundary.
+            counts = np.diff(np.searchsorted(rows, starts))
+            blocks = np.flatnonzero(counts)
+            return list(zip(blocks.tolist(), counts[blocks].tolist()))
+    counts: dict[int, int] = {}
+    bounds = starts.tolist()
     for lo, hi in _merged_intervals(specs):
-        # Blocks holding the interval's first and last row (side="right"
-        # as in GlobalShared.owner_of, so zero-width blocks are skipped).
-        o0 = int(np.searchsorted(starts, lo, side="right")) - 1
-        o1 = int(np.searchsorted(starts, hi - 1, side="right")) - 1
-        for o in range(o0, o1 + 1):
-            counts[o] += min(hi, int(starts[o + 1])) - max(lo, int(starts[o]))
-    return counts
+        # Blocks holding the interval's first and last row (to the right
+        # of equal boundaries, as in GlobalShared.owner_of, so
+        # zero-width blocks are skipped).  Intervals arrive sorted and
+        # disjoint, so blocks are first seen in increasing order.
+        o0 = bisect_right(bounds, lo) - 1
+        o1 = bisect_right(bounds, hi - 1) - 1
+        if o0 == o1:
+            counts[o0] = counts.get(o0, 0) + hi - lo
+        else:
+            for o in range(o0, o1 + 1):
+                rows = min(hi, bounds[o + 1]) - max(lo, bounds[o])
+                if rows > 0:
+                    counts[o] = counts.get(o, 0) + rows
+    return list(counts.items())
 
 
 def ranks_disjoint(rank_specs: Sequence[Sequence["RowSpec"]], extent: int) -> bool:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from repro.config import MachineConfig
-from repro.core.bundling import aggregate_traffic
+from repro.core.bundling import aggregate_traffic, emit_bundles
 from repro.core.collectives import CollectiveHandle
 from repro.core.constructs import PhaseDecl
 from repro.core.errors import (
@@ -34,7 +34,7 @@ from repro.core.errors import (
     SharedAccessError,
     VpProgramError,
 )
-from repro.core.phase import CommitPlanCache, PhaseRecorder
+from repro.core.phase import CommitPlanCache, PhasePlan, PhaseRecorder
 from repro.core.scheduler import (
     PhaseTiming,
     compose_phase_timing,
@@ -84,6 +84,21 @@ class PhaseProfile:
     def busiest_node(self) -> int:
         """Node with the largest busy time this phase."""
         return max(self.node_timings, key=lambda n: self.node_timings[n].busy)
+
+
+class _PhaseCosts(NamedTuple):
+    """The timing half of a :class:`~repro.core.phase.PhasePlan`: what
+    a phase shape's traffic costs, as the inspector round computed it
+    (:meth:`PpmRuntime._phase_costs`).  Scalars and small per-node
+    maps; no row spec, no index array."""
+
+    traffic: dict  # bundling.PhaseTraffic: node id -> NodeTraffic
+    comm: dict  # node id -> BundleCost of the node's bundles
+    owner_cpu: list  # (owner, seconds) per peer entry, in peer order
+    in_cpu: dict  # owner -> the same seconds, summed in that order
+    commit_cpu: dict  # node id -> seconds applying committed elements
+    messages: int
+    nbytes: int
 
 
 @dataclass
@@ -182,9 +197,20 @@ class PpmRuntime:
         self.cluster = cluster
         #: Cross-round commit-plan cache: the commit engine compiles
         #: each target's access pattern (lexsorted index buffers, slice
-        #: replays, ufunc.at argument tuples) once and revalidates it
-        #: by interned-spec identity every round.
+        #: replays, ufunc.at argument tuples) once; phase plans refer
+        #: to the compiled plans by serial.
         self.commit_plans = CommitPlanCache()
+        #: Phase plans of the running ``do``, keyed by access signature
+        #: (:meth:`PhaseRecorder.signature`): the first round of each
+        #: phase shape inspects (bundling, communication costs, commit
+        #: recipe), every repeat executes the stored result.  Emptied
+        #: when the ``do`` ends and at :meth:`close`.
+        self._phase_plans: dict[tuple, PhasePlan] = {}
+        #: Phase rounds that found / did not find their shape's plan.
+        self.stats_phase_plan_hits = 0
+        self.stats_phase_plan_misses = 0
+        # node id -> [kind, latency rounds] its VPs declared next (do).
+        self._pending: dict[int, list] = {}
         #: Zero-merge commit switch (``executor="process"`` only):
         #: rounds whose phases carry a conflict-freedom certificate
         #: commit worker-side, straight into the shared-memory
@@ -264,12 +290,6 @@ class PpmRuntime:
         self._node_access_elem = cfg.ppm_node_access_per_element
         self._flop_time = cfg.flop_time
         self._mem_time = cfg.mem_access_time
-        # Cross-phase comm-cost memo: node_comm_cost depends only on a
-        # node's peer footprint (elems + itemsize per peer) and the
-        # phase's latency rounds, never on node/owner identities, and
-        # iterative solvers repeat the same footprints every phase.
-        # Bypassed when tracing (per-transfer events must be emitted).
-        self._comm_cost_cache: dict = {}
         #: Per-phase timing breakdowns, appended as phases commit.
         self.profile: list[PhaseProfile] = []
 
@@ -291,13 +311,15 @@ class PpmRuntime:
         Idempotent, and reached on *every* ``run_ppm`` exit path
         (success, application crash, ``KeyboardInterrupt``), so no
         worker process or ``/dev/shm`` segment outlives the program.
-        Also forgets the shared variables' memoised access records, so
-        nothing they hold waits for a garbage collection."""
+        Also forgets the phase plans and the shared variables' memoised
+        access records, so nothing they hold waits for a garbage
+        collection."""
         backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
         if self.shm is not None:
             self.shm.close()
+        self._phase_plans.clear()
         for shared in self.shared_registry.values():
             shared._drop_caches()
 
@@ -437,46 +459,36 @@ class PpmRuntime:
         t_start = self.cluster.elapsed
         g0, n0 = self.stats_global_phases, self.stats_node_phases
 
+        # node id -> [kind, latency rounds] of the phase its active VPs
+        # declared next ("mixed" when they disagree on the kind).  The
+        # stepping loop refreshes a node's entry as it advances the
+        # node's VPs; a node with no entry has finished.
+        pending = self._pending = {}
+        self._phase_plans.clear()
         if backend is not None:
             backend.start_do(counts, funcs, args, kwargs, default_decl, vps_by_node)
         try:
             # Prologue round: run code before the first phase declaration.
             if backend is not None:
                 backend.run_prologue(vps_by_node)
-            else:
-                for node_vps in vps_by_node:
-                    for vp in node_vps:
+            for node_id, node_vps in enumerate(vps_by_node):
+                for vp in node_vps:
+                    if backend is None:
                         self._advance(vp)
+                    if vp.decl is not None:
+                        self._fold_decl(pending, node_id, vp.decl)
 
             # Phase rounds.
-            while True:
-                # One pass per node: collect activity and the (required
-                # unanimous) declared phase kind together.
-                active_nodes: list[int] = []
-                node_kind: dict[int, str] = {}
-                for node_id, node_vps in enumerate(vps_by_node):
-                    kind = None
-                    for vp in node_vps:
-                        if vp.done:
-                            continue
-                        k = vp.decl.kind
-                        if kind is None:
-                            kind = k
-                        elif k != kind:
-                            kinds = {
-                                v.decl.kind for v in node_vps if not v.done
-                            }
-                            raise PhaseUsageError(
-                                f"VPs on node {node_id} declared mixed phase kinds "
-                                f"{sorted(kinds)} for the same round; all VPs of a "
-                                "node must agree"
-                            )
-                    if kind is not None:
-                        active_nodes.append(node_id)
-                        node_kind[node_id] = kind
-                if not active_nodes:
-                    break
-                node_phase_nodes = [n for n in active_nodes if node_kind[n] == "node"]
+            while pending:
+                active_nodes = sorted(pending)
+                for node_id in active_nodes:
+                    if pending[node_id][0] == "mixed":
+                        raise PhaseUsageError(
+                            f"VPs on node {node_id} declared mixed phase kinds "
+                            "['global', 'node'] for the same round; all VPs of a "
+                            "node must agree"
+                        )
+                node_phase_nodes = [n for n in active_nodes if pending[n][0] == "node"]
                 if node_phase_nodes:
                     # Nodes in node phases proceed asynchronously; nodes
                     # waiting at a global phase stall until everyone reaches
@@ -484,12 +496,13 @@ class PpmRuntime:
                     if backend is not None:
                         backend.begin_round("node", node_phase_nodes, vps_by_node)
                     for node_id in node_phase_nodes:
-                        self._run_node_phase(node_id, vps_by_node[node_id])
+                        self._run_phase("node", [node_id], vps_by_node)
                 else:
                     if backend is not None:
                         backend.begin_round("global", active_nodes, vps_by_node)
-                    self._run_global_phase(vps_by_node, active_nodes)
+                    self._run_phase("global", active_nodes, vps_by_node)
         finally:
+            self._phase_plans.clear()
             if backend is not None:
                 backend.end_do()
 
@@ -582,47 +595,75 @@ class PpmRuntime:
         vp.decl = decl
         vp.phase_index += 1
 
-    def _execute_phase_bodies(
-        self, recorder: PhaseRecorder, vps: list[_VpRecord]
-    ) -> None:
-        """Run the pending phase body of every listed VP, accumulating
-        per-core costs into the recorder."""
-        if self._backend is not None:
-            # Bodies already ran in the worker processes (begin_round);
-            # replay their reports into the recorder in VP order.
-            self._backend.fill_recorder(recorder, vps)
+    @staticmethod
+    def _fold_decl(pending: dict, node_id: int, decl: PhaseDecl) -> None:
+        """Fold one VP's next phase declaration into its node's entry."""
+        entry = pending.get(node_id)
+        if entry is None:
+            pending[node_id] = [decl.kind, decl.latency_rounds]
             return
-        self._assign_cores(vps)
+        if decl.kind != entry[0]:
+            entry[0] = "mixed"
+        if decl.latency_rounds > entry[1]:
+            entry[1] = decl.latency_rounds
+
+    def _execute_phase_bodies(
+        self, recorder: PhaseRecorder, nodes: list[int], vps_by_node: list
+    ) -> None:
+        """Run the pending phase body of every VP of ``nodes``,
+        accumulating per-core costs and each node's access run into the
+        recorder and folding the VPs' next declarations into
+        ``self._pending`` — the one loop that visits every VP."""
+        backend = self._backend
+        by_rank = None
+        if backend is not None:
+            # Bodies already ran in the worker processes (begin_round):
+            # their reports fill the recorder, the loop below replays
+            # each VP's cost and next declaration in VP order.
+            by_rank = backend.fill_recorder(
+                recorder, None if recorder.kind == "global" else nodes[0]
+            )
+        elif self.config.load_balancing:
+            self._assign_cores([vp for n in nodes for vp in vps_by_node[n]])
         self.phase = recorder
         try:
             tr = recorder.tracer
             core_costs = recorder.core_costs
-            # VPs arrive node-major, so the inner per-core dict is
-            # fetched once per node run.  Costs still accumulate one VP
-            # at a time — the float summation order is part of the
-            # bitwise-identity contract.
-            run_node = -1
-            inner = None
-            for vp in vps:
-                if vp.done:
-                    continue
-                ctx = vp.ctx
-                ctx._cost = 0.0
-                ctx._coll_index = 0
-                self._advance(vp)
-                cost = ctx._cost
-                if tr is not None:
-                    recorder.add_vp_cost(
-                        ctx.node_id, ctx.core_id, cost, vp=ctx.global_rank
-                    )
-                elif cost:
-                    if ctx.node_id != run_node:
-                        run_node = ctx.node_id
-                        inner = core_costs[run_node]
-                    core = ctx.core_id
-                    inner[core] = inner.get(core, 0.0) + cost
-                vp.last_cost = cost
-                ctx._cost = 0.0
+            pending = self._pending
+            fold = self._fold_decl
+            # Costs accumulate one VP at a time — the float summation
+            # order is part of the bitwise-identity contract.
+            for node_id in nodes:
+                inner = core_costs[node_id]
+                seen = None
+                for vp in vps_by_node[node_id]:
+                    if vp.done:
+                        continue
+                    ctx = vp.ctx
+                    if by_rank is None:
+                        ctx._cost = 0.0
+                        ctx._coll_index = 0
+                        self._advance(vp)
+                        cost = ctx._cost
+                        ctx._cost = 0.0
+                    else:
+                        done, decl, cost = by_rank[ctx.global_rank]
+                        backend.apply_state(vp, done, decl)
+                    if tr is not None:
+                        recorder.add_vp_cost(
+                            node_id, ctx.core_id, cost, vp=ctx.global_rank
+                        )
+                    elif cost:
+                        core = ctx.core_id
+                        inner[core] = inner.get(core, 0.0) + cost
+                    vp.last_cost = cost
+                    decl = vp.decl
+                    if decl is not seen:
+                        seen = decl
+                        if decl is not None:
+                            fold(pending, node_id, decl)
+                if by_rank is None:
+                    recorder.close_run(node_id)
         finally:
             self.phase = None
 
@@ -653,15 +694,72 @@ class PpmRuntime:
                 vp.ctx.core_id = assignment[vp.ctx.node_rank]
 
     # ------------------------------------------------------------------
-    def _run_global_phase(
-        self, vps_by_node: list[list[_VpRecord]], active_nodes: list[int]
-    ) -> None:
-        latency_rounds = max(
-            vp.decl.latency_rounds
-            for n in active_nodes
-            for vp in vps_by_node[n]
-            if not vp.done
+    def _lookup_plan(self, signature: tuple) -> PhasePlan | None:
+        """The running ``do``'s plan for a phase shape, if it has one."""
+        return self._phase_plans.get(signature)
+
+    def _phase_costs(self, recorder: PhaseRecorder, tr) -> _PhaseCosts:
+        """Inspect a phase's recorded traffic: bundle it per (node,
+        owner), price every node's bundles, and charge the owners'
+        message handling and the commit's per-element work — every
+        simulated cost of the phase that its access signature fixes."""
+        cfg = self.config
+        net = self.cluster.network
+        per_elem = cfg.ppm_commit_per_element
+        traffic = aggregate_traffic(recorder, tracer=tr)
+        comm: dict[int, object] = {}
+        owner_cpu: list[tuple[int, float]] = []
+        in_cpu: dict[int, float] = {}
+        messages = nbytes = 0
+        # node_comm_cost depends only on a node's peer footprint, which
+        # symmetric exchanges repeat across nodes; a traced round prices
+        # every node itself (per-transfer events must be emitted).
+        priced: dict[tuple, object] = {}
+        for node_id, nt in traffic.items():
+            footprint = tuple(
+                (p.read_elems, p.write_elems, p.shared.itemsize) for p in nt.peers
+            )
+            cost = priced.get(footprint) if tr is None else None
+            if cost is None:
+                cost = priced[footprint] = (
+                    node_comm_cost(
+                        net, nt, latency_rounds=recorder.latency_rounds, tracer=tr
+                    )
+                    if footprint
+                    else ZERO_COST
+                )
+            comm[node_id] = cost
+            messages += cost.messages
+            nbytes += cost.payload_bytes
+            for p in nt.peers:
+                # Owner-side software: message handling plus applying
+                # scattered elements into its partition.
+                cpu = (
+                    peer_owner_messages(net, p) * cfg.mpi_msg_overhead
+                    + p.write_elems * per_elem
+                )
+                owner_cpu.append((p.owner, cpu))
+                in_cpu[p.owner] = in_cpu.get(p.owner, 0.0) + cpu
+        commit_cpu = {
+            node_id: n_elem * per_elem
+            for node_id, n_elem in recorder.node_write_elems.items()
+        }
+        for node_id, nt in traffic.items():
+            commit_cpu[node_id] = (
+                commit_cpu.get(node_id, 0.0) + nt.local_write_elems * per_elem
+            )
+        return _PhaseCosts(
+            traffic, comm, owner_cpu, in_cpu, commit_cpu, messages, nbytes
         )
+
+    def _run_phase(self, kind: str, nodes: list[int], vps_by_node: list) -> None:
+        """One phase round: a global phase over the active ``nodes``
+        (cluster-wide barrier), or a node phase on the single node in
+        ``nodes`` (it alone advances)."""
+        cluster = self.cluster
+        pending = self._pending
+        latency_rounds = max(pending.pop(n)[1] for n in nodes)
+        node_key = None if kind == "global" else nodes[0]
         res = self.resilience
         phase_index = self.stats_global_phases + self.stats_node_phases
         if res is not None:
@@ -672,35 +770,37 @@ class PpmRuntime:
             res.on_phase_start(phase_index, self)
         tr = self.tracer
         recorder = PhaseRecorder(
-            "global", latency_rounds, tracer=tr, phase_index=phase_index
+            kind, latency_rounds, tracer=tr, phase_index=phase_index
         )
-        body_vps = [vp for n in active_nodes for vp in vps_by_node[n]]
         # A round is certified when every active VP sits at a yield the
         # static verifier proved conflict-free (checked on the suspended
         # frames *before* the bodies run, i.e. at this phase's decl).
         # Under the process backend the frames live in the workers, so
         # the workers checked their own shards and the backend combined
         # the votes when the round was dispatched.
-        if self._backend is not None:
-            certified = self._backend.round_certified(None)
+        backend = self._backend
+        if backend is not None:
+            certified = backend.round_certified(node_key)
         else:
-            certified = (
-                self._active_cert is not None
-                and self._active_cert.round_certified(body_vps, "global")
+            cert = self._active_cert
+            certified = cert is not None and cert.round_certified(
+                [vp for n in nodes for vp in vps_by_node[n]], kind
             )
         if tr is not None:
             tr.phase = phase_index
             tr.emit(
                 PhaseBegin(
                     phase=phase_index,
-                    phase_kind="global",
+                    phase_kind=kind,
                     latency_rounds=latency_rounds,
-                    vps=sum(1 for vp in body_vps if not vp.done),
-                    nodes=tuple(active_nodes),
-                    t=min(self.cluster.node(n).clock.now for n in active_nodes),
+                    vps=sum(
+                        1 for n in nodes for vp in vps_by_node[n] if not vp.done
+                    ),
+                    nodes=tuple(nodes),
+                    t=min(cluster.node(n).clock.now for n in nodes),
                 )
             )
-        self._execute_phase_bodies(recorder, body_vps)
+        self._execute_phase_bodies(recorder, nodes, vps_by_node)
 
         # Commit: conflict check (strict mode aborts before any write
         # is visible), then writes in rank order, then collectives.
@@ -709,13 +809,20 @@ class PpmRuntime:
         # and apply_writes below no-ops), fallback groups ship their
         # operations into the recorder for the unchanged path.
         p0, b0 = self.stats_pruned_commits, self.stats_pruned_bytes
-        if self._backend is not None:
-            self._backend.finish_commit(recorder, None)
+        if backend is not None:
+            backend.finish_commit(recorder, node_key)
         if self.sanitizer is not None and not (certified and self.sanitize_auto):
             self.sanitizer.check_phase(recorder, phase_index=phase_index)
         if certified:
             self.stats_certified_phases += 1
-        recorder.apply_writes(self.commit_plans, prune=self._prune_names)
+        signature = recorder.signature(certified)
+        plan = self._lookup_plan(signature)
+        if plan is None:
+            self.stats_phase_plan_misses += 1
+            plan = self._phase_plans[signature] = PhasePlan()
+        else:
+            self.stats_phase_plan_hits += 1
+        recorder.apply_writes(self.commit_plans, prune=self._prune_names, plan=plan)
         if tr is not None and self.stats_pruned_commits > p0:
             tr.emit(
                 SnapshotPruned(
@@ -725,95 +832,71 @@ class PpmRuntime:
                 )
             )
         n_contrib = recorder.resolve_collectives()
-        if self._backend is not None:
+        if backend is not None:
             # Ship resolved reduce/scan values back with the next round
             # so worker-held handles resolve before VP code reads them.
-            self._backend.harvest_collectives(recorder, None)
+            backend.harvest_collectives(recorder, node_key)
 
-        cfg = self.config
-        net = self.cluster.network
-        traffic = aggregate_traffic(recorder, tracer=tr)
-
-        in_cpu: dict[int, float] = {}
-        comm_costs = {}
-        total_msgs = 0
-        total_bytes = 0
-        # Owner-side per-peer message counts repeat across peers with
-        # identical element/itemsize footprints (every symmetric stencil
-        # exchange); memoise instead of re-deriving a single-peer
-        # NodeTraffic cost per peer.
-        peer_msg_cache: dict[tuple[int, int, int], int] = {}
-        cost_cache = self._comm_cost_cache if tr is None else None
-        for node_id, nt in traffic.items():
-            if cost_cache is not None:
-                ck = (
-                    recorder.latency_rounds,
-                    tuple(
-                        (p.read_elems, p.write_elems, p.shared.itemsize)
-                        for p in nt.peers
-                    ),
-                )
-                cost = cost_cache.get(ck)
-                if cost is None:
-                    cost = node_comm_cost(
-                        net, nt, latency_rounds=recorder.latency_rounds
+        # Everything the signature fixes comes from the plan; a traced
+        # repeat still owes the trace its per-bundle and per-transfer
+        # events, rebuilt from the stored traffic.
+        costs = plan.costs
+        if costs is None:
+            costs = plan.costs = self._phase_costs(recorder, tr)
+        elif tr is not None:
+            emit_bundles(costs.traffic, tr)
+            for nt in costs.traffic.values():
+                if nt.peers:
+                    node_comm_cost(
+                        cluster.network, nt, latency_rounds=latency_rounds, tracer=tr
                     )
-                    if len(cost_cache) >= 4096:
-                        cost_cache.clear()
-                    cost_cache[ck] = cost
-            else:
-                cost = node_comm_cost(
-                    net, nt, latency_rounds=recorder.latency_rounds, tracer=tr
-                )
-            comm_costs[node_id] = cost
-            total_msgs += cost.messages
-            total_bytes += cost.payload_bytes
-            for p in nt.peers:
-                elems = p.read_elems + p.write_elems
-                if elems == 0:
-                    continue
-                # Owner-side software: message handling plus applying
-                # scattered elements into its partition.
-                key = (p.read_elems, p.write_elems, p.shared.itemsize)
-                msgs = peer_msg_cache.get(key)
-                if msgs is None:
-                    msgs = peer_msg_cache[key] = peer_owner_messages(net, p)
-                in_cpu[p.owner] = in_cpu.get(p.owner, 0.0) + (
-                    msgs * cfg.mpi_msg_overhead
-                    + p.write_elems * cfg.ppm_commit_per_element
-                )
-
-        penalties = (
-            res.message_penalties(phase_index, traffic, net)
-            if res is not None
-            else None
-        )
-
-        # Per-node busy time, then cluster-wide barrier.
-        t_end = 0.0
-        node_timings = {}
+        cfg = self.config
+        net = cluster.network
+        if kind == "global":
+            # Every node takes part in the barrier; owner-side software
+            # is part of the owner's own phase timing.
+            timed = list(cluster)
+            in_cpu = costs.in_cpu
+            penalties = (
+                res.message_penalties(phase_index, costs.traffic, net)
+                if res is not None
+                else None
+            )
+        else:
+            # Global-shared *reads* are permitted in node phases; their
+            # fetch traffic is charged here (writes were rejected
+            # earlier), the owners' service cost on the owners' clocks.
+            timed = [cluster.node(node_key)]
+            in_cpu = {}
+            penalties = None
+            for owner, cpu in costs.owner_cpu:
+                cluster.node(owner).clock.advance(cpu)
+        core_costs = recorder.core_costs
+        commit_cpu = costs.commit_cpu
+        comm = costs.comm
         node_t0 = {}
-        for node in self.cluster:
+        node_timings = {}
+        arrival = 0.0
+        for node in timed:
             node_id = node.node_id
             node_t0[node_id] = node.clock.now
-            compute = node_compute_time(recorder.core_costs.get(node_id, {}))
+            # What does change round to round: the VPs' measured costs.
+            compute = node_compute_time(core_costs.get(node_id, {}))
             if res is not None:
                 compute *= res.straggler_factor(phase_index, node_id, self)
-            nt = traffic.get(node_id)
-            commit_cpu = recorder.node_write_elems.get(node_id, 0) * cfg.ppm_commit_per_element
-            if nt is not None:
-                commit_cpu += nt.local_write_elems * cfg.ppm_commit_per_element
             timing = compose_phase_timing(
                 cfg,
                 net,
                 compute=compute,
-                commit_cpu=commit_cpu,
-                comm_cost=comm_costs.get(node_id, ZERO_COST),
+                commit_cpu=commit_cpu.get(node_id, 0.0),
+                comm_cost=comm.get(node_id, ZERO_COST),
                 extra_comm_cpu=in_cpu.get(node_id, 0.0),
                 certified=certified,
             )
-            if penalties is not None:
-                extra = penalties.get(node_id, 0.0)
+            if res is not None:
+                if kind == "node":
+                    penalties = res.message_penalties(phase_index, costs.traffic, net)
+                extra = penalties.get(node_id, 0.0) if penalties else 0.0
                 if extra:
                     # Retry/backoff time is serialized after the
                     # phase's regular traffic (the loss is only
@@ -826,27 +909,39 @@ class PpmRuntime:
                         overlapped=timing.overlapped,
                     )
             node_timings[node_id] = timing
-            t_end = max(t_end, node.clock.now + timing.busy)
+            arrival = max(arrival, node.clock.now + timing.busy)
 
         # Phase-closing synchronisation: a phase with collectives fuses
         # the reduction into its barrier tree (one sweep up, one down);
-        # otherwise a plain barrier suffices.
-        if recorder.collective_slots:
-            t_end += net.allreduce_time(self.cluster.n_nodes, cfg.element_bytes)
+        # otherwise a plain barrier suffices.  A global phase
+        # synchronises the nodes, a node phase the node's cores.
+        if kind == "global":
+            if recorder.collective_slots:
+                t_end = arrival + net.allreduce_time(cluster.n_nodes, cfg.element_bytes)
+            else:
+                t_end = arrival + net.barrier_time(cluster.n_nodes)
+            for node in timed:
+                node.clock.merge(t_end)
+            self.stats_global_phases += 1
         else:
-            t_end += net.barrier_time(self.cluster.n_nodes)
-
-        for node in self.cluster:
-            node.clock.merge(t_end)
+            if recorder.collective_slots:
+                sync = net.allreduce_time(
+                    cluster.cores_per_node, cfg.element_bytes, intra_node=True
+                )
+            else:
+                sync = net.barrier_time(cluster.cores_per_node, intra_node=True)
+            node.clock.advance(timing.busy + sync)
+            t_end = node.clock.now
+            self.stats_node_phases += 1
+        for node in timed:
             for c in node.core_clocks:
                 c.merge(t_end)
 
-        self.stats_global_phases += 1
         self.profile.append(
             PhaseProfile(
-                index=self.stats_global_phases + self.stats_node_phases - 1,
-                kind="global",
-                latency_rounds=recorder.latency_rounds,
+                index=phase_index,
+                kind=kind,
+                latency_rounds=latency_rounds,
                 t_end=t_end,
                 node_timings=node_timings,
             )
@@ -855,12 +950,12 @@ class PpmRuntime:
             tr.emit(
                 PhaseCommit(
                     phase=phase_index,
-                    phase_kind="global",
-                    latency_rounds=recorder.latency_rounds,
+                    phase_kind=kind,
+                    latency_rounds=latency_rounds,
                     t=min(node_t0.values()),
                     t_end=t_end,
-                    messages=total_msgs,
-                    nbytes=total_bytes,
+                    messages=costs.messages,
+                    nbytes=costs.nbytes,
                     collectives=n_contrib,
                     nodes=tuple(
                         NodeSlice(
@@ -877,195 +972,25 @@ class PpmRuntime:
                     ),
                 )
             )
-        self.cluster.trace.record(
-            "ppm_global_phase",
-            -1,
-            t_end,
-            messages=total_msgs,
-            nbytes=total_bytes,
-            detail=f"vps={len(body_vps)} collectives={n_contrib}",
-        )
+        if kind == "global":
+            n_vps = sum(len(vps_by_node[n]) for n in nodes)
+            cluster.trace.record(
+                "ppm_global_phase",
+                -1,
+                t_end,
+                messages=costs.messages,
+                nbytes=costs.nbytes,
+                detail=f"vps={n_vps} collectives={n_contrib}",
+            )
+        else:
+            cluster.trace.record(
+                "ppm_node_phase",
+                node_key,
+                t_end,
+                messages=costs.messages,
+                nbytes=costs.nbytes,
+            )
         if res is not None:
             # Checkpoint when due (its cost lands between phases), or
             # — while fast-forwarding — resume at the restored cut.
-            res.after_commit(phase_index, self)
-
-    # ------------------------------------------------------------------
-    def _run_node_phase(self, node_id: int, node_vps: list[_VpRecord]) -> None:
-        latency_rounds = max(
-            vp.decl.latency_rounds for vp in node_vps if not vp.done
-        )
-        res = self.resilience
-        phase_index = self.stats_global_phases + self.stats_node_phases
-        if res is not None:
-            res.on_phase_start(phase_index, self)
-        tr = self.tracer
-        recorder = PhaseRecorder(
-            "node", latency_rounds, tracer=tr, phase_index=phase_index
-        )
-        t0 = self.cluster.node(node_id).clock.now
-        if self._backend is not None:
-            certified = self._backend.round_certified(node_id)
-        else:
-            certified = (
-                self._active_cert is not None
-                and self._active_cert.round_certified(node_vps, "node")
-            )
-        if tr is not None:
-            tr.phase = phase_index
-            tr.emit(
-                PhaseBegin(
-                    phase=phase_index,
-                    phase_kind="node",
-                    latency_rounds=latency_rounds,
-                    vps=sum(1 for vp in node_vps if not vp.done),
-                    nodes=(node_id,),
-                    t=t0,
-                )
-            )
-        self._execute_phase_bodies(recorder, node_vps)
-
-        p0, b0 = self.stats_pruned_commits, self.stats_pruned_bytes
-        if self._backend is not None:
-            self._backend.finish_commit(recorder, node_id)
-        if self.sanitizer is not None and not (certified and self.sanitize_auto):
-            self.sanitizer.check_phase(recorder, phase_index=phase_index)
-        if certified:
-            self.stats_certified_phases += 1
-        recorder.apply_writes(self.commit_plans, prune=self._prune_names)
-        if tr is not None and self.stats_pruned_commits > p0:
-            tr.emit(
-                SnapshotPruned(
-                    phase=phase_index,
-                    commits=self.stats_pruned_commits - p0,
-                    bytes_avoided=self.stats_pruned_bytes - b0,
-                )
-            )
-        n_contrib = recorder.resolve_collectives()
-        if self._backend is not None:
-            self._backend.harvest_collectives(recorder, node_id)
-
-        cfg = self.config
-        net = self.cluster.network
-        node = self.cluster.node(node_id)
-
-        # Global-shared *reads* are permitted in node phases; their
-        # fetch traffic is charged here (writes were rejected earlier).
-        traffic = aggregate_traffic(recorder, tracer=tr)
-        nt = traffic.get(node_id)
-        if nt is None:
-            comm_cost = ZERO_COST
-        elif tr is None:
-            cost_cache = self._comm_cost_cache
-            ck = (
-                recorder.latency_rounds,
-                tuple(
-                    (p.read_elems, p.write_elems, p.shared.itemsize)
-                    for p in nt.peers
-                ),
-            )
-            comm_cost = cost_cache.get(ck)
-            if comm_cost is None:
-                comm_cost = node_comm_cost(
-                    net, nt, latency_rounds=recorder.latency_rounds
-                )
-                if len(cost_cache) >= 4096:
-                    cost_cache.clear()
-                cost_cache[ck] = comm_cost
-        else:
-            comm_cost = node_comm_cost(
-                net, nt, latency_rounds=recorder.latency_rounds, tracer=tr
-            )
-        if nt is not None:
-            peer_msg_cache: dict[tuple[int, int, int], int] = {}
-            for p in nt.peers:
-                # Owner-side service cost lands on the owner's clock.
-                key = (p.read_elems, p.write_elems, p.shared.itemsize)
-                msgs = peer_msg_cache.get(key)
-                if msgs is None:
-                    msgs = peer_msg_cache[key] = peer_owner_messages(net, p)
-                self.cluster.node(p.owner).clock.advance(
-                    msgs * cfg.mpi_msg_overhead
-                )
-
-        compute = node_compute_time(recorder.core_costs.get(node_id, {}))
-        if res is not None:
-            compute *= res.straggler_factor(phase_index, node_id, self)
-        commit_cpu = recorder.node_write_elems.get(node_id, 0) * cfg.ppm_commit_per_element
-        if nt is not None:
-            commit_cpu += nt.local_write_elems * cfg.ppm_commit_per_element
-        timing = compose_phase_timing(
-            cfg,
-            net,
-            compute=compute,
-            commit_cpu=commit_cpu,
-            comm_cost=comm_cost,
-            certified=certified,
-        )
-        if res is not None:
-            penalties = res.message_penalties(phase_index, traffic, net)
-            extra = penalties.get(node_id, 0.0) if penalties else 0.0
-            if extra:
-                timing = PhaseTiming(
-                    compute=timing.compute,
-                    commit_cpu=timing.commit_cpu,
-                    comm=timing.comm + extra,
-                    overlapped=timing.overlapped,
-                )
-        # Node-level synchronisation: a reduction tree over the node's
-        # cores when the phase carried collectives, a plain barrier
-        # otherwise.
-        if recorder.collective_slots:
-            sync = net.allreduce_time(
-                self.cluster.cores_per_node, cfg.element_bytes, intra_node=True
-            )
-        else:
-            sync = net.barrier_time(self.cluster.cores_per_node, intra_node=True)
-        node.clock.advance(timing.busy + sync)
-        for c in node.core_clocks:
-            c.merge(node.clock.now)
-
-        self.stats_node_phases += 1
-        self.profile.append(
-            PhaseProfile(
-                index=self.stats_global_phases + self.stats_node_phases - 1,
-                kind="node",
-                latency_rounds=recorder.latency_rounds,
-                t_end=node.clock.now,
-                node_timings={node_id: timing},
-            )
-        )
-        if tr is not None:
-            tr.emit(
-                PhaseCommit(
-                    phase=phase_index,
-                    phase_kind="node",
-                    latency_rounds=recorder.latency_rounds,
-                    t=t0,
-                    t_end=node.clock.now,
-                    messages=comm_cost.messages,
-                    nbytes=comm_cost.payload_bytes,
-                    collectives=n_contrib,
-                    nodes=(
-                        NodeSlice(
-                            node=node_id,
-                            t0=t0,
-                            compute=timing.compute,
-                            commit_cpu=timing.commit_cpu,
-                            comm=timing.comm,
-                            overlapped=timing.overlapped,
-                            arrival=t0 + timing.busy,
-                            wait=node.clock.now - (t0 + timing.busy),
-                        ),
-                    ),
-                )
-            )
-        self.cluster.trace.record(
-            "ppm_node_phase",
-            node_id,
-            node.clock.now,
-            messages=comm_cost.messages,
-            nbytes=comm_cost.payload_bytes,
-        )
-        if res is not None:
             res.after_commit(phase_index, self)

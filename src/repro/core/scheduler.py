@@ -159,8 +159,8 @@ def peer_owner_messages(network: NetworkModel, p) -> int:
     single-peer ``NodeTraffic`` (latency rounds never change message
     counts), but without building the throwaway traffic object or
     computing wire/cpu times the caller discards.  The runtime charges
-    the owner ``messages * mpi_msg_overhead`` per peer, and memoises
-    this per ``(read_elems, write_elems, itemsize)`` within a phase.
+    the owner ``messages * mpi_msg_overhead`` per peer, once per phase
+    shape (the result lives in the phase plan).
     """
     msgs = 0
     if p.read_elems:

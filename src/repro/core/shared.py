@@ -55,9 +55,15 @@ _SPEC_UIDS = itertools.count()
 class RowSpec:
     """Rows (axis-0 indices) touched by one access, in a cheap range
     form (contiguous or strided, nothing materialised) or a
-    materialised index-array form."""
+    materialised index-array form.
 
-    __slots__ = ("start", "stop", "step", "array", "uid")
+    As the *footprint* of a recorded access — what the phase recorder
+    keeps per access — it also names the accessed variable and the
+    exact element count (``shared``, ``elems``: fewer than whole rows
+    for a partial-row tuple index); a bare row set leaves them unset.
+    """
+
+    __slots__ = ("start", "stop", "step", "array", "count", "shared", "elems", "uid")
 
     def __init__(
         self,
@@ -65,14 +71,29 @@ class RowSpec:
         stop: int = 0,
         step: int = 1,
         array: np.ndarray | None = None,
+        shared: object = None,
+        elems: int = 0,
     ) -> None:
         self.start = start
         self.stop = stop
         self.step = step
         self.array = array
+        #: Rows named, duplicates included.
+        if array is not None:
+            self.count = int(array.size)
+        elif step == 1:
+            self.count = max(0, stop - start)
+        else:
+            self.count = len(range(start, stop, step))
+        self.shared = shared
+        self.elems = elems
         #: Process-unique serial number.  Unlike ``id()`` it is never
         #: recycled, so a memo can key on it without keeping the spec
-        #: (and its index array) alive.
+        #: (and its index array) alive — and a phase's access signature
+        #: is made of these: a memoised footprint keeps its serial for
+        #: as long as it lives and stands for its variable, rows,
+        #: exactness and element count; an unmemoised one is born with
+        #: a fresh serial every access and can never repeat.
         self.uid = next(_SPEC_UIDS)
 
     @classmethod
@@ -90,14 +111,6 @@ class RowSpec:
     @classmethod
     def from_array(cls, array: np.ndarray) -> "RowSpec":
         return cls(array=array)
-
-    @property
-    def count(self) -> int:
-        if self.array is not None:
-            return int(self.array.size)
-        if self.step == 1:
-            return max(0, self.stop - self.start)
-        return len(range(self.start, self.stop, self.step))
 
     @property
     def is_contiguous(self) -> bool:
@@ -159,7 +172,7 @@ class WriteEvent:
 
     __slots__ = (
         "shared", "instance", "kind", "op", "idx", "value", "rows",
-        "rank", "seq", "rows_exact",
+        "rank", "rows_exact",
     )
 
     def __init__(
@@ -182,7 +195,6 @@ class WriteEvent:
         self.value = value
         self.rows = rows
         self.rank = rank
-        self.seq = 0  # program-order tiebreak, set by the recorder
         self.rows_exact = rows_exact
 
     def replay(self, target: np.ndarray) -> None:
@@ -349,15 +361,14 @@ class _SharedBase:
         # entries of _access_cache; each one's callback evicts its
         # entry when the array dies.
         self._index_refs: dict = {}
-        # Owner-count memo for the bundling engine (global-shared only;
-        # see repro.core.bundling).
-        self._counts_cache: dict = {}
 
     def _access_record(self, idx: object, data: np.ndarray) -> tuple:
         """``(rows, n_elem, rows_exact, view_kind, cost)`` for ``idx``,
-        cached.  ``cost`` is the simulated per-access software overhead
-        (call + per-element), precomputed so the hot path charges it
-        with a single add.
+        cached.  ``rows`` is the access's footprint (``rows.shared`` is
+        this variable, ``rows.elems`` is ``n_elem``) — the object the
+        phase recorder keeps; ``cost`` is the simulated per-access
+        software overhead (call + per-element), precomputed so the hot
+        path charges it with a single add.
 
         ``view_kind`` classifies what ``data[idx]`` returns: ``True``
         for basic indexing (a view — the read path must freeze and
@@ -388,7 +399,8 @@ class _SharedBase:
             view_kind = False
         else:
             rows = _normalize_rows(idx, self.shape[0])
-            n_elem = self._count_elements(idx, rows, data)
+            rows.shared = self
+            rows.elems = n_elem = self._count_elements(idx, rows, data)
             return (
                 rows, n_elem, _rows_exact(idx), None,
                 self._acall + n_elem * self._elem_rate,
@@ -403,6 +415,8 @@ class _SharedBase:
                 # Drop the id-keyed entry when the index array dies, so
                 # a recycled id can never resolve to stale rows.
                 self._index_refs[key] = weakref.ref(idx, self._evictor(key))
+            rows.shared = self
+            rows.elems = n_elem
             rec = (
                 rows, n_elem, _rows_exact(idx), view_kind,
                 self._acall + n_elem * self._elem_rate,
@@ -425,7 +439,6 @@ class _SharedBase:
         """Forget every memoised access record (``PpmRuntime.close``)."""
         self._access_cache.clear()
         self._index_refs.clear()
-        self._counts_cache.clear()
 
     def __reduce__(self):
         return (_unpickle_shared, (self.name,))
@@ -592,20 +605,16 @@ class GlobalShared(_SharedBase):
         if ctx is None:
             return self._copy_out(self._data[idx])
         # Recording is inlined in every accessor (each Python call is
-        # measurable at this frequency): charge the VP, then extend the
-        # phase recorder's rec map / op stream directly.
+        # measurable at this frequency): charge the VP, then append the
+        # access's footprint (and, for writes, the buffered operation)
+        # to the phase recorder's flat lists.
         data = self._ro
-        rows, n_elem, _, view_kind, cost = self._access_record(idx, data)
+        rows, _, _, view_kind, cost = self._access_record(idx, data)
         phase = rt.phase
         if phase is None:
             rt._require_phase()
         ctx._cost += cost
-        recs = phase.global_read_recs
-        rec = recs.get((ctx.node_id, self))
-        if rec is None:
-            rec = recs[(ctx.node_id, self)] = [[], 0]
-        rec[0].append(rows)
-        rec[1] += n_elem
+        phase.reads.append(rows)
         value = data[idx]
         if view_kind:
             if isinstance(value, np.ndarray):
@@ -624,7 +633,7 @@ class GlobalShared(_SharedBase):
         if ctx is None:
             self._data[idx] = value
             return
-        rows, n_elem, rows_exact, _vk, cost = self._access_record(idx, self._data)
+        rows, _, rows_exact, _vk, cost = self._access_record(idx, self._data)
         if isinstance(value, np.ndarray):
             value = np.array(value, dtype=self.dtype, copy=True)
         event = WriteEvent(
@@ -639,13 +648,7 @@ class GlobalShared(_SharedBase):
                 "phase; use a global phase"
             )
         ctx._cost += cost
-        recs = phase.global_write_recs
-        rec = recs.get((ctx.node_id, self))
-        if rec is None:
-            rec = recs[(ctx.node_id, self)] = [[], 0]
-        rec[0].append(rows)
-        rec[1] += n_elem
-        event.seq = phase._seq = phase._seq + 1
+        phase.writes.append(rows)
         phase.write_ops.append(event)
 
     def accumulate(self, rows, values, op: str = "add") -> None:
@@ -664,7 +667,10 @@ class GlobalShared(_SharedBase):
             ufunc.at(self._data, rows, values)
             return
         spec, _, rows_exact, _vk, _c = self._access_record(rows, self._data)
-        n_elem = spec.count * self._trailing
+        # An accumulate is charged and bundled for the whole of every
+        # row it names (this changes only an unmemoised partial-row
+        # footprint, which no other access shares).
+        spec.elems = n_elem = spec.count * self._trailing
         if isinstance(values, np.ndarray):
             values = np.array(values, dtype=self.dtype, copy=True)
         event = WriteEvent(
@@ -679,13 +685,7 @@ class GlobalShared(_SharedBase):
                 "phase; use a global phase"
             )
         ctx._cost += rt._access_call + n_elem * rt._access_elem
-        recs = phase.global_write_recs
-        rec = recs.get((ctx.node_id, self))
-        if rec is None:
-            rec = recs[(ctx.node_id, self)] = [[], 0]
-        rec[0].append(spec)
-        rec[1] += n_elem
-        event.seq = phase._seq = phase._seq + 1
+        phase.writes.append(spec)
         phase.write_ops.append(event)
 
     @property
@@ -801,13 +801,12 @@ class NodeShared(_SharedBase):
             self._current_node()  # raises the driver-level usage error
         node = ctx.node_id
         data = self._ro[node]
-        rows, n_elem, _, view_kind, cost = self._access_record(idx, data)
-        phase = rt.phase
-        if phase is None:
+        _, _, _, view_kind, cost = self._access_record(idx, data)
+        if rt.phase is None:
             rt._require_phase()
+        # A node-shared read moves nothing between nodes: it is charged
+        # to the VP and leaves no record.
         ctx._cost += cost
-        phase.node_read_ops += 1
-        phase.node_read_elems += n_elem
         value = data[idx]
         if view_kind:
             if isinstance(value, np.ndarray):
@@ -837,7 +836,6 @@ class NodeShared(_SharedBase):
             rt._require_phase()
         ctx._cost += cost
         phase.node_write_elems[node] += n_elem
-        event.seq = phase._seq = phase._seq + 1
         phase.write_ops.append(event)
 
     def accumulate(self, rows, values, op: str = "add") -> None:
@@ -863,7 +861,6 @@ class NodeShared(_SharedBase):
             rt._require_phase()
         ctx._cost += rt._access_call + n_elem * rt._node_access_elem
         phase.node_write_elems[node] += n_elem
-        event.seq = phase._seq = phase._seq + 1
         phase.write_ops.append(event)
 
     def __len__(self) -> int:

@@ -83,7 +83,6 @@ class ProcessBackend:
         self._vp_index: dict = {}
         self._arrays: list[dict] = []
         self._specs: list[dict] = []
-        self._range_specs: dict = {}
         self._decls: dict = {}
         self._coll_outbox: list = []
         self._global_reports = None
@@ -167,7 +166,6 @@ class ProcessBackend:
         }
         self._arrays = [{} for _ in range(w)]
         self._specs = [{} for _ in range(w)]
-        self._range_specs = {}
         self._decls = {}
         self._coll_outbox = []
         self._global_reports = None
@@ -234,7 +232,7 @@ class ProcessBackend:
             if states is None:
                 continue
             for grank, done, decl, _cost in states:
-                self._apply_state(self._vp_index[grank], done, decl)
+                self.apply_state(self._vp_index[grank], done, decl)
 
     def end_do(self) -> None:
         """Release per-do worker state; best-effort because this runs
@@ -358,41 +356,21 @@ class ProcessBackend:
                     )
                 )
 
-    def fill_recorder(self, recorder, vps) -> None:
-        """Replay this round's worker reports for ``vps`` into the
-        parent recorder — the process-mode body of
-        ``_execute_phase_bodies``, reproducing its exact rec ordering
-        and float-accumulation structure."""
-        if self._global_reports is not None:
+    def fill_recorder(self, recorder, node_key) -> dict[int, tuple]:
+        """Merge this round's worker reports for ``node_key`` (None: the
+        global phase) into the parent recorder; returns each reported
+        VP's ``(done, next declaration, cost)`` by global rank, which
+        the runtime's stepping loop replays in VP order — the same
+        float-accumulation structure as inline execution."""
+        if node_key is None:
             reports = self._global_reports
             self._global_reports = None
         else:
-            node_id = vps[0].ctx.node_id
-            reports = self._node_reports.pop(node_id, [])
+            reports = self._node_reports.pop(node_key, [])
         by_rank: dict[int, tuple] = {}
         for w, rep in reports:
             self._merge_report(recorder, w, rep, by_rank)
-        tr = recorder.tracer
-        core_costs = recorder.core_costs
-        run_node = -1
-        inner = None
-        for vp in vps:
-            if vp.done:
-                continue
-            ctx = vp.ctx
-            done, decl, cost = by_rank[ctx.global_rank]
-            if tr is not None:
-                recorder.add_vp_cost(
-                    ctx.node_id, ctx.core_id, cost, vp=ctx.global_rank
-                )
-            elif cost:
-                if ctx.node_id != run_node:
-                    run_node = ctx.node_id
-                    inner = core_costs[run_node]
-                core = ctx.core_id
-                inner[core] = inner.get(core, 0.0) + cost
-            vp.last_cost = cost
-            self._apply_state(vp, done, decl)
+        return by_rank
 
     def _gather_wtargets(self, node_key, reports) -> None:
         acc = self._hold_wtargets.setdefault(node_key, set())
@@ -439,15 +417,7 @@ class ProcessBackend:
         for w, d in self._commit_replies.pop(node_key, []):
             ops = d.get("ops")
             if ops is not None:
-                recorder.absorb_ops(
-                    WriteEvent(
-                        registry[name], instance, op_kind, op,
-                        self._idx(w, idx_enc), value, self._spec(w, spec_enc),
-                        rank, rows_exact,
-                    )
-                    for name, instance, op_kind, op, idx_enc, value,
-                        spec_enc, rank, rows_exact in ops
-                )
+                recorder.write_ops.extend(self._events(w, ops))
                 continue
             n = d.get("ops_n", 0)
             if not n:
@@ -576,7 +546,7 @@ class ProcessBackend:
     # ==================================================================
     # Report decoding
     # ==================================================================
-    def _apply_state(self, vp, done: bool, decl) -> None:
+    def apply_state(self, vp, done: bool, decl) -> None:
         if done:
             vp.done = True
             vp.decl = None
@@ -597,27 +567,29 @@ class ProcessBackend:
             return arr
         return self._arrays[w][enc[1]]
 
-    def _spec(self, w: int, enc) -> RowSpec:
-        if enc[0] == "R":
-            _tag, start, stop, step = enc
-            key = (start, stop, step)
-            spec = self._range_specs.get(key)
-            if spec is None:
-                spec = self._range_specs[key] = RowSpec(start, stop, step)
-            return spec
-        arr_enc = enc[1]
-        iid = arr_enc[1]
-        # Interned per (worker, id): iterative kernels reuse the same
-        # index arrays phase after phase, so the parent presents stable
-        # RowSpec objects to the bundling memo — the same cache-hit
-        # behaviour the inline engine gets from its access cache.
-        spec = self._specs[w].get(iid)
+    def _spec(self, w: int, name: str, enc, *, elems: int = 0, exact: bool = True) -> RowSpec:
+        """The parent's row spec for worker ``w``'s encoded spec — an
+        operation's rows (``exact`` as shipped) or an access footprint
+        (``elems`` as shipped).
+
+        Interned per (variable, element count, exactness, encoded
+        rows), so the spec's serial stands for everything a phase
+        signature reads off it, exactly as an inline footprint's does:
+        iterative kernels reuse the same slices and index arrays phase
+        after phase, and the parent then presents the same serials
+        round after round."""
+        specs = self._specs[w]
+        key = (name, elems, exact, enc if enc[0] == "R" else enc[1][1])
+        spec = specs.get(key)
         if spec is None:
-            spec = self._specs[w][iid] = RowSpec.from_array(
-                self._array(w, arr_enc)
-            )
-        elif arr_enc[0] == "n":
-            self._array(w, arr_enc)  # keep the decode table consistent
+            shared = self.rt.shared_registry[name]
+            if enc[0] == "R":
+                spec = RowSpec(*enc[1:], shared=shared, elems=elems)
+            else:
+                spec = RowSpec(array=self._array(w, enc[1]), shared=shared, elems=elems)
+            specs[key] = spec
+        elif enc[0] == "A" and enc[1][0] == "n":
+            self._array(w, enc[1])  # keep the decode table consistent
         return spec
 
     def _idx(self, w: int, enc):
@@ -626,51 +598,49 @@ class ProcessBackend:
             return self._array(w, payload)
         return payload
 
-    def _merge_report(self, recorder, w: int, rep: dict, by_rank: dict) -> None:
+    def _events(self, w: int, ops):
+        """Worker ``w``'s encoded operation stream as WriteEvents."""
         registry = self.rt.shared_registry
-        # Resolve the record structure: an exact cross-round repeat
-        # arrives as a plan reference instead of the full payload.
-        pid = rep.get("rec_plan")
-        if pid is not None:
-            recs = self._rec_cache[w][pid]
-        else:
-            recs = rep
-            pid = rep.get("rec_new")
-            if pid is not None:
-                self._rec_cache[w][pid] = {
-                    k: rep[k] for k in ("greads", "gwrites", "nwe", "nro", "nre")
-                }
+        for name, instance, kind, op, idx_enc, value, spec_enc, rank, exact in ops:
+            yield WriteEvent(
+                registry[name], instance, kind, op, self._idx(w, idx_enc),
+                value, self._spec(w, name, spec_enc, exact=exact), rank, exact,
+            )
+
+    def _merge_report(self, recorder, w: int, rep: dict, by_rank: dict) -> None:
         # Decode the operation stream *first*: the worker encodes ops
-        # before the read/write records, so an index array's first
-        # mention (the ``("n", iid, arr)`` form later records reference
-        # by id) can live only there.  Held rounds have no ops here —
-        # they ship theirs with the commit reply, which the worker also
+        # before the access records, so an index array's first mention
+        # (the ``("n", iid, arr)`` form later records reference by id)
+        # can live only there.  Held rounds have no ops here — they
+        # ship theirs with the commit reply, which the worker also
         # encodes last.
         ops = rep.get("ops")
         if ops is not None:
-            recorder.absorb_ops(
-                WriteEvent(
-                    registry[name], instance, op_kind, op,
-                    self._idx(w, idx_enc), value, self._spec(w, spec_enc),
-                    rank, rows_exact,
+            recorder.write_ops.extend(self._events(w, ops))
+        # Resolve the record structure: an exact cross-round repeat
+        # arrives as a plan reference and resolves to the footprints
+        # decoded when it was new — the same specs, so a steady-state
+        # round extends the recorder's lists and nothing else.
+        pid = rep.get("rec_plan")
+        if pid is not None:
+            runs, nwe = self._rec_cache[w][pid]
+        else:
+            runs = [
+                (
+                    node_id,
+                    [self._spec(w, name, enc, elems=n) for name, enc, n in reads],
+                    [self._spec(w, name, enc, elems=n) for name, enc, n in writes],
                 )
-                for name, instance, op_kind, op, idx_enc, value, spec_enc,
-                    rank, rows_exact in ops
-            )
-        recorder.absorb_global_reads(
-            (node_id, registry[name],
-             [self._spec(w, e) for e in specs], n_elem)
-            for node_id, name, specs, n_elem in recs["greads"]
-        )
-        recorder.absorb_global_writes(
-            (node_id, registry[name],
-             [self._spec(w, e) for e in specs], n_elem)
-            for node_id, name, specs, n_elem in recs["gwrites"]
-        )
-        for node_id, n_elem in recs["nwe"].items():
+                for node_id, reads, writes in rep["runs"]
+            ]
+            nwe = rep["nwe"]
+            pid = rep.get("rec_new")
+            if pid is not None:
+                self._rec_cache[w][pid] = (runs, nwe)
+        for node_id, reads, writes in runs:
+            recorder.absorb(node_id, reads, writes)
+        for node_id, n_elem in nwe.items():
             recorder.node_write_elems[node_id] += n_elem
-        recorder.node_read_ops += recs["nro"]
-        recorder.node_read_elems += recs["nre"]
         slots = recorder.collective_slots
         for i, kind, op, entries in rep["colls"]:
             while len(slots) <= i:

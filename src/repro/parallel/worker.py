@@ -261,19 +261,19 @@ class _WorkerDo:
             body_vps = [vp for n in nodes for vp in self.by_node[n]]
             advanced += sum(1 for vp in body_vps if not vp.done)
             if replay:
-                self._run_recorder(kind, body_vps, None, hold, encode=False)
+                self._run_recorder(kind, nodes, None, hold, encode=False)
                 payload = {"replayed": True}
             else:
                 flags = self._round_flags(body_vps, kind)
                 payload = {
-                    "report": self._run_recorder(kind, body_vps, None, hold),
+                    "report": self._run_recorder(kind, nodes, None, hold),
                     "flags": flags,
                 }
         elif replay:
             for node_id in nodes:
                 node_vps = self.by_node[node_id]
                 advanced += sum(1 for vp in node_vps if not vp.done)
-                self._run_recorder(kind, node_vps, node_id, hold, encode=False)
+                self._run_recorder(kind, [node_id], node_id, hold, encode=False)
             payload = {"replayed": True}
         else:
             reports = []
@@ -284,7 +284,7 @@ class _WorkerDo:
                 reports.append(
                     (
                         node_id,
-                        self._run_recorder(kind, node_vps, node_id, hold),
+                        self._run_recorder(kind, [node_id], node_id, hold),
                         flags,
                     )
                 )
@@ -327,12 +327,12 @@ class _WorkerDo:
     def _run_recorder(
         self,
         kind: str,
-        vps: list,
+        nodes: list,
         node_key,
         hold: bool = False,
         encode: bool = True,
     ) -> dict | None:
-        """Advance the listed VPs under a fresh recorder; encode it.
+        """Advance my VPs of ``nodes`` under a fresh recorder; encode it.
         Under ``hold`` the recorder is retained for the parent's commit
         command and the encoded report omits the operation stream.
         ``encode=False`` (crash-recovery replay) skips the report
@@ -342,15 +342,17 @@ class _WorkerDo:
         rt.phase = recorder
         vp_states = []
         try:
-            for vp in vps:
-                if vp.done:
-                    continue
-                ctx = vp.ctx
-                ctx._cost = 0.0
-                ctx._coll_index = 0
-                rt._advance(vp)
-                vp_states.append(self._vp_state(vp, ctx._cost))
-                ctx._cost = 0.0
+            for node_id in nodes:
+                for vp in self.by_node[node_id]:
+                    if vp.done:
+                        continue
+                    ctx = vp.ctx
+                    ctx._cost = 0.0
+                    ctx._coll_index = 0
+                    rt._advance(vp)
+                    vp_states.append(self._vp_state(vp, ctx._cost))
+                    ctx._cost = 0.0
+                recorder.close_run(node_id)
         finally:
             rt.phase = None
         self.pending[node_key] = recorder.collective_slots
@@ -399,21 +401,23 @@ class _WorkerDo:
                 {(ev.shared.name, ev.instance) for ev in recorder.write_ops},
                 key=lambda t: (t[0], -1 if t[1] is None else t[1]),
             )
-        greads = [
-            (node_id, sv.name, [enc.spec(s) for s in specs], n_elem)
-            for (node_id, sv), (specs, n_elem) in recorder.global_read_recs.items()
-        ]
-        gwrites = [
-            (node_id, sv.name, [enc.spec(s) for s in specs], n_elem)
-            for (node_id, sv), (specs, n_elem) in recorder.global_write_recs.items()
-        ]
-        recs = {
-            "greads": greads,
-            "gwrites": gwrites,
-            "nwe": dict(recorder.node_write_elems),
-            "nro": recorder.node_read_ops,
-            "nre": recorder.node_read_elems,
-        }
+        # Access footprints travel as (variable, row spec, element
+        # count), one run per node mark, in recording order.
+        def footprints(specs):
+            return [(s.shared.name, enc.spec(s), s.elems) for s in specs]
+
+        runs = []
+        r0 = w0 = 0
+        for node_id, r1, w1 in recorder.marks:
+            runs.append(
+                (
+                    node_id,
+                    footprints(recorder.reads[r0:r1]),
+                    footprints(recorder.writes[w0:w1]),
+                )
+            )
+            r0, w0 = r1, w1
+        recs = {"runs": runs, "nwe": dict(recorder.node_write_elems)}
         # Record-structure plan cache: once every spec in the encoding
         # is an interned reference, the structure is hashable and an
         # exact repeat ships as a plan id.  (A first mention carries a
@@ -423,17 +427,8 @@ class _WorkerDo:
         key = None
         try:
             key = (
-                tuple(
-                    (nid, name, tuple(specs), ne)
-                    for nid, name, specs, ne in greads
-                ),
-                tuple(
-                    (nid, name, tuple(specs), ne)
-                    for nid, name, specs, ne in gwrites
-                ),
+                tuple((nid, tuple(rd), tuple(wr)) for nid, rd, wr in runs),
                 tuple(sorted(recs["nwe"].items())),
-                recs["nro"],
-                recs["nre"],
             )
             pid = self._rec_plans.get(key)
         except TypeError:

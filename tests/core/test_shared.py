@@ -322,12 +322,44 @@ class TestAccessCacheLifetime:
             X.accumulate(cols, 1.0)
 
         X = self._in_phase(body)
-        assert not X._access_cache and not X._index_refs and not X._counts_cache
+        assert not X._access_cache and not X._index_refs
+
+    def test_phase_plans_hold_no_index_array_and_die_with_their_do(self):
+        """A phase plan is serial numbers and small tuples: the plan of
+        a committed phase keeps neither the index array it scattered
+        through nor its memoised access record, the store is emptied when the
+        ``do`` ends, and ``close()`` leaves nothing behind."""
+        seen = []
+
+        @ppm_function
+        def kernel(ctx, X):
+            yield ctx.global_phase
+            rows = np.array([2, 3, 5])
+            X[rows] = 1.0
+            X.accumulate(rows, 2.0)
+            seen.append(weakref.ref(rows))
+            del rows
+            yield ctx.global_phase
+            plans = ctx.runtime._phase_plans
+            seen.append((len(plans), seen[0]() is None, len(X._access_cache)))
+
+        with PpmProgram(Cluster(mkconfig(n_nodes=1, cores_per_node=1))) as ppm:
+            X = ppm.global_shared("x", 16)
+            ppm.do(1, kernel, X)
+            # Inside phase 2: phase 1's plan is stored, its index array
+            # and access record are already gone.
+            assert seen[1] == (1, True, 0)
+            assert not ppm.runtime._phase_plans
+            assert ppm.runtime.stats_phase_plan_misses == 2
+            assert X.committed[[2, 3, 5]].tolist() == [3.0, 3.0, 3.0]
+        assert not ppm.runtime._phase_plans and not X._access_cache
 
     def test_three_bfs_runs_retain_nothing(self, monkeypatch):
         """The regression behind perfbench's bfs_scatter RSS finding:
         every level's frontier array used to stay reachable from a
-        ``weakref.finalize`` registered on itself."""
+        ``weakref.finalize`` registered on itself.  Every phase of a
+        BFS is a phase-plan miss; no plan, signature or commit recipe
+        may keep a level's frontier alive either."""
         born: list[weakref.ref] = []
 
         class NumpySpy:

@@ -15,10 +15,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro.apps.common import split_range
 from repro.config import testing as mkconfig
 from repro.core import run_ppm
 from repro.core.errors import ParallelConfigError
 from repro.machine import Cluster
+from repro.parallel.backend import LAST_RUN_STATS
 
 
 def _cluster(n_nodes=2, cores=2, **cfg):
@@ -64,6 +66,43 @@ def conflict_kernel(ctx, A):
     yield ctx.global_phase
     A[0] = float(ctx.global_rank)  # every rank writes element 0
     yield ctx.global_phase
+
+
+def near_miss_kernel(ctx, S, G, H, N):
+    """Rounds that differ from their predecessor in exactly one thing
+    a parent-side phase plan could overlook (rounds 0/1 are identical:
+    the one legitimate repeat).  Written in the chunk algebra the
+    verifier certifies, so the global rounds are *held*: the parent
+    sees their access records but never their operations."""
+    node_lo, node_hi = G.local_range(ctx.node_id)
+    lo, hi = split_range(node_hi - node_lo, ctx.node_vp_count)[ctx.node_rank]
+    lo, hi = node_lo + lo, node_lo + hi
+    far = (lo + len(G) // 2) % len(G)
+    a, b = split_range(len(N), ctx.node_vp_count)[ctx.node_rank]
+    yield ctx.global_phase
+    G[lo:hi] = S[lo:hi] + 1.0
+    yield ctx.global_phase
+    G[lo:hi] = S[lo:hi] + 2.0  # the repeat
+    yield ctx.global_phase
+    G[lo:hi] = S[far : far + hi - lo] + 3.0  # as many reads, remote rows
+    yield ctx.global_phase
+    H[lo:hi] = S[far : far + hi - lo] + 4.0  # same slice, other variable
+    yield ctx.global_phase
+    H[lo:hi] = S[far : far + hi - lo] + 5.0
+    N[a:b] = 1.0  # node-shared rows join
+    yield ctx.global_phase
+    H[lo:hi] = S[far : far + hi - lo] + 6.0
+    N[a:b, 0] = 2.0  # ... and shrink to one column
+
+
+def main_near_miss(ppm):
+    S = ppm.global_shared("S", 32)
+    G = ppm.global_shared("G", 32)
+    H = ppm.global_shared("H", 32)
+    N = ppm.node_shared("N", (4, 2))
+    S[:] = np.arange(32.0)
+    ppm.do(2, near_miss_kernel, S, G, H, N)
+    return G.committed, H.committed, N.instance(0).copy(), N.instance(1).copy()
 
 
 def main_mixed(ppm):
@@ -177,6 +216,28 @@ class TestSemantics:
         )
         for a, b in zip(r_inline, r_proc):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("zero_merge", [True, False])
+    def test_parent_side_phase_plans_tell_near_misses_apart(self, zero_merge):
+        """The parent's recorder is filled from worker reports; its
+        phase plans must hit on the one true repeat and on nothing
+        that merely has the same counts (held rounds show the parent
+        no operation stream at all)."""
+        ppm1, r1 = run_ppm(main_near_miss, _cluster())
+        ppm2, r2 = run_ppm(
+            main_near_miss, _cluster(), executor="process", workers=2,
+            zero_merge=zero_merge,
+        )
+        for a, b in zip(r1, r2):
+            np.testing.assert_array_equal(a, b)
+        assert ppm1.elapsed == ppm2.elapsed
+        assert [p.node_timings for p in ppm1.profile] == [
+            p.node_timings for p in ppm2.profile
+        ]
+        for rt in (ppm1.runtime, ppm2.runtime):
+            assert (rt.stats_phase_plan_hits, rt.stats_phase_plan_misses) == (1, 5)
+        if zero_merge:
+            assert LAST_RUN_STATS["zm_rounds"] >= 4  # the held rounds
 
     def test_multi_do_reuses_pool(self):
         ppm1, r1 = run_ppm(main_multi_do, _cluster())
