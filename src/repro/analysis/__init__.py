@@ -29,14 +29,13 @@ from repro.analysis.lint import (
     lint_paths,
     lint_source,
 )
-from repro.analysis.liveness import LivenessPlan, analyze_liveness
+from repro.analysis.liveness import analyze_liveness
 from repro.analysis.rules import ALL_RULES, RULES_BY_ID
 from repro.analysis.sanitizer import PhaseSanitizer
 
 __all__ = [
     "ALL_RULES",
     "Diagnostic",
-    "LivenessPlan",
     "PhaseSanitizer",
     "RULES_BY_ID",
     "SEVERITIES",

@@ -46,12 +46,6 @@ class KernelCertificate:
     #: these phases are excluded from worker-local (zero-merge)
     #: commits, which would reorder the combination.
     unordered: frozenset = frozenset()
-    #: Names of the underlying shared variables (``GlobalShared.name``
-    #: / ``NodeShared.name``, not kernel parameter names) whose commits
-    #: the liveness pass proved safe to run in place: no view of the
-    #: array outlives the phase segment it was taken in, so
-    #: ``run_ppm(..., snapshot="pruned")`` may skip the copy-on-commit.
-    prunable: frozenset = frozenset()
 
     def covers(self, lineno: int, kind: str) -> bool:
         if self.whole:
@@ -165,31 +159,6 @@ def certificate_for(func, args: tuple, kwargs: dict | None = None):
     return cert
 
 
-def _resolver_for(fn_obj):
-    """Callee resolver over a live function's ``__globals__``: maps a
-    plain callee name to its ``ast.FunctionDef`` plus a sub-resolver
-    scoped to *that* function's module, so the liveness pass can chase
-    helpers across module boundaries (multigrid's window helpers)."""
-    globalns = getattr(fn_obj, "__globals__", None) or {}
-
-    def resolve(name):
-        obj = globalns.get(name)
-        if obj is None or isinstance(obj, type) or not callable(obj):
-            return None
-        obj, _, _ = _unwrap(obj)
-        try:
-            src = textwrap.dedent(inspect.getsource(obj))
-            node = ast.parse(src).body[0]
-        except (OSError, TypeError, SyntaxError, IndentationError,
-                IndexError, ValueError):
-            return None
-        if not isinstance(node, ast.FunctionDef):
-            return None
-        return node, _resolver_for(obj)
-
-    return resolve
-
-
 def _decl_facts(value) -> tuple[int | None, str | None, str]:
     """(extent, size_expr, dtype) observed from a live shared handle;
     arrays with equal axis-0 extents share one extent group."""
@@ -201,24 +170,6 @@ def _decl_facts(value) -> tuple[int | None, str | None, str]:
     kind = getattr(getattr(data, "dtype", None), "kind", "f")
     dtype = "int" if kind in ("i", "u") else "float"
     return extent, str(extent), dtype
-
-
-def _prunable_names(liveness, binding) -> frozenset:
-    """Translate the plan's prunable *parameter* names into underlying
-    shared-variable names (containers expand to every element)."""
-    if liveness is None or not liveness.analyzable:
-        return frozenset()
-    names: set[str] = set()
-    for param in liveness.prunable:
-        value = binding.get(param)
-        if value is None:
-            continue
-        elements = value if isinstance(value, (list, tuple)) else [value]
-        for el in elements:
-            name = getattr(el, "name", None)
-            if name is not None:
-                names.add(name)
-    return frozenset(names)
 
 
 def _build_certificate(inner, pargs, pkwargs, do_args, do_kwargs):
@@ -293,12 +244,9 @@ def _build_certificate(inner, pargs, pkwargs, do_args, do_kwargs):
     path = getattr(inner, "__code__", None)
     path = path.co_filename if path is not None else "<live>"
     try:
-        _diags, summary = analyze_function(
-            fn, path, resolve_callee=_resolver_for(inner)
-        )
+        _diags, summary = analyze_function(fn, path)
     except Exception:  # never let analysis break execution
         return None
-    prunable = _prunable_names(summary.liveness, binding)
     if not summary.analyzable:
         return KernelCertificate(
             name=fn_node.name, code=inner.__code__, whole=False,
@@ -322,7 +270,6 @@ def _build_certificate(inner, pargs, pkwargs, do_args, do_kwargs):
         return KernelCertificate(
             name=fn_node.name, code=inner.__code__, whole=whole,
             certified={}, summary=summary, unordered=unordered,
-            prunable=prunable,
         )
     whole = bool(summary.phases) and all(ph.certified for ph in summary.phases)
     # Even a fully certified generator kernel keeps per-line checking:
@@ -330,5 +277,4 @@ def _build_certificate(inner, pargs, pkwargs, do_args, do_kwargs):
     return KernelCertificate(
         name=fn_node.name, code=inner.__code__, whole=False,
         certified=certified, summary=summary, unordered=unordered,
-        prunable=prunable,
     )

@@ -1301,15 +1301,8 @@ def _diag(
     )
 
 
-def analyze_function(
-    fn: FunctionModel, path: str, resolve_callee=None
-) -> tuple[list, KernelSummary]:
-    """Verify one PPM function; returns (diagnostics, summary).
-
-    ``resolve_callee`` optionally maps a called function's name to its
-    ``ast.FunctionDef`` so the liveness pass can analyze helper effects
-    interprocedurally (same-module statically, or through the live
-    ``__globals__`` when certifying a real function object)."""
+def analyze_function(fn: FunctionModel, path: str) -> tuple[list, KernelSummary]:
+    """Verify one PPM function; returns (diagnostics, summary)."""
     interp = KernelInterp(fn, path)
     try:
         interp.run()
@@ -1355,15 +1348,11 @@ def analyze_function(
     summary.phases = [segments[i] for i in sorted(segments)]
     summary.edges = _dependence_edges(summary.phases)
 
+    from repro.analysis import liveness
     from repro.analysis.bounds import check_bounds_and_shapes
-    from repro.analysis.liveness import analyze_liveness
 
     diags.extend(check_bounds_and_shapes(fn, summary, path))
-    plan, live_diags = analyze_liveness(
-        fn, summary, path, resolve_callee=resolve_callee
-    )
-    summary.liveness = plan
-    diags.extend(live_diags)
+    diags.extend(liveness.analyze_liveness(fn, summary, path))
     diags = [
         replace(d, kernel=fn.name) if d.kernel is None else d for d in diags
     ]
@@ -1574,17 +1563,12 @@ def analyze_module(source: str, path: str = "<source>"):
     are skipped (the lint layer reports those separately).
     """
     model = build_module_model(source, path)
-    module_defs = {
-        n.name: n
-        for n in ast.walk(model.tree)
-        if isinstance(n, ast.FunctionDef)
-    }
     diags: list[Diagnostic] = []
     summaries: list[KernelSummary] = []
     for fn in model.functions:
         if not fn.shared_params:
             continue
-        d, s = analyze_function(fn, path, resolve_callee=module_defs.get)
+        d, s = analyze_function(fn, path)
         diags.extend(d)
         summaries.append(s)
     diags.sort(key=lambda d: (d.path or "", d.line or 0, d.rule))

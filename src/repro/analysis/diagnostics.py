@@ -41,8 +41,6 @@ PPM408     phase writes a shape/dtype incompatible with a downstream
            reader on the cross-phase dependence graph
 PPM409     dead write: value provably overwritten before any snapshot
            read (liveness, warning)
-PPM410     liveness unanalyzable; snapshot-pruning plan degrades to
-           copy-everything (liveness, warning)
 =========  ============================================================
 
 Each rule id anchors a section of docs/DIAGNOSTICS.md (e.g.
@@ -84,7 +82,6 @@ ALL_CODES: dict[str, str] = {
     "PPM407": "access bound unprovable against the declared extent",
     "PPM408": "shape/dtype incompatible with a downstream reader",
     "PPM409": "dead write: overwritten before any snapshot read",
-    "PPM410": "liveness unanalyzable; pruning degrades to copy-all",
 }
 
 

@@ -1,52 +1,22 @@
-"""Liveness analysis: dead writes, read-set certificates, pruning plans.
+"""Liveness analysis: dead writes (PPM409).
 
-The snapshot engine copies every shared array on commit so that views
-handed out earlier in the round (phase-start snapshots, rule R1) stay
-valid while the next round's writes land.  That copy is wasted work
-whenever **no view of the array outlives the phase segment it was
-taken in** — the commit may then reuse the buffer in place.  This
-module proves that property per shared parameter of a kernel and
-packages the result as a :class:`LivenessPlan`, which
-:mod:`repro.analysis.certify` embeds into the kernel certificate and
-``run_ppm(..., snapshot="pruned")`` consumes.
-
-The proof is a flow-sensitive *view-taint* analysis over the kernel's
-AST.  Subscripting a shared parameter with a basic index (a slice or
-a scalar) yields a *view* tainted with that parameter; arithmetic,
-comparisons, reductions and fancy indexing launder taint (numpy
-allocates fresh arrays); aliasing operations (``.reshape``,
-``np.asarray`` …) propagate it.  A tainted value *escapes* — making
-its parameter unprunable — when it is returned, stored into a
-non-local structure, captured by a nested function or lambda, passed
-to a call the analysis cannot resolve, or **used in a different phase
-segment than it was bound in** (a commit fires in between, and an
-in-place commit would mutate the bytes under the view).
-
-Interprocedural reach: plain-name callees are resolved to their
-``ast.FunctionDef`` (same-module statically; through the live
-function's ``__globals__`` when certifying) and classified by a
-*callee effect* — ``"safe"`` (arguments neither retained nor
-returned), ``"alias"`` (the return value may alias an argument) or
-``"escape"``.  Unresolvable plain calls with tainted arguments escape
-conservatively.  Method calls on opaque receivers are assumed
-non-retaining (they may alias their result, never stash an argument)
-— the standing contract for numpy/scipy-style APIs this repository's
-apps use.
+A phase write is *dead* when a later phase provably overwrites the same
+elements before any VP or the driver can read them: the value was
+bundled, shipped and committed for nothing.  The check runs over the
+per-phase access summaries the :mod:`repro.analysis.dataflow` verifier
+builds, in straight-line kernels only — under a phase loop the segments
+repeat dynamically and the static "later phase" order says nothing.
 
 Diagnostics:
 
 * **PPM409** (warning) — a dead write: the value a phase writes is
   provably overwritten by a later phase before any VP or the driver
-  can read it;
-* **PPM410** (warning) — the kernel's phase structure is unanalyzable,
-  so the liveness plan degrades to "copy everything" (no pruning).
+  can read it.
 """
 
 from __future__ import annotations
 
 import ast
-from bisect import bisect_right
-from dataclasses import dataclass
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.lint import FunctionModel
@@ -57,631 +27,12 @@ from repro.analysis.summaries import (
     same_vp_relation,
 )
 
-__all__ = ["LivenessPlan", "analyze_liveness"]
+__all__ = ["analyze_liveness"]
 
 
-@dataclass(frozen=True)
-class LivenessPlan:
-    """Per-kernel snapshot-pruning certificate."""
-
-    kernel: str
-    analyzable: bool
-    #: Shared *parameter* names whose commits may skip the snapshot
-    #: copy: no view of the array provably outlives its phase segment.
-    prunable: frozenset
-    #: Per phase segment, the shared parameters it reads.
-    reads_by_phase: tuple
-    #: ``(param, why)`` pairs explaining every unprunable parameter.
-    reasons: tuple
-
-    def describe(self) -> str:
-        names = ", ".join(sorted(self.prunable)) or "<none>"
-        return f"{self.kernel}: prunable {{{names}}}"
-
-
-# -- numpy/scipy call classification -----------------------------------
-#: Module roots whose functions return fresh arrays unless listed in
-#: :data:`ALIAS_FNS` (the standing numpy-API contract).
-_NUMPYISH = {"np", "numpy", "sp", "scipy", "spla", "sps", "linalg", "npl"}
-
-#: Module functions whose result may alias an argument.
-ALIAS_FNS = {
-    "asarray", "atleast_1d", "atleast_2d", "ravel", "reshape",
-    "ascontiguousarray", "asfortranarray", "broadcast_to", "squeeze",
-    "transpose", "swapaxes", "moveaxis", "expand_dims",
-}
-
-#: Methods whose result may alias the receiver.
-ALIAS_METHODS = {
-    "reshape", "view", "ravel", "transpose", "swapaxes", "squeeze",
-}
-
-#: Methods that return fresh objects (copies, reductions, casts).
-FRESH_METHODS = {
-    "copy", "sum", "mean", "std", "var", "astype", "min", "max", "dot",
-    "tolist", "item", "any", "all", "argmin", "argmax", "argsort",
-    "cumsum", "searchsorted", "round", "nonzero", "prod", "trace",
-}
-
-#: Attributes that are plain metadata, not array aliases.
-FRESH_ATTRS = {"shape", "size", "ndim", "dtype", "nbytes", "itemsize"}
-
-#: Builtins that never retain their arguments.
-SAFE_BUILTINS = {
-    "float", "int", "bool", "str", "len", "abs", "min", "max", "sum",
-    "range", "print", "enumerate", "zip", "sorted", "list", "tuple",
-    "dict", "set", "round", "divmod", "isinstance", "repr", "any",
-    "all", "reversed", "id", "hash", "format",
-}
-
-#: Module functions certainly returning (index) arrays — used to
-#: classify subscripts as fancy (copying) rather than basic (viewing).
-ARRAYISH_FNS = {
-    "unique", "arange", "nonzero", "flatnonzero", "where",
-    "searchsorted", "concatenate", "argsort", "array", "cumsum",
-    "sort", "zeros", "ones", "empty", "full", "linspace",
-    "zeros_like", "ones_like", "empty_like",
-}
-
-
-class _State:
-    """Flow state of the taint walk."""
-
-    __slots__ = ("origins", "bind", "arrayish")
-
-    def __init__(self):
-        self.origins: dict[str, frozenset] = {}
-        self.bind: dict[str, tuple] = {}  # name -> (seg, lineno)
-        self.arrayish: set[str] = set()
-
-    def copy(self) -> "_State":
-        st = _State()
-        st.origins = dict(self.origins)
-        st.bind = dict(self.bind)
-        st.arrayish = set(self.arrayish)
-        return st
-
-    def merge(self, other: "_State") -> None:
-        for name, o in other.origins.items():
-            self.origins[name] = self.origins.get(name, frozenset()) | o
-        for name, pos in other.bind.items():
-            mine = self.bind.get(name)
-            self.bind[name] = pos if mine is None else min(mine, pos)
-        self.arrayish &= other.arrayish  # certain-array only if both
-
-
-class _TaintPass:
-    def __init__(self, fn: FunctionModel, resolve_callee):
-        self.fn = fn
-        self.shared = set(fn.shared_params)
-        self.ctx_name = fn.ctx_name
-        self.yield_lines = sorted(y.lineno for y in fn.yields)
-        self.resolve = resolve_callee or (lambda name: None)
-        self.dead: dict[str, str] = {}  # param -> first escape reason
-        self._effect_cache: dict = {}
-        self._loops: list[dict] = []  # {"has_yield": bool}
-
-    # -- plumbing ------------------------------------------------------
-    def seg(self, lineno: int) -> int:
-        return bisect_right(self.yield_lines, lineno) - 1
-
-    def escape(self, origins, why: str) -> None:
-        for o in origins:
-            self.dead.setdefault(o, why)
-
-    def run(self) -> None:
-        st = _State()
-        self.exec_block(self.fn.node.body, st)
-
-    # -- statements ----------------------------------------------------
-    def exec_block(self, body, st: _State) -> None:
-        for stmt in body:
-            self.exec_stmt(stmt, st)
-
-    def exec_stmt(self, stmt, st: _State) -> None:
-        if isinstance(stmt, ast.Expr):
-            if isinstance(stmt.value, ast.Yield):
-                return
-            self.use(stmt.value, st)
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            value = getattr(stmt, "value", None)
-            if value is None:
-                return
-            ov = self.use(value, st)
-            arr = self._is_arrayish(value, st)
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            )
-            for t in targets:
-                self.assign_target(t, ov, stmt.lineno, st, arrayish=arr)
-        elif isinstance(stmt, ast.AugAssign):
-            self.use(stmt.value, st)
-            t = stmt.target
-            if isinstance(t, ast.Name):
-                tv = st.origins.get(t.id, frozenset())
-                if tv:
-                    self.escape(
-                        tv,
-                        f"augmented assignment at line {stmt.lineno} "
-                        "mutates a snapshot view in place",
-                    )
-                st.origins[t.id] = frozenset()
-                st.bind[t.id] = (self.seg(stmt.lineno), stmt.lineno)
-            elif isinstance(t, ast.Subscript):
-                self._store_subscript(t, frozenset(), stmt.lineno, st)
-        elif isinstance(stmt, ast.If):
-            self.use(stmt.test, st)
-            s1, s2 = st.copy(), st.copy()
-            self.exec_block(stmt.body, s1)
-            self.exec_block(stmt.orelse, s2)
-            st.origins, st.bind, st.arrayish = s1.origins, s1.bind, s1.arrayish
-            st.merge(s2)
-        elif isinstance(stmt, (ast.For, ast.While)):
-            self.exec_loop(stmt, st)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                ov = self.use(stmt.value, st)
-                if ov:
-                    self.escape(
-                        ov,
-                        f"returned from the kernel at line {stmt.lineno}",
-                    )
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                ov = self.use(item.context_expr, st)
-                if item.optional_vars is not None:
-                    self.assign_target(
-                        item.optional_vars, ov, stmt.lineno, st
-                    )
-            self.exec_block(stmt.body, st)
-        elif isinstance(stmt, ast.Try):
-            self.exec_block(stmt.body, st)
-            for handler in stmt.handlers:
-                self.exec_block(handler.body, st)
-            self.exec_block(stmt.orelse, st)
-            self.exec_block(stmt.finalbody, st)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._capture_escape(stmt, st, "nested function")
-        elif isinstance(stmt, (ast.Global, ast.Nonlocal)):
-            caught = frozenset(
-                o
-                for name in stmt.names
-                for o in st.origins.get(name, frozenset())
-            )
-            if caught:
-                self.escape(
-                    caught, f"global/nonlocal binding at line {stmt.lineno}"
-                )
-        elif isinstance(stmt, ast.Delete):
-            pass
-        # Pass/Raise/Assert/Import/...: no taint effect
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for sub in ast.iter_child_nodes(stmt):
-                if isinstance(sub, ast.expr):
-                    self.use(sub, st)
-
-    def exec_loop(self, stmt, st: _State) -> None:
-        has_yield = any(
-            isinstance(n, ast.Yield) for n in ast.walk(stmt)
-        )
-        if isinstance(stmt, ast.For):
-            ov = self.use(stmt.iter, st)
-            self.assign_target(stmt.target, ov, stmt.lineno, st)
-        else:
-            self.use(stmt.test, st)
-        self._loops.append({"has_yield": has_yield})
-        try:
-            # Pass 1 discovers the loop's bindings; merging the entry
-            # state back keeps the *earliest* bind position, so pass 2
-            # sees cross-iteration uses against a widened state.
-            before = st.copy()
-            self.exec_block(stmt.body, st)
-            st.merge(before)
-            self.exec_block(stmt.body, st)
-        finally:
-            self._loops.pop()
-        self.exec_block(stmt.orelse, st)
-
-    def assign_target(
-        self, t, origins, lineno, st: _State, arrayish: bool = False
-    ) -> None:
-        if isinstance(t, ast.Name):
-            st.origins[t.id] = frozenset(origins)
-            st.bind[t.id] = (self.seg(lineno), lineno)
-            if arrayish:
-                st.arrayish.add(t.id)
-            else:
-                st.arrayish.discard(t.id)
-        elif isinstance(t, (ast.Tuple, ast.List)):
-            for elt in t.elts:
-                self.assign_target(elt, origins, lineno, st)
-        elif isinstance(t, ast.Subscript):
-            self._store_subscript(t, frozenset(origins), lineno, st)
-        elif isinstance(t, ast.Attribute):
-            self.use(t.value, st)
-            if origins:
-                self.escape(
-                    origins,
-                    f"stored into an object attribute at line {lineno}",
-                )
-        elif isinstance(t, ast.Starred):
-            self.assign_target(t.value, origins, lineno, st)
-
-    def _store_subscript(self, t, value_origins, lineno, st: _State) -> None:
-        base = t.value
-        self.use(t.slice, st)
-        if self._shared_of(base, st) is not None:
-            # A shared write: the runtime copies the value eagerly at
-            # record time, so a tainted RHS is fine.
-            return
-        if isinstance(base, ast.Name):
-            bo = st.origins.get(base.id, frozenset())
-            if bo:
-                self.escape(
-                    bo,
-                    f"store through a snapshot view at line {lineno}",
-                )
-            if value_origins:
-                # A local container now holds the view.
-                st.origins[base.id] = bo | value_origins
-                st.bind[base.id] = min(
-                    st.bind.get(base.id, (self.seg(lineno), lineno)),
-                    (self.seg(lineno), lineno),
-                )
-            return
-        bo = self.use(base, st)
-        if bo:
-            self.escape(
-                bo, f"store through a snapshot view at line {lineno}"
-            )
-        if value_origins:
-            self.escape(
-                value_origins,
-                f"stored into an unresolved container at line {lineno}",
-            )
-
-    def _capture_escape(self, node, st: _State, what: str) -> None:
-        """A lambda/nested def capturing a shared handle or a tainted
-        name lets views outlive the segment — escape those."""
-        args = node.args
-        bound = {a.arg for a in args.args}
-        bound |= {a.arg for a in args.posonlyargs}
-        bound |= {a.arg for a in args.kwonlyargs}
-        for extra in (args.vararg, args.kwarg):
-            if extra is not None:
-                bound.add(extra.arg)
-        caught: set[str] = set()
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id not in bound:
-                if sub.id in self.shared:
-                    caught.add(sub.id)
-                else:
-                    caught |= st.origins.get(sub.id, frozenset())
-        if caught:
-            self.escape(
-                caught,
-                f"captured by a {what} at line {node.lineno}",
-            )
-
-    # -- expressions ---------------------------------------------------
-    def use(self, node, st: _State) -> frozenset:
-        """Evaluate an expression for taint; returns the origin set of
-        its value and records escapes for cross-segment view uses."""
-        if node is None or isinstance(node, ast.Constant):
-            return frozenset()
-        if isinstance(node, ast.Name):
-            if node.id in self.shared:
-                return frozenset((node.id,))
-            origins = st.origins.get(node.id, frozenset())
-            if origins:
-                bseg, bline = st.bind.get(
-                    node.id, (self.seg(node.lineno), node.lineno)
-                )
-                if self.seg(node.lineno) != bseg:
-                    self.escape(
-                        origins,
-                        f"view bound at line {bline} used at line "
-                        f"{node.lineno}, across a phase commit",
-                    )
-                elif node.lineno < bline and any(
-                    l["has_yield"] for l in self._loops
-                ):
-                    self.escape(
-                        origins,
-                        f"view bound at line {bline} reused at line "
-                        f"{node.lineno} in the next loop round, across "
-                        "a phase commit",
-                    )
-            return origins
-        if isinstance(node, ast.Attribute):
-            base = self.use(node.value, st)
-            return frozenset() if node.attr in FRESH_ATTRS else base
-        if isinstance(node, ast.Subscript):
-            return self._use_subscript(node, st)
-        if isinstance(node, ast.Call):
-            return self._use_call(node, st)
-        if isinstance(node, (ast.BinOp, ast.BoolOp, ast.Compare,
-                             ast.UnaryOp)):
-            for sub in ast.iter_child_nodes(node):
-                if isinstance(sub, ast.expr):
-                    self.use(sub, st)
-            return frozenset()  # numpy arithmetic allocates fresh
-        if isinstance(node, ast.IfExp):
-            self.use(node.test, st)
-            return self.use(node.body, st) | self.use(node.orelse, st)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            out = frozenset()
-            for e in node.elts:
-                out |= self.use(e, st)
-            return out
-        if isinstance(node, ast.Dict):
-            out = frozenset()
-            for k, v in zip(node.keys, node.values):
-                if k is not None:
-                    out |= self.use(k, st)
-                out |= self.use(v, st)
-            return out
-        if isinstance(node, ast.Lambda):
-            self._capture_escape(node, st, "lambda")
-            return frozenset()
-        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
-                             ast.DictComp)):
-            out = frozenset()
-            for gen in node.generators:
-                out |= self.use(gen.iter, st)
-                for cond in gen.ifs:
-                    self.use(cond, st)
-            for attr in ("elt", "key", "value"):
-                sub = getattr(node, attr, None)
-                if sub is not None:
-                    out |= self.use(sub, st)
-            return out
-        if isinstance(node, ast.Starred):
-            return self.use(node.value, st)
-        if isinstance(node, (ast.Slice,)):
-            for sub in (node.lower, node.upper, node.step):
-                if sub is not None:
-                    self.use(sub, st)
-            return frozenset()
-        if isinstance(node, ast.Yield):
-            return frozenset()
-        # anything else: walk children conservatively
-        out = frozenset()
-        for sub in ast.iter_child_nodes(node):
-            if isinstance(sub, ast.expr):
-                out |= self.use(sub, st)
-        return out
-
-    def _shared_of(self, base, st: _State) -> str | None:
-        """The shared parameter a subscript base denotes: ``X`` or a
-        container element ``C[l]``."""
-        if isinstance(base, ast.Name) and base.id in self.shared:
-            return base.id
-        if (
-            isinstance(base, ast.Subscript)
-            and isinstance(base.value, ast.Name)
-            and base.value.id in self.shared
-            and self.fn.shared_params[base.value.id].container
-        ):
-            return base.value.id
-        return None
-
-    def _use_subscript(self, node, st: _State) -> frozenset:
-        shared = self._shared_of(node.value, st)
-        self.use(node.slice, st)
-        if shared is not None:
-            sv = self.fn.shared_params[shared]
-            if sv.container and isinstance(node.value, ast.Name):
-                return frozenset((shared,))  # C[l]: still a handle
-            if self._is_basic_index(node.slice, st):
-                return frozenset((shared,))  # a snapshot view
-            return frozenset()  # fancy indexing copies
-        base = self.use(node.value, st)
-        if not base:
-            return frozenset()
-        if self._is_basic_index(node.slice, st):
-            return base  # view of a view
-        return frozenset()
-
-    def _is_basic_index(self, slc, st: _State) -> bool:
-        """Basic (viewing) vs fancy (copying) numpy indexing, erring on
-        the *basic* side when uncertain."""
-        if isinstance(slc, ast.Slice):
-            return True
-        if isinstance(slc, ast.Tuple):
-            return all(self._is_basic_index(e, st) for e in slc.elts)
-        if isinstance(slc, ast.Constant):
-            return True
-        if isinstance(slc, ast.Name):
-            return slc.id not in st.arrayish
-        if isinstance(slc, (ast.Compare, ast.Call, ast.List)):
-            return False  # boolean mask / computed array / list: fancy
-        if isinstance(slc, ast.Subscript):
-            return not self._is_arrayish(slc, st)
-        if isinstance(slc, (ast.BinOp, ast.UnaryOp)):
-            return not any(
-                isinstance(n, ast.Name) and n.id in st.arrayish
-                for n in ast.walk(slc)
-            )
-        return True
-
-    def _is_arrayish(self, node, st: _State) -> bool:
-        """Certainly-an-array classification for index expressions."""
-        if isinstance(node, ast.Name):
-            return node.id in st.arrayish
-        if isinstance(node, ast.Subscript):
-            slc = node.slice
-            if isinstance(slc, ast.Slice):
-                return True
-            if isinstance(slc, ast.Tuple) and any(
-                isinstance(e, ast.Slice) for e in slc.elts
-            ):
-                return True
-            return self._is_arrayish(node.value, st) and not self._is_basic_index(
-                slc, st
-            )
-        if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
-            if dotted is not None:
-                root, _, tail = dotted.partition(".")
-                leaf = dotted.split(".")[-1]
-                if root in _NUMPYISH and leaf in ARRAYISH_FNS:
-                    return True
-            return False
-        if isinstance(node, ast.BinOp):
-            return self._is_arrayish(node.left, st) or self._is_arrayish(
-                node.right, st
-            )
-        if isinstance(node, ast.Compare):
-            return self._is_arrayish(node.left, st) or any(
-                self._is_arrayish(c, st) for c in node.comparators
-            )
-        if isinstance(node, ast.UnaryOp):
-            return self._is_arrayish(node.operand, st)
-        return False
-
-    # -- calls ---------------------------------------------------------
-    def _use_call(self, node, st: _State) -> frozenset:
-        func = node.func
-        arg_nodes = list(node.args) + [kw.value for kw in node.keywords]
-        arg_origins = frozenset()
-        for a in arg_nodes:
-            arg_origins |= self.use(a, st)
-
-        if isinstance(func, ast.Attribute):
-            # Module function on a numpy-ish root?
-            dotted = _dotted(func)
-            if dotted is not None:
-                root = dotted.split(".")[0]
-                if root in _NUMPYISH:
-                    if func.attr in ALIAS_FNS:
-                        return arg_origins
-                    return frozenset()  # fresh-array contract
-            recv_node = func.value
-            # ctx methods (reduce/scan/work/...) copy their inputs.
-            if (
-                isinstance(recv_node, ast.Name)
-                and recv_node.id == self.ctx_name
-            ):
-                return frozenset()
-            # Shared-handle methods (local_range, accumulate, ...).
-            if self._shared_of(recv_node, st) is not None:
-                return frozenset()
-            recv = self.use(recv_node, st)
-            if func.attr in FRESH_METHODS:
-                return frozenset()
-            if func.attr in ALIAS_METHODS:
-                return recv
-            # Unknown method on a plain local object fed tainted data:
-            # the receiver may retain the argument (list.append et al.),
-            # putting a snapshot view beyond the segment tracker.  The
-            # non-retaining contract only covers array receivers.
-            if (
-                arg_origins
-                and not recv
-                and not self._is_arrayish(recv_node, st)
-            ):
-                self.escape(
-                    arg_origins,
-                    f".{func.attr}(...) on a non-array object at line "
-                    f"{node.lineno} may retain the view",
-                )
-                return frozenset()
-            # Unknown method on an array: may alias, assumed not to
-            # retain (the numpy/scipy API contract documented above).
-            return recv | arg_origins
-
-        if isinstance(func, ast.Name):
-            name = func.id
-            if name in SAFE_BUILTINS:
-                return frozenset()
-            resolved = self.resolve(name)
-            sub_resolve = self.resolve
-            if isinstance(resolved, tuple):
-                resolved, sub_resolve = resolved
-            if isinstance(resolved, ast.FunctionDef):
-                eff = self.callee_effect(resolved, sub_resolve)
-                if eff == "safe":
-                    return frozenset()
-                if eff == "alias":
-                    return arg_origins
-                if arg_origins:
-                    self.escape(
-                        arg_origins,
-                        f"passed to {name}() at line {node.lineno}, "
-                        "which lets it escape",
-                    )
-                return arg_origins
-            if arg_origins:
-                self.escape(
-                    arg_origins,
-                    f"passed to unresolved callee {name}() at line "
-                    f"{node.lineno}",
-                )
-            return frozenset()
-
-        # Dynamic callee expression: escape tainted args.
-        self.use(func, st)
-        if arg_origins:
-            self.escape(
-                arg_origins,
-                f"passed through a dynamic call at line {node.lineno}",
-            )
-        return frozenset()
-
-    # -- callee effects ------------------------------------------------
-    def callee_effect(self, fdef: ast.FunctionDef, sub_resolve) -> str:
-        """``"safe"`` / ``"alias"`` / ``"escape"`` for a helper: do its
-        arguments escape it, alias its return value, or neither?"""
-        key = (fdef.name, fdef.lineno, getattr(fdef, "col_offset", 0))
-        cached = self._effect_cache.get(key)
-        if cached is not None:
-            return cached
-        self._effect_cache[key] = "escape"  # recursion guard
-        shell = FunctionModel(node=fdef, name=fdef.name, ctx_name=None)
-        inner = _TaintPass(shell, sub_resolve)
-        inner._effect_cache = self._effect_cache
-        st = _State()
-        for a in fdef.args.args:
-            st.origins[a.arg] = frozenset((a.arg,))
-            st.bind[a.arg] = (-1, fdef.lineno)
-        returns_alias = [False]
-
-        def exec_return(stmt, state):
-            if stmt.value is not None:
-                ov = inner.use(stmt.value, state)
-                if ov:
-                    returns_alias[0] = True
-
-        # Reuse the statement walker but intercept Return.
-        orig_exec = inner.exec_stmt
-
-        def exec_stmt(stmt, state):
-            if isinstance(stmt, ast.Return):
-                exec_return(stmt, state)
-                return
-            orig_exec(stmt, state)
-
-        inner.exec_stmt = exec_stmt
-        try:
-            inner.exec_block(fdef.body, st)
-        except RecursionError:  # pragma: no cover - pathological helpers
-            self._effect_cache[key] = "escape"
-            return "escape"
-        if inner.dead:
-            eff = "escape"
-        elif returns_alias[0]:
-            eff = "alias"
-        else:
-            eff = "safe"
-        self._effect_cache[key] = eff
-        return eff
-
-
-# ======================================================================
-# PPM409: dead writes
-# ======================================================================
-def _dead_writes(fn: FunctionModel, summary, path) -> list[Diagnostic]:
+def analyze_liveness(fn: FunctionModel, summary, path: str) -> list[Diagnostic]:
+    """Run the liveness pass for one kernel; returns its PPM409
+    diagnostics."""
     diags: list[Diagnostic] = []
     loops_with_yields = any(
         isinstance(loop, (ast.For, ast.While))
@@ -748,71 +99,3 @@ def _dead_writes(fn: FunctionModel, summary, path) -> list[Diagnostic]:
             expr=w.expr,
         ))
     return diags
-
-
-# ======================================================================
-# Entry point
-# ======================================================================
-def analyze_liveness(
-    fn: FunctionModel, summary, path: str, resolve_callee=None
-) -> tuple[LivenessPlan, list[Diagnostic]]:
-    """Run the liveness pass for one kernel; returns the pruning plan
-    and any PPM409/PPM410 diagnostics."""
-    diags: list[Diagnostic] = []
-    reads_by_phase = tuple(
-        frozenset(
-            a.variable for a in phase.accesses if a.kind == "read"
-        )
-        for phase in summary.phases
-    )
-    if not summary.analyzable:
-        diags.append(Diagnostic(
-            tool="dataflow",
-            rule="PPM410",
-            severity="warning",
-            message=(
-                f"liveness of {fn.name!r} is unanalyzable "
-                f"({summary.reason}); the snapshot-pruning plan "
-                "degrades to copying every shared array"
-            ),
-            path=path,
-            line=fn.node.lineno,
-            kernel=fn.name,
-        ))
-        plan = LivenessPlan(
-            kernel=fn.name,
-            analyzable=False,
-            prunable=frozenset(),
-            reads_by_phase=reads_by_phase,
-            reasons=tuple(
-                (p, "kernel unanalyzable") for p in sorted(fn.shared_params)
-            ),
-        )
-        return plan, diags
-
-    taint = _TaintPass(fn, resolve_callee)
-    try:
-        taint.run()
-    except RecursionError:  # pragma: no cover - pathological inputs
-        taint.dead = {p: "kernel too deep to analyze" for p in taint.shared}
-    prunable = frozenset(taint.shared - set(taint.dead))
-    plan = LivenessPlan(
-        kernel=fn.name,
-        analyzable=True,
-        prunable=prunable,
-        reads_by_phase=reads_by_phase,
-        reasons=tuple(sorted(taint.dead.items())),
-    )
-    diags.extend(_dead_writes(fn, summary, path))
-    return plan, diags
-
-
-def _dotted(node) -> str | None:
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None

@@ -726,7 +726,6 @@ class KernelSummary:
     edges: list = field(default_factory=list)  # DependenceEdge
     analyzable: bool = True
     reason: str | None = None  # why no certificate is possible
-    liveness: object = None  # LivenessPlan (repro.analysis.liveness)
 
     @property
     def certified(self) -> bool:

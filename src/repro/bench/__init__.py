@@ -27,7 +27,6 @@ from repro.bench.figures import (
 )
 from repro.bench.harness import SweepResult, run_sweep
 from repro.bench.report import format_table, save_result
-from repro.bench.sanitizer_overhead import sanitizer_overhead
 
 __all__ = [
     "SweepResult",
@@ -45,7 +44,6 @@ __all__ = [
     "fig3_barneshut",
     "format_table",
     "run_sweep",
-    "sanitizer_overhead",
     "save_result",
     "table1_codesize",
 ]

@@ -33,7 +33,6 @@ from repro.bench.figures import (
 from repro.bench.obs_traffic import obs_cg_traffic
 from repro.bench.report import render_chart, save_result
 from repro.bench.resilience import bench_resilience
-from repro.bench.wallclock import guard_band
 
 EXPERIMENTS: dict[str, Callable] = {
     "fig1": fig1_cg,
@@ -49,7 +48,6 @@ EXPERIMENTS: dict[str, Callable] = {
     "ext_trsv": ext_trsv,
     "ext_multigrid": ext_multigrid,
     "obs_cg": obs_cg_traffic,
-    "wallclock": guard_band,
     "resilience": bench_resilience,
     "analyzer": analyzer_cost,
 }
@@ -59,12 +57,6 @@ EXPERIMENTS: dict[str, Callable] = {
 #: ``python -m repro.bench`` command line are forwarded to them instead
 #: of being silently dropped.
 CLI_EXPERIMENTS: dict[str, Callable[[list], int]] = {}
-
-
-def _wallclock_cli(argv: list) -> int:
-    from repro.bench import wallclock as wallclock_module
-
-    return wallclock_module.main(argv)
 
 
 def _resilience_cli(argv: list) -> int:
@@ -79,7 +71,6 @@ def _analyzer_cli(argv: list) -> int:
     return analyzer_module.main(argv)
 
 
-CLI_EXPERIMENTS["wallclock"] = _wallclock_cli
 CLI_EXPERIMENTS["resilience"] = _resilience_cli
 CLI_EXPERIMENTS["analyzer"] = _analyzer_cli
 
@@ -90,7 +81,7 @@ def main(argv: list[str]) -> int:
             print(name)
         return 0
     # An experiment with its own CLI consumes everything after its
-    # name (e.g. ``wallclock --small --executor process --check``).
+    # name (e.g. ``resilience --executor process --small --check``).
     if argv and argv[0] in CLI_EXPERIMENTS and len(argv) > 1:
         return CLI_EXPERIMENTS[argv[0]](argv[1:])
     flags = [a for a in argv if a.startswith("-")]
@@ -99,7 +90,7 @@ def main(argv: list[str]) -> int:
         print(
             f"flags {' '.join(flags)} are only understood when they "
             f"follow a flag-aware experiment name ({flag_aware}), e.g. "
-            "`python -m repro.bench wallclock --small`",
+            "`python -m repro.bench analyzer --check`",
             file=sys.stderr,
         )
         return 2

@@ -1,7 +1,7 @@
 """Checkpoint overhead and crash-recovery cost on the Figure-1 CG run.
 
 All numbers are **simulated** seconds on the Franklin-like machine
-model (unlike :mod:`repro.bench.wallclock`, which times the host).
+model (host seconds are ``perfbench/``'s job).
 Two questions, one sweep over the checkpoint interval:
 
 * **Fault-free overhead** — how much simulated time phase-boundary
@@ -181,9 +181,9 @@ def write_resilience_json(
             ),
             "disabled_cost": (
                 "with faults/checkpoint_every/resilience all None, run_ppm "
-                "takes the pre-resilience code path — the wallclock CI "
-                "guard band (python -m repro.bench.wallclock --check) "
-                "covers the no-overhead claim"
+                "takes the pre-resilience code path — perfbench's "
+                "cg_sweep host_s (python3 perfbench/run.py --workload "
+                "cg_sweep) covers the no-overhead claim"
             ),
         },
         "notes": result.notes,

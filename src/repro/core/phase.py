@@ -415,7 +415,6 @@ class PhaseRecorder:
         self,
         plans: CommitPlanCache,
         *,
-        prune: frozenset = frozenset(),
         plan: PhasePlan | None = None,
     ) -> None:
         """Commit all buffered writes.
@@ -430,9 +429,7 @@ class PhaseRecorder:
         its first round sorts by rank, groups by target and stores the
         outcome as the plan's recipe; later rounds pick each target's
         operations by position and replay — no sort, no regrouping, no
-        per-event validation.  ``prune`` names shared variables whose
-        liveness certificate allows the commit to skip copy-on-commit
-        and apply in place (``run_ppm(..., snapshot="pruned")``).
+        per-event validation.
         """
         ops = self.write_ops
         if not ops:
@@ -451,10 +448,7 @@ class PhaseRecorder:
                 plan.recipe = recipe
         for entry in recipe:
             evs = entry[0](ops)
-            shared = evs[0].shared
-            target = shared._commit_target(
-                evs[0].instance, prune=shared.name in prune
-            )
+            target = evs[0].shared._commit_target(evs[0].instance)
             entry[1] = plans.apply(target, evs, entry[1])
 
     def resolve_collectives(self) -> int:

@@ -57,42 +57,12 @@ class PpmProgram:
     environment: shared-variable declaration, ``PPM_do``, and the
     system variables."""
 
-    def __init__(
-        self,
-        cluster: Cluster,
-        *,
-        sanitize: str | bool | None = None,
-        trace: "PhaseTrace | bool | None" = None,
-        resilience=None,
-        executor: str = "inline",
-        workers: int | None = None,
-        zero_merge: bool = True,
-        supervision=None,
-        supervision_state=None,
-        snapshot: str = "full",
-    ) -> None:
-        if trace in (None, False):
-            tracer = None
-        elif trace is True or trace == "on":
-            tracer = PhaseTrace()
-        elif isinstance(trace, PhaseTrace):
-            tracer = trace
-        else:
-            raise ValueError(
-                f"trace must be None, True, 'on' or a PhaseTrace, got {trace!r}"
-            )
-        self.runtime = PpmRuntime(
-            cluster,
-            sanitize=sanitize,
-            trace=tracer,
-            resilience=resilience,
-            executor=executor,
-            workers=workers,
-            zero_merge=zero_merge,
-            supervision=supervision,
-            supervision_state=supervision_state,
-            snapshot=snapshot,
-        )
+    def __init__(self, cluster: Cluster, **engine_opts: object) -> None:
+        # The engine options (sanitize, trace, resilience, executor,
+        # workers, supervision, supervision_state) are named, documented
+        # and validated by PpmRuntime; ``trace`` is a PhaseTrace or None
+        # here (``run_ppm`` resolves ``True``/``"on"``).
+        self.runtime = PpmRuntime(cluster, **engine_opts)
         self.cluster = cluster
 
     def close(self) -> None:
@@ -231,9 +201,7 @@ def run_ppm(
     resilience=None,
     executor: str = "inline",
     workers: int | None = None,
-    zero_merge: bool = True,
     supervision=None,
-    snapshot: str = "full",
     **kwargs: object,
 ):
     """Run a PPM application.
@@ -294,15 +262,6 @@ def run_ppm(
         Worker process count for ``executor="process"`` (default:
         :func:`repro.parallel.default_workers`, the CPU count clamped
         to [2, 8]).  Ignored under the inline executor.
-    zero_merge:
-        ``True`` (default): under ``executor="process"``, phase rounds
-        whose kernel carries a static conflict-freedom certificate
-        commit worker-side, in place, into the shared-memory segments
-        — the reply shrinks to a fixed-size digest and the parent
-        ships no operation stream at all.  ``False`` forces every
-        round through the record-shipping replay path (results are
-        bitwise-identical either way; see docs/PARALLEL.md).  Ignored
-        under the inline executor.
     supervision:
         ``None`` (default) or a
         :class:`~repro.parallel.supervisor.SupervisionPolicy` —
@@ -318,21 +277,6 @@ def run_ppm(
         (:class:`~repro.core.errors.ParallelConfigError` ``PPM602``);
         without it a worker death raises
         :class:`~repro.core.errors.WorkerDeathError` (``PPM603``).
-    snapshot:
-        ``"full"`` (default) — every phase commit with outstanding
-        snapshot views pays copy-on-commit; or ``"pruned"`` — shared
-        arrays whose liveness certificate
-        (:mod:`repro.analysis.liveness`) proves every view dies inside
-        its own phase segment commit *in place*, skipping the copy
-        (and, under ``executor="process"``, the shared-memory segment
-        swap).  Committed arrays and simulated times stay
-        bitwise-identical; the skipped copies surface as
-        :class:`~repro.obs.events.SnapshotPruned` events and the
-        report's snapshot-pruning summary.  Kernels without a
-        certificate — and all runs with ``resilience``/``faults`` or
-        ``supervision`` configured — silently keep the full snapshot
-        protocol (pruning is an optimization, never a semantics
-        change; see docs/ANALYSIS.md).
 
     With ``faults``, ``checkpoint_every`` and ``resilience`` all
     ``None`` (the default), this takes exactly the pre-resilience
@@ -344,14 +288,25 @@ def run_ppm(
         The program object (for ``elapsed``, ``trace``, shared
         registry) and ``main``'s return value.
     """
-    if supervision is None:
-        return _run_once(
-            main, cluster, args, kwargs,
-            sanitize=sanitize, trace=trace, faults=faults,
-            checkpoint_every=checkpoint_every, resilience=resilience,
-            executor=executor, workers=workers, zero_merge=zero_merge,
-            supervision=None, supervision_state=None, snapshot=snapshot,
+    if trace in (None, False):
+        trace = None
+    elif trace is True or trace == "on":
+        trace = PhaseTrace()
+    elif not isinstance(trace, PhaseTrace):
+        raise ValueError(
+            f"trace must be None, True, 'on' or a PhaseTrace, got {trace!r}"
         )
+    # One PhaseTrace for the whole run: every pool restart and every
+    # resilience incarnation appends to it (a crashed incarnation's
+    # events are part of the run).  ``opts`` is what each incarnation's
+    # PpmRuntime is built from.
+    opts = dict(
+        sanitize=sanitize, trace=trace, executor=executor, workers=workers,
+        supervision=supervision,
+    )
+    resilient = (faults, checkpoint_every, resilience)
+    if supervision is None:
+        return _run_once(main, cluster, args, kwargs, resilient, opts)
 
     # Supervised run: the degradation loop.  A _PoolDegradation escape
     # (respawn budget exhausted) restarts the whole driver from scratch
@@ -364,31 +319,18 @@ def run_ppm(
     from repro.obs.events import PoolDegraded
     from repro.parallel.supervisor import SupervisionState, _PoolDegradation
 
-    # Resolve the tracer once so every restart (and every resilience
-    # incarnation) appends to the same PhaseTrace.
-    if trace is True or trace == "on":
-        trace = PhaseTrace()
-    state = SupervisionState()
+    state = opts["supervision_state"] = SupervisionState()
     while True:
         try:
-            return _run_once(
-                main, cluster, args, kwargs,
-                sanitize=sanitize, trace=trace, faults=faults,
-                checkpoint_every=checkpoint_every, resilience=resilience,
-                executor=executor, workers=workers, zero_merge=zero_merge,
-                supervision=supervision, supervision_state=state,
-                snapshot=snapshot,
-            )
+            return _run_once(main, cluster, args, kwargs, resilient, opts)
         except _PoolDegradation as deg:
             state.degradations += 1
             if deg.mode == "shrink" and deg.workers_from - 1 >= 1:
-                workers = deg.workers_from - 1
-                workers_to = workers
+                workers_to = opts["workers"] = deg.workers_from - 1
             else:
-                executor = "inline"
-                supervision = None
+                opts.update(executor="inline", supervision=None)
                 workers_to = 0
-            if isinstance(trace, PhaseTrace):
+            if trace is not None:
                 trace.emit(
                     PoolDegraded(
                         phase=-1,
@@ -403,25 +345,14 @@ def run_ppm(
             state.publish()
 
 
-def _run_once(
-    main, cluster, args, kwargs, *,
-    sanitize, trace, faults, checkpoint_every, resilience, executor,
-    workers, zero_merge, supervision, supervision_state, snapshot,
-):
+def _run_once(main, cluster, args, kwargs, resilient, opts):
     """One complete driver execution (one pool configuration); the
-    body ``run_ppm`` wraps in its supervised degradation loop."""
+    body ``run_ppm`` wraps in its supervised degradation loop.
+    ``resilient`` is ``(faults, checkpoint_every, resilience)``,
+    ``opts`` the :class:`PpmProgram` engine options."""
+    faults, checkpoint_every, resilience = resilient
     if faults is None and checkpoint_every is None and resilience is None:
-        ppm = PpmProgram(
-            cluster,
-            sanitize=sanitize,
-            trace=trace,
-            executor=executor,
-            workers=workers,
-            zero_merge=zero_merge,
-            supervision=supervision,
-            supervision_state=supervision_state,
-            snapshot=snapshot,
-        )
+        ppm = PpmProgram(cluster, **opts)
         try:
             result = main(ppm, *args, **kwargs)
         finally:
@@ -437,30 +368,15 @@ def _run_once(
         raise ValueError(
             f"resilience must be a ResiliencePolicy or None, got {resilience!r}"
         )
-    # Resolve the tracer once so every incarnation appends to the same
-    # PhaseTrace (a crashed incarnation's events are part of the run).
-    if trace is True or trace == "on":
-        trace = PhaseTrace()
     manager = ResilienceManager(
         cluster,
         plan=faults,
         checkpoint_every=checkpoint_every,
         policy=resilience,
     )
-    manager.tracer = trace if isinstance(trace, PhaseTrace) else None
+    manager.tracer = opts["trace"]
     for _ in range(manager.policy.max_incarnations):
-        ppm = PpmProgram(
-            cluster,
-            sanitize=sanitize,
-            trace=trace,
-            resilience=manager,
-            executor=executor,
-            workers=workers,
-            zero_merge=zero_merge,
-            supervision=supervision,
-            supervision_state=supervision_state,
-            snapshot=snapshot,
-        )
+        ppm = PpmProgram(cluster, resilience=manager, **opts)
         manager.begin_incarnation(ppm.runtime)
         try:
             result = main(ppm, *args, **kwargs)

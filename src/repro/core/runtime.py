@@ -46,12 +46,7 @@ from repro.core.scheduler import (
 from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
 from repro.machine.network import ZERO_COST
-from repro.obs.events import (
-    NodeSlice,
-    PhaseBegin,
-    PhaseCommit,
-    SnapshotPruned,
-)
+from repro.obs.events import NodeSlice, PhaseBegin, PhaseCommit
 
 
 class _VpRecord:
@@ -138,15 +133,9 @@ class PpmRuntime:
         resilience=None,
         executor: str = "inline",
         workers: int | None = None,
-        zero_merge: bool = True,
         supervision=None,
         supervision_state=None,
-        snapshot: str = "full",
     ) -> None:
-        if snapshot not in ("full", "pruned"):
-            raise ValueError(
-                f"snapshot must be 'full' or 'pruned', got {snapshot!r}"
-            )
         if executor not in ("inline", "process"):
             raise ParallelConfigError(
                 f"executor must be 'inline' or 'process', got {executor!r}",
@@ -211,14 +200,6 @@ class PpmRuntime:
         self.stats_phase_plan_misses = 0
         # node id -> [kind, latency rounds] its VPs declared next (do).
         self._pending: dict[int, list] = {}
-        #: Zero-merge commit switch (``executor="process"`` only):
-        #: rounds whose phases carry a conflict-freedom certificate
-        #: commit worker-side, straight into the shared-memory
-        #: segments, and reply with a fixed-size digest.  ``False``
-        #: forces every round through the record-shipping replay path —
-        #: the documented escape hatch, and what the equivalence tests
-        #: diff the zero-merge path against.
-        self.zero_merge = zero_merge
         #: Observability event bus (:class:`repro.obs.PhaseTrace`), or
         #: None.  Every instrumented site is gated on a single
         #: ``tracer is not None`` test, so the untraced default path
@@ -259,25 +240,6 @@ class PpmRuntime:
         #: Phase rounds that ran under a static overlap certificate
         #: (dynamic conflict check skipped, comm certified-overlappable).
         self.stats_certified_phases = 0
-        #: Snapshot engine selector: ``"full"`` (default — every commit
-        #: with outstanding views pays copy-on-commit) or ``"pruned"``
-        #: — commits of arrays the liveness certificate
-        #: (:mod:`repro.analysis.liveness`) proved unread before their
-        #: next overwrite apply in place, skipping the copy.  Committed
-        #: arrays and simulated times are bitwise-identical either way.
-        self.snapshot = snapshot
-        #: Names of shared variables the active kernel's liveness
-        #: certificate allows to commit in place (``snapshot="pruned"``
-        #: only; empty otherwise).
-        self._prune_names: frozenset = frozenset()
-        #: Commits that skipped copy-on-commit under
-        #: ``snapshot="pruned"``, and the copy bytes avoided.
-        self.stats_pruned_commits = 0
-        self.stats_pruned_bytes = 0
-        #: Copy-on-commit swaps actually performed: host seconds spent
-        #: copying and bytes moved (what pruning removes).
-        self.stats_commit_copy_s = 0.0
-        self.stats_commit_copy_bytes = 0
         #: Certificate of the kernel currently inside ``do``, or None.
         self._active_cert = None
         #: The VP whose code is executing (None in driver code).
@@ -401,25 +363,12 @@ class PpmRuntime:
             self.sanitize_auto
             or self.config.certified_overlap_fraction is not None
             or self.executor == "process"
-            or self.snapshot == "pruned"
         ):
             distinct = {id(f) for f in funcs if f is not None}
             if len(distinct) == 1 and funcs[0] is not None:
                 from repro.analysis.certify import certificate_for
 
                 self._active_cert = certificate_for(funcs[0], args, kwargs)
-        # Snapshot pruning: arm the in-place commit for the arrays this
-        # kernel's liveness certificate proved safe.  Resilience
-        # checkpoints and supervised replays both lean on pre-commit
-        # copies existing, so either feature disables pruning outright.
-        self._prune_names = frozenset()
-        if (
-            self.snapshot == "pruned"
-            and self._active_cert is not None
-            and self.resilience is None
-            and self.supervision is None
-        ):
-            self._prune_names = self._active_cert.prunable
 
         # Process backend, created lazily at the first do (workers fork
         # after driver-level setup, inheriting the shm mappings warm).
@@ -808,7 +757,6 @@ class PpmRuntime:
         # zero-merge groups commit worker-side (write_ops stays empty
         # and apply_writes below no-ops), fallback groups ship their
         # operations into the recorder for the unchanged path.
-        p0, b0 = self.stats_pruned_commits, self.stats_pruned_bytes
         if backend is not None:
             backend.finish_commit(recorder, node_key)
         if self.sanitizer is not None and not (certified and self.sanitize_auto):
@@ -822,15 +770,7 @@ class PpmRuntime:
             plan = self._phase_plans[signature] = PhasePlan()
         else:
             self.stats_phase_plan_hits += 1
-        recorder.apply_writes(self.commit_plans, prune=self._prune_names, plan=plan)
-        if tr is not None and self.stats_pruned_commits > p0:
-            tr.emit(
-                SnapshotPruned(
-                    phase=phase_index,
-                    commits=self.stats_pruned_commits - p0,
-                    bytes_avoided=self.stats_pruned_bytes - b0,
-                )
-            )
+        recorder.apply_writes(self.commit_plans, plan=plan)
         n_contrib = recorder.resolve_collectives()
         if backend is not None:
             # Ship resolved reduce/scan values back with the next round

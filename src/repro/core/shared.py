@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from time import perf_counter
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -548,7 +547,6 @@ class GlobalShared(_SharedBase):
         *,
         force: bool = False,
         retain: bool = False,
-        prune: bool = False,
     ) -> np.ndarray:
         """The array buffered writes should apply to.
 
@@ -562,24 +560,10 @@ class GlobalShared(_SharedBase):
         keeps the superseded segment attachable — the supervised
         process backend uses both so a pristine pre-commit copy always
         exists to replay a crashed worker's commit from.
-
-        ``prune`` commits in place: the liveness certificate
-        (:mod:`repro.analysis.liveness`) proved no view of this array
-        outlives the phase segment it was taken in, so the copy the
-        guard would make can never be observed — skip it.  Supervised
-        (``force``) commits never prune; their pre-commit copy is the
-        crash-replay source, not a snapshot-consistency guard.
         """
-        rt = self.runtime
-        if prune and not force and self._views_taken:
-            self._views_taken = False
-            rt.stats_pruned_commits += 1
-            rt.stats_pruned_bytes += self._data.nbytes
-            return self._data
         if self._views_taken or force:
             self._views_taken = False
-            shm = rt.shm
-            t0 = perf_counter()
+            shm = self.runtime.shm
             if shm is None:
                 self._data = self._data.copy()
             else:
@@ -587,8 +571,6 @@ class GlobalShared(_SharedBase):
                 # retired segment mapped; they remap to the new name
                 # with their next round command.
                 self._data = shm.swap(self.name, None, retain=retain)
-            rt.stats_commit_copy_s += perf_counter() - t0
-            rt.stats_commit_copy_bytes += self._data.nbytes
             self._ro = self._data.view()
             self._ro.flags.writeable = False
             starts = self._starts
@@ -766,26 +748,16 @@ class NodeShared(_SharedBase):
         *,
         force: bool = False,
         retain: bool = False,
-        prune: bool = False,
     ) -> np.ndarray:
         """Node-level copy-on-commit (see
         :meth:`GlobalShared._commit_target`)."""
-        rt = self.runtime
-        if prune and not force and self._views_taken[instance]:
-            self._views_taken[instance] = False
-            rt.stats_pruned_commits += 1
-            rt.stats_pruned_bytes += self._data[instance].nbytes
-            return self._data[instance]
         if self._views_taken[instance] or force:
             self._views_taken[instance] = False
-            shm = rt.shm
-            t0 = perf_counter()
+            shm = self.runtime.shm
             if shm is None:
                 self._data[instance] = self._data[instance].copy()
             else:
                 self._data[instance] = shm.swap(self.name, instance, retain=retain)
-            rt.stats_commit_copy_s += perf_counter() - t0
-            rt.stats_commit_copy_bytes += self._data[instance].nbytes
             ro = self._data[instance].view()
             ro.flags.writeable = False
             self._ro[instance] = ro

@@ -43,7 +43,6 @@ from repro.obs.events import (
     Recovery,
     RetryAttempt,
     RoundReplay,
-    SnapshotPruned,
     VpScheduled,
     WorkerCrash,
     WorkerRespawn,
@@ -64,7 +63,6 @@ from repro.obs.metrics import (
     PhaseReport,
     ResilienceSummary,
     RunReport,
-    SnapshotPruningSummary,
     SupervisionSummary,
     WorkerUtilization,
     ZeroMergeSummary,
@@ -91,8 +89,6 @@ __all__ = [
     "RetryAttempt",
     "RoundReplay",
     "RunReport",
-    "SnapshotPruned",
-    "SnapshotPruningSummary",
     "SupervisionSummary",
     "VpScheduled",
     "WorkerCrash",

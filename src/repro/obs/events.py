@@ -261,22 +261,6 @@ class ZeroMergeCommit(Event):
 
 
 @dataclass(frozen=True)
-class SnapshotPruned(Event):
-    """One phase commit skipped copy-on-commit for shared arrays the
-    liveness analyzer proved unread before their next overwrite
-    (``run_ppm(..., snapshot="pruned")``; see docs/ANALYSIS.md).
-
-    ``commits`` counts the commit targets that committed in place this
-    phase; ``bytes_avoided`` the snapshot-copy bytes those swaps would
-    have moved."""
-
-    kind: ClassVar[str] = "snapshot_pruned"
-
-    commits: int
-    bytes_avoided: int
-
-
-@dataclass(frozen=True)
 class WorkerCrash(Event):
     """The worker supervisor detected one worker failure.
 
@@ -435,7 +419,6 @@ EVENT_TYPES: dict[str, type[Event]] = {
         PhaseCommit,
         WorkerSpan,
         ZeroMergeCommit,
-        SnapshotPruned,
         WorkerCrash,
         WorkerRespawn,
         RoundReplay,

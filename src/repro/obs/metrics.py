@@ -42,7 +42,6 @@ from repro.obs.events import (
     Recovery,
     RetryAttempt,
     RoundReplay,
-    SnapshotPruned,
     VpScheduled,
     WorkerCrash,
     WorkerRespawn,
@@ -78,25 +77,6 @@ class ZeroMergeSummary:
         """Plan-cache hits over all lookups (0.0 before any commit)."""
         total = self.plan_hits + self.plan_misses
         return self.plan_hits / total if total else 0.0
-
-
-@dataclass(frozen=True)
-class SnapshotPruningSummary:
-    """Run-level aggregates of analysis-driven snapshot pruning
-    (present on a :class:`RunReport` only when the trace carries
-    :class:`~repro.obs.events.SnapshotPruned` events, i.e. the run
-    used ``snapshot="pruned"`` and the liveness certificate let at
-    least one commit skip its copy).
-
-    * **phases** — phase commits where at least one target pruned.
-    * **commits** — commit targets that committed in place.
-    * **bytes_avoided** — snapshot-copy bytes those swaps would have
-      moved.
-    """
-
-    phases: int
-    commits: int
-    bytes_avoided: int
 
 
 @dataclass(frozen=True)
@@ -296,10 +276,6 @@ class RunReport:
     """Aggregates of the zero-merge commit path (aggregated
     :class:`~repro.obs.events.ZeroMergeCommit` events); None when no
     round committed worker-side."""
-    snapshot_pruning: SnapshotPruningSummary | None = None
-    """Aggregates of analysis-driven snapshot pruning (aggregated
-    :class:`~repro.obs.events.SnapshotPruned` events); None when no
-    commit pruned its copy."""
     supervision: SupervisionSummary | None = None
     """Aggregates of the worker-supervision event stream (crashes,
     respawns, replays, degradations); None when the supervisor never
@@ -332,7 +308,6 @@ class RunReport:
         spans: list[WorkerSpan] = []
         zm = {"commits": 0, "ops": 0, "plan_hits": 0, "plan_misses": 0,
               "bytes_avoided": 0}
-        pruned = {"phases": 0, "commits": 0, "bytes_avoided": 0}
         sup = {"crashes": 0, "hangs": 0, "corrupt": 0, "respawns": 0,
                "replayed_rounds": 0, "degradations": 0,
                "recovery_host_s": 0.0}
@@ -403,10 +378,6 @@ class RunReport:
                 zm["plan_hits"] += ev.plan_hits
                 zm["plan_misses"] += ev.plan_misses
                 zm["bytes_avoided"] += ev.bytes_avoided
-            elif isinstance(ev, SnapshotPruned):
-                pruned["phases"] += 1
-                pruned["commits"] += ev.commits
-                pruned["bytes_avoided"] += ev.bytes_avoided
             elif isinstance(ev, WorkerCrash):
                 saw_supervision = True
                 if ev.failure == "hang":
@@ -472,9 +443,6 @@ class RunReport:
             resilience=ResilienceSummary(**res) if saw_resilience else None,
             workers=_worker_table(spans) if spans else None,
             zero_merge=ZeroMergeSummary(**zm) if zm["commits"] else None,
-            snapshot_pruning=(
-                SnapshotPruningSummary(**pruned) if pruned["commits"] else None
-            ),
             supervision=SupervisionSummary(**sup) if saw_supervision else None,
         )
 

@@ -46,10 +46,9 @@ def default_workers() -> int:
 
 
 #: Zero-merge / plan-cache statistics of the most recently finished
-#: ``do`` of a process-backend run, published for the wall-clock bench
-#: (``--executor process`` reports plan-cache hit rate and merge bytes
-#: avoided from here).  Keys: ``zm_rounds``, ``zm_ops``,
-#: ``bytes_avoided``, ``plan_hits``, ``plan_misses``, ``rec_rounds``.
+#: ``do`` of a process-backend run (what ``tests/parallel`` asserts
+#: commit paths and plan-cache hits from).  Keys: ``zm_rounds``,
+#: ``zm_ops``, ``bytes_avoided``, ``plan_hits``, ``plan_misses``.
 LAST_RUN_STATS: dict = {}
 
 
@@ -92,7 +91,6 @@ class ProcessBackend:
         # resolves to.
         self._rec_cache: list[dict] = []
         # Zero-merge round state (reset by begin_round).
-        self._hold_ok = False
         self._hold = False
         self._round_flags: dict = {}
         self._hold_wtargets: dict = {}
@@ -141,15 +139,6 @@ class ProcessBackend:
             # suspended frames that live in the workers.
             "certify": rt._active_cert is not None,
         }
-        # A round may hold its operations worker-side (zero-merge
-        # commit) only when a certificate exists and the commit
-        # pipeline has no stage that must see the operation stream
-        # parent-side before writes apply.
-        self._hold_ok = (
-            rt._active_cert is not None
-            and rt.zero_merge
-            and (rt.sanitizer is None or rt.sanitize_auto)
-        )
         total = sum(counts)
         w = self.n_workers
         payloads = [
@@ -177,6 +166,17 @@ class ProcessBackend:
         if self.supervisor is not None:
             self.supervisor.begin_do(common, payloads)
         self._pool.roundtrip("do_start", None, per_worker=payloads)
+
+    def _may_hold(self) -> bool:
+        """May this ``do``'s rounds hold their operations worker-side
+        (zero-merge commit)?  Only when a certificate exists and the
+        commit pipeline has no stage that must see the operation stream
+        parent-side before writes apply; otherwise every round ships
+        its records.  The one place that choice is made."""
+        rt = self.rt
+        return rt._active_cert is not None and (
+            rt.sanitizer is None or rt.sanitize_auto
+        )
 
     def _shared_specs(self, overrides=None) -> list:
         """The shared-variable -> segment map shipped with do_start.
@@ -277,7 +277,7 @@ class ProcessBackend:
                 for vp in body_vps
                 if not vp.done
             }
-        hold = self._hold_ok
+        hold = self._may_hold()
         cmd = {
             "kind": kind,
             "nodes": list(nodes),
@@ -463,7 +463,6 @@ class ProcessBackend:
         # accumulates are not idempotent, so a partial apply by the
         # dead worker must be overwritten, not re-applied.
         supervised = self.supervisor is not None
-        prune = rt._prune_names
         groups = []
         for node_key, (_certified, zero_merge) in sorted(
             self._round_flags.items(),
@@ -475,17 +474,8 @@ class ProcessBackend:
                     self._hold_wtargets.get(node_key, ()),
                     key=lambda t: (t[0], -1 if t[1] is None else t[1]),
                 ):
-                    # Pruned targets skip the pre-swap: the workers
-                    # commit straight into the live segment, and no
-                    # remap ships (the certificate proves no worker
-                    # view outlives its segment).  Supervised commits
-                    # never prune — the swapped copy is crash-replay
-                    # state.
                     registry[name]._commit_target(
-                        instance,
-                        force=supervised,
-                        retain=supervised,
-                        prune=not supervised and name in prune,
+                        instance, force=supervised, retain=supervised
                     )
             groups.append((node_key, decision))
         cmd = {

@@ -28,7 +28,6 @@ protocol; :func:`worker_main` is the process entry point.
 
 from __future__ import annotations
 
-import os
 import pickle
 import time
 import traceback
@@ -602,41 +601,7 @@ class _WorkerState:
 
 def worker_main(conn, worker_id: int) -> None:
     """Entry point of one worker process: serve commands until
-    ``shutdown`` or a closed pipe.
-
-    When ``PPM_PROFILE_DIR`` names a directory (the bench harness's
-    ``--profile`` flag sets it), the whole command loop runs under
-    :mod:`cProfile` and the top-20 cumulative-time entries are written
-    to ``worker-<pid>.prof.txt`` there on exit."""
-    profile_dir = os.environ.get("PPM_PROFILE_DIR")
-    if profile_dir:
-        import cProfile
-
-        prof = cProfile.Profile()
-        prof.enable()
-        try:
-            _worker_loop(conn, worker_id)
-        finally:
-            prof.disable()
-            try:
-                import io
-                import pstats
-
-                buf = io.StringIO()
-                stats = pstats.Stats(prof, stream=buf)
-                stats.sort_stats("cumulative").print_stats(20)
-                path = os.path.join(
-                    profile_dir, f"worker-{os.getpid()}.prof.txt"
-                )
-                with open(path, "w") as fh:
-                    fh.write(buf.getvalue())
-            except OSError:  # pragma: no cover - profile dir vanished
-                pass
-    else:
-        _worker_loop(conn, worker_id)
-
-
-def _worker_loop(conn, worker_id: int) -> None:
+    ``shutdown`` or a closed pipe."""
     state = _WorkerState(worker_id)
     while True:
         try:

@@ -1,17 +1,13 @@
-"""Unit tests for the liveness pass (PPM409/PPM410) and its plans.
+"""Unit tests for the liveness pass (PPM409).
 
-Dead writes, view-escape paranoia (returns, containers, unknown
-methods on non-array receivers), per-phase read-set certificates, and
-the degradation contract: an unanalyzable kernel gets PPM410 and an
-empty pruning plan, never a wrong one.
+Dead writes are flagged in straight-line kernels and left alone under
+phase loops; the per-phase read sets the check leans on come from the
+verifier's phase summaries.
 """
 
 from __future__ import annotations
 
-import os
-
-from repro.analysis import LivenessPlan
-from repro.analysis.dataflow import verify_file, verify_source
+from repro.analysis.dataflow import verify_source
 
 
 def rules(diags):
@@ -40,35 +36,6 @@ def k(ctx, X):
 '''
 
 
-HELD_VIEW = HEADER + '''
-def k(ctx, X):
-    yield ctx.global_phase
-    lo, hi = split_range(64, ctx.global_vp_count)[ctx.global_rank]
-    v = X[lo:hi]
-    yield ctx.global_phase
-    X[lo:hi] = v * 2.0
-'''
-
-
-RETURNED_VIEW = HEADER + '''
-def k(ctx, X):
-    yield ctx.global_phase
-    lo, hi = split_range(64, ctx.global_vp_count)[ctx.global_rank]
-    return X[lo:hi]
-'''
-
-
-LEAKY_APPEND = HEADER + '''
-def k(ctx, X):
-    held = []
-    yield ctx.global_phase
-    lo, hi = split_range(64, ctx.global_vp_count)[ctx.global_rank]
-    held.append(X[lo:hi])
-    yield ctx.global_phase
-    X[lo:hi] = held[0] * 2.0
-'''
-
-
 PHASE_LOOP = HEADER + '''
 def k(ctx, X):
     lo, hi = split_range(64, ctx.global_vp_count)[ctx.global_rank]
@@ -78,79 +45,27 @@ def k(ctx, X):
 '''
 
 
-UNANALYZABLE = HEADER + '''
-def k(ctx, X):
-    if ctx.global_rank == 0:
-        yield ctx.global_phase
-    X[0] = 1.0
-'''
-
-
-def plan_of(src, name="probe.py") -> tuple[list, LivenessPlan]:
+def verify(src, name="probe.py"):
     diags, (summary,) = verify_source(src, name)
-    return diags, summary.liveness
+    return diags, summary
 
 
 class TestDeadWrites:
     def test_overwritten_block_is_ppm409(self):
-        diags, plan = plan_of(DEAD)
+        diags, _ = verify(DEAD)
         d = next(d for d in diags if d.rule == "PPM409")
         assert d.kernel == "k"
-        assert plan.analyzable and plan.prunable == {"X"}
 
     def test_read_set_certificate_per_phase(self):
-        _, plan = plan_of(DEAD)
+        _, summary = verify(DEAD)
         # Two phase segments, neither reads X (writes only).
-        assert len(plan.reads_by_phase) == 2
-        assert all("X" not in reads for reads in plan.reads_by_phase)
+        assert len(summary.phases) == 2
+        assert all(
+            a.kind != "read" for phase in summary.phases for a in phase.accesses
+        )
 
     def test_phase_loops_disable_deadness(self):
         # Segments repeat dynamically under a phase loop: the static
         # "later phase overwrites" order is unsound, so no PPM409.
-        diags, _ = plan_of(PHASE_LOOP)
+        diags, _ = verify(PHASE_LOOP)
         assert "PPM409" not in rules(diags)
-
-
-class TestViewEscapes:
-    def test_cross_segment_view_use_disqualifies(self):
-        _, plan = plan_of(HELD_VIEW)
-        assert plan.analyzable
-        assert plan.prunable == frozenset()
-        assert any(param == "X" for param, _ in plan.reasons)
-
-    def test_returned_view_disqualifies(self):
-        _, plan = plan_of(RETURNED_VIEW)
-        assert plan.prunable == frozenset()
-
-    def test_unknown_method_on_non_array_receiver_disqualifies(self):
-        # Regression: list.append(view) retains the view past its
-        # segment; the numpy "fresh result" contract must not apply
-        # to arbitrary container methods.
-        _, plan = plan_of(LEAKY_APPEND)
-        assert plan.prunable == frozenset()
-        reason = dict(plan.reasons)["X"]
-        assert "append" in reason and "retain" in reason
-
-
-class TestDegradation:
-    def test_unanalyzable_kernel_is_ppm410_with_empty_plan(self):
-        diags, plan = plan_of(UNANALYZABLE)
-        d = next(d for d in diags if d.rule == "PPM410")
-        assert d.severity == "warning"
-        assert "degrades to copying every shared array" in d.message
-        assert not plan.analyzable
-        assert plan.prunable == frozenset()
-        assert dict(plan.reasons) == {"X": "kernel unanalyzable"}
-
-
-class TestShippedApps:
-    def test_cg_kernel_has_a_nontrivial_plan(self):
-        # The acceptance anchor: the shipped CG app's kernel must keep
-        # a non-trivial liveness certificate (pruned snapshots are
-        # what the wallclock sweep and parallel smoke measure).
-        root = os.path.join(os.path.dirname(__file__), "..", "..")
-        path = os.path.join(root, "src", "repro", "apps", "cg", "ppm_cg.py")
-        diags, summaries = verify_file(os.path.normpath(path))
-        assert not rules(diags) & {"PPM406", "PPM408", "PPM409", "PPM410"}
-        plans = [s.liveness for s in summaries if s.liveness is not None]
-        assert any(p.analyzable and p.prunable for p in plans)

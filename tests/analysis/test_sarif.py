@@ -327,12 +327,11 @@ class TestSarifSchema:
             diag(rule="PPM407", severity="warning", expr="X[hi]"),
             diag(rule="PPM408", expr="X[i] = Y[i]"),
             diag(rule="PPM409", severity="warning", expr="X[lo:hi]"),
-            diag(rule="PPM410", severity="warning", expr=None),
         ]
         doc = to_sarif(findings)
         self.validate(doc)
         rules = {r["id"] for r in doc["runs"][0]["tool"]["driver"]["rules"]}
-        assert rules == {"PPM406", "PPM407", "PPM408", "PPM409", "PPM410"}
+        assert rules == {"PPM406", "PPM407", "PPM408", "PPM409"}
 
     def test_baseline_suppressed_results_validate(self):
         old, new = diag(), diag(rule="PPM406", line=40)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.common import split_range
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
 from repro.core.errors import (
@@ -20,6 +21,7 @@ from repro.core.errors import (
     SharedAccessError,
     VpProgramError,
 )
+from repro.core.shared import NodeShared
 from repro.machine import Cluster
 
 
@@ -426,3 +428,167 @@ class TestProgramStructure:
         assert seen[2][:2] == (1, 0)
         assert seen[2][3] == 3  # node 1 has 3 VPs
         assert all(s[4] == 5 and s[5] == 2 and s[6] == 2 for s in seen)
+
+
+# ----------------------------------------------------------------------
+# R1 outlives the phase: a read result keeps its phase-start values
+# ----------------------------------------------------------------------
+# Ten ways to keep a basic-index read alive across a ``yield``.  Each
+# kernel increments its chunk in phase 1 and copies the *kept* read to
+# ``out`` in phase 2; the commit in between must not write the buffer
+# the kept view aliases.  Module level: the process executor pickles
+# kernels.
+
+_N = 16
+
+
+def _chunk(ctx, A):
+    if isinstance(A, NodeShared):
+        return split_range(len(A), ctx.node_vp_count)[ctx.node_rank]
+    return split_range(len(A), ctx.global_vp_count)[ctx.global_rank]
+
+
+def keep_plain_view(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi]
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def keep_loop_target(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    for v in (A[lo:hi],):
+        A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def keep_tuple_unpack(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v, _ = A[lo:hi], 0
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def keep_flip(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = np.flip(A[lo:hi])
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v[::-1]
+
+
+def keep_asanyarray(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = np.asanyarray(A[lo:hi])
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def keep_split(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = np.split(A[lo:hi], 1)
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v[0]
+
+
+def keep_astype_nocopy(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi].astype(np.float64, copy=False)
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def keep_list_of_tuple(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = list((A[lo:hi],))
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v[0]
+
+
+def keep_zip(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = tuple(zip((A[lo:hi],), (0,)))
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v[0][0]
+
+
+def keep_walrus_in_call(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    len(v := A[lo:hi])
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def _main_kept_reads(ppm, kernel):
+    A = ppm.global_shared("A", _N)
+    out = ppm.global_shared("out", _N)
+    B = ppm.node_shared("B", _N)
+    outB = ppm.node_shared("outB", _N)
+    A[:] = np.arange(_N, dtype=float)
+    for node in range(ppm.node_count):
+        B.instance(node)[:] = np.arange(_N, dtype=float) + 100 * node
+    ppm.do(2, kernel, A, out)
+    ppm.do(2, kernel, B, outB)
+    return (
+        A.committed,
+        out.committed,
+        [B.instance(n).copy() for n in range(ppm.node_count)],
+        [outB.instance(n).copy() for n in range(ppm.node_count)],
+    )
+
+
+class TestReadsOutliveCommits:
+    """SEMANTICS.md R1: a read result keeps its phase-start values for
+    as long as it is referenced — copy-on-commit is unconditional, on
+    global and node shared arrays, inline and in worker processes."""
+
+    @pytest.mark.parametrize(
+        "engine",
+        [{}, {"executor": "process", "workers": 2}],
+        ids=["inline", "process"],
+    )
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            keep_plain_view,
+            keep_loop_target,
+            keep_tuple_unpack,
+            keep_flip,
+            keep_asanyarray,
+            keep_split,
+            keep_astype_nocopy,
+            keep_list_of_tuple,
+            keep_zip,
+            keep_walrus_in_call,
+        ],
+        ids=lambda k: k.__name__,
+    )
+    def test_kept_read_sees_phase_start_values(self, kernel, engine):
+        _, (a, out, b, out_b) = run_ppm(
+            _main_kept_reads, _cluster(), kernel, **engine
+        )
+        start = np.arange(_N, dtype=float)
+        np.testing.assert_array_equal(a, start + 1)
+        np.testing.assert_array_equal(out, start)
+        for node in range(2):
+            np.testing.assert_array_equal(b[node], start + 100 * node + 1)
+            np.testing.assert_array_equal(out_b[node], start + 100 * node)

@@ -75,11 +75,17 @@ class TestKnobBudget:
         ]
         assert kw_only == [
             "sanitize", "trace", "faults", "checkpoint_every", "resilience",
-            "executor", "workers", "zero_merge", "supervision", "snapshot",
+            "executor", "workers", "supervision",
         ]
 
     @pytest.mark.parametrize(
-        "removed", [{"hot_path": "legacy"}, {"vp_executor": "threads"}]
+        "removed",
+        [
+            {"hot_path": "legacy"},
+            {"vp_executor": "threads"},
+            {"snapshot": "pruned"},
+            {"zero_merge": False},
+        ],
     )
     def test_removed_knobs_are_not_silently_accepted(self, removed):
         def main(ppm):

@@ -10,6 +10,7 @@ processes by pickling (locally-defined closures raise ``PPM501``; see
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -218,16 +219,18 @@ class TestSemantics:
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("zero_merge", [True, False])
-    def test_parent_side_phase_plans_tell_near_misses_apart(self, zero_merge):
+    def test_parent_side_phase_plans_tell_near_misses_apart(
+        self, zero_merge, ship_records
+    ):
         """The parent's recorder is filled from worker reports; its
         phase plans must hit on the one true repeat and on nothing
         that merely has the same counts (held rounds show the parent
         no operation stream at all)."""
         ppm1, r1 = run_ppm(main_near_miss, _cluster())
-        ppm2, r2 = run_ppm(
-            main_near_miss, _cluster(), executor="process", workers=2,
-            zero_merge=zero_merge,
-        )
+        with contextlib.nullcontext() if zero_merge else ship_records():
+            ppm2, r2 = run_ppm(
+                main_near_miss, _cluster(), executor="process", workers=2
+            )
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a, b)
         assert ppm1.elapsed == ppm2.elapsed
