@@ -47,51 +47,41 @@ class KernelCertificate:
     #: commits, which would reorder the combination.
     unordered: frozenset = frozenset()
 
-    def covers(self, lineno: int, kind: str) -> bool:
-        if self.whole:
-            return True
-        return self.certified.get(lineno) == kind
+    def round_flags(self, vps, kind: str) -> tuple:
+        """``(certified, zero_merge)`` of one phase round, read off the
+        suspended frames of ``vps`` in a single pass; ``(None, None)``
+        when none of them is active (the caller has no vote).
 
-    def round_certified(self, vps, kind: str) -> bool:
-        """Are all *active* VPs of this round suspended at certified
-        yields of the certified code object?"""
+        *certified*: every active VP is suspended at a certified yield
+        of the certified code object.  *zero_merge* strengthens it for
+        the worker-local commit: every active VP also sits at a phase
+        whose certified writes are provably *disjoint* across VPs (no
+        R4-blessed overlapping accumulates), so a per-shard commit
+        applies each element's operations in the same order the global
+        rank-ordered commit would."""
+        whole = self.whole
+        unordered = self.unordered
+        # Plain-function certificates cannot match lines; any
+        # order-sensitive phase disables zero-merge for the kernel.
+        zero_merge = not (whole and unordered)
         any_active = False
         for vp in vps:
             if vp.done:
                 continue
             any_active = True
-            if self.whole:
+            if whole:
                 continue
             frame = getattr(vp.gen, "gi_frame", None)
-            if (
-                frame is None
-                or frame.f_code is not self.code
-                or not self.covers(frame.f_lineno, kind)
-            ):
-                return False
-        return any_active
-
-    def round_zero_merge(self, vps, kind: str) -> bool:
-        """:meth:`round_certified`, strengthened for the zero-merge
-        commit: every active VP must also sit at a phase whose
-        certified writes are provably *disjoint* across VPs (no
-        R4-blessed overlapping accumulates), so a per-shard commit
-        applies each element's operations in the same order the global
-        rank-ordered commit would."""
-        if not self.round_certified(vps, kind):
-            return False
-        if not self.unordered:
-            return True
-        if self.whole:
-            # Plain-function certificates cannot match lines; any
-            # order-sensitive phase disables zero-merge for the kernel.
-            return False
-        for vp in vps:
-            if vp.done:
-                continue
-            if vp.gen.gi_frame.f_lineno in self.unordered:
-                return False
-        return True
+            if frame is None or frame.f_code is not self.code:
+                return (False, False)
+            lineno = frame.f_lineno
+            if self.certified.get(lineno) != kind:
+                return (False, False)
+            if lineno in unordered:
+                zero_merge = False
+        if not any_active:
+            return (None, None)
+        return (True, zero_merge)
 
 
 def _classify_arg(value) -> tuple[str, bool] | None:

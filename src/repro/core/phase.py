@@ -207,8 +207,9 @@ class CommitPlanCache:
     this cache keeps one compiled access pattern per target, keyed by
     ``(shared name, instance)``, and replays it while the incoming
     stream is the one it was compiled from.  Used by the inline runtime
-    (``PpmRuntime.commit_plans``) and by the worker-side zero-merge
-    committer of the process backend; a mismatched round simply
+    (``PpmRuntime.commit_plans``) and, through the same
+    :meth:`PhaseRecorder.apply_writes`, by the worker-side zero-merge
+    commit of the process backend; a mismatched round simply
     rebuilds (counted in :attr:`misses`), so the cache can never change
     committed bits — only skip redundant index work.
     """
@@ -416,6 +417,7 @@ class PhaseRecorder:
         plans: CommitPlanCache,
         *,
         plan: PhasePlan | None = None,
+        target_of=None,
     ) -> None:
         """Commit all buffered writes.
 
@@ -429,7 +431,10 @@ class PhaseRecorder:
         its first round sorts by rank, groups by target and stores the
         outcome as the plan's recipe; later rounds pick each target's
         operations by position and replay — no sort, no regrouping, no
-        per-event validation.
+        per-event validation.  ``target_of(shared, instance)`` names the
+        array to commit into where the variable's own copy-on-commit
+        decision (``_commit_target``) was made elsewhere: a process-
+        backend worker commits into the segment its proxy is bound to.
         """
         ops = self.write_ops
         if not ops:
@@ -448,7 +453,11 @@ class PhaseRecorder:
                 plan.recipe = recipe
         for entry in recipe:
             evs = entry[0](ops)
-            target = evs[0].shared._commit_target(evs[0].instance)
+            ev = evs[0]
+            if target_of is None:
+                target = ev.shared._commit_target(ev.instance)
+            else:
+                target = target_of(ev.shared, ev.instance)
             entry[1] = plans.apply(target, evs, entry[1])
 
     def resolve_collectives(self) -> int:

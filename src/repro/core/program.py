@@ -260,8 +260,9 @@ def run_ppm(
         (:class:`~repro.core.errors.ParallelConfigError` ``PPM501``).
     workers:
         Worker process count for ``executor="process"`` (default:
-        :func:`repro.parallel.default_workers`, the CPU count clamped
-        to [2, 8]).  Ignored under the inline executor.
+        :func:`repro.parallel.default_workers`, the cores this
+        process may run on clamped to [2, 8]).  Ignored under the
+        inline executor.
     supervision:
         ``None`` (default) or a
         :class:`~repro.parallel.supervisor.SupervisionPolicy` —

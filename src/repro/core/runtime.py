@@ -732,8 +732,10 @@ class PpmRuntime:
             certified = backend.round_certified(node_key)
         else:
             cert = self._active_cert
-            certified = cert is not None and cert.round_certified(
-                [vp for n in nodes for vp in vps_by_node[n]], kind
+            certified = cert is not None and bool(
+                cert.round_flags(
+                    [vp for n in nodes for vp in vps_by_node[n]], kind
+                )[0]
             )
         if tr is not None:
             tr.phase = phase_index

@@ -490,6 +490,8 @@ class GlobalShared(_SharedBase):
             self._data = np.full(self.shape, fill, dtype=self.dtype)
         # True once a snapshot view of the current buffer was handed
         # out; the next commit then swaps buffers (copy-on-commit).
+        # Under the process executor the parent's flag is instead set
+        # from each round's worker reports: a view is still referenced.
         self._views_taken = False
         # Read-only alias of the committed buffer: snapshot reads index
         # it so basic-index results are born read-only (children of a

@@ -39,10 +39,16 @@ from repro.parallel.pool import WorkerPool
 
 
 def default_workers() -> int:
-    """Worker count used when ``run_ppm(..., workers=None)``: the CPU
-    count, clamped to [2, 8] (beyond 8, pipe traffic outweighs extra
-    cores for typical phase bodies)."""
-    return max(2, min(8, os.cpu_count() or 2))
+    """Worker count used when ``run_ppm(..., workers=None)``: the cores
+    this process may run on (its affinity mask where the platform has
+    one — a container or ``taskset`` can grant fewer than the host's
+    CPU count), clamped to [2, 8] (beyond 8, pipe traffic outweighs
+    extra cores for typical phase bodies)."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 2
+    return max(2, min(8, cores))
 
 
 #: Zero-merge / plan-cache statistics of the most recently finished
@@ -84,12 +90,16 @@ class ProcessBackend:
         self._specs: list[dict] = []
         self._decls: dict = {}
         self._coll_outbox: list = []
-        self._global_reports = None
-        self._node_reports = None
-        # Record-structure plan cache, parent half: per (worker, plan
-        # id) -> the encoded rec subset a later "rec_plan" reference
-        # resolves to.
+        # node key (None: the global phase) -> [(worker, report)] of the
+        # dispatched round, until fill_recorder merges them.
+        self._reports: dict = {}
+        # Worker-held phase plans, parent half: per (worker, plan id)
+        # -> the decoded (runs, node write elems, written targets) a
+        # later "rec_plan" reference resolves to.
         self._rec_cache: list[dict] = []
+        # (variable, instance) pairs the last round's replies reported
+        # a live snapshot view of.
+        self._live_views: set = set()
         # Zero-merge round state (reset by begin_round).
         self._hold = False
         self._round_flags: dict = {}
@@ -157,9 +167,9 @@ class ProcessBackend:
         self._specs = [{} for _ in range(w)]
         self._decls = {}
         self._coll_outbox = []
-        self._global_reports = None
-        self._node_reports = None
+        self._reports = {}
         self._rec_cache = [{} for _ in range(w)]
+        self._replace_views(set())
         self._round_flags = {}
         self._hold_wtargets = {}
         self._commit_replies = None
@@ -215,16 +225,21 @@ class ProcessBackend:
         self._specs[w] = {}
         self._rec_cache[w] = {}
 
-    def merge_views(self, views) -> None:
-        """Merge a worker reply's snapshot-view flags into the
-        registry's copy-on-commit guard."""
+    def _replace_views(self, views) -> None:
+        """Make ``views`` — the (variable, instance) pairs some worker
+        still holds a snapshot view of — the registry's copy-on-commit
+        guard.  Replaced, never merged: a buffer is guarded only while
+        a reader of it is alive (none outlives its ``do``), so a
+        dropped view stops costing a segment swap at every commit."""
         registry = self.rt.shared_registry
-        for name, instance in views:
-            sv = registry[name]
-            if instance is None:
-                sv._views_taken = True
-            else:
-                sv._views_taken[instance] = True
+        for flag, pairs in ((False, self._live_views), (True, views)):
+            for name, instance in pairs:
+                sv = registry[name]
+                if instance is None:
+                    sv._views_taken = flag
+                else:
+                    sv._views_taken[instance] = flag
+        self._live_views = views
 
     def run_prologue(self, vps_by_node) -> None:
         """Run every VP to its first phase declaration, worker-side."""
@@ -242,8 +257,7 @@ class ProcessBackend:
         self.rt.shm.sweep()
         if self.supervisor is not None:
             self.supervisor.end_do()
-        self._global_reports = None
-        self._node_reports = None
+        self._reports = {}
         self._coll_outbox = []
         self._commit_replies = None
         LAST_RUN_STATS.clear()
@@ -298,39 +312,32 @@ class ProcessBackend:
         if self.supervisor is not None:
             self.supervisor.log_round(cmd)
         replies = self._pool.roundtrip("round", cmd)
-        # Merge snapshot-view flags before any commit of this round so
-        # the copy-on-commit guard sees worker-held views.
-        for rep in replies:
+        # Before any commit of this round, held or shipped: the
+        # copy-on-commit guard is what the workers hold *now*.
+        self._replace_views(
+            {v for rep in replies if rep is not None for v in rep["views"]}
+        )
+        flag_lists: dict = {}
+        self._reports = reports = {}
+        for w, rep in enumerate(replies):
             if rep is None:
                 continue
-            self.merge_views(rep["views"])
-        flag_lists: dict = {}
-        if kind == "global":
-            self._global_reports = [
-                (w, rep["report"])
-                for w, rep in enumerate(replies)
-                if rep is not None
-            ]
-            self._node_reports = None
-            flag_lists[None] = [
-                rep["flags"] for rep in replies if rep is not None
-            ]
-            if hold:
-                self._gather_wtargets(
-                    None, (rep["report"] for rep in replies if rep is not None)
-                )
-        else:
-            node_map: dict[int, list] = {}
-            for w, rep in enumerate(replies):
-                if rep is None:
-                    continue
-                for node_id, report, flags in rep["nodes"]:
-                    node_map.setdefault(node_id, []).append((w, report))
-                    flag_lists.setdefault(node_id, []).append(flags)
-                    if hold:
-                        self._gather_wtargets(node_id, (report,))
-            self._node_reports = node_map
-            self._global_reports = None
+            if kind == "global":
+                groups = [(None, rep["report"], rep["flags"])]
+            else:
+                groups = rep["nodes"]
+            for node_key, report, flags in groups:
+                reports.setdefault(node_key, []).append((w, report))
+                flag_lists.setdefault(node_key, []).append(flags)
+                if hold:
+                    # Written targets ship with a shape's first round
+                    # and are remembered under its plan id.
+                    pid = report.get("rec_plan")
+                    self._hold_wtargets.setdefault(node_key, set()).update(
+                        report["wtargets"]
+                        if pid is None
+                        else self._rec_cache[w][pid][2]
+                    )
         # Combine each group's per-worker flags: a worker with no
         # active VPs in the group reports (None, None) and abstains;
         # everyone else must agree for the round to count as certified
@@ -362,20 +369,10 @@ class ProcessBackend:
         VP's ``(done, next declaration, cost)`` by global rank, which
         the runtime's stepping loop replays in VP order — the same
         float-accumulation structure as inline execution."""
-        if node_key is None:
-            reports = self._global_reports
-            self._global_reports = None
-        else:
-            reports = self._node_reports.pop(node_key, [])
         by_rank: dict[int, tuple] = {}
-        for w, rep in reports:
+        for w, rep in self._reports.pop(node_key, ()):
             self._merge_report(recorder, w, rep, by_rank)
         return by_rank
-
-    def _gather_wtargets(self, node_key, reports) -> None:
-        acc = self._hold_wtargets.setdefault(node_key, set())
-        for report in reports:
-            acc.update(report.get("wtargets", ()))
 
     def round_certified(self, node_key) -> bool:
         """Did every worker with active VPs in this group sit at a
@@ -499,8 +496,6 @@ class ProcessBackend:
     def _verify_digest(self, w: int, digest: dict) -> None:
         registry = self.rt.shared_registry
         for name, instance, crc, rows_enc in digest.get("checksums", ()):
-            if rows_enc is None:
-                continue
             rows = self._array(w, rows_enc)
             sv = registry[name]
             target = sv._data if instance is None else sv._data[instance]
@@ -607,13 +602,13 @@ class ProcessBackend:
         ops = rep.get("ops")
         if ops is not None:
             recorder.write_ops.extend(self._events(w, ops))
-        # Resolve the record structure: an exact cross-round repeat
-        # arrives as a plan reference and resolves to the footprints
-        # decoded when it was new — the same specs, so a steady-state
-        # round extends the recorder's lists and nothing else.
+        # Resolve the record structure: a repeated phase shape arrives
+        # as a plan reference and resolves to the footprints decoded
+        # when it was new — the same specs, so a steady-state round
+        # extends the recorder's lists and nothing else.
         pid = rep.get("rec_plan")
         if pid is not None:
-            runs, nwe = self._rec_cache[w][pid]
+            runs, nwe, _wtargets = self._rec_cache[w][pid]
         else:
             runs = [
                 (
@@ -624,9 +619,7 @@ class ProcessBackend:
                 for node_id, reads, writes in rep["runs"]
             ]
             nwe = rep["nwe"]
-            pid = rep.get("rec_new")
-            if pid is not None:
-                self._rec_cache[w][pid] = (runs, nwe)
+            self._rec_cache[w][rep["rec_new"]] = (runs, nwe, rep.get("wtargets", ()))
         for node_id, reads, writes in runs:
             recorder.absorb(node_id, reads, writes)
         for node_id, n_elem in nwe.items():

@@ -112,6 +112,8 @@ class ShmRegistry:
         #: Remaps produced by :meth:`swap` since the last drain, in
         #: order: ``(shared name, instance, new segment name)``.
         self.pending_remaps: list[tuple[str, int | None, str]] = []
+        #: Buffer swaps performed so far (always counted).
+        self.swaps = 0
         self._closed = False
         # Unlink everything even if close() is never reached (e.g. the
         # driver process is torn down with a live PpmProgram).
@@ -155,6 +157,7 @@ class ShmRegistry:
         during zero-merge commit rounds — a worker respawned mid-commit
         re-attaches the retained pre-commit segment and replays from
         that pristine copy (docs/PARALLEL.md)."""
+        self.swaps += 1
         key = (shared_name, instance)
         block = self._blocks[key]
         old = block.array

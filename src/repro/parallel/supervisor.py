@@ -413,8 +413,7 @@ class WorkerSupervisor:
                 w, "round",
                 {**cmd, "remaps": [], "mode": "ship", "replay": True},
             )
-            rep = pool.recv_one(w, deadline)
-            backend.merge_views(rep.get("views", ()))
+            pool.recv_one(w, deadline)
             replayed += 1
         if tag == "round":
             pool.send_one(w, "round", dict(payload, remaps=[]))
@@ -424,8 +423,7 @@ class WorkerSupervisor:
             pool.send_one(
                 w, "round", {**held_cmd, "remaps": [], "replay": True}
             )
-            rep = pool.recv_one(w, deadline)
-            backend.merge_views(rep.get("views", ()))
+            pool.recv_one(w, deadline)
             replayed += 1
             pool.send_one(w, "commit", dict(payload, restore=True))
             result = pool.recv_one(w, deadline)

@@ -14,11 +14,17 @@ to the edges:
 * each round's recordings are either *encoded* into a compact report
   the parent merges and commits through its unchanged pipeline (ship
   mode — index arrays are interned per worker so a spec shipped once
-  is later referenced by id, and a repeated record *structure* ships
-  as a plan id), or — when the round carries a static disjointness
-  certificate — *held* worker-side and committed directly into the
-  shared segments on the parent's ``commit`` command, replying with a
-  fixed-size digest instead of the operation stream (zero-merge mode);
+  is later referenced by id), or — when the round carries a static
+  disjointness certificate — *held* worker-side and committed directly
+  into the shared segments on the parent's ``commit`` command, replying
+  with a fixed-size digest instead of the operation stream (zero-merge
+  mode);
+* a repeated phase *shape* is described once (:class:`_RoundPlan`):
+  its first round ships the access footprints under a plan id, every
+  repeat ships the id and replays the stored commit recipe;
+* a buffer is reported as *view-held* only while something still
+  references it (:meth:`_WorkerDo._referenced`), so the parent swaps a
+  segment only under a live reader of its old values;
 * collective handles held by VP code resolve from the parent's
   round-commit results, shipped with the next round command.
 
@@ -29,6 +35,7 @@ protocol; :func:`worker_main` is the process entry point.
 from __future__ import annotations
 
 import pickle
+import sys
 import time
 import traceback
 import zlib
@@ -37,7 +44,7 @@ import numpy as np
 
 from repro.core import shared as shared_mod
 from repro.core.constructs import PhaseDecl
-from repro.core.phase import CommitPlanCache, PhaseRecorder, _RANK_KEY
+from repro.core.phase import CommitPlanCache, PhasePlan, PhaseRecorder
 from repro.core.rowset import union_rows
 from repro.core.shared import GlobalShared, NodeShared
 from repro.core.vp import VpContext, core_of
@@ -88,11 +95,35 @@ class _ReportEncoder:
         return ("v", idx)
 
 
+class _RoundPlan:
+    """What this worker resolved once for one phase shape
+    (:meth:`PhaseRecorder.signature`): the id the parent caches its
+    record structure under (None in a crash-recovery replay, which
+    reports nothing), the commit recipe, and the rows written per
+    target (:meth:`_WorkerDo._written_rows`)."""
+
+    __slots__ = ("pid", "commit", "rows")
+
+    def __init__(self, pid: int | None) -> None:
+        self.pid = pid
+        self.commit = PhasePlan()
+        self.rows: list | None = None
+
+
+def _bound_store(sv, instance) -> np.ndarray:
+    """The mapped segment a proxy instance is bound to — the commit
+    target: the parent already ran copy-on-commit and shipped the
+    remaps (``_commit_target`` would detach the proxy from it)."""
+    return sv._data if instance is None else sv._data[instance]
+
+
 class _WorkerDo:
     """State of one in-flight ``ppm.do`` on this worker."""
 
     def __init__(self, state: "_WorkerState", common: dict, shard) -> None:
         self.cache = state.cache
+        #: View liveness is read from reference counts (see _rebind).
+        self.refcounted = hasattr(sys, "getrefcount")
         self.cluster = Cluster(state.config)
         # Deferred import: the runtime package imports repro.parallel
         # lazily, never the other way around at module level.
@@ -166,34 +197,51 @@ class _WorkerDo:
                 from repro.analysis.certify import certificate_for
 
                 self.cert = certificate_for(funcs[0], args, kwargs)
-        # Zero-merge state: recorders held between the exec round and
-        # the parent's commit decision, the cross-round commit-plan
-        # cache, and the cached per-target committed-row footprints
-        # (valid while the target's _TargetPlan is unchanged).
+        # Zero-merge state: (recorder, plan) held between the exec round
+        # and the parent's commit decision; one plan per phase shape
+        # seen this do, by signature; and the cross-round commit-plan
+        # cache their recipes refer into.
         self.held: dict = {}
+        self.plans: dict[tuple, _RoundPlan] = {}
         self.commit_plans = CommitPlanCache()
-        self._footprints: dict = {}
-        # Record-structure plan cache: a round whose encoded rec
-        # structure (reads/writes/spec refs/counts) is an exact repeat
-        # ships a plan id instead of the payload.
-        self._rec_plans: dict = {}
-        self._rec_next = 0
-        self.rec_hits = 0
-        self.rec_misses = 0
 
     def _rebind(self, sv, instance, segment_name: str) -> None:
-        """Point one proxy instance at its mapped segment."""
-        shape = sv.shape
-        dtype = sv.dtype
-        arr = self.cache.attach(segment_name, shape, dtype)
-        ro = arr.view()
+        """Point one proxy instance at its mapped segment.
+
+        The read-only snapshot array is built straight over the
+        segment's buffer, not as a view of the writable one: numpy
+        collapses ``base`` chains onto it, so every basic-index read
+        result and every view derived from one references *this*
+        object, which nothing but the proxy holds — its reference count
+        says whether a reader of the buffer is alive.  That is checked
+        here, through the probe itself, and given up for the do if it
+        ever fails."""
+        arr = self.cache.attach(segment_name, sv.shape, sv.dtype)
+        ro = self.cache.attach(segment_name, sv.shape, sv.dtype)
         ro.flags.writeable = False
         if instance is None:
             sv._data = arr
             sv._ro = ro
+            sv._views_taken = False
         else:
             sv._data[instance] = arr
             sv._ro[instance] = ro
+            sv._views_taken[instance] = False
+        reader = ro[:0]
+        del ro
+        seen = self._referenced(sv, instance)
+        del reader
+        self.refcounted = seen and not self._referenced(sv, instance)
+
+    def _referenced(self, sv, instance) -> bool:
+        """Does anything but the proxy reference the snapshot array of
+        this instance's *current* buffer?  A count can only over-count
+        readers (a cycle awaiting collection), never miss one; without
+        a usable count every buffer counts as referenced."""
+        if not self.refcounted:
+            return True
+        # The proxy's slot and the call argument: two references.
+        return sys.getrefcount(sv._ro if instance is None else sv._ro[instance]) > 2
 
     # ------------------------------------------------------------------
     def prologue(self):
@@ -255,73 +303,55 @@ class _WorkerDo:
         # dangling on the parent side.
         replay = cmd.get("replay", False)
         nodes = [n for n in cmd["nodes"] if n in self.by_node]
+        groups = [(None, nodes)] if kind == "global" else [(n, [n]) for n in nodes]
+        cert = self.cert
         advanced = 0
-        if kind == "global":
-            body_vps = [vp for n in nodes for vp in self.by_node[n]]
-            advanced += sum(1 for vp in body_vps if not vp.done)
-            if replay:
-                self._run_recorder(kind, nodes, None, hold, encode=False)
-                payload = {"replayed": True}
-            else:
-                flags = self._round_flags(body_vps, kind)
-                payload = {
-                    "report": self._run_recorder(kind, nodes, None, hold),
-                    "flags": flags,
-                }
-        elif replay:
-            for node_id in nodes:
-                node_vps = self.by_node[node_id]
-                advanced += sum(1 for vp in node_vps if not vp.done)
-                self._run_recorder(kind, [node_id], node_id, hold, encode=False)
-            payload = {"replayed": True}
-        else:
-            reports = []
-            for node_id in nodes:
-                node_vps = self.by_node[node_id]
-                advanced += sum(1 for vp in node_vps if not vp.done)
-                flags = self._round_flags(node_vps, kind)
-                reports.append(
-                    (
-                        node_id,
-                        self._run_recorder(kind, [node_id], node_id, hold),
-                        flags,
-                    )
+        reports = []
+        for node_key, group in groups:
+            # My shard's vote on the group: no without a certificate,
+            # (None, None) — an abstention — with no active VP in it.
+            flags = (False, False)
+            if cert is not None:
+                flags = cert.round_flags(
+                    [vp for n in group for vp in self.by_node[n]], kind
                 )
+            report, n_vps = self._run_recorder(
+                kind, group, node_key, hold, encode=not replay
+            )
+            advanced += n_vps
+            reports.append((node_key, report, flags))
+        if replay:
+            payload = {"replayed": True}
+        elif kind == "global":
+            payload = {"report": reports[0][1], "flags": reports[0][2]}
+        else:
             payload = {"nodes": reports}
-        # 5. Snapshot-view flags, collected once per round (within a
-        # round, no commit can observe another node's phase activity:
-        # node phases touch disjoint instances and cannot write global
-        # arrays, so round-level granularity is exact).
+        # 5. Every buffer a snapshot view was taken of and something
+        # still references, in every reply: the parent takes a round's
+        # reports as the whole truth.  A flag stays set until its
+        # *current* buffer is found unreferenced.  (Within a round, no
+        # commit can observe another node's phase activity: node phases
+        # touch disjoint instances and cannot write global arrays, so
+        # round-level granularity is exact.)
         views = []
         for name, sv in self.proxies.items():
-            flags = sv._views_taken
             if isinstance(sv, NodeShared):
-                for instance, flag in enumerate(flags):
+                taken = sv._views_taken
+                for instance, flag in enumerate(taken):
                     if flag:
-                        views.append((name, instance))
-                        flags[instance] = False
-            elif flags:
-                views.append((name, None))
-                sv._views_taken = False
+                        if self._referenced(sv, instance):
+                            views.append((name, instance))
+                        else:
+                            taken[instance] = False
+            elif sv._views_taken:
+                if self._referenced(sv, None):
+                    views.append((name, None))
+                else:
+                    sv._views_taken = False
         payload["views"] = views
         payload["advanced"] = advanced
         payload["host_s"] = time.perf_counter() - t0
         return payload
-
-    def _round_flags(self, vps: list, kind: str):
-        """(certified, zero_merge) for my shard's VPs, read off the
-        suspended frames before the bodies run.  ``(None, None)`` when
-        no VP of the group is active in my shard (the parent skips such
-        workers when combining)."""
-        if not any(not vp.done for vp in vps):
-            return (None, None)
-        cert = self.cert
-        if cert is None:
-            return (False, False)
-        return (
-            cert.round_certified(vps, kind),
-            cert.round_zero_merge(vps, kind),
-        )
 
     def _run_recorder(
         self,
@@ -330,12 +360,14 @@ class _WorkerDo:
         node_key,
         hold: bool = False,
         encode: bool = True,
-    ) -> dict | None:
-        """Advance my VPs of ``nodes`` under a fresh recorder; encode it.
-        Under ``hold`` the recorder is retained for the parent's commit
-        command and the encoded report omits the operation stream.
-        ``encode=False`` (crash-recovery replay) skips the report
-        entirely and returns None."""
+    ) -> tuple:
+        """Advance my VPs of ``nodes`` under a fresh recorder; returns
+        its encoded report and the number of VPs advanced.  Under
+        ``hold`` the recorder is retained for the parent's commit
+        command and the report omits the operation stream.
+        ``encode=False`` (crash-recovery replay) skips the report — and
+        the plan table, whose ids the parent only learns from reports —
+        and returns None for it."""
         rt = self.rt
         recorder = PhaseRecorder(kind)
         rt.phase = recorder
@@ -355,11 +387,12 @@ class _WorkerDo:
         finally:
             rt.phase = None
         self.pending[node_key] = recorder.collective_slots
+        report = plan = None
+        if encode:
+            report, plan = self._encode(recorder, vp_states, hold)
         if hold:
-            self.held[node_key] = recorder
-        if not encode:
-            return None
-        return self._encode(recorder, vp_states, include_ops=not hold)
+            self.held[node_key] = (recorder, plan or _RoundPlan(None))
+        return report, len(vp_states)
 
     def _encode_ops(self, ops: list) -> list:
         enc = self.enc
@@ -378,9 +411,13 @@ class _WorkerDo:
             for ev in ops
         ]
 
-    def _encode(
-        self, recorder: PhaseRecorder, vp_states: list, include_ops: bool = True
-    ) -> dict:
+    def _encode(self, recorder: PhaseRecorder, vp_states: list, hold: bool) -> tuple:
+        """One round's report and the plan of its phase shape.  What
+        changes round to round always travels: per-VP state, collective
+        contributions and — unless held — the operation stream.  What
+        the access signature fixes travels once: the shape's first
+        round ships the footprints (and, held, the written targets)
+        with the new plan's id, every repeat ships the id alone."""
         enc = self.enc
         payload = {
             "vps": vp_states,
@@ -390,22 +427,28 @@ class _WorkerDo:
                 if slot.entries
             ],
         }
-        if include_ops:
+        if not hold:
             payload["ops"] = self._encode_ops(recorder.write_ops)
-        else:
-            # Hold mode: the parent pre-swaps the written targets
-            # before the commit command, so it needs the target list
-            # (not the operations) up front.
-            payload["wtargets"] = sorted(
-                {(ev.shared.name, ev.instance) for ev in recorder.write_ops},
-                key=lambda t: (t[0], -1 if t[1] is None else t[1]),
-            )
+        signature = recorder.signature(hold)
+        plan = self.plans.get(signature)
+        if plan is not None:
+            payload["rec_plan"] = plan.pid
+            return payload, plan
+        plan = self.plans[signature] = _RoundPlan(len(self.plans))
+        payload["rec_new"] = plan.pid
+        if hold:
+            # The parent pre-swaps the written targets before the
+            # commit command, so it needs the target list (not the
+            # operations) up front.
+            payload["wtargets"] = {
+                (ev.shared.name, ev.instance) for ev in recorder.write_ops
+            }
         # Access footprints travel as (variable, row spec, element
         # count), one run per node mark, in recording order.
         def footprints(specs):
             return [(s.shared.name, enc.spec(s), s.elems) for s in specs]
 
-        runs = []
+        runs = payload["runs"] = []
         r0 = w0 = 0
         for node_id, r1, w1 in recorder.marks:
             runs.append(
@@ -416,34 +459,8 @@ class _WorkerDo:
                 )
             )
             r0, w0 = r1, w1
-        recs = {"runs": runs, "nwe": dict(recorder.node_write_elems)}
-        # Record-structure plan cache: once every spec in the encoding
-        # is an interned reference, the structure is hashable and an
-        # exact repeat ships as a plan id.  (A first mention carries a
-        # raw ndarray and falls out via TypeError — shipped in full,
-        # cacheable from the next round on.)
-        pid = None
-        key = None
-        try:
-            key = (
-                tuple((nid, tuple(rd), tuple(wr)) for nid, rd, wr in runs),
-                tuple(sorted(recs["nwe"].items())),
-            )
-            pid = self._rec_plans.get(key)
-        except TypeError:
-            key = None
-        if pid is not None:
-            payload["rec_plan"] = pid
-            self.rec_hits += 1
-        else:
-            if key is not None:
-                pid = self._rec_next
-                self._rec_next += 1
-                self._rec_plans[key] = pid
-                payload["rec_new"] = pid
-            self.rec_misses += 1
-            payload.update(recs)
-        return payload
+        payload["nwe"] = dict(recorder.node_write_elems)
+        return payload, plan
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -462,6 +479,21 @@ class _WorkerDo:
                 total += ev.rows.array.nbytes
             total += 64
         return total
+
+    def _written_rows(self, recorder: PhaseRecorder, plan: _RoundPlan) -> list:
+        """``(proxy, instance, sorted unique rows)`` per target my
+        shard's held operations write — what a verified digest covers
+        and a restored commit resets; fixed by the phase shape, so kept
+        on its plan."""
+        if plan.rows is None:
+            specs: dict = {}
+            for ev in recorder.write_ops:
+                specs.setdefault((ev.shared, ev.instance), []).append(ev.rows)
+            plan.rows = [
+                (sv, instance, union_rows(rows, sv.shape[0]))
+                for (sv, instance), rows in specs.items()
+            ]
+        return plan.rows
 
     def commit(self, cmd: dict) -> dict:
         """Parent's commit command for the preceding hold-mode round.
@@ -482,31 +514,24 @@ class _WorkerDo:
         attachment, pristine) into the post-swap target, resetting
         exactly this shard's rows; conflict-freedom certification
         guarantees no other worker's rows are touched."""
-        restore = cmd.get("restore", False)
         saved = []
-        if restore:
+        if cmd.get("restore", False):
             for node_key, decision in cmd["groups"]:
-                recorder = self.held.get(node_key)
-                if recorder is None or decision == "ship":
+                held = self.held.get(node_key)
+                if held is None or decision == "ship":
                     continue
-                groups: dict = {}
-                for ev in recorder.write_ops:
-                    groups.setdefault((id(ev.shared), ev.instance), []).append(ev)
-                for evs in groups.values():
-                    sv = evs[0].shared
-                    instance = evs[0].instance
-                    pristine = sv._data if instance is None else sv._data[instance]
-                    rows = self._footprint((sv.name, instance), evs)
-                    saved.append((sv, instance, rows, pristine[rows].copy()))
+                for sv, instance, rows in self._written_rows(*held):
+                    saved.append(
+                        (sv, instance, rows, _bound_store(sv, instance)[rows].copy())
+                    )
         for name, instance, segment_name in cmd["remaps"]:
             self._rebind(self.proxies[name], instance, segment_name)
         for sv, instance, rows, vals in saved:
-            target = sv._data if instance is None else sv._data[instance]
-            target[rows] = vals
+            _bound_store(sv, instance)[rows] = vals
         verify = cmd.get("verify", False)
         replies = []
         for node_key, decision in cmd["groups"]:
-            recorder = self.held.pop(node_key, None)
+            recorder, plan = self.held.pop(node_key, (None, None))
             if recorder is None:
                 replies.append((node_key, {"ops_n": 0}))
             elif decision == "ship":
@@ -514,60 +539,47 @@ class _WorkerDo:
                     (node_key, {"ops": self._encode_ops(recorder.write_ops)})
                 )
             else:
-                replies.append((node_key, self._commit_local(recorder, verify)))
+                replies.append(
+                    (node_key, self._commit_local(recorder, plan, verify))
+                )
         return {"groups": replies}
 
-    def _commit_local(self, recorder: PhaseRecorder, verify: bool) -> dict:
+    def _commit_local(
+        self, recorder: PhaseRecorder, plan: _RoundPlan, verify: bool
+    ) -> dict:
         """Commit my shard's held operations in place.
 
         The round carried a zero-merge certificate, so across VPs the
         written rows are disjoint: each element of a target is only
         ever touched by one worker, and applying that worker's ops in
-        its own (rank, seq) order — through the very same plan/stream
-        code the parent's commit uses — produces bitwise-identical
-        stores to the global rank-ordered parent commit."""
+        its own (rank, seq) order — through the very loop the parent's
+        commit runs, the shape's recipe replayed on a repeat — produces
+        bitwise-identical stores to the global rank-ordered parent
+        commit.  Checksums (CRC-32 of the rows written) are computed
+        only for a parent that compares them."""
         plans = self.commit_plans
-        h0, m0 = plans.hits, plans.misses
-        ops = sorted(recorder.write_ops, key=_RANK_KEY)
-        groups: dict = {}
-        for ev in ops:
-            groups.setdefault((id(ev.shared), ev.instance), []).append(ev)
-        checksums = []
-        for evs in groups.values():
-            sv = evs[0].shared
-            instance = evs[0].instance
-            # The parent already ran copy-on-commit and shipped the
-            # remaps with this command; the proxy's store *is* the
-            # commit target (never sv._commit_target, which would
-            # detach the proxy from the segment).
-            target = sv._data if instance is None else sv._data[instance]
-            plans.apply(target, evs)
-            key = (sv.name, instance)
-            rows = self._footprint(key, evs)
-            crc = zlib.crc32(np.ascontiguousarray(target[rows]).tobytes())
-            checksums.append(
-                (sv.name, instance, crc, self.enc.array(rows) if verify else None)
-            )
-        return {
+        h0, m0 = plans.stats()
+        ops = recorder.write_ops
+        recorder.apply_writes(plans, plan=plan.commit, target_of=_bound_store)
+        digest = {
             "ops_n": len(ops),
             "bytes_avoided": self._ops_bytes(ops),
             "plan_hits": plans.hits - h0,
             "plan_misses": plans.misses - m0,
-            "checksums": checksums,
         }
-
-    def _footprint(self, key, evs: list) -> np.ndarray:
-        """Sorted unique rows my shard committed to this target,
-        cached across rounds while the target's commit plan (and hence
-        the access pattern) is unchanged."""
-        plan = self.commit_plans._plans.get(key)
-        cached = self._footprints.get(key)
-        if cached is not None and plan is not None and cached[0] is plan:
-            return cached[1]
-        rows = union_rows([ev.rows for ev in evs], evs[0].shared.shape[0])
-        if plan is not None:
-            self._footprints[key] = (plan, rows)
-        return rows
+        if verify:
+            digest["checksums"] = [
+                (
+                    sv.name,
+                    instance,
+                    zlib.crc32(
+                        np.ascontiguousarray(_bound_store(sv, instance)[rows]).tobytes()
+                    ),
+                    self.enc.array(rows),
+                )
+                for sv, instance, rows in self._written_rows(recorder, plan)
+            ]
+        return digest
 
 
 class _WorkerState:

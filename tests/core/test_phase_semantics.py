@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.apps.common import split_range
 from repro.config import testing as mkconfig
@@ -433,11 +434,15 @@ class TestProgramStructure:
 # ----------------------------------------------------------------------
 # R1 outlives the phase: a read result keeps its phase-start values
 # ----------------------------------------------------------------------
-# Ten ways to keep a basic-index read alive across a ``yield``.  Each
-# kernel increments its chunk in phase 1 and copies the *kept* read to
-# ``out`` in phase 2; the commit in between must not write the buffer
-# the kept view aliases.  Module level: the process executor pickles
-# kernels.
+# Eighteen ways to keep a basic-index read alive across a ``yield``.
+# Each kernel increments its chunk in phase 1 and copies the *kept*
+# read to ``out`` in phase 2; the commit in between must not write the
+# buffer the kept view aliases.  The process executor swaps a buffer
+# only while a worker still references it (docs/PARALLEL.md, "When a
+# segment swaps"), so the later kernels hold the read through objects
+# that are not the read result itself — and one holds it across phases
+# that never touch the variable.  Module level: the process executor
+# pickles kernels.
 
 _N = 16
 
@@ -538,6 +543,85 @@ def keep_walrus_in_call(ctx, A, out):
     out[lo:hi] = v
 
 
+def keep_derived_parent_dropped(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi]
+    w = v[::1]
+    del v
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = w
+
+
+def keep_memoryview(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = memoryview(A[lo:hi])
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = np.asarray(v)
+
+
+def keep_frombuffer(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = np.frombuffer(A[lo:hi])
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def keep_strided(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = as_strided(A[lo:hi], shape=(hi - lo,), strides=A[lo:hi].strides)
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def keep_window(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = sliding_window_view(A[lo:hi], 1)
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v[:, 0]
+
+
+def keep_iter(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = iter(A[lo:hi].reshape(1, -1))
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = next(v)
+
+
+def keep_newaxis(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi][..., None]
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = v[:, 0]
+
+
+def keep_across_idle_phases(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi]
+    yield ctx.global_phase
+    out[lo:hi] = 0.0  # the variable itself is left alone ...
+    yield ctx.global_phase
+    out[lo:hi] = -1.0  # ... for two whole phases
+    yield ctx.global_phase
+    A[lo:hi] = v + 1
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
 def _main_kept_reads(ppm, kernel):
     A = ppm.global_shared("A", _N)
     out = ppm.global_shared("out", _N)
@@ -558,8 +642,9 @@ def _main_kept_reads(ppm, kernel):
 
 class TestReadsOutliveCommits:
     """SEMANTICS.md R1: a read result keeps its phase-start values for
-    as long as it is referenced — copy-on-commit is unconditional, on
-    global and node shared arrays, inline and in worker processes."""
+    as long as it is referenced; the commit never writes a buffer a
+    live view aliases — on global and node shared arrays, inline and
+    in worker processes."""
 
     @pytest.mark.parametrize(
         "engine",
@@ -579,6 +664,14 @@ class TestReadsOutliveCommits:
             keep_list_of_tuple,
             keep_zip,
             keep_walrus_in_call,
+            keep_derived_parent_dropped,
+            keep_memoryview,
+            keep_frombuffer,
+            keep_strided,
+            keep_window,
+            keep_iter,
+            keep_newaxis,
+            keep_across_idle_phases,
         ],
         ids=lambda k: k.__name__,
     )

@@ -11,6 +11,7 @@ processes by pickling (locally-defined closures raise ``PPM501``; see
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
 
 import numpy as np
@@ -22,6 +23,7 @@ from repro.core import run_ppm
 from repro.core.errors import ParallelConfigError
 from repro.machine import Cluster
 from repro.parallel.backend import LAST_RUN_STATS
+from tests.reference import commit_oracle
 
 
 def _cluster(n_nodes=2, cores=2, **cfg):
@@ -71,15 +73,20 @@ def conflict_kernel(ctx, A):
 
 def near_miss_kernel(ctx, S, G, H, N):
     """Rounds that differ from their predecessor in exactly one thing
-    a parent-side phase plan could overlook (rounds 0/1 are identical:
-    the one legitimate repeat).  Written in the chunk algebra the
-    verifier certifies, so the global rounds are *held*: the parent
-    sees their access records but never their operations."""
+    a phase plan could overlook (rounds 0/1 are identical: the one
+    legitimate repeat).  Written in the chunk algebra the verifier
+    certifies, so the global rounds are *held*: the parent sees their
+    access records but never their operations, and the worker commits
+    them through the plan it keeps per phase shape — the later rounds
+    write through index arrays, whose commit is a compiled last-writer
+    run a wrongly shared plan would get wrong."""
     node_lo, node_hi = G.local_range(ctx.node_id)
     lo, hi = split_range(node_hi - node_lo, ctx.node_vp_count)[ctx.node_rank]
     lo, hi = node_lo + lo, node_lo + hi
     far = (lo + len(G) // 2) % len(G)
     a, b = split_range(len(N), ctx.node_vp_count)[ctx.node_rank]
+    rows = np.arange(lo, hi)
+    head = rows[:1]
     yield ctx.global_phase
     G[lo:hi] = S[lo:hi] + 1.0
     yield ctx.global_phase
@@ -94,6 +101,67 @@ def near_miss_kernel(ctx, S, G, H, N):
     yield ctx.global_phase
     H[lo:hi] = S[far : far + hi - lo] + 6.0
     N[a:b, 0] = 2.0  # ... and shrink to one column
+    yield ctx.global_phase
+    G[rows] = S[lo:hi] + 7.0
+    G[head] = -7.0
+    yield ctx.global_phase
+    H[rows] = S[lo:hi] + 8.0  # same index arrays, other variable
+    H[head] = -8.0
+    yield ctx.global_phase
+    H[head] = -9.0  # same rows, the two writers swapped
+    H[rows] = S[lo:hi] + 9.0
+    yield ctx.global_phase
+    G.accumulate(rows, S[lo:hi], "add")
+    yield ctx.global_phase
+    G.accumulate(rows, S[lo:hi], "maximum")  # same rows, other operator
+
+
+def near_miss_reference():
+    """``main_near_miss`` by ``tests/reference.py``: every phase commits
+    each target's operations VP by VP, in program order."""
+    S = np.arange(32.0)
+    vps = []  # (node, own rows, remote rows, own index array, N rows)
+    for lo in range(0, 32, 8):
+        far = (lo + 16) % 32
+        a = lo % 16 // 4
+        vps.append(
+            (lo // 16, slice(lo, lo + 8), slice(far, far + 8),
+             np.arange(lo, lo + 8), slice(a, a + 2))
+        )
+    phases = [  # per VP: {target: [(kind, rows, values, op), ...]}
+        lambda n, own, far, rows, nr: {"G": [("write", own, S[own] + 1.0, None)]},
+        lambda n, own, far, rows, nr: {"G": [("write", own, S[own] + 2.0, None)]},
+        lambda n, own, far, rows, nr: {"G": [("write", own, S[far] + 3.0, None)]},
+        lambda n, own, far, rows, nr: {"H": [("write", own, S[far] + 4.0, None)]},
+        lambda n, own, far, rows, nr: {
+            "H": [("write", own, S[far] + 5.0, None)],
+            ("N", n): [("write", nr, 1.0, None)],
+        },
+        lambda n, own, far, rows, nr: {
+            "H": [("write", own, S[far] + 6.0, None)],
+            ("N", n): [("write", (nr, 0), 2.0, None)],
+        },
+        lambda n, own, far, rows, nr: {
+            "G": [("write", rows, S[own] + 7.0, None), ("write", rows[:1], -7.0, None)]
+        },
+        lambda n, own, far, rows, nr: {
+            "H": [("write", rows, S[own] + 8.0, None), ("write", rows[:1], -8.0, None)]
+        },
+        lambda n, own, far, rows, nr: {
+            "H": [("write", rows[:1], -9.0, None), ("write", rows, S[own] + 9.0, None)]
+        },
+        lambda n, own, far, rows, nr: {"G": [("accumulate", rows, S[own], "add")]},
+        lambda n, own, far, rows, nr: {"G": [("accumulate", rows, S[own], "maximum")]},
+    ]
+    state = {
+        "G": np.zeros(32), "H": np.zeros(32),
+        ("N", 0): np.zeros((4, 2)), ("N", 1): np.zeros((4, 2)),
+    }
+    for phase in phases:
+        per_vp = [phase(*vp) for vp in vps]
+        for key in state:
+            state[key] = commit_oracle(state[key], [ops.get(key, []) for ops in per_vp])
+    return state["G"], state["H"], state[("N", 0)], state[("N", 1)]
 
 
 def main_near_miss(ppm):
@@ -220,27 +288,39 @@ class TestSemantics:
 
     @pytest.mark.parametrize("zero_merge", [True, False])
     def test_parent_side_phase_plans_tell_near_misses_apart(
-        self, zero_merge, ship_records
+        self, zero_merge, ship_records, monkeypatch
     ):
-        """The parent's recorder is filled from worker reports; its
-        phase plans must hit on the one true repeat and on nothing
-        that merely has the same counts (held rounds show the parent
-        no operation stream at all)."""
+        """The parent's recorder is filled from worker reports and a
+        held round commits through the worker's own plan; both must
+        hit on the one true repeat and on nothing that merely has the
+        same counts (held rounds show the parent no operation stream
+        at all) — checked with and without the parent re-reading every
+        row a worker committed."""
         ppm1, r1 = run_ppm(main_near_miss, _cluster())
-        with contextlib.nullcontext() if zero_merge else ship_records():
-            ppm2, r2 = run_ppm(
-                main_near_miss, _cluster(), executor="process", workers=2
-            )
-        for a, b in zip(r1, r2):
+        for a, b in zip(r1, near_miss_reference()):
             np.testing.assert_array_equal(a, b)
-        assert ppm1.elapsed == ppm2.elapsed
-        assert [p.node_timings for p in ppm1.profile] == [
-            p.node_timings for p in ppm2.profile
-        ]
-        for rt in (ppm1.runtime, ppm2.runtime):
-            assert (rt.stats_phase_plan_hits, rt.stats_phase_plan_misses) == (1, 5)
-        if zero_merge:
-            assert LAST_RUN_STATS["zm_rounds"] >= 4  # the held rounds
+        for verify in ("", "1") if zero_merge else ("",):
+            monkeypatch.setenv("PPM_ZERO_MERGE_VERIFY", verify)
+            with contextlib.nullcontext() if zero_merge else ship_records():
+                ppm2, r2 = run_ppm(
+                    main_near_miss, _cluster(), executor="process", workers=2
+                )
+            for a, b in zip(r1, r2):
+                np.testing.assert_array_equal(a, b)
+            assert ppm1.elapsed == ppm2.elapsed
+            assert [p.node_timings for p in ppm1.profile] == [
+                p.node_timings for p in ppm2.profile
+            ]
+            # A held accumulate shows the parent its footprint but not
+            # its operator, so the last round repeats its predecessor
+            # there: same traffic, same costs, nothing to commit.
+            rt1, rt2 = ppm1.runtime, ppm2.runtime
+            assert (rt1.stats_phase_plan_hits, rt1.stats_phase_plan_misses) == (1, 10)
+            assert (rt2.stats_phase_plan_hits, rt2.stats_phase_plan_misses) == (
+                (2, 9) if zero_merge else (1, 10)
+            )
+            if zero_merge:
+                assert LAST_RUN_STATS["zm_rounds"] >= 9  # the held rounds
 
     def test_multi_do_reuses_pool(self):
         ppm1, r1 = run_ppm(main_multi_do, _cluster())
@@ -292,3 +372,18 @@ class TestSemantics:
         from repro.parallel.backend import default_workers
 
         assert 2 <= default_workers() <= 8
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no affinity mask here"
+    )
+    def test_default_workers_counts_the_cores_it_may_use(self, monkeypatch):
+        from repro.parallel.backend import default_workers
+
+        allowed = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the host's, not ours
+        assert default_workers() == max(2, min(8, len(allowed)))
+        try:
+            os.sched_setaffinity(0, {min(allowed)})
+            assert default_workers() == 2
+        finally:
+            os.sched_setaffinity(0, allowed)

@@ -19,12 +19,17 @@ records ever cross the pipe.  These tests pin down the contract:
   parent recomputes every committed-rows checksum, and a mismatch
   raises;
 * **plan cache** — the worker-side commit-plan cache converges to a
-  high hit rate on iterative solvers.
+  high hit rate on iterative solvers;
+* **segment swaps** — copy-on-commit moves a store to a fresh segment
+  only while a worker still references a view of the old one: the
+  reference-count primitive that tells, and exact swap counts.
 """
 
 from __future__ import annotations
 
 import pickle
+import sys
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -32,6 +37,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.cg import build_chimney_problem, ppm_cg_solve
+from repro.apps.cg.ppm_cg import _cg_kernel
+from repro.apps.common import split_range
 from repro.apps.graph import hashed_graph, ppm_bfs
 from repro.apps.multigrid import build_mg_problem, ppm_mg_solve
 from repro.config import manycore, testing as mkconfig
@@ -278,3 +285,108 @@ class TestPlanCache:
         # hits on every later round; 12 CG iterations make warm-up
         # noise small.
         assert rate >= 0.85, (hits, misses)
+
+
+# ----------------------------------------------------------------------
+# Segment swaps: only under a live view
+# ----------------------------------------------------------------------
+
+def _own_rows(ctx, A):
+    return split_range(len(A), ctx.global_vp_count)[ctx.global_rank]
+
+
+def drop_then_write_kernel(ctx, A, out):
+    """Keeps a view across exactly one phase boundary, drops it, and
+    first writes the variable two phases later."""
+    lo, hi = _own_rows(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi]
+    yield ctx.global_phase
+    out[lo:hi] = v
+    del v
+    yield ctx.global_phase
+    out[lo:hi] = out[lo:hi] + 1.0
+    yield ctx.global_phase
+    A[lo:hi] = A[lo:hi] + 1.0
+
+
+def hold_to_the_end_kernel(ctx, A, out):
+    lo, hi = _own_rows(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi]
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
+def write_kernel(ctx, A, out):
+    lo, hi = _own_rows(ctx, A)
+    yield ctx.global_phase
+    A[lo:hi] = out[lo:hi] + 1.0
+
+
+class TestSegmentSwaps:
+    def test_snapshot_array_counts_its_readers(self):
+        """What a worker reads liveness from: a read-only array built
+        straight over the segment buffer is the ``base`` of every view
+        derived from it, at any depth, so its reference count returns
+        to the floor exactly when the last of them dies."""
+        segment = shared_memory.SharedMemory(create=True, size=8 * 8)
+        try:
+            ro = np.ndarray((8,), dtype=np.float64, buffer=segment.buf)
+            ro.flags.writeable = False
+            floor = sys.getrefcount(ro)
+            readers = [ro[1:3], ro[1:3][::2], np.flip(ro[1:3])]
+            assert all(r.base is ro for r in readers)
+            assert sys.getrefcount(ro) == floor + len(readers)
+            while readers:
+                readers.pop()
+                assert sys.getrefcount(ro) == floor + len(readers)
+            del ro
+        finally:
+            segment.close()
+            segment.unlink()
+
+    def test_cg_swaps_once_per_solve(self):
+        """``_cg_kernel`` keeps ``r_chunk`` (a view of ``cg_r``) for the
+        whole solve: the first commit of ``cg_r`` swaps, and nothing
+        else ever does — every other read dies inside its phase."""
+        prob = build_chimney_problem(6, 6, 4, seed=7)
+
+        def main(ppm):
+            n = prob.n
+            xs, rs, ps, qs = (ppm.global_shared(f"cg_{v}", n) for v in "xrpq")
+            stats = ppm.global_shared("cg_stats", 3)
+            rs[:] = prob.b
+            ps[:] = prob.b
+            ppm.do(
+                2 * ppm.cores_per_node, _cg_kernel,
+                prob.A, xs, rs, ps, qs, stats, float(np.sqrt(prob.b @ prob.b)), 6, 0.0,
+            )
+
+        ppm, _ = run_ppm(main, _cg_cluster(), executor="process", workers=2)
+        assert backend_mod.LAST_RUN_STATS["zm_rounds"] > 0
+        assert ppm.runtime.shm.swaps == 1
+
+    @pytest.mark.parametrize("second", [None, write_kernel])
+    def test_dropped_view_costs_no_swap(self, second):
+        """A buffer is guarded while a reader of it lives, not from the
+        first view on: not after the kernel dropped the view, and not
+        in a later ``do`` after the generators that held it are gone."""
+
+        def main(ppm):
+            A = ppm.global_shared("A", 16)
+            out = ppm.global_shared("out", 16)
+            A[:] = np.arange(16.0)
+            if second is None:
+                ppm.do(2, drop_then_write_kernel, A, out)
+            else:
+                ppm.do(2, hold_to_the_end_kernel, A, out)
+                ppm.do(2, second, A, out)
+            return A.committed, out.committed
+
+        cl = lambda: Cluster(mkconfig(n_nodes=2, cores_per_node=2))  # noqa: E731
+        _, inline = run_ppm(main, cl())
+        ppm, proc = run_ppm(main, cl(), executor="process", workers=2)
+        for a, b in zip(inline, proc):
+            np.testing.assert_array_equal(a, b)
+        assert ppm.runtime.shm.swaps == 0
