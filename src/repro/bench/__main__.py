@@ -59,19 +59,12 @@ EXPERIMENTS: dict[str, Callable] = {
 CLI_EXPERIMENTS: dict[str, Callable[[list], int]] = {}
 
 
-def _resilience_cli(argv: list) -> int:
-    from repro.bench import resilience as resilience_module
-
-    return resilience_module.main(argv)
-
-
 def _analyzer_cli(argv: list) -> int:
     from repro.bench import analyzer as analyzer_module
 
     return analyzer_module.main(argv)
 
 
-CLI_EXPERIMENTS["resilience"] = _resilience_cli
 CLI_EXPERIMENTS["analyzer"] = _analyzer_cli
 
 
@@ -81,7 +74,7 @@ def main(argv: list[str]) -> int:
             print(name)
         return 0
     # An experiment with its own CLI consumes everything after its
-    # name (e.g. ``resilience --executor process --small --check``).
+    # name (e.g. ``analyzer --check``).
     if argv and argv[0] in CLI_EXPERIMENTS and len(argv) > 1:
         return CLI_EXPERIMENTS[argv[0]](argv[1:])
     flags = [a for a in argv if a.startswith("-")]

@@ -20,6 +20,7 @@ happens inside ``ppm.do``.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -268,10 +269,10 @@ def run_ppm(
         :class:`~repro.parallel.supervisor.SupervisionPolicy` —
         fault-tolerant worker pool under ``executor="process"``: a
         crashed, hung or corrupted worker is detected at the phase-
-        round boundary, respawned, and its shard's round history
-        replayed, with committed arrays, simulated times and traces
-        staying bitwise-identical to a fault-free run.  When the
-        respawn budget runs out the run *degrades* (restarts with
+        round boundary and the driver re-executes in a fresh pool
+        (after a back-off), so committed arrays, simulated times and
+        reports equal a fault-free run's.  When the respawn budget
+        for a pool size runs out the run *degrades* (restarts with
         fewer workers or falls back to ``executor="inline"``) instead
         of crashing (docs/PARALLEL.md).  Requires
         ``executor="process"``
@@ -309,46 +310,63 @@ def run_ppm(
     if supervision is None:
         return _run_once(main, cluster, args, kwargs, resilient, opts)
 
-    # Supervised run: the degradation loop.  A _PoolDegradation escape
-    # (respawn budget exhausted) restarts the whole driver from scratch
-    # in a weaker configuration — fewer workers, ultimately the inline
-    # engine — rather than surfacing an error.  The restart is sound
-    # for the same reason resilience incarnations are: driver + kernel
-    # re-execute deterministically, and clocks/node memory reset so the
-    # final simulated times match an untroubled run of the final
-    # configuration.
-    from repro.obs.events import PoolDegraded
-    from repro.parallel.supervisor import SupervisionState, _PoolDegradation
+    # Supervised run: the restart loop.  A _PoolRestart escape (a
+    # worker failed) re-executes the whole driver from scratch — in a
+    # fresh pool of the same size after a back-off or, once the respawn
+    # budget for that size is spent, in a weaker configuration (fewer
+    # workers, ultimately the inline engine).  The restart is sound for
+    # the same reason resilience incarnations are: driver + kernel
+    # re-execute deterministically, and clocks, node memory and the
+    # machine trace rewind so the final simulated times and statistics
+    # match an untroubled run of the final configuration.
+    from repro.obs.events import PoolDegraded, WorkerRespawn
+    from repro.parallel.supervisor import SupervisionState, _PoolRestart
 
     state = opts["supervision_state"] = SupervisionState()
+    entry = cluster.trace.mark()
     while True:
+        t0 = time.perf_counter()
         try:
             return _run_once(main, cluster, args, kwargs, resilient, opts)
-        except _PoolDegradation as deg:
-            state.degradations += 1
-            if deg.mode == "shrink" and deg.workers_from - 1 >= 1:
-                workers_to = opts["workers"] = deg.workers_from - 1
-            else:
-                opts.update(executor="inline", supervision=None)
-                workers_to = 0
-            if trace is not None:
-                trace.emit(
-                    PoolDegraded(
-                        phase=-1,
-                        mode=deg.mode,
-                        workers_from=deg.workers_from,
-                        workers_to=workers_to,
-                    )
+        except _PoolRestart as sig:
+            if sig.mode == "respawn":
+                state.restarts_at_size += 1
+                time.sleep(supervision.retry.backoff(state.restarts_at_size))
+                host_s = time.perf_counter() - t0
+                state.respawns += 1
+                state.recovery_host_s += host_s
+                event = WorkerRespawn(
+                    phase=-1,
+                    worker=sig.worker,
+                    attempt=state.restarts_at_size,
+                    host_s=host_s,
                 )
+            else:
+                state.degradations += 1
+                state.restarts_at_size = 0
+                if sig.mode == "shrink" and sig.workers_from - 1 >= 1:
+                    workers_to = opts["workers"] = sig.workers_from - 1
+                else:
+                    opts.update(executor="inline", supervision=None)
+                    workers_to = 0
+                event = PoolDegraded(
+                    phase=-1,
+                    mode=sig.mode,
+                    workers_from=sig.workers_from,
+                    workers_to=workers_to,
+                )
+            if trace is not None:
+                trace.emit(event)
             cluster.reset_clocks()
+            cluster.trace.rewind(entry)
             for node in cluster:
                 node.memory.clear()
             state.publish()
 
 
 def _run_once(main, cluster, args, kwargs, resilient, opts):
-    """One complete driver execution (one pool configuration); the
-    body ``run_ppm`` wraps in its supervised degradation loop.
+    """One complete driver execution (one pool); the body ``run_ppm``
+    wraps in its supervised restart loop.
     ``resilient`` is ``(faults, checkpoint_every, resilience)``,
     ``opts`` the :class:`PpmProgram` engine options."""
     faults, checkpoint_every, resilience = resilient

@@ -162,7 +162,7 @@ class PpmRuntime:
         self.supervision = supervision
         #: Cross-restart supervision counters
         #: (:class:`repro.parallel.supervisor.SupervisionState`);
-        #: ``run_ppm``'s degradation loop threads one state object
+        #: ``run_ppm``'s restart loop threads one state object
         #: through pool restarts so the final report covers the whole
         #: run.  None means the backend creates a fresh one.
         self.supervision_state = supervision_state

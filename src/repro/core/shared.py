@@ -543,13 +543,7 @@ class GlobalShared(_SharedBase):
         return self._data[lo:hi]
 
     # -- commit protocol -------------------------------------------------
-    def _commit_target(
-        self,
-        instance: int | None,
-        *,
-        force: bool = False,
-        retain: bool = False,
-    ) -> np.ndarray:
+    def _commit_target(self, instance: int | None) -> np.ndarray:
         """The array buffered writes should apply to.
 
         Copy-on-commit guard: if any snapshot view of the current
@@ -557,13 +551,8 @@ class GlobalShared(_SharedBase):
         phase-start buffer first — the old buffer is never written
         again, so every outstanding view keeps observing phase-start
         values (dropped views just release it to the allocator).
-
-        ``force`` swaps even without outstanding views and ``retain``
-        keeps the superseded segment attachable — the supervised
-        process backend uses both so a pristine pre-commit copy always
-        exists to replay a crashed worker's commit from.
         """
-        if self._views_taken or force:
+        if self._views_taken:
             self._views_taken = False
             shm = self.runtime.shm
             if shm is None:
@@ -572,7 +561,7 @@ class GlobalShared(_SharedBase):
                 # Segment swap: workers holding snapshot views keep the
                 # retired segment mapped; they remap to the new name
                 # with their next round command.
-                self._data = shm.swap(self.name, None, retain=retain)
+                self._data = shm.swap(self.name, None)
             self._ro = self._data.view()
             self._ro.flags.writeable = False
             starts = self._starts
@@ -744,22 +733,16 @@ class NodeShared(_SharedBase):
         return cur.node_id
 
     # -- commit protocol -------------------------------------------------
-    def _commit_target(
-        self,
-        instance: int | None,
-        *,
-        force: bool = False,
-        retain: bool = False,
-    ) -> np.ndarray:
+    def _commit_target(self, instance: int | None) -> np.ndarray:
         """Node-level copy-on-commit (see
         :meth:`GlobalShared._commit_target`)."""
-        if self._views_taken[instance] or force:
+        if self._views_taken[instance]:
             self._views_taken[instance] = False
             shm = self.runtime.shm
             if shm is None:
                 self._data[instance] = self._data[instance].copy()
             else:
-                self._data[instance] = shm.swap(self.name, instance, retain=retain)
+                self._data[instance] = shm.swap(self.name, instance)
             ro = self._data[instance].view()
             ro.flags.writeable = False
             self._ro[instance] = ro

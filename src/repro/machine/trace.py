@@ -102,3 +102,15 @@ class Trace(EventBus):
         super().clear()
         self._messages.clear()
         self._bytes.clear()
+
+    def mark(self) -> tuple:
+        """The log's current extent, for :meth:`rewind`."""
+        return len(self.events), dict(self._messages), dict(self._bytes)
+
+    def rewind(self, mark: tuple) -> None:
+        """Forget everything recorded since ``mark`` was taken (a
+        restarted run abandons the traffic of the failed attempt)."""
+        n_events, messages, nbytes = mark
+        del self.events[n_events:]
+        self._messages = Counter(messages)
+        self._bytes = Counter(nbytes)

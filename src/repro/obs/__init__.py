@@ -42,7 +42,6 @@ from repro.obs.events import (
     PoolDegraded,
     Recovery,
     RetryAttempt,
-    RoundReplay,
     VpScheduled,
     WorkerCrash,
     WorkerRespawn,
@@ -87,7 +86,6 @@ __all__ = [
     "Recovery",
     "ResilienceSummary",
     "RetryAttempt",
-    "RoundReplay",
     "RunReport",
     "SupervisionSummary",
     "VpScheduled",

@@ -23,9 +23,8 @@ Event              Emitted from             One per
 `WorkerSpan`       parallel/backend.py      (phase round, worker process)
 `ZeroMergeCommit`  parallel/backend.py      phase group committed in place
 `WorkerCrash`      parallel/supervisor.py   worker failure detected
-`WorkerRespawn`    parallel/supervisor.py   worker process respawned
-`RoundReplay`      parallel/supervisor.py   respawned worker caught up
-`PoolDegraded`     parallel/supervisor.py   pool degraded after budget
+`WorkerRespawn`    core/program.py          run restarted, same pool size
+`PoolDegraded`     core/program.py          run restarted, weaker pool
 `FaultInjected`    resilience/manager.py    fault the injector fired
 `RetryAttempt`     resilience/retry.py      re-sent bundle flight
 `CheckpointTaken`  resilience/checkpoint.py coordinated checkpoint
@@ -281,33 +280,19 @@ class WorkerCrash(Event):
 
 @dataclass(frozen=True)
 class WorkerRespawn(Event):
-    """The supervisor respawned one failed worker process.
+    """The pool came back: after a worker failure the run restarted
+    in a fresh pool of the same size.
 
-    ``attempt`` is the 1-based respawn count for this worker across
-    the run (the respawn budget bounds its sum over all workers);
-    ``host_s`` the host wall-clock seconds from failure detection to
-    the fresh process being initialised (backoff included)."""
+    ``worker`` is the (first) failed worker; ``attempt`` the 1-based
+    restart ordinal at this pool size (``max_respawns`` bounds it);
+    ``host_s`` what the recovery cost — the host wall-clock seconds of
+    the abandoned attempt plus the back-off slept.  ``phase`` is
+    ``-1``: the event sits between two executions of the driver."""
 
     kind: ClassVar[str] = "worker_respawn"
 
     worker: int
     attempt: int
-    host_s: float
-
-
-@dataclass(frozen=True)
-class RoundReplay(Event):
-    """A respawned worker replayed the current do's logged rounds to
-    rebuild its generator and held-recorder state, then re-executed
-    the interrupted command.
-
-    ``rounds`` counts the replayed round commands; ``host_s`` is the
-    host wall-clock seconds the replay took on the worker."""
-
-    kind: ClassVar[str] = "round_replay"
-
-    worker: int
-    rounds: int
     host_s: float
 
 
@@ -421,7 +406,6 @@ EVENT_TYPES: dict[str, type[Event]] = {
         ZeroMergeCommit,
         WorkerCrash,
         WorkerRespawn,
-        RoundReplay,
         PoolDegraded,
         FaultInjected,
         RetryAttempt,

@@ -308,8 +308,7 @@ def format_report(report: RunReport) -> str:
         lines.append(
             f"worker failures: {sv.failures} "
             f"({sv.crashes} crash, {sv.hangs} hang, {sv.corrupt} corrupt)   "
-            f"respawns: {sv.respawns}   replayed rounds: "
-            f"{sv.replayed_rounds}"
+            f"respawns: {sv.respawns}"
         )
         lines.append(
             f"degradations: {sv.degradations}   "
@@ -425,7 +424,6 @@ def report_to_dict(report: RunReport) -> dict:
                     "corrupt": report.supervision.corrupt,
                     "failures": report.supervision.failures,
                     "respawns": report.supervision.respawns,
-                    "replayed_rounds": report.supervision.replayed_rounds,
                     "degradations": report.supervision.degradations,
                     "recovery_host_s": report.supervision.recovery_host_s,
                 }

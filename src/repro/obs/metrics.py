@@ -41,7 +41,6 @@ from repro.obs.events import (
     PoolDegraded,
     Recovery,
     RetryAttempt,
-    RoundReplay,
     VpScheduled,
     WorkerCrash,
     WorkerRespawn,
@@ -179,8 +178,7 @@ class SupervisionSummary:
     """Run-level aggregates of the worker-supervision event stream
     (present on a :class:`RunReport` only when the trace carries
     :class:`~repro.obs.events.WorkerCrash`,
-    :class:`~repro.obs.events.WorkerRespawn`,
-    :class:`~repro.obs.events.RoundReplay` or
+    :class:`~repro.obs.events.WorkerRespawn` or
     :class:`~repro.obs.events.PoolDegraded` events, i.e. the run used
     ``run_ppm(..., supervision=...)`` and the supervisor actually
     intervened).
@@ -188,22 +186,19 @@ class SupervisionSummary:
     * **crashes** / **hangs** / **corrupt** — detected worker failures
       by kind (closed pipe, reply-deadline overrun, undeserialisable
       reply).
-    * **respawns** — replacement workers forked (and their init
-      handshake completed).
-    * **replayed_rounds** — phase-round commands re-executed to rebuild
-      respawned shards' generator state.
-    * **degradations** — pool restarts in a weaker configuration after
-      an exhausted respawn budget.
-    * **recovery_host_s** — real (host wall-clock) seconds spent inside
-      recovery; like :class:`WorkerUtilization` durations, not
-      simulated time.
+    * **respawns** — restarts of the run in a fresh pool of the same
+      size.
+    * **degradations** — restarts in a weaker configuration after an
+      exhausted respawn budget.
+    * **recovery_host_s** — real (host wall-clock) seconds recovery by
+      restart cost (abandoned attempts plus back-off); like
+      :class:`WorkerUtilization` durations, not simulated time.
     """
 
     crashes: int
     hangs: int
     corrupt: int
     respawns: int
-    replayed_rounds: int
     degradations: int
     recovery_host_s: float
 
@@ -278,7 +273,7 @@ class RunReport:
     round committed worker-side."""
     supervision: SupervisionSummary | None = None
     """Aggregates of the worker-supervision event stream (crashes,
-    respawns, replays, degradations); None when the supervisor never
+    respawns, degradations); None when the supervisor never
     intervened."""
 
     # -- construction --------------------------------------------------
@@ -288,6 +283,12 @@ class RunReport:
 
         Only phases with a :class:`PhaseCommit` appear (a run aborted
         mid-phase contributes its completed phases only).
+
+        A supervised restart (:class:`WorkerRespawn` /
+        :class:`PoolDegraded`) re-executes the driver from scratch with
+        zeroed clocks, so everything but the supervision counters
+        starts over there: a recovered run reports like the fault-free
+        run it is.
         """
         begins: dict[int, PhaseBegin] = {}
         commits: dict[int, PhaseCommit] = {}
@@ -309,8 +310,7 @@ class RunReport:
         zm = {"commits": 0, "ops": 0, "plan_hits": 0, "plan_misses": 0,
               "bytes_avoided": 0}
         sup = {"crashes": 0, "hangs": 0, "corrupt": 0, "respawns": 0,
-               "replayed_rounds": 0, "degradations": 0,
-               "recovery_host_s": 0.0}
+               "degradations": 0, "recovery_host_s": 0.0}
         saw_supervision = False
 
         def bucket(phase: int) -> dict:
@@ -386,17 +386,20 @@ class RunReport:
                     sup["corrupt"] += 1
                 else:
                     sup["crashes"] += 1
-            elif isinstance(ev, WorkerRespawn):
+            elif isinstance(ev, (WorkerRespawn, PoolDegraded)):
                 saw_supervision = True
-                sup["respawns"] += 1
-                sup["recovery_host_s"] += ev.host_s
-            elif isinstance(ev, RoundReplay):
-                saw_supervision = True
-                sup["replayed_rounds"] += ev.rounds
-                sup["recovery_host_s"] += ev.host_s
-            elif isinstance(ev, PoolDegraded):
-                saw_supervision = True
-                sup["degradations"] += 1
+                if isinstance(ev, WorkerRespawn):
+                    sup["respawns"] += 1
+                    sup["recovery_host_s"] += ev.host_s
+                else:
+                    sup["degradations"] += 1
+                # What the abandoned attempt recorded is not part of
+                # the run that follows.
+                for per_attempt in (begins, commits, acc, spans):
+                    per_attempt.clear()
+                zm = dict.fromkeys(zm, 0)
+                res = {k: type(v)() for k, v in res.items()}
+                saw_resilience = False
 
         reports = []
         for phase in sorted(commits):

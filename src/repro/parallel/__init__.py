@@ -22,7 +22,7 @@ Public surface
   used when ``workers=None``;
 * :class:`~repro.parallel.supervisor.SupervisionPolicy` /
   :class:`~repro.parallel.supervisor.WorkerSupervisor` — fault-tolerant
-  worker pool: crash/hang detection, respawn-and-replay recovery and
+  worker pool: crash/hang detection, recovery by restart and
   graceful degradation (``run_ppm(..., supervision=...)``);
 * :class:`~repro.parallel.supervisor.ProcessChaos` — deterministic
   real-process fault injection (SIGKILL/SIGSTOP at round boundaries)

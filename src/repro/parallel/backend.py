@@ -67,8 +67,8 @@ class ProcessBackend:
         self._pool = WorkerPool(
             self.n_workers, {"config": runtime.cluster.config}
         )
-        # Worker supervision (crash recovery): the supervisor logs the
-        # dispatched commands and the pool hands it detected failures.
+        # Worker supervision: the pool hands the supervisor the
+        # failures it detects, and the run restarts.
         self.supervisor = None
         if getattr(runtime, "supervision", None) is not None:
             from repro.parallel.supervisor import (
@@ -174,7 +174,7 @@ class ProcessBackend:
         self._hold_wtargets = {}
         self._commit_replies = None
         if self.supervisor is not None:
-            self.supervisor.begin_do(common, payloads)
+            self.supervisor.begin_do(p["shard"] for p in payloads)
         self._pool.roundtrip("do_start", None, per_worker=payloads)
 
     def _may_hold(self) -> bool:
@@ -188,21 +188,10 @@ class ProcessBackend:
             rt.sanitizer is None or rt.sanitize_auto
         )
 
-    def _shared_specs(self, overrides=None) -> list:
-        """The shared-variable -> segment map shipped with do_start.
-
-        ``overrides`` maps ``(name, instance)`` to a segment name that
-        replaces the registry's current one — the supervisor passes the
-        *retained* pre-swap names here when respawning a worker inside
-        a zero-merge commit window, so the replacement replays against
-        the pristine pre-commit state."""
+    def _shared_specs(self) -> list:
+        """The shared-variable -> segment map shipped with do_start."""
         rt = self.rt
-        overrides = overrides or {}
-
-        def seg(name, instance):
-            hit = overrides.get((name, instance))
-            return hit if hit is not None else rt.shm.segment_of(name, instance)
-
+        seg = rt.shm.segment_of
         specs = []
         for name, sv in rt.shared_registry.items():
             if isinstance(sv, NodeShared):
@@ -216,14 +205,6 @@ class ProcessBackend:
                     (name, "global", sv.shape, sv.dtype, seg(name, None))
                 )
         return specs
-
-    def reset_worker_decode(self, w: int) -> None:
-        """Drop worker ``w``'s decode interning tables (respawn: the
-        replacement's ``id()`` values can collide with the dead
-        worker's, so a stale cached spec would silently alias)."""
-        self._arrays[w] = {}
-        self._specs[w] = {}
-        self._rec_cache[w] = {}
 
     def _replace_views(self, views) -> None:
         """Make ``views`` — the (variable, instance) pairs some worker
@@ -253,7 +234,6 @@ class ProcessBackend:
         """Release per-do worker state; best-effort because this runs
         in the ``finally`` of ``do`` with any real error propagating."""
         self._pool.best_effort("do_end", None)
-        self.rt.shm.release_retained()
         self.rt.shm.sweep()
         if self.supervisor is not None:
             self.supervisor.end_do()
@@ -309,8 +289,6 @@ class ProcessBackend:
         self._hold_wtargets = {}
         self._commit_replies = None
         self._coll_outbox = []
-        if self.supervisor is not None:
-            self.supervisor.log_round(cmd)
         replies = self._pool.roundtrip("round", cmd)
         # Before any commit of this round, held or shipped: the
         # copy-on-commit guard is what the workers hold *now*.
@@ -453,13 +431,6 @@ class ProcessBackend:
         the decisions."""
         rt = self.rt
         registry = rt.shared_registry
-        # Under supervision every local-commit target swaps (force) and
-        # the superseded segment stays attachable (retain): should a
-        # worker die mid-commit, its replacement re-attaches the
-        # pristine pre-commit copy and replays from it — in-place
-        # accumulates are not idempotent, so a partial apply by the
-        # dead worker must be overwritten, not re-applied.
-        supervised = self.supervisor is not None
         groups = []
         for node_key, (_certified, zero_merge) in sorted(
             self._round_flags.items(),
@@ -471,20 +442,14 @@ class ProcessBackend:
                     self._hold_wtargets.get(node_key, ()),
                     key=lambda t: (t[0], -1 if t[1] is None else t[1]),
                 ):
-                    registry[name]._commit_target(
-                        instance, force=supervised, retain=supervised
-                    )
+                    registry[name]._commit_target(instance)
             groups.append((node_key, decision))
         cmd = {
             "remaps": rt.shm.drain_remaps(),
             "groups": groups,
             "verify": self._verify,
         }
-        if supervised:
-            self.supervisor.log_commit(cmd)
         replies = self._pool.roundtrip("commit", cmd)
-        if supervised:
-            rt.shm.release_retained()
         merged: dict = {}
         for w, rep in enumerate(replies):
             if rep is None:

@@ -92,9 +92,7 @@ class WorkerPool:
         self._conns = []
         self._dead: set[int] = set()
         self._closed = False
-        #: Kept for worker respawns (crash recovery).
-        self._init_payload = init_payload
-        #: Recovery hook (a
+        #: Failure hook (a
         #: :class:`~repro.parallel.supervisor.WorkerSupervisor`);
         #: None means a worker death is fatal (PPM603).
         self.supervisor = None
@@ -104,32 +102,21 @@ class WorkerPool:
         self._last_tag = "init"
         try:
             for i in range(n_workers):
-                self._spawn(ctx, i)
+                parent_conn, child_conn = ctx.Pipe(duplex=True)
+                proc = ctx.Process(
+                    target=worker_main,
+                    args=(child_conn, i),
+                    name=f"ppm-worker-{i}",
+                    daemon=True,
+                )
+                proc.start()
+                child_conn.close()
+                self._procs.append(proc)
+                self._conns.append(parent_conn)
             self.roundtrip("init", init_payload)
         except BaseException:
             self.close()
             raise
-
-    def _spawn(self, ctx, i: int) -> None:
-        """Fork worker ``i`` and store its process + pipe at index
-        ``i`` (appending on first spawn, replacing on respawn)."""
-        from repro.parallel.worker import worker_main
-
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        proc = ctx.Process(
-            target=worker_main,
-            args=(child_conn, i),
-            name=f"ppm-worker-{i}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        if i < len(self._procs):
-            self._procs[i] = proc
-            self._conns[i] = parent_conn
-        else:
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
 
     # ------------------------------------------------------------------
     def roundtrip(self, tag: str, payload, *, per_worker=None, supervised=True):
@@ -141,11 +128,12 @@ class WorkerPool:
 
         Failure handling: a send error or closed pipe classifies the
         worker as ``"crash"``, a reply overrunning the supervisor's
-        deadline as ``"hang"`` (the child is hard-killed so a stale
-        reply can never desynchronise the pipe), and a reply that fails
-        to deserialise as ``"corrupt-reply"``.  With a supervisor
+        deadline as ``"hang"`` (the child is hard-killed: a SIGSTOPped
+        process would otherwise outlive the pool), and a reply that
+        fails to deserialise as ``"corrupt-reply"``.  With a supervisor
         attached (and ``supervised=True``) the failures are handed to
-        its recovery machinery and the recovered results spliced in;
+        :meth:`~repro.parallel.supervisor.WorkerSupervisor.fail`, which
+        abandons the attempt (the run restarts in a fresh pool);
         otherwise a :class:`~repro.core.errors.WorkerDeathError`
         (PPM603) names the workers, the failure kinds, the round and
         the command."""
@@ -158,8 +146,8 @@ class WorkerPool:
         failures: list[tuple[int, str]] = []
         if sup is not None and self._dead:
             # Workers that died on an unsupervised path (e.g. during a
-            # best-effort do_end) are recovered on the next supervised
-            # command instead of silently skipping it.
+            # best-effort do_end) fail the next supervised command
+            # instead of silently skipping it.
             failures.extend((i, "crash") for i in sorted(self._dead))
         sent = []
         for i, conn in enumerate(self._conns):
@@ -181,8 +169,7 @@ class WorkerPool:
             try:
                 if deadline is not None and not self._conns[i].poll(deadline):
                     # Hung: hard-kill (SIGKILL — SIGTERM would stay
-                    # pending on a SIGSTOPped child) so no late reply
-                    # can ever desynchronise a reused pipe slot.
+                    # pending on a SIGSTOPped child forever).
                     self._dead.add(i)
                     failures.append((i, "hang"))
                     try:
@@ -219,23 +206,19 @@ class WorkerPool:
             raise failure
         if failures:
             if sup is not None:
-                for w, rec in sup.recover(
-                    tag, payload, per_worker, failures
-                ).items():
-                    results[w] = rec
-            else:
-                dead = sorted(i for i, _kind in failures)
-                kinds = ", ".join(
-                    f"worker {i}: {kind}" for i, kind in sorted(failures)
-                )
-                raise WorkerDeathError(
-                    f"worker process(es) {dead} died unexpectedly during "
-                    f"{tag!r} (round {self._round_no}; {kinds}) — killed, "
-                    "hung past the deadline, or crashed without shipping "
-                    "an exception; without run_ppm(..., supervision=) the "
-                    "pool cannot continue"
-                )
-        elif self._dead:
+                sup.fail(tag, failures)  # raises: the run restarts
+            dead = sorted(i for i, _kind in failures)
+            kinds = ", ".join(
+                f"worker {i}: {kind}" for i, kind in sorted(failures)
+            )
+            raise WorkerDeathError(
+                f"worker process(es) {dead} died unexpectedly during "
+                f"{tag!r} (round {self._round_no}; {kinds}) — killed, "
+                "hung past the deadline, or crashed without shipping "
+                "an exception; without run_ppm(..., supervision=) the "
+                "pool cannot continue"
+            )
+        if self._dead:
             dead = sorted(self._dead)
             raise WorkerDeathError(
                 f"worker process(es) {dead} died unexpectedly (last "
@@ -248,59 +231,11 @@ class WorkerPool:
         """Fire ``(tag, payload)`` and drain acks, swallowing every
         failure — used for ``do_end`` on teardown paths where the real
         error is already propagating.  Bypasses supervision: a teardown
-        must never recurse into recovery."""
+        must never raise a restart."""
         try:
             self.roundtrip(tag, payload, supervised=False)
         except BaseException:
             pass
-
-    # ------------------------------------------------------------------
-    # Single-worker traffic (crash recovery)
-    # ------------------------------------------------------------------
-    def send_one(self, w: int, tag: str, body) -> None:
-        """Send one command to one worker (recovery replay traffic)."""
-        self._conns[w].send((tag, body))
-
-    def recv_one(self, w: int, deadline: float | None = None):
-        """Receive one reply from one worker: the ``"ok"`` body, or the
-        revived exception / ``KeyboardInterrupt`` / ``TimeoutError`` on
-        deadline overrun."""
-        conn = self._conns[w]
-        if deadline is not None and not conn.poll(deadline):
-            raise TimeoutError(
-                f"worker {w} overran its {deadline:.1f}s reply deadline"
-            )
-        status, body = conn.recv()
-        if status == "ok":
-            return body
-        if status == "interrupt":
-            raise KeyboardInterrupt
-        raise _revive_exception(w, body)
-
-    def _reap(self, w: int) -> None:
-        """Retire worker ``w``'s process and pipe ahead of a respawn.
-        ``kill()`` (SIGKILL), not ``terminate()``: SIGTERM stays
-        pending on a SIGSTOPped child forever."""
-        try:
-            self._conns[w].close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        proc = self._procs[w]
-        try:
-            proc.kill()
-            proc.join(timeout=5.0)
-        except (OSError, ValueError):  # pragma: no cover - already gone
-            pass
-        self._dead.add(w)
-
-    def _respawn(self, w: int) -> None:
-        """Fork a replacement for worker ``w`` from the live template
-        and run its init handshake; the slot leaves the dead set only
-        after the handshake succeeds."""
-        self._spawn(_start_context(), w)
-        self.send_one(w, "init", self._init_payload)
-        self.recv_one(w, 60.0)
-        self._dead.discard(w)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -106,9 +106,6 @@ class ShmRegistry:
         self._blocks: dict[tuple[str, int | None], _Block] = {}
         #: Superseded segments awaiting close (live views may pin them).
         self._graveyard: list[shared_memory.SharedMemory] = []
-        #: Swapped-out blocks kept attachable for crash recovery
-        #: (``swap(..., retain=True)``); released explicitly.
-        self._retained: dict[tuple[str, int | None], _Block] = {}
         #: Remaps produced by :meth:`swap` since the last drain, in
         #: order: ``(shared name, instance, new segment name)``.
         self.pending_remaps: list[tuple[str, int | None, str]] = []
@@ -122,7 +119,6 @@ class ShmRegistry:
             ShmRegistry._unlink_all,
             self._blocks,
             self._graveyard,
-            self._retained,
         )
 
     # ------------------------------------------------------------------
@@ -144,19 +140,10 @@ class ShmRegistry:
         self._blocks[(shared_name, instance)] = _Block(segment, array)
         return array
 
-    def swap(
-        self, shared_name: str, instance: int | None, *, retain: bool = False
-    ) -> np.ndarray:
+    def swap(self, shared_name: str, instance: int | None) -> np.ndarray:
         """Move a block's committed store to a fresh segment (the
         copy-on-commit buffer swap), retiring the old one.  Returns the
-        new array, already holding a copy of the old contents.
-
-        With ``retain=True`` the superseded segment is *not* retired:
-        it stays linked and attachable (under its old name) until
-        :meth:`release_retained` runs.  The worker supervisor uses this
-        during zero-merge commit rounds — a worker respawned mid-commit
-        re-attaches the retained pre-commit segment and replays from
-        that pristine copy (docs/PARALLEL.md)."""
+        new array, already holding a copy of the old contents."""
         self.swaps += 1
         key = (shared_name, instance)
         block = self._blocks[key]
@@ -164,26 +151,10 @@ class ShmRegistry:
         segment = self._new_segment(old.nbytes)
         array = _as_array(segment, old.shape, old.dtype)
         array[...] = old
-        if retain:
-            self._retained[key] = block
-        else:
-            self._retire(block)
+        self._retire(block)
         self._blocks[key] = _Block(segment, array)
         self.pending_remaps.append((shared_name, instance, segment.name))
         return array
-
-    def retained_names(self) -> dict[tuple[str, int | None], str]:
-        """Segment names of the retained (pre-commit) blocks, keyed by
-        ``(shared name, instance)``."""
-        return {
-            key: block.segment.name for key, block in self._retained.items()
-        }
-
-    def release_retained(self) -> None:
-        """Retire every block held back by ``swap(..., retain=True)``
-        (the commit round they covered is over)."""
-        for key in list(self._retained):
-            self._retire(self._retained.pop(key))
 
     def segment_of(self, shared_name: str, instance: int | None) -> str:
         return self._blocks[(shared_name, instance)].segment.name
@@ -220,11 +191,6 @@ class ShmRegistry:
         if self._closed:
             return
         self._closed = True
-        for block in self._retained.values():
-            block.array = None
-            _unlink_once(block.segment)
-            self._graveyard.append(block.segment)
-        self._retained.clear()
         for block in self._blocks.values():
             block.array = None
             _unlink_once(block.segment)
@@ -242,16 +208,11 @@ class ShmRegistry:
         self._finalizer.detach()
 
     @staticmethod
-    def _unlink_all(blocks, graveyard, retained=None) -> None:
+    def _unlink_all(blocks, graveyard) -> None:
         for block in blocks.values():
             _unlink_once(block.segment)
             graveyard.append(block.segment)
         blocks.clear()
-        if retained:
-            for block in retained.values():
-                _unlink_once(block.segment)
-                graveyard.append(block.segment)
-            retained.clear()
         for segment in graveyard:
             try:
                 segment.close()

@@ -98,13 +98,12 @@ class _ReportEncoder:
 class _RoundPlan:
     """What this worker resolved once for one phase shape
     (:meth:`PhaseRecorder.signature`): the id the parent caches its
-    record structure under (None in a crash-recovery replay, which
-    reports nothing), the commit recipe, and the rows written per
-    target (:meth:`_WorkerDo._written_rows`)."""
+    record structure under, the commit recipe, and the rows written
+    per target (:meth:`_WorkerDo._written_rows`)."""
 
     __slots__ = ("pid", "commit", "rows")
 
-    def __init__(self, pid: int | None) -> None:
+    def __init__(self, pid: int) -> None:
         self.pid = pid
         self.commit = PhasePlan()
         self.rows: list | None = None
@@ -293,15 +292,6 @@ class _WorkerDo:
         # the inline engine checks them.
         kind = cmd["kind"]
         hold = cmd.get("mode") == "hold"
-        # Replay mode (crash recovery): a respawned worker re-executes
-        # logged round commands to rebuild its generators' state.  The
-        # bodies run exactly as live rounds do — collectives resolve
-        # from the logged results, recorders are held when commanded —
-        # but nothing is *encoded*: the parent discarded the original
-        # replies long ago, and interning arrays into the report
-        # encoder here would leave later ``("r", iid)`` references
-        # dangling on the parent side.
-        replay = cmd.get("replay", False)
         nodes = [n for n in cmd["nodes"] if n in self.by_node]
         groups = [(None, nodes)] if kind == "global" else [(n, [n]) for n in nodes]
         cert = self.cert
@@ -315,14 +305,10 @@ class _WorkerDo:
                 flags = cert.round_flags(
                     [vp for n in group for vp in self.by_node[n]], kind
                 )
-            report, n_vps = self._run_recorder(
-                kind, group, node_key, hold, encode=not replay
-            )
+            report, n_vps = self._run_recorder(kind, group, node_key, hold)
             advanced += n_vps
             reports.append((node_key, report, flags))
-        if replay:
-            payload = {"replayed": True}
-        elif kind == "global":
+        if kind == "global":
             payload = {"report": reports[0][1], "flags": reports[0][2]}
         else:
             payload = {"nodes": reports}
@@ -354,20 +340,12 @@ class _WorkerDo:
         return payload
 
     def _run_recorder(
-        self,
-        kind: str,
-        nodes: list,
-        node_key,
-        hold: bool = False,
-        encode: bool = True,
+        self, kind: str, nodes: list, node_key, hold: bool = False
     ) -> tuple:
         """Advance my VPs of ``nodes`` under a fresh recorder; returns
         its encoded report and the number of VPs advanced.  Under
         ``hold`` the recorder is retained for the parent's commit
-        command and the report omits the operation stream.
-        ``encode=False`` (crash-recovery replay) skips the report — and
-        the plan table, whose ids the parent only learns from reports —
-        and returns None for it."""
+        command and the report omits the operation stream."""
         rt = self.rt
         recorder = PhaseRecorder(kind)
         rt.phase = recorder
@@ -387,11 +365,9 @@ class _WorkerDo:
         finally:
             rt.phase = None
         self.pending[node_key] = recorder.collective_slots
-        report = plan = None
-        if encode:
-            report, plan = self._encode(recorder, vp_states, hold)
+        report, plan = self._encode(recorder, vp_states, hold)
         if hold:
-            self.held[node_key] = (recorder, plan or _RoundPlan(None))
+            self.held[node_key] = (recorder, plan)
         return report, len(vp_states)
 
     def _encode_ops(self, ops: list) -> list:
@@ -482,9 +458,8 @@ class _WorkerDo:
 
     def _written_rows(self, recorder: PhaseRecorder, plan: _RoundPlan) -> list:
         """``(proxy, instance, sorted unique rows)`` per target my
-        shard's held operations write — what a verified digest covers
-        and a restored commit resets; fixed by the phase shape, so kept
-        on its plan."""
+        shard's held operations write — what a verified digest covers;
+        fixed by the phase shape, so kept on its plan."""
         if plan.rows is None:
             specs: dict = {}
             for ev in recorder.write_ops:
@@ -503,31 +478,9 @@ class _WorkerDo:
         a ``"local"`` decision commits the held recorder straight into
         the mapped segments and replies with a fixed-size digest, a
         ``"ship"`` decision falls back to encoding the operation stream
-        for the parent's ordinary merge-and-commit path.
-
-        Under ``restore=True`` (crash recovery: this worker replaced
-        one that died *inside* the commit window) the dead worker may
-        have partially applied its in-place ops to the post-swap
-        segments — fatal for accumulates, which are not idempotent.
-        Before re-applying, each local group's committed-row footprint
-        is copied from the retained pre-swap segment (the current
-        attachment, pristine) into the post-swap target, resetting
-        exactly this shard's rows; conflict-freedom certification
-        guarantees no other worker's rows are touched."""
-        saved = []
-        if cmd.get("restore", False):
-            for node_key, decision in cmd["groups"]:
-                held = self.held.get(node_key)
-                if held is None or decision == "ship":
-                    continue
-                for sv, instance, rows in self._written_rows(*held):
-                    saved.append(
-                        (sv, instance, rows, _bound_store(sv, instance)[rows].copy())
-                    )
+        for the parent's ordinary merge-and-commit path."""
         for name, instance, segment_name in cmd["remaps"]:
             self._rebind(self.proxies[name], instance, segment_name)
-        for sv, instance, rows, vals in saved:
-            _bound_store(sv, instance)[rows] = vals
         verify = cmd.get("verify", False)
         replies = []
         for node_key, decision in cmd["groups"]:

@@ -31,8 +31,8 @@ Model and consistency argument: docs/RESILIENCE.md.  Chaos demos::
 
 ``demo`` injects *simulated* faults; ``chaos`` SIGKILLs real worker
 processes under the supervised process executor
-(:class:`~repro.parallel.SupervisionPolicy`) and verifies
-respawn-and-replay recovery (docs/PARALLEL.md).
+(:class:`~repro.parallel.SupervisionPolicy`) and verifies recovery
+by restart (docs/PARALLEL.md).
 """
 
 from repro.core.errors import (

@@ -441,8 +441,10 @@ class TestProgramStructure:
 # only while a worker still references it (docs/PARALLEL.md, "When a
 # segment swaps"), so the later kernels hold the read through objects
 # that are not the read result itself — and one holds it across phases
-# that never touch the variable.  Module level: the process executor
-# pickles kernels.
+# that never touch the variable.  The last keeps a private *copy*
+# across two commits: nothing guards a buffer for it, so it is right
+# only if no engine ever re-runs a phase body against later data.
+# Module level: the process executor pickles kernels.
 
 _N = 16
 
@@ -622,6 +624,17 @@ def keep_across_idle_phases(ctx, A, out):
     out[lo:hi] = v
 
 
+def keep_private_copy(ctx, A, out):
+    lo, hi = _chunk(ctx, A)
+    yield ctx.global_phase
+    v = A[lo:hi].copy()  # private: no view, nothing guards the buffer
+    A[lo:hi] = A[lo:hi] + 2
+    yield ctx.global_phase
+    A[lo:hi] = A[lo:hi] - 1  # a second commit between read and use
+    yield ctx.global_phase
+    out[lo:hi] = v
+
+
 def _main_kept_reads(ppm, kernel):
     A = ppm.global_shared("A", _N)
     out = ppm.global_shared("out", _N)
@@ -640,17 +653,35 @@ def _main_kept_reads(ppm, kernel):
     )
 
 
+def _supervised():
+    # Worker 0 is SIGKILLed at the second round dispatch.  The chaos
+    # plan counts dispatches, so every run needs its own.
+    from repro.parallel import ProcessChaos, SupervisionPolicy
+
+    chaos = ProcessChaos(seed=3, rounds=(1,), worker=0)
+    return {
+        "executor": "process",
+        "workers": 2,
+        "supervision": SupervisionPolicy(chaos=chaos),
+    }
+
+
+_ENGINES = {
+    "inline": dict,
+    "process": lambda: {"executor": "process", "workers": 2},
+    "supervised": _supervised,
+}
+
+
 class TestReadsOutliveCommits:
     """SEMANTICS.md R1: a read result keeps its phase-start values for
     as long as it is referenced; the commit never writes a buffer a
-    live view aliases — on global and node shared arrays, inline and
-    in worker processes."""
+    live view aliases — on global and node shared arrays, inline, in
+    worker processes, and when a worker dies between the read and its
+    use (whatever recovers the run may not rebuild a VP's private
+    state from later data)."""
 
-    @pytest.mark.parametrize(
-        "engine",
-        [{}, {"executor": "process", "workers": 2}],
-        ids=["inline", "process"],
-    )
+    @pytest.mark.parametrize("engine", list(_ENGINES))
     @pytest.mark.parametrize(
         "kernel",
         [
@@ -672,12 +703,13 @@ class TestReadsOutliveCommits:
             keep_iter,
             keep_newaxis,
             keep_across_idle_phases,
+            keep_private_copy,
         ],
         ids=lambda k: k.__name__,
     )
     def test_kept_read_sees_phase_start_values(self, kernel, engine):
         _, (a, out, b, out_b) = run_ppm(
-            _main_kept_reads, _cluster(), kernel, **engine
+            _main_kept_reads, _cluster(), kernel, **_ENGINES[engine]()
         )
         start = np.arange(_N, dtype=float)
         np.testing.assert_array_equal(a, start + 1)

@@ -1,11 +1,14 @@
-"""Worker supervision: crash/hang detection, respawn-and-replay
-recovery, graceful degradation and the PPM6xx diagnostics.
+"""Worker supervision: crash/hang detection, recovery by restart,
+graceful degradation and the PPM6xx diagnostics.
 
-Every recovery path must preserve the backend's headline contract —
-committed arrays, simulated times and traces bitwise-identical to the
-inline engine — even while :class:`ProcessChaos` SIGKILLs (or
-SIGSTOPs) live worker processes mid-run.  Kernels live at module level
-because the backend ships them by pickling.
+Every recovered run must preserve the backend's headline contract —
+committed arrays, simulated times and reports identical to the inline
+engine — even while :class:`ProcessChaos` SIGKILLs (or SIGSTOPs) live
+worker processes mid-run.  Kill plans are finite (``rounds=``: the
+dispatch counter is never reset, so each index fires once across
+restarts); ``every=`` recurs faster than a run and is what the
+degradation tests use.  Kernels live at module level because the
+backend ships them by pickling.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.core.errors import (
     WorkerDeathError,
 )
 from repro.machine import Cluster
-from repro.obs import PhaseTrace, PoolDegraded, RoundReplay, RunReport, WorkerCrash, WorkerRespawn
+from repro.obs import PhaseTrace, PoolDegraded, RunReport, WorkerCrash, WorkerRespawn
 from repro.parallel import ProcessChaos, SupervisionPolicy
 from repro.parallel.shm import live_ppm_segments
 from repro.parallel.supervisor import LAST_SUPERVISION
@@ -54,7 +57,7 @@ SWEEP = settings(
 
 def mixed_kernel(ctx, A, B):
     """Global + node phases, reduce, scan, accumulate, remote reads —
-    every construct the replay log must reproduce."""
+    every construct a recovered run must reproduce."""
     n = ctx.global_vp_count
     yield ctx.global_phase
     A[ctx.global_rank] = float(ctx.global_rank)
@@ -90,9 +93,35 @@ def main_suicide(ppm):
     return A.committed.copy()
 
 
-def _chaotic(every=2, *, seed=11, sig="kill", window="round", **pol):
+def kept_read_kernel(ctx, A, out):
+    """R1 across a failure: a private copy of a phase-1 snapshot read,
+    used after two commits of the variable it was read from."""
+    n = len(A) // ctx.global_vp_count
+    lo, hi = ctx.global_rank * n, (ctx.global_rank + 1) * n
+    yield ctx.global_phase
+    kept = A[lo:hi].copy()
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    out[lo:hi] = kept
+
+
+def main_kept_read(ppm):
+    A = ppm.global_shared("A", 16)
+    out = ppm.global_shared("out", 16)
+    A[:] = np.arange(16.0)
+    ppm.do(2, kept_read_kernel, A, out)
+    return A.committed.copy(), out.committed.copy()
+
+
+def _chaotic(every=None, *, rounds=(), seed=11, sig="kill", window="round",
+             worker=None, **pol):
     return SupervisionPolicy(
-        chaos=ProcessChaos(seed=seed, every=every, signal=sig, window=window),
+        chaos=ProcessChaos(
+            seed=seed, every=every, rounds=rounds, worker=worker,
+            signal=sig, window=window,
+        ),
         **pol,
     )
 
@@ -161,7 +190,7 @@ class TestPolicyValidation:
 
 
 # ----------------------------------------------------------------------
-# Crash detection and replay recovery
+# Crash detection and recovery by restart
 # ----------------------------------------------------------------------
 
 class TestCrashRecovery:
@@ -170,23 +199,24 @@ class TestCrashRecovery:
         trace = PhaseTrace()
         _, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(every=2), trace=trace,
+            supervision=_chaotic(rounds=(1, 4)), trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
         assert LAST_SUPERVISION["crashes"] > 0
         assert LAST_SUPERVISION["respawns"] > 0
         kinds = {type(ev) for ev in trace.events}
-        assert {WorkerCrash, WorkerRespawn, RoundReplay} <= kinds
+        assert {WorkerCrash, WorkerRespawn} <= kinds
         assert live_ppm_segments() == []
 
     def test_sigstop_hang_detected_and_recovered(self):
         # SIGSTOP freezes the worker; a short deadline converts the
-        # stall into a "hang", the supervisor hard-kills and replays.
+        # stall into a "hang", the pool hard-kills it and the run
+        # restarts.
         _, ref = run_ppm(main_mixed, _cluster())
         _, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(every=3, sig="stop",
+            supervision=_chaotic(rounds=(2,), sig="stop",
                                  deadline_base=1.0, deadline_per_vp=0.0),
         )
         for a, b in zip(ref, got):
@@ -195,12 +225,12 @@ class TestCrashRecovery:
         assert live_ppm_segments() == []
 
     def test_commit_window_kill_zero_merge(self):
-        # Certified CG engages the zero-merge path; killing inside the
-        # hold/commit window exercises retained-segment restore.
+        # Certified CG engages the zero-merge path; the kill lands
+        # inside the hold/commit window, after in-place writes began.
         x1, t1 = _cg(3)
         x2, t2 = _cg(
             3, executor="process", workers=2,
-            supervision=_chaotic(every=3, window="commit"),
+            supervision=_chaotic(rounds=(3,), window="commit"),
         )
         np.testing.assert_array_equal(x1, x2)
         assert t1 == t2
@@ -232,10 +262,30 @@ class TestCrashRecovery:
             main_mixed, _cluster(),
             faults=FaultPlan(seed=5).crash(node=1, phase=2),
             checkpoint_every=2,
-            executor="process", workers=2, supervision=_chaotic(every=4),
+            executor="process", workers=2, supervision=_chaotic(rounds=(3,)),
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
+        assert live_ppm_segments() == []
+
+    @pytest.mark.parametrize("window", ["round", "commit"])
+    def test_kept_read_survives_recovery(self, window):
+        # SEMANTICS R1: a VP-private value derived from a snapshot
+        # read keeps its phase-start values whatever commits later.
+        # Re-running earlier rounds against the current segments (any
+        # form of replay into a fresh worker) rebuilds `kept` from
+        # committed data and fails this with out[:8] != arange(8).
+        _, ref = run_ppm(main_kept_read, _cluster())
+        _, got = run_ppm(
+            main_kept_read, _cluster(), executor="process", workers=2,
+            supervision=_chaotic(rounds=(1,), worker=0, window=window),
+        )
+        np.testing.assert_array_equal(got[1], np.arange(16.0))
+        for a, b in zip(ref, got):
+            np.testing.assert_array_equal(a, b)
+        assert LAST_SUPERVISION["crashes"] == 1
+        assert LAST_SUPERVISION["respawns"] == 1
+        assert LAST_SUPERVISION["degradations"] == 0
         assert live_ppm_segments() == []
 
 
@@ -303,10 +353,32 @@ class TestDegradation:
         assert ei.value.code == "PPM604"
         assert live_ppm_segments() == []
 
+    def test_budget_counts_restarts_per_pool_size(self):
+        # Three kills, a budget of two restarts at one size: the
+        # third failure shrinks the pool, and the run then completes.
+        _, ref = run_ppm(main_mixed, _cluster())
+        trace = PhaseTrace()
+        _, got = run_ppm(
+            main_mixed, _cluster(), executor="process", workers=3,
+            supervision=_chaotic(rounds=(1, 3, 5), max_respawns=2),
+            trace=trace,
+        )
+        for a, b in zip(ref, got):
+            np.testing.assert_array_equal(a, b)
+        assert LAST_SUPERVISION["respawns"] == 2
+        assert LAST_SUPERVISION["degradations"] == 1
+        respawns = [ev for ev in trace.events if isinstance(ev, WorkerRespawn)]
+        assert [ev.attempt for ev in respawns] == [1, 2]
+        degr = [ev for ev in trace.events if isinstance(ev, PoolDegraded)]
+        assert [(ev.mode, ev.workers_from, ev.workers_to) for ev in degr] == [
+            ("shrink", 3, 2)
+        ]
+        assert live_ppm_segments() == []
+
 
 # ----------------------------------------------------------------------
-# Property sweep: the acceptance bar from ISSUE 9 — SIGKILL a worker
-# at every k-th round across the Figure-1 applications; the run must
+# Property sweep: SIGKILL a worker at drawn round dispatches across
+# the Figure-1 applications; the run must come back at full size and
 # complete bitwise-identical to inline.
 # ----------------------------------------------------------------------
 
@@ -316,15 +388,15 @@ class TestChaosSweep:
         app=st.sampled_from(sorted(APPS)),
         seed=st.integers(1, 50),
         workers=st.integers(2, 3),
-        every=st.integers(2, 5),
+        rounds=st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
     )
-    def test_kill_every_kth_round_bitwise(self, app, seed, workers, every):
+    def test_kills_at_drawn_rounds_bitwise(self, app, seed, workers, rounds):
         ref, t_ref = APPS[app](seed)
         got, t_got = APPS[app](
             seed,
             executor="process",
             workers=workers,
-            supervision=_chaotic(every=every, seed=seed),
+            supervision=_chaotic(rounds=tuple(rounds), seed=seed),
         )
         assert t_ref == t_got
         np.testing.assert_array_equal(ref, got)
@@ -340,13 +412,12 @@ class TestSupervisionReport:
         trace = PhaseTrace()
         run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(every=2), trace=trace,
+            supervision=_chaotic(rounds=(1, 4)), trace=trace,
         )
         sup = RunReport.from_trace(trace).supervision
         assert sup is not None
         assert sup.crashes >= 1 and sup.failures >= 1
         assert sup.respawns >= 1
-        assert sup.replayed_rounds >= 1
         assert sup.degradations == 0
         assert sup.recovery_host_s > 0.0
 
@@ -356,10 +427,37 @@ class TestSupervisionReport:
         trace = PhaseTrace()
         run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(every=2), trace=trace,
+            supervision=_chaotic(rounds=(1, 4)), trace=trace,
         )
         report = RunReport.from_trace(trace)
         d = report_to_dict(report)
         assert d["supervision"]["crashes"] == report.supervision.crashes
         assert d["supervision"]["respawns"] == report.supervision.respawns
         assert "worker failures" in format_report(report)
+
+    @pytest.mark.parametrize("max_respawns", [8, 0], ids=["respawn", "shrink"])
+    def test_recovered_run_reports_like_a_fault_free_one(self, max_respawns):
+        # A restart abandons the failed attempt: neither the machine
+        # trace behind ppm.summary() nor the per-phase report may keep
+        # counting its traffic.
+        def run(**opts):
+            trace = PhaseTrace()
+            ppm, _ = run_ppm(
+                main_mixed, _cluster(), executor="process", workers=3,
+                trace=trace, **opts,
+            )
+            return ppm.summary(), RunReport.from_trace(trace)
+
+        clean_summary, clean = run()
+        summary, report = run(
+            supervision=_chaotic(rounds=(2,), max_respawns=max_respawns)
+        )
+        assert report.supervision.crashes == 1
+        assert report.supervision.respawns == (1 if max_respawns else 0)
+        assert report.supervision.degradations == (0 if max_respawns else 1)
+        assert summary == clean_summary
+        assert [p.vp_count for p in report.phases] == [
+            p.vp_count for p in clean.phases
+        ]
+        assert report.total_messages == clean.total_messages
+        assert report.total_bytes == clean.total_bytes

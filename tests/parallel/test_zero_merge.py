@@ -45,7 +45,7 @@ from repro.config import manycore, testing as mkconfig
 from repro.core import run_ppm
 from repro.machine import Cluster
 from repro.obs import PhaseTrace
-from repro.parallel import backend as backend_mod
+from repro.parallel import SupervisionPolicy, backend as backend_mod
 from repro.parallel.pool import WorkerPool
 
 SWEEP = settings(
@@ -346,10 +346,17 @@ class TestSegmentSwaps:
             segment.close()
             segment.unlink()
 
-    def test_cg_swaps_once_per_solve(self):
+    @pytest.mark.parametrize(
+        "supervision",
+        [None, SupervisionPolicy()],
+        ids=["unsupervised", "supervised"],
+    )
+    def test_cg_swaps_once_per_solve(self, supervision):
         """``_cg_kernel`` keeps ``r_chunk`` (a view of ``cg_r``) for the
         whole solve: the first commit of ``cg_r`` swaps, and nothing
-        else ever does — every other read dies inside its phase."""
+        else ever does — every other read dies inside its phase.
+        Supervision adds none: a fault-free supervised run executes
+        the same commands."""
         prob = build_chimney_problem(6, 6, 4, seed=7)
 
         def main(ppm):
@@ -363,7 +370,10 @@ class TestSegmentSwaps:
                 prob.A, xs, rs, ps, qs, stats, float(np.sqrt(prob.b @ prob.b)), 6, 0.0,
             )
 
-        ppm, _ = run_ppm(main, _cg_cluster(), executor="process", workers=2)
+        ppm, _ = run_ppm(
+            main, _cg_cluster(), executor="process", workers=2,
+            supervision=supervision,
+        )
         assert backend_mod.LAST_RUN_STATS["zm_rounds"] > 0
         assert ppm.runtime.shm.swaps == 1
 
