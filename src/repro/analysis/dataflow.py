@@ -44,7 +44,13 @@ from bisect import bisect_right
 from dataclasses import replace
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.lint import FunctionModel, _yield_kind, build_module_model
+from repro.analysis.lint import (
+    FunctionModel,
+    _yield_kind,
+    build_module_model,
+    lint_model,
+    unparsable,
+)
 from repro.analysis.summaries import (
     SET_TOP,
     SET_WHOLE,
@@ -1562,13 +1568,16 @@ def analyze_module(source: str, path: str = "<source>"):
     parameters cannot be resolved from the module's ``ppm.do`` sites
     are skipped (the lint layer reports those separately).
     """
-    model = build_module_model(source, path)
+    return _analyze_model(build_module_model(source, path))
+
+
+def _analyze_model(model):
     diags: list[Diagnostic] = []
     summaries: list[KernelSummary] = []
     for fn in model.functions:
         if not fn.shared_params:
             continue
-        d, s = analyze_function(fn, path)
+        d, s = analyze_function(fn, model.path)
         diags.extend(d)
         summaries.append(s)
     diags.sort(key=lambda d: (d.path or "", d.line or 0, d.rule))
@@ -1576,13 +1585,14 @@ def analyze_module(source: str, path: str = "<source>"):
 
 
 def verify_source(source: str, path: str = "<source>"):
-    """Lint + dataflow verification of one module's source."""
-    from repro.analysis.lint import lint_source
-
-    lint_diags = lint_source(source, path)
-    if any(d.rule == "PPM100" for d in lint_diags):
-        return lint_diags, []
-    flow_diags, summaries = analyze_module(source, path)
+    """Lint + dataflow verification of one module's source, both over
+    one module model (building it is half the cost of a file)."""
+    try:
+        model = build_module_model(source, path)
+    except SyntaxError as exc:
+        return [unparsable(exc, path)], []
+    lint_diags = lint_model(model)
+    flow_diags, summaries = _analyze_model(model)
     return lint_diags + flow_diags, summaries
 
 

@@ -490,21 +490,29 @@ def lint_source(
     source: str, path: str = "<source>", rules=None
 ) -> list[Diagnostic]:
     """Lint one module's source; returns the findings in source order."""
-    from repro.analysis.rules import ALL_RULES
-
     try:
         model = build_module_model(source, path)
     except SyntaxError as exc:
-        return [
-            Diagnostic(
-                tool="lint",
-                rule="PPM100",
-                severity="error",
-                message=f"could not parse module: {exc.msg}",
-                path=path,
-                line=exc.lineno or 0,
-            )
-        ]
+        return [unparsable(exc, path)]
+    return lint_model(model, rules)
+
+
+def unparsable(exc: SyntaxError, path: str) -> Diagnostic:
+    """The PPM100 finding for a module that does not parse."""
+    return Diagnostic(
+        tool="lint",
+        rule="PPM100",
+        severity="error",
+        message=f"could not parse module: {exc.msg}",
+        path=path,
+        line=exc.lineno or 0,
+    )
+
+
+def lint_model(model: ModuleModel, rules=None) -> list[Diagnostic]:
+    """Run the rules over an already built module model."""
+    from repro.analysis.rules import ALL_RULES
+
     found: list[Diagnostic] = []
     for rule in rules if rules is not None else ALL_RULES:
         found.extend(rule.check(model))

@@ -44,7 +44,7 @@ from repro.core.errors import PhaseConflictError
 from repro.core.rowset import ranks_disjoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.phase import PhaseRecorder
+    from repro.core.phase import PhasePlan, PhaseRecorder
     from repro.core.shared import WriteEvent
 
 #: Cap on rows / ranks carried by one diagnostic (the message reports
@@ -78,19 +78,32 @@ class PhaseSanitizer:
         self.phases_flagged = 0
 
     # ------------------------------------------------------------------
-    def check_phase(self, recorder: "PhaseRecorder", *, phase_index: int) -> None:
+    def check_phase(
+        self, recorder: "PhaseRecorder", plan: "PhasePlan", *, phase_index: int
+    ) -> None:
         """Classify this phase's write footprints; called by the
-        runtime at commit time, before any buffered write applies."""
+        runtime at commit time, before any buffered write applies.
+
+        Who writes which rows of which variable is part of the phase
+        shape's signature, so once a check has found every target
+        single-writer or row-disjoint (``plan.disjoint``) its repeats
+        have nothing to classify.  A shape with any row overlap is
+        classified every round: benign (PPM203) or rank-order-dependent
+        (PPM201) depends on the values written."""
         self.phases_checked += 1
         events = recorder.write_ops
-        if not events:
+        if not events or plan.disjoint:
             return
         groups: dict[tuple[int, int | None], list["WriteEvent"]] = defaultdict(list)
         for ev in events:
             groups[(id(ev.shared), ev.instance)].append(ev)
         found: list[Diagnostic] = []
+        plan.disjoint = True
         for evs in groups.values():
-            found.extend(self._check_group(evs, phase_index, recorder.kind))
+            diags = self._check_group(evs, phase_index, recorder.kind)
+            if diags is not None:
+                plan.disjoint = False
+                found.extend(diags)
         if not found:
             return
         self.phases_flagged += 1
@@ -105,13 +118,14 @@ class PhaseSanitizer:
     # ------------------------------------------------------------------
     def _check_group(
         self, evs: list["WriteEvent"], phase_index: int, phase_kind: str
-    ) -> list[Diagnostic]:
-        """Classify one (shared variable, instance) group of events."""
+    ) -> list[Diagnostic] | None:
+        """Classify one (shared variable, instance) group of events;
+        None when no two VPs touch a common row, whatever they write."""
         by_rank: dict[int, list["WriteEvent"]] = defaultdict(list)
         for ev in evs:
             by_rank[ev.rank].append(ev)
         if len(by_rank) < 2:
-            return []  # single writer: R3 program order, deterministic
+            return None  # single writer: R3 program order, deterministic
 
         shared = evs[0].shared
         instance = evs[0].instance
@@ -120,7 +134,7 @@ class PhaseSanitizer:
         if ranks_disjoint(
             [[e.rows for e in revs] for revs in by_rank.values()], shared.shape[0]
         ):
-            return []
+            return None
 
         data = shared._data if instance is None else shared._data[instance]
         shape = data.shape

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from repro.core.phase import PhaseRecorder
 from repro.core.rowset import block_counts
 from repro.core.shared import GlobalShared, RowSpec
-from repro.obs.events import BundleFlushed
 
 _SPEC_COUNT = operator.attrgetter("count")
 
@@ -53,19 +52,14 @@ class NodeTraffic:
 
 
 class PhaseTraffic(dict):
-    """``node id -> NodeTraffic`` for one phase, plus ``flushes``: the
-    per-(node, variable, direction) aggregation rows behind the
-    :class:`~repro.obs.events.BundleFlushed` events, in emission order
-    — kept so a traced repeat of the phase shape reports them
-    (:func:`emit_bundles`) without aggregating again."""
+    """``node id -> NodeTraffic`` for one phase, plus ``flushes``: one
+    row per (node, variable, direction) aggregation, in first-access
+    order — the fields of a :class:`~repro.obs.events.BundleFlushed`
+    after ``phase``, names and counts only, from which a traced run
+    reports the raw-vs-deduplicated numbers behind the bundling claim
+    (:func:`repro.core.scheduler.wire_events`)."""
 
     __slots__ = ("flushes",)
-
-
-def emit_bundles(traffic: PhaseTraffic, tracer) -> None:
-    """One ``BundleFlushed`` event per aggregation row of ``traffic``."""
-    for row in traffic.flushes:
-        tracer.emit(BundleFlushed(tracer.phase, *row))
 
 
 def _owner_elem_pairs(
@@ -92,8 +86,8 @@ def _owner_elem_pairs(
 def _groups(footprints: list, ends) -> dict[tuple, list]:
     """``(node id, shared) -> [row specs, exact element total]`` over a
     recorder's flat footprint list, ``ends`` closing each node's run —
-    in first-access order, which is the order the per-group trace
-    events are emitted in."""
+    in first-access order, which is the order of the aggregation rows
+    (and so of a trace's per-group events)."""
     groups: dict[tuple, list] = {}
     lo = 0
     for node_id, hi in ends:
@@ -110,19 +104,18 @@ def _groups(footprints: list, ends) -> dict[tuple, list]:
     return groups
 
 
-def aggregate_traffic(recorder: PhaseRecorder, *, tracer=None) -> PhaseTraffic:
+def aggregate_traffic(recorder: PhaseRecorder) -> PhaseTraffic:
     """Aggregate a phase's recorded global-shared accesses.
 
     Returns a :class:`NodeTraffic` for every node that touched a
     global shared variable, with per-owner deduplicated element counts
-    for reads and writes separately.  When ``tracer`` is set, one
-    :class:`~repro.obs.events.BundleFlushed` event is emitted per
-    (node, variable, direction) aggregation — the raw-vs-deduplicated
-    numbers behind the runtime's bundling claim.
+    for reads and writes separately, and the aggregation rows
+    (:attr:`PhaseTraffic.flushes`).  It emits nothing and is the same
+    work traced or not.
 
     This is the inspector half of a phase plan: the runtime calls it
-    for the first round of each phase shape and replays the result
-    (and, when traced, its events) for the repeats.
+    for the first round of each phase shape and keeps the result for
+    the repeats.
     """
     traffic = PhaseTraffic()
     flushes = traffic.flushes = []
@@ -160,6 +153,4 @@ def aggregate_traffic(recorder: PhaseRecorder, *, tracer=None) -> PhaseTraffic:
                 (node_id, shared.name, direction, len(specs), exact_elems,
                  local + remote, local, remote, peers)
             )
-    if tracer is not None:
-        emit_bundles(traffic, tracer)
     return traffic

@@ -67,7 +67,6 @@ import numpy as np
 
 from repro.core.collectives import CollectiveSlot
 from repro.core.shared import ACCUMULATE_UFUNCS, RowSpec, WriteEvent
-from repro.obs.events import VpScheduled
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.shared import GlobalShared
@@ -269,16 +268,21 @@ class PhasePlan:
     operations in the phase's recording-order operation list (already
     in rank order) and the serial of the :class:`_TargetPlan` compiled
     for them.  ``costs`` is the timing half, filled by the runtime's
-    inspector round.  Neither references an index array: the
-    compiled buffers live in the :class:`CommitPlanCache`, one plan per
-    target, so a shape that never repeats costs its signature and a few
-    small tuples."""
+    inspector round, and with it what a traced round reports about the
+    shape's traffic.  ``disjoint`` is the sanitizer's verdict
+    (:meth:`~repro.analysis.sanitizer.PhaseSanitizer.check_phase`):
+    true once a check found every target written by one VP or by VPs
+    on disjoint rows, which no value can change.  None of the three
+    references an index array: the compiled buffers live in the
+    :class:`CommitPlanCache`, one plan per target, so a shape that
+    never repeats costs its signature and a few small tuples."""
 
-    __slots__ = ("recipe", "costs")
+    __slots__ = ("recipe", "costs", "disjoint")
 
     def __init__(self) -> None:
         self.recipe: list | None = None
         self.costs = None
+        self.disjoint = False
 
 
 class PhaseRecorder:
@@ -293,25 +297,11 @@ class PhaseRecorder:
     grouped or counted while VPs run — a repeated phase shape never
     needs it (:meth:`signature`), and a new one groups at the barrier
     (:func:`repro.core.bundling.aggregate_traffic`).
-
-    ``tracer``/``phase_index`` connect the recorder to the
-    observability bus (:mod:`repro.obs`): when a tracer is attached,
-    every VP resume reports a
-    :class:`~repro.obs.events.VpScheduled` event.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        latency_rounds: int = 1,
-        *,
-        tracer=None,
-        phase_index: int = -1,
-    ) -> None:
+    def __init__(self, kind: str, latency_rounds: int = 1) -> None:
         self.kind = kind
         self.latency_rounds = latency_rounds
-        self.tracer = tracer
-        self.phase_index = phase_index
         self.reads: list[RowSpec] = []
         self.writes: list[RowSpec] = []
         # (node id, len(reads), len(writes)) after each run of accesses
@@ -323,7 +313,7 @@ class PhaseRecorder:
         # node id -> elements written to node-shared instances there.
         self.node_write_elems: dict[int, int] = defaultdict(int)
         # node id -> core id -> accumulated VP cpu seconds.
-        self.core_costs: dict[int, dict[int, float]] = defaultdict(lambda: defaultdict(float))
+        self.core_costs: dict[int, dict[int, float]] = defaultdict(dict)
         # Matched collective slots, in call order.
         self.collective_slots: list[CollectiveSlot] = []
 
@@ -358,22 +348,6 @@ class PhaseRecorder:
         self.absorb(node_id, (), [_footprint(shared, rows, n_elem)])
         if event is not None:
             self.write_ops.append(event)
-
-    def add_vp_cost(
-        self, node_id: int, core_id: int, cost: float, *, vp: int = -1
-    ) -> None:
-        if self.tracer is not None:
-            self.tracer.emit(
-                VpScheduled(
-                    phase=self.phase_index,
-                    node=node_id,
-                    core=core_id,
-                    vp=vp,
-                    cost=cost,
-                )
-            )
-        if cost:
-            self.core_costs[node_id][core_id] += cost
 
     def collective_slot(self, index: int, kind: str, op) -> CollectiveSlot:
         """Fetch or create the matched slot for the ``index``-th

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.config import MachineConfig
-from repro.core.bundling import aggregate_traffic, emit_bundles
+from repro.core.bundling import aggregate_traffic
 from repro.core.collectives import CollectiveHandle
 from repro.core.constructs import PhaseDecl
 from repro.core.errors import (
@@ -42,11 +42,12 @@ from repro.core.scheduler import (
     node_comm_cost,
     node_compute_time,
     peer_owner_messages,
+    wire_events,
 )
 from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
 from repro.machine.network import ZERO_COST
-from repro.obs.events import NodeSlice, PhaseBegin, PhaseCommit
+from repro.obs.events import NodeSlice, PhaseBegin, PhaseCommit, VpScheduled, stamp
 
 
 class _VpRecord:
@@ -81,7 +82,8 @@ class PhaseProfile:
         return max(self.node_timings, key=lambda n: self.node_timings[n].busy)
 
 
-class _PhaseCosts(NamedTuple):
+@dataclass(slots=True)
+class _PhaseCosts:
     """The timing half of a :class:`~repro.core.phase.PhasePlan`: what
     a phase shape's traffic costs, as the inspector round computed it
     (:meth:`PpmRuntime._phase_costs`).  Scalars and small per-node
@@ -94,6 +96,9 @@ class _PhaseCosts(NamedTuple):
     commit_cpu: dict  # node id -> seconds applying committed elements
     messages: int
     nbytes: int
+    #: :func:`~repro.core.scheduler.wire_events` of ``traffic``, derived
+    #: by the first *traced* round (fast-forward inspects untraced).
+    wire: list | None = None
 
 
 @dataclass
@@ -562,7 +567,8 @@ class PpmRuntime:
         """Run the pending phase body of every VP of ``nodes``,
         accumulating per-core costs and each node's access run into the
         recorder and folding the VPs' next declarations into
-        ``self._pending`` — the one loop that visits every VP."""
+        ``self._pending`` — the one loop that visits every VP, and so
+        where a traced run reports each resume (``VpScheduled``)."""
         backend = self._backend
         by_rank = None
         if backend is not None:
@@ -576,7 +582,9 @@ class PpmRuntime:
             self._assign_cores([vp for n in nodes for vp in vps_by_node[n]])
         self.phase = recorder
         try:
-            tr = recorder.tracer
+            tr = self.tracer
+            if tr is not None:
+                emit, phase_index = tr.emit, tr.phase  # set by _run_phase
             core_costs = recorder.core_costs
             pending = self._pending
             fold = self._fold_decl
@@ -599,10 +607,12 @@ class PpmRuntime:
                         done, decl, cost = by_rank[ctx.global_rank]
                         backend.apply_state(vp, done, decl)
                     if tr is not None:
-                        recorder.add_vp_cost(
-                            node_id, ctx.core_id, cost, vp=ctx.global_rank
+                        emit(
+                            VpScheduled(
+                                phase_index, node_id, ctx.core_id, ctx.global_rank, cost
+                            )
                         )
-                    elif cost:
+                    if cost:
                         core = ctx.core_id
                         inner[core] = inner.get(core, 0.0) + cost
                     vp.last_cost = cost
@@ -647,7 +657,7 @@ class PpmRuntime:
         """The running ``do``'s plan for a phase shape, if it has one."""
         return self._phase_plans.get(signature)
 
-    def _phase_costs(self, recorder: PhaseRecorder, tr) -> _PhaseCosts:
+    def _phase_costs(self, recorder: PhaseRecorder) -> _PhaseCosts:
         """Inspect a phase's recorded traffic: bundle it per (node,
         owner), price every node's bundles, and charge the owners'
         message handling and the commit's per-element work — every
@@ -655,25 +665,22 @@ class PpmRuntime:
         cfg = self.config
         net = self.cluster.network
         per_elem = cfg.ppm_commit_per_element
-        traffic = aggregate_traffic(recorder, tracer=tr)
+        traffic = aggregate_traffic(recorder)
         comm: dict[int, object] = {}
         owner_cpu: list[tuple[int, float]] = []
         in_cpu: dict[int, float] = {}
         messages = nbytes = 0
         # node_comm_cost depends only on a node's peer footprint, which
-        # symmetric exchanges repeat across nodes; a traced round prices
-        # every node itself (per-transfer events must be emitted).
+        # symmetric exchanges repeat across nodes.
         priced: dict[tuple, object] = {}
         for node_id, nt in traffic.items():
             footprint = tuple(
                 (p.read_elems, p.write_elems, p.shared.itemsize) for p in nt.peers
             )
-            cost = priced.get(footprint) if tr is None else None
+            cost = priced.get(footprint)
             if cost is None:
                 cost = priced[footprint] = (
-                    node_comm_cost(
-                        net, nt, latency_rounds=recorder.latency_rounds, tracer=tr
-                    )
+                    node_comm_cost(net, nt, latency_rounds=recorder.latency_rounds)
                     if footprint
                     else ZERO_COST
                 )
@@ -718,9 +725,7 @@ class PpmRuntime:
             # which re-attaches the tracer, so read it afterwards.
             res.on_phase_start(phase_index, self)
         tr = self.tracer
-        recorder = PhaseRecorder(
-            kind, latency_rounds, tracer=tr, phase_index=phase_index
-        )
+        recorder = PhaseRecorder(kind, latency_rounds)
         # A round is certified when every active VP sits at a yield the
         # static verifier proved conflict-free (checked on the suspended
         # frames *before* the bodies run, i.e. at this phase's decl).
@@ -761,10 +766,6 @@ class PpmRuntime:
         # operations into the recorder for the unchanged path.
         if backend is not None:
             backend.finish_commit(recorder, node_key)
-        if self.sanitizer is not None and not (certified and self.sanitize_auto):
-            self.sanitizer.check_phase(recorder, phase_index=phase_index)
-        if certified:
-            self.stats_certified_phases += 1
         signature = recorder.signature(certified)
         plan = self._lookup_plan(signature)
         if plan is None:
@@ -772,6 +773,10 @@ class PpmRuntime:
             plan = self._phase_plans[signature] = PhasePlan()
         else:
             self.stats_phase_plan_hits += 1
+        if self.sanitizer is not None and not (certified and self.sanitize_auto):
+            self.sanitizer.check_phase(recorder, plan, phase_index=phase_index)
+        if certified:
+            self.stats_certified_phases += 1
         recorder.apply_writes(self.commit_plans, plan=plan)
         n_contrib = recorder.resolve_collectives()
         if backend is not None:
@@ -779,21 +784,20 @@ class PpmRuntime:
             # so worker-held handles resolve before VP code reads them.
             backend.harvest_collectives(recorder, node_key)
 
-        # Everything the signature fixes comes from the plan; a traced
-        # repeat still owes the trace its per-bundle and per-transfer
-        # events, rebuilt from the stored traffic.
-        costs = plan.costs
-        if costs is None:
-            costs = plan.costs = self._phase_costs(recorder, tr)
-        elif tr is not None:
-            emit_bundles(costs.traffic, tr)
-            for nt in costs.traffic.values():
-                if nt.peers:
-                    node_comm_cost(
-                        cluster.network, nt, latency_rounds=latency_rounds, tracer=tr
-                    )
+        # Everything the signature fixes comes from the plan, the
+        # bundle and message events of a traced round included: only
+        # their phase index is this round's.
         cfg = self.config
         net = cluster.network
+        costs = plan.costs
+        if costs is None:
+            costs = plan.costs = self._phase_costs(recorder)
+        if tr is not None:
+            if costs.wire is None:
+                costs.wire = wire_events(net, costs.traffic)
+            emit = tr.emit
+            for event in stamp(costs.wire, phase_index):
+                emit(event)
         if kind == "global":
             # Every node takes part in the barrier; owner-side software
             # is part of the owner's own phase timing.

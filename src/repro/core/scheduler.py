@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config import MachineConfig
-from repro.core.bundling import NodeTraffic
+from repro.core.bundling import NodeTraffic, PhaseTraffic
 from repro.machine.network import ZERO_COST, BundleCost, NetworkModel
-from repro.obs.events import MessageRecv, MessageSend
+from repro.obs.events import BundleFlushed, MessageRecv, MessageSend
 
 
 @dataclass(frozen=True)
@@ -66,12 +66,27 @@ def node_compute_time(core_costs: dict[int, float]) -> float:
     return max(core_costs.values())
 
 
+def _transfers(network: NetworkModel, p):
+    """One peer entry's bundled wire transfers, in issue order, as
+    ``(purpose, BundleCost)``: a read is an index bundle to the owner
+    (``read_request``) answered by a dense data bundle
+    (``read_reply``), a write one indexed data bundle
+    (``write_bundle``)."""
+    if p.read_elems:
+        yield "read_request", network.bundle(
+            p.read_elems, False, element_bytes=0, with_index=True
+        )
+        yield "read_reply", network.bundle(
+            p.read_elems, False, element_bytes=p.shared.itemsize, with_index=False
+        )
+    if p.write_elems:
+        yield "write_bundle", network.bundle(
+            p.write_elems, False, element_bytes=p.shared.itemsize, with_index=True
+        )
+
+
 def node_comm_cost(
-    network: NetworkModel,
-    traffic: NodeTraffic,
-    *,
-    latency_rounds: int = 1,
-    tracer=None,
+    network: NetworkModel, traffic: NodeTraffic, *, latency_rounds: int = 1
 ) -> BundleCost:
     """Bundled communication cost of one node's phase traffic.
 
@@ -82,64 +97,22 @@ def node_comm_cost(
     (total bytes times beta) and per-message CPU overhead accumulates
     over every bundle.
 
-    With ``tracer`` set, every wire transfer emits a
-    :class:`~repro.obs.events.MessageSend`/`MessageRecv` pair (read
-    requests and write bundles travel node→owner, read replies
-    owner→node).  The runtime passes the tracer only on each node's
-    primary cost call, never on the per-peer owner-overhead
-    recomputations, so each transfer is reported exactly once.
+    Pricing never sees the tracer: the result depends on the node's
+    peer footprint alone, so the runtime prices each distinct
+    footprint of a phase shape once, traced or not, and a trace gets
+    its per-transfer events from :func:`wire_events`.
     """
     cfg = network.config
     msgs = 0
     nbytes = 0
     has_reads = False
     has_writes = False
-
-    def record(src: int, dst: int, variable: str, purpose: str, cost: BundleCost) -> None:
-        tracer.emit(
-            MessageSend(
-                phase=tracer.phase,
-                src=src,
-                dst=dst,
-                variable=variable,
-                purpose=purpose,
-                messages=cost.messages,
-                nbytes=cost.payload_bytes,
-            )
-        )
-        tracer.emit(
-            MessageRecv(
-                phase=tracer.phase,
-                src=src,
-                dst=dst,
-                variable=variable,
-                purpose=purpose,
-                messages=cost.messages,
-                nbytes=cost.payload_bytes,
-            )
-        )
-
     for p in traffic.peers:
-        if p.read_elems:
-            has_reads = True
-            req = network.bundle(p.read_elems, False, element_bytes=0, with_index=True)
-            rep = network.bundle(
-                p.read_elems, False, element_bytes=p.shared.itemsize, with_index=False
-            )
-            msgs += req.messages + rep.messages
-            nbytes += req.payload_bytes + rep.payload_bytes
-            if tracer is not None:
-                record(traffic.node_id, p.owner, p.shared.name, "read_request", req)
-                record(p.owner, traffic.node_id, p.shared.name, "read_reply", rep)
-        if p.write_elems:
-            has_writes = True
-            wb = network.bundle(
-                p.write_elems, False, element_bytes=p.shared.itemsize, with_index=True
-            )
-            msgs += wb.messages
-            nbytes += wb.payload_bytes
-            if tracer is not None:
-                record(traffic.node_id, p.owner, p.shared.name, "write_bundle", wb)
+        for _purpose, cost in _transfers(network, p):
+            msgs += cost.messages
+            nbytes += cost.payload_bytes
+        has_reads = has_reads or p.read_elems > 0
+        has_writes = has_writes or p.write_elems > 0
     if msgs == 0:
         return ZERO_COST
     latency_hops = 0
@@ -153,28 +126,32 @@ def node_comm_cost(
 
 
 def peer_owner_messages(network: NetworkModel, p) -> int:
-    """Message count of one peer entry's traffic, as the owner sees it.
-
-    Identical to the ``messages`` field of :func:`node_comm_cost` on a
-    single-peer ``NodeTraffic`` (latency rounds never change message
-    counts), but without building the throwaway traffic object or
-    computing wire/cpu times the caller discards.  The runtime charges
+    """Message count of one peer entry's traffic, as the owner sees it
+    (latency rounds never change message counts).  The runtime charges
     the owner ``messages * mpi_msg_overhead`` per peer, once per phase
-    shape (the result lives in the phase plan).
-    """
-    msgs = 0
-    if p.read_elems:
-        msgs += network.bundle(
-            p.read_elems, False, element_bytes=0, with_index=True
-        ).messages
-        msgs += network.bundle(
-            p.read_elems, False, element_bytes=p.shared.itemsize, with_index=False
-        ).messages
-    if p.write_elems:
-        msgs += network.bundle(
-            p.write_elems, False, element_bytes=p.shared.itemsize, with_index=True
-        ).messages
-    return msgs
+    shape (the result lives in the phase plan)."""
+    return sum(cost.messages for _purpose, cost in _transfers(network, p))
+
+
+def wire_events(network: NetworkModel, traffic: PhaseTraffic) -> list[tuple]:
+    """What a trace reports about a phase shape's traffic, as
+    ``(event class, fields after phase)`` templates in emission order:
+    one :class:`~repro.obs.events.BundleFlushed` per aggregation row,
+    then per node and peer a ``MessageSend``/``MessageRecv`` pair for
+    every wire transfer (read requests and write bundles travel
+    node→owner, read replies owner→node).  Names and integers only.
+    The runtime derives them from a phase plan's stored traffic the
+    first time a traced round needs them and stamps each traced
+    round's phase index on them, so every transfer of every round is
+    reported exactly once."""
+    events = [(BundleFlushed, row) for row in traffic.flushes]
+    for node_id, nt in traffic.items():
+        for p in nt.peers:
+            for purpose, cost in _transfers(network, p):
+                ends = (p.owner, node_id) if purpose == "read_reply" else (node_id, p.owner)
+                fields = (*ends, p.shared.name, purpose, cost.messages, cost.payload_bytes)
+                events += ((MessageSend, fields), (MessageRecv, fields))
+    return events
 
 
 def compose_phase_timing(

@@ -1,35 +1,14 @@
 """The observability event model: typed events and the event bus.
 
 This module is the foundation of :mod:`repro.obs` and deliberately has
-no dependencies on the rest of the package, so every layer — the PPM
-runtime (:mod:`repro.core.runtime`), the per-phase recorder
-(:mod:`repro.core.phase`), the bundling engine
-(:mod:`repro.core.bundling`), the timing composer
-(:mod:`repro.core.scheduler`) and the network model
-(:mod:`repro.machine.network`) — can emit events without import cycles.
-
-Event taxonomy (full field reference in docs/OBSERVABILITY.md):
-
-=================  =======================  =============================
-Event              Emitted from             One per
-=================  =======================  =============================
-`PhaseBegin`       core/runtime.py          phase, before its bodies run
-`VpScheduled`      core/phase.py            VP resumed in a phase round
-`BundleFlushed`    core/bundling.py         (node, variable, direction)
-`MessageSend`      core/scheduler.py        wire transfer leaving a node
-`MessageRecv`      core/scheduler.py        wire transfer arriving
-`BarrierWait`      machine/network.py       phase-closing synchronisation
-`PhaseCommit`      core/runtime.py          phase, after its barrier
-`WorkerSpan`       parallel/backend.py      (phase round, worker process)
-`ZeroMergeCommit`  parallel/backend.py      phase group committed in place
-`WorkerCrash`      parallel/supervisor.py   worker failure detected
-`WorkerRespawn`    core/program.py          run restarted, same pool size
-`PoolDegraded`     core/program.py          run restarted, weaker pool
-`FaultInjected`    resilience/manager.py    fault the injector fired
-`RetryAttempt`     resilience/retry.py      re-sent bundle flight
-`CheckpointTaken`  resilience/checkpoint.py coordinated checkpoint
-`Recovery`         resilience/manager.py    crash rolled back + resumed
-=================  =======================  =============================
+no dependencies on the rest of the package, so every layer that
+reports — the PPM runtime (:mod:`repro.core.runtime`), the timing
+composer that derives a phase shape's bundle and message events
+(:mod:`repro.core.scheduler`), the network model
+(:mod:`repro.machine.network`), the process backend and the resilience
+layer — can build events without import cycles.  The taxonomy (which
+site emits what, one per what) and the field reference are in
+docs/OBSERVABILITY.md.
 
 Instrumented sites are gated behind a single ``tracer is not None``
 predicate, so the untraced default path pays one pointer test per site
@@ -40,28 +19,74 @@ committed results and identical simulated times (tested in
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from collections import namedtuple
 from typing import ClassVar, Iterator
 
 
-@dataclass(frozen=True)
-class Event:
+class _Value:
+    """What every event class and :class:`NodeSlice` is: an immutable
+    value backed by one tuple of its fields (:func:`_value`) — built by
+    position or keyword, hashable, and equal only to an instance of the
+    same class with equal fields (a tuple's own comparison would call
+    a ``MessageSend`` equal to its ``MessageRecv``)."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def to_dict(self) -> dict:
+        """The fields by name, in declaration order."""
+        return self._asdict()
+
+
+def _value(cls):
+    """Class decorator: rebuild ``cls`` on a named tuple of its
+    annotated fields, inherited ones first.  The body's methods move to
+    the rebuilt class, so they must not use zero-argument ``super()``."""
+    names = [
+        name
+        for klass in reversed(cls.__mro__)
+        for name, ann in vars(klass).get("__annotations__", {}).items()
+        if not ann.startswith("ClassVar")
+    ]
+    body = {k: v for k, v in vars(cls).items() if k not in ("__dict__", "__weakref__")}
+    body["__slots__"] = ()
+    return type(cls.__name__, (*cls.__bases__, namedtuple(cls.__name__, names)), body)
+
+
+def stamp(templates: list, phase: int) -> list:
+    """The events of ``(event class, fields after phase)`` templates
+    at ``phase`` — what a repeated phase shape reports every round,
+    where only the phase index is the round's own."""
+    head = (phase,)
+    new = tuple.__new__
+    return [new(cls, head + fields) for cls, fields in templates]
+
+
+class Event(_Value):
     """Base of all observability events; ``phase`` is the 0-based
     execution index of the phase the event belongs to (global and node
     phases share one counter, in commit order)."""
 
+    __slots__ = ()
     kind: ClassVar[str] = "event"
 
     phase: int
 
     def to_dict(self) -> dict:
         """JSON-ready dict (adds the ``event`` discriminator field)."""
-        d = asdict(self)
+        d = self._asdict()
         d["event"] = self.kind
         return d
 
 
-@dataclass(frozen=True)
+@_value
 class PhaseBegin(Event):
     """A phase is about to execute its VP bodies.
 
@@ -79,7 +104,7 @@ class PhaseBegin(Event):
     t: float
 
 
-@dataclass(frozen=True)
+@_value
 class VpScheduled(Event):
     """One VP was resumed for one phase round on one core.
 
@@ -95,7 +120,7 @@ class VpScheduled(Event):
     cost: float
 
 
-@dataclass(frozen=True)
+@_value
 class BundleFlushed(Event):
     """The commit-time bundling engine aggregated one node's recorded
     fine-grained accesses to one shared variable in one direction.
@@ -123,7 +148,7 @@ class BundleFlushed(Event):
     peers: int
 
 
-@dataclass(frozen=True)
+@_value
 class MessageSend(Event):
     """A bundled wire transfer left node ``src`` toward node ``dst``.
 
@@ -144,7 +169,7 @@ class MessageSend(Event):
     nbytes: int
 
 
-@dataclass(frozen=True)
+@_value
 class MessageRecv(Event):
     """The receiving half of a :class:`MessageSend` (same fields)."""
 
@@ -158,7 +183,7 @@ class MessageRecv(Event):
     nbytes: int
 
 
-@dataclass(frozen=True)
+@_value
 class BarrierWait(Event):
     """The phase-closing synchronisation was charged.
 
@@ -177,8 +202,8 @@ class BarrierWait(Event):
     fused: bool
 
 
-@dataclass(frozen=True)
-class NodeSlice:
+@_value
+class NodeSlice(_Value):
     """One node's timing slice of one committed phase (nested inside
     :class:`PhaseCommit`).  ``arrival = t0 + busy`` is when the node
     reached the barrier; ``wait = t_end - arrival`` its barrier wait
@@ -195,7 +220,7 @@ class NodeSlice:
     wait: float
 
 
-@dataclass(frozen=True)
+@_value
 class PhaseCommit(Event):
     """A phase committed: writes applied, collectives resolved,
     clocks merged to ``t_end``.  ``messages``/``nbytes`` are the
@@ -213,8 +238,13 @@ class PhaseCommit(Event):
     collectives: int
     nodes: tuple[NodeSlice, ...]
 
+    def to_dict(self) -> dict:
+        d = Event.to_dict(self)
+        d["nodes"] = tuple(ns.to_dict() for ns in self.nodes)
+        return d
 
-@dataclass(frozen=True)
+
+@_value
 class WorkerSpan(Event):
     """One worker process serviced one phase round of the
     ``executor="process"`` backend.
@@ -234,7 +264,7 @@ class WorkerSpan(Event):
     host_s: float
 
 
-@dataclass(frozen=True)
+@_value
 class ZeroMergeCommit(Event):
     """One phase group of a certified round committed worker-side
     (the zero-merge path of the ``executor="process"`` backend): the
@@ -259,7 +289,7 @@ class ZeroMergeCommit(Event):
     bytes_avoided: int
 
 
-@dataclass(frozen=True)
+@_value
 class WorkerCrash(Event):
     """The worker supervisor detected one worker failure.
 
@@ -278,7 +308,7 @@ class WorkerCrash(Event):
     command: str
 
 
-@dataclass(frozen=True)
+@_value
 class WorkerRespawn(Event):
     """The pool came back: after a worker failure the run restarted
     in a fresh pool of the same size.
@@ -296,7 +326,7 @@ class WorkerRespawn(Event):
     host_s: float
 
 
-@dataclass(frozen=True)
+@_value
 class PoolDegraded(Event):
     """The supervisor exhausted its respawn budget and degraded the
     run instead of crashing it.
@@ -314,7 +344,7 @@ class PoolDegraded(Event):
     workers_to: int
 
 
-@dataclass(frozen=True)
+@_value
 class FaultInjected(Event):
     """The fault injector fired one planned fault.
 
@@ -334,7 +364,7 @@ class FaultInjected(Event):
     detail: float
 
 
-@dataclass(frozen=True)
+@_value
 class RetryAttempt(Event):
     """The reliable delivery layer re-sent one bundle flight.
 
@@ -353,7 +383,7 @@ class RetryAttempt(Event):
     delivered: bool
 
 
-@dataclass(frozen=True)
+@_value
 class CheckpointTaken(Event):
     """A coordinated phase-boundary checkpoint was written.
 
@@ -369,7 +399,7 @@ class CheckpointTaken(Event):
     t: float
 
 
-@dataclass(frozen=True)
+@_value
 class Recovery(Event):
     """The runtime recovered from an injected node crash.
 
@@ -415,20 +445,30 @@ EVENT_TYPES: dict[str, type[Event]] = {
 }
 
 
+def _from_fields(cls, label: str, d: dict):
+    """``cls(**d)``, with a field mismatch reported as a ValueError
+    (the dict comes from a trace file, i.e. from outside)."""
+    missing = [f for f in cls._fields if f not in d]
+    extra = [k for k in d if k not in cls._fields]
+    if missing or extra:
+        raise ValueError(f"{label}: missing field(s) {missing}, unexpected field(s) {extra}")
+    return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+
+
 def event_from_dict(d: dict) -> Event:
-    """Reconstruct a typed event from its :meth:`Event.to_dict` form."""
+    """Reconstruct a typed event from its :meth:`Event.to_dict` form;
+    an unknown kind or a missing or unexpected field is a ValueError."""
     try:
         cls = EVENT_TYPES[d["event"]]
     except KeyError:
         raise ValueError(f"unknown event kind {d.get('event')!r}") from None
     kwargs = {k: v for k, v in d.items() if k != "event"}
-    if cls is PhaseCommit:
-        kwargs["nodes"] = tuple(NodeSlice(**ns) for ns in kwargs.get("nodes", ()))
-    else:
-        for f in fields(cls):
-            if f.name in kwargs and isinstance(kwargs[f.name], list):
-                kwargs[f.name] = tuple(kwargs[f.name])
-    return cls(**kwargs)
+    if cls is PhaseCommit and "nodes" in kwargs:
+        kwargs["nodes"] = tuple(
+            _from_fields(NodeSlice, "phase_commit event, node slice", ns)
+            for ns in kwargs["nodes"]
+        )
+    return _from_fields(cls, f"{cls.kind} event", kwargs)
 
 
 class EventBus:

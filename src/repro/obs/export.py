@@ -64,8 +64,11 @@ def load_trace(path: str) -> PhaseTrace:
             f"(this reader understands {SCHEMA_VERSION})"
         )
     trace = PhaseTrace()
-    for d in payload.get("events", []):
-        trace.emit(event_from_dict(d))
+    for i, d in enumerate(payload.get("events", [])):
+        try:
+            trace.emit(event_from_dict(d))
+        except ValueError as exc:
+            raise ValueError(f"{path}: event {i}: {exc}") from None
     if trace.events:
         trace.phase = max(ev.phase for ev in trace.events)
     return trace

@@ -328,57 +328,61 @@ class RunReport:
                 }
             return acc[phase]
 
+        # One pass, dispatching on the event's exact class (every class
+        # in EVENT_TYPES is final), commonest kinds first: a traced
+        # sweep holds tens of thousands of events.
         for ev in events:
-            if isinstance(ev, PhaseBegin):
-                begins[ev.phase] = ev
-            elif isinstance(ev, PhaseCommit):
-                commits[ev.phase] = ev
-            elif isinstance(ev, VpScheduled):
+            tp = type(ev)
+            if tp is VpScheduled:
                 b = bucket(ev.phase)
                 b["vp_count"] += 1
                 b["vp_work"] += ev.cost
-            elif isinstance(ev, BundleFlushed):
+            elif tp is MessageSend:
+                b = bucket(ev.phase)
+                b["sent_msgs"] += ev.messages
+                b["sent_bytes"] += ev.nbytes
+            elif tp is MessageRecv:
+                bucket(ev.phase)["recv_bytes"] += ev.nbytes
+            elif tp is BundleFlushed:
                 b = bucket(ev.phase)
                 b["access_ops"] += ev.raw_ops
                 b["raw_elems"] += ev.raw_elems
                 b["unbundled"] += ev.remote_elems
-            elif isinstance(ev, MessageSend):
-                b = bucket(ev.phase)
-                b["sent_msgs"] += ev.messages
-                b["sent_bytes"] += ev.nbytes
-            elif isinstance(ev, MessageRecv):
-                bucket(ev.phase)["recv_bytes"] += ev.nbytes
-            elif isinstance(ev, BarrierWait):
+            elif tp is PhaseBegin:
+                begins[ev.phase] = ev
+            elif tp is PhaseCommit:
+                commits[ev.phase] = ev
+            elif tp is BarrierWait:
                 bucket(ev.phase)["barrier_cost"] += ev.duration
-            elif isinstance(ev, FaultInjected):
+            elif tp is FaultInjected:
                 saw_resilience = True
                 res["faults"] += 1
                 if ev.fault == "duplicate":
                     res["duplicates"] += 1
                 elif ev.fault == "straggler":
                     res["stragglers"] += 1
-            elif isinstance(ev, RetryAttempt):
+            elif tp is RetryAttempt:
                 saw_resilience = True
                 res["retries"] += 1
-            elif isinstance(ev, CheckpointTaken):
+            elif tp is CheckpointTaken:
                 saw_resilience = True
                 res["checkpoints"] += 1
                 res["checkpoint_bytes"] += ev.nbytes
                 res["checkpoint_time"] += ev.duration
-            elif isinstance(ev, Recovery):
+            elif tp is Recovery:
                 saw_resilience = True
                 res["recoveries"] += 1
                 res["recovery_time"] += ev.t_resume - ev.t_crash
                 res["lost_work"] += ev.lost_work
-            elif isinstance(ev, WorkerSpan):
+            elif tp is WorkerSpan:
                 spans.append(ev)
-            elif isinstance(ev, ZeroMergeCommit):
+            elif tp is ZeroMergeCommit:
                 zm["commits"] += 1
                 zm["ops"] += ev.ops
                 zm["plan_hits"] += ev.plan_hits
                 zm["plan_misses"] += ev.plan_misses
                 zm["bytes_avoided"] += ev.bytes_avoided
-            elif isinstance(ev, WorkerCrash):
+            elif tp is WorkerCrash:
                 saw_supervision = True
                 if ev.failure == "hang":
                     sup["hangs"] += 1
@@ -386,9 +390,9 @@ class RunReport:
                     sup["corrupt"] += 1
                 else:
                     sup["crashes"] += 1
-            elif isinstance(ev, (WorkerRespawn, PoolDegraded)):
+            elif tp is WorkerRespawn or tp is PoolDegraded:
                 saw_supervision = True
-                if isinstance(ev, WorkerRespawn):
+                if tp is WorkerRespawn:
                     sup["respawns"] += 1
                     sup["recovery_host_s"] += ev.host_s
                 else:

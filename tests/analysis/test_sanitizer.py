@@ -360,6 +360,90 @@ class TestRowPrefilter:
 
 
 # ======================================================================
+# The verdict of a repeated phase shape
+# ======================================================================
+#: Per round, the value each of two VPs writes to the one shared row:
+#: the same shape three times, benign, then conflicting, then benign.
+_ROUND_VALUES = [(7.0, 7.0), (1.0, 2.0), (7.0, 7.0)]
+
+
+@ppm_function
+def _overlap_kernel(ctx, X):
+    for values in _ROUND_VALUES:
+        yield ctx.global_phase
+        X[0] = values[ctx.global_rank]
+
+
+@ppm_function
+def _chunk_kernel(ctx, X, Y, rounds):
+    """Row-disjoint chunk writes, alternating between two variables:
+    two phase shapes, each repeated ``rounds / 2`` times."""
+    lo = 2 * ctx.global_rank
+    for round_no in range(rounds):
+        yield ctx.global_phase
+        (X, Y)[round_no % 2][lo : lo + 2] = float(round_no)
+
+
+class TestRepeatedShapes:
+    @staticmethod
+    def _overlap_main(ppm):
+        X = ppm.global_shared("x", 4, fill=-1.0)
+        TestRepeatedShapes.handle = X
+        ppm.do(2, _overlap_kernel, X)
+
+    def test_overlapping_shape_is_classified_every_round(self):
+        """Whether an overlap is benign depends on the values, which
+        the shape's signature does not hold: no verdict is reused."""
+        cluster = Cluster(mkconfig(n_nodes=1, cores_per_node=2))
+        ppm, _ = run_ppm(self._overlap_main, cluster, sanitize="warn")
+        rt = ppm.runtime
+        assert (rt.stats_phase_plan_hits, rt.stats_phase_plan_misses) == (2, 1)
+        assert [(d.rule, d.phase_index) for d in ppm.diagnostics] == [
+            ("PPM203", 0), ("PPM201", 1), ("PPM203", 2),
+        ]
+        assert rt.sanitizer.phases_checked == rt.sanitizer.phases_flagged == 3
+
+    def test_strict_raises_at_the_conflicting_repeat_before_its_commit(self):
+        cluster = Cluster(mkconfig(n_nodes=1, cores_per_node=2))
+        with pytest.raises(PhaseConflictError) as exc_info:
+            run_ppm(self._overlap_main, cluster, sanitize="strict")
+        errors = [d for d in exc_info.value.diagnostics if d.severity == "error"]
+        assert [(d.rule, d.phase_index) for d in errors] == [("PPM201", 1)]
+        # Round 0 committed, round 1 did not.
+        assert self.handle.committed[0] == 7.0
+
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    def test_disjoint_shape_is_classified_once(self, monkeypatch, executor):
+        """Who writes which rows is all of the signature, so a shape
+        found row-disjoint stays so; every phase still counts as
+        checked.  The process executor ships its records to the same
+        check (a sanitized ``do`` never commits worker-side)."""
+        groups = []
+        real = PhaseSanitizer._check_group
+
+        def spying(self, evs, phase_index, phase_kind):
+            groups.append((phase_index, evs[0].shared.name))
+            return real(self, evs, phase_index, phase_kind)
+
+        monkeypatch.setattr(PhaseSanitizer, "_check_group", spying)
+
+        def main(ppm):
+            X = ppm.global_shared("x", 8)
+            Y = ppm.global_shared("y", 8)
+            ppm.do(2, _chunk_kernel, X, Y, 6)
+            return X.committed.copy(), Y.committed.copy()
+
+        opts = {"executor": "process", "workers": 2} if executor == "process" else {}
+        ppm, (x, y) = run_ppm(
+            main, Cluster(mkconfig(n_nodes=2, cores_per_node=2)), sanitize="warn", **opts
+        )
+        assert groups == [(0, "x"), (1, "y")]
+        assert ppm.runtime.sanitizer.phases_checked == 6
+        assert ppm.diagnostics == []
+        assert x.tolist() == [4.0] * 8 and y.tolist() == [5.0] * 8
+
+
+# ======================================================================
 # The shipped apps stay clean under the sanitizer
 # ======================================================================
 class TestAppsClean:

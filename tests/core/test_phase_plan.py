@@ -378,7 +378,8 @@ class TestInspectionCounts:
         real = runtime_module.aggregate_traffic
 
         def counting(recorder, **kwargs):
-            calls.append(recorder.phase_index)
+            rt = seen["rt"]  # the index of the phase being inspected
+            calls.append(rt.stats_global_phases + rt.stats_node_phases)
             return real(recorder, **kwargs)
 
         monkeypatch.setattr(runtime_module, "aggregate_traffic", counting)

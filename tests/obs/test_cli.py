@@ -32,6 +32,19 @@ class TestReportCommand:
         assert rc == 2
         assert "cannot read trace" in capsys.readouterr().err
 
+    def test_damaged_event_exits_2_without_a_traceback(self, tmp_path, capsys):
+        payload = json.loads((GOLDEN / "sample.trace.json").read_text())
+        at = next(
+            i for i, d in enumerate(payload["events"]) if d["event"] == "vp_scheduled"
+        )
+        del payload["events"][at]["cost"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        rc = main(["report", str(bad)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"event {at}: vp_scheduled event: missing field(s) ['cost']" in err
+
 
 class TestChromeCommand:
     def test_chrome_conversion(self, tmp_path, capsys):

@@ -3,19 +3,24 @@ per occurrence, and untraced runs emit nothing."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.config import testing as mkconfig
 from repro.core import run_ppm
+from repro.core.errors import VpProgramError
 from repro.machine import Cluster
 from repro.obs.events import (
     EVENT_TYPES,
     BarrierWait,
     BundleFlushed,
+    Event,
     EventBus,
     MessageRecv,
     MessageSend,
+    NodeSlice,
     PhaseBegin,
     PhaseCommit,
     PhaseTrace,
@@ -89,7 +94,132 @@ class TestEventBus:
             event_from_dict({"event": "nope"})
 
 
+def _sample(cls):
+    """An instance of ``cls`` with a distinct value in every field."""
+    values = {name: i + 1 for i, name in enumerate(cls._fields)}
+    if cls is PhaseCommit:
+        values["nodes"] = (_sample(NodeSlice),)
+    elif cls is PhaseBegin:
+        values["nodes"] = (0, 1)
+    return cls(**values)
+
+
+VALUE_TYPES = [*EVENT_TYPES.values(), NodeSlice]
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+class TestValueTypes:
+    """Every event class (and the slice nested in ``PhaseCommit``) is
+    the same kind of immutable value."""
+
+    def test_fields_cannot_be_assigned(self, cls):
+        ev = _sample(cls)
+        for name in (*cls._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(ev, name, 0)
+        assert ev == _sample(cls)
+
+    def test_hashable_and_equal_by_value(self, cls):
+        assert hash(_sample(cls)) == hash(_sample(cls))
+        assert len({_sample(cls), _sample(cls)}) == 1
+        first = cls._fields[0]
+        changed = _sample(cls)._replace(**{first: -1})
+        assert changed != _sample(cls) and not changed == _sample(cls)
+
+    def test_positional_equals_keyword_construction(self, cls):
+        ev = _sample(cls)
+        assert cls(*ev) == ev
+        assert cls(*ev[:2], **dict(zip(cls._fields[2:], ev[2:]))) == ev
+        assert [getattr(ev, name) for name in cls._fields] == list(ev)
+        with pytest.raises(TypeError):
+            cls(*ev[:-1])
+        with pytest.raises(TypeError):
+            cls(*ev, 0)
+
+    def test_never_equal_across_classes(self, cls):
+        """E.g. a ``MessageSend`` and the ``MessageRecv`` with the same
+        fields, which plain tuples would call equal."""
+        ev = _sample(cls)
+        assert ev != tuple(ev) and tuple(ev) != ev
+        for other in VALUE_TYPES:
+            if other is not cls and len(other._fields) == len(cls._fields):
+                twin = other(*ev)
+                assert tuple(twin) == tuple(ev)
+                assert ev != twin and not ev == twin
+                assert len({ev, twin}) == 2
+
+    def test_to_dict_lists_the_fields_in_order(self, cls):
+        d = _sample(cls).to_dict()
+        if cls is NodeSlice:
+            assert list(d) == list(cls._fields)
+            return
+        assert issubclass(cls, Event) and cls._fields[0] == "phase"
+        assert list(d) == [*cls._fields, "event"]
+        assert d["event"] == cls.kind and EVENT_TYPES[cls.kind] is cls
+
+    def test_round_trips_through_its_dict(self, cls):
+        if cls is NodeSlice:
+            return  # travels inside PhaseCommit
+        ev = _sample(cls)
+        wire = json.loads(json.dumps(ev.to_dict()))
+        assert event_from_dict(wire) == ev
+        assert json.dumps(event_from_dict(wire).to_dict()) == json.dumps(ev.to_dict())
+
+
+class TestDamagedTraceEvents:
+    """A trace file is outside input: a damaged event is a ValueError
+    naming the kind and the field, not a constructor's TypeError."""
+
+    def test_missing_field(self):
+        d = VpScheduled(phase=0, node=0, core=0, vp=1, cost=1.0).to_dict()
+        del d["cost"]
+        with pytest.raises(ValueError, match=r"vp_scheduled event: missing field\(s\) \['cost'\], unexpected field\(s\) \[\]"):
+            event_from_dict(d)
+
+    def test_unexpected_field(self):
+        d = VpScheduled(phase=0, node=0, core=0, vp=1, cost=1.0).to_dict()
+        d["colour"] = "red"
+        with pytest.raises(ValueError, match=r"vp_scheduled event: missing field\(s\) \[\], unexpected field\(s\) \['colour'\]"):
+            event_from_dict(d)
+
+    def test_both_at_once_and_in_a_node_slice(self):
+        d = _sample(PhaseCommit).to_dict()
+        d["nodes"] = [dict(d["nodes"][0], t_0=0.0)]
+        del d["nodes"][0]["t0"]
+        with pytest.raises(
+            ValueError,
+            match=r"phase_commit event, node slice: missing field\(s\) \['t0'\], "
+            r"unexpected field\(s\) \['t_0'\]",
+        ):
+            event_from_dict(d)
+
+
 class TestEmissionCounts:
+    def test_a_raising_body_keeps_its_predecessors_in_the_trace(self):
+        """``VpScheduled`` is reported per VP as the stepping loop goes,
+        so the trace of a failed round shows who ran before the
+        failure."""
+
+        def kernel(ctx, A):
+            for round_no in range(3):
+                yield ctx.global_phase
+                if round_no == 2 and ctx.global_rank == 5:
+                    raise RuntimeError("boom")
+                A[ctx.global_rank] = float(round_no)
+
+        def main(ppm):
+            ppm.do(4, kernel, ppm.global_shared("A", 8))
+
+        trace = PhaseTrace()
+        with pytest.raises(VpProgramError, match="boom"):
+            run_ppm(main, Cluster(mkconfig(n_nodes=2, cores_per_node=2)), trace=trace)
+        resumed = {
+            phase: [e.vp for e in trace.by_kind("vp_scheduled") if e.phase == phase]
+            for phase in (0, 1, 2)
+        }
+        assert resumed == {0: list(range(8)), 1: list(range(8)), 2: [0, 1, 2, 3, 4]}
+        assert [e.phase for e in trace.by_kind("phase_commit")] == [0, 1]
+
     def test_untraced_run_emits_nothing(self):
         cluster = Cluster(mkconfig(n_nodes=2, cores_per_node=2))
         ppm, _ = run_ppm(_two_phase_program, cluster)

@@ -73,6 +73,29 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="version"):
             load_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "damage, complaint",
+        [
+            (lambda d: d.pop("cost"), r"missing field\(s\) \['cost'\]"),
+            (lambda d: d.update(colour="red"), r"missing field\(s\) \[\], unexpected field\(s\) \['colour'\]"),
+        ],
+        ids=["missing", "unexpected"],
+    )
+    def test_damaged_event_names_file_index_kind_and_field(
+        self, traced, tmp_path, damage, complaint
+    ):
+        payload = trace_to_dict(traced)
+        at = next(
+            i for i, d in enumerate(payload["events"]) if d["event"] == "vp_scheduled"
+        )
+        damage(payload["events"][at])
+        path = tmp_path / "damaged.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            ValueError, match=rf"damaged\.json: event {at}: vp_scheduled event: {complaint}"
+        ):
+            load_trace(str(path))
+
 
 class TestChromeTrace:
     def test_structure(self, traced):

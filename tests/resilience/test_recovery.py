@@ -85,6 +85,39 @@ class TestCrashRecovery:
         # was lost — strictly less than restarting the whole run.
         assert 0 <= rec.lost_work < rec.t_crash
 
+    def test_recovered_phases_report_the_fault_free_wire_events(self):
+        """Fast-forward inspects the phase shapes with the tracer
+        detached; the live phases after the resume reuse those plans
+        and must still report every bundle and transfer, at their own
+        phase index."""
+        main = _cg_main()
+        clean = PhaseTrace()
+        run_ppm(main, _cluster(), trace=clean)
+        trace = PhaseTrace()
+        plan = FaultPlan(seed=5).crash(node=1, phase=7)
+        ppm, _ = run_ppm(
+            main, _cluster(), faults=plan, checkpoint_every=3, trace=trace
+        )
+        wire_kinds = ("bundle_flushed", "message_send", "message_recv")
+
+        def wire_by_phase(events):
+            by_phase = {}
+            for e in events:
+                if e.kind in wire_kinds:
+                    by_phase.setdefault(e.phase, []).append(e)
+            return by_phase
+
+        resumed_at = next(
+            i for i, e in enumerate(trace.events) if e.kind == "recovery"
+        )
+        recovered = wire_by_phase(trace.events[resumed_at + 1 :])
+        reference = wire_by_phase(clean.events)
+        # Restored the phase-5 cut: phases 6.. run live, most of them
+        # on plans that phases 0..5 built untraced.
+        assert recovered and min(recovered) == 6
+        assert recovered == {p: evs for p, evs in reference.items() if p >= 6}
+        assert ppm.runtime.stats_phase_plan_hits > ppm.runtime.stats_phase_plan_misses
+
     def test_crash_without_checkpoint_restarts_from_scratch(self):
         main = _cg_main()
         _, x_clean = run_ppm(main, _cluster())
