@@ -70,7 +70,7 @@ class NodeCrashFault(ResilienceError):
     Raised by the runtime *before* the phase's writes apply, so the
     committed state observed by recovery is exactly the last
     phase-boundary cut.  ``run_ppm`` catches this and re-executes the
-    driver, restoring from the last checkpoint (docs/RESILIENCE.md)."""
+    driver up to the last checkpoint (docs/RESILIENCE.md)."""
 
     def __init__(self, *, node: int, phase_index: int) -> None:
         super().__init__(
@@ -135,6 +135,23 @@ class SupervisionExhaustedError(ParallelExecutionError):
     def __init__(self, message: str, *, code: str = "PPM604") -> None:
         super().__init__(f"{code}: {message}")
         self.code = code
+
+
+class _PoolRestart(ParallelError):
+    """Internal control-flow signal: a worker failed and the attempt is
+    abandoned.  ``mode`` says how the run comes back — ``"respawn"``
+    (a fresh pool of the same size) or, once the budget at this size
+    is spent, the policy's ``"shrink"`` / ``"inline"``.  Raised by the
+    worker supervisor, caught by ``run_ppm``'s re-execution loop;
+    never user-visible."""
+
+    def __init__(self, mode: str, workers_from: int, worker: int) -> None:
+        super().__init__(
+            f"worker pool restarting ({mode}) from {workers_from} workers"
+        )
+        self.mode = mode
+        self.workers_from = workers_from
+        self.worker = worker
 
 
 def _revive_vp_error(message, node, vp_rank, phase_index):

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.errors import PpmError
+from repro.core.errors import NodeCrashFault, PpmError, _PoolRestart
 from repro.core.runtime import DoStats, PpmRuntime
 from repro.core.shared import GlobalShared, NodeShared
 from repro.machine.cluster import Cluster
@@ -239,10 +239,11 @@ def run_ppm(
         time; committed results stay bitwise-identical to a fault-free
         run (docs/RESILIENCE.md).
     checkpoint_every:
-        ``None`` (default, off) or an ``int >= 1`` — snapshot all
-        shared instances plus the simulated clock every that many
-        phases; an injected crash rolls back to the last checkpoint
-        instead of restarting from scratch.
+        ``None`` (default, off) or an ``int >= 1`` — every that many
+        phases, charge the simulated clock a coordinated write-out of
+        all shared instances and record the cut; an injected crash
+        rolls back to the last cut (by re-execution: no array is
+        copied) instead of restarting from scratch.
     resilience:
         Optional
         :class:`~repro.resilience.manager.ResiliencePolicy` with the
@@ -298,116 +299,62 @@ def run_ppm(
         raise ValueError(
             f"trace must be None, True, 'on' or a PhaseTrace, got {trace!r}"
         )
-    # One PhaseTrace for the whole run: every pool restart and every
-    # resilience incarnation appends to it (a crashed incarnation's
-    # events are part of the run).  ``opts`` is what each incarnation's
-    # PpmRuntime is built from.
+    # One PhaseTrace for the whole run: every turn of the loop below
+    # appends to it (what a crashed or abandoned turn recorded is part
+    # of the run).  ``opts`` is what each turn's PpmRuntime is built
+    # from; a degradation weakens it.
     opts = dict(
         sanitize=sanitize, trace=trace, executor=executor, workers=workers,
         supervision=supervision,
     )
-    resilient = (faults, checkpoint_every, resilience)
-    if supervision is None:
-        return _run_once(main, cluster, args, kwargs, resilient, opts)
 
-    # Supervised run: the restart loop.  A _PoolRestart escape (a
-    # worker failed) re-executes the whole driver from scratch — in a
-    # fresh pool of the same size after a back-off or, once the respawn
-    # budget for that size is spent, in a weaker configuration (fewer
-    # workers, ultimately the inline engine).  The restart is sound for
-    # the same reason resilience incarnations are: driver + kernel
-    # re-execute deterministically, and clocks, node memory and the
-    # machine trace rewind so the final simulated times and statistics
-    # match an untroubled run of the final configuration.
-    from repro.obs.events import PoolDegraded, WorkerRespawn
-    from repro.parallel.supervisor import SupervisionState, _PoolRestart
+    def new_manager():
+        if faults is None and checkpoint_every is None and resilience is None:
+            return None
+        # Deferred import: repro.core must stay importable without the
+        # resilience package being touched on the default path.
+        from repro.resilience.manager import ResilienceManager
 
-    state = opts["supervision_state"] = SupervisionState()
+        return ResilienceManager(
+            cluster,
+            plan=faults,
+            checkpoint_every=checkpoint_every,
+            policy=resilience,
+            tracer=trace,
+        )
+
+    manager = new_manager()
+    state = None
+    if supervision is not None:
+        from repro.parallel.supervisor import SupervisionState
+
+        state = opts["supervision_state"] = SupervisionState()
     entry = cluster.trace.mark()
+    # The one loop that re-executes a driver (a plain call goes round
+    # once).  A phase boundary is a coordinated cut and driver + kernels
+    # are deterministic, so both recoveries are a re-run up to a cut: an
+    # injected node crash fast-forwards to the last checkpoint (the
+    # manager plans it and bounds the incarnations), a failed worker
+    # restarts from scratch — fresh pool after a back-off or, the
+    # respawn budget spent, a weaker configuration — with clocks and
+    # machine trace rewound to the run's entry and a fresh manager, so
+    # times and statistics match an untroubled run of the final setup.
     while True:
         t0 = time.perf_counter()
         try:
-            return _run_once(main, cluster, args, kwargs, resilient, opts)
+            with PpmProgram(cluster, resilience=manager, **opts) as ppm:
+                if manager is not None:
+                    manager.begin_incarnation(ppm.runtime)
+                return ppm, main(ppm, *args, **kwargs)
+        except NodeCrashFault as crash:
+            manager.handle_crash(crash)
         except _PoolRestart as sig:
-            if sig.mode == "respawn":
-                state.restarts_at_size += 1
-                time.sleep(supervision.retry.backoff(state.restarts_at_size))
-                host_s = time.perf_counter() - t0
-                state.respawns += 1
-                state.recovery_host_s += host_s
-                event = WorkerRespawn(
-                    phase=-1,
-                    worker=sig.worker,
-                    attempt=state.restarts_at_size,
-                    host_s=host_s,
-                )
-            else:
-                state.degradations += 1
-                state.restarts_at_size = 0
-                if sig.mode == "shrink" and sig.workers_from - 1 >= 1:
-                    workers_to = opts["workers"] = sig.workers_from - 1
-                else:
-                    opts.update(executor="inline", supervision=None)
-                    workers_to = 0
-                event = PoolDegraded(
-                    phase=-1,
-                    mode=sig.mode,
-                    workers_from=sig.workers_from,
-                    workers_to=workers_to,
-                )
+            event = state.restart(sig, supervision, opts, t0)
             if trace is not None:
                 trace.emit(event)
             cluster.reset_clocks()
             cluster.trace.rewind(entry)
-            for node in cluster:
-                node.memory.clear()
-            state.publish()
-
-
-def _run_once(main, cluster, args, kwargs, resilient, opts):
-    """One complete driver execution (one pool); the body ``run_ppm``
-    wraps in its supervised restart loop.
-    ``resilient`` is ``(faults, checkpoint_every, resilience)``,
-    ``opts`` the :class:`PpmProgram` engine options."""
-    faults, checkpoint_every, resilience = resilient
-    if faults is None and checkpoint_every is None and resilience is None:
-        ppm = PpmProgram(cluster, **opts)
-        try:
-            result = main(ppm, *args, **kwargs)
-        finally:
-            ppm.close()
-        return ppm, result
-
-    # Deferred import: repro.core must stay importable without the
-    # resilience package being touched on the default path.
-    from repro.core.errors import NodeCrashFault, ResilienceError
-    from repro.resilience.manager import ResilienceManager, ResiliencePolicy
-
-    if resilience is not None and not isinstance(resilience, ResiliencePolicy):
-        raise ValueError(
-            f"resilience must be a ResiliencePolicy or None, got {resilience!r}"
-        )
-    manager = ResilienceManager(
-        cluster,
-        plan=faults,
-        checkpoint_every=checkpoint_every,
-        policy=resilience,
-    )
-    manager.tracer = opts["trace"]
-    for _ in range(manager.policy.max_incarnations):
-        ppm = PpmProgram(cluster, resilience=manager, **opts)
-        manager.begin_incarnation(ppm.runtime)
-        try:
-            result = main(ppm, *args, **kwargs)
-        except NodeCrashFault as crash:
-            # Plan the rollback (cut selection, detection + restore
-            # cost, memory release) and re-execute the driver.
-            manager.handle_crash(crash, ppm.runtime)
-        else:
-            return ppm, result
-        finally:
-            ppm.close()
-    raise ResilienceError(
-        f"run did not complete within {manager.policy.max_incarnations} "
-        "incarnations (more planned crashes than max_incarnations allows?)"
-    )
+            manager = new_manager()
+        # Either way the next turn re-declares its shared variables.
+        for node in cluster:
+            node.memory.clear()

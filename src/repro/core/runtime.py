@@ -167,9 +167,9 @@ class PpmRuntime:
         self.supervision = supervision
         #: Cross-restart supervision counters
         #: (:class:`repro.parallel.supervisor.SupervisionState`);
-        #: ``run_ppm``'s restart loop threads one state object
-        #: through pool restarts so the final report covers the whole
-        #: run.  None means the backend creates a fresh one.
+        #: ``run_ppm`` threads one state object through pool restarts,
+        #: so this is where a finished run's counters are read.  None
+        #: means the backend creates a fresh one.
         self.supervision_state = supervision_state
         #: Execution backend selector: ``"inline"`` (default — phase
         #: bodies run in this process, bitwise-identical to every

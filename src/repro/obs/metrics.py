@@ -284,10 +284,16 @@ class RunReport:
         Only phases with a :class:`PhaseCommit` appear (a run aborted
         mid-phase contributes its completed phases only).
 
-        A supervised restart (:class:`WorkerRespawn` /
-        :class:`PoolDegraded`) re-executes the driver from scratch with
-        zeroed clocks, so everything but the supervision counters
-        starts over there: a recovered run reports like the fault-free
+        One rule for every event that announces a re-execution: the
+        per-phase state of the phases above its cut is dropped, so a
+        row describes the execution that committed.  A
+        :class:`Recovery` cuts at its ``checkpoint_phase`` and keeps
+        the run-level aggregates (its faults, retries and lost work
+        cost simulated time — what was thrown away is
+        ``resilience.lost_work``); a supervised restart
+        (:class:`WorkerRespawn` / :class:`PoolDegraded`) cuts at -1
+        with zeroed clocks, so everything but the supervision counters
+        starts over there: a restarted run reports like the fault-free
         run it is.
         """
         begins: dict[int, PhaseBegin] = {}
@@ -327,6 +333,11 @@ class RunReport:
                     "barrier_cost": 0.0,
                 }
             return acc[phase]
+
+        def forget_above(cut: int) -> None:
+            for per_phase in (begins, commits, acc):
+                for phase in [p for p in per_phase if p > cut]:
+                    del per_phase[phase]
 
         # One pass, dispatching on the event's exact class (every class
         # in EVENT_TYPES is final), commonest kinds first: a traced
@@ -374,6 +385,7 @@ class RunReport:
                 res["recoveries"] += 1
                 res["recovery_time"] += ev.t_resume - ev.t_crash
                 res["lost_work"] += ev.lost_work
+                forget_above(ev.checkpoint_phase)
             elif tp is WorkerSpan:
                 spans.append(ev)
             elif tp is ZeroMergeCommit:
@@ -399,8 +411,8 @@ class RunReport:
                     sup["degradations"] += 1
                 # What the abandoned attempt recorded is not part of
                 # the run that follows.
-                for per_attempt in (begins, commits, acc, spans):
-                    per_attempt.clear()
+                forget_above(-1)
+                spans.clear()
                 zm = dict.fromkeys(zm, 0)
                 res = {k: type(v)() for k, v in res.items()}
                 saw_resilience = False

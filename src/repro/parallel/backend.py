@@ -235,8 +235,6 @@ class ProcessBackend:
         in the ``finally`` of ``do`` with any real error propagating."""
         self._pool.best_effort("do_end", None)
         self.rt.shm.sweep()
-        if self.supervisor is not None:
-            self.supervisor.end_do()
         self._reports = {}
         self._coll_outbox = []
         self._commit_replies = None

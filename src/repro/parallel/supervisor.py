@@ -15,9 +15,11 @@ by deterministic re-execution of the driver:
   reply that fails to deserialise as ``"corrupt-reply"``.
 * **Restart** — every detected failure abandons the attempt:
   :meth:`WorkerSupervisor.fail` raises the internal
-  :class:`_PoolRestart` signal, the pool and its segments are released
-  on the way out, and ``run_ppm``'s loop re-runs the driver in a fresh
-  pool of the same size after an exponential back-off (reusing
+  :class:`~repro.core.errors._PoolRestart` signal, the pool and its
+  segments are released on the way out, and ``run_ppm``'s
+  re-execution loop (the one crash recovery goes round too) re-runs
+  the driver in a fresh pool of the same size after an exponential
+  back-off (:meth:`SupervisionState.restart`, reusing
   :class:`repro.resilience.retry.RetryPolicy` at host scale).  A
   restarted run *is* a fault-free run, so committed arrays, simulated
   times and reports equal the inline engine's on every kernel the
@@ -43,20 +45,16 @@ import hashlib
 import math
 import os
 import signal as _signal
+import time
 from dataclasses import dataclass, field
 
 from repro.core.errors import (
     ParallelConfigError,
-    ParallelError,
     SupervisionExhaustedError,
+    _PoolRestart,
 )
-from repro.obs.events import WorkerCrash
+from repro.obs.events import PoolDegraded, WorkerCrash, WorkerRespawn
 from repro.resilience.retry import RetryPolicy
-
-#: Supervision counters of the most recently finished supervised run,
-#: published for ``python -m repro.resilience chaos`` and the tests.
-#: Keys mirror :class:`SupervisionState`'s counters.
-LAST_SUPERVISION: dict = {}
 
 #: Host-scale retry schedule for worker respawns (the simulated-network
 #: default of :class:`RetryPolicy` backs off in microseconds; process
@@ -91,7 +89,7 @@ class ProcessChaos:
     is consumed, so pool restarts (or resilience incarnations) cannot
     re-fire the same kill forever — the same consume-once rule
     :class:`~repro.resilience.faults.FaultInjector` uses to bound its
-    incarnation loop.  ``rounds=(i, j)`` therefore kills at most twice
+    incarnations.  ``rounds=(i, j)`` therefore kills at most twice
     across restarts, while ``every=k`` recurs faster than any run
     longer than ``k`` dispatches and ends in degradation.
     """
@@ -206,35 +204,42 @@ class SupervisionState:
     degradations: int = 0
     recovery_host_s: float = 0.0
     #: Restarts spent at the current pool size (the ``max_respawns``
-    #: budget; a degradation starts a new one).  Not published.
+    #: budget; a degradation starts a new one).
     restarts_at_size: int = 0
 
-    def publish(self) -> None:
-        LAST_SUPERVISION.clear()
-        LAST_SUPERVISION.update(
-            crashes=self.crashes,
-            hangs=self.hangs,
-            corrupt=self.corrupt,
-            respawns=self.respawns,
-            degradations=self.degradations,
-            recovery_host_s=self.recovery_host_s,
+    def restart(self, sig: _PoolRestart, policy: SupervisionPolicy,
+                opts: dict, t0: float) -> WorkerRespawn | PoolDegraded:
+        """Account for one abandoned attempt (started at host time
+        ``t0``) and set up the next: back off and count a respawn, or —
+        the budget at this size spent — weaken ``opts`` (``run_ppm``'s
+        engine options) to one worker fewer or to the inline engine.
+        Returns the :class:`WorkerRespawn` / :class:`PoolDegraded`
+        event of the decision."""
+        if sig.mode == "respawn":
+            self.restarts_at_size += 1
+            time.sleep(policy.retry.backoff(self.restarts_at_size))
+            host_s = time.perf_counter() - t0
+            self.respawns += 1
+            self.recovery_host_s += host_s
+            return WorkerRespawn(
+                phase=-1,
+                worker=sig.worker,
+                attempt=self.restarts_at_size,
+                host_s=host_s,
+            )
+        self.degradations += 1
+        self.restarts_at_size = 0
+        if sig.mode == "shrink" and sig.workers_from - 1 >= 1:
+            workers_to = opts["workers"] = sig.workers_from - 1
+        else:
+            opts.update(executor="inline", supervision=None)
+            workers_to = 0
+        return PoolDegraded(
+            phase=-1,
+            mode=sig.mode,
+            workers_from=sig.workers_from,
+            workers_to=workers_to,
         )
-
-
-class _PoolRestart(ParallelError):
-    """Internal control-flow signal: a worker failed and the attempt is
-    abandoned.  ``mode`` says how the run comes back — ``"respawn"``
-    (a fresh pool of the same size) or, once the budget at this size
-    is spent, the policy's ``"shrink"`` / ``"inline"``.  Caught by
-    ``run_ppm``'s supervised restart loop; never user-visible."""
-
-    def __init__(self, mode: str, workers_from: int, worker: int) -> None:
-        super().__init__(
-            f"worker pool restarting ({mode}) from {workers_from} workers"
-        )
-        self.mode = mode
-        self.workers_from = workers_from
-        self.worker = worker
 
 
 class WorkerSupervisor:
@@ -254,9 +259,6 @@ class WorkerSupervisor:
     # -- do lifecycle (called by the backend) --------------------------
     def begin_do(self, shards) -> None:
         self._max_shard = max(hi - lo for lo, hi in shards)
-
-    def end_do(self) -> None:
-        self.state.publish()
 
     # -- detection hooks (called by the pool) --------------------------
     def deadline_for(self, tag: str) -> float:

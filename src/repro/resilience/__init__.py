@@ -15,9 +15,10 @@ exercised:
 * :class:`RetryPolicy` / :mod:`repro.resilience.retry` — timeout and
   exponential backoff for dropped/corrupted bundles, with sequence
   numbers making duplicate delivery a no-op;
-* :class:`CheckpointManager` — snapshots of every
-  ``PPM_global_shared``/``PPM_node_shared`` instance plus the
-  simulated clocks at configurable phase intervals, restored on crash;
+* :class:`CheckpointManager` — coordinated cuts at configurable phase
+  intervals, priced as a write-out of every ``PPM_global_shared``/
+  ``PPM_node_shared`` instance; a crash rolls back to the last one by
+  deterministic re-execution;
 * :class:`ResilienceManager` — the runtime-facing orchestrator wired
   into :func:`repro.core.program.run_ppm` via
   ``run_ppm(..., faults=, checkpoint_every=, resilience=)``.
@@ -43,7 +44,7 @@ from repro.core.errors import (
 from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.manager import ResilienceManager, ResiliencePolicy
-from repro.resilience.retry import DeliveryOutcome, RetryPolicy, SequencedChannel
+from repro.resilience.retry import DeliveryOutcome, RetryPolicy
 
 __all__ = [
     "Checkpoint",
@@ -57,5 +58,4 @@ __all__ = [
     "ResilienceManager",
     "ResiliencePolicy",
     "RetryPolicy",
-    "SequencedChannel",
 ]

@@ -138,7 +138,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.machine import Cluster
     from repro.obs import PhaseTrace, RunReport, format_report
     from repro.parallel import ProcessChaos, SupervisionPolicy
-    from repro.parallel.supervisor import LAST_SUPERVISION
 
     if args.executor != "process":
         print(
@@ -174,8 +173,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         workers=args.workers,
         supervision=SupervisionPolicy(chaos=chaos),
     )
-    sup = dict(LAST_SUPERVISION)
-
     identical = np.array_equal(clean.x, chaotic.x) and t_clean == t_chaos
     report = RunReport.from_trace(trace)
 
@@ -186,11 +183,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(f"  inline fault-free : {t_clean * 1e3:9.3f} ms simulated")
     print(f"  process + chaos   : {t_chaos * 1e3:9.3f} ms simulated")
-    print(
-        f"  worker failures: {sup.get('crashes', 0)} crash, "
-        f"{sup.get('hangs', 0)} hang   restarts: {sup.get('respawns', 0)}   "
-        f"degradations: {sup.get('degradations', 0)}"
-    )
     print(f"  bitwise-identical solution and clock: {identical}")
     print()
     print(format_report(report))
@@ -202,9 +194,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
         return 1
     if args.check:
-        fired = sup.get("crashes", 0) + sup.get("hangs", 0) > 0
-        recovered = sup.get("respawns", 0) > 0 and sup.get("degradations", 0) == 0
-        if not (fired and recovered):
+        # Printed with the report above; None when no worker failed.
+        sup = report.supervision
+        if sup is None or sup.respawns == 0 or sup.degradations:
             print(
                 "FAIL: --check expects worker kills, restarts and no "
                 f"degradation, got {sup!r}",

@@ -1,4 +1,5 @@
-"""Phase-boundary checkpoint/restore of PPM shared state.
+"""Phase-boundary checkpoints of PPM shared state: the schedule and
+the simulated cost.
 
 Why the phase barrier is a correct checkpoint cut (paper §3): writes
 made inside a phase are buffered and apply only at the end-of-phase
@@ -7,53 +8,47 @@ message crosses it — commit-time bundles are flushed and consumed
 within the committing phase.  The committed arrays *between* two
 phases therefore form a coordinated global snapshot with no in-flight
 state, exactly what uncoordinated checkpointing protocols pay
-message-logging to approximate.  A checkpoint here is just a copy of
-every shared instance plus the simulated clock.
+message-logging to approximate.
 
-What is (deliberately) not checkpointed: VP-private generator state.
-A VP's locals live in its Python generator frame, which cannot be
-serialized; on recovery the driver re-executes deterministically from
-its start and the runtime fast-forwards to the restored cut
-(:mod:`repro.resilience.manager`).  Simulated time is charged as a
-real checkpoint/restore system would pay it — write-out at
+The simulator records *where* the cut is and what writing it out
+costs, and keeps no copy of the arrays.  A VP's locals live in its
+Python generator frame, which cannot be serialized, so recovery has to
+re-execute the driver deterministically from its start and
+fast-forward to the cut (:mod:`repro.resilience.manager`) — and that
+re-execution recomputes every committed array to the very bytes a
+copy would hold (``tests/resilience/test_recovery.py`` checks it at
+every resume).  Simulated time is charged as a real
+checkpoint/restore system would pay it — write-out at
 ``checkpoint_bandwidth``, detection timeout, read-back — while the
-host-side replay below the cut is a simulator artifact that costs
-no simulated seconds.
+host-side replay below the cut is a simulator artifact that costs no
+simulated seconds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from repro.core.errors import ResilienceConfigError
-from repro.core.shared import GlobalShared, NodeShared
+from repro.core.shared import GlobalShared
 from repro.obs.events import CheckpointTaken
 
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """One coordinated snapshot: the committed state after ``phase``.
-
-    ``arrays`` maps each shared-variable name to a copy of its
-    committed data — a single ndarray for global-shared, a list of
-    per-node instances for node-shared.  ``t`` is the simulated time
-    at which the checkpoint write-out completed.
-    """
+    """One coordinated cut: the committed state after ``phase``,
+    ``nbytes`` of shared data written out by simulated time ``t``."""
 
     phase: int
     t: float
     nbytes: int
-    arrays: dict[str, np.ndarray | list[np.ndarray]] = field(repr=False)
 
 
 class CheckpointManager:
-    """Takes and restores coordinated phase-boundary checkpoints.
+    """Schedules and prices coordinated phase-boundary checkpoints.
 
-    ``every`` is the phase interval: the committed state is captured
-    after phases ``every - 1``, ``2 * every - 1``, ... so
-    ``every == 1`` checkpoints every phase.  Only the latest
+    ``every`` is the phase interval: a cut is recorded after phases
+    ``every - 1``, ``2 * every - 1``, ... so ``every == 1``
+    checkpoints every phase.  Only the latest
     checkpoint is retained (recovery rolls back to the last cut;
     multi-version retention would model hierarchical schemes the
     paper's machine does not have).
@@ -87,7 +82,6 @@ class CheckpointManager:
         self.latest: Checkpoint | None = None
         #: Running totals for the run report.
         self.count = 0
-        self.total_bytes = 0
         self.total_time = 0.0
 
     # ------------------------------------------------------------------
@@ -96,19 +90,15 @@ class CheckpointManager:
         return (phase_index + 1) % self.every == 0
 
     def take(self, phase_index: int, runtime) -> Checkpoint:
-        """Capture the committed state after ``phase_index`` and charge
-        the coordinated write-out to every node's clock."""
-        arrays: dict[str, np.ndarray | list[np.ndarray]] = {}
+        """Record the cut after ``phase_index`` and charge the
+        coordinated write-out of every shared instance to every node's
+        clock."""
         nbytes = 0
-        for name, handle in runtime.shared_registry.items():
+        for handle in runtime.shared_registry.values():
             if isinstance(handle, GlobalShared):
-                snap = handle.committed
-                nbytes += snap.nbytes
-                arrays[name] = snap
-            elif isinstance(handle, NodeShared):
-                snaps = [inst.copy() for inst in handle._data]
-                nbytes += sum(s.nbytes for s in snaps)
-                arrays[name] = snaps
+                nbytes += handle._data.nbytes
+            else:
+                nbytes += sum(inst.nbytes for inst in handle._data)
         cluster = runtime.cluster
         duration = self.alpha + nbytes / (cluster.n_nodes * self.bytes_per_second)
         # Coordinated: the checkpoint closes with a barrier, so all
@@ -118,10 +108,9 @@ class CheckpointManager:
             node.clock.merge(t_done)
             for c in node.core_clocks:
                 c.merge(t_done)
-        ckpt = Checkpoint(phase=phase_index, t=t_done, nbytes=nbytes, arrays=arrays)
+        ckpt = Checkpoint(phase=phase_index, t=t_done, nbytes=nbytes)
         self.latest = ckpt
         self.count += 1
-        self.total_bytes += nbytes
         self.total_time += duration
         tr = runtime.tracer
         if tr is not None:
@@ -131,21 +120,3 @@ class CheckpointManager:
                 )
             )
         return ckpt
-
-    def restore(self, runtime) -> None:
-        """Overwrite the run's shared instances with the latest
-        checkpoint's arrays (by name, honouring copy-on-commit)."""
-        ckpt = self.latest
-        if ckpt is None:
-            raise ValueError("no checkpoint to restore")
-        for name, saved in ckpt.arrays.items():
-            handle = runtime.shared_registry.get(name)
-            if handle is None:
-                continue
-            if isinstance(handle, GlobalShared):
-                target = handle._commit_target(None)
-                np.copyto(target, saved)
-            else:
-                for i, inst in enumerate(saved):
-                    target = handle._commit_target(i)
-                    np.copyto(target, inst)

@@ -11,25 +11,25 @@ Recovery model (docs/RESILIENCE.md walks through an example):
   at a phase *start* — before any body runs and before any write of
   that phase applies — so the state recovery sees is exactly the last
   phase-boundary cut.
-* ``run_ppm`` catches the fault and re-executes the driver
-  (*incarnation* loop).  VP locals live in generator frames and cannot
-  be serialized, so the simulator reaches the restored cut by
-  deterministic re-execution: during this *fast-forward* the tracer is
-  detached and fault injection, checkpointing and retry charging are
-  suppressed — the replayed phases are a simulator artifact, not
-  simulated work.
+* ``run_ppm``'s re-execution loop catches the fault and runs the
+  driver again (a new *incarnation*).  VP locals live in generator
+  frames and cannot be serialized, so the simulator reaches the cut —
+  arrays included, bit for bit — by deterministic re-execution: during
+  this *fast-forward* the tracer is detached and fault injection,
+  checkpointing and retry charging are suppressed — the replayed
+  phases are a simulator artifact, not simulated work.
 * At the resume point (the commit of the checkpointed phase, or phase
-  0's start when no checkpoint exists) the manager overwrites the
-  re-computed arrays with the checkpoint, sets every clock to
-  ``t_crash + detection_timeout + restore_time`` — the cost a real
-  system would pay — re-attaches the tracer and emits
+  0's start when no checkpoint exists) the manager rewinds the machine
+  trace to where the crash left it, sets every clock to ``t_crash +
+  detection_timeout + restore_time`` — the cost a real system would
+  pay — re-attaches the tracer and emits
   :class:`~repro.obs.events.Recovery`.  Execution continues live; the
   phases between the checkpoint and the crash re-run with faults
   active (that re-execution is the *lost work* a rollback really
-  costs).
+  costs, and it stays counted).
 
-Fired crashes are consumed, so replay cannot re-crash and the
-incarnation loop terminates (bounded by ``max_incarnations``).
+Fired crashes are consumed, so replay cannot re-crash and the loop
+terminates (bounded by ``max_incarnations``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.errors import NodeCrashFault, ResilienceConfigError
+from repro.core.errors import (
+    NodeCrashFault,
+    ResilienceConfigError,
+    ResilienceError,
+)
 from repro.obs.events import FaultInjected, Recovery, RetryAttempt
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector, FaultPlan
@@ -106,7 +110,12 @@ class ResilienceManager:
         plan: FaultPlan | None = None,
         checkpoint_every: int | None = None,
         policy: ResiliencePolicy | None = None,
+        tracer=None,
     ) -> None:
+        if policy is not None and not isinstance(policy, ResiliencePolicy):
+            raise ValueError(
+                f"resilience must be a ResiliencePolicy or None, got {policy!r}"
+            )
         self.cluster = cluster
         self.policy = policy if policy is not None else ResiliencePolicy()
         self.injector = (
@@ -121,18 +130,17 @@ class ResilienceManager:
             if checkpoint_every is not None
             else None
         )
-        #: The run's PhaseTrace (or None); set by ``run_ppm`` so it can
-        #: be detached during fast-forward and re-attached at resume.
-        self.tracer = None
+        #: The run's PhaseTrace (or None), kept here so it can be
+        #: detached during fast-forward and re-attached at resume.
+        self.tracer = tracer
         # -- replay state ---------------------------------------------
         self.replaying = False
         self._resume_phase = -1
         self._resume_time = 0.0
-        self._pending: Recovery | None = None
-        # -- counters (run report / CLI) ------------------------------
-        self.faults_injected = 0
+        self._trace_mark: tuple = ()
+        self._pending: Recovery | None = None  # emitted at resume
+        # -- counters -------------------------------------------------
         self.retries = 0
-        self.duplicates_dropped = 0
         self.recoveries = 0
         self.incarnations = 0
 
@@ -147,11 +155,17 @@ class ResilienceManager:
             runtime.tracer = None
             runtime.cluster.network.tracer = None
 
-    def handle_crash(self, crash: NodeCrashFault, runtime) -> None:
+    def handle_crash(self, crash: NodeCrashFault) -> None:
         """Plan the recovery: pick the rollback cut, price detection
-        plus restore, and release node memory so the next incarnation
-        can re-declare its shared variables."""
-        cluster = runtime.cluster
+        plus restore, and mark the machine trace so the fast-forward
+        can be taken out of it again."""
+        if self.incarnations == self.policy.max_incarnations:
+            raise ResilienceError(
+                f"run did not complete within {self.incarnations} "
+                "incarnations (more planned crashes than max_incarnations "
+                "allows?)"
+            )
+        cluster = self.cluster
         t_crash = cluster.elapsed
         ckpt = self.checkpoints.latest if self.checkpoints is not None else None
         pol = self.policy
@@ -159,26 +173,23 @@ class ResilienceManager:
             restore = pol.restore_alpha + ckpt.nbytes / (
                 cluster.n_nodes * pol.restore_bandwidth
             )
-            self._resume_phase = ckpt.phase
             lost_work = t_crash - ckpt.t
-            checkpoint_phase = ckpt.phase
+            self._resume_phase = ckpt.phase
         else:
             restore = pol.restore_alpha
-            self._resume_phase = -1
             lost_work = t_crash
-            checkpoint_phase = -1
+            self._resume_phase = -1
         self._resume_time = t_crash + pol.detection_timeout + restore
         self._pending = Recovery(
             phase=crash.phase_index,
             node=crash.node,
-            checkpoint_phase=checkpoint_phase,
+            checkpoint_phase=self._resume_phase,
             t_crash=t_crash,
             t_resume=self._resume_time,
             lost_work=lost_work,
         )
+        self._trace_mark = cluster.trace.mark()
         self.replaying = True
-        for node in cluster:
-            node.memory.clear()
 
     # ==================================================================
     # Phase hooks (called by the engine; one pointer test each when
@@ -215,7 +226,6 @@ class ResilienceManager:
             return 1.0
         factor = self.injector.straggler_factor(phase_index, node_id)
         if factor != 1.0:
-            self.faults_injected += 1
             tr = runtime.tracer
             if tr is not None:
                 tr.emit(
@@ -270,70 +280,53 @@ class ResilienceManager:
                 )
                 total += outcome.extra_time
                 self.retries += len(outcome.retries)
-                self.duplicates_dropped += outcome.duplicates
-                self.faults_injected += (
-                    len(verdict.failures)
-                    + (1 if verdict.delay else 0)
-                    + (1 if verdict.duplicate else 0)
-                )
                 if tr is not None:
-                    for reason in verdict.failures[: retry.max_retries]:
-                        tr.emit(
-                            FaultInjected(
-                                phase=phase_index,
-                                fault=reason,
-                                node=-1,
-                                src=node_id,
-                                dst=p.owner,
-                                detail=0.0,
-                            )
-                        )
-                    for attempt, reason, wait in outcome.retries:
-                        tr.emit(
-                            RetryAttempt(
-                                phase=phase_index,
-                                src=node_id,
-                                dst=p.owner,
-                                attempt=attempt,
-                                reason=reason,
-                                backoff=wait,
-                                delivered=attempt == len(outcome.retries),
-                            )
-                        )
-                    if verdict.delay:
-                        tr.emit(
-                            FaultInjected(
-                                phase=phase_index,
-                                fault="delay",
-                                node=-1,
-                                src=node_id,
-                                dst=p.owner,
-                                detail=verdict.delay,
-                            )
-                        )
-                    if verdict.duplicate:
-                        tr.emit(
-                            FaultInjected(
-                                phase=phase_index,
-                                fault="duplicate",
-                                node=-1,
-                                src=node_id,
-                                dst=p.owner,
-                                detail=0.0,
-                            )
-                        )
+                    self._trace_flight(
+                        phase_index, node_id, p.owner, verdict, outcome
+                    )
             if total:
                 penalties[node_id] = total
         return penalties or None
 
+    def _trace_flight(self, phase, src, dst, verdict, outcome) -> None:
+        """Emit one faulted flight's events: its charged failures, the
+        re-sends, then an injected delay and a duplicate."""
+        emit = self.tracer.emit
+
+        def injected(fault: str, detail: float = 0.0) -> None:
+            emit(
+                FaultInjected(
+                    phase=phase, fault=fault, node=-1, src=src, dst=dst,
+                    detail=detail,
+                )
+            )
+
+        for reason in verdict.failures[: self.policy.retry.max_retries]:
+            injected(reason)
+        for attempt, reason, wait in outcome.retries:
+            emit(
+                RetryAttempt(
+                    phase=phase,
+                    src=src,
+                    dst=dst,
+                    attempt=attempt,
+                    reason=reason,
+                    backoff=wait,
+                    delivered=attempt == len(outcome.retries),
+                )
+            )
+        if verdict.delay:
+            injected("delay", verdict.delay)
+        if verdict.duplicate:
+            injected("duplicate")
+
     # ------------------------------------------------------------------
     def _resume(self, runtime) -> None:
-        """The fast-forward reached the restored cut: load the
-        checkpoint, set the clocks to the post-recovery time, re-attach
-        the tracer and go live."""
-        if self.checkpoints is not None and self.checkpoints.latest is not None:
-            if self._resume_phase >= 0:
-                self.checkpoints.restore(runtime)
+        """The fast-forward reached the restored cut, its arrays
+        recomputed: forget the replay's machine-trace records, set the
+        clocks to the post-recovery time, re-attach the tracer and go
+        live."""
+        runtime.cluster.trace.rewind(self._trace_mark)
         t = self._resume_time
         for node in runtime.cluster:
             node.clock.reset(to=t)
@@ -343,21 +336,5 @@ class ResilienceManager:
         runtime.tracer = self.tracer
         runtime.cluster.network.tracer = self.tracer
         self.recoveries += 1
-        pending, self._pending = self._pending, None
-        if self.tracer is not None and pending is not None:
-            self.tracer.emit(pending)
-
-    # ------------------------------------------------------------------
-    def summary(self) -> dict:
-        """Counter snapshot for CLIs and tests."""
-        ck = self.checkpoints
-        return {
-            "faults_injected": self.faults_injected,
-            "retries": self.retries,
-            "duplicates_dropped": self.duplicates_dropped,
-            "recoveries": self.recoveries,
-            "incarnations": self.incarnations,
-            "checkpoints": ck.count if ck is not None else 0,
-            "checkpoint_bytes": ck.total_bytes if ck is not None else 0,
-            "checkpoint_time_s": ck.total_time if ck is not None else 0.0,
-        }
+        if self.tracer is not None:
+            self.tracer.emit(self._pending)

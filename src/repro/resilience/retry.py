@@ -11,8 +11,9 @@ fails it, charges the realistic simulated cost of recovering it:
   plus the wire time of the re-send;
 * an injected delay adds straight wire latency;
 * a duplicated delivery costs the receiver one message-handling
-  overhead and is otherwise dropped by sequence-number deduplication
-  (:class:`SequencedChannel` demonstrates the mechanism standalone).
+  overhead and is otherwise dropped — the cost model assumes a
+  per-sender sequence-number window at the receiver, which the
+  simulator (it moves no payload bytes between nodes) need not run.
 
 Retry costs only ever add *time*; payloads are never mutated (a
 corrupt flight is detected by checksum and retransmitted), so faults
@@ -122,40 +123,3 @@ def deliver_flight(
         out.duplicates = 1
         out.extra_time += duplicate_cpu_time
     return out
-
-
-class SequencedChannel:
-    """Idempotent receive window: per-sender sequence numbers make
-    duplicate delivery a no-op.
-
-    This is the mechanism the cost model above assumes.  The simulator
-    never moves real payload bytes between nodes (commits apply
-    in-process), so the channel is exercised by unit tests and the
-    duplicate path's accounting rather than sitting on the data path.
-    """
-
-    def __init__(self) -> None:
-        self._next_seq: dict[int, int] = {}
-        self._delivered: dict[int, dict[int, object]] = {}
-        self.duplicates_dropped = 0
-
-    def next_seq(self, src: int) -> int:
-        """Allocate the next sequence number for sender ``src``."""
-        seq = self._next_seq.get(src, 0)
-        self._next_seq[src] = seq + 1
-        return seq
-
-    def receive(self, src: int, seq: int, payload: object) -> bool:
-        """Accept a flight; returns False (and drops it) when the
-        (src, seq) pair was already delivered — replay is a no-op."""
-        seen = self._delivered.setdefault(src, {})
-        if seq in seen:
-            self.duplicates_dropped += 1
-            return False
-        seen[seq] = payload
-        return True
-
-    def delivered(self, src: int) -> list[object]:
-        """Payloads accepted from ``src``, in sequence order."""
-        seen = self._delivered.get(src, {})
-        return [seen[k] for k in sorted(seen)]

@@ -133,21 +133,35 @@ class TestFigureBuildersSmoke:
     def test_fig1_smoke(self):
         from repro.bench.figures import fig1_cg
 
-        result = fig1_cg(node_counts=(1, 2), nx=4, iters=3)
-        assert len(result.rows) == 2
+        # Paper §4.5: PPM starts much slower on one node and catches up.
+        result = fig1_cg(node_counts=(1, 8, 64), nx=8, iters=8)
         assert all(r["ppm_s"] > 0 and r["mpi_s"] > 0 for r in result.rows)
+        ratios = result.series("ppm/mpi")  # 3.27 / 0.92 / 0.85 here
+        assert ratios[0] > 2.0
+        assert ratios[-1] < 1.1
+        assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
     def test_fig2_smoke(self):
         from repro.bench.figures import fig2_matgen
 
-        result = fig2_matgen(node_counts=(1, 2), levels=5)
+        # PPM at least competitive everywhere, the gap widening.
+        result = fig2_matgen(node_counts=(1, 4, 16), levels=7)
         assert all(r["ppm_s"] > 0 for r in result.rows)
+        ratios = result.series("ppm/mpi")  # 0.96 / 0.69 / 0.43 here
+        assert max(ratios) < 1.25
+        assert ratios[-1] < 0.5
+        assert ratios[-1] < ratios[0]
 
     def test_fig3_smoke(self):
         from repro.bench.figures import fig3_barneshut
 
-        result = fig3_barneshut(node_counts=(1, 2), n_particles=128, steps=1)
-        assert all(r["ppm_s"] > 0 for r in result.rows)
+        # "Scales well as the number of nodes increases."
+        result = fig3_barneshut(
+            node_counts=(1, 2, 4, 16), n_particles=512, steps=1
+        )
+        times = result.series("ppm_s")
+        assert all(t > 0 for t in times)
+        assert all(b < a for a, b in zip(times, times[1:]))
 
     def test_ext_smoke(self):
         from repro.bench.figures import ext_bfs, ext_trsv

@@ -35,7 +35,6 @@ from repro.machine import Cluster
 from repro.obs import PhaseTrace, PoolDegraded, RunReport, WorkerCrash, WorkerRespawn
 from repro.parallel import ProcessChaos, SupervisionPolicy
 from repro.parallel.shm import live_ppm_segments
-from repro.parallel.supervisor import LAST_SUPERVISION
 
 
 def _cluster(n_nodes=2, cores=2, **cfg):
@@ -197,14 +196,15 @@ class TestCrashRecovery:
     def test_sigkill_recovery_bitwise_identical(self):
         _, ref = run_ppm(main_mixed, _cluster())
         trace = PhaseTrace()
-        _, got = run_ppm(
+        ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
             supervision=_chaotic(rounds=(1, 4)), trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert LAST_SUPERVISION["crashes"] > 0
-        assert LAST_SUPERVISION["respawns"] > 0
+        state = ppm.runtime.supervision_state
+        assert state.crashes > 0
+        assert state.respawns > 0
         kinds = {type(ev) for ev in trace.events}
         assert {WorkerCrash, WorkerRespawn} <= kinds
         assert live_ppm_segments() == []
@@ -214,27 +214,28 @@ class TestCrashRecovery:
         # stall into a "hang", the pool hard-kills it and the run
         # restarts.
         _, ref = run_ppm(main_mixed, _cluster())
-        _, got = run_ppm(
+        ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
             supervision=_chaotic(rounds=(2,), sig="stop",
                                  deadline_base=1.0, deadline_per_vp=0.0),
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert LAST_SUPERVISION["hangs"] > 0
+        assert ppm.runtime.supervision_state.hangs > 0
         assert live_ppm_segments() == []
 
     def test_commit_window_kill_zero_merge(self):
         # Certified CG engages the zero-merge path; the kill lands
         # inside the hold/commit window, after in-place writes began.
         x1, t1 = _cg(3)
+        trace = PhaseTrace()
         x2, t2 = _cg(
-            3, executor="process", workers=2,
+            3, executor="process", workers=2, trace=trace,
             supervision=_chaotic(rounds=(3,), window="commit"),
         )
         np.testing.assert_array_equal(x1, x2)
         assert t1 == t2
-        assert LAST_SUPERVISION["crashes"] > 0
+        assert RunReport.from_trace(trace).supervision.crashes > 0
         assert live_ppm_segments() == []
 
     def test_fault_free_supervision_is_free(self):
@@ -268,6 +269,38 @@ class TestCrashRecovery:
             np.testing.assert_array_equal(a, b)
         assert live_ppm_segments() == []
 
+    def test_pool_restart_builds_a_fresh_resilience_manager(self):
+        # The kill (dispatch 5) lands after the first attempt crashed at
+        # phase 2 and recovered.  The restarted attempt gets a fresh
+        # manager: the planned crash fires again (once per attempt) and
+        # the incarnation budget starts over — two incarnations per
+        # attempt fit max_incarnations=2, four in total would not.
+        from repro.resilience import FaultPlan, ResiliencePolicy
+
+        _, ref = run_ppm(main_mixed, _cluster())
+        trace = PhaseTrace()
+        ppm, got = run_ppm(
+            main_mixed, _cluster(),
+            faults=FaultPlan(seed=5).crash(node=1, phase=2),
+            checkpoint_every=2,
+            resilience=ResiliencePolicy(max_incarnations=2),
+            executor="process", workers=2, supervision=_chaotic(rounds=(5,)),
+            trace=trace,
+        )
+        for a, b in zip(ref, got):
+            np.testing.assert_array_equal(a, b)
+        kinds = [
+            ev.kind for ev in trace.events
+            if isinstance(ev, (WorkerCrash, WorkerRespawn)) or ev.kind == "recovery"
+        ]
+        assert kinds == ["recovery", "worker_crash", "worker_respawn", "recovery"]
+        manager = ppm.runtime.resilience
+        assert (manager.incarnations, manager.recoveries) == (2, 1)
+        assert ppm.runtime.supervision_state.respawns == 1
+        # The report starts over at the restart: one recovery, not two.
+        assert RunReport.from_trace(trace).resilience.recoveries == 1
+        assert live_ppm_segments() == []
+
     @pytest.mark.parametrize("window", ["round", "commit"])
     def test_kept_read_survives_recovery(self, window):
         # SEMANTICS R1: a VP-private value derived from a snapshot
@@ -276,16 +309,17 @@ class TestCrashRecovery:
         # form of replay into a fresh worker) rebuilds `kept` from
         # committed data and fails this with out[:8] != arange(8).
         _, ref = run_ppm(main_kept_read, _cluster())
-        _, got = run_ppm(
+        ppm, got = run_ppm(
             main_kept_read, _cluster(), executor="process", workers=2,
             supervision=_chaotic(rounds=(1,), worker=0, window=window),
         )
         np.testing.assert_array_equal(got[1], np.arange(16.0))
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert LAST_SUPERVISION["crashes"] == 1
-        assert LAST_SUPERVISION["respawns"] == 1
-        assert LAST_SUPERVISION["degradations"] == 0
+        state = ppm.runtime.supervision_state
+        assert state.crashes == 1
+        assert state.respawns == 1
+        assert state.degradations == 0
         assert live_ppm_segments() == []
 
 
@@ -317,13 +351,13 @@ class TestDegradation:
     def test_shrink_restarts_with_fewer_workers(self):
         _, ref = run_ppm(main_mixed, _cluster())
         trace = PhaseTrace()
-        _, got = run_ppm(
+        ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=3,
             supervision=_chaotic(every=1, max_respawns=0), trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert LAST_SUPERVISION["degradations"] >= 1
+        assert ppm.runtime.supervision_state.degradations >= 1
         degr = [ev for ev in trace.events if isinstance(ev, PoolDegraded)]
         assert degr and degr[0].mode == "shrink"
         assert degr[0].workers_to < degr[0].workers_from
@@ -331,7 +365,7 @@ class TestDegradation:
 
     def test_inline_fallback(self):
         _, ref = run_ppm(main_mixed, _cluster())
-        _, got = run_ppm(
+        ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
             supervision=_chaotic(
                 every=1, max_respawns=0, degrade="inline"
@@ -339,7 +373,9 @@ class TestDegradation:
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert LAST_SUPERVISION["degradations"] >= 1
+        # The state rides the run through the inline fallback.
+        assert ppm.runtime.executor == "inline"
+        assert ppm.runtime.supervision_state.degradations >= 1
         assert live_ppm_segments() == []
 
     def test_degrade_error_ppm604(self):
@@ -358,15 +394,15 @@ class TestDegradation:
         # third failure shrinks the pool, and the run then completes.
         _, ref = run_ppm(main_mixed, _cluster())
         trace = PhaseTrace()
-        _, got = run_ppm(
+        ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=3,
             supervision=_chaotic(rounds=(1, 3, 5), max_respawns=2),
             trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert LAST_SUPERVISION["respawns"] == 2
-        assert LAST_SUPERVISION["degradations"] == 1
+        assert ppm.runtime.supervision_state.respawns == 2
+        assert ppm.runtime.supervision_state.degradations == 1
         respawns = [ev for ev in trace.events if isinstance(ev, WorkerRespawn)]
         assert [ev.attempt for ev in respawns] == [1, 2]
         degr = [ev for ev in trace.events if isinstance(ev, PoolDegraded)]

@@ -179,6 +179,7 @@ class TestInterruptMidRound:
         boxes = []
 
         def main(ppm):
+            self.runtime = ppm.runtime
             A = ppm.global_shared("A", 16)
             try:
                 ppm.do(8, write_then_interrupt_kernel, A)
@@ -211,15 +212,14 @@ class TestInterruptMidRound:
         # reply: the supervisor must not classify it as a crash and
         # burn the respawn budget replaying the interrupted round.
         from repro.parallel import SupervisionPolicy
-        from repro.parallel.supervisor import LAST_SUPERVISION
 
         proc = self._observed(
             executor="process", workers=2,
             supervision=SupervisionPolicy(),
         )
         assert not (proc == 99.0).any()
-        assert LAST_SUPERVISION["crashes"] == 0
-        assert LAST_SUPERVISION["respawns"] == 0
+        assert self.runtime.supervision_state.crashes == 0
+        assert self.runtime.supervision_state.respawns == 0
         assert _no_child_processes()
         assert live_ppm_segments() == []
 

@@ -1,6 +1,8 @@
-"""Checkpoint schedule, capture/restore and cost charging."""
+"""Checkpoint schedule and cost charging."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -68,8 +70,12 @@ class TestTakeAndRestore:
         assert ck.latest.phase == 3
         # After 4 bump phases every element was incremented 4 times.
         assert np.array_equal(a, np.full(4, 4.0))
-        assert np.array_equal(ck.latest.arrays["A"], a)
-        assert [np.array_equal(x, np.full(2, 40.0)) for x in ck.latest.arrays["B"]]
+        # A cut is (phase, t, nbytes) and nothing else: one global
+        # array of 4 float64 plus a 2-element instance on each node.
+        assert dataclasses.asdict(ck.latest) == {
+            "phase": 3, "t": ck.latest.t, "nbytes": (4 + 2 * 2) * 8,
+        }
+        assert 0.0 < ck.latest.t <= ppm.elapsed
         kinds = [e.kind for e in trace.events if e.kind == "checkpoint_taken"]
         assert len(kinds) == 2
 
@@ -99,23 +105,3 @@ class TestTakeAndRestore:
         ck = ppm.runtime.resilience.checkpoints
         assert ck.count == 5
         assert ck.latest.phase == 4
-
-    def test_restore_overwrites_shared_state(self):
-        """Take a checkpoint mid-run, mutate, restore, compare."""
-        def main(ppm):
-            A = ppm.global_shared("A", 4)
-            B = ppm.node_shared("B", 2)
-            ppm.do(2, _bump, A, B, 2)  # phases 0..1, checkpoint after 1
-            mid = A.committed.copy()
-            ppm.do(2, _bump, A, B, 1)  # phase 2 mutates; no checkpoint due
-            ck = ppm.runtime.resilience.checkpoints
-            assert not np.array_equal(A.committed, mid)
-            # Roll the arrays (not the clocks) back by hand.
-            saved_latest = ck.latest
-            assert saved_latest.phase == 1
-            ck.restore(ppm.runtime)
-            assert np.array_equal(A.committed, mid)
-            assert np.array_equal(B.instance(0), saved_latest.arrays["B"][0])
-            return None
-
-        run_ppm(main, _cluster(), checkpoint_every=2)

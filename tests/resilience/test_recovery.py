@@ -12,6 +12,10 @@ end on the paper's applications.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +28,8 @@ from repro.machine import Cluster
 from repro.obs import RunReport
 from repro.obs.events import PhaseTrace
 from repro.resilience import FaultPlan, ResiliencePolicy
+from repro.resilience.checkpoint import CheckpointManager
+from repro.resilience.manager import ResilienceManager
 
 
 def _cluster(n_nodes=2, **kw):
@@ -60,6 +66,35 @@ class TestDefaultPathUntouched:
     def test_rejects_non_policy_resilience(self):
         with pytest.raises(ValueError, match="ResiliencePolicy"):
             run_ppm(_cg_main(), _cluster(), resilience="aggressive")
+
+    def test_plain_run_imports_no_recovery_machinery(self):
+        # A plain run_ppm goes round the re-execution loop once without
+        # a manager or a supervision state, so neither package loads.
+        script = (
+            "import sys\n"
+            "from repro import Cluster, run_ppm\n"
+            "from repro.config import testing\n"
+            "def kernel(ctx, A):\n"
+            "    yield ctx.global_phase\n"
+            "    A[ctx.global_rank] = 1.0\n"
+            "def main(ppm):\n"
+            "    A = ppm.global_shared('A', 4)\n"
+            "    ppm.do(2, kernel, A)\n"
+            "    return A.committed\n"
+            "_, a = run_ppm(main, Cluster(testing(n_nodes=2, cores_per_node=2)))\n"
+            "assert a.sum() == 4.0\n"
+            "for mod in ('repro.resilience', 'repro.parallel.supervisor'):\n"
+            "    assert mod not in sys.modules, mod\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCrashRecovery:
@@ -117,6 +152,44 @@ class TestCrashRecovery:
         assert recovered and min(recovered) == 6
         assert recovered == {p: evs for p, evs in reference.items() if p >= 6}
         assert ppm.runtime.stats_phase_plan_hits > ppm.runtime.stats_phase_plan_misses
+
+    def test_recovered_run_counts_what_it_committed(self):
+        """Crash-recovery twin of test_supervisor's
+        test_recovered_run_reports_like_a_fault_free_one: the
+        fast-forward leaves no record in the machine trace (lost work
+        stays counted, the simulator's replay does not), and a report
+        row describes the execution that committed."""
+        main = _cg_main(iters=6)
+        clean_trace = PhaseTrace()
+        run_ppm(main, _cluster(), trace=clean_trace)
+        clean = RunReport.from_trace(clean_trace)
+
+        def run(every):
+            trace = PhaseTrace()
+            ppm, _ = run_ppm(
+                main, _cluster(), trace=trace, checkpoint_every=every,
+                faults=FaultPlan(seed=1).crash(node=1, phase=12),
+            )
+            commits = [e for e in trace.events if e.kind == "phase_commit"]
+            summary = ppm.summary()
+            assert summary.messages == sum(c.messages for c in commits)
+            assert summary.nbytes == sum(c.nbytes for c in commits)
+            records = sum(
+                1 for e in ppm.trace.events if e.kind == "ppm_global_phase"
+            )
+            assert records == len(commits)
+            report = RunReport.from_trace(trace)
+            for row, ref in zip(report.phases, clean.phases, strict=True):
+                assert (row.vp_count, row.vp_work, row.messages) == (
+                    ref.vp_count, ref.vp_work, ref.messages
+                )
+            return records, summary.messages, summary.nbytes
+
+        # 19 phases; the phase-9 cut re-runs phases 10-11, no cut all 12.
+        rolled_back = run(5)
+        restarted = run(None)
+        assert rolled_back == (21, 29, 7200)
+        assert restarted == (31, 41, 10272)
 
     def test_crash_without_checkpoint_restarts_from_scratch(self):
         main = _cg_main()
@@ -247,3 +320,80 @@ class TestRecoveryEquivalenceProperty:
             problem, _cluster(), cycles=2, faults=plan, checkpoint_every=3
         )
         assert np.array_equal(u, clean)
+
+
+def _shared_state(runtime):
+    return {
+        name: [np.array(inst) for inst in handle._data]
+        if isinstance(handle._data, list)
+        else np.array(handle._data)
+        for name, handle in runtime.shared_registry.items()
+    }
+
+
+def _solve_cg(**opts):
+    from repro.apps.cg import build_chimney_problem, ppm_cg_solve
+
+    result, _ = ppm_cg_solve(
+        build_chimney_problem(4), _cluster(), max_iters=5, tol=0.0, **opts
+    )
+    return result.x
+
+
+def _solve_bfs(**opts):
+    from repro.apps.graph import hashed_graph, ppm_bfs
+
+    return ppm_bfs(hashed_graph(300, degree=4, seed=7), 0, _cluster(), **opts)[0]
+
+
+def _solve_mg(**opts):
+    from repro.apps.multigrid import build_mg_problem, ppm_mg_solve
+
+    return ppm_mg_solve(build_mg_problem(levels=4), _cluster(), cycles=2, **opts)[0]
+
+
+class TestRecomputedCutIsTheCheckpointedCut:
+    """A checkpoint keeps no copy of the arrays because recovery never
+    reads one: the fast-forward recomputes them.  The equality the old
+    restore silently enforced, checked from outside — at every resume,
+    each shared instance is bitwise what it was when the checkpoint
+    the run rolls back to was taken."""
+
+    @pytest.mark.parametrize("executor", ["inline", "process"])
+    @pytest.mark.parametrize(
+        "solve, crash_phase, every",
+        [(_solve_cg, 7, 3), (_solve_bfs, 3, 2), (_solve_mg, 5, 3)],
+        ids=["cg", "bfs", "mg"],
+    )
+    def test_resume_sees_the_checkpointed_bytes(
+        self, monkeypatch, solve, crash_phase, every, executor
+    ):
+        taken = {}
+        resumed = []
+        take, resume = CheckpointManager.take, ResilienceManager._resume
+
+        def recording_take(self, phase_index, runtime):
+            ckpt = take(self, phase_index, runtime)
+            taken[ckpt] = _shared_state(runtime)
+            return ckpt
+
+        def checking_resume(self, runtime):
+            expected = taken[self.checkpoints.latest]
+            got = _shared_state(runtime)
+            assert got.keys() == expected.keys()
+            for name, want in expected.items():
+                np.testing.assert_array_equal(got[name], want, err_msg=name)
+            resumed.append(self.checkpoints.latest.phase)
+            resume(self, runtime)
+
+        monkeypatch.setattr(CheckpointManager, "take", recording_take)
+        monkeypatch.setattr(ResilienceManager, "_resume", checking_resume)
+        clean = solve()
+        opts = dict(executor="process", workers=2) if executor == "process" else {}
+        got = solve(
+            faults=FaultPlan(seed=3).crash(node=1, phase=crash_phase),
+            checkpoint_every=every,
+            **opts,
+        )
+        assert np.array_equal(got, clean)
+        assert resumed == [crash_phase // every * every - 1]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import ResilienceConfigError
-from repro.resilience import RetryPolicy, SequencedChannel
+from repro.resilience import RetryPolicy
 from repro.resilience.faults import FaultVerdict
 from repro.resilience.retry import deliver_flight
 
@@ -96,25 +96,3 @@ class TestDeliverFlight:
         a = deliver_flight(pol, v, resend_wire_time=1e-6, duplicate_cpu_time=1e-6)
         b = deliver_flight(pol, v, resend_wire_time=1e-6, duplicate_cpu_time=1e-6)
         assert a.extra_time == b.extra_time and a.retries == b.retries
-
-
-class TestSequencedChannel:
-    def test_duplicate_delivery_is_noop(self):
-        ch = SequencedChannel()
-        seq = ch.next_seq(src=0)
-        assert ch.receive(0, seq, "payload") is True
-        assert ch.receive(0, seq, "payload") is False
-        assert ch.duplicates_dropped == 1
-        assert ch.delivered(0) == ["payload"]
-
-    def test_per_sender_sequences_independent(self):
-        ch = SequencedChannel()
-        assert ch.next_seq(0) == 0
-        assert ch.next_seq(1) == 0
-        assert ch.next_seq(0) == 1
-
-    def test_delivered_in_sequence_order(self):
-        ch = SequencedChannel()
-        ch.receive(2, 1, "b")
-        ch.receive(2, 0, "a")
-        assert ch.delivered(2) == ["a", "b"]
