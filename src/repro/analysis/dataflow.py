@@ -257,8 +257,6 @@ class KernelInterp:
             else:
                 env[p] = s_sym(("param", p))
         self.precheck()
-        self.exec_block(self.fn.node.body, env, (), record=False)
-        self.accesses = []
         self.exec_block(self.fn.node.body, env, (), record=True)
 
     # -- statements ----------------------------------------------------
@@ -524,12 +522,6 @@ class KernelInterp:
             return (
                 "tuple",
                 tuple(
-                    self.widen(x, y, ("t", key, i), loopsym)
-                    for i, (x, y) in enumerate(zip(old, new))
-                    for x, y in [(x, y)]
-                )
-                if False
-                else tuple(
                     self.widen(x, y, ("t", key, i), loopsym)
                     for i, (x, y) in enumerate(zip(old[1], new[1]))
                 ),
@@ -1229,8 +1221,6 @@ def _terminates(body: list) -> bool:
 
 def _index_text(node) -> str:
     try:
-        if isinstance(node, ast.Subscript):
-            return ast.unparse(node)
         return ast.unparse(node)
     except Exception:  # pragma: no cover
         return "<expr>"
@@ -1370,17 +1360,14 @@ def analyze_function(fn: FunctionModel, path: str) -> tuple[list, KernelSummary]
     return diags, summary
 
 
-def _scope_for(phase_kind, var_kind) -> str:
-    if phase_kind == "node" and var_kind == "node":
-        return "node"
-    return "global"
-
-
 def _check_segment(accs, phase: PhaseSummary, seg: int, path: str) -> list:
     diags: list[Diagnostic] = []
     writes = [a for a in accs if a.kind in ("write", "accumulate")]
     reads = [a for a in accs if a.kind == "read"]
-    var_kind_of = {}  # unused placeholder for clarity
+    # Disjointness is always proved against every VP of the cluster:
+    # the shared variable's kind does not reach this check, so the
+    # weaker per-node proof a NodeShared write would admit is never used.
+    scope = "global"
 
     # -- write/write conflicts across VPs ------------------------------
     reported = set()
@@ -1388,7 +1375,6 @@ def _check_segment(accs, phase: PhaseSummary, seg: int, path: str) -> list:
         for b in writes[i:]:
             if a.variable != b.variable or _objects_distinct(a, b):
                 continue
-            scope = _scope_for(phase.kind, None)
             if (
                 a.kind == "accumulate"
                 and b.kind == "accumulate"
@@ -1511,7 +1497,7 @@ def _check_segment(accs, phase: PhaseSummary, seg: int, path: str) -> list:
             if same_vp_relation(r.iset, w.iset) == "overlap":
                 diags.append(_diag(
                     "PPM402", "warning",
-                    f"read of {r.variable}{'' } at line {r.lineno} follows "
+                    f"read of {r.variable} at line {r.lineno} follows "
                     f"a write of the same rows at line {w.lineno} in one "
                     "phase; the read observes the phase-start snapshot "
                     "(rule R1), not the new value",
@@ -1532,7 +1518,6 @@ def _dependence_edges(phases: list) -> list:
                     kinds = (a.kind != "read", b.kind != "read")
                     if kinds == (False, False):
                         continue
-                    dep = {"RAW": None}
                     if kinds == (True, False):
                         dep = "RAW"
                     elif kinds == (False, True):

@@ -6,8 +6,12 @@ Usage::
     python -m repro.bench fig1 fig2  # a subset
     python -m repro.bench --list     # show available experiment names
 
-Each experiment prints its table and writes it under ``bench_results/``
-(same outputs as ``pytest benchmarks/ --benchmark-only``).
+Each experiment prints its table, writes it under ``bench_results/``
+and then prints its shape assertions — the paper's qualitative claims,
+evaluated on the regenerated rows.  The exit status is 1 when any
+claim fails, so CI runs this command and then
+``git diff --exit-code bench_results/``: every table is a pure function
+of the source.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import sys
 from typing import Callable
 
-from repro.bench.analyzer import analyzer_cost
+from repro.bench.analyzer import analyzer_verdicts
 from repro.bench.codesize import table1_codesize
 from repro.bench.figures import (
     ablation_bundling,
@@ -49,23 +53,8 @@ EXPERIMENTS: dict[str, Callable] = {
     "ext_multigrid": ext_multigrid,
     "obs_cg": obs_cg_traffic,
     "resilience": bench_resilience,
-    "analyzer": analyzer_cost,
+    "analyzer": analyzer_verdicts,
 }
-
-
-#: Experiments with their own CLI (``main(argv)``): extra flags on the
-#: ``python -m repro.bench`` command line are forwarded to them instead
-#: of being silently dropped.
-CLI_EXPERIMENTS: dict[str, Callable[[list], int]] = {}
-
-
-def _analyzer_cli(argv: list) -> int:
-    from repro.bench import analyzer as analyzer_module
-
-    return analyzer_module.main(argv)
-
-
-CLI_EXPERIMENTS["analyzer"] = _analyzer_cli
 
 
 def main(argv: list[str]) -> int:
@@ -73,26 +62,13 @@ def main(argv: list[str]) -> int:
         for name in EXPERIMENTS:
             print(name)
         return 0
-    # An experiment with its own CLI consumes everything after its
-    # name (e.g. ``analyzer --check``).
-    if argv and argv[0] in CLI_EXPERIMENTS and len(argv) > 1:
-        return CLI_EXPERIMENTS[argv[0]](argv[1:])
-    flags = [a for a in argv if a.startswith("-")]
-    if flags:
-        flag_aware = ", ".join(CLI_EXPERIMENTS)
-        print(
-            f"flags {' '.join(flags)} are only understood when they "
-            f"follow a flag-aware experiment name ({flag_aware}), e.g. "
-            "`python -m repro.bench analyzer --check`",
-            file=sys.stderr,
-        )
-        return 2
     names = argv or list(EXPERIMENTS)
     unknown = [n for n in names if n not in EXPERIMENTS]
     if unknown:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"available: {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return 2
+    failed = []
     for name in names:
         print(f"running {name} ...", flush=True)
         result = EXPERIMENTS[name]()
@@ -101,8 +77,14 @@ def main(argv: list[str]) -> int:
         if chart:
             print()
             print(chart)
+        for text, holds in result.claims:
+            print(f"claim {'holds' if holds else 'FAILED'}: {text}")
+            if not holds:
+                failed.append(f"{name}: {text}")
         print()
-    return 0
+    for line in failed:
+        print(f"FAILED claim - {line}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

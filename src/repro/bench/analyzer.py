@@ -1,31 +1,20 @@
-"""Wall-clock cost of the static phase-dataflow verifier.
+"""Verdicts of the static phase-dataflow verifier on the shipped apps.
 
-``sanitize="auto"`` and the CI verify gate make static analysis part
-of the development loop, so its cost is tracked like runtime cost:
-this sweep times ``repro.analysis.dataflow.verify_file`` on each of
-the six shipped apps (best of ``repeats`` runs, parse included) and
-records the verdict alongside — the table doubles as a regression
-check that every app still certifies conflict-free.
-
-Columns: app name, analyzer host-milliseconds, number of phases
-summarised, dependence edges found, findings emitted, and whether the
-kernel holds a full conflict-freedom certificate.
-
-``python -m repro.bench analyzer --check`` re-times the apps and fails
-(exit 1) if any app analyzes more than 2x slower than the baseline
-recorded in ``bench_results/analyzer_cost.txt`` — the CI regression
-gate for analyzer cost.  Re-record the baseline by running the sweep
-without ``--check``.
+Certificates drive in-place commits (``sanitize="auto"``, the process
+backend's zero-merge path), so which kernels certify is part of the
+reproduction's recorded state: this table runs
+``repro.analysis.dataflow.verify_file`` on each of the six shipped
+apps and records the phases summarised, dependence edges found,
+findings emitted, and whether every phase holds a conflict-freedom
+certificate.  What the analysis costs in host time is ``perfbench``'s
+``analyze_apps`` row.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
-import time
 
 from repro.bench.harness import SweepResult
-from repro.bench.report import render_chart, save_result
 
 #: The six shipped PPM apps, as paths relative to the repo root.
 APP_MODULES = (
@@ -37,56 +26,27 @@ APP_MODULES = (
     ("sptrsv", "src/repro/apps/sptrsv/ppm_trsv.py"),
 )
 
-
-def _repo_root() -> str:
-    return os.path.normpath(
-        os.path.join(os.path.dirname(__file__), "..", "..", "..")
-    )
+_REPO_ROOT = os.path.join(os.path.dirname(__file__), "..", "..", "..")
 
 
-#: A fresh timing may exceed the recorded baseline by this factor
-#: before ``--check`` fails.  Generous because CI hosts are noisy; a
-#: genuine pass added to the analyzer shows up well past 2x on at
-#: least one app.
-CHECK_FACTOR = 2.0
-
-
-def analyzer_cost(
-    *, repeats: int = 3, quiet: bool = False, save: bool = True
-) -> SweepResult:
-    """Time the verifier on all six apps; returns the sweep table."""
+def analyzer_verdicts() -> SweepResult:
+    """Verify all six apps; returns the verdict table."""
     from repro.analysis.dataflow import verify_file
 
-    root = _repo_root()
     result = SweepResult(
-        name="analyzer_cost",
-        columns=[
-            "app",
-            "analyze_ms",
-            "phases",
-            "dep_edges",
-            "findings",
-            "certified",
-        ],
+        name="analyzer_verdicts",
+        columns=["app", "phases", "dep_edges", "findings", "certified"],
         notes=(
-            "Static dataflow verifier (repro.analysis.dataflow) host "
-            f"cost per app, best of {repeats}; certified=True means "
-            "every phase carries a conflict-freedom certificate."
+            "Static dataflow verifier (repro.analysis.dataflow) verdict "
+            "per app; certified=True means every phase carries a "
+            "conflict-freedom certificate."
         ),
     )
     for app, rel in APP_MODULES:
-        path = os.path.join(root, rel)
-        best = float("inf")
-        diags: list = []
-        summaries: list = []
-        for _ in range(max(repeats, 1)):
-            t0 = time.perf_counter()
-            diags, summaries = verify_file(path)
-            best = min(best, time.perf_counter() - t0)
+        diags, summaries = verify_file(os.path.join(_REPO_ROOT, rel))
         result.rows.append(
             {
                 "app": app,
-                "analyze_ms": best * 1e3,
                 "phases": sum(len(s.phases) for s in summaries),
                 "dep_edges": sum(len(s.edges) for s in summaries),
                 "findings": len(diags),
@@ -94,111 +54,8 @@ def analyzer_cost(
                 and bool(summaries),
             }
         )
-    if save:
-        text = save_result(result)
-    else:
-        from repro.bench.report import format_table
-
-        text = format_table(result)
-    if not quiet:
-        print(text)
-        chart = render_chart(result)
-        if chart:
-            print(chart)
+    result.claim(
+        "all six shipped apps certify conflict-free with zero findings",
+        all(r["certified"] and r["findings"] == 0 for r in result.rows),
+    )
     return result
-
-
-def load_baseline(path: str | None = None) -> dict[str, float]:
-    """Parse per-app ``analyze_ms`` from a recorded analyzer table.
-
-    Returns ``{app: analyze_ms}``; raises :class:`FileNotFoundError`
-    when no baseline has been recorded yet.
-    """
-    if path is None:
-        path = os.path.join(
-            _repo_root(), "bench_results", "analyzer_cost.txt"
-        )
-    known = {app for app, _ in APP_MODULES}
-    baseline: dict[str, float] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) >= 2 and parts[0] in known:
-                baseline[parts[0]] = float(parts[1])
-    if not baseline:
-        raise ValueError(f"no analyzer rows found in {path}")
-    return baseline
-
-
-def check_regression(
-    result: SweepResult,
-    baseline: dict[str, float],
-    *,
-    factor: float = CHECK_FACTOR,
-) -> list[str]:
-    """Return one failure line per app exceeding ``factor``x baseline."""
-    failures = []
-    for row in result.rows:
-        app = row["app"]
-        base = baseline.get(app)
-        if base is None:
-            failures.append(f"{app}: no baseline recorded")
-            continue
-        now = row["analyze_ms"]
-        if now > factor * base:
-            failures.append(
-                f"{app}: {now:.1f} ms > {factor:g}x baseline "
-                f"({base:.1f} ms)"
-            )
-        if not row["certified"]:
-            failures.append(f"{app}: lost its conflict-freedom certificate")
-    return failures
-
-
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench analyzer",
-        description="Time the static analyzer on the six shipped apps.",
-    )
-    parser.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="timing repeats per app (best-of; default 3)",
-    )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=(
-            "compare against bench_results/analyzer_cost.txt and fail "
-            f"if any app exceeds {CHECK_FACTOR:g}x its recorded "
-            "analyze_ms (the recorded file is left untouched)"
-        ),
-    )
-    args = parser.parse_args(argv)
-
-    if not args.check:
-        analyzer_cost(repeats=args.repeats)
-        return 0
-
-    try:
-        baseline = load_baseline()
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"analyzer --check: cannot load baseline: {exc}")
-        print("record one with `python -m repro.bench analyzer`")
-        return 1
-    result = analyzer_cost(repeats=args.repeats, save=False)
-    failures = check_regression(result, baseline)
-    if failures:
-        print("analyzer cost regression:")
-        for line in failures:
-            print(f"  {line}")
-        return 1
-    worst = max(
-        row["analyze_ms"] / baseline[row["app"]] for row in result.rows
-    )
-    print(
-        f"analyzer cost ok: worst ratio {worst:.2f}x of recorded "
-        f"baseline (gate {CHECK_FACTOR:g}x)"
-    )
-    return 0

@@ -88,7 +88,7 @@ def table1_codesize() -> SweepResult:
                 "paper_mpi": paper_mpi if paper_mpi is not None else "N/A",
             }
         )
-    return SweepResult(
+    result = SweepResult(
         name="table1_codesize",
         columns=["application", "ppm_loc", "mpi_loc", "mpi/ppm", "paper_ppm", "paper_mpi"],
         rows=rows,
@@ -98,3 +98,14 @@ def table1_codesize() -> SweepResult:
             "references) excluded from both sides, as in the paper."
         ),
     )
+    result.claim(
+        "every implementation is counted (ppm_loc, mpi_loc > 0)",
+        all(r["ppm_loc"] > 0 and r["mpi_loc"] > 0 for r in rows),
+    )
+    for r in rows:
+        if r["paper_mpi"] != "N/A":  # the paper had no MPI Barnes-Hut to compare
+            result.claim(
+                f"{r['application']}: MPI needs substantially more code (> 1.5x PPM's)",
+                r["mpi_loc"] > 1.5 * r["ppm_loc"],
+            )
+    return result

@@ -51,7 +51,7 @@ def obs_cg_traffic(
             "skew_us": 1e6 * report.max_barrier_skew,
         }
 
-    return run_sweep(
+    result = run_sweep(
         "obs_cg_traffic",
         "nodes",
         node_counts,
@@ -62,3 +62,16 @@ def obs_cg_traffic(
             "RunReport (see docs/OBSERVABILITY.md for formulas)"
         ),
     )
+    result.claim(
+        "bundling beats one message per element by > 10x everywhere",
+        all(ratio > 10.0 for ratio in result.series("bundling_ratio")),
+    )
+    result.claim(
+        "bundled wire messages: some, and fewer than unbundled",
+        all(0 < r["bundled_msgs"] < r["unbundled_msgs"] for r in result.rows),
+    )
+    result.claim(
+        "the hidden share of communication is a percentage (0-100)",
+        all(0.0 <= pct <= 100.0 for pct in result.series("overlap_pct")),
+    )
+    return result

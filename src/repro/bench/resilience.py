@@ -131,6 +131,17 @@ def bench_resilience(
             "the fault-free one"
         ),
     )
+    restart = next(r for r in rows if r["checkpoint_every"] == "off")
+    checkpointed = [r for r in rows if r is not restart]
+    overheads = [r["overhead%"] for r in checkpointed]
+    result.claim(
+        "checkpoint overhead falls as the interval grows",
+        all(b < a for a, b in zip(overheads, overheads[1:])),
+    )
+    result.claim(
+        "recovery from any checkpoint costs less than restarting the run",
+        all(r["recovery_s"] < restart["recovery_s"] for r in checkpointed),
+    )
     if json_path is not None:
         write_resilience_json(result, json_path, nodes=nodes, nx=nx, iters=iters)
     return result

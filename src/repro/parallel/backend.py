@@ -51,13 +51,6 @@ def default_workers() -> int:
     return max(2, min(8, cores))
 
 
-#: Zero-merge / plan-cache statistics of the most recently finished
-#: ``do`` of a process-backend run (what ``tests/parallel`` asserts
-#: commit paths and plan-cache hits from).  Keys: ``zm_rounds``,
-#: ``zm_ops``, ``bytes_avoided``, ``plan_hits``, ``plan_misses``.
-LAST_RUN_STATS: dict = {}
-
-
 class ProcessBackend:
     """Parent half of the ``executor="process"`` engine."""
 
@@ -109,13 +102,6 @@ class ProcessBackend:
         # checksum parent-side (tests and CI set this; costs a gather
         # per target per round, so it is opt-in).
         self._verify = bool(os.environ.get("PPM_ZERO_MERGE_VERIFY"))
-        # Cumulative zero-merge statistics (published to LAST_RUN_STATS
-        # at each do boundary).
-        self.zm_rounds = 0
-        self.zm_ops = 0
-        self.zm_bytes_avoided = 0
-        self.plan_hits = 0
-        self.plan_misses = 0
 
     # ==================================================================
     # do lifecycle
@@ -238,14 +224,6 @@ class ProcessBackend:
         self._reports = {}
         self._coll_outbox = []
         self._commit_replies = None
-        LAST_RUN_STATS.clear()
-        LAST_RUN_STATS.update(
-            zm_rounds=self.zm_rounds,
-            zm_ops=self.zm_ops,
-            bytes_avoided=self.zm_bytes_avoided,
-            plan_hits=self.plan_hits,
-            plan_misses=self.plan_misses,
-        )
 
     def close(self) -> None:
         self._pool.close()
@@ -402,24 +380,18 @@ class ProcessBackend:
             total_misses += d.get("plan_misses", 0)
             if self._verify:
                 self._verify_digest(w, d)
-        if total_ops:
-            self.zm_rounds += 1
-            self.zm_ops += total_ops
-            self.zm_bytes_avoided += total_bytes
-            self.plan_hits += total_hits
-            self.plan_misses += total_misses
-            if tr is not None:
-                tr.emit(
-                    ZeroMergeCommit(
-                        phase=rt.stats_global_phases + rt.stats_node_phases,
-                        node=-1 if node_key is None else node_key,
-                        workers=workers,
-                        ops=total_ops,
-                        plan_hits=total_hits,
-                        plan_misses=total_misses,
-                        bytes_avoided=total_bytes,
-                    )
+        if total_ops and tr is not None:
+            tr.emit(
+                ZeroMergeCommit(
+                    phase=rt.stats_global_phases + rt.stats_node_phases,
+                    node=-1 if node_key is None else node_key,
+                    workers=workers,
+                    ops=total_ops,
+                    plan_hits=total_hits,
+                    plan_misses=total_misses,
+                    bytes_avoided=total_bytes,
                 )
+            )
 
     def _run_commit_round(self) -> None:
         """The round's single commit round-trip, covering every held

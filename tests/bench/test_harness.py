@@ -3,6 +3,7 @@ and the CLI."""
 
 from __future__ import annotations
 
+import functools
 import os
 
 import pytest
@@ -126,15 +127,78 @@ class TestCli:
         assert (tmp_path / "table1_codesize.txt").exists()
 
 
+#: Sizes at which tier-1 runs each experiment: the cheap ones as the
+#: CLI runs them, the rest reduced.  Every claim a builder evaluates
+#: at these sizes must hold (Figure 3's full-size claim is skipped by
+#: the builder's own guard).
+REDUCED = {
+    "fig1": dict(node_counts=(1, 8, 64), nx=8, iters=8),
+    "fig2": dict(node_counts=(1, 4, 16), levels=7),
+    "fig3": dict(node_counts=(1, 2, 4, 16), n_particles=512, steps=1),
+    "table1": {},
+    "manycore": dict(cores_sweep=(4, 16), total_cores=64, nx=8, iters=4),
+    "bundling": dict(node_counts=(2, 4), n_particles=256),
+    "overlap": dict(node_counts=(4, 16), nx=6, iters=4),
+    "smartmap": {},
+    "loadbalance": {},
+    "ext_bfs": {},
+    "ext_trsv": {},
+    "ext_multigrid": dict(node_counts=(1, 8), levels=5, cycles=1),
+    "obs_cg": dict(node_counts=(2, 8), nx=6, iters=4),
+    "resilience": dict(nodes=4, nx=6, iters=12, json_path=None),
+    "analyzer": {},
+}
+
+
+@functools.lru_cache(maxsize=None)
+def reduced(name: str) -> SweepResult:
+    from repro.bench.__main__ import EXPERIMENTS
+
+    return EXPERIMENTS[name](**REDUCED[name])
+
+
+class TestClaims:
+    def test_every_experiment_has_sizes_here(self):
+        from repro.bench.__main__ import EXPERIMENTS
+
+        assert set(REDUCED) == set(EXPERIMENTS)
+
+    @pytest.mark.parametrize("name", REDUCED)
+    def test_experiment_carries_claims_that_hold(self, name):
+        claims = reduced(name).claims
+        assert claims, f"{name} evaluates no claim"
+        assert [text for text, holds in claims if not holds] == []
+
+    def test_failed_claim_fails_the_command(self, capsys, tmp_path, monkeypatch):
+        import repro.bench.codesize as codesize
+        import repro.bench.report as report
+        from repro.bench.__main__ import main
+
+        # Every source the same size: Table 1's "MPI needs more code"
+        # claims are violated, the table is regenerated all the same.
+        monkeypatch.setattr(codesize, "count_loc", lambda path: 10)
+        monkeypatch.setattr(report, "RESULTS_DIR", str(tmp_path))
+        assert main(["table1"]) == 1
+        out = capsys.readouterr().out
+        assert "claim FAILED: Conjugate Gradient: MPI needs substantially more code" in out
+        assert "claim holds: every implementation is counted" in out
+        assert "Barnes Hut" in (tmp_path / "table1_codesize.txt").read_text()
+
+    def test_analyzer_table_is_deterministic(self):
+        from repro.bench.analyzer import analyzer_verdicts
+
+        first = format_table(analyzer_verdicts())
+        assert first == format_table(analyzer_verdicts())
+        assert "_ms" not in first and "certified" in first
+
+
 class TestFigureBuildersSmoke:
-    """Tiny-instance smoke runs of every sweep builder (the real sizes
-    run in benchmarks/)."""
+    """Reduced-size smoke runs of the figure builders (the real sizes
+    run under ``python -m repro.bench``, CI's paper-claims job)."""
 
     def test_fig1_smoke(self):
-        from repro.bench.figures import fig1_cg
-
         # Paper §4.5: PPM starts much slower on one node and catches up.
-        result = fig1_cg(node_counts=(1, 8, 64), nx=8, iters=8)
+        result = reduced("fig1")
         assert all(r["ppm_s"] > 0 and r["mpi_s"] > 0 for r in result.rows)
         ratios = result.series("ppm/mpi")  # 3.27 / 0.92 / 0.85 here
         assert ratios[0] > 2.0
@@ -142,10 +206,8 @@ class TestFigureBuildersSmoke:
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
     def test_fig2_smoke(self):
-        from repro.bench.figures import fig2_matgen
-
         # PPM at least competitive everywhere, the gap widening.
-        result = fig2_matgen(node_counts=(1, 4, 16), levels=7)
+        result = reduced("fig2")
         assert all(r["ppm_s"] > 0 for r in result.rows)
         ratios = result.series("ppm/mpi")  # 0.96 / 0.69 / 0.43 here
         assert max(ratios) < 1.25
@@ -153,12 +215,8 @@ class TestFigureBuildersSmoke:
         assert ratios[-1] < ratios[0]
 
     def test_fig3_smoke(self):
-        from repro.bench.figures import fig3_barneshut
-
         # "Scales well as the number of nodes increases."
-        result = fig3_barneshut(
-            node_counts=(1, 2, 4, 16), n_particles=512, steps=1
-        )
+        result = reduced("fig3")
         times = result.series("ppm_s")
         assert all(t > 0 for t in times)
         assert all(b < a for a, b in zip(times, times[1:]))

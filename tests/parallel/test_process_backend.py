@@ -22,7 +22,6 @@ from repro.config import testing as mkconfig
 from repro.core import run_ppm
 from repro.core.errors import ParallelConfigError
 from repro.machine import Cluster
-from repro.parallel.backend import LAST_RUN_STATS
 from tests.reference import commit_oracle
 
 
@@ -303,7 +302,8 @@ class TestSemantics:
             monkeypatch.setenv("PPM_ZERO_MERGE_VERIFY", verify)
             with contextlib.nullcontext() if zero_merge else ship_records():
                 ppm2, r2 = run_ppm(
-                    main_near_miss, _cluster(), executor="process", workers=2
+                    main_near_miss, _cluster(), trace=True,
+                    executor="process", workers=2,
                 )
             for a, b in zip(r1, r2):
                 np.testing.assert_array_equal(a, b)
@@ -320,7 +320,7 @@ class TestSemantics:
                 (2, 9) if zero_merge else (1, 10)
             )
             if zero_merge:
-                assert LAST_RUN_STATS["zm_rounds"] >= 9  # the held rounds
+                assert ppm2.report().zero_merge.commits >= 9  # held rounds
 
     def test_multi_do_reuses_pool(self):
         ppm1, r1 = run_ppm(main_multi_do, _cluster())

@@ -44,8 +44,8 @@ from repro.apps.multigrid import build_mg_problem, ppm_mg_solve
 from repro.config import manycore, testing as mkconfig
 from repro.core import run_ppm
 from repro.machine import Cluster
-from repro.obs import PhaseTrace
-from repro.parallel import SupervisionPolicy, backend as backend_mod
+from repro.obs import PhaseTrace, RunReport
+from repro.parallel import SupervisionPolicy
 from repro.parallel.pool import WorkerPool
 
 SWEEP = settings(
@@ -57,6 +57,12 @@ SWEEP = settings(
 
 def _cg_cluster():
     return Cluster(manycore(n_nodes=4, cores_per_node=2))
+
+
+def _zero_merge(trace):
+    """The run's zero-merge aggregates (None when no group committed
+    worker-side)."""
+    return RunReport.from_trace(trace).zero_merge
 
 
 @pytest.fixture
@@ -84,8 +90,10 @@ class TestZeroRecordBytes:
         # replies (CI's tests/parallel run) add the committed rows.
         monkeypatch.delenv("PPM_ZERO_MERGE_VERIFY", raising=False)
         prob = build_chimney_problem(6, 6, 4, seed=7)
+        trace = PhaseTrace()
         ppm_cg_solve(
-            prob, _cg_cluster(), max_iters=6, executor="process", workers=2
+            prob, _cg_cluster(), max_iters=6, trace=trace,
+            executor="process", workers=2,
         )
         rounds = [c for c in captured_roundtrips if c[0] == "round"]
         commits = [c for c in captured_roundtrips if c[0] == "commit"]
@@ -129,10 +137,10 @@ class TestZeroRecordBytes:
         assert max(sizes) < 512, max(sizes)
 
         # And work actually happened through the zero-merge path.
-        stats = backend_mod.LAST_RUN_STATS
-        assert stats["zm_rounds"] > 0
-        assert stats["zm_ops"] > 0
-        assert stats["bytes_avoided"] > 0
+        stats = _zero_merge(trace)
+        assert stats.commits > 0
+        assert stats.ops > 0
+        assert stats.bytes_avoided > 0
 
     def test_zero_merge_off_ships_ops(self, captured_roundtrips, ship_records):
         # A do that may not hold takes the record-shipping protocol.
@@ -242,12 +250,14 @@ class TestDigestVerify:
         monkeypatch.setenv("PPM_ZERO_MERGE_VERIFY", "1")
         prob = build_chimney_problem(6, 6, 4, seed=11)
         r1, t1 = ppm_cg_solve(prob, _cg_cluster(), max_iters=6)
+        trace = PhaseTrace()
         r2, t2 = ppm_cg_solve(
-            prob, _cg_cluster(), max_iters=6, executor="process", workers=2
+            prob, _cg_cluster(), max_iters=6, trace=trace,
+            executor="process", workers=2,
         )
         assert t1 == t2
         np.testing.assert_array_equal(r1.x, r2.x)
-        assert backend_mod.LAST_RUN_STATS["zm_rounds"] > 0
+        assert _zero_merge(trace).commits > 0
 
     def test_mismatch_raises(self):
         from repro.parallel.backend import ProcessBackend
@@ -274,11 +284,13 @@ class TestDigestVerify:
 class TestPlanCache:
     def test_iterative_solver_converges_to_hits(self):
         prob = build_chimney_problem(6, 6, 4, seed=7)
+        trace = PhaseTrace()
         ppm_cg_solve(
-            prob, _cg_cluster(), max_iters=12, executor="process", workers=2
+            prob, _cg_cluster(), max_iters=12, trace=trace,
+            executor="process", workers=2,
         )
-        stats = backend_mod.LAST_RUN_STATS
-        hits, misses = stats["plan_hits"], stats["plan_misses"]
+        stats = _zero_merge(trace)
+        hits, misses = stats.plan_hits, stats.plan_misses
         assert hits + misses > 0
         rate = hits / (hits + misses)
         # Each distinct access pattern compiles once per worker and
@@ -371,10 +383,10 @@ class TestSegmentSwaps:
             )
 
         ppm, _ = run_ppm(
-            main, _cg_cluster(), executor="process", workers=2,
+            main, _cg_cluster(), trace=True, executor="process", workers=2,
             supervision=supervision,
         )
-        assert backend_mod.LAST_RUN_STATS["zm_rounds"] > 0
+        assert ppm.report().zero_merge.commits > 0
         assert ppm.runtime.shm.swaps == 1
 
     @pytest.mark.parametrize("second", [None, write_kernel])
