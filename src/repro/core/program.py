@@ -254,14 +254,16 @@ def run_ppm(
     executor:
         ``"inline"`` (default) — phase bodies run in this process,
         bitwise-identical to every release before the process backend
-        existed; or ``"process"`` — phase bodies run on real cores in
-        a pool of worker processes mapping the shared arrays through
+        existed; or ``"process"`` — phase bodies run on real cores,
+        this process stepping the lowest-rank VPs and forked worker
+        processes the rest, all mapping the shared arrays through
         :mod:`multiprocessing.shared_memory` (committed arrays and
         simulated times stay bitwise-identical; see docs/PARALLEL.md).
         Requires a picklable kernel and arguments
         (:class:`~repro.core.errors.ParallelConfigError` ``PPM501``).
     workers:
-        Worker process count for ``executor="process"`` (default:
+        Process count for ``executor="process"``, this one included:
+        ``workers=N`` forks N−1 (default:
         :func:`repro.parallel.default_workers`, the cores this
         process may run on clamped to [2, 8]).  Ignored under the
         inline executor.
@@ -274,7 +276,7 @@ def run_ppm(
         (after a back-off), so committed arrays, simulated times and
         reports equal a fault-free run's.  When the respawn budget
         for a pool size runs out the run *degrades* (restarts with
-        fewer workers or falls back to ``executor="inline"``) instead
+        fewer processes or falls back to ``executor="inline"``) instead
         of crashing (docs/PARALLEL.md).  Requires
         ``executor="process"``
         (:class:`~repro.core.errors.ParallelConfigError` ``PPM602``);

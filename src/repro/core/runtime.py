@@ -126,7 +126,8 @@ class PpmRuntime:
     :class:`~repro.core.phase.PhaseRecorder`, and the commit applies
     the buffered writes in global-VP-rank order through the
     :class:`~repro.core.phase.CommitPlanCache`.  ``executor="process"``
-    places the same engine on real cores, one VP shard per worker.
+    places the same engine on real cores, one VP shard per process —
+    this one runs the lowest-rank shard itself.
     """
 
     def __init__(
@@ -383,32 +384,13 @@ class PpmRuntime:
 
             backend = self._backend = ProcessBackend(self)
 
-        vps_by_node: list[list[_VpRecord]] = []
+        # Under the process backend the parent runs shard 0 — the
+        # lowest ranks — itself; the other VPs' generators live in the
+        # workers, and the parent keeps generator-less records for
+        # decl/done/cost bookkeeping.
         global_total = sum(counts)
-        offset = 0
-        for node_id in range(n_nodes):
-            k = counts[node_id]
-            node_vps: list[_VpRecord] = []
-            f = funcs[node_id]
-            genfunc = self._as_generator(f, default_decl) if f is not None else None
-            for r in range(k):
-                ctx = VpContext(
-                    self,
-                    node_id=node_id,
-                    node_rank=r,
-                    global_rank=offset + r,
-                    node_vp_count=k,
-                    global_vp_count=global_total,
-                    core_id=core_of(r, k, self.cluster.cores_per_node),
-                )
-                ctx._coll_index = 0
-                # Under the process backend the generators live in the
-                # workers; the parent keeps generator-less records for
-                # decl/done/cost bookkeeping.
-                gen = None if backend is not None else genfunc(ctx, *args, **kwargs)
-                node_vps.append(_VpRecord(ctx, gen))
-            vps_by_node.append(node_vps)
-            offset += k
+        own = global_total if backend is None else global_total // backend.n_workers
+        vps_by_node = self._vp_records(counts, funcs, default_decl, args, kwargs, (0, own))
 
         t_start = self.cluster.elapsed
         g0, n0 = self.stats_global_phases, self.stats_node_phases
@@ -422,13 +404,19 @@ class PpmRuntime:
         if backend is not None:
             backend.start_do(counts, funcs, args, kwargs, default_decl, vps_by_node)
         try:
-            # Prologue round: run code before the first phase declaration.
+            # Prologue round: run code before the first phase
+            # declaration (the parent's shard here, while the workers
+            # run theirs).
             if backend is not None:
-                backend.run_prologue(vps_by_node)
+                backend.send_prologue()
+            for node_vps in vps_by_node:
+                for vp in node_vps:
+                    if vp.gen is not None:
+                        self._advance(vp)
+            if backend is not None:
+                backend.gather_prologue()
             for node_id, node_vps in enumerate(vps_by_node):
                 for vp in node_vps:
-                    if backend is None:
-                        self._advance(vp)
                     if vp.decl is not None:
                         self._fold_decl(pending, node_id, vp.decl)
 
@@ -499,6 +487,34 @@ class PpmRuntime:
             )
         return funcs
 
+    def _vp_records(self, counts, funcs, default_decl, args, kwargs, shard) -> list:
+        """Every VP's record, by node, with a running generator for the
+        global ranks in ``shard`` (``(lo, hi)``) only."""
+        total = sum(counts)
+        lo, hi = shard
+        vps_by_node: list[list[_VpRecord]] = []
+        offset = 0
+        for node_id, k in enumerate(counts):
+            node_vps: list[_VpRecord] = []
+            f = funcs[node_id]
+            genfunc = self._as_generator(f, default_decl) if f is not None else None
+            for r in range(k):
+                ctx = VpContext(
+                    self,
+                    node_id=node_id,
+                    node_rank=r,
+                    global_rank=offset + r,
+                    node_vp_count=k,
+                    global_vp_count=total,
+                    core_id=core_of(r, k, self.cluster.cores_per_node),
+                )
+                ctx._coll_index = 0
+                gen = genfunc(ctx, *args, **kwargs) if lo <= offset + r < hi else None
+                node_vps.append(_VpRecord(ctx, gen))
+            vps_by_node.append(node_vps)
+            offset += k
+        return vps_by_node
+
     @staticmethod
     def _as_generator(func: Callable, default_decl: PhaseDecl) -> Callable:
         if inspect.isgeneratorfunction(func):
@@ -568,16 +584,18 @@ class PpmRuntime:
         accumulating per-core costs and each node's access run into the
         recorder and folding the VPs' next declarations into
         ``self._pending`` — the one loop that visits every VP, and so
-        where a traced run reports each resume (``VpScheduled``)."""
+        where a traced run reports each resume (``VpScheduled``).
+
+        Under the process backend the workers run their shards' bodies
+        meanwhile (``begin_round`` sent the round): the loop steps the
+        parent's own shard, the lowest ranks, and at the first VP it
+        does not own the workers' reports fill the recorder after its
+        records; it replays their VPs' costs and declarations."""
         backend = self._backend
         by_rank = None
         if backend is not None:
-            # Bodies already ran in the worker processes (begin_round):
-            # their reports fill the recorder, the loop below replays
-            # each VP's cost and next declaration in VP order.
-            by_rank = backend.fill_recorder(
-                recorder, None if recorder.kind == "global" else nodes[0]
-            )
+            node_key = None if recorder.kind == "global" else nodes[0]
+            backend.start_shard(node_key, nodes)
         elif self.config.load_balancing:
             self._assign_cores([vp for n in nodes for vp in vps_by_node[n]])
         self.phase = recorder
@@ -597,13 +615,15 @@ class PpmRuntime:
                     if vp.done:
                         continue
                     ctx = vp.ctx
-                    if by_rank is None:
+                    if vp.gen is not None:
                         ctx._cost = 0.0
                         ctx._coll_index = 0
                         self._advance(vp)
                         cost = ctx._cost
                         ctx._cost = 0.0
                     else:
+                        if by_rank is None:
+                            by_rank = backend.fill_recorder(recorder, node_key)
                         done, decl, cost = by_rank[ctx.global_rank]
                         backend.apply_state(vp, done, decl)
                     if tr is not None:
@@ -623,6 +643,8 @@ class PpmRuntime:
                             fold(pending, node_id, decl)
                 if by_rank is None:
                     recorder.close_run(node_id)
+            if backend is not None and by_rank is None:
+                backend.fill_recorder(recorder, node_key)
         finally:
             self.phase = None
 
@@ -729,13 +751,10 @@ class PpmRuntime:
         # A round is certified when every active VP sits at a yield the
         # static verifier proved conflict-free (checked on the suspended
         # frames *before* the bodies run, i.e. at this phase's decl).
-        # Under the process backend the frames live in the workers, so
-        # the workers checked their own shards and the backend combined
-        # the votes when the round was dispatched.
+        # Under the process backend every shard checks its own frames
+        # and the backend combines the votes once the replies are in.
         backend = self._backend
-        if backend is not None:
-            certified = backend.round_certified(node_key)
-        else:
+        if backend is None:
             cert = self._active_cert
             certified = cert is not None and bool(
                 cert.round_flags(
@@ -760,12 +779,13 @@ class PpmRuntime:
 
         # Commit: conflict check (strict mode aborts before any write
         # is visible), then writes in rank order, then collectives.
-        # Under the process backend a held round resolves first —
-        # zero-merge groups commit worker-side (write_ops stays empty
-        # and apply_writes below no-ops), fallback groups ship their
-        # operations into the recorder for the unchanged path.
+        # Under the process backend a held round's workers commit
+        # meanwhile — a zero-merge group in place (write_ops keeps only
+        # the parent's own shard's), a fallback group ships its
+        # operations into the recorder for the unchanged path first.
         if backend is not None:
-            backend.finish_commit(recorder, node_key)
+            certified = backend.round_certified(node_key)
+            backend.begin_commit(recorder, node_key)
         signature = recorder.signature(certified)
         plan = self._lookup_plan(signature)
         if plan is None:
@@ -780,9 +800,7 @@ class PpmRuntime:
         recorder.apply_writes(self.commit_plans, plan=plan)
         n_contrib = recorder.resolve_collectives()
         if backend is not None:
-            # Ship resolved reduce/scan values back with the next round
-            # so worker-held handles resolve before VP code reads them.
-            backend.harvest_collectives(recorder, node_key)
+            backend.finish_commit(recorder, node_key)
 
         # Everything the signature fixes comes from the plan, the
         # bundle and message events of a traced round included: only

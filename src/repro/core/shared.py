@@ -439,6 +439,21 @@ class _SharedBase:
         self._access_cache.clear()
         self._index_refs.clear()
 
+    def _reader(self, instance: int | None) -> np.ndarray:
+        """Read-only alias of the committed buffer of ``instance``:
+        snapshot reads index it, so basic-index results are born
+        read-only (children of a non-writeable array are non-writeable)
+        — no per-access ``flags.writeable`` toggle needed.  Under the
+        process executor it is a dedicated array over the segment,
+        whose reference count tells whether a reader of the buffer is
+        alive (:class:`repro.parallel.shm.ViewProbe`)."""
+        shm = self.runtime.shm
+        if shm is not None:
+            return shm.reader(self.name, instance)
+        ro = (self._data if instance is None else self._data[instance]).view()
+        ro.flags.writeable = False
+        return ro
+
     def __reduce__(self):
         return (_unpickle_shared, (self.name,))
 
@@ -490,15 +505,12 @@ class GlobalShared(_SharedBase):
             self._data = np.full(self.shape, fill, dtype=self.dtype)
         # True once a snapshot view of the current buffer was handed
         # out; the next commit then swaps buffers (copy-on-commit).
-        # Under the process executor the parent's flag is instead set
-        # from each round's worker reports: a view is still referenced.
+        # Under the process executor the parent's flag is instead reset
+        # every round to "a view is still referenced", in its own shard
+        # or a worker's.
         self._views_taken = False
-        # Read-only alias of the committed buffer: snapshot reads index
-        # it so basic-index results are born read-only (children of a
-        # non-writeable array are non-writeable) — no per-access
-        # ``flags.writeable`` toggle needed.  Rebuilt on buffer swap.
-        self._ro = self._data.view()
-        self._ro.flags.writeable = False
+        # Read-only alias of the committed buffer; rebuilt on swap.
+        self._ro = self._reader(None)
         # Block partition boundaries: node i owns rows
         # [starts[i], starts[i+1]).
         self._starts = np.array(
@@ -562,8 +574,7 @@ class GlobalShared(_SharedBase):
                 # retired segment mapped; they remap to the new name
                 # with their next round command.
                 self._data = shm.swap(self.name, None)
-            self._ro = self._data.view()
-            self._ro.flags.writeable = False
+            self._ro = self._reader(None)
             starts = self._starts
             name = f"gshared:{self.name}"
             for node in self.runtime.cluster:
@@ -701,9 +712,7 @@ class NodeShared(_SharedBase):
                 arr = np.full(self.shape, fill, dtype=self.dtype)
             node.memory.adopt(f"nshared:{name}", arr)
             self._data.append(arr)
-            ro = arr.view()
-            ro.flags.writeable = False
-            self._ro.append(ro)
+            self._ro.append(self._reader(node.node_id))
             self._views_taken.append(False)
 
     def instance(self, node_id: int) -> np.ndarray:
@@ -743,9 +752,7 @@ class NodeShared(_SharedBase):
                 self._data[instance] = self._data[instance].copy()
             else:
                 self._data[instance] = shm.swap(self.name, instance)
-            ro = self._data[instance].view()
-            ro.flags.writeable = False
-            self._ro[instance] = ro
+            self._ro[instance] = self._reader(instance)
             self.runtime.cluster.node(instance).memory.rebind(
                 f"nshared:{self.name}", self._data[instance]
             )

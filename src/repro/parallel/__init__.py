@@ -1,11 +1,12 @@
 """repro.parallel — the multi-process PPM execution backend.
 
 ``run_ppm(..., executor="process", workers=N)`` runs phase bodies on
-real cores: the committed store of every shared variable lives in
-:mod:`multiprocessing.shared_memory` segments, worker processes map
-those segments zero-copy and advance contiguous global-rank shards of
-the VPs, and each phase round returns compact access/write/collective
-records that the parent merges through the unchanged commit, bundling
+N real processes: the committed store of every shared variable lives
+in :mod:`multiprocessing.shared_memory` segments, the parent and N−1
+forked worker processes map those segments zero-copy and advance
+contiguous global-rank shards of the VPs (the parent the lowest), and
+each phase round returns compact access/write/collective records that
+the parent merges after its own through the unchanged commit, bundling
 and timing pipeline.  Committed arrays, simulated times and traces are
 bitwise-identical to the default ``executor="inline"`` engine (see
 docs/PARALLEL.md).
@@ -18,7 +19,7 @@ Public surface
   process pool and its command pipe protocol;
 * :class:`~repro.parallel.backend.ProcessBackend` — the runtime
   execution backend gluing the two into phase rounds;
-* :func:`~repro.parallel.backend.default_workers` — the worker count
+* :func:`~repro.parallel.backend.default_workers` — the process count
   used when ``workers=None``;
 * :class:`~repro.parallel.supervisor.SupervisionPolicy` /
   :class:`~repro.parallel.supervisor.WorkerSupervisor` — fault-tolerant

@@ -1,31 +1,36 @@
 """The process execution backend: parent-side round orchestration.
 
 :class:`ProcessBackend` is the object ``PpmRuntime`` delegates to when
-``executor="process"``.  The division of labour keeps the bitwise
-contract trivially auditable:
+``executor="process"``.  ``workers=N`` means N processes in total: the
+VPs split into N contiguous global-rank shards, the parent runs shard
+0 (the lowest ranks) itself and forks one worker for each other.  The
+division of labour keeps the bitwise contract trivially auditable:
 
-* **workers** run the VP generators (the only part of a PPM program
-  that needs real cores) against mapped shared-memory snapshots and
-  ship back compact recordings — per-VP costs/declarations, row specs,
-  buffered write operations, collective contributions;
-* the **parent** replays those recordings into an ordinary
-  :class:`~repro.core.phase.PhaseRecorder` in global-VP-rank order and
-  then runs the *unchanged* commit, bundling, timing, tracing and
-  sanitizer pipeline.  Every float accumulates in the same order and
-  every buffered op applies through the same engine as the inline
-  executor, so committed arrays and simulated clocks are
-  bitwise-identical (property-tested in ``tests/parallel``).
+* **workers** run their shards' VP generators against mapped
+  shared-memory snapshots and ship back compact recordings — per-VP
+  costs/declarations, row specs, buffered write operations, collective
+  contributions;
+* the **parent** sends each round, steps its own shard straight into
+  an ordinary :class:`~repro.core.phase.PhaseRecorder` while the
+  workers run theirs (no encoding, no pipe), then gathers their
+  recordings into the same recorder and runs the *unchanged* commit,
+  bundling, timing, tracing and sanitizer pipeline.  Every float
+  accumulates in the same order and every buffered op applies through
+  the same engine as the inline executor, so committed arrays and
+  simulated clocks are bitwise-identical (property-tested in
+  ``tests/parallel``).
 
-Shards are contiguous global-rank ranges, one per worker, so
-concatenating worker reports in worker order *is* VP-rank order.
-A phase round costs exactly one command round-trip per worker — node
-phases that are concurrently ready dispatch as a single round.
+Shard 0's records come first, and concatenating the worker reports in
+worker order after them *is* VP-rank order.  A phase round costs
+exactly one command round-trip per worker — node phases that are
+concurrently ready dispatch as a single round.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import time
 import zlib
 
 import numpy as np
@@ -39,11 +44,12 @@ from repro.parallel.pool import WorkerPool
 
 
 def default_workers() -> int:
-    """Worker count used when ``run_ppm(..., workers=None)``: the cores
-    this process may run on (its affinity mask where the platform has
-    one — a container or ``taskset`` can grant fewer than the host's
-    CPU count), clamped to [2, 8] (beyond 8, pipe traffic outweighs
-    extra cores for typical phase bodies)."""
+    """Process count (the parent included) used when ``run_ppm(...,
+    workers=None)``: the cores this process may run on (its affinity
+    mask where the platform has one — a container or ``taskset`` can
+    grant fewer than the host's CPU count), clamped to [2, 8] (at least
+    one forked worker; beyond 8, pipe traffic outweighs extra cores for
+    typical phase bodies)."""
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:
@@ -56,9 +62,10 @@ class ProcessBackend:
 
     def __init__(self, runtime) -> None:
         self.rt = runtime
+        #: Processes in total: the parent and ``n_workers - 1`` forks.
         self.n_workers = runtime.workers or default_workers()
         self._pool = WorkerPool(
-            self.n_workers, {"config": runtime.cluster.config}
+            self.n_workers - 1, {"config": runtime.cluster.config}
         )
         # Worker supervision: the pool hands the supervisor the
         # failures it detects, and the run restarts.
@@ -77,27 +84,39 @@ class ProcessBackend:
             )
             self.supervisor.pool = self._pool
             self._pool.supervisor = self.supervisor
-        # Per-do decode state (reset by start_do).
+        # Per-do state (reset by start_do): the workers' VP records by
+        # global rank, the parent's own (shard 0) by node, and the
+        # decode tables, one per forked worker.
         self._vp_index: dict = {}
+        self._own_by_node: dict = {}
         self._arrays: list[dict] = []
         self._specs: list[dict] = []
         self._decls: dict = {}
         self._coll_outbox: list = []
-        # node key (None: the global phase) -> [(worker, report)] of the
-        # dispatched round, until fill_recorder merges them.
-        self._reports: dict = {}
         # Worker-held phase plans, parent half: per (worker, plan id)
         # -> the decoded (runs, node write elems, written targets) a
         # later "rec_plan" reference resolves to.
         self._rec_cache: list[dict] = []
-        # (variable, instance) pairs the last round's replies reported
-        # a live snapshot view of.
+        # (variable, instance) pairs some shard held a live snapshot
+        # view of when the copy-on-commit guard was last set.
         self._live_views: set = set()
-        # Zero-merge round state (reset by begin_round).
+        # Round state (reset by begin_round), keyed by node key (None:
+        # the global phase): the workers' reports until fill_recorder
+        # merges them, every shard's (certified, zero-merge) vote, the
+        # targets the workers' held operations write; the replies'
+        # views (None until gathered).
         self._hold = False
-        self._round_flags: dict = {}
+        self._committing = False  # a commit command is in flight
+        self._reports: dict = {}
+        self._votes: dict = {}
         self._hold_wtargets: dict = {}
-        self._commit_replies: dict | None = None
+        self._worker_views: set | None = set()
+        # The round's WorkerSpan rows, [worker, vps, host seconds], the
+        # parent's first; emitted when the round ends, on the tracer
+        # (and with the phase) it began with.
+        self._spans: list = []
+        self._span_to = (None, 0)
+        self._own_t0 = 0.0
         # Digest verification: recompute each worker's committed-rows
         # checksum parent-side (tests and CI set this; costs a gather
         # per target per round, so it is opt-in).
@@ -107,7 +126,8 @@ class ProcessBackend:
     # do lifecycle
     # ==================================================================
     def start_do(self, counts, funcs, args, kwargs, default_decl, vps_by_node):
-        """Ship the kernel, shared-segment map and VP shards."""
+        """Ship the kernel, shared-segment map and VP shards to the
+        workers; shard 0 is the VPs the runtime built generators for."""
         rt = self.rt
         # Segment names shipped below are current; earlier swaps are
         # irrelevant to workers that are only now attaching.
@@ -136,19 +156,17 @@ class ProcessBackend:
             "certify": rt._active_cert is not None,
         }
         total = sum(counts)
-        w = self.n_workers
-        payloads = [
-            {
-                "common": common,
-                "shard": ((i * total) // w, ((i + 1) * total) // w),
-            }
-            for i in range(w)
-        ]
-        self._vp_index = {
-            vp.ctx.global_rank: vp
-            for node_vps in vps_by_node
-            for vp in node_vps
-        }
+        n = self.n_workers
+        shards = [((i * total) // n, ((i + 1) * total) // n) for i in range(1, n)]
+        self._vp_index = {}
+        self._own_by_node = {}
+        for node_id, node_vps in enumerate(vps_by_node):
+            for vp in node_vps:
+                if vp.gen is None:
+                    self._vp_index[vp.ctx.global_rank] = vp
+                else:
+                    self._own_by_node.setdefault(node_id, []).append(vp)
+        w = n - 1
         self._arrays = [{} for _ in range(w)]
         self._specs = [{} for _ in range(w)]
         self._decls = {}
@@ -156,12 +174,12 @@ class ProcessBackend:
         self._reports = {}
         self._rec_cache = [{} for _ in range(w)]
         self._replace_views(set())
-        self._round_flags = {}
-        self._hold_wtargets = {}
-        self._commit_replies = None
         if self.supervisor is not None:
-            self.supervisor.begin_do(p["shard"] for p in payloads)
-        self._pool.roundtrip("do_start", None, per_worker=payloads)
+            self.supervisor.begin_do(shards)
+        self._pool.roundtrip(
+            "do_start", None,
+            per_worker=[{"common": common, "shard": s} for s in shards],
+        )
 
     def _may_hold(self) -> bool:
         """May this ``do``'s rounds hold their operations worker-side
@@ -193,7 +211,7 @@ class ProcessBackend:
         return specs
 
     def _replace_views(self, views) -> None:
-        """Make ``views`` — the (variable, instance) pairs some worker
+        """Make ``views`` — the (variable, instance) pairs some shard
         still holds a snapshot view of — the registry's copy-on-commit
         guard.  Replaced, never merged: a buffer is guarded only while
         a reader of it is alive (none outlives its ``do``), so a
@@ -208,9 +226,12 @@ class ProcessBackend:
                     sv._views_taken[instance] = flag
         self._live_views = views
 
-    def run_prologue(self, vps_by_node) -> None:
-        """Run every VP to its first phase declaration, worker-side."""
-        for states in self._pool.roundtrip("prologue", None):
+    def send_prologue(self) -> None:
+        """Run the workers' VPs to their first phase declaration."""
+        self._pool.send("prologue", None)
+
+    def gather_prologue(self) -> None:
+        for states in self._pool.gather():
             if states is None:
                 continue
             for grank, done, decl, _cost in states:
@@ -218,12 +239,15 @@ class ProcessBackend:
 
     def end_do(self) -> None:
         """Release per-do worker state; best-effort because this runs
-        in the ``finally`` of ``do`` with any real error propagating."""
+        in the ``finally`` of ``do`` with any real error propagating
+        (a round still in flight is drained first)."""
+        self._emit_spans()
         self._pool.best_effort("do_end", None)
         self.rt.shm.sweep()
         self._reports = {}
         self._coll_outbox = []
-        self._commit_replies = None
+        self._vp_index = {}
+        self._own_by_node = {}
 
     def close(self) -> None:
         self._pool.close()
@@ -232,15 +256,16 @@ class ProcessBackend:
     # Phase rounds
     # ==================================================================
     def begin_round(self, kind: str, nodes, vps_by_node) -> None:
-        """Dispatch one phase round to the workers and stash their
-        reports for :meth:`fill_recorder`."""
+        """Send one phase round to the workers (gathered by
+        :meth:`fill_recorder` once the parent has stepped its shard)."""
         rt = self.rt
-        body_vps = [vp for n in nodes for vp in vps_by_node[n]]
+        self._emit_spans()
         core_map = None
         if rt.config.load_balancing:
             # The parent owns the (deterministic, cost-history-based)
             # LPT packing; workers receive the resulting map so VP code
             # observes the same ctx.core_id as inline execution.
+            body_vps = [vp for n in nodes for vp in vps_by_node[n]]
             rt._assign_cores(body_vps)
             core_map = {
                 vp.ctx.global_rank: vp.ctx.core_id
@@ -254,36 +279,74 @@ class ProcessBackend:
             "coll_results": self._coll_outbox,
             "remaps": rt.shm.drain_remaps(),
             "core_map": core_map,
-            # Speculative hold: certification flags only arrive with
-            # the replies, so an eligible round always holds; rounds
-            # that turn out uncertified fall back to shipping their
-            # operations with the commit command.
+            # Speculative hold: the workers' certification flags only
+            # arrive with the replies, so an eligible round always
+            # holds; groups that turn out uncertified fall back to
+            # shipping their operations with the commit command.
             "mode": "hold" if hold else "ship",
         }
         self._hold = hold
-        self._round_flags = {}
+        self._committing = False
+        self._reports = {}
+        self._votes = {}
         self._hold_wtargets = {}
-        self._commit_replies = None
+        self._worker_views = None
         self._coll_outbox = []
-        replies = self._pool.roundtrip("round", cmd)
-        # Before any commit of this round, held or shipped: the
-        # copy-on-commit guard is what the workers hold *now*.
-        self._replace_views(
-            {v for rep in replies if rep is not None for v in rep["views"]}
-        )
-        flag_lists: dict = {}
-        self._reports = reports = {}
-        for w, rep in enumerate(replies):
+        self._spans = [[0, 0, 0.0]]
+        self._span_to = (rt.tracer, rt.stats_global_phases + rt.stats_node_phases)
+        self._pool.send("round", cmd)
+
+    def start_shard(self, node_key, nodes) -> None:
+        """The parent's shard joins ``node_key``'s group: it votes on
+        certification off its own VPs' suspended frames *before* the
+        bodies run, as inline does (no VP there: no vote; no active
+        one: an abstention), and its clock starts."""
+        own = [vp for n in nodes for vp in self._own_by_node.get(n, ())]
+        if own:
+            cert = self.rt._active_cert
+            kind = "global" if node_key is None else "node"
+            self._votes.setdefault(node_key, []).append(
+                (False, False) if cert is None else cert.round_flags(own, kind)
+            )
+            self._spans[0][1] += sum(1 for vp in own if not vp.done)
+        self._own_t0 = time.perf_counter()
+
+    def fill_recorder(self, recorder, node_key) -> dict[int, tuple]:
+        """Gather the round's replies (on its first call), set the
+        copy-on-commit guard to the views every shard holds now, and
+        merge the workers' reports for ``node_key`` (None: the global
+        phase) into the recorder after the parent's own records;
+        returns each reported VP's ``(done, next declaration, cost)``
+        by global rank, which the runtime's stepping loop replays in VP
+        order — the same float-accumulation structure as inline."""
+        self._spans[0][2] += time.perf_counter() - self._own_t0
+        if self._worker_views is None:
+            self._gather_round()
+        rt = self.rt
+        self._replace_views(self._worker_views.union(
+            rt.shm.probe.live_views(rt.shared_registry.values())
+        ))
+        by_rank: dict[int, tuple] = {}
+        for w, rep in self._reports.pop(node_key, ()):
+            self._merge_report(recorder, w, rep, by_rank)
+        return by_rank
+
+    def _gather_round(self) -> None:
+        views = set()
+        for w, rep in enumerate(self._pool.gather()):
             if rep is None:
                 continue
-            if kind == "global":
-                groups = [(None, rep["report"], rep["flags"])]
-            else:
+            views.update(rep["views"])
+            if "nodes" in rep:
                 groups = rep["nodes"]
+            else:
+                groups = [(None, rep["report"], rep["flags"])]
             for node_key, report, flags in groups:
-                reports.setdefault(node_key, []).append((w, report))
-                flag_lists.setdefault(node_key, []).append(flags)
-                if hold:
+                self._reports.setdefault(node_key, []).append((w, report))
+                # A worker with no active VPs in the group votes
+                # (None, None): an abstention.
+                self._votes.setdefault(node_key, []).append(flags)
+                if self._hold:
                     # Written targets ship with a shape's first round
                     # and are remembered under its plan id.
                     pid = report.get("rec_plan")
@@ -292,141 +355,108 @@ class ProcessBackend:
                         if pid is None
                         else self._rec_cache[w][pid][2]
                     )
-        # Combine each group's per-worker flags: a worker with no
-        # active VPs in the group reports (None, None) and abstains;
-        # everyone else must agree for the round to count as certified
-        # (resp. zero-merge eligible).
-        for node_key, flags in flag_lists.items():
-            voted = [f for f in flags if f[0] is not None]
-            self._round_flags[node_key] = (
-                bool(voted) and all(c for c, _z in voted),
-                bool(voted) and all(z for _c, z in voted),
-            )
-        tr = rt.tracer
-        if tr is not None:
-            phase_index = rt.stats_global_phases + rt.stats_node_phases
-            for w, rep in enumerate(replies):
-                if rep is None:
-                    continue
-                tr.emit(
-                    WorkerSpan(
-                        phase=phase_index,
-                        worker=w,
-                        vps=rep["advanced"],
-                        host_s=rep["host_s"],
-                    )
-                )
+            self._spans.append([w + 1, rep["advanced"], rep["host_s"]])
+        self._worker_views = views
 
-    def fill_recorder(self, recorder, node_key) -> dict[int, tuple]:
-        """Merge this round's worker reports for ``node_key`` (None: the
-        global phase) into the parent recorder; returns each reported
-        VP's ``(done, next declaration, cost)`` by global rank, which
-        the runtime's stepping loop replays in VP order — the same
-        float-accumulation structure as inline execution."""
-        by_rank: dict[int, tuple] = {}
-        for w, rep in self._reports.pop(node_key, ()):
-            self._merge_report(recorder, w, rep, by_rank)
-        return by_rank
+    def _emit_spans(self) -> None:
+        """The finished round's :class:`WorkerSpan` events: the
+        parent's shard is worker 0, forked worker ``k`` is ``k + 1``."""
+        (tr, phase), self._span_to = self._span_to, (None, 0)
+        if tr is not None:
+            for w, vps, host_s in self._spans:
+                tr.emit(WorkerSpan(phase=phase, worker=w, vps=vps, host_s=host_s))
+
+    def _group_flags(self, node_key) -> tuple[bool, bool]:
+        """``(certified, zero_merge)``: every shard that voted agrees."""
+        voted = [f for f in self._votes.get(node_key, ()) if f[0] is not None]
+        return (
+            bool(voted) and all(c for c, _z in voted),
+            bool(voted) and all(z for _c, z in voted),
+        )
 
     def round_certified(self, node_key) -> bool:
-        """Did every worker with active VPs in this group sit at a
-        certified yield when the round began?  (The parent cannot
-        inspect the suspended frames itself — they live in the
-        workers.)"""
-        return self._round_flags.get(node_key, (False, False))[0]
+        """Did every shard with active VPs in this group sit at a
+        certified yield when the round began?"""
+        return self._group_flags(node_key)[0]
+
+    def begin_commit(self, recorder, node_key) -> None:
+        """Send a held round's commit command for ``node_key`` (none
+        for ship-mode rounds, whose operations came with the replies,
+        or for groups no worker holds operations of).  A zero-merge
+        group commits worker-side while the parent commits its own
+        shard's operations through its ordinary commit, and
+        :meth:`finish_commit` gathers the digests; an ineligible group
+        ships its operation stream now, absorbed into the recorder after
+        the parent's own as a ship-mode round's — the sanitizer and the
+        ordinary rank-ordered commit then run unchanged.  Node groups of
+        a round commit one by one, as inline (node phases write only
+        their own node's instances, so no group sees another's commit).
+        """
+        if not self._hold or node_key not in self._hold_wtargets:
+            return
+        rt = self.rt
+        zero_merge = self._group_flags(node_key)[1]
+        if zero_merge:
+            # Copy-on-commit before anyone writes in place: every target
+            # a live view may alias — the parent's own shard's included
+            # — swaps now, its remap travelling with the command.
+            targets = self._hold_wtargets[node_key]
+            if self._live_views:
+                targets = targets | {
+                    (ev.shared.name, ev.instance) for ev in recorder.write_ops
+                }
+            registry = rt.shared_registry
+            for name, instance in sorted(
+                targets, key=lambda t: (t[0], -1 if t[1] is None else t[1])
+            ):
+                registry[name]._commit_target(instance)
+        self._pool.send("commit", {
+            "remaps": rt.shm.drain_remaps(),
+            "group": (node_key, "local" if zero_merge else "ship"),
+            "verify": self._verify,
+        })
+        self._committing = True
+        if not zero_merge:
+            self._gather_commit(recorder, node_key)
 
     def finish_commit(self, recorder, node_key) -> None:
-        """Resolve a held round's commit for ``node_key``.
+        """Gather a zero-merge group's digests, and queue the round's
+        resolved collective results for the next round command
+        (worker-held handles resolve from them)."""
+        if self._committing:
+            self._gather_commit(recorder, node_key)
+        if recorder.collective_slots:  # scan: prefixes by global rank
+            self._coll_outbox.append((node_key, [
+                (s.kind, s.entries[0][2]._value if s.entries else None)
+                if s.kind == "reduce"
+                else (s.kind, {r: h._value for r, _v, h in s.entries})
+                for s in recorder.collective_slots
+            ]))
 
-        No-op for ship-mode rounds (operations already arrived with the
-        round replies).  For a held round, the *first* call runs the
-        single commit round-trip covering every group of the round:
-        zero-merge-eligible groups commit worker-side (their reply is a
-        fixed-size digest and ``recorder.write_ops`` stays empty);
-        ineligible groups fall back to shipping their operation stream
-        here, absorbed into the recorder exactly as a ship-mode round
-        would have — the sanitizer and the parent's ordinary
-        rank-ordered commit then run unchanged.
-
-        Node phases of one round are committed together: their targets
-        are disjoint by construction (node phases write only their own
-        node's instances), and the paper leaves cross-node commit order
-        within an asynchronous round unspecified.
-        """
-        if not self._hold:
-            return
-        if self._commit_replies is None:
-            self._run_commit_round()
+    def _gather_commit(self, recorder, node_key) -> None:
+        self._committing = False
+        workers = ops_n = avoided = hits = misses = 0
+        for w, d in enumerate(self._pool.gather()):
+            if d is None:
+                continue
+            if "ops" in d:
+                recorder.write_ops.extend(self._events(w, d["ops"]))
+            elif d["ops_n"]:
+                workers += 1
+                ops_n += d["ops_n"]
+                avoided += d["bytes_avoided"]
+                hits += d["plan_hits"]
+                misses += d["plan_misses"]
+                if self._verify:
+                    self._verify_digest(w, d)
         rt = self.rt
-        registry = rt.shared_registry
-        tr = rt.tracer
-        total_ops = 0
-        total_bytes = 0
-        total_hits = 0
-        total_misses = 0
-        workers = 0
-        for w, d in self._commit_replies.pop(node_key, []):
-            ops = d.get("ops")
-            if ops is not None:
-                recorder.write_ops.extend(self._events(w, ops))
-                continue
-            n = d.get("ops_n", 0)
-            if not n:
-                continue
-            workers += 1
-            total_ops += n
-            total_bytes += d.get("bytes_avoided", 0)
-            total_hits += d.get("plan_hits", 0)
-            total_misses += d.get("plan_misses", 0)
-            if self._verify:
-                self._verify_digest(w, d)
-        if total_ops and tr is not None:
-            tr.emit(
-                ZeroMergeCommit(
-                    phase=rt.stats_global_phases + rt.stats_node_phases,
-                    node=-1 if node_key is None else node_key,
-                    workers=workers,
-                    ops=total_ops,
-                    plan_hits=total_hits,
-                    plan_misses=total_misses,
-                    bytes_avoided=total_bytes,
-                )
-            )
-
-    def _run_commit_round(self) -> None:
-        """The round's single commit round-trip, covering every held
-        group: decide local-vs-ship per group, pre-swap aliased targets
-        of locally-committed groups (copy-on-commit must happen
-        *before* any worker writes), and ship the resulting remaps with
-        the decisions."""
-        rt = self.rt
-        registry = rt.shared_registry
-        groups = []
-        for node_key, (_certified, zero_merge) in sorted(
-            self._round_flags.items(),
-            key=lambda kv: -1 if kv[0] is None else kv[0],
-        ):
-            decision = "local" if zero_merge else "ship"
-            if decision == "local":
-                for name, instance in sorted(
-                    self._hold_wtargets.get(node_key, ()),
-                    key=lambda t: (t[0], -1 if t[1] is None else t[1]),
-                ):
-                    registry[name]._commit_target(instance)
-            groups.append((node_key, decision))
-        cmd = {
-            "remaps": rt.shm.drain_remaps(),
-            "groups": groups,
-            "verify": self._verify,
-        }
-        replies = self._pool.roundtrip("commit", cmd)
-        merged: dict = {}
-        for w, rep in enumerate(replies):
-            if rep is None:
-                continue
-            for node_key, d in rep["groups"]:
-                merged.setdefault(node_key, []).append((w, d))
-        self._commit_replies = merged
+        if ops_n and rt.tracer is not None:
+            rt.tracer.emit(ZeroMergeCommit(
+                phase=rt.stats_global_phases + rt.stats_node_phases,
+                node=-1 if node_key is None else node_key,
+                workers=workers, ops=ops_n, plan_hits=hits,
+                plan_misses=misses, bytes_avoided=avoided,
+            ))
 
     def _verify_digest(self, w: int, digest: dict) -> None:
         registry = self.rt.shared_registry
@@ -443,25 +473,6 @@ class ProcessBackend:
                     f"reads {here:#010x} over the same rows — the "
                     "conflict-freedom certificate did not hold"
                 )
-
-    def harvest_collectives(self, recorder, node_key) -> None:
-        """Queue the round's resolved collective results for broadcast
-        with the next round command (worker-held handles resolve from
-        them).  ``node_key`` is ``None`` for a global phase, the node
-        id for a node phase."""
-        slots = recorder.collective_slots
-        if not slots:
-            return
-        results = []
-        for slot in slots:
-            if slot.kind == "reduce":
-                payload = slot.entries[0][2]._value if slot.entries else None
-            else:  # scan: per-contributor prefix, keyed by global rank
-                payload = {
-                    rank: handle._value for rank, _v, handle in slot.entries
-                }
-            results.append((slot.kind, payload))
-        self._coll_outbox.append((node_key, results))
 
     # ==================================================================
     # Report decoding
@@ -564,10 +575,10 @@ class ProcessBackend:
             while len(slots) <= i:
                 slots.append(CollectiveSlot(kind, op))
             slot = slots[i]
-            # Cross-worker compatibility: kinds must match; ops compare
+            # Cross-shard compatibility: kinds must match; ops compare
             # by equality only when comparable (unpickled callables are
-            # distinct objects, and each worker already enforced
-            # intra-worker compatibility).
+            # distinct objects, and each shard already enforced its own
+            # compatibility).
             if kind != slot.kind or (
                 (isinstance(op, str) or isinstance(slot.op, str))
                 and op != slot.op

@@ -2,13 +2,14 @@
 
 The process backend keeps one pool of persistent worker processes per
 :class:`~repro.core.runtime.PpmRuntime` (created lazily at the first
-``ppm.do``, reused across ``do`` calls).  Parent and workers speak a
+``ppm.do``, reused across ``do`` calls): ``workers=N`` forks N−1 of
+them, the parent being the N-th process.  Parent and workers speak a
 strict request/reply protocol over one duplex pipe per worker — every
 command sent receives exactly one reply, so the pipes can never
 desynchronise across ``do`` boundaries or error paths:
 
 * commands are ``(tag, payload)`` tuples (``init``, ``do_start``,
-  ``prologue``, ``round``, ``do_end``, ``shutdown``);
+  ``prologue``, ``round``, ``commit``, ``do_end``, ``shutdown``);
 * replies are ``("ok", result)``, ``("exc", shipped_exception)`` or
   ``("interrupt", None)`` — a worker-side ``KeyboardInterrupt`` is
   re-raised in the parent *as* ``KeyboardInterrupt``, preserving the
@@ -68,19 +69,20 @@ def _revive_exception(worker_id: int, shipped) -> BaseException:
 
 
 class WorkerPool:
-    """A fixed set of persistent worker processes plus their pipes.
+    """A fixed, possibly empty, set of persistent workers and pipes.
 
-    All traffic goes through :meth:`roundtrip` (send one command to
-    every worker, then collect one reply from each), keeping the
-    one-reply-per-command invariant even on error paths: replies are
-    always drained from every worker that was successfully sent to
-    *before* any error is raised.
+    All traffic is a :meth:`send` of one command to every worker, then
+    a :meth:`gather` of one reply from each (:meth:`roundtrip` when the
+    parent does nothing in between), keeping the one-reply-per-command
+    invariant even on error paths: replies are always drained from
+    every worker that was successfully sent to *before* any error is
+    raised.
     """
 
     def __init__(self, n_workers: int, init_payload) -> None:
-        if n_workers < 1:
+        if n_workers < 0:
             raise ParallelConfigError(
-                f"worker pool size must be >= 1, got {n_workers}", code="PPM502"
+                f"worker pool size must be >= 0, got {n_workers}", code="PPM502"
             )
         # Deferred import: worker imports the runtime stack, which would
         # otherwise cycle through repro.parallel at package import time.
@@ -100,6 +102,8 @@ class WorkerPool:
         #: on the pipes, named by the PPM603 message.
         self._round_no = 0
         self._last_tag = "init"
+        #: (tag, ids sent to, failures, supervisor) of an ungathered send.
+        self._inflight = None
         try:
             for i in range(n_workers):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -120,25 +124,21 @@ class WorkerPool:
 
     # ------------------------------------------------------------------
     def roundtrip(self, tag: str, payload, *, per_worker=None, supervised=True):
-        """Send ``(tag, payload)`` to every live worker and return the
-        list of their results (indexed by worker id; ``None`` for dead
-        workers).  ``per_worker`` optionally overrides the payload per
-        worker id.  Raises after draining every pending reply, so the
-        protocol stays in sync for the next command.
+        """:meth:`send` then :meth:`gather`."""
+        self.send(tag, payload, per_worker=per_worker, supervised=supervised)
+        return self.gather()
 
-        Failure handling: a send error or closed pipe classifies the
-        worker as ``"crash"``, a reply overrunning the supervisor's
-        deadline as ``"hang"`` (the child is hard-killed: a SIGSTOPped
-        process would otherwise outlive the pool), and a reply that
-        fails to deserialise as ``"corrupt-reply"``.  With a supervisor
-        attached (and ``supervised=True``) the failures are handed to
-        :meth:`~repro.parallel.supervisor.WorkerSupervisor.fail`, which
-        abandons the attempt (the run restarts in a fresh pool);
-        otherwise a :class:`~repro.core.errors.WorkerDeathError`
-        (PPM603) names the workers, the failure kinds, the round and
-        the command."""
+    def send(self, tag: str, payload, *, per_worker=None, supervised=True) -> None:
+        """Send ``(tag, payload)`` (or ``per_worker[id]``) to every live
+        worker.  A command still in flight — the parent raised between
+        its send and gather — is drained first: replies discarded,
+        failures left for the next supervised command."""
         if self._closed:
             raise ParallelExecutionError("worker pool is closed")
+        if self._inflight is not None:
+            _tag, sent, failures, sup = self._inflight
+            self._inflight = None
+            self._receive(sent, failures, sup)
         sup = self.supervisor if supervised else None
         self._last_tag = tag
         if tag == "round":
@@ -163,30 +163,26 @@ class WorkerPool:
             sent.append(i)
         if sup is not None:
             sup.maybe_chaos(tag, sent)
-        deadline = sup.deadline_for(tag) if sup is not None else None
-        replies: list = [None] * self.n_workers
-        for i in sent:
-            try:
-                if deadline is not None and not self._conns[i].poll(deadline):
-                    # Hung: hard-kill (SIGKILL — SIGTERM would stay
-                    # pending on a SIGSTOPped child forever).
-                    self._dead.add(i)
-                    failures.append((i, "hang"))
-                    try:
-                        self._procs[i].kill()
-                    except OSError:  # pragma: no cover - raced exit
-                        pass
-                    continue
-                replies[i] = self._conns[i].recv()
-            except (EOFError, OSError):
-                self._dead.add(i)
-                failures.append((i, "crash"))
-            except Exception:
-                # recv() deserialisation failure: the pipe returned
-                # bytes that do not unpickle.  The stream position is
-                # unknowable now, so the worker is retired.
-                self._dead.add(i)
-                failures.append((i, "corrupt-reply"))
+        self._inflight = (tag, sent, failures, sup)
+
+    def gather(self) -> list:
+        """The results of the command in flight (indexed by worker id;
+        ``None`` for dead workers).  Raises after draining every reply.
+
+        Failure handling: a send error or closed pipe classifies the
+        worker as ``"crash"``, a reply overrunning the supervisor's
+        deadline as ``"hang"`` (the child is hard-killed: a SIGSTOPped
+        process would otherwise outlive the pool), and a reply that
+        fails to deserialise as ``"corrupt-reply"``.  With a supervisor
+        attached (and a ``supervised`` send) the failures are handed to
+        :meth:`~repro.parallel.supervisor.WorkerSupervisor.fail`, which
+        abandons the attempt (the run restarts in a fresh pool);
+        otherwise a :class:`~repro.core.errors.WorkerDeathError`
+        (PPM603) names the workers, the failure kinds, the round and
+        the command."""
+        tag, sent, failures, sup = self._inflight
+        self._inflight = None
+        replies = self._receive(sent, failures, sup)
         # All replies are drained; now surface failures.  A worker-side
         # KeyboardInterrupt wins (the user hit Ctrl-C; unwind as such).
         results: list = [None] * self.n_workers
@@ -226,6 +222,34 @@ class WorkerPool:
                 "the pool cannot continue"
             )
         return results
+
+    def _receive(self, sent: list, failures: list, sup) -> list:
+        """Each worker's reply (``None`` where ``failures`` says why)."""
+        deadline = sup.deadline_for() if sup is not None else None
+        replies: list = [None] * self.n_workers
+        for i in sent:
+            try:
+                if deadline is not None and not self._conns[i].poll(deadline):
+                    # Hung: hard-kill (SIGKILL — SIGTERM would stay
+                    # pending on a SIGSTOPped child forever).
+                    self._dead.add(i)
+                    failures.append((i, "hang"))
+                    try:
+                        self._procs[i].kill()
+                    except OSError:  # pragma: no cover - raced exit
+                        pass
+                    continue
+                replies[i] = self._conns[i].recv()
+            except (EOFError, OSError):
+                self._dead.add(i)
+                failures.append((i, "crash"))
+            except Exception:
+                # recv() deserialisation failure: the pipe returned
+                # bytes that do not unpickle.  The stream position is
+                # unknowable now, so the worker is retired.
+                self._dead.add(i)
+                failures.append((i, "corrupt-reply"))
+        return replies
 
     def best_effort(self, tag: str, payload) -> None:
         """Fire ``(tag, payload)`` and drain acks, swallowing every

@@ -9,16 +9,16 @@ pickled.  The registry is the single authority over segment lifetime:
 * **allocate** — back a new shared array with a fresh segment;
 * **swap** — the copy-on-commit guard of the process backend: when a
   commit is about to overwrite rows that live snapshot views (in the
-  parent *or any worker*) alias, the committed store moves to a fresh
-  segment and the old one is retired; workers learn the new name with
-  the next round command, while their outstanding views keep the old
-  mapping alive until they die;
-* **sweep / close** — retired segments are closed as soon as no local
-  view exports their buffer and *unlinked* unconditionally on
-  ``close()``, so a crashed kernel, a ``KeyboardInterrupt`` or plain
-  ``PPM.close()`` never leaks ``/dev/shm`` entries.  A
-  ``weakref.finalize`` guard unlinks everything even if ``close`` is
-  never called.
+  parent's shard *or any worker's*, :class:`ViewProbe`) alias, the
+  committed store moves to a fresh segment and the old one is retired;
+  workers learn the new name with the next round or commit command;
+* **sweep / close** — retired segments are closed when the ``do`` ends
+  (an array over a segment holds the ``mmap``, not a buffer export, so
+  closing one earlier would unmap it under a view the parent's shard
+  may still read) and *unlinked* unconditionally on ``close()``, so a
+  crashed kernel, a ``KeyboardInterrupt`` or plain ``PPM.close()``
+  never leaks ``/dev/shm`` entries.  A ``weakref.finalize`` guard
+  unlinks everything even if ``close`` is never called.
 
 Segment names carry a per-registry prefix (``ppm-<pid>-<token>``) so
 tests can assert leak-freedom by globbing ``/dev/shm``.
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import os
 import secrets
+import sys
 import weakref
 
 import numpy as np
@@ -57,6 +58,57 @@ class _Block:
 
 def _as_array(segment: shared_memory.SharedMemory, shape, dtype) -> np.ndarray:
     return np.ndarray(shape, dtype=dtype, buffer=segment.buf)
+
+
+class ViewProbe:
+    """Which shared-array buffers a snapshot reader still references
+    (one in the parent's registry, one per ``do`` in each worker).
+
+    A variable's read-only snapshot array (``_ro``) is built straight
+    over its segment's buffer, not as a view of the writable array:
+    numpy collapses ``base`` chains onto it, so every basic-index read
+    result and every view derived from one references *this* object,
+    which nothing but the variable's handle holds — its reference count
+    says whether a reader is alive.  :meth:`reader` checks that on
+    every array it builds; if the check ever fails, every buffer counts
+    as referenced from then on."""
+
+    def __init__(self) -> None:
+        self.refcounted = hasattr(sys, "getrefcount")
+
+    def reader(self, segment: shared_memory.SharedMemory, shape, dtype) -> np.ndarray:
+        ro = _as_array(segment, shape, dtype)
+        ro.flags.writeable = False
+        if self.refcounted:
+            floor = sys.getrefcount(ro)
+            view = ro[:0]
+            seen = sys.getrefcount(ro) > floor
+            del view
+            self.refcounted = seen and sys.getrefcount(ro) == floor
+        return ro
+
+    def live_views(self, shared_vars) -> list:
+        """``(name, instance)`` of every buffer of ``shared_vars`` a
+        snapshot view was taken of and something still references;
+        every other buffer's flag is cleared."""
+        views = []
+        for sv in shared_vars:
+            taken = sv._views_taken
+            node = isinstance(taken, list)  # node-shared: one per instance
+            for instance, flag in enumerate(taken) if node else [(None, taken)]:
+                if not flag:
+                    continue
+                # Anything but the handle's slot and the call argument?
+                # A count can only over-count readers, never miss one.
+                if not self.refcounted or sys.getrefcount(
+                    sv._ro[instance] if node else sv._ro
+                ) > 2:
+                    views.append((sv.name, instance))
+                elif node:
+                    taken[instance] = False
+                else:
+                    sv._views_taken = False
+        return views
 
 
 #: Unlinked segments still pinned by a live view at registry close.
@@ -111,6 +163,8 @@ class ShmRegistry:
         self.pending_remaps: list[tuple[str, int | None, str]] = []
         #: Buffer swaps performed so far (always counted).
         self.swaps = 0
+        #: Liveness of the parent's own snapshot views.
+        self.probe = ViewProbe()
         self._closed = False
         # Unlink everything even if close() is never reached (e.g. the
         # driver process is torn down with a live PpmProgram).
@@ -156,6 +210,10 @@ class ShmRegistry:
         self.pending_remaps.append((shared_name, instance, segment.name))
         return array
 
+    def reader(self, shared_name: str, instance: int | None) -> np.ndarray:
+        block = self._blocks[(shared_name, instance)]
+        return self.probe.reader(block.segment, block.array.shape, block.array.dtype)
+
     def segment_of(self, shared_name: str, instance: int | None) -> str:
         return self._blocks[(shared_name, instance)].segment.name
 
@@ -169,12 +227,10 @@ class ShmRegistry:
         segment = block.segment
         _unlink_once(segment)
         self._graveyard.append(segment)
-        self.sweep()
 
     def sweep(self) -> None:
-        """Close retired segments whose buffers nothing exports any
-        more (a lingering driver-level view pins its segment until it
-        dies; the name is already unlinked either way)."""
+        """Close retired segments (names already unlinked) at the end
+        of a ``do``, when no VP can read a view of one any more."""
         still_pinned = []
         for segment in self._graveyard:
             try:
@@ -222,7 +278,7 @@ class ShmRegistry:
 
 
 class WorkerSegmentCache:
-    """Worker-side map of segment name -> attached array buffer.
+    """Worker-side map of segment name -> attached segment.
 
     Workers only ever *attach* (``create=False``) and never unlink;
     dropping a cache entry releases the worker's mapping once its last
@@ -233,12 +289,13 @@ class WorkerSegmentCache:
     def __init__(self) -> None:
         self._segments: dict[str, shared_memory.SharedMemory] = {}
 
-    def attach(self, segment_name: str, shape, dtype) -> np.ndarray:
+    def attach(self, segment_name: str, shape, dtype) -> tuple:
+        """The segment and a writable array over it."""
         segment = self._segments.get(segment_name)
         if segment is None:
             segment = shared_memory.SharedMemory(name=segment_name, create=False)
             self._segments[segment_name] = segment
-        return _as_array(segment, shape, dtype)
+        return segment, _as_array(segment, shape, dtype)
 
     def clear(self) -> None:
         """Drop all attachments (end of a ``do``); mappings pinned by

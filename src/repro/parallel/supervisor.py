@@ -26,8 +26,8 @@ by deterministic re-execution of the driver:
   model admits (``tests/parallel/test_supervisor.py``).
 * **Degradation** — ``max_respawns`` bounds the restarts at one pool
   size.  When the budget is spent the run degrades instead of
-  crashing: ``degrade="shrink"`` restarts with one worker fewer
-  (reaching ``executor="inline"`` at one), ``degrade="inline"`` falls
+  crashing: ``degrade="shrink"`` restarts with one process fewer (at
+  one the parent runs alone), ``degrade="inline"`` falls
   straight back to the inline engine, ``degrade="error"`` raises
   :class:`~repro.core.errors.SupervisionExhaustedError` (PPM604).
 
@@ -76,9 +76,10 @@ class ProcessChaos:
     * ``every`` — fire on every k-th eligible dispatch (1-based, so
       ``every=3`` fires on dispatches 2, 5, 8, ... of the window);
       ``rounds`` — explicit 0-based dispatch indices instead.
-    * ``worker`` — fixed victim id, or None for a seeded per-firing
-      choice (a pure function of ``(seed, dispatch index)``, so sweeps
-      are reproducible).
+    * ``worker`` — fixed victim, the k-th *forked* worker (never the
+      parent; with ``workers=1`` nothing fires), or None for a seeded
+      per-firing choice (a pure function of ``(seed, dispatch index)``,
+      so sweeps are reproducible).
     * ``signal`` — ``"kill"`` (SIGKILL: crash) or ``"stop"`` (SIGSTOP:
       manifests as a hang past the round deadline; the pool then
       hard-kills it and the run recovers identically).
@@ -126,10 +127,10 @@ class ProcessChaos:
         self._fired: set[int] = set()
 
     def should_fire(self, tag: str, n_workers: int) -> int | None:
-        """Victim worker id for this dispatch, or None.  Counts every
-        dispatch of the configured window; a returned firing is
-        consumed."""
-        if tag != self.window:
+        """Victim among ``n_workers`` forked workers for this dispatch,
+        or None.  Counts every dispatch of the configured window; a
+        returned firing is consumed."""
+        if tag != self.window or not n_workers:
             return None
         i = self._dispatch
         self._dispatch += 1
@@ -212,7 +213,7 @@ class SupervisionState:
         """Account for one abandoned attempt (started at host time
         ``t0``) and set up the next: back off and count a respawn, or —
         the budget at this size spent — weaken ``opts`` (``run_ppm``'s
-        engine options) to one worker fewer or to the inline engine.
+        engine options) to one process fewer or to the inline engine.
         Returns the :class:`WorkerRespawn` / :class:`PoolDegraded`
         event of the decision."""
         if sig.mode == "respawn":
@@ -258,10 +259,10 @@ class WorkerSupervisor:
 
     # -- do lifecycle (called by the backend) --------------------------
     def begin_do(self, shards) -> None:
-        self._max_shard = max(hi - lo for lo, hi in shards)
+        self._max_shard = max((hi - lo for lo, hi in shards), default=0)
 
     # -- detection hooks (called by the pool) --------------------------
-    def deadline_for(self, tag: str) -> float:
+    def deadline_for(self) -> float:
         return self.policy.round_deadline(self._max_shard)
 
     def maybe_chaos(self, tag: str, sent: list[int]) -> None:
@@ -283,9 +284,12 @@ class WorkerSupervisor:
     # -- recovery ------------------------------------------------------
     def fail(self, tag: str, failures) -> None:
         """Count and report every ``(worker, kind)`` failure of one
-        round-trip, then abandon the attempt: always raises."""
+        round-trip (on the run's tracer, which a resilience fast-forward
+        detaches from the runtime), then abandon the attempt: always
+        raises."""
         state = self.state
         rt = self.backend.rt
+        tracer = rt.tracer if rt.resilience is None else rt.resilience.tracer
         for w, kind in failures:
             if kind == "hang":
                 state.hangs += 1
@@ -293,8 +297,8 @@ class WorkerSupervisor:
                 state.corrupt += 1
             else:
                 state.crashes += 1
-            if rt.tracer is not None:
-                rt.tracer.emit(
+            if tracer is not None:
+                tracer.emit(
                     WorkerCrash(
                         phase=rt.stats_global_phases + rt.stats_node_phases,
                         worker=w,
@@ -304,8 +308,9 @@ class WorkerSupervisor:
                 )
         w, kind = failures[0]
         pol = self.policy
+        processes = self.backend.n_workers
         if state.restarts_at_size < pol.max_respawns:
-            raise _PoolRestart("respawn", self.pool.n_workers, w)
+            raise _PoolRestart("respawn", processes, w)
         if pol.degrade == "error":
             raise SupervisionExhaustedError(
                 f"respawn budget ({pol.max_respawns}) exhausted recovering "
@@ -313,4 +318,4 @@ class WorkerSupervisor:
                 "max_respawns or pick degrade='shrink'/'inline' to keep "
                 "the run alive"
             )
-        raise _PoolRestart(pol.degrade, self.pool.n_workers, w)
+        raise _PoolRestart(pol.degrade, processes, w)

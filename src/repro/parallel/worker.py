@@ -1,7 +1,8 @@
 """Worker-process engine of the ``executor="process"`` backend.
 
-Each worker owns a contiguous global-rank shard of the VPs and runs
-their *generators* with a private sequential :class:`PpmRuntime` — the
+Each forked worker owns a contiguous global-rank shard of the VPs (the
+parent runs the lowest-rank shard itself) and runs their *generators*
+with a private sequential :class:`PpmRuntime` — the
 exact engine the inline executor uses, so every access-protocol rule
 (snapshot reads, buffered writes, node-phase write protection, phase
 errors) is enforced in-place and every recorded quantity is computed
@@ -23,8 +24,9 @@ to the edges:
   its first round ships the access footprints under a plan id, every
   repeat ships the id and replays the stored commit recipe;
 * a buffer is reported as *view-held* only while something still
-  references it (:meth:`_WorkerDo._referenced`), so the parent swaps a
-  segment only under a live reader of its old values;
+  references it (:class:`~repro.parallel.shm.ViewProbe`, the probe the
+  parent judges its own shard by), so the parent swaps a segment only
+  under a live reader of its old values;
 * collective handles held by VP code resolve from the parent's
   round-commit results, shipped with the next round command.
 
@@ -35,7 +37,6 @@ protocol; :func:`worker_main` is the process entry point.
 from __future__ import annotations
 
 import pickle
-import sys
 import time
 import traceback
 import zlib
@@ -47,9 +48,8 @@ from repro.core.constructs import PhaseDecl
 from repro.core.phase import CommitPlanCache, PhasePlan, PhaseRecorder
 from repro.core.rowset import union_rows
 from repro.core.shared import GlobalShared, NodeShared
-from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
-from repro.parallel.shm import WorkerSegmentCache
+from repro.parallel.shm import ViewProbe, WorkerSegmentCache
 
 
 def _ship_exception(exc: BaseException):
@@ -121,12 +121,11 @@ class _WorkerDo:
 
     def __init__(self, state: "_WorkerState", common: dict, shard) -> None:
         self.cache = state.cache
-        #: View liveness is read from reference counts (see _rebind).
-        self.refcounted = hasattr(sys, "getrefcount")
+        self.probe = ViewProbe()
         self.cluster = Cluster(state.config)
         # Deferred import: the runtime package imports repro.parallel
         # lazily, never the other way around at module level.
-        from repro.core.runtime import PpmRuntime, _VpRecord
+        from repro.core.runtime import PpmRuntime
 
         self.rt = PpmRuntime(self.cluster)
         # Shared-variable proxies: identical handles to the parent's,
@@ -150,36 +149,16 @@ class _WorkerDo:
             funcs, args, kwargs = pickle.loads(common["kernel"])
         finally:
             shared_mod._PICKLE_REGISTRY = None
-        counts = common["counts"]
         decl_kind, decl_latency = common["default_decl"]
-        default_decl = PhaseDecl(decl_kind, latency_rounds=decl_latency)
-        total = sum(counts)
-        cores = self.cluster.cores_per_node
-        lo, hi = shard
-        self.vps: list = []  # this worker's _VpRecords, in rank order
+        vps_by_node = self.rt._vp_records(
+            common["counts"], funcs, PhaseDecl(decl_kind, latency_rounds=decl_latency),
+            args, kwargs, shard,
+        )
+        # This worker's VPs, in rank order, and by node.
+        self.vps = [vp for vps in vps_by_node for vp in vps if vp.gen is not None]
         self.by_node: dict[int, list] = {}
-        offset = 0
-        for node_id, k in enumerate(counts):
-            f = funcs[node_id]
-            genfunc = (
-                self.rt._as_generator(f, default_decl) if f is not None else None
-            )
-            for r in range(k):
-                grank = offset + r
-                if lo <= grank < hi:
-                    ctx = VpContext(
-                        self.rt,
-                        node_id=node_id,
-                        node_rank=r,
-                        global_rank=grank,
-                        node_vp_count=k,
-                        global_vp_count=total,
-                        core_id=core_of(r, k, cores),
-                    )
-                    vp = _VpRecord(ctx, genfunc(ctx, *args, **kwargs))
-                    self.vps.append(vp)
-                    self.by_node.setdefault(node_id, []).append(vp)
-            offset += k
+        for vp in self.vps:
+            self.by_node.setdefault(vp.ctx.node_id, []).append(vp)
         self.enc = _ReportEncoder()
         # node_key (None = global) -> unresolved collective slots of the
         # previous round, awaiting the parent's commit results.
@@ -205,19 +184,9 @@ class _WorkerDo:
         self.commit_plans = CommitPlanCache()
 
     def _rebind(self, sv, instance, segment_name: str) -> None:
-        """Point one proxy instance at its mapped segment.
-
-        The read-only snapshot array is built straight over the
-        segment's buffer, not as a view of the writable one: numpy
-        collapses ``base`` chains onto it, so every basic-index read
-        result and every view derived from one references *this*
-        object, which nothing but the proxy holds — its reference count
-        says whether a reader of the buffer is alive.  That is checked
-        here, through the probe itself, and given up for the do if it
-        ever fails."""
-        arr = self.cache.attach(segment_name, sv.shape, sv.dtype)
-        ro = self.cache.attach(segment_name, sv.shape, sv.dtype)
-        ro.flags.writeable = False
+        """Point one proxy instance at its mapped segment."""
+        segment, arr = self.cache.attach(segment_name, sv.shape, sv.dtype)
+        ro = self.probe.reader(segment, sv.shape, sv.dtype)
         if instance is None:
             sv._data = arr
             sv._ro = ro
@@ -226,21 +195,6 @@ class _WorkerDo:
             sv._data[instance] = arr
             sv._ro[instance] = ro
             sv._views_taken[instance] = False
-        reader = ro[:0]
-        del ro
-        seen = self._referenced(sv, instance)
-        del reader
-        self.refcounted = seen and not self._referenced(sv, instance)
-
-    def _referenced(self, sv, instance) -> bool:
-        """Does anything but the proxy reference the snapshot array of
-        this instance's *current* buffer?  A count can only over-count
-        readers (a cycle awaiting collection), never miss one; without
-        a usable count every buffer counts as referenced."""
-        if not self.refcounted:
-            return True
-        # The proxy's slot and the call argument: two references.
-        return sys.getrefcount(sv._ro if instance is None else sv._ro[instance]) > 2
 
     # ------------------------------------------------------------------
     def prologue(self):
@@ -314,27 +268,11 @@ class _WorkerDo:
             payload = {"nodes": reports}
         # 5. Every buffer a snapshot view was taken of and something
         # still references, in every reply: the parent takes a round's
-        # reports as the whole truth.  A flag stays set until its
-        # *current* buffer is found unreferenced.  (Within a round, no
-        # commit can observe another node's phase activity: node phases
-        # touch disjoint instances and cannot write global arrays, so
+        # reports as the whole truth.  (Within a round, no commit can
+        # observe another node's phase activity: node phases touch
+        # disjoint instances and cannot write global arrays, so
         # round-level granularity is exact.)
-        views = []
-        for name, sv in self.proxies.items():
-            if isinstance(sv, NodeShared):
-                taken = sv._views_taken
-                for instance, flag in enumerate(taken):
-                    if flag:
-                        if self._referenced(sv, instance):
-                            views.append((name, instance))
-                        else:
-                            taken[instance] = False
-            elif sv._views_taken:
-                if self._referenced(sv, None):
-                    views.append((name, None))
-                else:
-                    sv._views_taken = False
-        payload["views"] = views
+        payload["views"] = self.probe.live_views(self.proxies.values())
         payload["advanced"] = advanced
         payload["host_s"] = time.perf_counter() - t0
         return payload
@@ -471,7 +409,7 @@ class _WorkerDo:
         return plan.rows
 
     def commit(self, cmd: dict) -> dict:
-        """Parent's commit command for the preceding hold-mode round.
+        """Parent's commit command for one group of the held round.
 
         The parent has already pre-swapped every aliased target
         (copy-on-commit) and ships the remaps here; after rebinding,
@@ -481,21 +419,13 @@ class _WorkerDo:
         for the parent's ordinary merge-and-commit path."""
         for name, instance, segment_name in cmd["remaps"]:
             self._rebind(self.proxies[name], instance, segment_name)
-        verify = cmd.get("verify", False)
-        replies = []
-        for node_key, decision in cmd["groups"]:
-            recorder, plan = self.held.pop(node_key, (None, None))
-            if recorder is None:
-                replies.append((node_key, {"ops_n": 0}))
-            elif decision == "ship":
-                replies.append(
-                    (node_key, {"ops": self._encode_ops(recorder.write_ops)})
-                )
-            else:
-                replies.append(
-                    (node_key, self._commit_local(recorder, plan, verify))
-                )
-        return {"groups": replies}
+        node_key, decision = cmd["group"]
+        recorder, plan = self.held.pop(node_key, (None, None))
+        if recorder is None:
+            return {"ops_n": 0}
+        if decision == "ship":
+            return {"ops": self._encode_ops(recorder.write_ops)}
+        return self._commit_local(recorder, plan, cmd["verify"])
 
     def _commit_local(
         self, recorder: PhaseRecorder, plan: _RoundPlan, verify: bool

@@ -635,6 +635,49 @@ def keep_private_copy(ctx, A, out):
     out[lo:hi] = v
 
 
+# Across the shard boundary: under workers=2 the parent steps the
+# lower half of the ranks itself and a forked worker the upper half,
+# so a view can be kept in one process while the other writes its rows.
+# Only one VP keeps a view (a live view anywhere else would guard the
+# buffer on its own), and the chunks are spelled out in the algebra the
+# verifier certifies, so both phases can commit in place.
+
+def parent_keeps_forked_rows(ctx, A, out):
+    """VP 0 (the parent's shard) keeps a view of the last VP's rows,
+    which the last VP (a forked worker's) writes."""
+    lo, hi = split_range(len(A), ctx.global_vp_count)[ctx.global_rank]
+    vlo, vhi = split_range(len(A), ctx.global_vp_count)[ctx.global_vp_count - 1]
+    yield ctx.global_phase
+    if ctx.global_rank == 0:
+        v = A[vlo:vhi]
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    if ctx.global_rank == 0:
+        out[lo:hi] = v
+
+
+def forked_keeps_parent_rows(ctx, A, out):
+    """The last VP (a forked worker's) keeps a view of VP 0's rows,
+    which VP 0 (the parent's shard) writes."""
+    lo, hi = split_range(len(A), ctx.global_vp_count)[ctx.global_rank]
+    vlo, vhi = split_range(len(A), ctx.global_vp_count)[0]
+    yield ctx.global_phase
+    if ctx.global_rank == ctx.global_vp_count - 1:
+        v = A[vlo:vhi]
+    A[lo:hi] = A[lo:hi] + 1
+    yield ctx.global_phase
+    if ctx.global_rank == ctx.global_vp_count - 1:
+        out[lo:hi] = v
+
+
+def _main_kept_across_shards(ppm, kernel):
+    A = ppm.global_shared("A", _N)
+    out = ppm.global_shared("out", _N)
+    A[:] = np.arange(_N, dtype=float)
+    ppm.do(2, kernel, A, out)
+    return A.committed, out.committed
+
+
 def _main_kept_reads(ppm, kernel):
     A = ppm.global_shared("A", _N)
     out = ppm.global_shared("out", _N)
@@ -717,3 +760,37 @@ class TestReadsOutliveCommits:
         for node in range(2):
             np.testing.assert_array_equal(b[node], start + 100 * node + 1)
             np.testing.assert_array_equal(out_b[node], start + 100 * node)
+
+    @pytest.mark.parametrize("commit", ["held", "shipped"])
+    @pytest.mark.parametrize(
+        "kernel",
+        [parent_keeps_forked_rows, forked_keeps_parent_rows],
+        ids=lambda k: k.__name__,
+    )
+    def test_kept_read_across_the_shard_boundary(self, kernel, commit, monkeypatch):
+        """The view's holder and the rows' writer in different
+        processes, committed in place (a certified round: every shard
+        commits its own rows at once) or shipped to the parent."""
+        if commit == "shipped":
+            from repro.parallel.backend import ProcessBackend
+
+            monkeypatch.setattr(ProcessBackend, "_may_hold", lambda self: False)
+        ppm, (a, out) = run_ppm(
+            _main_kept_across_shards, _cluster(), kernel,
+            executor="process", workers=2, trace=True,
+        )
+        _, (a_ref, out_ref) = run_ppm(_main_kept_across_shards, _cluster(), kernel)
+        start = np.arange(_N, dtype=float)
+        # Four VPs of four rows: the kept rows land in the holder's own
+        # rows with their phase-start values.
+        expected = np.zeros(_N)
+        if kernel is parent_keeps_forked_rows:
+            expected[:4] = start[-4:]
+        else:
+            expected[-4:] = start[:4]
+        np.testing.assert_array_equal(a, start + 1)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(a_ref, a)
+        np.testing.assert_array_equal(out_ref, out)
+        zero_merge = ppm.report().zero_merge
+        assert (zero_merge is not None) == (commit == "held")

@@ -289,12 +289,12 @@ class TestSemantics:
     def test_parent_side_phase_plans_tell_near_misses_apart(
         self, zero_merge, ship_records, monkeypatch
     ):
-        """The parent's recorder is filled from worker reports and a
-        held round commits through the worker's own plan; both must
-        hit on the one true repeat and on nothing that merely has the
-        same counts (held rounds show the parent no operation stream
-        at all) — checked with and without the parent re-reading every
-        row a worker committed."""
+        """The parent's recorder is filled from its own shard and the
+        worker's reports, and a held round commits through the worker's
+        own plan; both must hit on the one true repeat and on nothing
+        that merely has the same counts (held rounds show the parent
+        only its own shard's operation stream) — checked with and
+        without the parent re-reading every row a worker committed."""
         ppm1, r1 = run_ppm(main_near_miss, _cluster())
         for a, b in zip(r1, near_miss_reference()):
             np.testing.assert_array_equal(a, b)
@@ -311,14 +311,12 @@ class TestSemantics:
             assert [p.node_timings for p in ppm1.profile] == [
                 p.node_timings for p in ppm2.profile
             ]
-            # A held accumulate shows the parent its footprint but not
-            # its operator, so the last round repeats its predecessor
-            # there: same traffic, same costs, nothing to commit.
+            # The parent steps ranks 0-1 itself, so even a held
+            # accumulate shows it an operator (its own shard's): the
+            # last round does not repeat its predecessor.
             rt1, rt2 = ppm1.runtime, ppm2.runtime
             assert (rt1.stats_phase_plan_hits, rt1.stats_phase_plan_misses) == (1, 10)
-            assert (rt2.stats_phase_plan_hits, rt2.stats_phase_plan_misses) == (
-                (2, 9) if zero_merge else (1, 10)
-            )
+            assert (rt2.stats_phase_plan_hits, rt2.stats_phase_plan_misses) == (1, 10)
             if zero_merge:
                 assert ppm2.report().zero_merge.commits >= 9  # held rounds
 
@@ -339,6 +337,24 @@ class TestSemantics:
         _, r1 = run_ppm(main, _cluster())
         _, r2 = run_ppm(main, _cluster(), executor="process", workers=6)
         np.testing.assert_array_equal(r1, r2)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_workers_counts_the_parent(self, workers):
+        """``workers=N`` is N processes: the parent and N−1 forks."""
+        import multiprocessing
+
+        children = []
+
+        def main(ppm):
+            out = main_mixed(ppm)
+            children.append(len(multiprocessing.active_children()))
+            return out
+
+        _, r1 = run_ppm(main_mixed, _cluster())
+        _, r2 = run_ppm(main, _cluster(), executor="process", workers=workers)
+        for a, b in zip(r1, r2):
+            np.testing.assert_array_equal(a, b)
+        assert children == [workers - 1]
 
     def test_single_worker(self):
         _, r1 = run_ppm(main_mixed, _cluster())

@@ -80,7 +80,9 @@ def main_mixed(ppm):
 
 def suicide_kernel(ctx, A):
     yield ctx.global_phase
-    if ctx.global_rank == 1:
+    # The last rank is a forked worker's at any pool size: the parent
+    # runs the lowest ranks itself.
+    if ctx.global_rank == ctx.global_vp_count - 1:
         os.kill(os.getpid(), signal.SIGKILL)
     A[ctx.global_rank] = 1.0
     yield ctx.global_phase
@@ -301,6 +303,32 @@ class TestCrashRecovery:
         assert RunReport.from_trace(trace).resilience.recoveries == 1
         assert live_ppm_segments() == []
 
+    def test_crash_in_a_fast_forward_is_reported(self):
+        # The simulated crash at phase 4 rolls back to the phase-3
+        # checkpoint: dispatches 4-6 re-run rounds 0-2 with the
+        # runtime's tracer detached, and the kill lands in dispatch 5.
+        from repro.resilience import FaultPlan
+
+        _, ref = run_ppm(main_mixed, _cluster())
+        trace = PhaseTrace()
+        ppm, got = run_ppm(
+            main_mixed, _cluster(),
+            faults=FaultPlan(seed=5).crash(node=1, phase=4),
+            checkpoint_every=2,
+            executor="process", workers=2, supervision=_chaotic(rounds=(5,)),
+            trace=trace,
+        )
+        for a, b in zip(ref, got):
+            np.testing.assert_array_equal(a, b)
+        kinds = [
+            ev.kind for ev in trace.events
+            if isinstance(ev, (WorkerCrash, WorkerRespawn))
+        ]
+        assert kinds == ["worker_crash", "worker_respawn"]
+        crashes = [ev for ev in trace.events if isinstance(ev, WorkerCrash)]
+        assert ppm.runtime.supervision_state.crashes == len(crashes) == 1
+        assert live_ppm_segments() == []
+
     @pytest.mark.parametrize("window", ["round", "commit"])
     def test_kept_read_survives_recovery(self, window):
         # SEMANTICS R1: a VP-private value derived from a snapshot
@@ -361,6 +389,31 @@ class TestDegradation:
         degr = [ev for ev in trace.events if isinstance(ev, PoolDegraded)]
         assert degr and degr[0].mode == "shrink"
         assert degr[0].workers_to < degr[0].workers_from
+        assert live_ppm_segments() == []
+
+    def test_parent_alone_has_nothing_to_kill(self):
+        # workers=1 is the parent by itself: no child is forked, so a
+        # chaos plan that fires at every dispatch never fires.
+        import multiprocessing
+
+        children = []
+
+        def main(ppm):
+            out = main_mixed(ppm)
+            children.append(len(multiprocessing.active_children()))
+            return out
+
+        _, ref = run_ppm(main_mixed, _cluster())
+        ppm, got = run_ppm(
+            main, _cluster(), executor="process", workers=1,
+            supervision=_chaotic(every=1, max_respawns=0),
+        )
+        for a, b in zip(ref, got):
+            np.testing.assert_array_equal(a, b)
+        assert children == [0]
+        assert ppm.runtime.executor == "process"
+        state = ppm.runtime.supervision_state
+        assert (state.crashes, state.respawns, state.degradations) == (0, 0, 0)
         assert live_ppm_segments() == []
 
     def test_inline_fallback(self):

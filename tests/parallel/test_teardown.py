@@ -27,26 +27,34 @@ def _cluster(n_nodes=2, cores=2, **cfg):
     return Cluster(mkconfig(n_nodes=n_nodes, cores_per_node=cores, **cfg))
 
 
+#: The failing VP of the kernels below, once in each kind of shard: 8
+#: VPs under workers=2 put ranks 0-3 in the parent (0-1 under
+#: workers=3), rank 6 in a forked worker.
+BAD_RANKS = {"parent shard": 1, "forked shard": 6}
+
+
 # -- module-level kernels (shipped to workers by pickle) ---------------
 
-def crashing_kernel(ctx, A):
+def crashing_kernel(ctx, A, bad):
     yield ctx.global_phase
-    if ctx.global_rank == 3:
-        raise RuntimeError("kaboom rank 3")
+    if ctx.global_rank == bad:
+        raise RuntimeError(f"kaboom rank {bad}")
     A[ctx.global_rank] = 1.0
     yield ctx.global_phase
 
 
-def interrupting_kernel(ctx, A):
+def interrupting_kernel(ctx, A, bad):
     yield ctx.global_phase
-    if ctx.global_rank == 2:
+    if ctx.global_rank == bad:
         raise KeyboardInterrupt
     yield ctx.global_phase
 
 
 def dying_kernel(ctx, A):
     yield ctx.global_phase
-    if ctx.global_rank == 1:
+    # The last rank is a forked worker's at any pool size: dying in
+    # the parent would end the test run.
+    if ctx.global_rank == ctx.global_vp_count - 1:
         os._exit(17)  # hard kill: no exception ships back
     yield ctx.global_phase
 
@@ -59,10 +67,25 @@ def unpicklable_reduce_kernel(ctx, A):
     yield ctx.global_phase
 
 
-def main_with(kernel):
+def main_with(kernel, *args):
     def main(ppm):
         A = ppm.global_shared("A", 16)
-        ppm.do(8, kernel, A)
+        ppm.do(8, kernel, A, *args)
+        return A.committed.copy()
+
+    return main
+
+
+def main_recovering(kernel, bad):
+    """Catches the failed ``do`` in the driver, then runs a clean one
+    on the same pool: it completes only if every reply of the failed
+    round was drained."""
+
+    def main(ppm):
+        A = ppm.global_shared("A", 16)
+        with pytest.raises((VpProgramError, KeyboardInterrupt)):
+            ppm.do(8, kernel, A, bad)
+        ppm.do(8, clean_kernel, A)
         return A.committed.copy()
 
     return main
@@ -70,36 +93,52 @@ def main_with(kernel):
 
 class TestCrashTeardown:
     def test_vp_error_propagates_and_no_leak(self):
-        with pytest.raises(VpProgramError) as ei:
-            run_ppm(
-                main_with(crashing_kernel),
-                _cluster(),
-                executor="process",
-                workers=2,
-            )
-        assert "kaboom" in str(ei.value)
-        assert live_ppm_segments() == []
+        for bad in BAD_RANKS.values():
+            with pytest.raises(VpProgramError) as ei:
+                run_ppm(
+                    main_with(crashing_kernel, bad),
+                    _cluster(),
+                    executor="process",
+                    workers=2,
+                )
+            assert f"kaboom rank {bad}" in str(ei.value)
+            assert live_ppm_segments() == []
 
     def test_vp_error_matches_inline_type(self):
-        with pytest.raises(VpProgramError) as inline_err:
-            run_ppm(main_with(crashing_kernel), _cluster())
-        with pytest.raises(VpProgramError) as proc_err:
-            run_ppm(
-                main_with(crashing_kernel),
-                _cluster(),
-                executor="process",
-                workers=2,
-            )
-        assert type(inline_err.value) is type(proc_err.value)
+        for bad in BAD_RANKS.values():
+            with pytest.raises(VpProgramError) as inline_err:
+                run_ppm(main_with(crashing_kernel, bad), _cluster())
+            with pytest.raises(VpProgramError) as proc_err:
+                run_ppm(
+                    main_with(crashing_kernel, bad),
+                    _cluster(),
+                    executor="process",
+                    workers=2,
+                )
+            assert type(inline_err.value) is type(proc_err.value)
+            assert str(inline_err.value) == str(proc_err.value)
 
     def test_keyboard_interrupt_propagates_and_no_leak(self):
-        with pytest.raises(KeyboardInterrupt):
-            run_ppm(
-                main_with(interrupting_kernel),
-                _cluster(),
-                executor="process",
-                workers=2,
-            )
+        for bad in BAD_RANKS.values():
+            with pytest.raises(KeyboardInterrupt):
+                run_ppm(
+                    main_with(interrupting_kernel, bad),
+                    _cluster(),
+                    executor="process",
+                    workers=2,
+                )
+            assert live_ppm_segments() == []
+
+    @pytest.mark.parametrize("kernel", [crashing_kernel, interrupting_kernel])
+    @pytest.mark.parametrize("shard", list(BAD_RANKS))
+    def test_failed_round_is_drained(self, shard, kernel):
+        _, inline = run_ppm(main_recovering(kernel, BAD_RANKS[shard]), _cluster())
+        _, proc = run_ppm(
+            main_recovering(kernel, BAD_RANKS[shard]), _cluster(),
+            executor="process", workers=2,
+        )
+        np.testing.assert_array_equal(inline, proc)
+        assert _no_child_processes()
         assert live_ppm_segments() == []
 
     def test_dead_worker_raises_and_no_leak(self):
@@ -141,14 +180,14 @@ def clean_kernel(ctx, A):
     yield ctx.global_phase
 
 
-def write_then_interrupt_kernel(ctx, A):
+def write_then_interrupt_kernel(ctx, A, bad):
     """Commits A[rank] = rank + 1 at the first barrier, then buffers a
     poison write that an interrupt must prevent from ever committing."""
     yield ctx.global_phase
     A[ctx.global_rank] = float(ctx.global_rank + 1)
     yield ctx.global_phase  # barrier: the writes above commit here
     A[ctx.global_rank] = 99.0  # buffered only — must never commit
-    if ctx.global_rank == 2:
+    if ctx.global_rank == bad:
         raise KeyboardInterrupt
     yield ctx.global_phase
 
@@ -175,14 +214,14 @@ class TestInterruptMidRound:
     buffered writes vanish, every worker process is reaped and no
     ``/dev/shm`` segment survives."""
 
-    def _observed(self, **run_opts):
+    def _observed(self, bad, **run_opts):
         boxes = []
 
         def main(ppm):
             self.runtime = ppm.runtime
             A = ppm.global_shared("A", 16)
             try:
-                ppm.do(8, write_then_interrupt_kernel, A)
+                ppm.do(8, write_then_interrupt_kernel, A, bad)
             finally:
                 boxes.append(A.committed.copy())
 
@@ -191,37 +230,41 @@ class TestInterruptMidRound:
         return boxes[0]
 
     def test_no_partial_commit_matches_inline(self):
-        inline = self._observed()
-        proc = self._observed(executor="process", workers=2)
-        np.testing.assert_array_equal(inline, proc)
-        # The first barrier's writes committed; the poisoned round's
-        # buffered 99s did not.
-        np.testing.assert_array_equal(
-            proc[:8], np.arange(1.0, 9.0)
-        )
-        assert not (proc == 99.0).any()
-        assert live_ppm_segments() == []
+        for bad in BAD_RANKS.values():
+            inline = self._observed(bad)
+            proc = self._observed(bad, executor="process", workers=2)
+            np.testing.assert_array_equal(inline, proc)
+            # The first barrier's writes committed; the poisoned round's
+            # buffered 99s did not.
+            np.testing.assert_array_equal(
+                proc[:8], np.arange(1.0, 9.0)
+            )
+            assert not (proc == 99.0).any()
+            assert live_ppm_segments() == []
 
     def test_no_orphaned_children_or_segments(self):
-        self._observed(executor="process", workers=3)
-        assert _no_child_processes()
-        assert live_ppm_segments() == []
+        for bad in BAD_RANKS.values():
+            self._observed(bad, executor="process", workers=3)
+            assert _no_child_processes()
+            assert live_ppm_segments() == []
 
     def test_interrupt_under_supervision_not_retried(self):
-        # A KeyboardInterrupt ships back as an ordinary exception
-        # reply: the supervisor must not classify it as a crash and
+        # A KeyboardInterrupt — shipped back as an ordinary exception
+        # reply, or raised by the parent's own shard — is not a worker
+        # failure: the supervisor must not count it as a crash and
         # burn the respawn budget replaying the interrupted round.
         from repro.parallel import SupervisionPolicy
 
-        proc = self._observed(
-            executor="process", workers=2,
-            supervision=SupervisionPolicy(),
-        )
-        assert not (proc == 99.0).any()
-        assert self.runtime.supervision_state.crashes == 0
-        assert self.runtime.supervision_state.respawns == 0
-        assert _no_child_processes()
-        assert live_ppm_segments() == []
+        for bad in BAD_RANKS.values():
+            proc = self._observed(
+                bad, executor="process", workers=2,
+                supervision=SupervisionPolicy(),
+            )
+            assert not (proc == 99.0).any()
+            assert self.runtime.supervision_state.crashes == 0
+            assert self.runtime.supervision_state.respawns == 0
+            assert _no_child_processes()
+            assert live_ppm_segments() == []
 
 
 # ----------------------------------------------------------------------

@@ -67,16 +67,23 @@ def _zero_merge(trace):
 
 @pytest.fixture
 def captured_roundtrips(monkeypatch):
-    """Record every pool round-trip as ``(tag, payload, replies)``."""
+    """Record every pool command as ``(tag, payload, replies)`` — a
+    send and the gather of its replies (a round's gather waits until
+    the parent has stepped its own shard)."""
     captured = []
-    real = WorkerPool.roundtrip
+    send, gather = WorkerPool.send, WorkerPool.gather
 
-    def wrapped(self, tag, payload, *, per_worker=None):
-        replies = real(self, tag, payload, per_worker=per_worker)
-        captured.append((tag, payload, replies))
+    def sending(self, tag, payload, **kwargs):
+        send(self, tag, payload, **kwargs)
+        captured.append((tag, payload, []))
+
+    def gathering(self):
+        replies = gather(self)
+        captured[-1][2].extend(replies)
         return replies
 
-    monkeypatch.setattr(WorkerPool, "roundtrip", wrapped)
+    monkeypatch.setattr(WorkerPool, "send", sending)
+    monkeypatch.setattr(WorkerPool, "gather", gathering)
     return captured
 
 
@@ -103,11 +110,7 @@ class TestZeroRecordBytes:
         # worker-side, and every commit group resolves to a local
         # (in-place) commit.
         assert all(p["mode"] == "hold" for _t, p, _r in rounds)
-        assert all(
-            decision == "local"
-            for _t, p, _r in commits
-            for _key, decision in p["groups"]
-        )
+        assert all(p["group"][1] == "local" for _t, p, _r in commits)
 
         # Zero record bytes on the pipe: no reply anywhere carries an
         # operation stream.
@@ -119,11 +122,8 @@ class TestZeroRecordBytes:
                 for _node_id, report, _flags in rep.get("nodes", ()):
                     assert "ops" not in report
         for _tag, _payload, replies in commits:
-            for rep in replies:
-                if rep is None:
-                    continue
-                for _key, digest in rep["groups"]:
-                    assert "ops" not in digest
+            for digest in replies:
+                assert digest is not None and "ops" not in digest
 
         # The reply is a fixed-size digest: a few hundred bytes however
         # large the vectors are (record-shipping replies grow with the
@@ -336,6 +336,21 @@ def write_kernel(ctx, A, out):
     A[lo:hi] = out[lo:hi] + 1.0
 
 
+def parent_only_writes_kernel(ctx, A, out):
+    """Only VP 0 (the parent's shard under workers=2) writes ``A``,
+    while the last VP (a forked worker's) keeps a view of those rows."""
+    lo, hi = split_range(len(A), ctx.global_vp_count)[ctx.global_rank]
+    vlo, vhi = split_range(len(A), ctx.global_vp_count)[0]
+    yield ctx.global_phase
+    if ctx.global_rank == ctx.global_vp_count - 1:
+        v = A[vlo:vhi]
+    if ctx.global_rank == 0:
+        A[lo:hi] = A[lo:hi] + 1.0
+    yield ctx.global_phase
+    if ctx.global_rank == ctx.global_vp_count - 1:
+        out[lo:hi] = v
+
+
 class TestSegmentSwaps:
     def test_snapshot_array_counts_its_readers(self):
         """What a worker reads liveness from: a read-only array built
@@ -412,3 +427,45 @@ class TestSegmentSwaps:
         for a, b in zip(inline, proc):
             np.testing.assert_array_equal(a, b)
         assert ppm.runtime.shm.swaps == 0
+
+    def test_held_round_swaps_before_its_commit(self, monkeypatch):
+        """Copy-on-commit precedes every in-place write: no segment
+        swaps while a commit command is out — not even for a target
+        only the parent's own shard writes, which the parent commits
+        while the workers commit theirs."""
+        from repro.parallel.shm import ShmRegistry
+
+        in_flight = []
+        swapped_during = []
+        send, gather, swap = WorkerPool.send, WorkerPool.gather, ShmRegistry.swap
+
+        def sending(pool, tag, payload, **kwargs):
+            send(pool, tag, payload, **kwargs)
+            in_flight.append(tag)
+
+        def gathering(pool):
+            in_flight.clear()
+            return gather(pool)
+
+        def swapping(registry, name, instance):
+            swapped_during.append(tuple(in_flight))
+            return swap(registry, name, instance)
+
+        monkeypatch.setattr(WorkerPool, "send", sending)
+        monkeypatch.setattr(WorkerPool, "gather", gathering)
+        monkeypatch.setattr(ShmRegistry, "swap", swapping)
+
+        def main(ppm):
+            A = ppm.global_shared("A", 16)
+            out = ppm.global_shared("out", 16)
+            A[:] = np.arange(16.0)
+            ppm.do(2, parent_only_writes_kernel, A, out)
+            return A.committed, out.committed
+
+        cl = lambda: Cluster(mkconfig(n_nodes=2, cores_per_node=2))  # noqa: E731
+        _, inline = run_ppm(main, cl())
+        ppm, proc = run_ppm(main, cl(), executor="process", workers=2, trace=True)
+        for a, b in zip(inline, proc):
+            np.testing.assert_array_equal(a, b)
+        assert ppm.report().zero_merge is not None  # the rounds held
+        assert swapped_during == [()]
