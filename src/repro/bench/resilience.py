@@ -57,7 +57,7 @@ def bench_resilience(
     ``BENCH_resilience.json``.
     """
     from repro.apps.cg import build_chimney_problem, ppm_cg_solve
-    from repro.resilience import FaultPlan
+    from repro.resilience import FaultPlan, ResiliencePolicy
 
     problem = build_chimney_problem(nx)
     # CG runs 3 global phases per iteration plus setup; crash two
@@ -84,7 +84,7 @@ def bench_resilience(
                 cluster(),
                 max_iters=iters,
                 tol=0.0,
-                checkpoint_every=every,
+                resilience=ResiliencePolicy(checkpoint_every=every),
             )
         plan = FaultPlan(seed=seed).crash(node=nodes - 1, phase=crash_phase)
         crashed, crash_s = ppm_cg_solve(
@@ -93,7 +93,7 @@ def bench_resilience(
             max_iters=iters,
             tol=0.0,
             faults=plan,
-            checkpoint_every=every,
+            resilience=ResiliencePolicy(checkpoint_every=every),
         )
         if not np.array_equal(base_result.x, crashed.x):
             raise AssertionError(

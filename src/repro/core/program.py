@@ -198,7 +198,6 @@ def run_ppm(
     sanitize: str | bool | None = None,
     trace: "PhaseTrace | bool | None" = None,
     faults=None,
-    checkpoint_every: int | None = None,
     resilience=None,
     executor: str = "inline",
     workers: int | None = None,
@@ -238,18 +237,14 @@ def run_ppm(
         node crashes and stragglers.  Injected faults cost simulated
         time; committed results stay bitwise-identical to a fault-free
         run (docs/RESILIENCE.md).
-    checkpoint_every:
-        ``None`` (default, off) or an ``int >= 1`` — every that many
-        phases, charge the simulated clock a coordinated write-out of
-        all shared instances and record the cut; an injected crash
-        rolls back to the last cut (by re-execution: no array is
-        copied) instead of restarting from scratch.
     resilience:
-        Optional
-        :class:`~repro.resilience.manager.ResiliencePolicy` with the
-        retry/timeout/backoff schedule and checkpoint/recovery cost
-        knobs (defaults apply when ``faults``/``checkpoint_every`` are
-        given without it).
+        Optional :class:`~repro.resilience.manager.ResiliencePolicy`:
+        retry/timeout/backoff schedule, checkpoint interval and
+        checkpoint/recovery costs (defaults apply when ``faults`` is
+        given without it).  ``checkpoint_every=k`` charges the simulated
+        clock a coordinated write-out of all shared instances every
+        ``k`` phases and records the cut; an injected crash rolls back
+        to the last cut (by re-execution: no array is copied).
 
     executor:
         ``"inline"`` (default) — phase bodies run in this process,
@@ -283,9 +278,8 @@ def run_ppm(
         without it a worker death raises
         :class:`~repro.core.errors.WorkerDeathError` (``PPM603``).
 
-    With ``faults``, ``checkpoint_every`` and ``resilience`` all
-    ``None`` (the default), this takes exactly the pre-resilience
-    fast path — no per-phase hooks, no overhead.
+    With ``faults`` and ``resilience`` both ``None`` (the default), this
+    takes exactly the pre-resilience fast path — no per-phase hooks.
 
     Returns
     -------
@@ -311,7 +305,7 @@ def run_ppm(
     )
 
     def new_manager():
-        if faults is None and checkpoint_every is None and resilience is None:
+        if faults is None and resilience is None:
             return None
         # Deferred import: repro.core must stay importable without the
         # resilience package being touched on the default path.
@@ -320,7 +314,6 @@ def run_ppm(
         return ResilienceManager(
             cluster,
             plan=faults,
-            checkpoint_every=checkpoint_every,
             policy=resilience,
             tracer=trace,
         )

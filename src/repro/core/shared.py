@@ -50,6 +50,8 @@ ACCUMULATE_UFUNCS = {
 
 _SPEC_UIDS = itertools.count()
 
+_NDARRAY, _BOOL = np.ndarray, np.dtype(bool)  # hot-path tests; built-in dtypes are singletons
+
 
 class RowSpec:
     """Rows (axis-0 indices) touched by one access, in a cheap range
@@ -298,13 +300,13 @@ def _normalize_rows(idx: object, n0: int) -> RowSpec:
                 f"boolean mask of length {arr.shape[0]} does not match axis of length {n0}"
             )
         return RowSpec.from_array(np.nonzero(arr)[0].astype(np.int64))
-    arr = arr.astype(np.int64, copy=False).ravel()
+    arr = arr.astype(np.int64).ravel()  # owned: never aliases the caller's array
     if arr.size:
         lo = arr.min()
         if lo < -n0 or arr.max() >= n0:
             raise IndexError(f"row indices out of range for axis of length {n0}")
         if lo < 0:
-            arr = np.where(arr < 0, arr + n0, arr)
+            arr[arr < 0] += n0
     return RowSpec.from_array(arr)
 
 
@@ -379,12 +381,12 @@ class _SharedBase:
         and non-boolean index arrays (keyed by object identity, entry
         dropped when the array is garbage-collected — index arrays are
         treated as immutable between accesses, matching how phase code
-        uses a precomputed footprint).  An id-keyed entry never
-        references its index array: the cached spec owns a copy of the
-        rows, so the array's lifetime stays the caller's and its death
-        evicts the entry.  Boolean masks and tuple indices select
-        value- or shape-dependent element sets, so they are recomputed
-        every access.
+        uses a precomputed footprint); a read through a *view* index
+        array skips the memo (:meth:`_fresh_read`).  An id-keyed entry
+        never references its index array: the spec owns an int64 copy
+        of the rows, so the array's death evicts the entry.  Boolean
+        masks and tuple indices select value- or shape-dependent
+        element sets, so they are recomputed every access.
         """
         t = type(idx)
         if t is slice:
@@ -393,7 +395,7 @@ class _SharedBase:
         elif t is int:
             key = idx
             view_kind = True
-        elif t is np.ndarray and idx.dtype != np.bool_:
+        elif t is _NDARRAY and idx.dtype is not _BOOL:
             key = ("a", id(idx))
             view_kind = False
         else:
@@ -408,9 +410,7 @@ class _SharedBase:
         if rec is None:
             rows = _normalize_rows(idx, self.shape[0])
             n_elem = self._count_elements(idx, rows, data)
-            if t is np.ndarray:
-                if np.may_share_memory(rows.array, idx):
-                    rows = RowSpec.from_array(rows.array.copy())
+            if t is _NDARRAY:
                 # Drop the id-keyed entry when the index array dies, so
                 # a recycled id can never resolve to stale rows.
                 self._index_refs[key] = weakref.ref(idx, self._evictor(key))
@@ -422,6 +422,23 @@ class _SharedBase:
             )
             self._access_cache[key] = rec
         return rec
+
+    def _fresh_read(self, idx: np.ndarray, data: np.ndarray) -> tuple:
+        """``(value, rows, cost)`` of a snapshot read through a *view*
+        index array (``POSM[PERM[s:s + c]]``): it never comes back, so
+        it is recorded, not memoised — ``data[idx]`` is the bounds check,
+        the footprint one owned int64 copy with a fresh serial."""
+        try:
+            value = data[idx]
+        except IndexError:
+            raise IndexError(f"row indices out of range for axis of length {len(data)}") from None
+        arr = idx.astype(np.int64)
+        if arr.ndim != 1:
+            arr = arr.reshape(-1)
+        if arr.size and arr.min() < 0:
+            arr[arr < 0] += len(data)
+        rows = RowSpec(array=arr, shared=self, elems=arr.size * self._trailing)
+        return value, rows, self._acall + rows.elems * self._elem_rate
 
     def _evictor(self, key: tuple):
         """Weak-reference callback dropping the id-keyed entry ``key``.
@@ -593,13 +610,17 @@ class GlobalShared(_SharedBase):
         # access's footprint (and, for writes, the buffered operation)
         # to the phase recorder's flat lists.
         data = self._ro
-        rows, _, _, view_kind, cost = self._access_record(idx, data)
+        if type(idx) is _NDARRAY and idx.base is not None and idx.dtype.kind in "iu":
+            value, rows, cost = self._fresh_read(idx, data)
+            view_kind = False
+        else:
+            rows, _, _, view_kind, cost = self._access_record(idx, data)
+            value = data[idx]
         phase = rt.phase
         if phase is None:
             rt._require_phase()
         ctx._cost += cost
         phase.reads.append(rows)
-        value = data[idx]
         if view_kind:
             if isinstance(value, np.ndarray):
                 self._views_taken = True
@@ -765,13 +786,17 @@ class NodeShared(_SharedBase):
             self._current_node()  # raises the driver-level usage error
         node = ctx.node_id
         data = self._ro[node]
-        _, _, _, view_kind, cost = self._access_record(idx, data)
+        if type(idx) is _NDARRAY and idx.base is not None and idx.dtype.kind in "iu":
+            value, _, cost = self._fresh_read(idx, data)
+            view_kind = False
+        else:
+            _, _, _, view_kind, cost = self._access_record(idx, data)
+            value = data[idx]
         if rt.phase is None:
             rt._require_phase()
         # A node-shared read moves nothing between nodes: it is charged
         # to the VP and leaves no record.
         ctx._cost += cost
-        value = data[idx]
         if view_kind:
             if isinstance(value, np.ndarray):
                 self._views_taken[node] = True

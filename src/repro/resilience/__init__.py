@@ -21,7 +21,7 @@ exercised:
   deterministic re-execution;
 * :class:`ResilienceManager` — the runtime-facing orchestrator wired
   into :func:`repro.core.program.run_ppm` via
-  ``run_ppm(..., faults=, checkpoint_every=, resilience=)``.
+  ``run_ppm(..., faults=, resilience=)``.
 
 Recovered runs commit arrays bitwise-identical to a fault-free run
 (property-tested); with every knob off the hot path is untouched.

@@ -64,6 +64,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     from repro.config import franklin
     from repro.machine import Cluster
     from repro.obs import PhaseTrace, RunReport, format_report, save_trace
+    from repro.resilience import ResiliencePolicy
 
     if args.small:
         args.nodes = min(args.nodes, 2)
@@ -91,7 +92,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         tol=0.0,
         trace=trace,
         faults=plan,
-        checkpoint_every=args.checkpoint_every,
+        resilience=ResiliencePolicy(checkpoint_every=args.checkpoint_every),
     )
 
     identical = np.array_equal(clean.x, chaotic.x)

@@ -58,6 +58,9 @@ class ResiliencePolicy:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     """Timeout/backoff schedule for dropped or corrupted bundles."""
 
+    checkpoint_every: int | None = None
+    """Phases between coordinated checkpoints (``None``: none, a crash restarts)."""
+
     checkpoint_alpha: float = 100.0e-6
     """Fixed simulated seconds per coordinated checkpoint."""
 
@@ -108,7 +111,6 @@ class ResilienceManager:
         cluster,
         *,
         plan: FaultPlan | None = None,
-        checkpoint_every: int | None = None,
         policy: ResiliencePolicy | None = None,
         tracer=None,
     ) -> None:
@@ -123,11 +125,11 @@ class ResilienceManager:
         )
         self.checkpoints = (
             CheckpointManager(
-                checkpoint_every,
+                self.policy.checkpoint_every,
                 alpha=self.policy.checkpoint_alpha,
                 bytes_per_second=self.policy.checkpoint_bandwidth,
             )
-            if checkpoint_every is not None
+            if self.policy.checkpoint_every is not None
             else None
         )
         #: The run's PhaseTrace (or None), kept here so it can be

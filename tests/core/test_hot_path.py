@@ -8,7 +8,8 @@ hypothesis tests below throw randomly generated conflicting
 write/accumulate streams at the engine and require the committed bytes
 to equal the oracle's, and require a memoised access record (which
 carries the simulated per-access cost) to equal a freshly computed
-one.  The rest of the module pins down the zero-copy view semantics,
+one, and a read through a view index array (never memoised) to equal
+both.  The rest of the module pins down the zero-copy view semantics,
 numpy-integer VP counts and ``close()``.
 """
 
@@ -165,6 +166,31 @@ class TestAccessRecordMemo:
                 xs._drop_caches()
                 cold.append(xs._access_record(idx, data))
             assert [_record_key(r) for r in warm] == [_record_key(r) for r in cold]
+
+    @pytest.mark.parametrize("kind", ["global", "node"])
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.integers(-N, N - 1), max_size=8), two_d=st.booleans())
+    def test_view_index_read_equals_memoised_record(self, kind, rows, two_d):
+        """A read through a view index array skips the memo; its value,
+        footprint, element count and cost must equal what the memoised
+        record of the same rows as an owned array gives."""
+        owned = np.array(rows, dtype=np.int64)
+        if two_d and owned.size % 2 == 0:
+            owned = owned.reshape(2, -1)
+        view = owned[...]
+        with PpmProgram(_cluster()) as ppm:
+            if kind == "global":
+                xs = ppm.global_shared("x", (N, COLS))
+                data = xs._data
+            else:
+                xs = ppm.node_shared("x", (N, COLS))
+                data = xs._data[0]
+            data[:] = np.arange(N * COLS).reshape(N, COLS)
+            value, spec, cost = xs._fresh_read(view, data)
+            rows_m, n_elem, _exact, _vk, cost_m = xs._access_record(owned, data)
+            assert spec.materialize().tolist() == rows_m.materialize().tolist()
+            assert (spec.elems, cost) == (n_elem, cost_m)
+            assert value.tobytes() == data[owned].tobytes()
 
 
 # ----------------------------------------------------------------------

@@ -74,7 +74,7 @@ class TestKnobBudget:
             if p.kind is inspect.Parameter.KEYWORD_ONLY
         ]
         assert kw_only == [
-            "sanitize", "trace", "faults", "checkpoint_every", "resilience",
+            "sanitize", "trace", "faults", "resilience",
             "executor", "workers", "supervision",
         ]
 
@@ -85,6 +85,7 @@ class TestKnobBudget:
             {"vp_executor": "threads"},
             {"snapshot": "pruned"},
             {"zero_merge": False},
+            {"checkpoint_every": 2},
         ],
     )
     def test_removed_knobs_are_not_silently_accepted(self, removed):

@@ -387,3 +387,138 @@ class TestAccessCacheLifetime:
             finalizers.append(len(weakref.finalize._registry))
             assert sum(r() is not None for r in born) == 0
         assert finalizers[0] == finalizers[1] == finalizers[2]
+
+
+@ppm_function
+def _gather_kernel(ctx, POS, PERM, OUT, VIEWS):
+    """``POS[PERM[...]]``: an index read out of a shared array and used
+    at once, as the Barnes-Hut walk does."""
+    r = ctx.global_rank
+    yield ctx.global_phase
+    ids = PERM[r : r + 5]
+    VIEWS[r] = float(ids.base is not None)
+    OUT[r] = POS[ids].sum(axis=0) + POS[ids[::-1] - POS.shape[0]].sum(axis=0)
+
+
+def _gather_main(ppm):
+    n, vps = 24, 2 * ppm.cores_per_node * ppm.cluster.n_nodes
+    POS = ppm.global_shared("pos", (n, 3))
+    PERM = ppm.global_shared("perm", vps + 5, dtype=np.int64)
+    OUT = ppm.global_shared("out", (vps, 3))
+    VIEWS = ppm.global_shared("views", vps)
+    POS[:] = np.random.default_rng(5).random((n, 3))
+    PERM[:] = np.random.default_rng(6).integers(0, n, vps + 5)
+    ppm.do(2 * ppm.cores_per_node, _gather_kernel, POS, PERM, OUT, VIEWS)
+    return OUT.committed, VIEWS.committed
+
+
+class TestViewIndexReads:
+    """A read through a *view* index array (cut out of something for
+    this one access) is recorded but not memoised; numpy's indexing is
+    its bounds check."""
+
+    N = 16
+
+    @classmethod
+    def _run(cls, body, kind="global"):
+        """Run ``body(ctx, X, phase)`` on one VP inside a global phase
+        over a ``(N, 2)`` shared array of the given kind."""
+
+        @ppm_function
+        def kernel(ctx, X):
+            yield ctx.global_phase
+            body(ctx, X, ctx.runtime.phase)
+
+        def main(ppm):
+            make = ppm.global_shared if kind == "global" else ppm.node_shared
+            X = make("x", (cls.N, 2))
+            ppm.do(1, kernel, X)
+            return X
+
+        return run_ppm(main, Cluster(mkconfig(n_nodes=1, cores_per_node=1)))
+
+    @staticmethod
+    def _views():
+        """View index arrays: negative, 2-D, int32 and empty."""
+        return [
+            np.array([-1, -16, 3, 0, 3])[:],
+            np.arange(6).reshape(2, 3),
+            np.array([7, 2, 7], dtype=np.int32)[:],
+            np.array([], dtype=np.int64)[:],
+        ]
+
+    def test_footprints_equal_the_normalised_rows(self):
+        got = []
+
+        def body(ctx, X, phase):
+            for idx in self._views():
+                assert idx.base is not None
+                X[idx]
+                got.append(phase.reads[-1])
+
+        self._run(body)
+        for idx, spec in zip(self._views(), got):
+            want = _normalize_rows(idx, self.N)
+            assert spec.array.dtype == np.int64
+            assert not np.may_share_memory(spec.array, idx)
+            assert spec.array.tolist() == want.array.tolist()
+            assert (spec.count, spec.elems) == (want.count, want.count * 2)
+        # Unmemoised: every read is born with a fresh serial.
+        assert len({spec.uid for spec in got}) == len(got)
+
+    def test_a_phase_of_view_reads_leaves_the_memo_empty(self):
+        sizes = []
+
+        def body(ctx, X, phase):
+            for idx in self._views() * 3:
+                X[idx]
+            sizes.append((len(X._access_cache), len(X._index_refs), len(phase.reads)))
+
+        self._run(body)
+        assert sizes == [(0, 0, 12)]
+
+    @pytest.mark.parametrize("kind", ["global", "node"])
+    @pytest.mark.parametrize("bad", [[0, 16], [-17, 2]])
+    def test_out_of_range_raises_and_records_nothing(self, kind, bad):
+        seen = []
+
+        def body(ctx, X, phase):
+            before = len(phase.reads)
+            with pytest.raises(IndexError, match="row indices out of range for axis of length 16"):
+                X[np.array(bad)[:]]
+            seen.append(len(phase.reads) - before)
+
+        self._run(body, kind)
+        assert seen == [0]
+
+    def test_owned_index_array_keeps_its_plan_hits(self, monkeypatch):
+        """CG's ``ps[cols]`` (``cols`` a prologue ``np.unique`` result)
+        is still memoised, so its phases keep replaying plans."""
+        from repro.apps.cg import build_chimney_problem, ppm_cg_solve
+        from repro.core.runtime import PpmRuntime
+
+        seen = {}
+        real_do = PpmRuntime.do
+
+        def spying_do(self, *args, **kwargs):
+            seen["rt"] = self
+            return real_do(self, *args, **kwargs)
+
+        monkeypatch.setattr(PpmRuntime, "do", spying_do)
+        ppm_cg_solve(
+            build_chimney_problem(4), Cluster(mkconfig(n_nodes=2, cores_per_node=2)),
+            max_iters=6, tol=0.0,
+        )
+        rt = seen["rt"]
+        assert (rt.stats_phase_plan_hits, rt.stats_phase_plan_misses) == (14, 5)
+
+    def test_process_executor_is_bitwise_inline(self):
+        cluster = lambda: Cluster(mkconfig(n_nodes=2, cores_per_node=2))  # noqa: E731
+        inline, (out_i, views_i) = run_ppm(_gather_main, cluster())
+        proc, (out_p, views_p) = run_ppm(
+            _gather_main, cluster(), executor="process", workers=2
+        )
+        # The shm reader is mmap-backed; a slice of it is a view all the same.
+        assert views_i.tolist() == views_p.tolist() == [1.0] * 8
+        assert out_i.tobytes() == out_p.tobytes()
+        assert inline.elapsed == proc.elapsed

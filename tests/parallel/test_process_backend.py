@@ -214,14 +214,16 @@ class TestConfigErrors:
         # faults and checkpoints run parent-side, and recovery
         # re-executes the driver, which re-ships the kernel to a fresh
         # worker pool.
-        from repro.resilience import FaultPlan
+        from repro.resilience import FaultPlan, ResiliencePolicy
 
         plan = lambda: FaultPlan(seed=5).crash(node=1, phase=2)  # noqa: E731
         _, r1 = run_ppm(
-            main_mixed, _cluster(), faults=plan(), checkpoint_every=2,
+            main_mixed, _cluster(), faults=plan(),
+            resilience=ResiliencePolicy(checkpoint_every=2),
         )
         _, r2 = run_ppm(
-            main_mixed, _cluster(), faults=plan(), checkpoint_every=2,
+            main_mixed, _cluster(), faults=plan(),
+            resilience=ResiliencePolicy(checkpoint_every=2),
             executor="process", workers=2,
         )
         for a, b in zip(r1, r2):

@@ -254,17 +254,17 @@ class TestCrashRecovery:
         assert RunReport.from_trace(trace).supervision is None
 
     def test_supervision_composes_with_simulated_faults(self):
-        from repro.resilience import FaultPlan
+        from repro.resilience import FaultPlan, ResiliencePolicy
 
         _, ref = run_ppm(
             main_mixed, _cluster(),
             faults=FaultPlan(seed=5).crash(node=1, phase=2),
-            checkpoint_every=2,
+            resilience=ResiliencePolicy(checkpoint_every=2),
         )
         _, got = run_ppm(
             main_mixed, _cluster(),
             faults=FaultPlan(seed=5).crash(node=1, phase=2),
-            checkpoint_every=2,
+            resilience=ResiliencePolicy(checkpoint_every=2),
             executor="process", workers=2, supervision=_chaotic(rounds=(3,)),
         )
         for a, b in zip(ref, got):
@@ -284,8 +284,7 @@ class TestCrashRecovery:
         ppm, got = run_ppm(
             main_mixed, _cluster(),
             faults=FaultPlan(seed=5).crash(node=1, phase=2),
-            checkpoint_every=2,
-            resilience=ResiliencePolicy(max_incarnations=2),
+            resilience=ResiliencePolicy(checkpoint_every=2, max_incarnations=2),
             executor="process", workers=2, supervision=_chaotic(rounds=(5,)),
             trace=trace,
         )
@@ -307,14 +306,14 @@ class TestCrashRecovery:
         # The simulated crash at phase 4 rolls back to the phase-3
         # checkpoint: dispatches 4-6 re-run rounds 0-2 with the
         # runtime's tracer detached, and the kill lands in dispatch 5.
-        from repro.resilience import FaultPlan
+        from repro.resilience import FaultPlan, ResiliencePolicy
 
         _, ref = run_ppm(main_mixed, _cluster())
         trace = PhaseTrace()
         ppm, got = run_ppm(
             main_mixed, _cluster(),
             faults=FaultPlan(seed=5).crash(node=1, phase=4),
-            checkpoint_every=2,
+            resilience=ResiliencePolicy(checkpoint_every=2),
             executor="process", workers=2, supervision=_chaotic(rounds=(5,)),
             trace=trace,
         )

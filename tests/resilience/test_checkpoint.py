@@ -12,6 +12,7 @@ from repro.core import ppm_function, run_ppm
 from repro.core.errors import ResilienceConfigError
 from repro.machine import Cluster
 from repro.obs.events import PhaseTrace
+from repro.resilience import ResiliencePolicy
 from repro.resilience.checkpoint import CheckpointManager
 
 
@@ -63,7 +64,7 @@ class TestTakeAndRestore:
 
         trace = PhaseTrace()
         ppm, (a, b0) = run_ppm(
-            main, _cluster(), checkpoint_every=2, trace=trace
+            main, _cluster(), resilience=ResiliencePolicy(checkpoint_every=2), trace=trace
         )
         ck = ppm.runtime.resilience.checkpoints
         assert ck.count == 2
@@ -87,7 +88,7 @@ class TestTakeAndRestore:
             return None
 
         ppm_plain, _ = run_ppm(main, _cluster())
-        ppm_ck, _ = run_ppm(main, _cluster(), checkpoint_every=1)
+        ppm_ck, _ = run_ppm(main, _cluster(), resilience=ResiliencePolicy(checkpoint_every=1))
         ck = ppm_ck.runtime.resilience.checkpoints
         assert ck.count == 3
         assert ppm_ck.elapsed == pytest.approx(
@@ -101,7 +102,7 @@ class TestTakeAndRestore:
             ppm.do(2, _bump, A, B, 5)
             return None
 
-        ppm, _ = run_ppm(main, _cluster(), checkpoint_every=1)
+        ppm, _ = run_ppm(main, _cluster(), resilience=ResiliencePolicy(checkpoint_every=1))
         ck = ppm.runtime.resilience.checkpoints
         assert ck.count == 5
         assert ck.latest.phase == 4

@@ -104,7 +104,8 @@ class TestCrashRecovery:
         plan = FaultPlan(seed=5).crash(node=1, phase=7)
         trace = PhaseTrace()
         ppm, x = run_ppm(
-            main, _cluster(), faults=plan, checkpoint_every=3, trace=trace
+            main, _cluster(), faults=plan,
+            resilience=ResiliencePolicy(checkpoint_every=3), trace=trace,
         )
         assert np.array_equal(x, x_clean)
         mgr = ppm.runtime.resilience
@@ -131,7 +132,8 @@ class TestCrashRecovery:
         trace = PhaseTrace()
         plan = FaultPlan(seed=5).crash(node=1, phase=7)
         ppm, _ = run_ppm(
-            main, _cluster(), faults=plan, checkpoint_every=3, trace=trace
+            main, _cluster(), faults=plan,
+            resilience=ResiliencePolicy(checkpoint_every=3), trace=trace,
         )
         wire_kinds = ("bundle_flushed", "message_send", "message_recv")
 
@@ -167,7 +169,7 @@ class TestCrashRecovery:
         def run(every):
             trace = PhaseTrace()
             ppm, _ = run_ppm(
-                main, _cluster(), trace=trace, checkpoint_every=every,
+                main, _cluster(), trace=trace, resilience=ResiliencePolicy(checkpoint_every=every),
                 faults=FaultPlan(seed=1).crash(node=1, phase=12),
             )
             commits = [e for e in trace.events if e.kind == "phase_commit"]
@@ -206,7 +208,9 @@ class TestCrashRecovery:
         main = _cg_main()
         ppm_clean, _ = run_ppm(main, _cluster())
         plan = FaultPlan(seed=5).crash(node=1, phase=7)
-        ppm, _ = run_ppm(main, _cluster(), faults=plan, checkpoint_every=3)
+        ppm, _ = run_ppm(
+            main, _cluster(), faults=plan, resilience=ResiliencePolicy(checkpoint_every=3)
+        )
         pol = ppm.runtime.resilience.policy
         assert ppm.elapsed > ppm_clean.elapsed + pol.detection_timeout
 
@@ -216,7 +220,9 @@ class TestCrashRecovery:
         plan = (
             FaultPlan(seed=5).crash(node=0, phase=3).crash(node=1, phase=9)
         )
-        ppm, x = run_ppm(main, _cluster(), faults=plan, checkpoint_every=2)
+        ppm, x = run_ppm(
+            main, _cluster(), faults=plan, resilience=ResiliencePolicy(checkpoint_every=2)
+        )
         assert np.array_equal(x, x_clean)
         assert ppm.runtime.resilience.recoveries == 2
 
@@ -288,7 +294,9 @@ class TestRecoveryEquivalenceProperty:
             .drop_messages(0.2)
             .crash(node=seed % 2, phase=crash_phase)
         )
-        _, x = run_ppm(main, _cluster(), faults=plan, checkpoint_every=every)
+        _, x = run_ppm(
+            main, _cluster(), faults=plan, resilience=ResiliencePolicy(checkpoint_every=every)
+        )
         assert np.array_equal(x, x_clean)
 
     @settings(max_examples=6, deadline=None)
@@ -304,7 +312,8 @@ class TestRecoveryEquivalenceProperty:
             .crash(node=0, phase=crash_phase)
         )
         dist, _ = ppm_bfs(
-            graph, 0, _cluster(), faults=plan, checkpoint_every=2
+            graph, 0, _cluster(), faults=plan,
+            resilience=ResiliencePolicy(checkpoint_every=2),
         )
         assert np.array_equal(dist, clean)
 
@@ -317,7 +326,8 @@ class TestRecoveryEquivalenceProperty:
         clean, _ = ppm_mg_solve(problem, _cluster(), cycles=2)
         plan = FaultPlan(seed=seed).crash(node=1, phase=crash_phase)
         u, _ = ppm_mg_solve(
-            problem, _cluster(), cycles=2, faults=plan, checkpoint_every=3
+            problem, _cluster(), cycles=2, faults=plan,
+            resilience=ResiliencePolicy(checkpoint_every=3),
         )
         assert np.array_equal(u, clean)
 
@@ -392,7 +402,7 @@ class TestRecomputedCutIsTheCheckpointedCut:
         opts = dict(executor="process", workers=2) if executor == "process" else {}
         got = solve(
             faults=FaultPlan(seed=3).crash(node=1, phase=crash_phase),
-            checkpoint_every=every,
+            resilience=ResiliencePolicy(checkpoint_every=every),
             **opts,
         )
         assert np.array_equal(got, clean)

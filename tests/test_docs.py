@@ -1,6 +1,6 @@
 """Documentation stays honest.
 
-Three guarantees:
+The guarantees:
 
 * every intra-repo markdown link (and ``#anchor`` fragment) in the
   user-facing documents resolves (``tools/check_docs.py --links``);
@@ -8,12 +8,17 @@ Three guarantees:
   executes, sequentially per document (``tools/check_docs.py --exec``);
 * the EXPERIMENTS.md command-reference table names exactly the
   experiments the ``repro.bench`` CLI exposes — no stale rows, no
-  undocumented experiments.
+  undocumented experiments;
+* the tables that restate a code registry are pinned to it:
+  docs/DIAGNOSTICS.md to the rule codes, docs/OBSERVABILITY.md's
+  taxonomy to ``EVENT_TYPES``, GUIDE's option table to ``run_ppm``'s
+  signature.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import inspect
 import re
 import subprocess
 import sys
@@ -91,3 +96,56 @@ def test_bench_cli_spot_run():
     )
     assert proc.returncode == 0, proc.stderr
     assert "table1" in proc.stdout or proc.stdout.strip()
+
+
+#: DIAGNOSTICS.md headings of codes that are never raised any more;
+#: the anchors stay so old links resolve.
+RETIRED_CODES = {"PPM410", "PPM503"}
+
+
+def _raised_codes() -> set[str]:
+    """Codes the runtime's configuration errors carry (``code="PPMnnn"``
+    at a raise site, or a ``code: str = "PPMnnn"`` default)."""
+    pattern = re.compile(r'code(?:: str)?\s*=\s*"(PPM\d{3})"')
+    return {
+        code
+        for path in (REPO / "src" / "repro").rglob("*.py")
+        for code in pattern.findall(path.read_text())
+    }
+
+
+def test_diagnostics_doc_covers_every_code():
+    from repro.analysis.diagnostics import ALL_CODES
+
+    text = (REPO / "docs" / "DIAGNOSTICS.md").read_text()
+    documented = set(re.findall(r"^### (PPM\d{3})$", text, re.M))
+    live = set(ALL_CODES) | _raised_codes()
+    assert live - documented == set(), "codes missing from DIAGNOSTICS.md"
+    assert documented - live == RETIRED_CODES
+    assert not live & RETIRED_CODES
+    for code in RETIRED_CODES:
+        section = text.split(f"### {code}\n", 1)[1].lstrip()
+        assert section.startswith("**Retired**"), code
+
+
+def test_observability_taxonomy_lists_every_event():
+    from repro.obs import EVENT_TYPES
+
+    text = (REPO / "docs" / "OBSERVABILITY.md").read_text()
+    taxonomy = text.split("## Event taxonomy", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", taxonomy, re.M)
+    assert sorted(rows) == sorted(EVENT_TYPES)
+
+
+def test_guide_option_table_matches_run_ppm():
+    from repro.core import run_ppm
+
+    text = (REPO / "docs" / "GUIDE.md").read_text()
+    section = text.split("## 9. Every `run_ppm` option", 1)[1].split("\n## ", 1)[0]
+    documented = re.findall(r"^\| `(\w+)=` \|", section, re.M)
+    kw_only = [
+        name
+        for name, p in inspect.signature(run_ppm).parameters.items()
+        if p.kind is inspect.Parameter.KEYWORD_ONLY
+    ]
+    assert documented == kw_only
