@@ -359,22 +359,17 @@ class PpmRuntime:
         funcs = self._normalize_funcs(func, n_nodes)
         default_decl = PhaseDecl(phase, latency_rounds=latency_rounds)
 
-        # Static overlap certificate for this kernel (repro.analysis):
-        # consulted per phase round to skip the dynamic conflict check
-        # and to mark the phase's comm certified-overlappable.  Only a
-        # single-kernel do can be certified — per-node functions would
-        # need one frame check per distinct kernel.
+        # Static overlap certificate for this kernel: consulted per
+        # phase round to skip the dynamic conflict check, to mark the
+        # phase's comm certified-overlappable and, under the process
+        # backend, to commit in place.
         self._active_cert = None
         if (
             self.sanitize_auto
             or self.config.certified_overlap_fraction is not None
             or self.executor == "process"
         ):
-            distinct = {id(f) for f in funcs if f is not None}
-            if len(distinct) == 1 and funcs[0] is not None:
-                from repro.analysis.certify import certificate_for
-
-                self._active_cert = certificate_for(funcs[0], args, kwargs)
+            self._active_cert = self._kernel_certificate(funcs, args, kwargs)
 
         # Process backend, created lazily at the first do (workers fork
         # after driver-level setup, inheriting the shm mappings warm).
@@ -402,19 +397,17 @@ class PpmRuntime:
         pending = self._pending = {}
         self._phase_plans.clear()
         if backend is not None:
+            # The workers build their shards and run them to their
+            # first declaration inside this command.
             backend.start_do(counts, funcs, args, kwargs, default_decl, vps_by_node)
         try:
-            # Prologue round: run code before the first phase
-            # declaration (the parent's shard here, while the workers
-            # run theirs).
+            # Prologue: run code before the first phase declaration
+            # (the parent's shard here, while the workers run theirs).
+            self._run_prologues(vps_by_node)
             if backend is not None:
-                backend.send_prologue()
-            for node_vps in vps_by_node:
-                for vp in node_vps:
-                    if vp.gen is not None:
-                        self._advance(vp)
-            if backend is not None:
-                backend.gather_prologue()
+                ranked = [vp for node_vps in vps_by_node for vp in node_vps]
+                for grank, done, decl, _cost in backend.gather_start():
+                    self._replay_step(ranked[grank], done, decl)
             for node_id, node_vps in enumerate(vps_by_node):
                 for vp in node_vps:
                     if vp.decl is not None:
@@ -430,19 +423,24 @@ class PpmRuntime:
                             "['global', 'node'] for the same round; all VPs of a "
                             "node must agree"
                         )
-                node_phase_nodes = [n for n in active_nodes if pending[n][0] == "node"]
-                if node_phase_nodes:
-                    # Nodes in node phases proceed asynchronously; nodes
-                    # waiting at a global phase stall until everyone reaches
-                    # it (paper section 3.3, synchronous/asynchronous modes).
-                    if backend is not None:
-                        backend.begin_round("node", node_phase_nodes, vps_by_node)
-                    for node_id in node_phase_nodes:
+                # Nodes in node phases proceed asynchronously; nodes
+                # waiting at a global phase stall until everyone reaches
+                # it (paper section 3.3, synchronous/asynchronous modes).
+                node_phase = [n for n in active_nodes if pending[n][0] == "node"]
+                kind, nodes = (
+                    ("node", node_phase) if node_phase else ("global", active_nodes)
+                )
+                if self.config.load_balancing:
+                    # The parent owns the LPT packing; begin_round ships
+                    # the resulting map to the workers.
+                    self._assign_cores([vp for n in nodes for vp in vps_by_node[n]])
+                if backend is not None:
+                    backend.begin_round(kind, nodes, vps_by_node)
+                if kind == "node":
+                    for node_id in nodes:
                         self._run_phase("node", [node_id], vps_by_node)
                 else:
-                    if backend is not None:
-                        backend.begin_round("global", active_nodes, vps_by_node)
-                    self._run_phase("global", active_nodes, vps_by_node)
+                    self._run_phase("global", nodes, vps_by_node)
         finally:
             self._phase_plans.clear()
             if backend is not None:
@@ -486,6 +484,20 @@ class PpmRuntime:
                 f"per-node functions must have length {n_nodes}, got {len(funcs)}"
             )
         return funcs
+
+    @staticmethod
+    def _kernel_certificate(funcs, args, kwargs):
+        """The static overlap certificate (:mod:`repro.analysis`) of a
+        single-kernel do, or None: per-node functions would need one
+        frame check per distinct kernel.  A pure function of the source
+        and the argument classification, so a worker rebuilding it from
+        its own unpickled kernel gets the parent's answer."""
+        distinct = {id(f) for f in funcs if f is not None}
+        if len(distinct) != 1 or funcs[0] is None:
+            return None
+        from repro.analysis.certify import certificate_for
+
+        return certificate_for(funcs[0], args, kwargs)
 
     def _vp_records(self, counts, funcs, default_decl, args, kwargs, shard) -> list:
         """Every VP's record, by node, with a running generator for the
@@ -565,6 +577,23 @@ class PpmRuntime:
         vp.decl = decl
         vp.phase_index += 1
 
+    def _run_prologues(self, vps_by_node: list) -> None:
+        """Run every VP this process steps (those with a generator) up
+        to its first phase declaration."""
+        for node_vps in vps_by_node:
+            for vp in node_vps:
+                if vp.gen is not None:
+                    self._advance(vp)
+
+    @staticmethod
+    def _replay_step(vp: _VpRecord, done: bool, decl: PhaseDecl | None) -> None:
+        """What :meth:`_advance` does to a record, for a VP another
+        process stepped and shipped as ``(done, next declaration)``."""
+        vp.done = done
+        vp.decl = decl
+        if not done:
+            vp.phase_index += 1
+
     @staticmethod
     def _fold_decl(pending: dict, node_id: int, decl: PhaseDecl) -> None:
         """Fold one VP's next phase declaration into its node's entry."""
@@ -579,25 +608,35 @@ class PpmRuntime:
 
     def _execute_phase_bodies(
         self, recorder: PhaseRecorder, nodes: list[int], vps_by_node: list
-    ) -> None:
+    ) -> tuple:
         """Run the pending phase body of every VP of ``nodes``,
         accumulating per-core costs and each node's access run into the
         recorder and folding the VPs' next declarations into
         ``self._pending`` — the one loop that visits every VP, and so
         where a traced run reports each resume (``VpScheduled``).
 
-        Under the process backend the workers run their shards' bodies
-        meanwhile (``begin_round`` sent the round): the loop steps the
-        parent's own shard, the lowest ranks, and at the first VP it
-        does not own the workers' reports fill the recorder after its
-        records; it replays their VPs' costs and declarations."""
+        Returns this process's vote on the round, ``(certified,
+        zero_merge)`` (:meth:`KernelCertificate.round_flags
+        <repro.analysis.certify.KernelCertificate.round_flags>`), read
+        off the suspended frames of the VPs it steps *before* any body
+        runs; ``(None, None)`` — an abstention — when none is active.
+
+        Every process of ``executor="process"`` runs its shard through
+        this loop.  A worker passes only its own VPs.  The parent steps
+        the lowest ranks while the workers run theirs (``begin_round``
+        sent the round); at the first VP it does not own, the workers'
+        reports fill the recorder after its records, and it replays
+        their VPs' costs and declarations."""
         backend = self._backend
         by_rank = None
+        cert = self._active_cert
+        vote = (False, False) if cert is None else cert.round_flags(
+            [vp for n in nodes for vp in vps_by_node[n] if vp.gen is not None],
+            recorder.kind,
+        )
         if backend is not None:
             node_key = None if recorder.kind == "global" else nodes[0]
-            backend.start_shard(node_key, nodes)
-        elif self.config.load_balancing:
-            self._assign_cores([vp for n in nodes for vp in vps_by_node[n]])
+            backend.start_shard(nodes)
         self.phase = recorder
         try:
             tr = self.tracer
@@ -625,7 +664,7 @@ class PpmRuntime:
                         if by_rank is None:
                             by_rank = backend.fill_recorder(recorder, node_key)
                         done, decl, cost = by_rank[ctx.global_rank]
-                        backend.apply_state(vp, done, decl)
+                        self._replay_step(vp, done, decl)
                     if tr is not None:
                         emit(
                             VpScheduled(
@@ -647,19 +686,20 @@ class PpmRuntime:
                 backend.fill_recorder(recorder, node_key)
         finally:
             self.phase = None
+        return vote
 
     def _assign_cores(self, vps: list[_VpRecord]) -> None:
-        """Optionally rebalance the VP->core mapping for this phase.
+        """Rebalance the VP->core mapping for the next round
+        (``config.load_balancing``).
 
-        With ``config.load_balancing`` the runtime uses each VP's
-        measured cost from the previous phase to pack VPs onto cores
-        greedily (longest processing time first) — the paper's
-        "optimizations such as load balancing" enabled by processor
-        virtualisation.  Deterministic: ties break on VP rank and core
-        id.  Off by default (static contiguous loop chunks).
+        The runtime uses each VP's measured cost from the previous
+        phase to pack VPs onto cores greedily (longest processing time
+        first) — the paper's "optimizations such as load balancing"
+        enabled by processor virtualisation.  Deterministic: ties break
+        on VP rank and core id.  Off by default (static contiguous loop
+        chunks).  Only the round loop of ``do`` calls it, so a worker's
+        runtime, which sees part of a node, never packs on its own.
         """
-        if not self.config.load_balancing:
-            return
         cores = self.cluster.cores_per_node
         by_node: dict[int, list[_VpRecord]] = {}
         for vp in vps:
@@ -748,19 +788,7 @@ class PpmRuntime:
             res.on_phase_start(phase_index, self)
         tr = self.tracer
         recorder = PhaseRecorder(kind, latency_rounds)
-        # A round is certified when every active VP sits at a yield the
-        # static verifier proved conflict-free (checked on the suspended
-        # frames *before* the bodies run, i.e. at this phase's decl).
-        # Under the process backend every shard checks its own frames
-        # and the backend combines the votes once the replies are in.
         backend = self._backend
-        if backend is None:
-            cert = self._active_cert
-            certified = cert is not None and bool(
-                cert.round_flags(
-                    [vp for n in nodes for vp in vps_by_node[n]], kind
-                )[0]
-            )
         if tr is not None:
             tr.phase = phase_index
             tr.emit(
@@ -775,7 +803,11 @@ class PpmRuntime:
                     t=min(cluster.node(n).clock.now for n in nodes),
                 )
             )
-        self._execute_phase_bodies(recorder, nodes, vps_by_node)
+        # A round is certified when every active VP sat at a yield the
+        # static verifier proved conflict-free when the round began.
+        # Under the process backend each shard voted on its own VPs,
+        # and the backend combines the votes.
+        vote = self._execute_phase_bodies(recorder, nodes, vps_by_node)
 
         # Commit: conflict check (strict mode aborts before any write
         # is visible), then writes in rank order, then collectives.
@@ -783,8 +815,10 @@ class PpmRuntime:
         # meanwhile — a zero-merge group in place (write_ops keeps only
         # the parent's own shard's), a fallback group ships its
         # operations into the recorder for the unchanged path first.
-        if backend is not None:
-            certified = backend.round_certified(node_key)
+        if backend is None:
+            certified = bool(vote[0])
+        else:
+            certified = backend.round_certified(node_key, vote)
             backend.begin_commit(recorder, node_key)
         signature = recorder.signature(certified)
         plan = self._lookup_plan(signature)

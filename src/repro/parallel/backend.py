@@ -36,7 +36,6 @@ import zlib
 import numpy as np
 
 from repro.core.collectives import CollectiveSlot
-from repro.core.constructs import PhaseDecl
 from repro.core.errors import ParallelConfigError, PhaseUsageError
 from repro.core.shared import NodeShared, RowSpec, WriteEvent
 from repro.obs.events import WorkerSpan, ZeroMergeCommit
@@ -84,14 +83,12 @@ class ProcessBackend:
             )
             self.supervisor.pool = self._pool
             self._pool.supervisor = self.supervisor
-        # Per-do state (reset by start_do): the workers' VP records by
-        # global rank, the parent's own (shard 0) by node, and the
-        # decode tables, one per forked worker.
-        self._vp_index: dict = {}
+        # Per-do state (reset by start_do): the parent's own VP records
+        # (shard 0) by node, and the decode tables, one per forked
+        # worker.
         self._own_by_node: dict = {}
         self._arrays: list[dict] = []
         self._specs: list[dict] = []
-        self._decls: dict = {}
         self._coll_outbox: list = []
         # Worker-held phase plans, parent half: per (worker, plan id)
         # -> the decoded (runs, node write elems, written targets) a
@@ -126,8 +123,11 @@ class ProcessBackend:
     # do lifecycle
     # ==================================================================
     def start_do(self, counts, funcs, args, kwargs, default_decl, vps_by_node):
-        """Ship the kernel, shared-segment map and VP shards to the
-        workers; shard 0 is the VPs the runtime built generators for."""
+        """Send the kernel, shared-segment map and VP shards to the
+        workers, which build their VPs and run them to their first
+        declaration (gathered by :meth:`gather_start` once the parent
+        has run its own); shard 0 is the VPs the runtime built
+        generators for."""
         rt = self.rt
         # Segment names shipped below are current; earlier swaps are
         # irrelevant to workers that are only now attaching.
@@ -147,39 +147,40 @@ class ProcessBackend:
         common = {
             "kernel": blob,
             "counts": list(counts),
-            "default_decl": (default_decl.kind, default_decl.latency_rounds),
+            "default_decl": default_decl,
             "shared": self._shared_specs(),
-            # Workers rebuild the kernel certificate from their own
-            # unpickled copy (the analysis is a pure function of source
-            # + argument classification): the parent cannot check
-            # suspended frames that live in the workers.
-            "certify": rt._active_cert is not None,
         }
         total = sum(counts)
         n = self.n_workers
         shards = [((i * total) // n, ((i + 1) * total) // n) for i in range(1, n)]
-        self._vp_index = {}
         self._own_by_node = {}
         for node_id, node_vps in enumerate(vps_by_node):
-            for vp in node_vps:
-                if vp.gen is None:
-                    self._vp_index[vp.ctx.global_rank] = vp
-                else:
-                    self._own_by_node.setdefault(node_id, []).append(vp)
+            own = [vp for vp in node_vps if vp.gen is not None]
+            if own:
+                self._own_by_node[node_id] = own
         w = n - 1
         self._arrays = [{} for _ in range(w)]
         self._specs = [{} for _ in range(w)]
-        self._decls = {}
         self._coll_outbox = []
         self._reports = {}
         self._rec_cache = [{} for _ in range(w)]
         self._replace_views(set())
         if self.supervisor is not None:
             self.supervisor.begin_do(shards)
-        self._pool.roundtrip(
+        self._pool.send(
             "do_start", None,
             per_worker=[{"common": common, "shard": s} for s in shards],
         )
+
+    def gather_start(self) -> list:
+        """Every forked VP's ``(global rank, done, next declaration,
+        cost)`` once its prologue ran (the ``do_start`` replies)."""
+        return [
+            state
+            for states in self._pool.gather()
+            if states is not None
+            for state in states
+        ]
 
     def _may_hold(self) -> bool:
         """May this ``do``'s rounds hold their operations worker-side
@@ -226,17 +227,6 @@ class ProcessBackend:
                     sv._views_taken[instance] = flag
         self._live_views = views
 
-    def send_prologue(self) -> None:
-        """Run the workers' VPs to their first phase declaration."""
-        self._pool.send("prologue", None)
-
-    def gather_prologue(self) -> None:
-        for states in self._pool.gather():
-            if states is None:
-                continue
-            for grank, done, decl, _cost in states:
-                self.apply_state(self._vp_index[grank], done, decl)
-
     def end_do(self) -> None:
         """Release per-do worker state; best-effort because this runs
         in the ``finally`` of ``do`` with any real error propagating
@@ -246,7 +236,6 @@ class ProcessBackend:
         self.rt.shm.sweep()
         self._reports = {}
         self._coll_outbox = []
-        self._vp_index = {}
         self._own_by_node = {}
 
     def close(self) -> None:
@@ -262,14 +251,13 @@ class ProcessBackend:
         self._emit_spans()
         core_map = None
         if rt.config.load_balancing:
-            # The parent owns the (deterministic, cost-history-based)
-            # LPT packing; workers receive the resulting map so VP code
-            # observes the same ctx.core_id as inline execution.
-            body_vps = [vp for n in nodes for vp in vps_by_node[n]]
-            rt._assign_cores(body_vps)
+            # The runtime just packed the round's VPs (LPT); workers
+            # receive the map so VP code observes the same ctx.core_id
+            # as inline execution.
             core_map = {
                 vp.ctx.global_rank: vp.ctx.core_id
-                for vp in body_vps
+                for n in nodes
+                for vp in vps_by_node[n]
                 if not vp.done
             }
         hold = self._may_hold()
@@ -296,19 +284,12 @@ class ProcessBackend:
         self._span_to = (rt.tracer, rt.stats_global_phases + rt.stats_node_phases)
         self._pool.send("round", cmd)
 
-    def start_shard(self, node_key, nodes) -> None:
-        """The parent's shard joins ``node_key``'s group: it votes on
-        certification off its own VPs' suspended frames *before* the
-        bodies run, as inline does (no VP there: no vote; no active
-        one: an abstention), and its clock starts."""
-        own = [vp for n in nodes for vp in self._own_by_node.get(n, ())]
-        if own:
-            cert = self.rt._active_cert
-            kind = "global" if node_key is None else "node"
-            self._votes.setdefault(node_key, []).append(
-                (False, False) if cert is None else cert.round_flags(own, kind)
-            )
-            self._spans[0][1] += sum(1 for vp in own if not vp.done)
+    def start_shard(self, nodes) -> None:
+        """The parent's shard starts stepping the group of ``nodes``:
+        its span counts the group's active VPs and its clock starts."""
+        self._spans[0][1] += sum(
+            1 for n in nodes for vp in self._own_by_node.get(n, ()) if not vp.done
+        )
         self._own_t0 = time.perf_counter()
 
     def fill_recorder(self, recorder, node_key) -> dict[int, tuple]:
@@ -337,11 +318,9 @@ class ProcessBackend:
             if rep is None:
                 continue
             views.update(rep["views"])
-            if "nodes" in rep:
-                groups = rep["nodes"]
-            else:
-                groups = [(None, rep["report"], rep["flags"])]
-            for node_key, report, flags in groups:
+            stepped = 0
+            for node_key, report, flags in rep["groups"]:
+                stepped += len(report["vps"])
                 self._reports.setdefault(node_key, []).append((w, report))
                 # A worker with no active VPs in the group votes
                 # (None, None): an abstention.
@@ -355,7 +334,7 @@ class ProcessBackend:
                         if pid is None
                         else self._rec_cache[w][pid][2]
                     )
-            self._spans.append([w + 1, rep["advanced"], rep["host_s"]])
+            self._spans.append([w + 1, stepped, rep["host_s"]])
         self._worker_views = views
 
     def _emit_spans(self) -> None:
@@ -374,9 +353,11 @@ class ProcessBackend:
             bool(voted) and all(z for _c, z in voted),
         )
 
-    def round_certified(self, node_key) -> bool:
-        """Did every shard with active VPs in this group sit at a
+    def round_certified(self, node_key, vote) -> bool:
+        """Add the parent's shard's ``vote`` on this group to the
+        workers': did every shard with active VPs in it sit at a
         certified yield when the round began?"""
+        self._votes.setdefault(node_key, []).append(vote)
         return self._group_flags(node_key)[0]
 
     def begin_commit(self, recorder, node_key) -> None:
@@ -477,20 +458,6 @@ class ProcessBackend:
     # ==================================================================
     # Report decoding
     # ==================================================================
-    def apply_state(self, vp, done: bool, decl) -> None:
-        if done:
-            vp.done = True
-            vp.decl = None
-        else:
-            vp.decl = self._decl(decl)
-            vp.phase_index += 1
-
-    def _decl(self, key) -> PhaseDecl:
-        decl = self._decls.get(key)
-        if decl is None:
-            decl = self._decls[key] = PhaseDecl(key[0], latency_rounds=key[1])
-        return decl
-
     def _array(self, w: int, enc):
         if enc[0] == "n":
             _tag, iid, arr = enc

@@ -8,8 +8,9 @@ strict request/reply protocol over one duplex pipe per worker — every
 command sent receives exactly one reply, so the pipes can never
 desynchronise across ``do`` boundaries or error paths:
 
-* commands are ``(tag, payload)`` tuples (``init``, ``do_start``,
-  ``prologue``, ``round``, ``commit``, ``do_end``, ``shutdown``);
+* commands are ``(tag, payload)`` tuples: ``init``, ``do_start`` (a
+  worker builds its shard and runs it to its first declarations),
+  ``round``, ``commit`` (held rounds only), ``do_end``, ``shutdown``;
 * replies are ``("ok", result)``, ``("exc", shipped_exception)`` or
   ``("interrupt", None)`` — a worker-side ``KeyboardInterrupt`` is
   re-raised in the parent *as* ``KeyboardInterrupt``, preserving the

@@ -1,13 +1,14 @@
-"""Worker-process engine of the ``executor="process"`` backend.
+"""Worker-process transport of the ``executor="process"`` backend.
 
 Each forked worker owns a contiguous global-rank shard of the VPs (the
-parent runs the lowest-rank shard itself) and runs their *generators*
-with a private sequential :class:`PpmRuntime` — the
-exact engine the inline executor uses, so every access-protocol rule
-(snapshot reads, buffered writes, node-phase write protection, phase
-errors) is enforced in-place and every recorded quantity is computed
-by the same code.  The differences from inline execution are confined
-to the edges:
+parent runs the lowest-rank shard itself) and steps it with a private
+:class:`PpmRuntime`: its prologue runs inside ``do_start``, every round
+group through ``PpmRuntime._execute_phase_bodies`` — the inline
+executor's own stepping loop and certification vote — so every
+access-protocol rule (snapshot reads, buffered writes, node-phase
+write protection, phase errors) is enforced in place and every
+recorded quantity is computed by the same code.  This module is only
+the transport around that loop:
 
 * shared-variable *committed stores* are not private arrays but
   :mod:`multiprocessing.shared_memory` segments mapped by name
@@ -44,7 +45,6 @@ import zlib
 import numpy as np
 
 from repro.core import shared as shared_mod
-from repro.core.constructs import PhaseDecl
 from repro.core.phase import CommitPlanCache, PhasePlan, PhaseRecorder
 from repro.core.rowset import union_rows
 from repro.core.shared import GlobalShared, NodeShared
@@ -94,6 +94,13 @@ class _ReportEncoder:
             return ("a", self.array(idx))
         return ("v", idx)
 
+    @staticmethod
+    def states(vps) -> list:
+        """``(global rank, done, next declaration, last cost)`` per VP,
+        what the parent's ``PpmRuntime._replay_step`` takes (a reply
+        pickles each distinct declaration once)."""
+        return [(vp.ctx.global_rank, vp.done, vp.decl, vp.last_cost) for vp in vps]
+
 
 class _RoundPlan:
     """What this worker resolved once for one phase shape
@@ -122,12 +129,11 @@ class _WorkerDo:
     def __init__(self, state: "_WorkerState", common: dict, shard) -> None:
         self.cache = state.cache
         self.probe = ViewProbe()
-        self.cluster = Cluster(state.config)
         # Deferred import: the runtime package imports repro.parallel
         # lazily, never the other way around at module level.
         from repro.core.runtime import PpmRuntime
 
-        self.rt = PpmRuntime(self.cluster)
+        self.rt = PpmRuntime(Cluster(state.config))
         # Shared-variable proxies: identical handles to the parent's,
         # except their committed stores are the mapped segments.
         self.proxies: dict[str, object] = {}
@@ -149,32 +155,20 @@ class _WorkerDo:
             funcs, args, kwargs = pickle.loads(common["kernel"])
         finally:
             shared_mod._PICKLE_REGISTRY = None
-        decl_kind, decl_latency = common["default_decl"]
+        # Certificate handoff: no frame or code object crosses the pipe;
+        # the worker derives the parent's certificate from its own copy.
+        self.rt._active_cert = self.rt._kernel_certificate(funcs, args, kwargs)
         vps_by_node = self.rt._vp_records(
-            common["counts"], funcs, PhaseDecl(decl_kind, latency_rounds=decl_latency),
-            args, kwargs, shard,
+            common["counts"], funcs, common["default_decl"], args, kwargs, shard
         )
-        # This worker's VPs, in rank order, and by node.
-        self.vps = [vp for vps in vps_by_node for vp in vps if vp.gen is not None]
-        self.by_node: dict[int, list] = {}
-        for vp in self.vps:
-            self.by_node.setdefault(vp.ctx.node_id, []).append(vp)
+        # This worker's VPs by node (every node, most empty), the only
+        # ones its runtime steps, and in rank order.
+        self.own = [[vp for vp in vps if vp.gen is not None] for vps in vps_by_node]
+        self.vps = [vp for vps in self.own for vp in vps]
         self.enc = _ReportEncoder()
         # node_key (None = global) -> unresolved collective slots of the
         # previous round, awaiting the parent's commit results.
         self.pending: dict = {}
-        # Certificate handoff: rebuild the parent's static proof from
-        # this worker's unpickled kernel — the analysis is a pure
-        # function of the source and the argument classification, so
-        # worker and parent derive the same certificate independently
-        # (no frames or code objects cross the pipe).
-        self.cert = None
-        if common.get("certify"):
-            distinct = {id(f) for f in funcs if f is not None}
-            if len(distinct) == 1 and funcs[0] is not None:
-                from repro.analysis.certify import certificate_for
-
-                self.cert = certificate_for(funcs[0], args, kwargs)
         # Zero-merge state: (recorder, plan) held between the exec round
         # and the parent's commit decision; one plan per phase shape
         # seen this do, by signature; and the cross-round commit-plan
@@ -195,23 +189,6 @@ class _WorkerDo:
             sv._data[instance] = arr
             sv._ro[instance] = ro
             sv._views_taken[instance] = False
-
-    # ------------------------------------------------------------------
-    def prologue(self):
-        """Run every VP up to its first phase declaration."""
-        for vp in self.vps:
-            self.rt._advance(vp)
-        return [self._vp_state(vp) for vp in self.vps]
-
-    @staticmethod
-    def _vp_state(vp, cost: float = 0.0):
-        decl = vp.decl
-        return (
-            vp.ctx.global_rank,
-            vp.done,
-            None if decl is None else (decl.kind, decl.latency_rounds),
-            cost,
-        )
 
     # ------------------------------------------------------------------
     def round(self, cmd: dict) -> dict:
@@ -239,74 +216,36 @@ class _WorkerDo:
                 core = core_map.get(vp.ctx.global_rank)
                 if core is not None:
                     vp.ctx.core_id = core
-        # 4. Run this round's phase bodies for my shard.  In "hold"
-        # mode the buffered operations stay worker-side, awaiting the
-        # parent's commit decision; certification flags are read off
-        # the suspended frames *before* the bodies run, exactly when
-        # the inline engine checks them.
+        # 4. Step my shard through the runtime's own loop, which votes
+        # on each group before its bodies run.  In "hold" mode the
+        # buffered operations stay worker-side, awaiting the parent's
+        # commit decision.
         kind = cmd["kind"]
         hold = cmd.get("mode") == "hold"
-        nodes = [n for n in cmd["nodes"] if n in self.by_node]
+        own = self.own
+        nodes = [n for n in cmd["nodes"] if own[n]]
         groups = [(None, nodes)] if kind == "global" else [(n, [n]) for n in nodes]
-        cert = self.cert
-        advanced = 0
         reports = []
         for node_key, group in groups:
-            # My shard's vote on the group: no without a certificate,
-            # (None, None) — an abstention — with no active VP in it.
-            flags = (False, False)
-            if cert is not None:
-                flags = cert.round_flags(
-                    [vp for n in group for vp in self.by_node[n]], kind
-                )
-            report, n_vps = self._run_recorder(kind, group, node_key, hold)
-            advanced += n_vps
+            stepped = [vp for n in group for vp in own[n] if not vp.done]
+            recorder = PhaseRecorder(kind)
+            flags = self.rt._execute_phase_bodies(recorder, group, own)
+            self.pending[node_key] = recorder.collective_slots
+            report, plan = self._encode(recorder, stepped, hold)
+            if hold:
+                self.held[node_key] = (recorder, plan)
             reports.append((node_key, report, flags))
-        if kind == "global":
-            payload = {"report": reports[0][1], "flags": reports[0][2]}
-        else:
-            payload = {"nodes": reports}
         # 5. Every buffer a snapshot view was taken of and something
         # still references, in every reply: the parent takes a round's
         # reports as the whole truth.  (Within a round, no commit can
         # observe another node's phase activity: node phases touch
         # disjoint instances and cannot write global arrays, so
         # round-level granularity is exact.)
-        payload["views"] = self.probe.live_views(self.proxies.values())
-        payload["advanced"] = advanced
-        payload["host_s"] = time.perf_counter() - t0
-        return payload
-
-    def _run_recorder(
-        self, kind: str, nodes: list, node_key, hold: bool = False
-    ) -> tuple:
-        """Advance my VPs of ``nodes`` under a fresh recorder; returns
-        its encoded report and the number of VPs advanced.  Under
-        ``hold`` the recorder is retained for the parent's commit
-        command and the report omits the operation stream."""
-        rt = self.rt
-        recorder = PhaseRecorder(kind)
-        rt.phase = recorder
-        vp_states = []
-        try:
-            for node_id in nodes:
-                for vp in self.by_node[node_id]:
-                    if vp.done:
-                        continue
-                    ctx = vp.ctx
-                    ctx._cost = 0.0
-                    ctx._coll_index = 0
-                    rt._advance(vp)
-                    vp_states.append(self._vp_state(vp, ctx._cost))
-                    ctx._cost = 0.0
-                recorder.close_run(node_id)
-        finally:
-            rt.phase = None
-        self.pending[node_key] = recorder.collective_slots
-        report, plan = self._encode(recorder, vp_states, hold)
-        if hold:
-            self.held[node_key] = (recorder, plan)
-        return report, len(vp_states)
+        return {
+            "groups": reports,
+            "views": self.probe.live_views(self.proxies.values()),
+            "host_s": time.perf_counter() - t0,
+        }
 
     def _encode_ops(self, ops: list) -> list:
         enc = self.enc
@@ -325,16 +264,17 @@ class _WorkerDo:
             for ev in ops
         ]
 
-    def _encode(self, recorder: PhaseRecorder, vp_states: list, hold: bool) -> tuple:
+    def _encode(self, recorder: PhaseRecorder, stepped: list, hold: bool) -> tuple:
         """One round's report and the plan of its phase shape.  What
-        changes round to round always travels: per-VP state, collective
-        contributions and — unless held — the operation stream.  What
-        the access signature fixes travels once: the shape's first
-        round ships the footprints (and, held, the written targets)
-        with the new plan's id, every repeat ships the id alone."""
+        changes round to round always travels: the state of the VPs
+        ``stepped``, collective contributions and — unless held — the
+        operation stream.  What the access signature fixes travels
+        once: the shape's first round ships the footprints (and, held,
+        the written targets) with the new plan's id, every repeat ships
+        the id alone."""
         enc = self.enc
         payload = {
-            "vps": vp_states,
+            "vps": enc.states(stepped),
             "colls": [
                 (i, slot.kind, slot.op, [(r, v) for r, v, _h in slot.entries])
                 for i, slot in enumerate(recorder.collective_slots)
@@ -479,10 +419,10 @@ class _WorkerState:
             self.config = payload["config"]
             return None
         if tag == "do_start":
-            self.do = _WorkerDo(self, payload["common"], payload["shard"])
-            return None
-        if tag == "prologue":
-            return self.do.prologue()
+            # Build my shard and run it to its first declarations.
+            do = self.do = _WorkerDo(self, payload["common"], payload["shard"])
+            do.rt._run_prologues(do.own)
+            return do.enc.states(do.vps)
         if tag == "round":
             return self.do.round(payload)
         if tag == "commit":

@@ -21,6 +21,14 @@ def _cluster(**kw):
     return Cluster(mkconfig(n_nodes=2, cores_per_node=2, **kw))
 
 
+@ppm_function
+def prologue_crash_kernel(ctx, bad):
+    # Module level: the process executor ships kernels by pickling.
+    if ctx.global_rank == bad:
+        raise KeyError("prologue fault")
+    yield ctx.global_phase
+
+
 class TestAbortedPhase:
     def test_no_partial_commit_on_crash(self):
         """VP 0 writes then VP 3 crashes in the same phase: the write
@@ -61,17 +69,21 @@ class TestAbortedPhase:
         _, a = run_ppm(main, _cluster())
         assert (a == 1.0).all(), "phase 1 committed before the phase-2 fault"
 
-    def test_crash_in_prologue(self):
-        @ppm_function
-        def kernel(ctx):
-            raise KeyError("prologue fault")
-            yield ctx.global_phase  # pragma: no cover
+    def test_crash_in_prologue(self, failing_shard, no_residue):
+        """A prologue raising on either side of the shard boundary
+        fails the do as inline does, and the runtime stays usable."""
+        opts, bad = failing_shard
 
         def main(ppm):
-            with pytest.raises(VpProgramError, match="prologue fault"):
-                ppm.do(1, kernel)
+            with pytest.raises(VpProgramError, match="prologue fault") as ei:
+                ppm.do(3, prologue_crash_kernel, bad)
+            ppm.do(3, prologue_crash_kernel, -1)
+            return type(ei.value), str(ei.value)
 
-        run_ppm(main, _cluster())
+        _, inline = run_ppm(main, _cluster())
+        _, got = run_ppm(main, _cluster(), **opts)
+        assert got == inline
+        no_residue()
 
     def test_error_carries_location(self):
         @ppm_function

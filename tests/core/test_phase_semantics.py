@@ -30,6 +30,14 @@ def _cluster(n_nodes=2, cores=2, **cfg):
     return Cluster(mkconfig(n_nodes=n_nodes, cores_per_node=cores, **cfg))
 
 
+@ppm_function
+def prologue_read_kernel(ctx, A, bad):
+    # Module level: the process executor ships kernels by pickling.
+    if ctx.global_rank == bad:
+        _ = A[0]  # before any phase declaration
+    yield ctx.global_phase
+
+
 class TestSnapshotReads:
     def test_reads_see_phase_start_values(self):
         """All VPs read neighbours' slots during the same phase in
@@ -309,18 +317,20 @@ class TestNodePhases:
 
 
 class TestProgramStructure:
-    def test_prologue_cannot_touch_shared(self):
-        @ppm_function
-        def bad(ctx, A):
-            _ = A[0]  # before any phase declaration
-            yield ctx.global_phase
+    def test_prologue_cannot_touch_shared(self, failing_shard, no_residue):
+        opts, bad = failing_shard
 
-        def main(ppm):
-            A = ppm.global_shared("A", 2)
-            ppm.do(1, bad, A)
+        def raised(**run_opts):
+            def main(ppm):
+                A = ppm.global_shared("A", 2)
+                ppm.do(3, prologue_read_kernel, A, bad)
 
-        with pytest.raises(PpmError, match="prologue"):
-            run_ppm(main, _cluster())
+            with pytest.raises(PpmError, match="prologue") as ei:
+                run_ppm(main, _cluster(), **run_opts)
+            return type(ei.value), str(ei.value)
+
+        assert raised(**opts) == raised()
+        no_residue()
 
     def test_yield_of_non_phase_rejected(self):
         @ppm_function

@@ -21,6 +21,7 @@ from repro.apps.common import split_range
 from repro.config import testing as mkconfig
 from repro.core import run_ppm
 from repro.core.errors import ParallelConfigError
+from repro.core.vp import core_of
 from repro.machine import Cluster
 from tests.reference import commit_oracle
 
@@ -62,6 +63,29 @@ def mixed_kernel(ctx, A, B):
     yield ctx.global_phase
     A.accumulate(np.array([ctx.global_rank % 3]), np.array([s.value * 0.5]))
     yield ctx.global_phase
+
+
+def lpt_kernel(ctx, C, N):
+    """Rank-dependent costs, so LPT really moves VPs off their static
+    cores; every VP records the core it ran each phase on."""
+    cost = 1e5 * (1 + (7 * ctx.global_rank) % 5)
+    for step in range(3):
+        yield ctx.global_phase
+        ctx.work(cost)
+        C[step, ctx.global_rank] = ctx.core_id
+        yield ctx.node_phase
+        ctx.work(cost * (1 + ctx.node_rank % 2))
+        N[step, ctx.node_rank] = ctx.core_id
+
+
+def main_lpt(ppm):
+    # 5 + 7 VPs: node 0 is split between the parent and a worker under
+    # workers=3, node 1 under workers=2 (and between two workers).
+    C = ppm.global_shared("C", (3, 12))
+    N = ppm.node_shared("N", (3, 7))
+    C[:] = -1.0
+    ppm.do([5, 7], lpt_kernel, C, N)
+    return C.committed.copy(), N.instance(0).copy(), N.instance(1).copy()
 
 
 def conflict_kernel(ctx, A):
@@ -365,14 +389,34 @@ class TestSemantics:
             np.testing.assert_array_equal(a, b)
 
     def test_load_balancing_matches_inline(self):
-        def cl():
-            return _cluster(load_balancing=True)
+        """Only the parent packs cores (LPT), for its shard and the
+        workers' alike — a worker's runtime, which sees part of a split
+        node, never does — so VP code observes the inline core ids."""
+
+        def cl(cores=2):
+            return _cluster(cores=cores, load_balancing=True)
 
         ppm1, r1 = run_ppm(main_mixed, cl())
         ppm2, r2 = run_ppm(main_mixed, cl(), executor="process", workers=3)
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a, b)
         assert ppm1.elapsed == ppm2.elapsed
+
+        ppm1, r1 = run_ppm(main_lpt, cl(cores=3))
+        # LPT moved VPs off the static contiguous chunks in every phase
+        # that has a cost history: global (rows of C after the first)
+        # and node (rows of N).
+        static = np.array([core_of(r, k, 3) for k in (5, 7) for r in range(k)])
+        C, N0, N1 = r1
+        assert (C[1:] != static).any(axis=1).all()
+        assert (np.hstack([N0[:, :5], N1]) != static).any(axis=1).all()
+        for workers in (2, 3):
+            ppm2, r2 = run_ppm(
+                main_lpt, cl(cores=3), executor="process", workers=workers
+            )
+            for a, b in zip(r1, r2):
+                np.testing.assert_array_equal(a, b)
+            assert ppm1.elapsed == ppm2.elapsed
 
     def test_sanitizer_warn_matches_inline(self):
         def main(ppm):

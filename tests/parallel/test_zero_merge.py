@@ -118,8 +118,7 @@ class TestZeroRecordBytes:
             for rep in replies:
                 if rep is None:
                     continue
-                assert "ops" not in rep.get("report", {})
-                for _node_id, report, _flags in rep.get("nodes", ()):
+                for _node_key, report, _flags in rep["groups"]:
                     assert "ops" not in report
         for _tag, _payload, replies in commits:
             for digest in replies:
@@ -154,10 +153,11 @@ class TestZeroRecordBytes:
         assert rounds and not commits
         assert all(p["mode"] == "ship" for _t, p, _r in rounds)
         assert any(
-            "ops" in rep.get("report", {})
+            "ops" in report
             for _t, _p, replies in rounds
             for rep in replies
             if rep is not None
+            for _node_key, report, _flags in rep["groups"]
         )
 
 
