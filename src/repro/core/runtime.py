@@ -47,7 +47,7 @@ from repro.core.scheduler import (
 from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
 from repro.machine.network import ZERO_COST
-from repro.obs.events import NodeSlice, PhaseBegin, PhaseCommit, VpScheduled, stamp
+from repro.obs.events import NodeSlice, PhaseBegin, PhaseCommit
 
 
 class _VpRecord:
@@ -613,7 +613,8 @@ class PpmRuntime:
         accumulating per-core costs and each node's access run into the
         recorder and folding the VPs' next declarations into
         ``self._pending`` — the one loop that visits every VP, and so
-        where a traced run reports each resume (``VpScheduled``).
+        where a traced run reports each resume (``VpScheduled``, one
+        log entry per round).
 
         Returns this process's vote on the round, ``(certified,
         zero_merge)`` (:meth:`KernelCertificate.round_flags
@@ -637,11 +638,10 @@ class PpmRuntime:
         if backend is not None:
             node_key = None if recorder.kind == "global" else nodes[0]
             backend.start_shard(nodes)
+        tr = self.tracer
+        rows = []  # a traced round's flat node, core, vp, cost rows
         self.phase = recorder
         try:
-            tr = self.tracer
-            if tr is not None:
-                emit, phase_index = tr.emit, tr.phase  # set by _run_phase
             core_costs = recorder.core_costs
             pending = self._pending
             fold = self._fold_decl
@@ -666,11 +666,7 @@ class PpmRuntime:
                         done, decl, cost = by_rank[ctx.global_rank]
                         self._replay_step(vp, done, decl)
                     if tr is not None:
-                        emit(
-                            VpScheduled(
-                                phase_index, node_id, ctx.core_id, ctx.global_rank, cost
-                            )
-                        )
+                        rows += (node_id, ctx.core_id, ctx.global_rank, cost)
                     if cost:
                         core = ctx.core_id
                         inner[core] = inner.get(core, 0.0) + cost
@@ -686,6 +682,9 @@ class PpmRuntime:
                 backend.fill_recorder(recorder, node_key)
         finally:
             self.phase = None
+            # Flushed even when a body raised: the trace shows who ran.
+            if tr is not None:
+                tr.emit_run(tr.phase, rows)  # tr.phase set by _run_phase
         return vote
 
     def _assign_cores(self, vps: list[_VpRecord]) -> None:
@@ -847,9 +846,7 @@ class PpmRuntime:
         if tr is not None:
             if costs.wire is None:
                 costs.wire = wire_events(net, costs.traffic)
-            emit = tr.emit
-            for event in stamp(costs.wire, phase_index):
-                emit(event)
+            tr.emit_wire(phase_index, costs.wire)
         if kind == "global":
             # Every node takes part in the barrier; owner-side software
             # is part of the owner's own phase timing.

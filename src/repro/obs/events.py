@@ -20,6 +20,7 @@ committed results and identical simulated times (tested in
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import islice
 from typing import ClassVar, Iterator
 
 
@@ -118,6 +119,12 @@ class VpScheduled(Event):
     core: int
     vp: int
     cost: float
+
+
+def scheduled(rows: list, phase: int) -> list:
+    """The :class:`VpScheduled` events at ``phase`` of flat ``node, core, vp, cost`` rows."""
+    it = iter(rows)
+    return [tuple.__new__(VpScheduled, (phase, *row)) for row in zip(it, it, it, it)]
 
 
 @_value
@@ -478,15 +485,20 @@ class EventBus:
     the observability :class:`PhaseTrace` are both built on this bus.
     """
 
-    __slots__ = ("events", "_subscribers")
+    __slots__ = ("_log", "_subscribers")
 
     def __init__(self) -> None:
-        self.events: list = []
+        self._log: list = []
         self._subscribers: list = []
 
+    @property
+    def events(self) -> list:
+        """The recorded events, in emission order."""
+        return self._log
+
     def emit(self, event) -> None:
-        """Append one event and notify subscribers."""
-        self.events.append(event)
+        """Append one event (one log entry) and notify subscribers."""
+        self._log.append(event)
         for sub in self._subscribers:
             sub(event)
 
@@ -496,7 +508,7 @@ class EventBus:
 
     def clear(self) -> None:
         """Drop all recorded events (subscribers stay)."""
-        self.events.clear()
+        self._log.clear()
 
     def __len__(self) -> int:
         return len(self.events)
@@ -513,13 +525,55 @@ class PhaseTrace(EventBus):
     currently executing — the runtime advances it at every
     :class:`PhaseBegin`, and lower-layer emitters (bundling, timing,
     network) stamp their events with it.
+
+    The trace is a log: besides typed events, one entry stands for a
+    phase plan's wire templates at a phase (:meth:`emit_wire`) or for
+    one round's VP reports (:meth:`emit_run`).  Reading ``events``
+    (``len``, iteration, :meth:`by_kind`) materialises the log and
+    caches the result, so a later read builds only the new tail.
     """
 
-    __slots__ = ("phase",)
+    __slots__ = ("phase", "_events", "_read")
 
     def __init__(self) -> None:
         super().__init__()
         self.phase = -1
+        self._events: list = []
+        self._read = 0  # log entries materialised into _events
+
+    @property
+    def events(self) -> list:
+        """The typed events, in emission order."""
+        log, out = self._log, self._events
+        for entry in islice(log, self._read, None):
+            if type(entry) is tuple:
+                expand, phase, payload = entry
+                out += expand(payload, phase)
+            else:
+                out.append(entry)
+        self._read = len(log)
+        return out
+
+    def emit_wire(self, phase: int, templates: list) -> None:
+        """Log a phase plan's wire templates (:func:`stamp`) at ``phase``."""
+        self._emit_ref(stamp, phase, templates)
+
+    def emit_run(self, phase: int, rows: list) -> None:
+        """Log one round's VP reports (:func:`scheduled`) at ``phase``."""
+        self._emit_ref(scheduled, phase, rows)
+
+    def _emit_ref(self, expand, phase: int, payload: list) -> None:
+        # A subscriber sees every typed event, so it gets them one by one.
+        if self._subscribers:
+            for event in expand(payload, phase):
+                self.emit(event)
+        elif payload:
+            self.emit((expand, phase, payload))
+
+    def clear(self) -> None:
+        super().clear()
+        self._events.clear()
+        self._read = 0
 
     def by_kind(self, kind: str) -> Iterator[Event]:
         """Iterate events of one kind (e.g. ``"phase_commit"``)."""

@@ -46,7 +46,24 @@ from repro.obs.events import (
     WorkerRespawn,
     WorkerSpan,
     ZeroMergeCommit,
+    stamp,
 )
+
+_WIRE_KEYS = ("access_ops", "raw_elems", "unbundled", "sent_msgs", "sent_bytes", "recv_bytes")
+
+
+def _add_wire(counters: dict, ev) -> None:
+    """Add one bundle or message event to a phase's counters."""
+    tp = type(ev)
+    if tp is MessageSend:
+        counters["sent_msgs"] += ev.messages
+        counters["sent_bytes"] += ev.nbytes
+    elif tp is MessageRecv:
+        counters["recv_bytes"] += ev.nbytes
+    else:
+        counters["access_ops"] += ev.raw_ops
+        counters["raw_elems"] += ev.raw_elems
+        counters["unbundled"] += ev.remote_elems
 
 
 @dataclass(frozen=True)
@@ -279,7 +296,8 @@ class RunReport:
     # -- construction --------------------------------------------------
     @classmethod
     def from_events(cls, events: list[Event]) -> "RunReport":
-        """Aggregate a flat event list into per-phase reports.
+        """Aggregate a flat event list (or a
+        :class:`~repro.obs.events.PhaseTrace` log) into per-phase reports.
 
         Only phases with a :class:`PhaseCommit` appear (a run aborted
         mid-phase contributes its completed phases only).
@@ -339,26 +357,36 @@ class RunReport:
                 for phase in [p for p in per_phase if p > cut]:
                     del per_phase[phase]
 
+        wire: dict[int, dict] = {}  # template list -> its exact integer sums
+
         # One pass, dispatching on the event's exact class (every class
         # in EVENT_TYPES is final), commonest kinds first: a traced
         # sweep holds tens of thousands of events.
         for ev in events:
             tp = type(ev)
-            if tp is VpScheduled:
+            if tp is tuple:  # a PhaseTrace log reference
+                expand, phase, payload = ev
+                b = bucket(phase)
+                if expand is stamp:
+                    sums = wire.get(id(payload))
+                    if sums is None:
+                        sums = wire[id(payload)] = dict.fromkeys(_WIRE_KEYS, 0)
+                        for wev in stamp(payload, phase):
+                            _add_wire(sums, wev)
+                    for key, n in sums.items():
+                        b[key] += n
+                else:  # one round's flat node, core, vp, cost rows
+                    b["vp_count"] += len(payload) // 4
+                    work = b["vp_work"]
+                    for cost in payload[3::4]:  # as per event: 3.12's sum() rounds otherwise
+                        work += cost
+                    b["vp_work"] = work
+            elif tp is VpScheduled:
                 b = bucket(ev.phase)
                 b["vp_count"] += 1
                 b["vp_work"] += ev.cost
-            elif tp is MessageSend:
-                b = bucket(ev.phase)
-                b["sent_msgs"] += ev.messages
-                b["sent_bytes"] += ev.nbytes
-            elif tp is MessageRecv:
-                bucket(ev.phase)["recv_bytes"] += ev.nbytes
-            elif tp is BundleFlushed:
-                b = bucket(ev.phase)
-                b["access_ops"] += ev.raw_ops
-                b["raw_elems"] += ev.raw_elems
-                b["unbundled"] += ev.remote_elems
+            elif tp is MessageSend or tp is MessageRecv or tp is BundleFlushed:
+                _add_wire(bucket(ev.phase), ev)
             elif tp is PhaseBegin:
                 begins[ev.phase] = ev
             elif tp is PhaseCommit:
@@ -467,8 +495,8 @@ class RunReport:
 
     @classmethod
     def from_trace(cls, trace) -> "RunReport":
-        """Aggregate a :class:`~repro.obs.events.PhaseTrace`."""
-        return cls.from_events(list(trace.events))
+        """Aggregate a :class:`~repro.obs.events.PhaseTrace` by folding its log."""
+        return cls.from_events(trace._log)
 
     # -- run-level aggregates ------------------------------------------
     @property

@@ -194,30 +194,41 @@ class TestDamagedTraceEvents:
             event_from_dict(d)
 
 
-class TestEmissionCounts:
-    def test_a_raising_body_keeps_its_predecessors_in_the_trace(self):
-        """``VpScheduled`` is reported per VP as the stepping loop goes,
-        so the trace of a failed round shows who ran before the
-        failure."""
+def _raising_kernel(ctx, A, fail_rank):
+    for round_no in range(3):
+        yield ctx.global_phase
+        if round_no == 2 and ctx.global_rank == fail_rank:
+            raise RuntimeError("boom")
+        A[ctx.global_rank] = float(round_no)
 
-        def kernel(ctx, A):
-            for round_no in range(3):
-                yield ctx.global_phase
-                if round_no == 2 and ctx.global_rank == 5:
-                    raise RuntimeError("boom")
-                A[ctx.global_rank] = float(round_no)
+
+class TestEmissionCounts:
+    @pytest.mark.parametrize(
+        "opts, fail_rank, ran",
+        [
+            ({}, 5, [0, 1, 2, 3, 4]),
+            # The parent steps ranks 0-3 itself; the worker's 4-7 are
+            # reported only once the parent reaches them.
+            ({"executor": "process", "workers": 2}, 2, [0, 1]),
+        ],
+        ids=["inline", "process"],
+    )
+    def test_a_raising_body_keeps_its_predecessors_in_the_trace(self, opts, fail_rank, ran):
+        """A round's ``VpScheduled`` reports are flushed in the stepping
+        loop's ``finally``, so the trace of a failed round shows who ran
+        before the failure."""
 
         def main(ppm):
-            ppm.do(4, kernel, ppm.global_shared("A", 8))
+            ppm.do(4, _raising_kernel, ppm.global_shared("A", 8), fail_rank)
 
         trace = PhaseTrace()
         with pytest.raises(VpProgramError, match="boom"):
-            run_ppm(main, Cluster(mkconfig(n_nodes=2, cores_per_node=2)), trace=trace)
+            run_ppm(main, Cluster(mkconfig(n_nodes=2, cores_per_node=2)), trace=trace, **opts)
         resumed = {
             phase: [e.vp for e in trace.by_kind("vp_scheduled") if e.phase == phase]
             for phase in (0, 1, 2)
         }
-        assert resumed == {0: list(range(8)), 1: list(range(8)), 2: [0, 1, 2, 3, 4]}
+        assert resumed == {0: list(range(8)), 1: list(range(8)), 2: ran}
         assert [e.phase for e in trace.by_kind("phase_commit")] == [0, 1]
 
     def test_untraced_run_emits_nothing(self):
