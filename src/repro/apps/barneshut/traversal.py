@@ -13,9 +13,11 @@ where the tree lives, expressed by three fetch callbacks:
 The walk is breadth-first and vectorised over a particle chunk:
 each round fetches the unique tree records the frontier needs, adds
 monopole contributions for accepted cells, resolves leaves by direct
-summation, and expands the rest.  Per particle, cells are visited in
-a deterministic order independent of the chunking, so all three
-implementations produce bit-identical accelerations.
+summation, and expands the rest.  A round's leaves are fetched one by
+one, in node order, then all of its leaf pairs are interacted in one
+batch.  Per particle, cells are visited in a deterministic order
+independent of the chunking, so all three implementations produce
+bit-identical accelerations.
 """
 
 from __future__ import annotations
@@ -98,25 +100,39 @@ def walk_forces(
         l_idx = np.nonzero(~accept & is_leaf)[0]
         if l_idx.size:
             # Group leaf pairs by tree node so each leaf's particles
-            # are fetched once per round.
-            order = np.argsort(pairs_n[l_idx], kind="stable")
-            l_sorted = l_idx[order]
-            leaf_nodes = pairs_n[l_sorted]
-            boundaries = np.nonzero(np.diff(leaf_nodes))[0] + 1
-            for group in np.split(l_sorted, boundaries):
-                rec = R[group[0]]
-                ps, pc = int(rec[F_PSTART]), int(rec[F_PCOUNT])
-                ids = np.asarray(fetch_perm(ps, pc), dtype=np.int64)
-                pm = np.asarray(fetch_posm(ids))
-                p_local = pairs_p[group]
-                dp = pm[None, :, 0:3] - pos_chunk[p_local][:, None, :]
-                rr2 = np.einsum("ijk,ijk->ij", dp, dp) + eps2
-                inv_r3 = np.where(rr2 > 0.0, pm[None, :, 3] / (rr2 * np.sqrt(rr2)), 0.0)
-                # A particle meeting itself has dp == 0, contributing
-                # exactly zero — no special case needed.
-                acc[p_local] += (dp * inv_r3[:, :, None]).sum(axis=1)
-                interactions += int(group.size) * pc
-                fetched += pc
+            # are fetched once per round, into a zero-padded table.
+            l_sorted = l_idx[np.argsort(pairs_n[l_idx], kind="stable")]
+            first = np.r_[True, np.diff(pairs_n[l_sorted]) != 0]
+            group = np.cumsum(first) - 1
+            heads = R[l_sorted[first]]
+            pc = heads[:, F_PCOUNT].astype(np.int64)
+            table = np.zeros((pc.size, int(pc.max()), 4))
+            starts = heads[:, F_PSTART].astype(np.int64).tolist()
+            for g, (ps, c) in enumerate(zip(starts, pc.tolist())):
+                ids = np.asarray(fetch_perm(ps, c), dtype=np.int64)
+                table[g, :c] = fetch_posm(ids)
+            fetched += int(pc.sum())
+            counts = pc[group]
+            interactions += int(counts.sum())
+            # Then every leaf pair of the round in one batch, reusing
+            # the temporaries.  A particle meeting itself has dp == 0,
+            # contributing exactly zero — no special case needed.
+            p_sorted = pairs_p[l_sorted]
+            dp = table[group, :, 0:3]
+            dp -= pos_chunk[p_sorted][:, None, :]
+            rr2 = np.einsum("ijk,ijk->ij", dp, dp)
+            rr2 += eps2
+            inv_r3 = np.sqrt(rr2)
+            np.multiply(rr2, inv_r3, out=inv_r3)
+            np.divide(table[group, :, 3], inv_r3, out=inv_r3)
+            np.copyto(inv_r3, 0.0, where=~(rr2 > 0.0))
+            np.multiply(dp, inv_r3[:, :, None], out=dp)
+            # Padded slots add -0.0, which leaves every sum's bits
+            # alone; summing the middle axis is sequential, so each
+            # pair's sum equals the unpadded one.
+            pad = np.arange(dp.shape[1]) >= counts[:, None]
+            np.copyto(dp, -0.0, where=pad[:, :, None])
+            np.add.at(acc, p_sorted, dp.sum(axis=1))
 
         e_idx = np.nonzero(~accept & ~is_leaf)[0]
         if e_idx.size:

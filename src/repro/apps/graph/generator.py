@@ -38,6 +38,19 @@ class Graph:
         """Degree of every vertex."""
         return np.diff(self.indptr)
 
+    def expand(self, frontier: np.ndarray) -> tuple[np.ndarray, int]:
+        """The sorted unique neighbours of ``frontier`` and the number
+        of edges scanned: one gather of the CSR spans, deduplicated by
+        marking a bitmap rather than by sorting."""
+        starts = self.indptr[frontier]
+        counts = self.indptr[frontier + 1] - starts
+        edges = int(counts.sum())
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        offsets += np.arange(edges)
+        mark = np.zeros(self.n, dtype=bool)
+        mark[self.indices[offsets]] = True
+        return np.flatnonzero(mark), edges
+
 
 def hashed_graph(n: int, degree: int = 4, *, seed: int = 1) -> Graph:
     """Build a deterministic pseudo-random graph.

@@ -26,7 +26,6 @@ def _bfs_rank(comm, graph: Graph, source: int, blocks):
     rank, size = comm.rank, comm.size
     lo, hi = blocks[rank]
     bounds = np.array([b[0] for b in blocks] + [graph.n])
-    indptr, indices = graph.indptr, graph.indices
 
     dist = np.full(hi - lo, UNREACHED, dtype=np.int64)
     if lo <= source < hi:
@@ -36,12 +35,8 @@ def _bfs_rank(comm, graph: Graph, source: int, blocks):
     while True:
         frontier = lo + np.nonzero(dist == level)[0]
         # Expand and group neighbour updates by owner.
-        if frontier.size:
-            spans = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-            nbrs = np.unique(np.concatenate(spans))
-            comm.work(2 * sum(len(s) for s in spans))
-        else:
-            nbrs = np.empty(0, dtype=np.int64)
+        nbrs, edges = graph.expand(frontier)
+        comm.work(2 * edges)
         owners = np.searchsorted(bounds, nbrs, side="right") - 1
 
         outgoing: dict[int, np.ndarray] = {}

@@ -25,7 +25,6 @@ def _bfs_kernel(ctx, graph, DIST):
     node_lo, node_hi = DIST.local_range(ctx.node_id)
     lo, hi = split_range(node_hi - node_lo, ctx.node_vp_count)[ctx.node_rank]
     lo, hi = node_lo + lo, node_lo + hi
-    indptr, indices = graph.indptr, graph.indices
 
     handle = None
     for level in itertools.count():
@@ -35,10 +34,9 @@ def _bfs_kernel(ctx, graph, DIST):
         mine = DIST[lo:hi]
         frontier = lo + np.nonzero(mine == level)[0]
         if frontier.size:
-            spans = [indices[indptr[v] : indptr[v + 1]] for v in frontier]
-            nbrs = np.unique(np.concatenate(spans))
+            nbrs, edges = graph.expand(frontier)
             DIST.accumulate(nbrs, np.full(nbrs.size, level + 1), op="minimum")
-            ctx.work(2 * sum(len(s) for s in spans))
+            ctx.work(2 * edges)
         handle = ctx.reduce(int(frontier.size), "sum")
 
 

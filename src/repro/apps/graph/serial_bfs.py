@@ -20,8 +20,7 @@ def serial_bfs(graph: Graph, source: int) -> np.ndarray:
     frontier = np.array([source], dtype=np.int64)
     level = 0
     while frontier.size:
-        nbrs_list = [graph.neighbors(v) for v in frontier]
-        nbrs = np.unique(np.concatenate(nbrs_list)) if nbrs_list else np.empty(0, np.int64)
+        nbrs, _ = graph.expand(frontier)
         fresh = nbrs[dist[nbrs] == UNREACHED]
         dist[fresh] = level + 1
         frontier = fresh

@@ -146,6 +146,109 @@ class TestForces:
         assert res.interactions == 0
 
 
+def _oracle_walk(pos_chunk, fetch_tree, fetch_perm, fetch_posm, *, theta=0.5, eps=1e-3):
+    """Reference walk interacting each leaf group on its own; the
+    batched ``walk_forces`` must match it bit for bit."""
+    from repro.apps.barneshut.octree import (
+        F_COM, F_FIRST_CHILD, F_HALFW, F_MASS, F_NCHILDREN, F_PCOUNT, F_PSTART,
+    )
+
+    acc = np.zeros((pos_chunk.shape[0], 3))
+    pairs_p = np.arange(pos_chunk.shape[0], dtype=np.int64)
+    pairs_n = np.zeros(pos_chunk.shape[0], dtype=np.int64)
+    interactions = rounds = fetched = 0
+    while pairs_p.size:
+        rounds += 1
+        uniq, inv = np.unique(pairs_n, return_inverse=True)
+        R = np.asarray(fetch_tree(uniq))[inv]
+        fetched += uniq.size
+        d = R[:, F_COM] - pos_chunk[pairs_p]
+        r2 = np.einsum("ij,ij->i", d, d)
+        accept = ((2.0 * R[:, F_HALFW]) ** 2 < theta * theta * r2) & (R[:, F_MASS] > 0.0)
+        a = np.nonzero(accept)[0]
+        rr2 = r2[a] + eps * eps
+        inv_r3 = np.where(rr2 > 0.0, R[a, F_MASS] / (rr2 * np.sqrt(rr2)), 0.0)
+        np.add.at(acc, pairs_p[a], d[a] * inv_r3[:, None])
+        interactions += int(a.size)
+        leaf = ~accept & (R[:, F_NCHILDREN] == 0)
+        l_sorted = np.nonzero(leaf)[0][np.argsort(pairs_n[leaf], kind="stable")]
+        for group in np.split(l_sorted, np.nonzero(np.diff(pairs_n[l_sorted]))[0] + 1):
+            if not group.size:
+                continue
+            ps, pc = int(R[group[0], F_PSTART]), int(R[group[0], F_PCOUNT])
+            pm = np.asarray(fetch_posm(np.asarray(fetch_perm(ps, pc), dtype=np.int64)))
+            p_local = pairs_p[group]
+            dp = pm[None, :, 0:3] - pos_chunk[p_local][:, None, :]
+            rr2 = np.einsum("ijk,ijk->ij", dp, dp) + eps * eps
+            inv_r3 = np.where(rr2 > 0.0, pm[None, :, 3] / (rr2 * np.sqrt(rr2)), 0.0)
+            acc[p_local] += (dp * inv_r3[:, :, None]).sum(axis=1)
+            interactions += int(group.size) * pc
+            fetched += pc
+        e = np.nonzero(~accept & ~leaf)[0]
+        nc = R[e, F_NCHILDREN].astype(np.int64)
+        within = np.arange(int(nc.sum())) - np.repeat(np.cumsum(nc) - nc, nc)
+        pairs_p = np.repeat(pairs_p[e], nc)
+        pairs_n = np.repeat(R[e, F_FIRST_CHILD].astype(np.int64), nc) + within
+    return acc, interactions, rounds, fetched
+
+
+class TestBatchedLeavesAreBitwise:
+    """``walk_forces`` interacts a round's leaf pairs in one padded
+    batch; accelerations, statistics and the fetch sequence must equal
+    the per-leaf oracle's exactly, not just closely."""
+
+    @staticmethod
+    def _walk(walker, pos, mass, chunk, leaf_size, theta):
+        tree = build_octree(pos, mass, leaf_size=leaf_size)
+        posm = np.concatenate([pos, mass[:, None]], axis=1)
+        calls = []
+
+        def fetch_tree(rows):
+            calls.append(("tree", rows.tolist()))
+            return tree.nodes[rows]
+
+        def fetch_perm(start, count):
+            calls.append(("perm", start, count))
+            return tree.perm[start : start + count]
+
+        def fetch_posm(ids):
+            calls.append(("posm", ids.tolist()))
+            return posm[ids]
+
+        out = walker(pos[chunk], fetch_tree, fetch_perm, fetch_posm, theta=theta)
+        return out, calls
+
+    def _check(self, pos, mass, chunk, leaf_size, theta):
+        res, got = self._walk(walk_forces, pos, mass, chunk, leaf_size, theta)
+        (acc, interactions, rounds, fetched), want = self._walk(
+            _oracle_walk, pos, mass, chunk, leaf_size, theta
+        )
+        assert res.acc.tobytes() == acc.tobytes()
+        assert (res.interactions, res.rounds, res.records_fetched) == (
+            interactions, rounds, fetched,
+        )
+        assert got == want
+
+    @pytest.mark.parametrize("leaf_size", [1, 4, 16])
+    @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
+    def test_chunk_matches_oracle(self, cloud, leaf_size, theta):
+        pos, _vel, mass = cloud
+        self._check(pos, mass, slice(37, 165), leaf_size, theta)
+
+    @pytest.mark.parametrize("leaf_size", [1, 16])
+    def test_one_particle_chunk(self, cloud, leaf_size):
+        pos, _vel, mass = cloud
+        self._check(pos, mass, slice(200, 201), leaf_size, 0.5)
+
+    @pytest.mark.parametrize("leaf_size", [4, 16])
+    def test_coincident_particles(self, cloud, leaf_size):
+        """Triples of identical points put a particle's twins in its
+        own leaf: dp == 0 pairs next to padded slots."""
+        pos, _vel, mass = cloud
+        pos = np.repeat(pos[:40], 3, axis=0)
+        self._check(pos, np.repeat(mass[:40], 3), slice(0, 60), leaf_size, 0.5)
+
+
 class TestAgreement:
     @pytest.mark.parametrize("nodes", [1, 2, 3])
     def test_ppm_matches_serial(self, cloud, nodes):

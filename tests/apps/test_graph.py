@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.graph import (
     UNREACHED,
@@ -13,6 +15,7 @@ from repro.apps.graph import (
     serial_bfs,
     to_networkx,
 )
+from repro.apps.graph.generator import Graph
 from repro.config import franklin
 from repro.machine import Cluster
 
@@ -62,6 +65,34 @@ class TestGenerator:
             hashed_graph(10, degree=0)
 
 
+@st.composite
+def _graph_and_frontier(draw):
+    n = draw(st.integers(2, 200))
+    g = hashed_graph(n, degree=draw(st.integers(1, 12)), seed=draw(st.integers(0, 2**32)))
+    isolated = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    if isolated.any():
+        # Cut every edge touching the chosen vertices: degree zero.
+        src = np.repeat(np.arange(n), g.degree())
+        keep = ~isolated[src] & ~isolated[g.indices]
+        counts = np.bincount(src[keep], minlength=n)
+        g = Graph(np.r_[0, np.cumsum(counts)], g.indices[keep], n)
+    order = draw(st.permutations(range(n)))
+    frontier = np.array(order[: draw(st.integers(1, n))], dtype=np.int64)
+    return g, frontier
+
+
+class TestExpand:
+    @settings(max_examples=50, deadline=None)
+    @given(_graph_and_frontier())
+    def test_equals_unique_of_the_spans(self, case):
+        g, frontier = case
+        spans = [g.indices[g.indptr[v] : g.indptr[v + 1]] for v in frontier]
+        nbrs, edges = g.expand(frontier)
+        assert nbrs.dtype == np.int64
+        assert np.array_equal(nbrs, np.unique(np.concatenate(spans)))
+        assert edges == sum(len(s) for s in spans)
+
+
 class TestSerialBfs:
     def test_matches_networkx(self, graph):
         import networkx as nx
@@ -89,7 +120,6 @@ class TestSerialBfs:
     def test_disconnected_vertices_unreached(self):
         # A path graph built by hand: 0-1, plus isolated vertex 2.
         import scipy.sparse as sp
-        from repro.apps.graph.generator import Graph
 
         adj = sp.csr_matrix(
             (np.ones(2), (np.array([0, 1]), np.array([1, 0]))), shape=(3, 3)

@@ -4,13 +4,13 @@ indexing normalisation."""
 from __future__ import annotations
 
 import gc
-import importlib
 import weakref
 
 import numpy as np
 import pytest
 
 from repro.apps.graph import hashed_graph, ppm_bfs, serial_bfs
+from repro.apps.graph.generator import Graph
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
 from repro.core.errors import SharedAccessError
@@ -361,22 +361,17 @@ class TestAccessCacheLifetime:
         BFS is a phase-plan miss; no plan, signature or commit recipe
         may keep a level's frontier alive either."""
         born: list[weakref.ref] = []
+        expand = Graph.expand
 
-        class NumpySpy:
-            def __getattr__(self, name):
-                return getattr(np, name)
+        def spy(self, frontier):
+            nbrs, edges = expand(self, frontier)
+            # flatnonzero's result is a view: its base must die too.
+            born.extend(weakref.ref(a) for a in (nbrs, nbrs.base) if a is not None)
+            return nbrs, edges
 
-            @staticmethod
-            def unique(a):
-                out = np.unique(a)
-                born.append(weakref.ref(out))
-                return out
-
-        # (the package attribute of the same name is the function)
-        module = importlib.import_module("repro.apps.graph.ppm_bfs")
-        monkeypatch.setattr(module, "np", NumpySpy())
         graph = hashed_graph(1500, degree=6, seed=3)
         want = serial_bfs(graph, 0)
+        monkeypatch.setattr(Graph, "expand", spy)
         finalizers = []
         for _ in range(3):
             n_born = len(born)
