@@ -23,7 +23,7 @@ import inspect
 import textwrap
 from dataclasses import dataclass, field
 
-from repro.analysis.lint import FunctionModel, PhaseYield, SharedVar, _yield_kind
+from repro.analysis.lint import FunctionModel, SharedVar
 
 __all__ = ["KernelCertificate", "certificate_for"]
 
@@ -216,21 +216,10 @@ def _build_certificate(inner, pargs, pkwargs, do_args, do_kwargs):
             name=fn_node.name, code=inner.__code__, whole=True
         )
 
-    yields = [
-        PhaseYield(lineno=n.lineno, kind=_yield_kind(n.value))
-        for n in ast.walk(fn_node)
-        if isinstance(n, ast.Yield)
-    ]
-    yields.sort(key=lambda y: y.lineno)
-    if any(y.kind is None for y in yields):
+    fn = FunctionModel(fn_node, fn_node.name, ctx_name, shared_params)
+    fn.build_index()
+    if any(y.kind is None for y in fn.yields):
         return None
-    fn = FunctionModel(
-        node=fn_node,
-        name=fn_node.name,
-        ctx_name=ctx_name,
-        shared_params=shared_params,
-        yields=yields,
-    )
     path = getattr(inner, "__code__", None)
     path = path.co_filename if path is not None else "<live>"
     try:
@@ -250,7 +239,7 @@ def _build_certificate(inner, pargs, pkwargs, do_args, do_kwargs):
         for ph in summary.phases
         if ph.certified and ph.acc_unordered
     )
-    if not yields:
+    if not fn.yields:
         # Plain function: ``do`` wraps it in a single implicit phase
         # whose yield lives in the runtime wrapper, so line-level
         # matching is impossible; certify all-or-nothing instead.

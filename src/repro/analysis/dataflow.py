@@ -143,8 +143,9 @@ def _frame_if(frame) -> tuple:
 # ======================================================================
 # The interpreter
 # ======================================================================
-class _Uncertifiable(Exception):
-    pass
+#: Statements whose body the interpreter runs and whose other clauses
+#: it does not (``except*`` parses from Python 3.11 on).
+_TRY = (ast.Try, getattr(ast, "TryStar", ast.Try))
 
 
 class KernelInterp:
@@ -178,20 +179,11 @@ class KernelInterp:
     # -- structural certifiability pre-checks --------------------------
     def precheck(self) -> None:
         fnode = self.fn.node
-        shared = set(self.fn.shared_params)
-
-        def stmt_yields(stmt) -> list[int]:
-            return [n.lineno for n in ast.walk(stmt) if isinstance(n, ast.Yield)]
-
-        def stmt_touches_shared(stmt) -> bool:
-            return any(
-                isinstance(n, ast.Name) and n.id in shared
-                for n in ast.walk(stmt)
-            )
+        ylines_of = self.fn.ylines.get
 
         def check_block(body, top: bool) -> None:
             for stmt in body:
-                ylines = stmt_yields(stmt)
+                ylines = ylines_of(stmt)
                 if not ylines:
                     continue
                 if isinstance(stmt, ast.Expr) and isinstance(
@@ -215,8 +207,8 @@ class KernelInterp:
         def check_loop(loop) -> None:
             seen_yield_stmt = False
             for stmt in loop.body:
-                ylines = stmt_yields(stmt)
-                if not seen_yield_stmt and not ylines and stmt_touches_shared(stmt):
+                ylines = ylines_of(stmt)
+                if not seen_yield_stmt and not ylines and stmt in self.fn.touches:
                     self.fail_cert(
                         f"shared access at line {stmt.lineno} precedes the "
                         "loop's first yield; it would execute in two "
@@ -224,7 +216,7 @@ class KernelInterp:
                     )
                 if ylines:
                     seen_yield_stmt = True
-            if any(stmt_yields(s) for s in loop.orelse):
+            if any(ylines_of(s) for s in loop.orelse):
                 self.fail_cert(
                     f"yield in the else-clause of the loop at line "
                     f"{loop.lineno}"
@@ -293,19 +285,26 @@ class KernelInterp:
             for item in stmt.items:
                 self.eval(item.context_expr, env, guards, record, stmt)
             self.exec_block(stmt.body, env, guards, record)
-        elif isinstance(stmt, ast.Try):
+        elif isinstance(stmt, _TRY):
             self.exec_block(stmt.body, env, guards, record)
+            self.unexecuted("except handler", stmt.handlers)
+            self.unexecuted("try's else-clause", stmt.orelse)
+            self.unexecuted("try's finally-clause", stmt.finalbody)
         elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            shared = set(self.fn.shared_params)
-            if any(
-                isinstance(n, ast.Name) and n.id in shared
-                for n in ast.walk(stmt)
-            ):
-                self.fail_cert(
-                    f"nested function at line {stmt.lineno} touches shared "
-                    "variables; not analyzed"
-                )
-        # anything else: no effect on the abstract state
+            self.unexecuted("nested function", [stmt])
+        else:  # match, class bodies, ...: never executed
+            self.unexecuted(f"{type(stmt).__name__} statement", [stmt])
+
+    def unexecuted(self, what: str, nodes) -> None:
+        """Code the interpreter never executes has no abstract effect,
+        so certification fails if any of ``nodes`` touches shared
+        variables."""
+        hit = next((n for n in nodes if n in self.fn.touches), None)
+        if hit is not None:
+            self.fail_cert(
+                f"{what} at line {hit.lineno} touches shared variables; "
+                "not analyzed"
+            )
 
     def check_escape(self, stmt, guards, what: str) -> None:
         for loop in reversed(self._loops):
@@ -536,9 +535,7 @@ class KernelInterp:
 
     # -- loops ---------------------------------------------------------
     def exec_loop(self, stmt, env, guards, record: bool) -> None:
-        yields = [
-            n.lineno for n in ast.walk(stmt) if isinstance(n, ast.Yield)
-        ]
+        yields = self.fn.ylines.get(stmt, [])
         loopsym = None
         if isinstance(stmt, ast.For):
             itv = self.eval(stmt.iter, env, guards, record, stmt)
@@ -1571,7 +1568,9 @@ def _analyze_model(model):
 
 def verify_source(source: str, path: str = "<source>"):
     """Lint + dataflow verification of one module's source, both over
-    one module model (building it is half the cost of a file)."""
+    one module model (building it, parse included, is 23-24 % of this
+    call on the six apps, so the second build a separate lint would
+    pay is worth avoiding)."""
     try:
         model = build_module_model(source, path)
     except SyntaxError as exc:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import ast
 import os
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.analysis.diagnostics import Diagnostic
@@ -31,6 +32,31 @@ _DECL_METHODS = {"global_shared": "global", "node_shared": "node"}
 
 #: Decorator names that mark a PPM function.
 _PPM_DECORATORS = {"ppm_function"}
+
+
+def walk(node, parents: dict | None = None):
+    """Every node under ``node`` (itself first) in the standard
+    library walk's breadth-first order, without the per-field generator
+    layers of ``ast.iter_child_nodes``.  With ``parents``, each child's
+    parent is recorded there before the child is yielded.  The
+    analyzer's one tree walker."""
+    todo = deque((node,))
+    pop, push = todo.popleft, todo.append
+    while todo:
+        node = pop()
+        for name in node._fields:
+            child = getattr(node, name, None)
+            if isinstance(child, list):
+                for c in child:
+                    if isinstance(c, ast.AST):
+                        push(c)
+                        if parents is not None:
+                            parents[c] = node
+            elif isinstance(child, ast.AST):
+                push(child)
+                if parents is not None:
+                    parents[child] = node
+        yield node
 
 
 # ======================================================================
@@ -102,6 +128,36 @@ class FunctionModel:
     shared_params: dict[str, SharedVar] = field(default_factory=dict)
     yields: list[PhaseYield] = field(default_factory=list)
     accesses: list[Access] = field(default_factory=list)
+    # The kernel index (``build_index``), so no query re-walks a subtree.
+    # ``ylines``: per node, the yield lines under it (itself included) in
+    # walk order, the order a walk of that node alone finds them.
+    # ``touches``: the nodes with a shared parameter's ``Name`` under them.
+    ylines: dict | None = field(default=None, repr=False)
+    touches: set = field(default_factory=set, repr=False)
+
+    def build_index(self, nodes=None, parents: dict | None = None) -> None:
+        """Fill ``ylines``, ``touches`` and ``yields`` from a walk's
+        ``Yield``/``Name`` nodes (walk order, any may lie outside the
+        kernel) and parent links, else from one walk of ``node``."""
+        if parents is None:
+            parents = {}
+            nodes = walk(self.node, parents)
+        self.ylines, self.touches, self.yields = {}, set(), []
+        for node in nodes:
+            if isinstance(node, ast.Yield):
+                chain = [node]
+                while chain[-1] is not self.node and chain[-1] in parents:
+                    chain.append(parents[chain[-1]])
+                if chain[-1] is self.node:
+                    self.yields.append(PhaseYield(node.lineno, _yield_kind(node.value)))
+                    for up in chain:
+                        self.ylines.setdefault(up, []).append(node.lineno)
+            elif isinstance(node, ast.Name) and node.id in self.shared_params:
+                # Marks ancestors outside the kernel too: true, never asked.
+                while node is not None and node not in self.touches:
+                    self.touches.add(node)
+                    node = parents.get(node)
+        self.yields.sort(key=lambda y: y.lineno)
 
     def phase_of(self, lineno: int) -> PhaseYield | None:
         """The phase governing source line ``lineno`` (None =
@@ -283,6 +339,8 @@ def _iter_statements(body: list[ast.stmt], branch: tuple = ()):
                 yield from _iter_statements(inner, branch)
         for handler in getattr(stmt, "handlers", []) or []:
             yield from _iter_statements(handler.body, branch)
+        for case in getattr(stmt, "cases", []) or []:
+            yield from _iter_statements(case.body, branch)
 
 
 def _shared_base(expr: ast.expr, shared: dict[str, SharedVar]) -> tuple[str, ast.expr] | None:
@@ -321,7 +379,7 @@ def _collect_accesses(fn: FunctionModel) -> None:
     access, tagged with its enclosing statement's source-order index."""
     shared = fn.shared_params
     for stmt_id, (stmt, branch) in enumerate(_iter_statements(fn.node.body)):
-        for node in (n for root in _own_expr_roots(stmt) for n in ast.walk(root)):
+        for node in (n for root in _own_expr_roots(stmt) for n in walk(root)):
             if isinstance(node, ast.Subscript):
                 resolved = _shared_base(node.value, shared)
                 if resolved is None:
@@ -372,13 +430,27 @@ def build_module_model(source: str, path: str = "<source>") -> ModuleModel:
     tree = ast.parse(source, filename=path)
     model = ModuleModel(path=path, tree=tree)
 
-    # Pass 1: shared declarations, callee aliases and do-launch sites,
-    # module-wide.  Alias entries record simple single-target
-    # assignments whose value could denote a kernel (a bare name or a
-    # functools.partial call) so do-callees resolve through them.
+    # Passes 1 and 2, on the module's one walk (which keeps the parent
+    # links and Yield/Name nodes pass 4 indexes kernels with): shared
+    # declarations, callee aliases, do-launch sites and PPM functions.
+    # Alias entries record simple single-target assignments whose value
+    # could denote a kernel (a bare name or a functools.partial call)
+    # so do-callees resolve through them.
     aliases: dict[str, ast.expr] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+    parents: dict = {}
+    marks: list = []  # Yield and Name nodes, in walk order
+    functions_by_name: dict[str, FunctionModel] = {}
+    for node in walk(tree, parents):
+        if isinstance(node, (ast.Yield, ast.Name)):
+            marks.append(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            model.module_func_names.add(node.name)
+            if isinstance(node, ast.FunctionDef) and _is_ppm_function(node):
+                params = [a.arg for a in node.args.args]
+                fn = FunctionModel(node, node.name, params[0] if params else None)
+                functions_by_name[node.name] = fn
+                model.functions.append(fn)
+        elif isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):
                 decl = _decl_kind(node.value)
@@ -398,7 +470,7 @@ def build_module_model(source: str, path: str = "<source>") -> ModuleModel:
                         aliases[target.id] = None
                     else:
                         aliases[target.id] = node.value
-        if (
+        elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "do"
@@ -416,25 +488,6 @@ def build_module_model(source: str, path: str = "<source>") -> ModuleModel:
         call.partial_args = pargs
         call.partial_kwargs = pkwargs
         call.unresolved_reason = reason
-
-    # Pass 2: PPM functions with phase segmentation.
-    functions_by_name: dict[str, FunctionModel] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            model.module_func_names.add(node.name)
-        if isinstance(node, ast.FunctionDef) and _is_ppm_function(node):
-            params = [a.arg for a in node.args.args]
-            fn = FunctionModel(
-                node=node,
-                name=node.name,
-                ctx_name=params[0] if params else None,
-            )
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Yield):
-                    fn.yields.append(PhaseYield(sub.lineno, _yield_kind(sub.value)))
-            fn.yields.sort(key=lambda y: y.lineno)
-            functions_by_name[node.name] = fn
-            model.functions.append(fn)
 
     # Pass 3: map shared arguments of do-launches onto callee params.
     # With ``functools.partial(f, p1..pk)``, the callee is invoked as
@@ -476,8 +529,9 @@ def build_module_model(source: str, path: str = "<source>") -> ModuleModel:
                     dtype=var.dtype,
                 )
 
-    # Pass 4: accesses (needs the shared-parameter bindings).
+    # Pass 4: kernel indexes, yields and accesses (need the bindings).
     for fn in model.functions:
+        fn.build_index(marks, parents)
         if fn.shared_params:
             _collect_accesses(fn)
     return model

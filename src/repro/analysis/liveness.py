@@ -35,9 +35,7 @@ def analyze_liveness(fn: FunctionModel, summary, path: str) -> list[Diagnostic]:
     diagnostics."""
     diags: list[Diagnostic] = []
     loops_with_yields = any(
-        isinstance(loop, (ast.For, ast.While))
-        and any(isinstance(n, ast.Yield) for n in ast.walk(loop))
-        for loop in ast.walk(fn.node)
+        isinstance(node, (ast.For, ast.While)) for node in fn.ylines
     )
     if loops_with_yields or not summary.analyzable:
         # Segments repeat dynamically under phase loops; the static

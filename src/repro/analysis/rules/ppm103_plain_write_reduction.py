@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.lint import walk
 from repro.analysis.rules.base import LintRule
 
 #: Operators with an ``accumulate`` equivalent (``+``/``-`` map to
@@ -26,7 +27,7 @@ _COMBINABLE_OPS = (ast.Add, ast.Sub, ast.Mult)
 def _self_update(acc, rhs: ast.expr) -> bool:
     """True when ``rhs`` contains ``base[index]`` with the same base
     and index as the write target ``acc``."""
-    for node in ast.walk(rhs):
+    for node in walk(rhs):
         if (
             isinstance(node, ast.Subscript)
             and isinstance(node.ctx, ast.Load)

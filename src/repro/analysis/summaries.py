@@ -652,18 +652,6 @@ def _fmt_key(key) -> str:
     return str(key)
 
 
-def fmt_iset(s) -> str:
-    if s[0] == "topset":
-        return "<unknown rows>"
-    if s[0] == "whole":
-        return "[:]"
-    if s[0] == "pt":
-        return f"[{fmt_sym(s[1])}]"
-    if s[0] == "iv":
-        return f"[{fmt_sym(s[1])}:{fmt_sym(s[2])}]"
-    return f"subset of [{fmt_sym(s[1])}:{fmt_sym(s[2])}]"
-
-
 # ======================================================================
 # Summary records
 # ======================================================================
@@ -683,9 +671,6 @@ class AccessSummary:
     value_sym: object = None  # symbolic RHS value (plain writes only)
     value_width: object = None  # symbolic axis-1 width of the RHS, if known
     value_float: bool = False  # RHS provably floating-point (dtype check)
-
-    def describe(self) -> str:
-        return f"{self.variable}{fmt_iset(self.iset)} {self.kind} at line {self.lineno}"
 
 
 @dataclass

@@ -126,6 +126,18 @@ class TestPrologueAccess:
         )
         assert rules_of(found) == ["PPM101"]
 
+    def test_read_in_match_arm_flagged(self):
+        found = lint_kernel(
+            """\
+            match ctx.global_rank:
+                case 0:
+                    v = X[0]
+            yield ctx.global_phase
+            """
+        )
+        assert rules_of(found) == ["PPM101"]
+        assert found[0].line == 9  # the read inside the arm
+
 
 # ======================================================================
 # PPM102 — global write in a node phase
