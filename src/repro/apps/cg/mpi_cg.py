@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.cg.problem import CgProblem
 from repro.apps.cg.serial_cg import CgResult
-from repro.apps.common import csr_matvec, split_range
+from repro.apps.common import CsrBlock, csr_matvec, split_range
 from repro.machine import Cluster
 from repro.mpi import run_mpi
 
@@ -51,7 +50,7 @@ class _RankPlan:
 
     lo: int
     hi: int
-    Ac: sp.csr_matrix
+    Ac: CsrBlock
     cols: np.ndarray
     own_pos: np.ndarray
     recv_plan: dict[int, np.ndarray]
@@ -68,13 +67,12 @@ def build_rank_plans(problem: CgProblem, size: int) -> list[_RankPlan]:
     n = problem.n
     blocks = split_range(n, size)
     bounds = np.array([b[0] for b in blocks] + [n])
-    footprints: list[np.ndarray] = []
+    local: list[CsrBlock] = []
     plans_recv: list[dict[int, np.ndarray]] = []
     for rank in range(size):
         lo, hi = blocks[rank]
-        Aloc = problem.A[lo:hi]
-        cols = np.unique(Aloc.indices)
-        footprints.append(cols)
+        local.append(CsrBlock(problem.A, lo, hi))
+        cols = local[rank].cols
         owners = np.searchsorted(bounds, cols, side="right") - 1
         recv_plan: dict[int, np.ndarray] = {}
         for peer in np.unique(owners):
@@ -87,12 +85,8 @@ def build_rank_plans(problem: CgProblem, size: int) -> list[_RankPlan]:
     plans: list[_RankPlan] = []
     for rank in range(size):
         lo, hi = blocks[rank]
-        Aloc = problem.A[lo:hi]
-        cols = footprints[rank]
-        Ac = sp.csr_matrix(
-            (Aloc.data, np.searchsorted(cols, Aloc.indices), Aloc.indptr),
-            shape=(hi - lo, cols.size),
-        )
+        Ac = local[rank]
+        cols = Ac.cols
         own_pos = np.searchsorted(cols, np.arange(lo, hi))
         send_plan: dict[int, np.ndarray] = {}
         for peer in range(size):
@@ -100,7 +94,7 @@ def build_rank_plans(problem: CgProblem, size: int) -> list[_RankPlan]:
                 continue
             wanted_pos = plans_recv[peer].get(rank)
             if wanted_pos is not None and wanted_pos.size:
-                global_ids = footprints[peer][wanted_pos]
+                global_ids = local[peer].cols[wanted_pos]
                 send_plan[peer] = global_ids - lo
         plans.append(
             _RankPlan(

@@ -21,28 +21,23 @@ Table 1 of the paper (161 vs 733 lines) is about exactly this gap.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.cg.problem import CgProblem
 from repro.apps.cg.serial_cg import CgResult
-from repro.apps.common import csr_matvec, split_range
+from repro.apps.common import CsrBlock, csr_matvec, split_range
 from repro.core import ppm_function, run_ppm
 from repro.machine import Cluster
 
 
 @ppm_function
 def _cg_kernel(ctx, A, xs, rs, ps, qs, stats, b_norm, max_iters, tol):
-    # Private prologue: slice this VP's matrix block and precompute its
-    # column footprint (static, resident data).
+    # Private prologue: this VP's matrix block with its columns
+    # renumbered into its footprint ``cols`` (static, resident data).
     node_lo, node_hi = xs.local_range(ctx.node_id)
     lo, hi = split_range(node_hi - node_lo, ctx.node_vp_count)[ctx.node_rank]
     lo, hi = node_lo + lo, node_lo + hi
-    Aloc = A[lo:hi]
-    cols = np.unique(Aloc.indices)
-    Ac = sp.csr_matrix(
-        (Aloc.data, np.searchsorted(cols, Aloc.indices), Aloc.indptr),
-        shape=(hi - lo, cols.size),
-    )
+    Ac = CsrBlock(A, lo, hi)
+    cols = Ac.cols
     m = hi - lo
     # Positions of this VP's own rows inside its column footprint —
     # static, so hoisted out of the iteration loop.

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
 class CgProblem:
     """A linear system ``A x = b`` plus its grid metadata."""
 
-    A: sp.csr_matrix
+    A: csr_matrix
     b: np.ndarray
     nx: int
     ny: int

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class CgResult:
 
 
 def serial_cg_solve(
-    A: sp.csr_matrix,
+    A: csr_matrix,
     b: np.ndarray,
     *,
     tol: float = 1e-8,

@@ -56,21 +56,59 @@ except ImportError:  # pragma: no cover - older/newer scipy layouts
     _csr_matvec = None
 
 
-def csr_matvec(Ac, v: np.ndarray) -> np.ndarray:
-    """``Ac @ v`` for a CSR matrix without scipy's per-call dispatch
-    overhead.
+class CsrBlock:
+    """Rows ``[lo, hi)`` of CSR matrix ``A``, columns renumbered into
+    their sorted footprint ``cols``: a rank's or VP's private block as
+    plain arrays (``data`` a view of ``A.data``, indices in ``A``'s
+    dtype).  ``cols`` is owned, so ``X[cols]`` keeps a shared variable's
+    memoised access record; it is marked in a bitmap over the block's
+    column hull, O(local nnz + hull).  Common to the PPM and MPI CG, so
+    outside Table 1's per-model line counts.
+    """
 
-    Identical arithmetic to ``Ac @ v`` (scipy's ``_matmul_vector`` is
-    exactly zeros + ``csr_matvec``), so results are bitwise equal; the
-    solver kernels run this thousands of times per solve, where the
-    dispatch layers would otherwise rival the runtime's own per-access
-    cost.  Shared by the PPM and MPI implementations alike — a common
-    computation kernel, outside Table 1's per-model line counts.
+    __slots__ = ("indptr", "indices", "data", "cols", "shape", "nnz", "dtype")
+
+    def __init__(self, A, lo: int, hi: int):
+        if getattr(A, "format", None) != "csr":
+            raise TypeError(f"CsrBlock needs a CSR matrix, got {type(A).__name__}")
+        s, e = int(A.indptr[lo]), int(A.indptr[hi])
+        glob = A.indices[s:e]
+        self.indptr = A.indptr[lo : hi + 1] - A.indptr[lo]
+        self.data = A.data[s:e]
+        self.nnz = e - s
+        self.dtype = A.data.dtype
+        if self.nnz:
+            c0 = int(glob.min())
+            rel = glob - c0
+            mark = np.zeros(int(rel.max()) + 1, dtype=bool)
+            mark[rel] = True
+            self.cols = mark.nonzero()[0].astype(glob.dtype)
+            self.cols += c0
+            local = mark.cumsum(dtype=glob.dtype)
+            local -= 1
+            self.indices = local[rel]
+        else:
+            self.cols, self.indices = glob.copy(), glob
+        self.shape = (hi - lo, self.cols.size)
+
+
+def csr_matvec(Ac: CsrBlock, v: np.ndarray) -> np.ndarray:
+    """``Ac @ v`` for a :class:`CsrBlock` without scipy's per-call
+    dispatch overhead.
+
+    Identical arithmetic to scipy's ``@`` (its ``_matmul_vector`` is
+    exactly zeros + ``csr_matvec``) on the same three arrays, so results
+    are bitwise equal; the solver kernels run this thousands of times
+    per solve.  When ``v`` shares the block's cached ``dtype`` that is
+    the output dtype, with no ``np.result_type`` call.
     """
     if _csr_matvec is None:
-        return Ac @ v
+        from scipy.sparse import csr_matrix
+
+        return csr_matrix((Ac.data, Ac.indices, Ac.indptr), shape=Ac.shape) @ v
     M, N = Ac.shape
-    out = np.zeros(M, dtype=np.result_type(Ac.dtype, v.dtype))
+    dtype = Ac.dtype if v.dtype is Ac.dtype else np.result_type(Ac.dtype, v.dtype)
+    out = np.zeros(M, dtype=dtype)
     _csr_matvec(M, N, Ac.indptr, Ac.indices, Ac.data, v, out)
     return out
 

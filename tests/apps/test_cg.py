@@ -6,11 +6,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed as sp_compressed
 import scipy.sparse.linalg as spla
 
 from repro.apps.cg import (
     build_chimney_problem,
     mpi_cg_solve,
+    ppm_cg,
     ppm_cg_solve,
     serial_cg_solve,
 )
@@ -128,6 +130,48 @@ class TestDistributedAgreement:
             problem, Cluster(franklin(n_nodes=2)), tol=1e-9, ranks=3
         )
         assert np.allclose(res.x, ref.x, atol=1e-6)
+
+
+class TestPrivateBlocks:
+    """Deterministic gates on the VPs' private matrix blocks: built from
+    CSR slices, never as scipy objects, and footprints that keep their
+    memoised access records."""
+
+    @pytest.fixture
+    def runtimes(self, monkeypatch):
+        caught, run_ppm = [], ppm_cg.run_ppm
+
+        def spy(*args, **kwargs):
+            ppm, out = run_ppm(*args, **kwargs)
+            caught.append(ppm.runtime)
+            return ppm, out
+
+        monkeypatch.setattr(ppm_cg, "run_ppm", spy)
+        return caught
+
+    @pytest.mark.parametrize("nodes", [1, 4, 16])
+    def test_no_scipy_matrix_per_vp_and_plans_hit(self, problem, runtimes, monkeypatch, nodes):
+        built = []
+        init = sp_compressed._cs_matrix.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sp_compressed._cs_matrix, "__init__", counting_init)
+        ppm_cg_solve(problem, Cluster(franklin(n_nodes=nodes)), max_iters=10, tol=0.0)
+        assert built == []
+        rt = runtimes[-1]
+        # A non-owned footprint would miss every plan after the first.
+        assert (rt.stats_phase_plan_hits, rt.stats_phase_plan_misses) == (26, 5)
+
+    def test_vps_without_rows(self):
+        tiny = build_chimney_problem(2)  # 16 rows for 4 x 8 VPs
+        ref = serial_cg_solve(tiny.A, tiny.b)
+        res, elapsed = ppm_cg_solve(tiny, Cluster(franklin(n_nodes=4)))
+        assert res.converged and res.iterations == ref.iterations
+        assert np.allclose(res.x, ref.x, atol=1e-12)
+        assert elapsed == 0.0008438580000000001
 
 
 class TestFigure1Shape:

@@ -4,8 +4,19 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.apps.common import block_of, hash_u64, hash_unit, split_range
+from repro.apps import common
+from repro.apps.common import (
+    CsrBlock,
+    block_of,
+    csr_matvec,
+    hash_u64,
+    hash_unit,
+    split_range,
+)
 
 
 class TestSplitRange:
@@ -68,3 +79,58 @@ class TestHashing:
 
     def test_scalar_input(self):
         assert hash_u64(5) == hash_u64(np.array([5]))[0]
+
+
+@st.composite
+def csr_slices(draw):
+    """A raw CSR matrix (empty rows, unsorted and duplicate column
+    indices allowed; int32 or int64 index arrays) and a row range."""
+    n_rows = draw(st.integers(0, 8))
+    n_cols = draw(st.integers(1, 10))
+    rows = [
+        draw(st.lists(st.integers(0, n_cols - 1), max_size=5)) for _ in range(n_rows)
+    ]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    data = np.array(draw(st.lists(finite, min_size=indices.size, max_size=indices.size)))
+    A = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_cols))
+    idx_dtype = draw(st.sampled_from([np.int32, np.int64]))
+    A.indices, A.indptr = A.indices.astype(idx_dtype), A.indptr.astype(idx_dtype)
+    lo = draw(st.integers(0, n_rows))
+    hi = draw(st.integers(lo, n_rows))
+    return A, lo, hi
+
+
+class TestCsrBlock:
+    @settings(max_examples=60, deadline=None)
+    @given(csr_slices(), st.randoms(use_true_random=False))
+    def test_matches_scipy_slice_renumbered(self, case, rnd):
+        A, lo, hi = case
+        block = CsrBlock(A, lo, hi)
+        ref = A[lo:hi]
+        cols = np.unique(ref.indices)
+        assert block.cols.base is None
+        assert block.cols.dtype == block.indices.dtype == A.indices.dtype
+        np.testing.assert_array_equal(block.cols, cols)
+        np.testing.assert_array_equal(block.indptr, ref.indptr)
+        np.testing.assert_array_equal(block.indices, np.searchsorted(cols, ref.indices))
+        assert block.data.tobytes() == ref.data.tobytes()
+        assert block.shape == (hi - lo, cols.size) and block.nnz == ref.nnz
+        v = np.array([rnd.uniform(-1, 1) for _ in range(cols.size)])
+        want = (ref[:, cols] @ v).tobytes()
+        assert csr_matvec(block, v).tobytes() == want
+
+    def test_fallback_without_sparsetools_is_bitwise_equal(self, monkeypatch):
+        rng = np.random.default_rng(1)
+        A = sp.random(40, 60, density=0.2, format="csr", random_state=rng)
+        block = CsrBlock(A, 5, 31)
+        v = rng.standard_normal(block.cols.size)
+        fast = csr_matvec(block, v)
+        monkeypatch.setattr(common, "_csr_matvec", None)
+        assert csr_matvec(block, v).tobytes() == fast.tobytes()
+
+    @pytest.mark.parametrize("A", [sp.csc_matrix(np.eye(3)), np.eye(3)])
+    def test_non_csr_is_refused(self, A):
+        with pytest.raises(TypeError, match="CsrBlock needs a CSR matrix"):
+            CsrBlock(A, 0, 2)
