@@ -4,7 +4,13 @@ Graphs are built from the repository's SplitMix64 hash, so every
 implementation (and every test run) sees the identical structure
 without carrying adjacency data around.  Each vertex draws ``degree``
 pseudo-random out-neighbours; edges are symmetrised, self-loops and
-duplicates removed, and the result stored in CSR form.
+duplicates removed, and the result stored in CSR form.  The CSR is
+built in numpy, without scipy: both directions of every edge become
+one ``row * n + col`` int64 key, the keys are sorted in place and
+deduplicated, the row boundaries come from one ``searchsorted`` and the
+column indices are the keys' remainders, taken in place.  The hash
+inputs and the edge keys are built in place too, so the build's peak
+memory is a few edge-sized arrays, not a chain of matrix temporaries.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.common import hash_u64
 
@@ -65,25 +70,31 @@ def hashed_graph(n: int, degree: int = 4, *, seed: int = 1) -> Graph:
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     src = np.repeat(np.arange(n, dtype=np.int64), degree)
-    k = np.tile(np.arange(degree, dtype=np.int64), n)
-    with np.errstate(over="ignore"):
-        key = (
-            src.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-            + k.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-            + np.uint64(seed)
-        )
-    dst = (hash_u64(key) % np.uint64(n)).astype(np.int64)
+    key = src.astype(np.uint64)
+    key *= np.uint64(0x9E3779B97F4A7C15)
+    key += np.tile(np.arange(degree, dtype=np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F), n)
+    key += np.uint64(seed)
+    dst = hash_u64(key)
+    del key
+    dst %= np.uint64(n)
+    dst = dst.view(np.int64)  # every value is below n
     keep = src != dst  # no self-loops
     src, dst = src[keep], dst[keep]
-    rows = np.concatenate([src, dst])
-    cols = np.concatenate([dst, src])
-    adj = sp.coo_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
-    ).tocsr()
-    adj.data[:] = 1  # collapse duplicate edges
-    adj.sum_duplicates()
-    adj.sort_indices()
-    return Graph(indptr=adj.indptr.astype(np.int64), indices=adj.indices.astype(np.int64), n=n)
+    m = src.size
+    keys = np.empty(2 * m, dtype=np.int64)
+    np.multiply(src, n, out=keys[:m])
+    keys[:m] += dst
+    np.multiply(dst, n, out=keys[m:])
+    keys[m:] += src
+    del src, dst, keep
+    keys.sort()
+    fresh = np.empty(keys.size, dtype=bool)  # collapse duplicate edges
+    fresh[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    del fresh
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return Graph(indptr=indptr, indices=np.remainder(keys, n, out=keys), n=n)
 
 
 def to_networkx(graph: Graph):

@@ -35,7 +35,7 @@ def _bfs_kernel(ctx, graph, DIST):
         frontier = lo + np.nonzero(mine == level)[0]
         if frontier.size:
             nbrs, edges = graph.expand(frontier)
-            DIST.accumulate(nbrs, np.full(nbrs.size, level + 1), op="minimum")
+            DIST.accumulate(nbrs, level + 1, op="minimum")
             ctx.work(2 * edges)
         handle = ctx.reduce(int(frontier.size), "sum")
 

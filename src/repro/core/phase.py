@@ -38,9 +38,15 @@ would scatter one op at a time:
   not broadcast to their row block — replays per-op via
   :meth:`~repro.core.shared.WriteEvent.replay`.
 
-The index side of each run (concatenated rows, lexsort products) is
-compiled once into a :class:`_TargetPlan` and reused while the access
-pattern repeats (:class:`CommitPlanCache`).
+A target's batched runs are compiled into a :class:`_TargetPlan`
+(concatenated rows, lexsort products) only on the *second* sighting of
+its stream (:class:`CommitPlanCache`): the first sighting replays op by
+op, in rank order — exactly ``tests/reference.py``'s oracle — and keeps
+nothing but the stream's keys, serial numbers that hold no spec or
+array.  So a data-driven round that never repeats commits without
+concatenating its footprints and leaves no index buffer behind, while
+an iterative kernel compiles once and reuses the plan while its access
+pattern repeats.
 
 Phase plans
 -----------
@@ -51,9 +57,10 @@ order, round after round, and only the values differ.
 :meth:`PhaseRecorder.signature` names that shape — a tuple of serial
 numbers, holding no array — and the runtime keeps one
 :class:`PhasePlan` per signature for the duration of a ``do``: the
-first occurrence *inspects* (rank sort, target grouping, plan
-compilation here; bundling and communication costs in the runtime),
-every repeat *executes* the stored recipe on that round's values.
+first occurrence *inspects* (rank sort and target grouping here;
+bundling and communication costs in the runtime), every repeat
+*executes* the stored recipe on that round's values — and its first
+repeat is what compiles each target's batched runs.
 """
 
 from __future__ import annotations
@@ -90,41 +97,34 @@ class _RunPlan:
 
 
 class _TargetPlan:
-    """Replay recipe for one target's full rank-ordered commit stream:
-    run segmentation plus one :class:`_RunPlan` per batchable run.
+    """What a :class:`CommitPlanCache` keeps for one target's full
+    rank-ordered commit stream.
 
-    ``keys`` holds per-event ``(kind, op, RowSpec, rows_exact)``
-    tuples; the row specs are strong references, so validating an
-    incoming stream by ``is``-identity is exact — a spec object can
-    never be recycled while the plan holds it.  ``serial`` is a
-    never-recycled number by which a :class:`PhasePlan` refers to the
-    compiled plan without keeping it (or its index buffers) alive."""
+    ``keys`` holds per-event ``(kind, op, rows.uid, rows_exact)``
+    tuples; a row spec's serial is never recycled, so matching an
+    incoming stream by it is exact without keeping any spec (or its
+    index array) alive.  ``segments`` is ``None`` until the stream is
+    seen a second time, then its run segmentation with one
+    :class:`_RunPlan` per batchable run.  ``serial`` is a never-recycled
+    number by which a :class:`PhasePlan` refers to the plan without
+    keeping it (or its index buffers) alive."""
 
     __slots__ = ("keys", "segments", "serial")
 
-
-def _plan_matches(plan: _TargetPlan, evs: list[WriteEvent]) -> bool:
-    keys = plan.keys
-    if len(evs) != len(keys):
-        return False
-    for ev, (kind, op, rows, exact) in zip(evs, keys):
-        if (
-            ev.kind != kind
-            or ev.op != op
-            or ev.rows is not rows
-            or ev.rows_exact != exact
-        ):
-            return False
-    return True
+    def __init__(self, keys: list) -> None:
+        self.keys = keys
+        self.segments: list | None = None
+        self.serial = next(_PLAN_SERIALS)
 
 
-def _build_target_plan(evs: list[WriteEvent]) -> _TargetPlan:
+def _stream_keys(evs: list[WriteEvent]) -> list:
+    return [(ev.kind, ev.op, ev.rows.uid, ev.rows_exact) for ev in evs]
+
+
+def _segment(evs: list[WriteEvent]) -> list:
     """Segment one target's rank-ordered stream into maximal
     same-``(kind, op)`` runs, pre-computing each batchable run's
     concatenated rows and (for writes) the lexsort products."""
-    plan = _TargetPlan()
-    plan.serial = next(_PLAN_SERIALS)
-    plan.keys = [(ev.kind, ev.op, ev.rows, ev.rows_exact) for ev in evs]
     segments: list[tuple] = []
     n = len(evs)
     i = 0
@@ -158,18 +158,17 @@ def _build_target_plan(evs: list[WriteEvent]) -> _TargetPlan:
                 run.take = None
             segments.append((first.kind, i, j, run))
         i = j
-    plan.segments = segments
-    return plan
+    return segments
 
 
-def _apply_plan(target: np.ndarray, evs: list[WriteEvent], plan: _TargetPlan) -> None:
+def _apply_plan(target: np.ndarray, evs: list[WriteEvent], segments: list) -> None:
     """Replay one target's stream through its plan: the per-round
     work is value broadcasting and one fancy assignment (or
     ``ufunc.at``) per batched run.  A run whose values do not
     broadcast to their row blocks replays per-op instead."""
     trailing = target.shape[1:]
     dtype = target.dtype
-    for kind, i, j, run in plan.segments:
+    for kind, i, j, run in segments:
         if kind == "replay":
             for ev in evs[i:j]:
                 ev.replay(target)
@@ -203,14 +202,17 @@ class CommitPlanCache:
     """Cross-round cache of :class:`_TargetPlan` replay recipes.
 
     An iterative solver presents the same index buffers every round;
-    this cache keeps one compiled access pattern per target, keyed by
-    ``(shared name, instance)``, and replays it while the incoming
-    stream is the one it was compiled from.  Used by the inline runtime
-    (``PpmRuntime.commit_plans``) and, through the same
-    :meth:`PhaseRecorder.apply_writes`, by the worker-side zero-merge
-    commit of the process backend; a mismatched round simply
-    rebuilds (counted in :attr:`misses`), so the cache can never change
-    committed bits — only skip redundant index work.
+    this cache keeps one access pattern per target, keyed by
+    ``(shared name, instance)``.  A stream seen for the first time (no
+    plan for the target, or different keys) replays op by op and is
+    remembered by its keys alone; the same stream seen again compiles
+    its batched runs, which serve every later round while the stream
+    repeats.  A promotion counts as a hit, a first sighting as a miss.
+    Used by the inline runtime (``PpmRuntime.commit_plans``) and,
+    through the same :meth:`PhaseRecorder.apply_writes`, by the
+    worker-side zero-merge commit of the process backend.  Both paths
+    apply the same operations in the same order, so the cache can never
+    change committed bits — only skip redundant index work.
     """
 
     __slots__ = ("_plans", "hits", "misses")
@@ -225,20 +227,29 @@ class CommitPlanCache:
         when it still matches; returns the serial of the plan used.
 
         ``serial`` is how a :class:`PhasePlan` executor names the plan
-        its inspector round compiled: the phase signature has already
+        its inspector round recorded: the phase signature has already
         proved this stream identical to that round's, so finding the
-        same serial in the target's slot replaces the per-event
-        row-spec identity check."""
+        same serial in the target's slot replaces the per-event key
+        check."""
         key = (evs[0].shared.name, evs[0].instance)
         plan = self._plans.get(key)
-        if plan is not None and (plan.serial == serial or _plan_matches(plan, evs)):
-            self.hits += 1
-        else:
-            plan = _build_target_plan(evs)
-            self._plans[key] = plan
-            self.misses += 1
-        _apply_plan(target, evs, plan)
+        if plan is None or plan.serial != serial:
+            keys = _stream_keys(evs)
+            if plan is None or plan.keys != keys:
+                self._plans[key] = plan = _TargetPlan(keys)
+                self.misses += 1
+                for ev in evs:
+                    ev.replay(target)
+                return plan.serial
+        self.hits += 1
+        if plan.segments is None:
+            plan.segments = _segment(evs)
+        _apply_plan(target, evs, plan.segments)
         return plan.serial
+
+    def clear(self) -> None:
+        """Forget every plan; the hit/miss counters stay."""
+        self._plans.clear()
 
     def stats(self) -> tuple[int, int]:
         return self.hits, self.misses
@@ -266,15 +277,15 @@ class PhasePlan:
     :meth:`PhaseRecorder.apply_writes`: per target, in commit order, a
     ``[picker, serial]`` pair — the positions of the target's
     operations in the phase's recording-order operation list (already
-    in rank order) and the serial of the :class:`_TargetPlan` compiled
+    in rank order) and the serial of the :class:`_TargetPlan` kept
     for them.  ``costs`` is the timing half, filled by the runtime's
     inspector round, and with it what a traced round reports about the
     shape's traffic.  ``disjoint`` is the sanitizer's verdict
     (:meth:`~repro.analysis.sanitizer.PhaseSanitizer.check_phase`):
     true once a check found every target written by one VP or by VPs
     on disjoint rows, which no value can change.  None of the three
-    references an index array: the compiled buffers live in the
-    :class:`CommitPlanCache`, one plan per target, so a shape that
+    references an index array, and the :class:`CommitPlanCache` holds
+    compiled buffers only for a stream seen twice, so a shape that
     never repeats costs its signature and a few small tuples."""
 
     __slots__ = ("recipe", "costs", "disjoint")
@@ -400,8 +411,8 @@ class PhaseRecorder:
         highest-ranked writer winning — the documented PPM conflict
         rule of this reproduction (``tests/reference.py`` is its
         one-op-at-a-time oracle).  ``plans`` is the
-        :class:`CommitPlanCache` holding the compiled per-target index
-        buffers.  ``plan`` is this phase shape's :class:`PhasePlan`:
+        :class:`CommitPlanCache` holding the per-target plans.
+        ``plan`` is this phase shape's :class:`PhasePlan`:
         its first round sorts by rank, groups by target and stores the
         outcome as the plan's recipe; later rounds pick each target's
         operations by position and replay — no sort, no regrouping, no

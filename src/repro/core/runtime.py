@@ -279,15 +279,16 @@ class PpmRuntime:
         Idempotent, and reached on *every* ``run_ppm`` exit path
         (success, application crash, ``KeyboardInterrupt``), so no
         worker process or ``/dev/shm`` segment outlives the program.
-        Also forgets the phase plans and the shared variables' memoised
-        access records, so nothing they hold waits for a garbage
-        collection."""
+        Also forgets the phase plans, the commit plans (their hit/miss
+        counters stay) and the shared variables' memoised access
+        records, so nothing they hold waits for a garbage collection."""
         backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
         if self.shm is not None:
             self.shm.close()
         self._phase_plans.clear()
+        self.commit_plans.clear()
         for shared in self.shared_registry.values():
             shared._drop_caches()
 

@@ -169,6 +169,7 @@ class WriteEvent:
     addresses exactly the rows in ``rows`` (no partial-row tuple
     index), which is what the vectorized commit path can batch;
     everything else falls back to an exact per-op :meth:`replay`.
+    ``idx`` is captured when the record is made (:func:`_captured`).
     """
 
     __slots__ = (
@@ -192,7 +193,7 @@ class WriteEvent:
         self.instance = instance
         self.kind = kind  # "write" | "accumulate"
         self.op = op  # accumulate ufunc name, None for plain writes
-        self.idx = idx
+        self.idx = idx if type(idx) is slice else _captured(idx, rows)
         self.value = value
         self.rows = rows
         self.rank = rank
@@ -308,6 +309,20 @@ def _normalize_rows(idx: object, n0: int) -> RowSpec:
         if lo < 0:
             arr[arr < 0] += n0
     return RowSpec.from_array(arr)
+
+
+def _captured(idx: object, rows: RowSpec) -> object:
+    """``idx`` as it stands at the access (SEMANTICS.md R2: the VP may
+    mutate its index array before the commit).  A 1-D integer or boolean
+    index is the footprint's owned rows (negatives already wrapped); any
+    other index copies its array parts."""
+    if type(idx) is tuple:
+        return tuple(np.array(p) if isinstance(p, (_NDARRAY, list)) else p for p in idx)
+    if not isinstance(idx, (_NDARRAY, list)):
+        return idx  # int, Ellipsis: immutable
+    if rows.array is not None and np.ndim(idx) == 1:
+        return rows.array
+    return np.array(idx)
 
 
 def _rows_exact(idx: object) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.graph import (
@@ -15,9 +15,35 @@ from repro.apps.graph import (
     serial_bfs,
     to_networkx,
 )
+from repro.apps.common import hash_u64
 from repro.apps.graph.generator import Graph
 from repro.config import franklin
 from repro.machine import Cluster
+
+
+def _scipy_csr(n: int, degree: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``hashed_graph``'s CSR the scipy way: the same hashed edges,
+    symmetrised through a COO matrix, converted, deduplicated."""
+    import scipy.sparse as sp
+
+    src = np.repeat(np.arange(n, dtype=np.int64), degree)
+    k = np.tile(np.arange(degree, dtype=np.int64), n)
+    with np.errstate(over="ignore"):
+        key = (
+            src.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+            + k.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+            + np.uint64(seed)
+        )
+    dst = (hash_u64(key) % np.uint64(n)).astype(np.int64)
+    keep = src != dst
+    rows = np.concatenate([src[keep], dst[keep]])
+    cols = np.concatenate([dst[keep], src[keep]])
+    adj = sp.coo_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
+    ).tocsr()
+    adj.sum_duplicates()
+    adj.sort_indices()
+    return adj.indptr.astype(np.int64), adj.indices.astype(np.int64)
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +83,22 @@ class TestGenerator:
         a = hashed_graph(100, seed=9)
         b = hashed_graph(100, seed=10)
         assert a.indices.size != b.indices.size or not (a.indices == b.indices).all()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(2, 40),
+        degree=st.integers(1, 60),
+        seed=st.integers(0, 2**32),
+    )
+    @example(n=2, degree=1, seed=6)  # every draw a self-loop: no edge at all
+    @example(n=2, degree=3, seed=138)  # the same with degree > n
+    @example(n=3, degree=9, seed=1)  # degree >= n: duplicates everywhere
+    def test_csr_equals_scipy_reference(self, n, degree, seed):
+        g = hashed_graph(n, degree, seed=seed)
+        indptr, indices = _scipy_csr(n, degree, seed)
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+        np.testing.assert_array_equal(g.indptr, indptr)
+        np.testing.assert_array_equal(g.indices, indices)
 
     def test_validation(self):
         with pytest.raises(ValueError):

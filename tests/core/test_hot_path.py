@@ -15,6 +15,10 @@ numpy-integer VP counts and ``close()``.
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,7 +26,9 @@ from hypothesis import strategies as st
 
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
+from repro.core.phase import CommitPlanCache
 from repro.core.program import PpmProgram
+from repro.core.shared import RowSpec, WriteEvent
 from repro.machine import Cluster
 from tests.reference import commit_oracle
 
@@ -68,49 +74,126 @@ def _one_op(draw):
 _programs = st.lists(
     st.lists(_one_op(), max_size=6), min_size=VPS, max_size=VPS
 )
+_sightings = st.sampled_from([1, 2, 3])  # rounds repeating one stream
 
 
 @ppm_function
-def _apply_ops(ctx, xs, per_vp):
-    yield ctx.global_phase
-    for kind, rows, vals, op in per_vp[ctx.global_rank]:
-        if kind == "write":
-            xs[rows] = vals
-        else:
-            xs.accumulate(rows, vals, op=op)
+def _apply_ops(ctx, xs, per_vp, repeat):
+    for _ in range(repeat):  # one sighting of the same stream per round
+        yield ctx.global_phase
+        for kind, rows, vals, op in per_vp[ctx.global_rank]:
+            if kind == "write":
+                xs[rows] = vals
+            else:
+                xs.accumulate(rows, vals, op=op)
     yield ctx.global_phase  # commit, then read everything back
     xs[:]
 
 
-def _run(shared_kind: str, per_vp) -> np.ndarray:
+def _run(shared_kind: str, per_vp, repeat: int) -> tuple[np.ndarray, tuple[int, int]]:
+    """Committed bytes and the commit-plan ``(hits, misses)``."""
+
     def main(ppm):
         if shared_kind == "global":
             xs = ppm.global_shared("x", N)
         else:
             xs = ppm.node_shared("x", N)
-        ppm.do(2, _apply_ops, xs, per_vp)
+        ppm.do(2, _apply_ops, xs, per_vp, repeat)
         if shared_kind == "global":
             return xs.committed.copy()
         return np.concatenate([np.asarray(xs.instance(i)) for i in range(2)])
 
-    return run_ppm(main, _cluster())[1]
+    ppm, out = run_ppm(main, _cluster())
+    return out, ppm.runtime.commit_plans.stats()
+
+
+def _oracle(per_vp, repeat: int) -> np.ndarray:
+    arr = np.zeros(N)
+    for _ in range(repeat):
+        arr = commit_oracle(arr, per_vp)
+    return arr
 
 
 class TestCommitMatchesOracle:
+    """A stream's first sighting replays op by op, its second compiles
+    the batched runs and its third reuses them: every one must commit
+    the oracle's bytes, and only the first counts as a plan miss."""
+
     @settings(max_examples=30, deadline=None)
-    @given(per_vp=_programs)
-    def test_global_shared_commit_bitwise_equal(self, per_vp):
-        want = commit_oracle(np.zeros(N), per_vp)
-        assert _run("global", per_vp).tobytes() == want.tobytes()
+    @given(per_vp=_programs, repeat=_sightings)
+    def test_global_shared_commit_bitwise_equal(self, per_vp, repeat):
+        got, stats = _run("global", per_vp, repeat)
+        assert got.tobytes() == _oracle(per_vp, repeat).tobytes()
+        targets = int(any(per_vp))
+        assert stats == ((repeat - 1) * targets, targets)
 
     @settings(max_examples=15, deadline=None)
-    @given(per_vp=_programs)
-    def test_node_shared_commit_bitwise_equal(self, per_vp):
+    @given(per_vp=_programs, repeat=_sightings)
+    def test_node_shared_commit_bitwise_equal(self, per_vp, repeat):
         # One instance per node, written by that node's two VPs only.
-        want = np.concatenate(
-            [commit_oracle(np.zeros(N), per_vp[2 * i : 2 * i + 2]) for i in range(2)]
+        nodes = [per_vp[2 * i : 2 * i + 2] for i in range(2)]
+        want = np.concatenate([_oracle(ops, repeat) for ops in nodes])
+        got, stats = _run("node", per_vp, repeat)
+        assert got.tobytes() == want.tobytes()
+        targets = sum(any(ops) for ops in nodes)
+        assert stats == ((repeat - 1) * targets, targets)
+
+
+@ppm_function
+def _scatter_rounds(ctx, targets, refs, rounds=1):
+    """Per target, ``rounds`` accumulate rounds through one index array
+    the VP computes there; ``refs`` collects weak references to the
+    row arrays of the footprints the runtime recorded (a footprint owns
+    its array, so a dead array means a dead footprint)."""
+    for xs in targets:
+        idx = (np.arange(8) * 3 + ctx.global_rank) % N
+        for _ in range(rounds):
+            yield ctx.global_phase
+            xs.accumulate(idx, 1.0)
+            refs.append(weakref.ref(xs.runtime.phase.writes[-1].array))
+        del idx
+    yield ctx.global_phase
+
+
+class TestCommitPlanRetention:
+    """The commit plan cache keeps serials, not footprints, and compiles
+    nothing for a stream it has seen once."""
+
+    def test_first_sighting_does_not_concatenate(self):
+        class Var:
+            name = "x"
+
+        idxs = [np.random.default_rng(r).integers(0, 4096, 1024) for r in range(64)]
+        evs = [
+            WriteEvent(Var, None, "accumulate", "add", idx, np.ones(idx.size),
+                       RowSpec.from_array(idx), rank, True)
+            for rank, idx in enumerate(idxs)
+        ]
+        target, plans = np.zeros(4096), CommitPlanCache()
+        tracemalloc.start()
+        try:
+            plans.apply(target, evs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(idx.nbytes for idx in idxs)
+        assert plans.stats() == (0, 1)
+        want = commit_oracle(
+            np.zeros(4096), [[("accumulate", idx, np.ones(idx.size), "add")] for idx in idxs]
         )
-        assert _run("node", per_vp).tobytes() == want.tobytes()
+        assert target.tobytes() == want.tobytes()
+
+    def test_committed_specs_die_with_their_round(self):
+        refs = []
+
+        def main(ppm):
+            targets = [ppm.global_shared("x", N), ppm.global_shared("y", N)]
+            ppm.do(2, _scatter_rounds, targets, refs)
+            gc.collect()  # before close(): only the plan cache could hold them
+            return [array() is not None for array in refs]
+
+        _, alive = run_ppm(main, _cluster())
+        assert alive == [False] * 8
 
 
 # ----------------------------------------------------------------------
@@ -318,3 +401,15 @@ class TestRuntimeClose:
         with pytest.raises(KeyboardInterrupt):
             run_ppm(main, _cluster())
         assert not held["xs"]._access_cache
+
+    def test_run_ppm_drops_the_last_rounds_footprints(self):
+        refs = []
+
+        def main(ppm):
+            ppm.do(2, _scatter_rounds, [ppm.global_shared("x", N)], refs, 2)
+
+        ppm, _ = run_ppm(main, _cluster())
+        gc.collect()
+        assert [array() is not None for array in refs[-4:]] == [False] * 4
+        assert not ppm.runtime.commit_plans._plans
+        assert ppm.runtime.commit_plans.stats() == (1, 1)  # counters survive close()

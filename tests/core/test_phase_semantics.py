@@ -38,6 +38,29 @@ def prologue_read_kernel(ctx, A, bad):
     yield ctx.global_phase
 
 
+@ppm_function
+def mutate_index_after_access(ctx, pairs):
+    # Module level: the process executor ships kernels by pickling.
+    # Ranks 1 and 2 sit on either side of the workers=2 shard boundary;
+    # each is the only writer of its pair, so each stream is one op.
+    yield ctx.global_phase
+    if ctx.global_rank in (1, 2):
+        X, Y = pairs[ctx.global_rank - 1]
+        idx = np.array([1, 2])
+        X[idx] = np.array([10.0, 20.0])
+        Y.accumulate(idx, np.array([10.0, 20.0]))
+        idx[:] = [5, 6]
+
+
+def _main_mutated_index(ppm):
+    pairs = [
+        (ppm.global_shared(f"X{r}", 8), ppm.global_shared(f"Y{r}", 8, fill=1.0))
+        for r in (1, 2)
+    ]
+    ppm.do(2, mutate_index_after_access, pairs)
+    return [(X.committed, Y.committed) for X, Y in pairs]
+
+
 class TestSnapshotReads:
     def test_reads_see_phase_start_values(self):
         """All VPs read neighbours' slots during the same phase in
@@ -143,6 +166,17 @@ class TestSnapshotReads:
 
         _, a = run_ppm(main, _cluster())
         assert a[0] == 5.0 and a[1] == 5.0
+
+    @pytest.mark.parametrize("sanitize", [None, "strict"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_index_mutated_after_the_access_is_not_replayed(self, workers, sanitize):
+        """R2: the index is captured at the access, like the value, so
+        the commit writes the rows bundling and the sanitizer saw."""
+        engine = {} if workers == 1 else {"executor": "process", "workers": 2}
+        _, pairs = run_ppm(_main_mutated_index, _cluster(), sanitize=sanitize, **engine)
+        for x, y in pairs:
+            assert x.tolist() == [0, 10, 20, 0, 0, 0, 0, 0]
+            assert y.tolist() == [1, 11, 21, 1, 1, 1, 1, 1]
 
 
 class TestConflictResolution:
