@@ -103,7 +103,7 @@ def ppm_cg_solve(
     solve (setup is untimed, as in the paper's measurements).  Pass a
     :class:`~repro.obs.events.PhaseTrace` as ``trace`` to collect
     phase-level observability events for the run.  Extra keyword
-    arguments (``faults=``, ``resilience=``, ``sanitize=``, ...) pass through to
+    arguments (``resilience=``, ``sanitize=``, ``executor=``, ...) pass through to
     :func:`~repro.core.program.run_ppm`.
     """
 

@@ -92,8 +92,7 @@ def bench_resilience(
             cluster(),
             max_iters=iters,
             tol=0.0,
-            faults=plan,
-            resilience=ResiliencePolicy(checkpoint_every=every),
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=every),
         )
         if not np.array_equal(base_result.x, crashed.x):
             raise AssertionError(
@@ -170,7 +169,7 @@ def write_resilience_json(
                 "to the fault-free run (asserted during the sweep)"
             ),
             "disabled_cost": (
-                "with faults/checkpoint_every/resilience all None, run_ppm "
+                "with resilience=None, run_ppm "
                 "takes the pre-resilience code path — perfbench's "
                 "cg_sweep host_s (python3 perfbench/run.py --workload "
                 "cg_sweep) covers the no-overhead claim"

@@ -88,7 +88,7 @@ class ParallelError(PpmError):
 class ParallelConfigError(ParallelError, ValueError):
     """The process execution backend was configured in a way it cannot
     honour — an unpicklable kernel, an invalid executor or worker
-    count, supervision without worker processes, or a worker reply
+    count, a worker kill without worker processes, or a worker reply
     that cannot cross the process boundary.
 
     ``code`` carries the diagnostic rule id (``PPM501``, ``PPM502``,
@@ -116,7 +116,7 @@ class WorkerDeathError(ParallelExecutionError):
     and the last command on the pipe, so a raw ``EOFError`` /
     ``BrokenPipeError`` from a dead child never surfaces as a bare
     traceback.  ``code`` is ``PPM603`` (docs/DIAGNOSTICS.md); pass
-    ``run_ppm(..., supervision=SupervisionPolicy())`` to recover
+    ``run_ppm(..., resilience=ResiliencePolicy())`` to recover
     instead of raising."""
 
     def __init__(self, message: str, *, code: str = "PPM603") -> None:

@@ -60,9 +60,9 @@ class PpmProgram:
 
     def __init__(self, cluster: Cluster, **engine_opts: object) -> None:
         # The engine options (sanitize, trace, resilience, executor,
-        # workers, supervision, supervision_state) are named, documented
-        # and validated by PpmRuntime; ``trace`` is a PhaseTrace or None
-        # here (``run_ppm`` resolves ``True``/``"on"``).
+        # workers) are named, documented and validated by PpmRuntime;
+        # ``trace`` is a PhaseTrace or None here (``run_ppm`` resolves
+        # ``True``/``"on"``).
         self.runtime = PpmRuntime(cluster, **engine_opts)
         self.cluster = cluster
 
@@ -197,11 +197,9 @@ def run_ppm(
     *args: object,
     sanitize: str | bool | None = None,
     trace: "PhaseTrace | bool | None" = None,
-    faults=None,
     resilience=None,
     executor: str = "inline",
     workers: int | None = None,
-    supervision=None,
     **kwargs: object,
 ):
     """Run a PPM application.
@@ -230,22 +228,30 @@ def run_ppm(
         aggregates them into a
         :class:`~repro.obs.metrics.RunReport`.  Tracing never changes
         simulated results or times.
-    faults:
-        ``None`` (default) or a
-        :class:`~repro.resilience.faults.FaultPlan` — a deterministic,
-        seeded schedule of message drops/corruption/delays/duplicates,
-        node crashes and stragglers.  Injected faults cost simulated
-        time; committed results stay bitwise-identical to a fault-free
-        run (docs/RESILIENCE.md).
     resilience:
-        Optional :class:`~repro.resilience.manager.ResiliencePolicy`:
-        retry/timeout/backoff schedule, checkpoint interval and
-        checkpoint/recovery costs (defaults apply when ``faults`` is
-        given without it).  ``checkpoint_every=k`` charges the simulated
-        clock a coordinated write-out of all shared instances every
-        ``k`` phases and records the cut; an injected crash rolls back
-        to the last cut (by re-execution: no array is copied).
-
+        ``None`` (default) or a
+        :class:`~repro.resilience.manager.ResiliencePolicy` — the run's
+        one failure policy (anything else raises
+        :class:`~repro.core.errors.ResilienceConfigError` ``PPM303``
+        before a worker forks).  Its ``faults``
+        (:class:`~repro.resilience.faults.FaultPlan`) is a seeded
+        schedule of simulated message faults, node crashes and
+        stragglers — they cost simulated time, committed results stay
+        bitwise-identical to a fault-free run — and, under
+        ``executor="process"``, of real worker kills
+        (``kill_worker``; under the inline executor
+        :class:`~repro.core.errors.ParallelConfigError` ``PPM602``).
+        ``checkpoint_every=k`` charges a coordinated write-out of all
+        shared instances every ``k`` phases; an injected crash rolls
+        back to the last cut by re-execution (docs/RESILIENCE.md).
+        Under ``executor="process"`` a policy also supervises the
+        worker pool: a crashed, hung or corrupted worker is detected at
+        the round boundary and the driver re-executes in a fresh pool,
+        so committed arrays, simulated times and reports equal a
+        fault-free run's; past ``max_respawns`` restarts at one pool
+        size the run degrades per ``degrade`` (docs/PARALLEL.md).
+        Without a policy a worker death raises
+        :class:`~repro.core.errors.WorkerDeathError` (``PPM603``).
     executor:
         ``"inline"`` (default) — phase bodies run in this process,
         bitwise-identical to every release before the process backend
@@ -262,24 +268,9 @@ def run_ppm(
         :func:`repro.parallel.default_workers`, the cores this
         process may run on clamped to [2, 8]).  Ignored under the
         inline executor.
-    supervision:
-        ``None`` (default) or a
-        :class:`~repro.parallel.supervisor.SupervisionPolicy` —
-        fault-tolerant worker pool under ``executor="process"``: a
-        crashed, hung or corrupted worker is detected at the phase-
-        round boundary and the driver re-executes in a fresh pool
-        (after a back-off), so committed arrays, simulated times and
-        reports equal a fault-free run's.  When the respawn budget
-        for a pool size runs out the run *degrades* (restarts with
-        fewer processes or falls back to ``executor="inline"``) instead
-        of crashing (docs/PARALLEL.md).  Requires
-        ``executor="process"``
-        (:class:`~repro.core.errors.ParallelConfigError` ``PPM602``);
-        without it a worker death raises
-        :class:`~repro.core.errors.WorkerDeathError` (``PPM603``).
 
-    With ``faults`` and ``resilience`` both ``None`` (the default), this
-    takes exactly the pre-resilience fast path — no per-phase hooks.
+    With ``resilience=None`` (the default), this takes exactly the
+    pre-resilience fast path — no per-phase hooks.
 
     Returns
     -------
@@ -299,31 +290,21 @@ def run_ppm(
     # appends to it (what a crashed or abandoned turn recorded is part
     # of the run).  ``opts`` is what each turn's PpmRuntime is built
     # from; a degradation weakens it.
-    opts = dict(
-        sanitize=sanitize, trace=trace, executor=executor, workers=workers,
-        supervision=supervision,
-    )
+    opts = dict(sanitize=sanitize, trace=trace, executor=executor, workers=workers)
 
-    def new_manager():
-        if faults is None and resilience is None:
-            return None
-        # Deferred import: repro.core must stay importable without the
-        # resilience package being touched on the default path.
+    manager = state = None
+    if resilience is not None:
+        # Deferred imports: a default run loads no recovery machinery.
+        # The first manager checks the policy, before anything forks.
         from repro.resilience.manager import ResilienceManager
 
-        return ResilienceManager(
-            cluster,
-            plan=faults,
-            policy=resilience,
-            tracer=trace,
+        if executor == "process":
+            from repro.parallel.supervisor import SupervisionState
+
+            state = SupervisionState()
+        manager = ResilienceManager(
+            cluster, resilience, tracer=trace, supervision=state
         )
-
-    manager = new_manager()
-    state = None
-    if supervision is not None:
-        from repro.parallel.supervisor import SupervisionState
-
-        state = opts["supervision_state"] = SupervisionState()
     entry = cluster.trace.mark()
     # The one loop that re-executes a driver (a plain call goes round
     # once).  A phase boundary is a coordinated cut and driver + kernels
@@ -344,12 +325,15 @@ def run_ppm(
         except NodeCrashFault as crash:
             manager.handle_crash(crash)
         except _PoolRestart as sig:
-            event = state.restart(sig, supervision, opts, t0)
+            # Only a supervised run restarts, so there is a policy.
+            event = state.restart(sig, opts, t0)
             if trace is not None:
                 trace.emit(event)
             cluster.reset_clocks()
             cluster.trace.rewind(entry)
-            manager = new_manager()
+            manager = ResilienceManager(
+                cluster, resilience, tracer=trace, supervision=state
+            )
         # Either way the next turn re-declares its shared variables.
         for node in cluster:
             node.memory.clear()

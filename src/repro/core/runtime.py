@@ -139,8 +139,6 @@ class PpmRuntime:
         resilience=None,
         executor: str = "inline",
         workers: int | None = None,
-        supervision=None,
-        supervision_state=None,
     ) -> None:
         if executor not in ("inline", "process"):
             raise ParallelConfigError(
@@ -154,24 +152,6 @@ class PpmRuntime:
                     code="PPM502",
                 )
             workers = int(workers)
-        if supervision is not None and executor != "process":
-            raise ParallelConfigError(
-                "supervision= configures worker-process crash recovery "
-                "and requires executor='process' (the inline executor "
-                "has no workers to supervise)",
-                code="PPM602",
-            )
-        #: Worker supervision policy
-        #: (:class:`repro.parallel.supervisor.SupervisionPolicy`), or
-        #: None (a worker death is fatal, PPM603).  Process executor
-        #: only.
-        self.supervision = supervision
-        #: Cross-restart supervision counters
-        #: (:class:`repro.parallel.supervisor.SupervisionState`);
-        #: ``run_ppm`` threads one state object through pool restarts,
-        #: so this is where a finished run's counters are read.  None
-        #: means the backend creates a fresh one.
-        self.supervision_state = supervision_state
         #: Execution backend selector: ``"inline"`` (default — phase
         #: bodies run in this process, bitwise-identical to every
         #: release before the backend existed) or ``"process"`` — phase
@@ -237,7 +217,8 @@ class PpmRuntime:
         #: None.  Like the tracer, every hook site is gated on a single
         #: ``resilience is not None`` test and hooks run per *phase*,
         #: never per access, so disabled resilience costs the hot path
-        #: nothing.
+        #: nothing.  Under the process executor its ``supervision``
+        #: state makes the worker pool supervised.
         self.resilience = resilience
         self.phase: PhaseRecorder | None = None
         self.shared_registry: dict[str, object] = {}

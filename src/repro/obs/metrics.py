@@ -197,8 +197,8 @@ class SupervisionSummary:
     :class:`~repro.obs.events.WorkerCrash`,
     :class:`~repro.obs.events.WorkerRespawn` or
     :class:`~repro.obs.events.PoolDegraded` events, i.e. the run used
-    ``run_ppm(..., supervision=...)`` and the supervisor actually
-    intervened).
+    ``run_ppm(..., executor="process", resilience=...)`` and the
+    supervisor actually intervened).
 
     * **crashes** / **hangs** / **corrupt** — detected worker failures
       by kind (closed pipe, reply-deadline overrun, undeserialisable

@@ -21,13 +21,12 @@ Public surface
   execution backend gluing the two into phase rounds;
 * :func:`~repro.parallel.backend.default_workers` — the process count
   used when ``workers=None``;
-* :class:`~repro.parallel.supervisor.SupervisionPolicy` /
-  :class:`~repro.parallel.supervisor.WorkerSupervisor` — fault-tolerant
-  worker pool: crash/hang detection, recovery by restart and
-  graceful degradation (``run_ppm(..., supervision=...)``);
-* :class:`~repro.parallel.supervisor.ProcessChaos` — deterministic
-  real-process fault injection (SIGKILL/SIGSTOP at round boundaries)
-  for exercising the supervisor.
+* :class:`~repro.parallel.supervisor.SupervisionState` — fault-tolerant
+  worker pool: crash/hang detection, recovery by restart and graceful
+  degradation, on whenever the run has a failure policy
+  (``run_ppm(..., executor="process", resilience=ResiliencePolicy())``;
+  its budget and its ``FaultPlan.kill_worker`` drills live on that one
+  value, :class:`repro.resilience.ResiliencePolicy`).
 
 Configuration errors raise
 :class:`~repro.core.errors.ParallelConfigError` with ``PPM5xx``/
@@ -48,25 +47,17 @@ from repro.core.errors import (
 from repro.parallel.backend import ProcessBackend, default_workers
 from repro.parallel.pool import WorkerPool
 from repro.parallel.shm import ShmRegistry, live_ppm_segments
-from repro.parallel.supervisor import (
-    ProcessChaos,
-    SupervisionPolicy,
-    SupervisionState,
-    WorkerSupervisor,
-)
+from repro.parallel.supervisor import SupervisionState
 
 __all__ = [
     "ParallelConfigError",
     "ParallelError",
     "ParallelExecutionError",
     "ProcessBackend",
-    "ProcessChaos",
     "ShmRegistry",
     "SupervisionExhaustedError",
-    "SupervisionPolicy",
     "SupervisionState",
     "WorkerPool",
-    "WorkerSupervisor",
     "default_workers",
     "live_ppm_segments",
 ]

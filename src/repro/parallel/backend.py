@@ -66,22 +66,13 @@ class ProcessBackend:
         self._pool = WorkerPool(
             self.n_workers - 1, {"config": runtime.cluster.config}
         )
-        # Worker supervision: the pool hands the supervisor the
-        # failures it detects, and the run restarts.
-        self.supervisor = None
-        if getattr(runtime, "supervision", None) is not None:
-            from repro.parallel.supervisor import (
-                SupervisionState,
-                WorkerSupervisor,
-            )
-
-            state = runtime.supervision_state
-            if state is None:
-                state = SupervisionState()
-            self.supervisor = WorkerSupervisor(
-                self, runtime.supervision, state
-            )
-            self.supervisor.pool = self._pool
+        # Worker supervision (a failure policy under this executor):
+        # the pool hands the supervisor the failures it detects, and
+        # the run restarts.
+        res = runtime.resilience
+        self.supervisor = None if res is None else res.supervision
+        if self.supervisor is not None:
+            self.supervisor.backend = self
             self._pool.supervisor = self.supervisor
         # Per-do state (reset by start_do): the parent's own VP records
         # (shard 0) by node, and the decode tables, one per forked
@@ -166,7 +157,9 @@ class ProcessBackend:
         self._rec_cache = [{} for _ in range(w)]
         self._replace_views(set())
         if self.supervisor is not None:
-            self.supervisor.begin_do(shards)
+            self.supervisor.max_shard = max(
+                (hi - lo for lo, hi in shards), default=0
+            )
         self._pool.send(
             "do_start", None,
             per_worker=[{"common": common, "shard": s} for s in shards],
@@ -240,6 +233,8 @@ class ProcessBackend:
 
     def close(self) -> None:
         self._pool.close()
+        if self.supervisor is not None:
+            self.supervisor.backend = None  # the run's state outlives us
 
     # ==================================================================
     # Phase rounds

@@ -96,7 +96,7 @@ class WorkerPool:
         self._dead: set[int] = set()
         self._closed = False
         #: Failure hook (a
-        #: :class:`~repro.parallel.supervisor.WorkerSupervisor`);
+        #: :class:`~repro.parallel.supervisor.SupervisionState`);
         #: None means a worker death is fatal (PPM603).
         self.supervisor = None
         #: Diagnostics: round-command dispatches and the last command
@@ -163,7 +163,7 @@ class WorkerPool:
                 continue
             sent.append(i)
         if sup is not None:
-            sup.maybe_chaos(tag, sent)
+            sup.maybe_kill(tag, sent)
         self._inflight = (tag, sent, failures, sup)
 
     def gather(self) -> list:
@@ -176,7 +176,7 @@ class WorkerPool:
         process would otherwise outlive the pool), and a reply that
         fails to deserialise as ``"corrupt-reply"``.  With a supervisor
         attached (and a ``supervised`` send) the failures are handed to
-        :meth:`~repro.parallel.supervisor.WorkerSupervisor.fail`, which
+        :meth:`~repro.parallel.supervisor.SupervisionState.fail`, which
         abandons the attempt (the run restarts in a fresh pool);
         otherwise a :class:`~repro.core.errors.WorkerDeathError`
         (PPM603) names the workers, the failure kinds, the round and
@@ -212,7 +212,7 @@ class WorkerPool:
                 f"worker process(es) {dead} died unexpectedly during "
                 f"{tag!r} (round {self._round_no}; {kinds}) — killed, "
                 "hung past the deadline, or crashed without shipping "
-                "an exception; without run_ppm(..., supervision=) the "
+                "an exception; without run_ppm(..., resilience=) the "
                 "pool cannot continue"
             )
         if self._dead:

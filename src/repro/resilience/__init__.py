@@ -8,10 +8,14 @@ checkpoint — no message can be in flight across the cut.  This package
 exploits that to add fault tolerance the original evaluation never
 exercised:
 
+* :class:`ResiliencePolicy` — the run's one failure policy
+  (``run_ppm(..., resilience=)``): the fault schedule and the recovery
+  budget;
 * :class:`FaultPlan` / :class:`FaultInjector` — a deterministic,
   seeded description of what goes wrong: message drops, corruption,
   delays and duplicates on the bundled-message path, a node crash at a
-  chosen phase, straggler cores;
+  chosen phase, straggler cores — and, under ``executor="process"``,
+  real worker kills (:meth:`FaultPlan.kill_worker`);
 * :class:`RetryPolicy` / :mod:`repro.resilience.retry` — timeout and
   exponential backoff for dropped/corrupted bundles, with sequence
   numbers making duplicate delivery a no-op;
@@ -19,21 +23,14 @@ exercised:
   intervals, priced as a write-out of every ``PPM_global_shared``/
   ``PPM_node_shared`` instance; a crash rolls back to the last one by
   deterministic re-execution;
-* :class:`ResilienceManager` — the runtime-facing orchestrator wired
-  into :func:`repro.core.program.run_ppm` via
-  ``run_ppm(..., faults=, resilience=)``.
+* :class:`ResilienceManager` — the runtime-facing orchestrator
+  :func:`repro.core.program.run_ppm` builds for each attempt.
 
 Recovered runs commit arrays bitwise-identical to a fault-free run
-(property-tested); with every knob off the hot path is untouched.
-Model and consistency argument: docs/RESILIENCE.md.  Chaos demos::
-
-    python -m repro.resilience demo --small --check
-    python -m repro.resilience chaos --executor process --small --check
-
-``demo`` injects *simulated* faults; ``chaos`` SIGKILLs real worker
-processes under the supervised process executor
-(:class:`~repro.parallel.SupervisionPolicy`) and verifies recovery
-by restart (docs/PARALLEL.md).
+(property-tested); with ``resilience=None`` the hot path is untouched.
+Model and consistency argument: docs/RESILIENCE.md; worker
+supervision, which a policy turns on under the process executor:
+docs/PARALLEL.md.
 """
 
 from repro.core.errors import (

@@ -15,6 +15,11 @@ compatible with the simulator's determinism and with crash recovery:
    replay that recovery triggers passes the same phase index again and
    must not re-crash, so fired crashes are recorded on the injector.
 
+A plan is a value: what a run consumes lives in that run's state (the
+injector for crashes, the run's
+:class:`~repro.parallel.supervisor.SupervisionState` for worker
+kills), so one plan drives any number of identical runs.
+
 Message faults never mutate payloads.  A *corrupt* verdict models a
 checksum failure detected by the receiver (the bundle is retransmitted,
 like a drop but with the receiver having paid to receive the garbage);
@@ -29,11 +34,12 @@ phase-boundary checkpoint cut).
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from dataclasses import dataclass
 
-from repro.core.errors import ResilienceConfigError
+from repro.core.errors import ParallelConfigError, ResilienceConfigError
 
 
 def _check_prob(p: float, what: str) -> float:
@@ -110,6 +116,18 @@ class Straggler:
         return self.phases is None or phase in self.phases
 
 
+@dataclass(frozen=True)
+class WorkerKill:
+    """Signal a live forked worker at chosen dispatches of ``window``
+    (see :meth:`FaultPlan.kill_worker`)."""
+
+    every: int | None
+    rounds: tuple[int, ...]
+    worker: int | None
+    signal: str
+    window: str
+
+
 class FaultPlan:
     """Builder for a seeded fault schedule.
 
@@ -122,9 +140,9 @@ class FaultPlan:
             .straggle(node=0, factor=3.0, phases=range(4, 8))
         )
 
-    Validation happens eagerly (``PPM301``/``PPM302``/``PPM305``
-    diagnostics); node ids are range-checked against the cluster when
-    the plan is bound to a run.
+    Validation happens eagerly (``PPM301``/``PPM302``/``PPM305``/
+    ``PPM601`` diagnostics); node ids are range-checked against the
+    cluster when the plan is bound to a run.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -132,6 +150,7 @@ class FaultPlan:
         self.message_faults: list[MessageFaults] = []
         self.crashes: list[NodeCrash] = []
         self.stragglers: list[Straggler] = []
+        self.kills: list[WorkerKill] = []
 
     # -- message-layer faults ------------------------------------------
     def drop_messages(
@@ -234,6 +253,54 @@ class FaultPlan:
         )
         return self
 
+    # -- real-process faults ------------------------------------------
+    def kill_worker(
+        self, *, every=None, rounds=(), worker=None, signal="kill", window="round"
+    ) -> "FaultPlan":
+        """SIGKILL (``signal="kill"``: a crash) or SIGSTOP (``"stop"``:
+        a hang past the round deadline) a live forked worker under
+        ``executor="process"`` — never the parent.
+
+        ``every=k`` fires on every k-th dispatch of ``window``
+        (1-based: dispatches k-1, 2k-1, ...), ``rounds`` on the listed
+        0-based dispatches; ``window="round"`` counts phase-round
+        dispatches, ``"commit"`` zero-merge commit dispatches.
+        Dispatches are counted across pool restarts, so ``rounds=(i,
+        j)`` kills at most twice per run while ``every=k`` recurs
+        faster than any run longer than ``k`` dispatches and ends in
+        degradation.  ``worker`` fixes the victim (the k-th forked
+        worker); None draws it from ``(seed, dispatch)``.
+        """
+        if (
+            (every is None) == (not rounds)
+            or every is not None and every < 1
+            or signal not in ("kill", "stop")
+            or window not in ("round", "commit")
+        ):
+            raise ParallelConfigError(
+                "kill_worker needs one trigger (every=K >= 1 or rounds=(i, ...)), "
+                "signal 'kill' or 'stop' and window 'round' or 'commit'; got "
+                f"every={every!r}, rounds={rounds!r}, signal={signal!r}, "
+                f"window={window!r}",
+                code="PPM601",
+            )
+        self.kills.append(WorkerKill(every, tuple(rounds), worker, signal, window))
+        return self
+
+    def kill_at(self, window: str, i: int, n_workers: int) -> tuple[int, str] | None:
+        """``(victim, signal)`` for dispatch ``i`` of ``window`` among
+        ``n_workers`` forked workers, or None.  Pure in its arguments."""
+        for k in self.kills:
+            fires = i in k.rounds if k.every is None else (i + 1) % k.every == 0
+            if k.window == window and fires:
+                if k.worker is not None:
+                    return k.worker % n_workers, k.signal
+                digest = hashlib.blake2b(
+                    f"{self.seed}:{i}".encode(), digest_size=8
+                ).digest()
+                return int.from_bytes(digest, "big") % n_workers, k.signal
+        return None
+
     # ------------------------------------------------------------------
     @property
     def has_message_faults(self) -> bool:
@@ -242,7 +309,8 @@ class FaultPlan:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FaultPlan(seed={self.seed}, message_faults={len(self.message_faults)}, "
-            f"crashes={len(self.crashes)}, stragglers={len(self.stragglers)})"
+            f"crashes={len(self.crashes)}, stragglers={len(self.stragglers)}, "
+            f"kills={len(self.kills)})"
         )
 
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import (
     NodeCrashFault,
+    ParallelConfigError,
     ResilienceConfigError,
     ResilienceError,
 )
@@ -50,10 +51,21 @@ from repro.resilience.retry import RetryPolicy, deliver_flight
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
-    """Cost knobs of the resilience machinery (``run_ppm(...,
-    resilience=)``).  Kept out of the frozen
+    """The run's failure policy (``run_ppm(..., resilience=)``): what
+    goes wrong and what recovering costs.  Kept out of the frozen
     :class:`~repro.config.MachineConfig`: these parameterize the
-    recovery protocol, not the machine."""
+    recovery protocol, not the machine.
+
+    A policy is a value — one used twice gives two identical runs (the
+    state a run consumes lives on its manager and supervision state).
+    Under ``executor="process"`` a policy also supervises the worker
+    pool: a crashed, hung or corrupted worker restarts the run
+    (docs/PARALLEL.md); without one a worker death is fatal (PPM603).
+    """
+
+    faults: FaultPlan | None = None
+    """The seeded fault schedule: simulated message faults, node
+    crashes and stragglers, and real worker kills."""
 
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     """Timeout/backoff schedule for dropped or corrupted bundles."""
@@ -81,7 +93,26 @@ class ResiliencePolicy:
     max_incarnations: int = 8
     """Upper bound on driver re-executions before the run aborts."""
 
+    max_respawns: int = 8
+    """Worker-pool restarts at one pool size before :attr:`degrade`
+    applies."""
+
+    deadline_base: float = 60.0
+    deadline_per_vp: float = 0.05
+    """``deadline_base + deadline_per_vp * shard_vps`` host seconds
+    bound each worker's reply per round; generous, so hang detection
+    never misfires on a loaded host."""
+
+    degrade: str = "shrink"
+    """When the respawn budget is spent: ``"shrink"`` (one process
+    fewer), ``"inline"`` (the inline engine) or ``"error"`` (PPM604)."""
+
     def __post_init__(self) -> None:
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
+            raise ResilienceConfigError(
+                f"faults must be a FaultPlan or None, got {self.faults!r}",
+                code="PPM303",
+            )
         for name in ("checkpoint_alpha", "detection_timeout", "restore_alpha"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -100,29 +131,65 @@ class ResiliencePolicy:
                 f"max_incarnations must be >= 1, got {self.max_incarnations}",
                 code="PPM303",
             )
+        if self.max_respawns < 0:
+            raise ParallelConfigError(
+                f"max_respawns must be >= 0, got {self.max_respawns}",
+                code="PPM601",
+            )
+        for name in ("deadline_base", "deadline_per_vp"):
+            v = getattr(self, name)
+            if not math.isfinite(v) or v <= 0 and name == "deadline_base" or v < 0:
+                raise ParallelConfigError(
+                    f"{name} must be positive and finite, got {v}",
+                    code="PPM601",
+                )
+        if self.degrade not in ("shrink", "inline", "error"):
+            raise ParallelConfigError(
+                "degrade must be 'shrink', 'inline' or 'error', got "
+                f"{self.degrade!r}",
+                code="PPM601",
+            )
+
+    def round_deadline(self, shard_vps: int) -> float:
+        """Reply deadline (host seconds) for a shard of ``shard_vps``."""
+        return self.deadline_base + self.deadline_per_vp * shard_vps
 
 
 class ResilienceManager:
     """Orchestrates fault injection, retry charging, checkpointing and
-    crash recovery for one ``run_ppm`` call (across incarnations)."""
+    crash recovery for one ``run_ppm`` attempt (across incarnations)."""
 
     def __init__(
         self,
         cluster,
+        policy: ResiliencePolicy,
         *,
-        plan: FaultPlan | None = None,
-        policy: ResiliencePolicy | None = None,
         tracer=None,
+        supervision=None,
     ) -> None:
-        if policy is not None and not isinstance(policy, ResiliencePolicy):
-            raise ValueError(
-                f"resilience must be a ResiliencePolicy or None, got {policy!r}"
+        if not isinstance(policy, ResiliencePolicy):
+            raise ResilienceConfigError(
+                f"resilience must be a ResiliencePolicy or None, got {policy!r}",
+                code="PPM303",
+            )
+        plan = policy.faults
+        if supervision is None and plan is not None and plan.kills:
+            raise ParallelConfigError(
+                "FaultPlan.kill_worker signals worker processes and requires "
+                "executor='process' (the inline executor has no workers to kill)",
+                code="PPM602",
             )
         self.cluster = cluster
-        self.policy = policy if policy is not None else ResiliencePolicy()
+        self.policy = policy
         self.injector = (
             FaultInjector(plan, cluster.n_nodes) if plan is not None else None
         )
+        #: The run's worker supervisor
+        #: (:class:`~repro.parallel.supervisor.SupervisionState`), shared
+        #: by every attempt's manager; None unless the run started
+        #: under ``executor="process"`` (so a run that degraded to the
+        #: inline engine keeps it, and its kill rules are no PPM602).
+        self.supervision = supervision
         self.checkpoints = (
             CheckpointManager(
                 self.policy.checkpoint_every,

@@ -741,15 +741,14 @@ def _main_kept_reads(ppm, kernel):
 
 
 def _supervised():
-    # Worker 0 is SIGKILLed at the second round dispatch.  The chaos
-    # plan counts dispatches, so every run needs its own.
-    from repro.parallel import ProcessChaos, SupervisionPolicy
+    # Worker 0 is SIGKILLed at the second round dispatch.
+    from repro.resilience import FaultPlan, ResiliencePolicy
 
-    chaos = ProcessChaos(seed=3, rounds=(1,), worker=0)
+    kill = FaultPlan(seed=3).kill_worker(rounds=(1,), worker=0)
     return {
         "executor": "process",
         "workers": 2,
-        "supervision": SupervisionPolicy(chaos=chaos),
+        "resilience": ResiliencePolicy(faults=kill),
     }
 
 

@@ -13,6 +13,7 @@ from repro.core import ppm_function, run_ppm
 from repro.core.errors import SharedAccessError
 from repro.core.program import PpmProgram, RunSummary
 from repro.machine import Cluster
+from repro.resilience import FaultPlan
 
 
 def _cluster(n_nodes=2, cores=2, **cfg):
@@ -73,10 +74,7 @@ class TestKnobBudget:
             for name, p in inspect.signature(run_ppm).parameters.items()
             if p.kind is inspect.Parameter.KEYWORD_ONLY
         ]
-        assert kw_only == [
-            "sanitize", "trace", "faults", "resilience",
-            "executor", "workers", "supervision",
-        ]
+        assert kw_only == ["sanitize", "trace", "resilience", "executor", "workers"]
 
     @pytest.mark.parametrize(
         "removed",
@@ -86,6 +84,8 @@ class TestKnobBudget:
             {"snapshot": "pruned"},
             {"zero_merge": False},
             {"checkpoint_every": 2},
+            {"faults": FaultPlan()},
+            {"supervision": None},
         ],
     )
     def test_removed_knobs_are_not_silently_accepted(self, removed):

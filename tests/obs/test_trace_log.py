@@ -61,8 +61,9 @@ RUNS = {
     "process-cg": partial(_cg, executor="process", workers=2),
     "crash-recover": lambda t: _cg(
         t,
-        faults=FaultPlan(seed=5).crash(node=1, phase=7),
-        resilience=ResiliencePolicy(checkpoint_every=3),
+        resilience=ResiliencePolicy(
+            faults=FaultPlan(seed=5).crash(node=1, phase=7), checkpoint_every=3
+        ),
     ),
 }
 

@@ -226,10 +226,11 @@ class TestConfigErrors:
             run_ppm(main_mixed, _cluster(), workers=0)
 
     def test_supervision_requires_process_ppm602(self):
-        from repro.parallel import SupervisionPolicy
+        from repro.resilience import FaultPlan, ResiliencePolicy
 
+        kill = ResiliencePolicy(faults=FaultPlan().kill_worker(rounds=(1,)))
         with pytest.raises(ParallelConfigError) as ei:
-            run_ppm(main_mixed, _cluster(), supervision=SupervisionPolicy())
+            run_ppm(main_mixed, _cluster(), resilience=kill)
         assert ei.value.code == "PPM602"
 
     def test_resilience_now_supported(self):
@@ -240,14 +241,12 @@ class TestConfigErrors:
         # worker pool.
         from repro.resilience import FaultPlan, ResiliencePolicy
 
-        plan = lambda: FaultPlan(seed=5).crash(node=1, phase=2)  # noqa: E731
-        _, r1 = run_ppm(
-            main_mixed, _cluster(), faults=plan(),
-            resilience=ResiliencePolicy(checkpoint_every=2),
+        policy = ResiliencePolicy(
+            faults=FaultPlan(seed=5).crash(node=1, phase=2), checkpoint_every=2
         )
+        _, r1 = run_ppm(main_mixed, _cluster(), resilience=policy)
         _, r2 = run_ppm(
-            main_mixed, _cluster(), faults=plan(),
-            resilience=ResiliencePolicy(checkpoint_every=2),
+            main_mixed, _cluster(), resilience=policy,
             executor="process", workers=2,
         )
         for a, b in zip(r1, r2):

@@ -3,16 +3,17 @@ graceful degradation and the PPM6xx diagnostics.
 
 Every recovered run must preserve the backend's headline contract —
 committed arrays, simulated times and reports identical to the inline
-engine — even while :class:`ProcessChaos` SIGKILLs (or SIGSTOPs) live
-worker processes mid-run.  Kill plans are finite (``rounds=``: the
-dispatch counter is never reset, so each index fires once across
-restarts); ``every=`` recurs faster than a run and is what the
-degradation tests use.  Kernels live at module level because the
+engine — even while a ``FaultPlan.kill_worker`` rule SIGKILLs (or
+SIGSTOPs) live worker processes mid-run.  Kill plans are finite
+(``rounds=``: a run's dispatch counter is never reset, so each index
+fires once across restarts); ``every=`` recurs faster than a run and is
+what the degradation tests use.  Kernels live at module level because the
 backend ships them by pickling.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 
@@ -28,13 +29,14 @@ from repro.config import manycore, testing as mkconfig
 from repro.core import run_ppm
 from repro.core.errors import (
     ParallelConfigError,
+    ResilienceConfigError,
     SupervisionExhaustedError,
     WorkerDeathError,
 )
 from repro.machine import Cluster
 from repro.obs import PhaseTrace, PoolDegraded, RunReport, WorkerCrash, WorkerRespawn
-from repro.parallel import ProcessChaos, SupervisionPolicy
 from repro.parallel.shm import live_ppm_segments
+from repro.resilience import FaultPlan, ResiliencePolicy
 
 
 def _cluster(n_nodes=2, cores=2, **cfg):
@@ -117,11 +119,11 @@ def main_kept_read(ppm):
 
 
 def _chaotic(every=None, *, rounds=(), seed=11, sig="kill", window="round",
-             worker=None, **pol):
-    return SupervisionPolicy(
-        chaos=ProcessChaos(
-            seed=seed, every=every, rounds=rounds, worker=worker,
-            signal=sig, window=window,
+             worker=None, plan=None, **pol):
+    plan = plan if plan is not None else FaultPlan(seed=seed)
+    return ResiliencePolicy(
+        faults=plan.kill_worker(
+            every=every, rounds=rounds, worker=worker, signal=sig, window=window,
         ),
         **pol,
     )
@@ -167,7 +169,7 @@ class TestPolicyValidation:
     )
     def test_bad_policy_ppm601(self, kwargs):
         with pytest.raises(ParallelConfigError) as ei:
-            SupervisionPolicy(**kwargs)
+            ResiliencePolicy(**kwargs)
         assert ei.value.code == "PPM601"
 
     @pytest.mark.parametrize(
@@ -177,15 +179,31 @@ class TestPolicyValidation:
             dict(every=2, signal="term"),
             dict(every=2, window="barrier"),
             dict(),  # no trigger at all
+            dict(every=2, rounds=(1,)),  # two triggers
         ],
     )
     def test_bad_chaos_ppm601(self, kwargs):
         with pytest.raises(ParallelConfigError) as ei:
-            ProcessChaos(seed=1, **kwargs)
+            FaultPlan(seed=1).kill_worker(**kwargs)
         assert ei.value.code == "PPM601"
 
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda: True, lambda: "drop", lambda: ResiliencePolicy(faults="drop")],
+        ids=["bool", "str", "faults-str"],
+    )
+    def test_bad_value_ppm303_before_any_fork(self, bad):
+        with pytest.raises(ResilienceConfigError) as ei:
+            run_ppm(
+                main_mixed, _cluster(), executor="process", workers=2,
+                resilience=bad(),
+            )
+        assert ei.value.code == "PPM303"
+        assert multiprocessing.active_children() == []
+        assert live_ppm_segments() == []
+
     def test_deadline_scales_with_shard(self):
-        pol = SupervisionPolicy(deadline_base=2.0, deadline_per_vp=0.5)
+        pol = ResiliencePolicy(deadline_base=2.0, deadline_per_vp=0.5)
         assert pol.round_deadline(0) == 2.0
         assert pol.round_deadline(10) == 7.0
 
@@ -200,11 +218,11 @@ class TestCrashRecovery:
         trace = PhaseTrace()
         ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(rounds=(1, 4)), trace=trace,
+            resilience=_chaotic(rounds=(1, 4)), trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        state = ppm.runtime.supervision_state
+        state = ppm.runtime.resilience.supervision
         assert state.crashes > 0
         assert state.respawns > 0
         kinds = {type(ev) for ev in trace.events}
@@ -218,12 +236,12 @@ class TestCrashRecovery:
         _, ref = run_ppm(main_mixed, _cluster())
         ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(rounds=(2,), sig="stop",
-                                 deadline_base=1.0, deadline_per_vp=0.0),
+            resilience=_chaotic(rounds=(2,), sig="stop",
+                                deadline_base=1.0, deadline_per_vp=0.0),
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert ppm.runtime.supervision_state.hangs > 0
+        assert ppm.runtime.resilience.supervision.hangs > 0
         assert live_ppm_segments() == []
 
     def test_commit_window_kill_zero_merge(self):
@@ -233,39 +251,53 @@ class TestCrashRecovery:
         trace = PhaseTrace()
         x2, t2 = _cg(
             3, executor="process", workers=2, trace=trace,
-            supervision=_chaotic(rounds=(3,), window="commit"),
+            resilience=_chaotic(rounds=(3,), window="commit"),
         )
         np.testing.assert_array_equal(x1, x2)
         assert t1 == t2
         assert RunReport.from_trace(trace).supervision.crashes > 0
         assert live_ppm_segments() == []
 
+    def test_one_policy_value_drives_identical_runs(self):
+        # A policy is a value: the kill clock is the run's, so a second
+        # run with the same policy kills a worker again — and each run
+        # comes back at full size, bitwise equal to inline, clock too.
+        x_ref, t_ref = _cg(3)
+        policy = _chaotic(rounds=(2,), seed=3)
+        for _ in range(2):
+            trace = PhaseTrace()
+            x, t = _cg(3, executor="process", workers=2, trace=trace,
+                       resilience=policy)
+            sup = RunReport.from_trace(trace).supervision
+            assert (sup.crashes, sup.respawns, sup.degradations) == (1, 1, 0)
+            np.testing.assert_array_equal(x, x_ref)
+            assert t == t_ref
+
     def test_fault_free_supervision_is_free(self):
-        # Supervision with no chaos must not perturb results, and the
+        # Supervision with no kills must not perturb results, and the
         # run report must not grow a supervision section.
         _, ref = run_ppm(main_mixed, _cluster())
         trace = PhaseTrace()
         _, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=SupervisionPolicy(), trace=trace,
+            resilience=ResiliencePolicy(), trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
         assert RunReport.from_trace(trace).supervision is None
 
     def test_supervision_composes_with_simulated_faults(self):
-        from repro.resilience import FaultPlan, ResiliencePolicy
-
+        crash = FaultPlan(seed=5).crash(node=1, phase=2)
         _, ref = run_ppm(
             main_mixed, _cluster(),
-            faults=FaultPlan(seed=5).crash(node=1, phase=2),
-            resilience=ResiliencePolicy(checkpoint_every=2),
+            resilience=ResiliencePolicy(faults=crash, checkpoint_every=2),
         )
         _, got = run_ppm(
-            main_mixed, _cluster(),
-            faults=FaultPlan(seed=5).crash(node=1, phase=2),
-            resilience=ResiliencePolicy(checkpoint_every=2),
-            executor="process", workers=2, supervision=_chaotic(rounds=(3,)),
+            main_mixed, _cluster(), executor="process", workers=2,
+            resilience=_chaotic(
+                rounds=(3,), plan=FaultPlan(seed=5).crash(node=1, phase=2),
+                checkpoint_every=2,
+            ),
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
@@ -277,15 +309,14 @@ class TestCrashRecovery:
         # manager: the planned crash fires again (once per attempt) and
         # the incarnation budget starts over — two incarnations per
         # attempt fit max_incarnations=2, four in total would not.
-        from repro.resilience import FaultPlan, ResiliencePolicy
-
         _, ref = run_ppm(main_mixed, _cluster())
         trace = PhaseTrace()
         ppm, got = run_ppm(
-            main_mixed, _cluster(),
-            faults=FaultPlan(seed=5).crash(node=1, phase=2),
-            resilience=ResiliencePolicy(checkpoint_every=2, max_incarnations=2),
-            executor="process", workers=2, supervision=_chaotic(rounds=(5,)),
+            main_mixed, _cluster(), executor="process", workers=2,
+            resilience=_chaotic(
+                rounds=(5,), plan=FaultPlan(seed=5).crash(node=1, phase=2),
+                checkpoint_every=2, max_incarnations=2,
+            ),
             trace=trace,
         )
         for a, b in zip(ref, got):
@@ -297,7 +328,7 @@ class TestCrashRecovery:
         assert kinds == ["recovery", "worker_crash", "worker_respawn", "recovery"]
         manager = ppm.runtime.resilience
         assert (manager.incarnations, manager.recoveries) == (2, 1)
-        assert ppm.runtime.supervision_state.respawns == 1
+        assert ppm.runtime.resilience.supervision.respawns == 1
         # The report starts over at the restart: one recovery, not two.
         assert RunReport.from_trace(trace).resilience.recoveries == 1
         assert live_ppm_segments() == []
@@ -306,15 +337,14 @@ class TestCrashRecovery:
         # The simulated crash at phase 4 rolls back to the phase-3
         # checkpoint: dispatches 4-6 re-run rounds 0-2 with the
         # runtime's tracer detached, and the kill lands in dispatch 5.
-        from repro.resilience import FaultPlan, ResiliencePolicy
-
         _, ref = run_ppm(main_mixed, _cluster())
         trace = PhaseTrace()
         ppm, got = run_ppm(
-            main_mixed, _cluster(),
-            faults=FaultPlan(seed=5).crash(node=1, phase=4),
-            resilience=ResiliencePolicy(checkpoint_every=2),
-            executor="process", workers=2, supervision=_chaotic(rounds=(5,)),
+            main_mixed, _cluster(), executor="process", workers=2,
+            resilience=_chaotic(
+                rounds=(5,), plan=FaultPlan(seed=5).crash(node=1, phase=4),
+                checkpoint_every=2,
+            ),
             trace=trace,
         )
         for a, b in zip(ref, got):
@@ -325,7 +355,7 @@ class TestCrashRecovery:
         ]
         assert kinds == ["worker_crash", "worker_respawn"]
         crashes = [ev for ev in trace.events if isinstance(ev, WorkerCrash)]
-        assert ppm.runtime.supervision_state.crashes == len(crashes) == 1
+        assert ppm.runtime.resilience.supervision.crashes == len(crashes) == 1
         assert live_ppm_segments() == []
 
     @pytest.mark.parametrize("window", ["round", "commit"])
@@ -338,12 +368,12 @@ class TestCrashRecovery:
         _, ref = run_ppm(main_kept_read, _cluster())
         ppm, got = run_ppm(
             main_kept_read, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(rounds=(1,), worker=0, window=window),
+            resilience=_chaotic(rounds=(1,), worker=0, window=window),
         )
         np.testing.assert_array_equal(got[1], np.arange(16.0))
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        state = ppm.runtime.supervision_state
+        state = ppm.runtime.resilience.supervision
         assert state.crashes == 1
         assert state.respawns == 1
         assert state.degradations == 0
@@ -366,7 +396,7 @@ class TestWorkerDeath:
         # round so the failure is attributable without supervision.
         assert "worker" in msg and "died" in msg
         assert "'round'" in msg and "round " in msg
-        assert "supervision" in msg
+        assert "resilience=" in msg
         assert live_ppm_segments() == []
 
 
@@ -380,11 +410,11 @@ class TestDegradation:
         trace = PhaseTrace()
         ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=3,
-            supervision=_chaotic(every=1, max_respawns=0), trace=trace,
+            resilience=_chaotic(every=1, max_respawns=0), trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert ppm.runtime.supervision_state.degradations >= 1
+        assert ppm.runtime.resilience.supervision.degradations >= 1
         degr = [ev for ev in trace.events if isinstance(ev, PoolDegraded)]
         assert degr and degr[0].mode == "shrink"
         assert degr[0].workers_to < degr[0].workers_from
@@ -392,9 +422,7 @@ class TestDegradation:
 
     def test_parent_alone_has_nothing_to_kill(self):
         # workers=1 is the parent by itself: no child is forked, so a
-        # chaos plan that fires at every dispatch never fires.
-        import multiprocessing
-
+        # kill rule that fires at every dispatch never fires.
         children = []
 
         def main(ppm):
@@ -405,13 +433,13 @@ class TestDegradation:
         _, ref = run_ppm(main_mixed, _cluster())
         ppm, got = run_ppm(
             main, _cluster(), executor="process", workers=1,
-            supervision=_chaotic(every=1, max_respawns=0),
+            resilience=_chaotic(every=1, max_respawns=0),
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
         assert children == [0]
         assert ppm.runtime.executor == "process"
-        state = ppm.runtime.supervision_state
+        state = ppm.runtime.resilience.supervision
         assert (state.crashes, state.respawns, state.degradations) == (0, 0, 0)
         assert live_ppm_segments() == []
 
@@ -419,22 +447,23 @@ class TestDegradation:
         _, ref = run_ppm(main_mixed, _cluster())
         ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(
+            resilience=_chaotic(
                 every=1, max_respawns=0, degrade="inline"
             ),
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        # The state rides the run through the inline fallback.
+        # The state rides the run through the inline fallback, and the
+        # kill rule is no PPM602 there: the run started with workers.
         assert ppm.runtime.executor == "inline"
-        assert ppm.runtime.supervision_state.degradations >= 1
+        assert ppm.runtime.resilience.supervision.degradations >= 1
         assert live_ppm_segments() == []
 
     def test_degrade_error_ppm604(self):
         with pytest.raises(SupervisionExhaustedError) as ei:
             run_ppm(
                 main_mixed, _cluster(), executor="process", workers=2,
-                supervision=_chaotic(
+                resilience=_chaotic(
                     every=1, max_respawns=0, degrade="error"
                 ),
             )
@@ -448,13 +477,13 @@ class TestDegradation:
         trace = PhaseTrace()
         ppm, got = run_ppm(
             main_mixed, _cluster(), executor="process", workers=3,
-            supervision=_chaotic(rounds=(1, 3, 5), max_respawns=2),
+            resilience=_chaotic(rounds=(1, 3, 5), max_respawns=2),
             trace=trace,
         )
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
-        assert ppm.runtime.supervision_state.respawns == 2
-        assert ppm.runtime.supervision_state.degradations == 1
+        state = ppm.runtime.resilience.supervision
+        assert (state.respawns, state.degradations) == (2, 1)
         respawns = [ev for ev in trace.events if isinstance(ev, WorkerRespawn)]
         assert [ev.attempt for ev in respawns] == [1, 2]
         degr = [ev for ev in trace.events if isinstance(ev, PoolDegraded)]
@@ -484,7 +513,7 @@ class TestChaosSweep:
             seed,
             executor="process",
             workers=workers,
-            supervision=_chaotic(rounds=tuple(rounds), seed=seed),
+            resilience=_chaotic(rounds=tuple(rounds), seed=seed),
         )
         assert t_ref == t_got
         np.testing.assert_array_equal(ref, got)
@@ -500,7 +529,7 @@ class TestSupervisionReport:
         trace = PhaseTrace()
         run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(rounds=(1, 4)), trace=trace,
+            resilience=_chaotic(rounds=(1, 4)), trace=trace,
         )
         sup = RunReport.from_trace(trace).supervision
         assert sup is not None
@@ -515,7 +544,7 @@ class TestSupervisionReport:
         trace = PhaseTrace()
         run_ppm(
             main_mixed, _cluster(), executor="process", workers=2,
-            supervision=_chaotic(rounds=(1, 4)), trace=trace,
+            resilience=_chaotic(rounds=(1, 4)), trace=trace,
         )
         report = RunReport.from_trace(trace)
         d = report_to_dict(report)
@@ -538,7 +567,7 @@ class TestSupervisionReport:
 
         clean_summary, clean = run()
         summary, report = run(
-            supervision=_chaotic(rounds=(2,), max_respawns=max_respawns)
+            resilience=_chaotic(rounds=(2,), max_respawns=max_respawns)
         )
         assert report.supervision.crashes == 1
         assert report.supervision.respawns == (1 if max_respawns else 0)

@@ -253,16 +253,16 @@ class TestInterruptMidRound:
         # reply, or raised by the parent's own shard — is not a worker
         # failure: the supervisor must not count it as a crash and
         # burn the respawn budget replaying the interrupted round.
-        from repro.parallel import SupervisionPolicy
+        from repro.resilience import ResiliencePolicy
 
         for bad in BAD_RANKS.values():
             proc = self._observed(
                 bad, executor="process", workers=2,
-                supervision=SupervisionPolicy(),
+                resilience=ResiliencePolicy(),
             )
             assert not (proc == 99.0).any()
-            assert self.runtime.supervision_state.crashes == 0
-            assert self.runtime.supervision_state.respawns == 0
+            state = self.runtime.resilience.supervision
+            assert (state.crashes, state.respawns) == (0, 0)
             assert _no_child_processes()
             assert live_ppm_segments() == []
 

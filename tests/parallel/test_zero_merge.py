@@ -45,8 +45,8 @@ from repro.config import manycore, testing as mkconfig
 from repro.core import run_ppm
 from repro.machine import Cluster
 from repro.obs import PhaseTrace, RunReport
-from repro.parallel import SupervisionPolicy
 from repro.parallel.pool import WorkerPool
+from repro.resilience import ResiliencePolicy
 
 SWEEP = settings(
     max_examples=3,
@@ -374,11 +374,11 @@ class TestSegmentSwaps:
             segment.unlink()
 
     @pytest.mark.parametrize(
-        "supervision",
-        [None, SupervisionPolicy()],
+        "resilience",
+        [None, ResiliencePolicy()],
         ids=["unsupervised", "supervised"],
     )
-    def test_cg_swaps_once_per_solve(self, supervision):
+    def test_cg_swaps_once_per_solve(self, resilience):
         """``_cg_kernel`` keeps ``r_chunk`` (a view of ``cg_r``) for the
         whole solve: the first commit of ``cg_r`` swaps, and nothing
         else ever does — every other read dies inside its phase.
@@ -399,7 +399,7 @@ class TestSegmentSwaps:
 
         ppm, _ = run_ppm(
             main, _cg_cluster(), trace=True, executor="process", workers=2,
-            supervision=supervision,
+            resilience=resilience,
         )
         assert ppm.report().zero_merge.commits > 0
         assert ppm.runtime.shm.swaps == 1

@@ -12,9 +12,11 @@ end on the paper's applications.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -104,8 +106,8 @@ class TestCrashRecovery:
         plan = FaultPlan(seed=5).crash(node=1, phase=7)
         trace = PhaseTrace()
         ppm, x = run_ppm(
-            main, _cluster(), faults=plan,
-            resilience=ResiliencePolicy(checkpoint_every=3), trace=trace,
+            main, _cluster(), trace=trace,
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=3),
         )
         assert np.array_equal(x, x_clean)
         mgr = ppm.runtime.resilience
@@ -132,8 +134,8 @@ class TestCrashRecovery:
         trace = PhaseTrace()
         plan = FaultPlan(seed=5).crash(node=1, phase=7)
         ppm, _ = run_ppm(
-            main, _cluster(), faults=plan,
-            resilience=ResiliencePolicy(checkpoint_every=3), trace=trace,
+            main, _cluster(), trace=trace,
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=3),
         )
         wire_kinds = ("bundle_flushed", "message_send", "message_recv")
 
@@ -169,8 +171,11 @@ class TestCrashRecovery:
         def run(every):
             trace = PhaseTrace()
             ppm, _ = run_ppm(
-                main, _cluster(), trace=trace, resilience=ResiliencePolicy(checkpoint_every=every),
-                faults=FaultPlan(seed=1).crash(node=1, phase=12),
+                main, _cluster(), trace=trace,
+                resilience=ResiliencePolicy(
+                    faults=FaultPlan(seed=1).crash(node=1, phase=12),
+                    checkpoint_every=every,
+                ),
             )
             commits = [e for e in trace.events if e.kind == "phase_commit"]
             summary = ppm.summary()
@@ -198,7 +203,9 @@ class TestCrashRecovery:
         _, x_clean = run_ppm(main, _cluster())
         plan = FaultPlan(seed=5).crash(node=0, phase=4)
         trace = PhaseTrace()
-        ppm, x = run_ppm(main, _cluster(), faults=plan, trace=trace)
+        ppm, x = run_ppm(
+            main, _cluster(), resilience=ResiliencePolicy(faults=plan), trace=trace
+        )
         assert np.array_equal(x, x_clean)
         rec = next(e for e in trace.events if e.kind == "recovery")
         assert rec.checkpoint_phase == -1
@@ -209,7 +216,8 @@ class TestCrashRecovery:
         ppm_clean, _ = run_ppm(main, _cluster())
         plan = FaultPlan(seed=5).crash(node=1, phase=7)
         ppm, _ = run_ppm(
-            main, _cluster(), faults=plan, resilience=ResiliencePolicy(checkpoint_every=3)
+            main, _cluster(),
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=3),
         )
         pol = ppm.runtime.resilience.policy
         assert ppm.elapsed > ppm_clean.elapsed + pol.detection_timeout
@@ -221,7 +229,8 @@ class TestCrashRecovery:
             FaultPlan(seed=5).crash(node=0, phase=3).crash(node=1, phase=9)
         )
         ppm, x = run_ppm(
-            main, _cluster(), faults=plan, resilience=ResiliencePolicy(checkpoint_every=2)
+            main, _cluster(),
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=2),
         )
         assert np.array_equal(x, x_clean)
         assert ppm.runtime.resilience.recoveries == 2
@@ -235,9 +244,43 @@ class TestCrashRecovery:
             run_ppm(
                 main,
                 _cluster(),
-                faults=plan,
-                resilience=ResiliencePolicy(max_incarnations=2),
+                resilience=ResiliencePolicy(faults=plan, max_incarnations=2),
             )
+
+
+    def test_every_fault_kind_at_once_recovers_bitwise(self, tmp_path):
+        """Message drops, corruption, delays and duplicates, a straggler
+        and a crash on CG with checkpointing: faults fire, one recovery
+        runs, the solution equals the clean run's, and a saved trace
+        keeps the faults, the recovery and the checkpoints."""
+        from repro.apps.cg import build_chimney_problem, ppm_cg_solve
+        from repro.config import franklin
+        from repro.obs import save_trace
+
+        problem = build_chimney_problem(4)
+        solve = partial(ppm_cg_solve, problem, max_iters=6, tol=0.0)
+        clean, _ = solve(Cluster(franklin(n_nodes=2)))
+        plan = (
+            FaultPlan(seed=7)
+            .drop_messages(0.10)
+            .corrupt_messages(0.05)
+            .delay_messages(0.10, 25e-6)
+            .duplicate_messages(0.10)
+            .straggle(node=0, factor=1.5)
+            .crash(node=1, phase=12)
+        )
+        trace = PhaseTrace()
+        chaotic, _ = solve(
+            Cluster(franklin(n_nodes=2)), trace=trace,
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=5),
+        )
+        assert np.array_equal(chaotic.x, clean.x)
+        rs = RunReport.from_trace(trace).resilience
+        assert rs.faults > 0 and rs.recoveries == 1
+        save_trace(trace, tmp_path / "chaos.trace.json")
+        saved = json.loads((tmp_path / "chaos.trace.json").read_text())
+        kinds = {e["event"] for e in saved["events"]}
+        assert {"fault_injected", "recovery", "checkpoint_taken"} <= kinds
 
 
 class TestMessageFaults:
@@ -251,7 +294,9 @@ class TestMessageFaults:
             .delay_messages(0.2, 20e-6)
         )
         trace = PhaseTrace()
-        ppm, x = run_ppm(main, _cluster(), faults=plan, trace=trace)
+        ppm, x = run_ppm(
+            main, _cluster(), resilience=ResiliencePolicy(faults=plan), trace=trace
+        )
         assert np.array_equal(x, x_clean)
         mgr = ppm.runtime.resilience
         assert mgr.retries > 0
@@ -265,7 +310,7 @@ class TestMessageFaults:
         main = _cg_main()
         ppm_clean, x_clean = run_ppm(main, _cluster())
         plan = FaultPlan(seed=1).straggle(node=0, factor=3.0)
-        ppm, x = run_ppm(main, _cluster(), faults=plan)
+        ppm, x = run_ppm(main, _cluster(), resilience=ResiliencePolicy(faults=plan))
         assert np.array_equal(x, x_clean)
         assert ppm.elapsed > ppm_clean.elapsed
 
@@ -295,7 +340,8 @@ class TestRecoveryEquivalenceProperty:
             .crash(node=seed % 2, phase=crash_phase)
         )
         _, x = run_ppm(
-            main, _cluster(), faults=plan, resilience=ResiliencePolicy(checkpoint_every=every)
+            main, _cluster(),
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=every),
         )
         assert np.array_equal(x, x_clean)
 
@@ -312,8 +358,8 @@ class TestRecoveryEquivalenceProperty:
             .crash(node=0, phase=crash_phase)
         )
         dist, _ = ppm_bfs(
-            graph, 0, _cluster(), faults=plan,
-            resilience=ResiliencePolicy(checkpoint_every=2),
+            graph, 0, _cluster(),
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=2),
         )
         assert np.array_equal(dist, clean)
 
@@ -326,8 +372,8 @@ class TestRecoveryEquivalenceProperty:
         clean, _ = ppm_mg_solve(problem, _cluster(), cycles=2)
         plan = FaultPlan(seed=seed).crash(node=1, phase=crash_phase)
         u, _ = ppm_mg_solve(
-            problem, _cluster(), cycles=2, faults=plan,
-            resilience=ResiliencePolicy(checkpoint_every=3),
+            problem, _cluster(), cycles=2,
+            resilience=ResiliencePolicy(faults=plan, checkpoint_every=3),
         )
         assert np.array_equal(u, clean)
 
@@ -401,8 +447,10 @@ class TestRecomputedCutIsTheCheckpointedCut:
         clean = solve()
         opts = dict(executor="process", workers=2) if executor == "process" else {}
         got = solve(
-            faults=FaultPlan(seed=3).crash(node=1, phase=crash_phase),
-            resilience=ResiliencePolicy(checkpoint_every=every),
+            resilience=ResiliencePolicy(
+                faults=FaultPlan(seed=3).crash(node=1, phase=crash_phase),
+                checkpoint_every=every,
+            ),
             **opts,
         )
         assert np.array_equal(got, clean)
