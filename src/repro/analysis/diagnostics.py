@@ -20,11 +20,8 @@ PPM202     mixed plain write + accumulate on one element from distinct
            VPs (sanitizer)
 PPM203     benign overlap: distinct VPs plain-wrote identical values
            to one element (sanitizer, warning)
-PPM301     malformed fault probability/delay (resilience config)
 PPM302     invalid fault target node/phase (resilience config)
 PPM303     invalid checkpoint/recovery policy (resilience config)
-PPM304     invalid retry policy (resilience config)
-PPM305     invalid straggler factor (resilience config)
 PPM401     provable write-write overlap between distinct VPs in one
            phase (dataflow verifier)
 PPM402     same-VP read of rows written earlier in the phase; the read
@@ -68,11 +65,8 @@ ALL_CODES: dict[str, str] = {
     "PPM201": "rank-order-dependent write conflict (dynamic)",
     "PPM202": "mixed plain write + accumulate on one element (dynamic)",
     "PPM203": "benign identical-value overlap (dynamic, warning)",
-    "PPM301": "malformed fault probability or delay",
     "PPM302": "invalid fault target",
     "PPM303": "invalid checkpoint/recovery policy",
-    "PPM304": "invalid retry policy",
-    "PPM305": "invalid straggler factor",
     "PPM401": "provable cross-VP write-write overlap in one phase",
     "PPM402": "same-VP read after write; snapshot semantics apply",
     "PPM403": "accumulate-operator mismatch on overlapping rows",

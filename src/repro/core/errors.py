@@ -53,9 +53,9 @@ class ResilienceError(PpmError):
 
 
 class ResilienceConfigError(ResilienceError, ValueError):
-    """A fault plan, retry policy or checkpoint policy is invalid.
+    """A fault plan or resilience policy is invalid.
 
-    ``code`` carries the diagnostic rule id (``PPM301``..``PPM305``,
+    ``code`` carries the diagnostic rule id (``PPM302`` or ``PPM303``,
     see docs/DIAGNOSTICS.md) so messages can be traced back to the
     reference the same way lint/sanitizer findings are."""
 

@@ -235,9 +235,9 @@ def run_ppm(
         :class:`~repro.core.errors.ResilienceConfigError` ``PPM303``
         before a worker forks).  Its ``faults``
         (:class:`~repro.resilience.faults.FaultPlan`) is a seeded
-        schedule of simulated message faults, node crashes and
-        stragglers — they cost simulated time, committed results stay
-        bitwise-identical to a fault-free run — and, under
+        schedule of simulated node crashes — recovery costs simulated
+        time, committed results stay bitwise-identical to a fault-free
+        run — and, under
         ``executor="process"``, of real worker kills
         (``kill_worker``; under the inline executor
         :class:`~repro.core.errors.ParallelConfigError` ``PPM602``).

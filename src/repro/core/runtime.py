@@ -36,7 +36,6 @@ from repro.core.errors import (
 )
 from repro.core.phase import CommitPlanCache, PhasePlan, PhaseRecorder
 from repro.core.scheduler import (
-    PhaseTiming,
     compose_phase_timing,
     lpt_core_map,
     node_comm_cost,
@@ -834,18 +833,12 @@ class PpmRuntime:
             # is part of the owner's own phase timing.
             timed = list(cluster)
             in_cpu = costs.in_cpu
-            penalties = (
-                res.message_penalties(phase_index, costs.traffic, net)
-                if res is not None
-                else None
-            )
         else:
             # Global-shared *reads* are permitted in node phases; their
             # fetch traffic is charged here (writes were rejected
             # earlier), the owners' service cost on the owners' clocks.
             timed = [cluster.node(node_key)]
             in_cpu = {}
-            penalties = None
             for owner, cpu in costs.owner_cpu:
                 cluster.node(owner).clock.advance(cpu)
         core_costs = recorder.core_costs
@@ -858,33 +851,15 @@ class PpmRuntime:
             node_id = node.node_id
             node_t0[node_id] = node.clock.now
             # What does change round to round: the VPs' measured costs.
-            compute = node_compute_time(core_costs.get(node_id, {}))
-            if res is not None:
-                compute *= res.straggler_factor(phase_index, node_id, self)
             timing = compose_phase_timing(
                 cfg,
                 net,
-                compute=compute,
+                compute=node_compute_time(core_costs.get(node_id, {})),
                 commit_cpu=commit_cpu.get(node_id, 0.0),
                 comm_cost=comm.get(node_id, ZERO_COST),
                 extra_comm_cpu=in_cpu.get(node_id, 0.0),
                 certified=certified,
             )
-            if res is not None:
-                if kind == "node":
-                    penalties = res.message_penalties(phase_index, costs.traffic, net)
-                extra = penalties.get(node_id, 0.0) if penalties else 0.0
-                if extra:
-                    # Retry/backoff time is serialized after the
-                    # phase's regular traffic (the loss is only
-                    # detected at timeout), so it is unoverlappable
-                    # communication time.
-                    timing = PhaseTiming(
-                        compute=timing.compute,
-                        commit_cpu=timing.commit_cpu,
-                        comm=timing.comm + extra,
-                        overlapped=timing.overlapped,
-                    )
             node_timings[node_id] = timing
             arrival = max(arrival, node.clock.now + timing.busy)
 

@@ -32,7 +32,6 @@ from repro.obs.events import (
     CheckpointTaken,
     Event,
     EventBus,
-    FaultInjected,
     MessageRecv,
     MessageSend,
     NodeSlice,
@@ -41,7 +40,6 @@ from repro.obs.events import (
     PhaseTrace,
     PoolDegraded,
     Recovery,
-    RetryAttempt,
     VpScheduled,
     WorkerCrash,
     WorkerRespawn,
@@ -74,7 +72,6 @@ __all__ = [
     "CheckpointTaken",
     "Event",
     "EventBus",
-    "FaultInjected",
     "MessageRecv",
     "MessageSend",
     "NodeSlice",
@@ -85,7 +82,6 @@ __all__ = [
     "PoolDegraded",
     "Recovery",
     "ResilienceSummary",
-    "RetryAttempt",
     "RunReport",
     "SupervisionSummary",
     "VpScheduled",

@@ -352,45 +352,6 @@ class PoolDegraded(Event):
 
 
 @_value
-class FaultInjected(Event):
-    """The fault injector fired one planned fault.
-
-    ``fault`` is ``crash``, ``straggler``, ``drop``, ``corrupt``,
-    ``delay`` or ``duplicate``.  ``node`` identifies the victim of a
-    crash/straggler (``-1`` for message faults); ``src``/``dst`` the
-    endpoints of a message fault (``-1`` otherwise).  ``detail``
-    carries the fault magnitude — straggler slowdown factor or the
-    injected delay in seconds (0.0 when not applicable)."""
-
-    kind: ClassVar[str] = "fault_injected"
-
-    fault: str
-    node: int
-    src: int
-    dst: int
-    detail: float
-
-
-@_value
-class RetryAttempt(Event):
-    """The reliable delivery layer re-sent one bundle flight.
-
-    ``attempt`` is 1-based (the first *re*-send is attempt 1);
-    ``reason`` is ``drop`` or ``corrupt``; ``backoff`` the exponential
-    timeout charged before this re-send; ``delivered`` whether this
-    attempt got the bundle through."""
-
-    kind: ClassVar[str] = "retry_attempt"
-
-    src: int
-    dst: int
-    attempt: int
-    reason: str
-    backoff: float
-    delivered: bool
-
-
-@_value
 class CheckpointTaken(Event):
     """A coordinated phase-boundary checkpoint was written.
 
@@ -444,8 +405,6 @@ EVENT_TYPES: dict[str, type[Event]] = {
         WorkerCrash,
         WorkerRespawn,
         PoolDegraded,
-        FaultInjected,
-        RetryAttempt,
         CheckpointTaken,
         Recovery,
     )

@@ -1,9 +1,9 @@
 """Trace persistence and rendering: JSON trace files, Chrome
 ``trace_event`` timelines and plain-text per-phase report tables.
 
-Trace-file schema (version 1; see docs/OBSERVABILITY.md)::
+Trace-file schema (version 2; see docs/OBSERVABILITY.md)::
 
-    {"schema": "ppm-trace", "version": 1,
+    {"schema": "ppm-trace", "version": 2,
      "events": [{"event": "phase_begin", "phase": 0, ...}, ...]}
 
 ``save_trace``/``load_trace`` round-trip losslessly;
@@ -24,7 +24,7 @@ from repro.obs.events import (
 from repro.obs.metrics import RunReport
 
 SCHEMA_NAME = "ppm-trace"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Simulated seconds -> trace_event microseconds.
 _US = 1e6
@@ -279,11 +279,6 @@ def format_report(report: RunReport) -> str:
         # Section appears only for runs with resilience events, so
         # fault-free report output is byte-identical to earlier versions.
         lines.append(
-            f"faults: {rs.faults} injected "
-            f"({rs.stragglers} straggler, {rs.duplicates} duplicate)   "
-            f"retries: {rs.retries}"
-        )
-        lines.append(
             f"checkpoints: {rs.checkpoints} "
             f"({rs.checkpoint_bytes} bytes, {_fmt_ms(rs.checkpoint_time)} ms)   "
             f"recoveries: {rs.recoveries} "
@@ -385,10 +380,6 @@ def report_to_dict(report: RunReport) -> dict:
         **(
             {
                 "resilience": {
-                    "faults": report.resilience.faults,
-                    "retries": report.resilience.retries,
-                    "duplicates": report.resilience.duplicates,
-                    "stragglers": report.resilience.stragglers,
                     "checkpoints": report.resilience.checkpoints,
                     "checkpoint_bytes": report.resilience.checkpoint_bytes,
                     "checkpoint_time_s": report.resilience.checkpoint_time,

@@ -33,14 +33,12 @@ from repro.obs.events import (
     BundleFlushed,
     CheckpointTaken,
     Event,
-    FaultInjected,
     MessageRecv,
     MessageSend,
     PhaseBegin,
     PhaseCommit,
     PoolDegraded,
     Recovery,
-    RetryAttempt,
     VpScheduled,
     WorkerCrash,
     WorkerRespawn,
@@ -157,23 +155,18 @@ def _worker_table(spans: list[WorkerSpan]) -> tuple[WorkerUtilization, ...]:
 @dataclass(frozen=True)
 class ResilienceSummary:
     """Run-level aggregates of the resilience event stream (present on
-    a :class:`RunReport` only when the trace contains fault, retry,
-    checkpoint or recovery events).
+    a :class:`RunReport` only when the trace contains checkpoint or
+    recovery events).
 
-    * **faults** — injected fault occurrences
-      (:class:`~repro.obs.events.FaultInjected` count: each dropped or
-      corrupted attempt, delay, duplicate and straggler phase).
-    * **retries** — bundle re-sends
-      (:class:`~repro.obs.events.RetryAttempt` count).
+    * **checkpoints** / **checkpoint_bytes** — coordinated cuts taken
+      (:class:`~repro.obs.events.CheckpointTaken` count and bytes).
+    * **recoveries** — crashes recovered
+      (:class:`~repro.obs.events.Recovery` count).
     * **checkpoint_time** / **recovery detection+restore** /
       **lost_work** are the three components of the resilience
       overhead; ``overhead(elapsed)`` relates their sum to the run.
     """
 
-    faults: int
-    retries: int
-    duplicates: int
-    stragglers: int
     checkpoints: int
     checkpoint_bytes: int
     checkpoint_time: float
@@ -306,8 +299,8 @@ class RunReport:
         per-phase state of the phases above its cut is dropped, so a
         row describes the execution that committed.  A
         :class:`Recovery` cuts at its ``checkpoint_phase`` and keeps
-        the run-level aggregates (its faults, retries and lost work
-        cost simulated time — what was thrown away is
+        the run-level aggregates (its checkpoints, recovery and lost
+        work cost simulated time — what was thrown away is
         ``resilience.lost_work``); a supervised restart
         (:class:`WorkerRespawn` / :class:`PoolDegraded`) cuts at -1
         with zeroed clocks, so everything but the supervision counters
@@ -318,10 +311,6 @@ class RunReport:
         commits: dict[int, PhaseCommit] = {}
         acc: dict[int, dict] = {}
         res = {
-            "faults": 0,
-            "retries": 0,
-            "duplicates": 0,
-            "stragglers": 0,
             "checkpoints": 0,
             "checkpoint_bytes": 0,
             "checkpoint_time": 0.0,
@@ -393,16 +382,6 @@ class RunReport:
                 commits[ev.phase] = ev
             elif tp is BarrierWait:
                 bucket(ev.phase)["barrier_cost"] += ev.duration
-            elif tp is FaultInjected:
-                saw_resilience = True
-                res["faults"] += 1
-                if ev.fault == "duplicate":
-                    res["duplicates"] += 1
-                elif ev.fault == "straggler":
-                    res["stragglers"] += 1
-            elif tp is RetryAttempt:
-                saw_resilience = True
-                res["retries"] += 1
             elif tp is CheckpointTaken:
                 saw_resilience = True
                 res["checkpoints"] += 1

@@ -20,8 +20,7 @@ simulated machine — by deterministic re-execution of the driver:
   segments are released on the way out, and ``run_ppm``'s
   re-execution loop (the one crash recovery goes round too) re-runs
   the driver in a fresh pool of the same size after an exponential
-  back-off (:meth:`SupervisionState.restart`, reusing
-  :class:`repro.resilience.retry.RetryPolicy` at host scale).  A
+  back-off (:meth:`SupervisionState.restart`).  A
   restarted run *is* a fault-free run, so committed arrays, simulated
   times and reports equal the inline engine's on every kernel the
   model admits (``tests/parallel/test_supervisor.py``).
@@ -48,14 +47,12 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import SupervisionExhaustedError, _PoolRestart
 from repro.obs.events import PoolDegraded, WorkerCrash, WorkerRespawn
-from repro.resilience.retry import RetryPolicy
 
-#: Host-scale retry schedule for worker respawns (the simulated-network
-#: default of :class:`RetryPolicy` backs off in microseconds; process
-#: forks live on the millisecond scale).
-_HOST_RETRY = RetryPolicy(
-    timeout=0.05, backoff_factor=2.0, max_backoff=1.0, max_retries=16
-)
+
+def _backoff(n: int) -> float:
+    """Host seconds slept before the ``n``-th respawn (1-based) at one
+    pool size: 50 ms, doubling, capped at 1 s."""
+    return min(0.05 * 2 ** (n - 1), 1.0)
 
 
 @dataclass
@@ -159,7 +156,7 @@ class SupervisionState:
         event of the decision."""
         if sig.mode == "respawn":
             self.restarts_at_size += 1
-            time.sleep(_HOST_RETRY.backoff(self.restarts_at_size))
+            time.sleep(_backoff(self.restarts_at_size))
             host_s = time.perf_counter() - t0
             self.respawns += 1
             self.recovery_host_s += host_s

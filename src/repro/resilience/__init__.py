@@ -1,5 +1,5 @@
-"""Resilience for PPM runs: fault injection, retrying delivery and
-phase-boundary checkpoint/restore.
+"""Resilience for PPM runs: node-crash injection, phase-boundary
+checkpoint/restore and, under the process executor, worker kills.
 
 The paper's phase construct (§3) makes every phase barrier a globally
 consistent cut: writes only become visible at end-of-phase commit, so
@@ -12,17 +12,13 @@ exercised:
   (``run_ppm(..., resilience=)``): the fault schedule and the recovery
   budget;
 * :class:`FaultPlan` / :class:`FaultInjector` — a deterministic,
-  seeded description of what goes wrong: message drops, corruption,
-  delays and duplicates on the bundled-message path, a node crash at a
-  chosen phase, straggler cores — and, under ``executor="process"``,
-  real worker kills (:meth:`FaultPlan.kill_worker`);
-* :class:`RetryPolicy` / :mod:`repro.resilience.retry` — timeout and
-  exponential backoff for dropped/corrupted bundles, with sequence
-  numbers making duplicate delivery a no-op;
-* :class:`CheckpointManager` — coordinated cuts at configurable phase
-  intervals, priced as a write-out of every ``PPM_global_shared``/
-  ``PPM_node_shared`` instance; a crash rolls back to the last one by
-  deterministic re-execution;
+  seeded description of what goes wrong: a node crash at a chosen
+  phase and, under ``executor="process"``, real worker kills
+  (:meth:`FaultPlan.kill_worker`);
+* :mod:`repro.resilience.checkpoint` — coordinated cuts at configurable
+  phase intervals, priced as a write-out of every
+  ``PPM_global_shared``/``PPM_node_shared`` instance; a crash rolls
+  back to the last one by deterministic re-execution;
 * :class:`ResilienceManager` — the runtime-facing orchestrator
   :func:`repro.core.program.run_ppm` builds for each attempt.
 
@@ -38,15 +34,10 @@ from repro.core.errors import (
     ResilienceConfigError,
     ResilienceError,
 )
-from repro.resilience.checkpoint import Checkpoint, CheckpointManager
 from repro.resilience.faults import FaultInjector, FaultPlan
 from repro.resilience.manager import ResilienceManager, ResiliencePolicy
-from repro.resilience.retry import DeliveryOutcome, RetryPolicy
 
 __all__ = [
-    "Checkpoint",
-    "CheckpointManager",
-    "DeliveryOutcome",
     "FaultInjector",
     "FaultPlan",
     "NodeCrashFault",
@@ -54,5 +45,4 @@ __all__ = [
     "ResilienceError",
     "ResilienceManager",
     "ResiliencePolicy",
-    "RetryPolicy",
 ]

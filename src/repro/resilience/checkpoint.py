@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.errors import ResilienceConfigError
 from repro.core.shared import GlobalShared
 from repro.obs.events import CheckpointTaken
 
@@ -55,7 +54,9 @@ class CheckpointManager:
 
     ``alpha``/``bytes_per_second`` price the coordinated write-out:
     ``alpha + nbytes / (n_nodes * bytes_per_second)`` simulated
-    seconds, every node draining its partition in parallel.
+    seconds, every node draining its partition in parallel.  The
+    values come from a :class:`~repro.resilience.ResiliencePolicy`,
+    which has checked them.
     """
 
     def __init__(
@@ -65,17 +66,6 @@ class CheckpointManager:
         alpha: float = 100.0e-6,
         bytes_per_second: float = 2.0e9,
     ) -> None:
-        if not isinstance(every, int) or isinstance(every, bool) or every < 1:
-            raise ResilienceConfigError(
-                f"checkpoint_every must be an int >= 1, got {every!r}",
-                code="PPM303",
-            )
-        if alpha < 0 or bytes_per_second <= 0:
-            raise ResilienceConfigError(
-                "checkpoint cost knobs must be positive "
-                f"(alpha={alpha}, bytes_per_second={bytes_per_second})",
-                code="PPM303",
-            )
         self.every = every
         self.alpha = alpha
         self.bytes_per_second = bytes_per_second

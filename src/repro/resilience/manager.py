@@ -15,18 +15,18 @@ Recovery model (docs/RESILIENCE.md walks through an example):
   driver again (a new *incarnation*).  VP locals live in generator
   frames and cannot be serialized, so the simulator reaches the cut —
   arrays included, bit for bit — by deterministic re-execution: during
-  this *fast-forward* the tracer is detached and fault injection,
-  checkpointing and retry charging are suppressed — the replayed
-  phases are a simulator artifact, not simulated work.
+  this *fast-forward* the tracer is detached and crash injection and
+  checkpointing are suppressed — the replayed phases are a simulator
+  artifact, not simulated work.
 * At the resume point (the commit of the checkpointed phase, or phase
   0's start when no checkpoint exists) the manager rewinds the machine
   trace to where the crash left it, sets every clock to ``t_crash +
   detection_timeout + restore_time`` — the cost a real system would
   pay — re-attaches the tracer and emits
   :class:`~repro.obs.events.Recovery`.  Execution continues live; the
-  phases between the checkpoint and the crash re-run with faults
-  active (that re-execution is the *lost work* a rollback really
-  costs, and it stays counted).
+  phases between the checkpoint and the crash re-run live (that
+  re-execution is the *lost work* a rollback really costs, and it
+  stays counted).
 
 Fired crashes are consumed, so replay cannot re-crash and the loop
 terminates (bounded by ``max_incarnations``).
@@ -35,7 +35,7 @@ terminates (bounded by ``max_incarnations``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.errors import (
     NodeCrashFault,
@@ -43,10 +43,9 @@ from repro.core.errors import (
     ResilienceConfigError,
     ResilienceError,
 )
-from repro.obs.events import FaultInjected, Recovery, RetryAttempt
+from repro.obs.events import Recovery
 from repro.resilience.checkpoint import CheckpointManager
 from repro.resilience.faults import FaultInjector, FaultPlan
-from repro.resilience.retry import RetryPolicy, deliver_flight
 
 
 @dataclass(frozen=True)
@@ -64,11 +63,8 @@ class ResiliencePolicy:
     """
 
     faults: FaultPlan | None = None
-    """The seeded fault schedule: simulated message faults, node
-    crashes and stragglers, and real worker kills."""
-
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
-    """Timeout/backoff schedule for dropped or corrupted bundles."""
+    """The seeded fault schedule: simulated node crashes and, under
+    ``executor="process"``, real worker kills."""
 
     checkpoint_every: int | None = None
     """Phases between coordinated checkpoints (``None``: none, a crash restarts)."""
@@ -111,6 +107,14 @@ class ResiliencePolicy:
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise ResilienceConfigError(
                 f"faults must be a FaultPlan or None, got {self.faults!r}",
+                code="PPM303",
+            )
+        every = self.checkpoint_every
+        if every is not None and (
+            not isinstance(every, int) or isinstance(every, bool) or every < 1
+        ):
+            raise ResilienceConfigError(
+                f"checkpoint_every must be an int >= 1, got {every!r}",
                 code="PPM303",
             )
         for name in ("checkpoint_alpha", "detection_timeout", "restore_alpha"):
@@ -156,8 +160,8 @@ class ResiliencePolicy:
 
 
 class ResilienceManager:
-    """Orchestrates fault injection, retry charging, checkpointing and
-    crash recovery for one ``run_ppm`` attempt (across incarnations)."""
+    """Orchestrates crash injection, checkpointing and crash recovery
+    for one ``run_ppm`` attempt (across incarnations)."""
 
     def __init__(
         self,
@@ -209,7 +213,6 @@ class ResilienceManager:
         self._trace_mark: tuple = ()
         self._pending: Recovery | None = None  # emitted at resume
         # -- counters -------------------------------------------------
-        self.retries = 0
         self.recoveries = 0
         self.incarnations = 0
 
@@ -287,107 +290,6 @@ class ResilienceManager:
             return
         if self.checkpoints is not None and self.checkpoints.due(phase_index):
             self.checkpoints.take(phase_index, runtime)
-
-    def straggler_factor(self, phase_index: int, node_id: int, runtime) -> float:
-        """Compute-time inflation of ``node_id`` this phase (1.0 when
-        clean, recovering, or no plan)."""
-        if self.replaying or self.injector is None:
-            return 1.0
-        factor = self.injector.straggler_factor(phase_index, node_id)
-        if factor != 1.0:
-            tr = runtime.tracer
-            if tr is not None:
-                tr.emit(
-                    FaultInjected(
-                        phase=phase_index,
-                        fault="straggler",
-                        node=node_id,
-                        src=-1,
-                        dst=-1,
-                        detail=factor,
-                    )
-                )
-        return factor
-
-    def message_penalties(self, phase_index: int, traffic, network) -> dict | None:
-        """Per-node simulated seconds added by message faults on this
-        phase's bundled flights (None when nothing fired).
-
-        Each (node, owner) exchange of the phase is one *flight*; its
-        fault verdict is a pure function of (seed, phase, src, dst),
-        and all recovery cost — backoff waits, retransmit wire time,
-        duplicate handling — is charged to the initiating node's
-        communication time, serialized after the phase's regular
-        traffic (retries cannot start before the loss is detected).
-        """
-        if self.replaying or self.injector is None:
-            return None
-        if not self.injector.plan.has_message_faults:
-            return None
-        cfg = network.config
-        retry = self.policy.retry
-        dup_cpu = cfg.mpi_msg_overhead
-        penalties: dict[int, float] = {}
-        tr = self.tracer
-        for node_id, nt in sorted(traffic.items()):
-            total = 0.0
-            for p in nt.peers:
-                if p.read_elems + p.write_elems == 0:
-                    continue
-                verdict = self.injector.flight(phase_index, node_id, p.owner)
-                if verdict.clean:
-                    continue
-                payload = (p.read_elems + p.write_elems) * p.shared.itemsize
-                resend_bytes = min(payload, cfg.bundle_max_bytes)
-                outcome = deliver_flight(
-                    retry,
-                    verdict,
-                    resend_wire_time=network.message_time(
-                        resend_bytes, intra_node=False
-                    ),
-                    duplicate_cpu_time=dup_cpu,
-                )
-                total += outcome.extra_time
-                self.retries += len(outcome.retries)
-                if tr is not None:
-                    self._trace_flight(
-                        phase_index, node_id, p.owner, verdict, outcome
-                    )
-            if total:
-                penalties[node_id] = total
-        return penalties or None
-
-    def _trace_flight(self, phase, src, dst, verdict, outcome) -> None:
-        """Emit one faulted flight's events: its charged failures, the
-        re-sends, then an injected delay and a duplicate."""
-        emit = self.tracer.emit
-
-        def injected(fault: str, detail: float = 0.0) -> None:
-            emit(
-                FaultInjected(
-                    phase=phase, fault=fault, node=-1, src=src, dst=dst,
-                    detail=detail,
-                )
-            )
-
-        for reason in verdict.failures[: self.policy.retry.max_retries]:
-            injected(reason)
-        for attempt, reason, wait in outcome.retries:
-            emit(
-                RetryAttempt(
-                    phase=phase,
-                    src=src,
-                    dst=dst,
-                    attempt=attempt,
-                    reason=reason,
-                    backoff=wait,
-                    delivered=attempt == len(outcome.retries),
-                )
-            )
-        if verdict.delay:
-            injected("delay", verdict.delay)
-        if verdict.duplicate:
-            injected("duplicate")
 
     # ------------------------------------------------------------------
     def _resume(self, runtime) -> None:

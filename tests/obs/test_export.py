@@ -66,12 +66,19 @@ class TestTraceFiles:
             load_trace(str(path))
 
     def test_rejects_wrong_version(self, tmp_path):
+        # Version 2 dropped the two event kinds of the message-fault
+        # layer, so a version-1 file is refused like a future one.
         path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps({"schema": SCHEMA_NAME, "version": 99, "events": []})
-        )
-        with pytest.raises(ValueError, match="version"):
-            load_trace(str(path))
+        for version in (1, 99):
+            path.write_text(
+                json.dumps({"schema": SCHEMA_NAME, "version": version, "events": []})
+            )
+            with pytest.raises(
+                ValueError,
+                match=rf"bad\.json: unsupported trace version {version} "
+                r"\(this reader understands 2\)",
+            ):
+                load_trace(str(path))
 
     @pytest.mark.parametrize(
         "damage, complaint",

@@ -180,6 +180,11 @@ class TestPolicyValidation:
             dict(every=2, window="barrier"),
             dict(),  # no trigger at all
             dict(every=2, rounds=(1,)),  # two triggers
+            dict(rounds=(-1,)),  # never dispatched
+            dict(rounds=("a",)),
+            dict(every=1, worker=-1),  # used to wrap to the last worker
+            dict(every=1, worker="x"),  # used to fail after the fork
+            dict(every=True),  # used to pass as every=1
         ],
     )
     def test_bad_chaos_ppm601(self, kwargs):
@@ -206,6 +211,13 @@ class TestPolicyValidation:
         pol = ResiliencePolicy(deadline_base=2.0, deadline_per_vp=0.5)
         assert pol.round_deadline(0) == 2.0
         assert pol.round_deadline(10) == 7.0
+
+    def test_respawn_backoff_doubles_from_50ms_to_1s(self):
+        from repro.parallel.supervisor import _backoff
+
+        assert [_backoff(n) for n in range(1, 8)] == [
+            0.05, 0.1, 0.2, 0.4, 0.8, 1.0, 1.0,
+        ]
 
 
 # ----------------------------------------------------------------------

@@ -33,13 +33,13 @@ class TestValidation:
     @pytest.mark.parametrize("every", [0, -1, 1.5, True, "2"])
     def test_rejects_bad_interval(self, every):
         with pytest.raises(ResilienceConfigError, match="PPM303"):
-            CheckpointManager(every)
+            ResiliencePolicy(checkpoint_every=every)
 
     def test_rejects_bad_cost_knobs(self):
         with pytest.raises(ResilienceConfigError, match="PPM303"):
-            CheckpointManager(1, bytes_per_second=0.0)
+            ResiliencePolicy(checkpoint_every=1, checkpoint_bandwidth=0.0)
         with pytest.raises(ResilienceConfigError, match="PPM303"):
-            CheckpointManager(1, alpha=-1.0)
+            ResiliencePolicy(checkpoint_every=1, checkpoint_alpha=-1.0)
 
 
 class TestSchedule:

@@ -100,7 +100,7 @@ def test_bench_cli_spot_run():
 
 #: DIAGNOSTICS.md headings of codes that are never raised any more;
 #: the anchors stay so old links resolve.
-RETIRED_CODES = {"PPM410", "PPM503"}
+RETIRED_CODES = {"PPM301", "PPM304", "PPM305", "PPM410", "PPM503"}
 
 
 def _raised_codes() -> set[str]:
