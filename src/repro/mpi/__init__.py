@@ -3,9 +3,11 @@
 The paper's baselines are hand-written MPI programs and its PPM runtime
 sits "on top of an existing network communication software layer (e.g.
 MPI)".  This package provides that layer: blocking/non-blocking
-point-to-point messaging plus the usual collectives, with one real
-Python thread per rank and simulated-time accounting through each
-rank's logical clock.
+point-to-point messaging plus the usual collectives, with one Python
+thread per rank and simulated-time accounting through each rank's
+logical clock.  The rank threads pass a baton, so exactly one runs at a
+time and a rank yields only where it would block (the schedule is
+written down in :mod:`repro.mpi.launcher`).
 
 Costs are charged where a real MPI implementation pays them:
 
@@ -18,9 +20,10 @@ Costs are charged where a real MPI implementation pays them:
 
 Determinism: message matching is FIFO per (source, tag) and completion
 times follow the conservative virtual-time rule
-``completion = max(receiver_clock, arrival) + overhead``, so results
-and simulated times are independent of real thread scheduling as long
-as programs avoid ``ANY_SOURCE`` races (all bundled apps do).
+``completion = max(receiver_clock, arrival) + overhead``; the baton's
+fixed schedule makes wildcard receives and ``probe`` loops repeat too,
+so results and simulated times are independent of host thread
+scheduling.
 """
 
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator, Request

@@ -1,10 +1,11 @@
 """Collective operations for the simulated MPI layer.
 
 Collectives are implemented as rendezvous: every rank contributes its
-value and entry time; the last arriver computes the results (folding in
+value and entry time and, until the last one arrives, hands the
+launcher's baton on; the last arriver computes the results (folding in
 rank order, so floating-point results are deterministic) and the
-completion time ``max(entry_times) + cost``; every rank then merges the
-completion time into its clock.
+completion time ``max(entry_times) + cost``, then queues the waiters in
+rank order; every rank merges the completion time into its clock.
 
 Costs use hierarchical tree formulas: a tree across the ranks of one
 node at intra-node message cost plus a tree across nodes at network
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from typing import Callable
 
 import numpy as np
@@ -53,6 +53,10 @@ def fold(values: list, op: str | Callable):
     return acc
 
 
+def _max_nbytes(values: list) -> int:
+    return max(payload_nbytes(x) for x in values)
+
+
 class CollectiveMismatchError(RuntimeError):
     """Ranks called different collective operations concurrently."""
 
@@ -60,22 +64,16 @@ class CollectiveMismatchError(RuntimeError):
 class CollectiveEngine:
     """Shared rendezvous state for one job's collectives."""
 
-    def __init__(self, size: int, cluster: Cluster) -> None:
+    def __init__(self, size: int, cluster: Cluster, baton) -> None:
         self.size = size
         self.cluster = cluster
-        self._cond = threading.Condition()
-        self._gen = 0
+        self._baton = baton
         self._contrib: dict[int, tuple[object, float]] = {}
         self._kinds: set[str] = set()
-        self._results: dict[int, tuple[list, float]] = {}
-        self._pending: dict[int, int] = {}
-        self._aborted = False
-
-    def abort(self) -> None:
-        """Release ranks blocked in a rendezvous (job failure)."""
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
+        self._result: tuple[list, float] | None = None
+        """The last completed rendezvous's per-rank results and
+        completion time.  One slot suffices: the next rendezvous cannot
+        complete before every waiter of this one has read it."""
 
     # ------------------------------------------------------------------
     # Cost model helpers
@@ -130,72 +128,44 @@ class CollectiveEngine:
         builds per-rank results and the completion time; return this
         rank's result after merging the completion time."""
         rank = comm.rank
-        with self._cond:
-            gen = self._gen
-            if rank in self._contrib:
+        self._contrib[rank] = (value, comm.ctx.now)
+        self._kinds.add(kind)
+        if len(self._contrib) == self.size:
+            kinds = sorted(self._kinds)
+            values = [self._contrib[r][0] for r in range(self.size)]
+            entries = [self._contrib[r][1] for r in range(self.size)]
+            self._contrib.clear()
+            self._kinds.clear()
+            if len(kinds) != 1:
                 raise CollectiveMismatchError(
-                    f"rank {rank} entered two collectives concurrently"
+                    f"ranks called mismatched collectives: {kinds}"
                 )
-            self._contrib[rank] = (value, comm.ctx.now)
-            self._kinds.add(kind)
-            if len(self._contrib) == self.size:
-                if len(self._kinds) != 1:
-                    kinds = sorted(self._kinds)
-                    self._contrib.clear()
-                    self._kinds.clear()
-                    raise CollectiveMismatchError(
-                        f"ranks called mismatched collectives: {kinds}"
-                    )
-                values = [self._contrib[r][0] for r in range(self.size)]
-                entries = [self._contrib[r][1] for r in range(self.size)]
-                results, completion = finalize(values, entries)
-                self._results[gen] = (results, completion)
-                self._pending[gen] = self.size
-                self._contrib.clear()
-                self._kinds.clear()
-                self._gen += 1
-                self._cond.notify_all()
-            else:
-                while gen not in self._results:
-                    if self._aborted:
-                        from repro.mpi.comm import JobAbortedError
-
-                        raise JobAbortedError(
-                            f"rank {rank} released from {kind}: another rank failed"
-                        )
-                    if not self._cond.wait(timeout=comm._timeout):
-                        raise RuntimeError(
-                            f"collective {kind!r} timed out at rank {rank} — "
-                            f"only {len(self._contrib)}/{self.size} ranks arrived"
-                        )
-            results, completion = self._results[gen]
-            out = results[rank]
-            self._pending[gen] -= 1
-            if self._pending[gen] == 0:
-                del self._results[gen]
-                del self._pending[gen]
+            self._result = finalize(values, entries)
+            for r in range(self.size):
+                if r != rank:
+                    self._baton.wake(r)
+        else:
+            self._baton.wait(rank, kind)
+        results, completion = self._result
+        out = results[rank]
         comm.ctx.clock.merge(completion)
         self.cluster.trace.record(
             "collective", rank, completion, detail=kind
         )
         return out
 
-    def _simple_finalize(self, kind: str, nbytes_fn: Callable[[list], int], result_fn: Callable[[list], list]) -> Callable:
+    def _simple(self, comm, kind: str, value: object, nbytes_fn: Callable[[list], int], result_fn: Callable[[list], list]) -> object:
+        """A rendezvous priced by the tree formulas of :meth:`_cost`."""
         def finalize(values: list, entries: list) -> tuple[list, float]:
             cost = self._cost(kind, nbytes_fn(values))
             return result_fn(values), max(entries) + cost
-        return finalize
+        return self._exchange(comm, kind, value, finalize)
 
     # ------------------------------------------------------------------
     # Public collectives
     # ------------------------------------------------------------------
     def barrier(self, comm) -> None:
-        self._exchange(
-            comm,
-            "barrier",
-            None,
-            self._simple_finalize("barrier", lambda v: 0, lambda v: [None] * self.size),
-        )
+        self._simple(comm, "barrier", None, lambda v: 0, lambda v: [None] * self.size)
 
     def bcast(self, comm, obj: object, root: int) -> object:
         self._check_root(root)
@@ -205,12 +175,7 @@ class CollectiveEngine:
             payload = values[root]
             return [payload if r == root else copy_payload(payload) for r in range(self.size)]
 
-        return self._exchange(
-            comm,
-            "bcast",
-            send,
-            self._simple_finalize("bcast", lambda v: payload_nbytes(v[root]), result_fn),
-        )
+        return self._simple(comm, "bcast", send, lambda v: payload_nbytes(v[root]), result_fn)
 
     def reduce(self, comm, value: object, op: str | Callable, root: int) -> object:
         self._check_root(root)
@@ -219,24 +184,14 @@ class CollectiveEngine:
             total = fold(values, op)
             return [total if r == root else None for r in range(self.size)]
 
-        return self._exchange(
-            comm,
-            "reduce",
-            value,
-            self._simple_finalize("reduce", lambda v: payload_nbytes(v[0]), result_fn),
-        )
+        return self._simple(comm, "reduce", value, lambda v: payload_nbytes(v[0]), result_fn)
 
     def allreduce(self, comm, value: object, op: str | Callable) -> object:
         def result_fn(values: list) -> list:
             total = fold(values, op)
             return [copy_payload(total) for _ in range(self.size)]
 
-        return self._exchange(
-            comm,
-            "allreduce",
-            value,
-            self._simple_finalize("allreduce", lambda v: payload_nbytes(v[0]), result_fn),
-        )
+        return self._simple(comm, "allreduce", value, lambda v: payload_nbytes(v[0]), result_fn)
 
     def gather(self, comm, value: object, root: int) -> list | None:
         self._check_root(root)
@@ -244,23 +199,13 @@ class CollectiveEngine:
         def result_fn(values: list) -> list:
             return [list(values) if r == root else None for r in range(self.size)]
 
-        return self._exchange(
-            comm,
-            "gather",
-            value,
-            self._simple_finalize("gather", lambda v: max(payload_nbytes(x) for x in v), result_fn),
-        )
+        return self._simple(comm, "gather", value, _max_nbytes, result_fn)
 
     def allgather(self, comm, value: object) -> list:
         def result_fn(values: list) -> list:
             return [copy_payload(values) for _ in range(self.size)]
 
-        return self._exchange(
-            comm,
-            "allgather",
-            value,
-            self._simple_finalize("allgather", lambda v: max(payload_nbytes(x) for x in v), result_fn),
-        )
+        return self._simple(comm, "allgather", value, _max_nbytes, result_fn)
 
     def scatter(self, comm, values: list | None, root: int) -> object:
         self._check_root(root)
@@ -271,19 +216,9 @@ class CollectiveEngine:
                 )
 
         def result_fn(contribs: list) -> list:
-            vals = contribs[root]
-            return [copy_payload(v) for v in vals]
+            return [copy_payload(v) for v in contribs[root]]
 
-        return self._exchange(
-            comm,
-            "scatter",
-            values,
-            self._simple_finalize(
-                "scatter",
-                lambda v: max(payload_nbytes(x) for x in v[root]),
-                result_fn,
-            ),
-        )
+        return self._simple(comm, "scatter", values, lambda v: _max_nbytes(v[root]), result_fn)
 
     def scan(self, comm, value: object, op: str | Callable) -> object:
         def result_fn(values: list) -> list:
@@ -295,12 +230,7 @@ class CollectiveEngine:
                 out.append(copy_payload(acc))
             return out
 
-        return self._exchange(
-            comm,
-            "scan",
-            value,
-            self._simple_finalize("scan", lambda v: payload_nbytes(v[0]), result_fn),
-        )
+        return self._simple(comm, "scan", value, lambda v: payload_nbytes(v[0]), result_fn)
 
     def alltoall(self, comm, values: list) -> list:
         if len(values) != self.size:

@@ -2,8 +2,10 @@
 
 One :class:`Communicator` per rank, all sharing a :class:`MailboxSystem`
 created by the launcher.  Sends are eager/buffered (payloads are copied
-out, the sender does not block), receives block the calling thread until
-a matching message exists.  Matching is FIFO per (source, tag).
+out, the sender does not block).  A receive with no matching message
+hands the launcher's baton on and sleeps until a matching ``post``
+queues the receiver; a ``probe`` that answers no sends its caller to the
+back of the run queue.  Matching is FIFO per (source, tag).
 
 Simulated-time rules (conservative virtual time):
 
@@ -19,7 +21,6 @@ runtime's scheduled stream does not pay this — paper section 3.3).
 
 from __future__ import annotations
 
-import threading
 from collections import deque
 from typing import Callable
 
@@ -30,17 +31,10 @@ from repro.mpi.process import RankContext
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-_DEFAULT_TIMEOUT = 60.0  # real seconds before declaring deadlock
 
-
-class MpiTimeoutError(RuntimeError):
-    """A blocking operation waited longer than the real-time timeout,
-    which in a deterministic simulation means deadlock."""
-
-
-class JobAbortedError(RuntimeError):
-    """Another rank of this job failed; blocked operations are
-    released with this exception instead of waiting for a timeout."""
+def _accepts(source: int, tag: int, key: tuple[int, int]) -> bool:
+    """Does a receive for ``(source, tag)`` match a message keyed ``key``?"""
+    return source in (ANY_SOURCE, key[0]) and tag in (ANY_TAG, key[1])
 
 
 class _Message:
@@ -58,41 +52,28 @@ class _Message:
 class MailboxSystem:
     """Shared in-flight message store for all ranks of one job."""
 
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._cond = [threading.Condition() for _ in range(size)]
+    def __init__(self, size: int, baton) -> None:
+        self._baton = baton
         self._queues: list[dict[tuple[int, int], deque[_Message]]] = [
             {} for _ in range(size)
         ]
+        self._pending: dict[int, tuple[int, int]] = {}
+        """Blocked receiver -> the ``(source, tag)`` it waits for."""
         self._seq = 0
-        self._seq_lock = threading.Lock()
-        self._aborted = False
-
-    def abort(self) -> None:
-        """Release every blocked receiver with :class:`JobAbortedError`
-        (called by the launcher when some rank fails)."""
-        self._aborted = True
-        for cond in self._cond:
-            with cond:
-                cond.notify_all()
-
-    def _next_seq(self) -> int:
-        with self._seq_lock:
-            self._seq += 1
-            return self._seq
 
     def post(self, dest: int, msg_source: int, tag: int, payload: object, nbytes: int, arrival: float) -> None:
-        seq = self._next_seq()
-        cond = self._cond[dest]
-        with cond:
-            key = (msg_source, tag)
-            self._queues[dest].setdefault(key, deque()).append(
-                _Message(msg_source, tag, payload, nbytes, arrival, seq)
-            )
-            cond.notify_all()
+        self._seq += 1
+        key = (msg_source, tag)
+        self._queues[dest].setdefault(key, deque()).append(
+            _Message(msg_source, tag, payload, nbytes, arrival, self._seq)
+        )
+        want = self._pending.get(dest)
+        if want is not None and _accepts(*want, key):
+            del self._pending[dest]
+            self._baton.wake(dest)
 
     def _match(self, dest: int, source: int, tag: int) -> _Message | None:
-        """Pop the best matching message, or None.  Must hold the lock."""
+        """Pop the best matching message, or None."""
         queues = self._queues[dest]
         if source != ANY_SOURCE and tag != ANY_TAG:
             q = queues.get((source, tag))
@@ -104,11 +85,7 @@ class MailboxSystem:
         best_key: tuple[int, int] | None = None
         best: _Message | None = None
         for key, q in queues.items():
-            if not q:
-                continue
-            if source != ANY_SOURCE and key[0] != source:
-                continue
-            if tag != ANY_TAG and key[1] != tag:
+            if not q or not _accepts(source, tag, key):
                 continue
             head = q[0]
             if best is None or (head.arrival, head.seq) < (best.arrival, best.seq):
@@ -117,36 +94,21 @@ class MailboxSystem:
             queues[best_key].popleft()
         return best
 
-    def take(self, dest: int, source: int, tag: int, timeout: float) -> _Message:
-        cond = self._cond[dest]
-        with cond:
+    def take(self, dest: int, source: int, tag: int) -> _Message:
+        msg = self._match(dest, source, tag)
+        while msg is None:
+            self._pending[dest] = (source, tag)
+            self._baton.wait(dest, f"recv(source={source}, tag={tag})")
             msg = self._match(dest, source, tag)
-            while msg is None:
-                if self._aborted:
-                    raise JobAbortedError(
-                        f"rank {dest} released from recv: another rank failed"
-                    )
-                if not cond.wait(timeout=timeout):
-                    raise MpiTimeoutError(
-                        f"rank {dest} recv(source={source}, tag={tag}) timed out "
-                        f"after {timeout}s of real time — likely deadlock"
-                    )
-                msg = self._match(dest, source, tag)
-            return msg
+        return msg
 
     def peek(self, dest: int, source: int, tag: int) -> bool:
-        cond = self._cond[dest]
-        with cond:
-            queues = self._queues[dest]
-            for key, q in queues.items():
-                if not q:
-                    continue
-                if source != ANY_SOURCE and key[0] != source:
-                    continue
-                if tag != ANY_TAG and key[1] != tag:
-                    continue
-                return True
-            return False
+        """True when a matching message is queued; otherwise ``dest``
+        goes to the back of the run queue before hearing no."""
+        if any(q and _accepts(source, tag, key) for key, q in self._queues[dest].items()):
+            return True
+        self._baton.requeue(dest)
+        return False
 
 
 class Request:
@@ -183,13 +145,10 @@ class Communicator:
         ctx: RankContext,
         mailboxes: MailboxSystem,
         cluster: Cluster,
-        *,
-        timeout: float = _DEFAULT_TIMEOUT,
     ) -> None:
         self.ctx = ctx
         self._mail = mailboxes
         self._cluster = cluster
-        self._timeout = timeout
         self.collectives = None  # bound by the launcher
 
     # -- identity ------------------------------------------------------
@@ -243,7 +202,7 @@ class Communicator:
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> object:
         """Blocking receive; returns the payload."""
-        msg = self._mail.take(self.rank, source, tag, self._timeout)
+        msg = self._mail.take(self.rank, source, tag)
         intra = self._cluster.same_node(self.rank, msg.source)
         self.ctx.clock.advance(self._cluster.network.message_cpu_overhead(intra))
         self.ctx.clock.merge(msg.arrival)
@@ -261,7 +220,9 @@ class Communicator:
         return Request(lambda: self.recv(source, tag))
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
-        """True when a matching message is already available."""
+        """True when a matching message is already available.  Before
+        answering no, the caller goes to the back of the run queue, so a
+        busy ``probe`` loop cannot starve the sender it waits for."""
         return self._mail.peek(self.rank, source, tag)
 
     def sendrecv(self, obj: object, dest: int, source: int, sendtag: int = 0, recvtag: int = ANY_TAG) -> object:

@@ -64,8 +64,11 @@ class TestMismatchedCollectives:
             else:
                 comm.allreduce(1)
 
-        with pytest.raises(RuntimeError, match="mismatched|failed"):
+        with pytest.raises(
+            RuntimeError, match=r"mismatched collectives: \['allreduce', 'barrier'\]"
+        ) as info:
             _run(prog)
+        assert isinstance(info.value.__cause__, CollectiveMismatchError)
 
 
 class TestLargePayloads:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.config import testing as mkconfig
 from repro.machine import Cluster
-from repro.mpi import MpiDeadlockError, run_mpi
+from repro.mpi import ANY_SOURCE, MpiDeadlockError, run_mpi
 
 
 class TestLaunch:
@@ -54,15 +57,95 @@ class TestResults:
                 raise ValueError("boom")
             return comm.rank
 
-        with pytest.raises(RuntimeError, match="rank 2 failed"):
+        with pytest.raises(RuntimeError, match="rank 2 failed") as info:
             run_mpi(prog, cluster2x2)
+        assert isinstance(info.value.__cause__, ValueError)
 
-    def test_deadlock_detection(self):
+    @pytest.mark.parametrize(
+        "rank0, rank1, match",
+        [
+            (
+                lambda comm: comm.recv(source=1, tag=1),
+                lambda comm: comm.recv(source=0, tag=1),
+                r"rank 0 waits in recv\(source=1, tag=1\); rank 1 waits in recv\(source=0, tag=1\)",
+            ),
+            (
+                lambda comm: comm.barrier(),
+                lambda comm: comm.recv(source=0, tag=3),
+                r"rank 0 waits in barrier; rank 1 waits in recv\(source=0, tag=3\)",
+            ),
+        ],
+        ids=["recv-recv", "barrier-recv"],
+    )
+    def test_deadlock_detection(self, rank0, rank1, match):
         cluster = Cluster(mkconfig(n_nodes=1, cores_per_node=2))
 
         def prog(comm):
-            # both ranks recv a message nobody sends
+            (rank0 if comm.rank == 0 else rank1)(comm)
+
+        with pytest.raises(MpiDeadlockError, match=match):
+            run_mpi(prog, cluster)
+
+    def test_no_rank_thread_outlives_the_job(self, cluster2x2):
+        def clean(comm):
+            return comm.allreduce(comm.rank)
+
+        def failing(comm):
+            if comm.rank == 1:
+                raise ValueError("boom")
+            try:
+                comm.barrier()
+            finally:
+                comm.barrier()  # blocks again while the job is torn down
+
+        def deadlocked(comm):
             comm.recv(source=comm.rank ^ 1, tag=1)
 
-        with pytest.raises((MpiDeadlockError, RuntimeError)):
-            run_mpi(prog, cluster, timeout=1.0)
+        def rank_threads():
+            return [t.name for t in threading.enumerate() if t.name.startswith("mpi-rank-")]
+
+        assert run_mpi(clean, cluster2x2).results == [6, 6, 6, 6]
+        assert rank_threads() == []
+        with pytest.raises(RuntimeError, match="rank 1 failed"):
+            run_mpi(failing, cluster2x2)
+        assert rank_threads() == []
+        with pytest.raises(MpiDeadlockError):
+            run_mpi(deadlocked, cluster2x2)
+        assert rank_threads() == []
+
+    def test_schedule_survives_fast_thread_switching(self):
+        """The baton's state has no lock: only its holder touches it.
+        Switching host threads every microsecond must change nothing."""
+        cluster = Cluster(mkconfig(n_nodes=4, cores_per_node=4))
+
+        def prog(comm):
+            order = []
+            for step in range(3):
+                comm.work(1e3 * ((comm.rank * 7 + step) % 5))
+                if comm.rank == 0:
+                    order += [comm.recv(source=ANY_SOURCE, tag=step) for _ in range(comm.size - 1)]
+                    for dest in range(1, comm.size):
+                        comm.send(step, dest=dest, tag=step)
+                else:
+                    comm.send(comm.rank, dest=0, tag=step)
+                    while not comm.probe(source=0, tag=step):
+                        pass
+                    comm.recv(source=0, tag=step)
+                comm.barrier()
+            return order, comm.now
+
+        def run_once():
+            box = []
+            thread = threading.Thread(target=lambda: box.append(run_mpi(prog, cluster)), daemon=True)
+            thread.start()
+            thread.join(timeout=60)
+            assert not thread.is_alive(), "run_mpi hung"
+            return box[0].results
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = [run_once() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(old)
+        assert outcomes[0] == outcomes[1] == outcomes[2]

@@ -124,6 +124,34 @@ class TestNonBlocking:
         assert res.results[1] == 7
 
 
+class TestDeterminism:
+    """The baton's fixed schedule gives racy programs one outcome."""
+
+    def test_wildcard_receive_order(self):
+        def prog(comm):
+            if comm.rank == 0:
+                return tuple(comm.recv(source=ANY_SOURCE, tag=0) for _ in range(3))
+            comm.work(1e3 * (4 - comm.rank))
+            comm.send(comm.rank, dest=0, tag=0)
+
+        outcomes = {_run(prog)[0].results[0] for _ in range(10)}
+        assert outcomes == {(1, 3, 2)}
+
+    def test_probe_loop(self):
+        def prog(comm):
+            if comm.rank == 0:
+                spins = 0
+                while not comm.probe(source=3, tag=7):
+                    spins += 1
+                return spins, comm.recv(source=3, tag=7)
+            if comm.rank == 3:
+                comm.work(1e6)
+                comm.send("ready", dest=0, tag=7)
+
+        outcomes = {_run(prog)[0].results[0] for _ in range(10)}
+        assert outcomes == {(1, "ready")}
+
+
 class TestTiming:
     def test_recv_waits_for_arrival(self):
         """The receiver's clock must be at least the message arrival
