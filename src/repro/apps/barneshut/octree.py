@@ -50,11 +50,10 @@ class Octree:
     def n_nodes(self) -> int:
         return self.nodes.shape[0]
 
-    @property
-    def depth_estimate(self) -> int:
-        """Upper-bound traversal depth (for latency-round hints)."""
-        n = max(int(self.perm.size), 2)
-        return int(np.ceil(np.log2(n) / 3)) + 2
+
+def traversal_depth(n_particles: int) -> int:
+    """Upper-bound octree traversal depth (the force phase's latency rounds)."""
+    return int(np.ceil(np.log2(max(n_particles, 2)) / 3)) + 2
 
 
 def max_tree_nodes(n_particles: int, leaf_size: int) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.apps.barneshut.octree import build_octree, max_tree_nodes
+from repro.apps.barneshut.octree import build_octree, max_tree_nodes, traversal_depth
 from repro.apps.barneshut.traversal import FLOPS_PER_INTERACTION, walk_forces
 from repro.apps.common import split_range
 from repro.core import ppm_function, run_ppm
@@ -92,7 +92,7 @@ def ppm_bh_simulate(
     Returns final positions, velocities and the simulated time.
     """
     n = pos.shape[0]
-    depth_hint = int(np.ceil(np.log2(max(n, 2)) / 3)) + 2
+    depth_hint = traversal_depth(n)
 
     def main(ppm):
         POSM = ppm.global_shared("bh_posm", (n, 4))

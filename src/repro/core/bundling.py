@@ -84,10 +84,10 @@ def _owner_elem_pairs(
 
 
 def _groups(footprints: list, ends) -> dict[tuple, list]:
-    """``(node id, shared) -> [row specs, exact element total]`` over a
-    recorder's flat footprint list, ``ends`` closing each node's run —
-    in first-access order, which is the order of the aggregation rows
-    (and so of a trace's per-group events)."""
+    """``(node id, shared) -> [row specs, exact elements, accesses]``
+    over a recorder's flat footprint list, ``ends`` closing each node's
+    run — in first-access order, which is the order of the aggregation
+    rows (and so of a trace's per-group events)."""
     groups: dict[tuple, list] = {}
     lo = 0
     for node_id, hi in ends:
@@ -96,10 +96,11 @@ def _groups(footprints: list, ends) -> dict[tuple, list]:
             group = run.get(spec.shared)
             if group is None:
                 group = run[spec.shared] = groups.setdefault(
-                    (node_id, spec.shared), [[], 0]
+                    (node_id, spec.shared), [[], 0, 0]
                 )
             group[0].append(spec)
             group[1] += spec.elems
+            group[2] += spec.ops
         lo = hi
     return groups
 
@@ -125,7 +126,7 @@ def aggregate_traffic(recorder: PhaseRecorder) -> PhaseTraffic:
         ("read", _groups(recorder.reads, [(n, r) for n, r, _w in marks])),
         ("write", _groups(recorder.writes, [(n, w) for n, _r, w in marks])),
     ):
-        for (node_id, shared), (specs, exact_elems) in groups.items():
+        for (node_id, shared), (specs, exact_elems, ops) in groups.items():
             nt = traffic.get(node_id)
             if nt is None:
                 nt = traffic[node_id] = NodeTraffic(node_id)
@@ -150,7 +151,7 @@ def aggregate_traffic(recorder: PhaseRecorder) -> PhaseTraffic:
             else:
                 nt.local_write_elems += local
             flushes.append(
-                (node_id, shared.name, direction, len(specs), exact_elems,
+                (node_id, shared.name, direction, ops, exact_elems,
                  local + remote, local, remote, peers)
             )
     return traffic

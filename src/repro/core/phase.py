@@ -304,9 +304,12 @@ class PhaseRecorder:
     with its variable and element count) of the global-shared reads
     and writes/accumulates in recording order, ``marks`` closes each
     issuing node's run of both lists, and ``write_ops`` holds every
-    buffered operation (node-shared ones included).  Nothing is
-    grouped or counted while VPs run — a repeated phase shape never
-    needs it (:meth:`signature`), and a new one groups at the barrier
+    buffered operation (node-shared ones included); a read the access
+    memo does not keep copies its rows into the ``logs`` entry (a
+    :class:`~repro.core.shared.RowLog`) of its (node, variable), which
+    joins ``reads`` at its first access.  Nothing is grouped or counted
+    while VPs run — a repeated phase shape never needs it
+    (:meth:`signature`), and a new one groups at the barrier
     (:func:`repro.core.bundling.aggregate_traffic`).
     """
 
@@ -315,6 +318,7 @@ class PhaseRecorder:
         self.latency_rounds = latency_rounds
         self.reads: list[RowSpec] = []
         self.writes: list[RowSpec] = []
+        self.logs: dict = {}  # (node id, variable) -> RowLog
         # (node id, len(reads), len(writes)) after each run of accesses
         # issued from one node; a node may close several runs.
         self.marks: list[tuple[int, int, int]] = []
@@ -380,8 +384,8 @@ class PhaseRecorder:
         footprint's serial stands for its variable, rows, exactness
         and element count (``_access_record``), so two phases with
         equal signatures bundle, cost and commit identically whatever
-        their values; unmemoised footprints (tuple and boolean-mask
-        indices) carry fresh serials and never compare equal.  Built
+        their values; unmemoised footprints (row logs, tuple and mask
+        writes) carry fresh serials and never compare equal.  Built
         in a few C-speed passes; holds no spec or array."""
         ops = self.write_ops
         return (

@@ -659,6 +659,8 @@ class PpmRuntime:
                             fold(pending, node_id, decl)
                 if by_rank is None:
                     recorder.close_run(node_id)
+            for log in recorder.logs.values():
+                log.seal()
             if backend is not None and by_rank is None:
                 backend.fill_recorder(recorder, node_key)
         finally:

@@ -59,12 +59,12 @@ class RowSpec:
     materialised index-array form.
 
     As the *footprint* of a recorded access — what the phase recorder
-    keeps per access — it also names the accessed variable and the
-    exact element count (``shared``, ``elems``: fewer than whole rows
-    for a partial-row tuple index); a bare row set leaves them unset.
+    keeps per access — it also names the variable, the exact element
+    count (fewer than whole rows for a partial-row tuple index) and the
+    access calls (``shared``, ``elems``, ``ops``), unset for a bare row set.
     """
 
-    __slots__ = ("start", "stop", "step", "array", "count", "shared", "elems", "uid")
+    __slots__ = ("start", "stop", "step", "array", "count", "shared", "elems", "ops", "uid")
 
     def __init__(
         self,
@@ -88,6 +88,7 @@ class RowSpec:
             self.count = len(range(start, stop, step))
         self.shared = shared
         self.elems = elems
+        self.ops = 1
         #: Process-unique serial number.  Unlike ``id()`` it is never
         #: recycled, so a memo can key on it without keeping the spec
         #: (and its index array) alive — and a phase's access signature
@@ -154,6 +155,38 @@ class RowSpec:
             return (0, 0)
         lo, hi = (r[0], r[-1]) if self.step > 0 else (r[-1], r[0])
         return (lo, hi + 1)
+
+
+class RowLog(RowSpec):
+    """The footprint of a node's reads of a global-shared variable in
+    one phase through indices the memo does not keep (view index
+    arrays, masks, tuple indices): each copies its rows into a growing
+    int64 buffer at the access (SEMANTICS.md R2) and adds to ``ops``
+    and ``elems``; :meth:`seal` makes the buffer ``array``."""
+
+    __slots__ = ("buf",)
+
+    def __init__(self, shared: "GlobalShared") -> None:
+        super().__init__(shared=shared)
+        self.ops = 0
+        self.buf = np.empty(64, dtype=np.int64)
+
+    def add(self, rows: np.ndarray, elems: int) -> None:
+        """Append one read's rows (1-D, negatives not yet wrapped)."""
+        n = self.count
+        m = n + rows.size
+        if m > self.buf.size:  # at least doubles
+            self.buf = np.concatenate((self.buf[:n], np.empty(m, dtype=np.int64)))
+        self.buf[n:m] = rows
+        self.count = m
+        self.elems += elems
+        self.ops += 1
+
+    def seal(self) -> None:
+        """The logged rows become ``array``, negatives wrapped."""
+        rows = self.buf[: self.count]
+        np.add(rows, self.shared.shape[0], out=rows, where=rows < 0)
+        self.array, self.buf = rows, None
 
 
 class WriteEvent:
@@ -373,9 +406,9 @@ class _SharedBase:
         # (a VP's chunk slice, its column-footprint array), so the
         # normalisation/counting work is done once per distinct index.
         self._access_cache: dict = {}
-        # Weak references to the live index arrays behind the id-keyed
-        # entries of _access_cache; each one's callback evicts its
-        # entry when the array dies.
+        # (weak reference, copy of the contents) of the live index arrays
+        # behind the id-keyed entries of _access_cache; each reference's
+        # callback evicts its entry when the array dies.
         self._index_refs: dict = {}
 
     def _access_record(self, idx: object, data: np.ndarray) -> tuple:
@@ -393,15 +426,14 @@ class _SharedBase:
         falls back to an ``np.may_share_memory`` probe).
 
         Cacheable forms: plain slices (keyed by their endpoints), ints,
-        and non-boolean index arrays (keyed by object identity, entry
-        dropped when the array is garbage-collected — index arrays are
-        treated as immutable between accesses, matching how phase code
-        uses a precomputed footprint); a read through a *view* index
-        array skips the memo (:meth:`_fresh_read`).  An id-keyed entry
-        never references its index array: the spec owns an int64 copy
-        of the rows, so the array's death evicts the entry.  Boolean
-        masks and tuple indices select value- or shape-dependent
-        element sets, so they are recomputed every access.
+        and non-boolean index arrays, keyed by object identity.  An
+        id-keyed entry keeps a copy of the array's contents (its rows,
+        when equal), not the array: it holds only while they are
+        unchanged (a VP may refill its index array in place), and the
+        array's death evicts it.  Masks and tuple indices select value-
+        or shape-dependent element sets, so they are recomputed every
+        access; reads through them or through a view index array go to
+        a row log instead (:class:`RowLog`).
         """
         t = type(idx)
         if t is slice:
@@ -422,13 +454,15 @@ class _SharedBase:
                 self._acall + n_elem * self._elem_rate,
             )
         rec = self._access_cache.get(key)
-        if rec is None:
+        if rec is None or (t is _NDARRAY and idx.tobytes() != self._index_refs[key][1].tobytes()):
             rows = _normalize_rows(idx, self.shape[0])
             n_elem = self._count_elements(idx, rows, data)
             if t is _NDARRAY:
-                # Drop the id-keyed entry when the index array dies, so
-                # a recycled id can never resolve to stale rows.
-                self._index_refs[key] = weakref.ref(idx, self._evictor(key))
+                # Evicted when the index array dies (a recycled id never
+                # resolves to stale rows); a hit is checked against snap.
+                plain = idx.dtype == np.int64 and idx.ndim == 1 and idx.min(initial=0) >= 0
+                snap = rows.array if plain else idx.copy()
+                self._index_refs[key] = (weakref.ref(idx, self._evictor(key)), snap)
             rows.shared = self
             rows.elems = n_elem
             rec = (
@@ -438,22 +472,21 @@ class _SharedBase:
             self._access_cache[key] = rec
         return rec
 
-    def _fresh_read(self, idx: np.ndarray, data: np.ndarray) -> tuple:
-        """``(value, rows, cost)`` of a snapshot read through a *view*
-        index array (``POSM[PERM[s:s + c]]``): it never comes back, so
-        it is recorded, not memoised — ``data[idx]`` is the bounds check,
-        the footprint one owned int64 copy with a fresh serial."""
-        try:
-            value = data[idx]
-        except IndexError:
-            raise IndexError(f"row indices out of range for axis of length {len(data)}") from None
-        arr = idx.astype(np.int64)
-        if arr.ndim != 1:
-            arr = arr.reshape(-1)
-        if arr.size and arr.min() < 0:
-            arr[arr < 0] += len(data)
-        rows = RowSpec(array=arr, shared=self, elems=arr.size * self._trailing)
-        return value, rows, self._acall + rows.elems * self._elem_rate
+    def _unkept_read(self, idx: object, data: np.ndarray) -> tuple:
+        """``(value, rows, n_elem, view_kind, cost)`` of a read the memo
+        does not keep, ``rows`` flat for the row log: a view index array's
+        own (negatives wrap at the seal), a mask's or tuple index's."""
+        if type(idx) is _NDARRAY and idx.dtype.kind in "iu":
+            try:  # numpy's indexing is the bounds check
+                value = data[idx]
+            except IndexError:
+                raise IndexError(f"row indices out of range for axis of length {len(data)}") from None
+            rows, n_elem, view_kind = idx.reshape(-1), idx.size * self._trailing, False
+        else:
+            spec = _normalize_rows(idx, self.shape[0])
+            n_elem = self._count_elements(idx, spec, data)
+            value, rows, view_kind = data[idx], spec.materialize(), None
+        return value, rows, n_elem, view_kind, self._acall + n_elem * self._elem_rate
 
     def _evictor(self, key: tuple):
         """Weak-reference callback dropping the id-keyed entry ``key``.
@@ -625,17 +658,25 @@ class GlobalShared(_SharedBase):
         # access's footprint (and, for writes, the buffered operation)
         # to the phase recorder's flat lists.
         data = self._ro
-        if type(idx) is _NDARRAY and idx.base is not None and idx.dtype.kind in "iu":
-            value, rows, cost = self._fresh_read(idx, data)
-            view_kind = False
-        else:
+        t = type(idx)
+        if t is slice or t is int or (t is _NDARRAY and idx.base is None and idx.dtype is not _BOOL):
             rows, _, _, view_kind, cost = self._access_record(idx, data)
             value = data[idx]
+            n_elem = None
+        else:
+            value, rows, n_elem, view_kind, cost = self._unkept_read(idx, data)
         phase = rt.phase
         if phase is None:
             rt._require_phase()
         ctx._cost += cost
-        phase.reads.append(rows)
+        if n_elem is None:
+            phase.reads.append(rows)
+        else:
+            log = phase.logs.get((ctx.node_id, self))
+            if log is None:  # a new log joins reads at its first access
+                log = phase.logs[ctx.node_id, self] = RowLog(self)
+                phase.reads.append(log)
+            log.add(rows, n_elem)
         if view_kind:
             if isinstance(value, np.ndarray):
                 self._views_taken = True
@@ -801,12 +842,12 @@ class NodeShared(_SharedBase):
             self._current_node()  # raises the driver-level usage error
         node = ctx.node_id
         data = self._ro[node]
-        if type(idx) is _NDARRAY and idx.base is not None and idx.dtype.kind in "iu":
-            value, _, cost = self._fresh_read(idx, data)
-            view_kind = False
-        else:
+        t = type(idx)
+        if t is slice or t is int or (t is _NDARRAY and idx.base is None and idx.dtype is not _BOOL):
             _, _, _, view_kind, cost = self._access_record(idx, data)
             value = data[idx]
+        else:
+            value, _, _, view_kind, cost = self._unkept_read(idx, data)
         if rt.phase is None:
             rt._require_phase()
         # A node-shared read moves nothing between nodes: it is charged

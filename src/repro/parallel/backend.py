@@ -460,19 +460,21 @@ class ProcessBackend:
             return arr
         return self._arrays[w][enc[1]]
 
-    def _spec(self, w: int, name: str, enc, *, elems: int = 0, exact: bool = True) -> RowSpec:
+    def _spec(
+        self, w: int, name: str, enc, *, elems: int = 0, ops: int = 1, exact: bool = True
+    ) -> RowSpec:
         """The parent's row spec for worker ``w``'s encoded spec — an
         operation's rows (``exact`` as shipped) or an access footprint
-        (``elems`` as shipped).
+        (``elems`` and ``ops`` as shipped: a row log decodes once).
 
-        Interned per (variable, element count, exactness, encoded
-        rows), so the spec's serial stands for everything a phase
+        Interned per (variable, element and access counts, exactness,
+        encoded rows), so the spec's serial stands for everything a phase
         signature reads off it, exactly as an inline footprint's does:
         iterative kernels reuse the same slices and index arrays phase
         after phase, and the parent then presents the same serials
         round after round."""
         specs = self._specs[w]
-        key = (name, elems, exact, enc if enc[0] == "R" else enc[1][1])
+        key = (name, elems, ops, exact, enc if enc[0] == "R" else enc[1][1])
         spec = specs.get(key)
         if spec is None:
             shared = self.rt.shared_registry[name]
@@ -480,6 +482,7 @@ class ProcessBackend:
                 spec = RowSpec(*enc[1:], shared=shared, elems=elems)
             else:
                 spec = RowSpec(array=self._array(w, enc[1]), shared=shared, elems=elems)
+            spec.ops = ops
             specs[key] = spec
         elif enc[0] == "A" and enc[1][0] == "n":
             self._array(w, enc[1])  # keep the decode table consistent
@@ -521,8 +524,8 @@ class ProcessBackend:
             runs = [
                 (
                     node_id,
-                    [self._spec(w, name, enc, elems=n) for name, enc, n in reads],
-                    [self._spec(w, name, enc, elems=n) for name, enc, n in writes],
+                    [self._spec(w, name, enc, elems=n, ops=k) for name, enc, n, k in reads],
+                    [self._spec(w, name, enc, elems=n, ops=k) for name, enc, n, k in writes],
                 )
                 for node_id, reads, writes in rep["runs"]
             ]

@@ -297,10 +297,10 @@ class _WorkerDo:
             payload["wtargets"] = {
                 (ev.shared.name, ev.instance) for ev in recorder.write_ops
             }
-        # Access footprints travel as (variable, row spec, element
-        # count), one run per node mark, in recording order.
+        # Access footprints travel as (variable, row spec, elements,
+        # access calls), one run per node mark, in recording order.
         def footprints(specs):
-            return [(s.shared.name, enc.spec(s), s.elems) for s in specs]
+            return [(s.shared.name, enc.spec(s), s.elems, s.ops) for s in specs]
 
         runs = payload["runs"] = []
         r0 = w0 = 0

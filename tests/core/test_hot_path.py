@@ -8,8 +8,8 @@ hypothesis tests below throw randomly generated conflicting
 write/accumulate streams at the engine and require the committed bytes
 to equal the oracle's, and require a memoised access record (which
 carries the simulated per-access cost) to equal a freshly computed
-one, and a read through a view index array (never memoised) to equal
-both.  The rest of the module pins down the zero-copy view semantics,
+one, and a read that goes into a row log (a view index array, a mask,
+a tuple index) to read, cost and bundle like a memoised one.  The rest of the module pins down the zero-copy view semantics,
 numpy-integer VP counts and ``close()``.
 """
 
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
+from repro.core.bundling import aggregate_traffic
 from repro.core.phase import CommitPlanCache
 from repro.core.program import PpmProgram
 from repro.core.shared import RowSpec, WriteEvent
@@ -223,6 +224,57 @@ def _record_key(rec):
     return (rows.materialize().tolist(), n_elem, rows_exact, cost)
 
 
+def _read_index(form: str, rows: list, two_d: bool):
+    """``rows`` as an index of the given form: an owned array (kept by
+    the memo), a view of one, a tuple index or a boolean mask (logged)."""
+    owned = np.array(rows, dtype=np.int64)
+    if two_d:
+        owned = owned.reshape(2, -1)
+    if form == "owned":
+        return owned
+    if form == "view":
+        return owned[...]
+    if form == "tuple":
+        return (owned, slice(None))
+    mask = np.zeros(N, dtype=bool)
+    mask[owned] = True
+    return mask
+
+
+def _read_phase(kind: str, form: str, rows: list, two_d: bool) -> tuple:
+    """One VP of a two-node cluster reads ``rows`` of an ``(N, COLS)``
+    shared array through ``form`` in one phase: the value's bytes, the
+    VP cost charged for the read, and the phase's traffic and flush
+    rows."""
+    seen = []
+
+    @ppm_function
+    def kernel(ctx, X):
+        idx = _read_index(form, rows, two_d)
+        yield ctx.global_phase
+        before = ctx._cost
+        value = X[idx]
+        seen.append((value.tobytes(), ctx._cost - before, ctx.runtime.phase))
+
+    def main(ppm):
+        if kind == "global":
+            X = ppm.global_shared("x", (N, COLS))
+            X[:] = np.arange(N * COLS).reshape(N, COLS)
+        else:
+            X = ppm.node_shared("x", (N, COLS))
+            X.instance(0)[:] = np.arange(N * COLS).reshape(N, COLS)
+        ppm.do([1, 0], kernel, X)
+
+    run_ppm(main, _cluster())
+    ((value, cost, recorder),) = seen
+    traffic = aggregate_traffic(recorder)
+    nodes = {
+        node: (nt.local_read_elems, [(p.owner, p.read_elems) for p in nt.peers])
+        for node, nt in traffic.items()
+    }
+    return value, cost, nodes, traffic.flushes
+
+
 class TestAccessRecordMemo:
     """A warm ``_access_record`` must equal a cold one: the memo may
     save the normalisation work, never change the rows bundling sees or
@@ -250,30 +302,25 @@ class TestAccessRecordMemo:
                 cold.append(xs._access_record(idx, data))
             assert [_record_key(r) for r in warm] == [_record_key(r) for r in cold]
 
+
+
     @pytest.mark.parametrize("kind", ["global", "node"])
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(rows=st.lists(st.integers(-N, N - 1), max_size=8), two_d=st.booleans())
     def test_view_index_read_equals_memoised_record(self, kind, rows, two_d):
-        """A read through a view index array skips the memo; its value,
-        footprint, element count and cost must equal what the memoised
-        record of the same rows as an owned array gives."""
-        owned = np.array(rows, dtype=np.int64)
-        if two_d and owned.size % 2 == 0:
-            owned = owned.reshape(2, -1)
-        view = owned[...]
-        with PpmProgram(_cluster()) as ppm:
-            if kind == "global":
-                xs = ppm.global_shared("x", (N, COLS))
-                data = xs._data
-            else:
-                xs = ppm.node_shared("x", (N, COLS))
-                data = xs._data[0]
-            data[:] = np.arange(N * COLS).reshape(N, COLS)
-            value, spec, cost = xs._fresh_read(view, data)
-            rows_m, n_elem, _exact, _vk, cost_m = xs._access_record(owned, data)
-            assert spec.materialize().tolist() == rows_m.materialize().tolist()
-            assert (spec.elems, cost) == (n_elem, cost_m)
-            assert value.tobytes() == data[owned].tobytes()
+        """A read the memo does not keep goes into its node's row log;
+        the same rows read through a view, a boolean mask, a tuple index
+        or an owned (memoised) array must give the same value, charge
+        the VP the same cost and bundle into the same traffic and flush
+        rows."""
+        two_d = two_d and len(rows) % 2 == 0
+        forms = ["view", "tuple"]
+        wrapped = [r % N for r in rows]
+        if not two_d and wrapped == sorted(set(wrapped)):
+            forms.append("mask")  # a mask selects ascending unique rows
+        want = _read_phase(kind, "owned", rows, two_d)
+        for form in forms:
+            assert _read_phase(kind, form, rows, two_d) == want, form
 
 
 # ----------------------------------------------------------------------

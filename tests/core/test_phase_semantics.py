@@ -14,7 +14,7 @@ import pytest
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from repro.apps.common import split_range
-from repro.config import testing as mkconfig
+from repro.config import franklin, testing as mkconfig
 from repro.core import ppm_function, run_ppm
 from repro.core.errors import (
     PhaseUsageError,
@@ -59,6 +59,51 @@ def _main_mutated_index(ppm):
     ]
     ppm.do(2, mutate_index_after_access, pairs)
     return [(X.committed, Y.committed) for X, Y in pairs]
+
+
+_REFILL_ROWS = ([0, 1, 2], [90, 91, 92])
+
+
+@ppm_function
+def refill_index(ctx, Xs, R, kind, across, refill):
+    # Module level: the process executor ships kernels by pickling.
+    # Each VP (one per node) touches three rows of its own variable that
+    # its node owns through an index array, then three rows the other
+    # node owns through the same array refilled in place (or, for the
+    # reference run, a new one), in this phase or the next.
+    X = Xs[ctx.global_rank]
+    first, second = _REFILL_ROWS[:: 1 - 2 * ctx.global_rank]
+    yield ctx.global_phase
+    idx = np.array(first)
+    for step, value in enumerate((1.0, 2.0)):
+        if step:
+            if across:
+                yield ctx.global_phase
+            if refill:
+                idx[:] = second
+            else:
+                idx = np.array(second)
+        if kind == "write":
+            X[idx] = value
+        elif kind == "accumulate":
+            X.accumulate(idx, value)
+        else:
+            R[3 * ctx.global_rank : 3 * ctx.global_rank + 3] = X[idx]
+
+
+def _run_refill(kind, across, refill, engine):
+    def main(ppm):
+        Xs = [ppm.global_shared(f"x{r}", 100) for r in range(2)]
+        for X in Xs:
+            X[:] = np.arange(100.0)
+        R = ppm.global_shared("r", 6)
+        ppm.do(1, refill_index, Xs, R, kind, across, refill)
+        return [X.committed for X in Xs] + [R.committed]
+
+    cluster = Cluster(franklin(n_nodes=2))
+    ppm, arrays = run_ppm(main, cluster, **engine)
+    trace = cluster.trace
+    return arrays, ppm.elapsed, trace.total_messages(), trace.total_bytes()
 
 
 class TestSnapshotReads:
@@ -177,6 +222,30 @@ class TestSnapshotReads:
         for x, y in pairs:
             assert x.tolist() == [0, 10, 20, 0, 0, 0, 0, 0]
             assert y.tolist() == [1, 11, 21, 1, 1, 1, 1, 1]
+
+    @pytest.mark.parametrize("across", [False, True], ids=["one-phase", "two-phases"])
+    @pytest.mark.parametrize("kind", ["write", "accumulate", "read"])
+    @pytest.mark.parametrize(
+        "engine",
+        [{}, {"sanitize": "strict"}, {"executor": "process", "workers": 2}],
+        ids=["inline", "strict", "workers2"],
+    )
+    def test_index_refilled_in_place_is_not_a_memo_hit(self, engine, kind, across):
+        """An index array refilled between two accesses addresses its
+        new rows at the second: the commit, the read value and the
+        traffic equal those of a new array holding them."""
+        arrays, *cost = _run_refill(kind, across, True, engine)
+        want, *want_cost = _run_refill(kind, across, False, engine)
+        assert [a.tolist() for a in arrays] == [a.tolist() for a in want]
+        assert cost == want_cost
+        if kind == "read":
+            assert arrays[2].tolist() == [90.0, 91.0, 92.0, 0.0, 1.0, 2.0]
+            return
+        for rank, x in enumerate(arrays[:2]):
+            rows = np.arange(100.0)
+            for value, at in zip((1.0, 2.0), _REFILL_ROWS[:: 1 - 2 * rank]):
+                rows[at] = value if kind == "write" else rows[at] + value
+            assert x.tolist() == rows.tolist()
 
 
 class TestConflictResolution:

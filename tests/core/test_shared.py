@@ -13,6 +13,7 @@ from repro.apps.graph import hashed_graph, ppm_bfs, serial_bfs
 from repro.apps.graph.generator import Graph
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
+from repro.core.bundling import aggregate_traffic
 from repro.core.errors import SharedAccessError
 from repro.core.program import PpmProgram
 from repro.core.shared import RowSpec, _normalize_rows
@@ -409,8 +410,8 @@ def _gather_main(ppm):
 
 class TestViewIndexReads:
     """A read through a *view* index array (cut out of something for
-    this one access) is recorded but not memoised; numpy's indexing is
-    its bounds check."""
+    this one access) is not memoised: its rows go into the row log of
+    its (node, variable), and numpy's indexing is its bounds check."""
 
     N = 16
 
@@ -443,23 +444,20 @@ class TestViewIndexReads:
         ]
 
     def test_footprints_equal_the_normalised_rows(self):
-        got = []
+        phases = []
 
         def body(ctx, X, phase):
             for idx in self._views():
                 assert idx.base is not None
                 X[idx]
-                got.append(phase.reads[-1])
+            phases.append(phase)
 
         self._run(body)
-        for idx, spec in zip(self._views(), got):
-            want = _normalize_rows(idx, self.N)
-            assert spec.array.dtype == np.int64
-            assert not np.may_share_memory(spec.array, idx)
-            assert spec.array.tolist() == want.array.tolist()
-            assert (spec.count, spec.elems) == (want.count, want.count * 2)
-        # Unmemoised: every read is born with a fresh serial.
-        assert len({spec.uid for spec in got}) == len(got)
+        (log,) = phases[0].reads
+        want = np.concatenate([_normalize_rows(idx, self.N).array for idx in self._views()])
+        assert log.array.dtype == np.int64
+        assert log.array.tolist() == want.tolist()
+        assert (log.count, log.elems, log.ops) == (want.size, want.size * 2, 4)
 
     def test_a_phase_of_view_reads_leaves_the_memo_empty(self):
         sizes = []
@@ -470,7 +468,56 @@ class TestViewIndexReads:
             sizes.append((len(X._access_cache), len(X._index_refs), len(phase.reads)))
 
         self._run(body)
-        assert sizes == [(0, 0, 12)]
+        assert sizes == [(0, 0, 1)]
+
+    def test_a_thousand_view_reads_leave_one_read_entry(self):
+        """One log for the (node, variable), whose aggregation row
+        counts every access: the flush row equals that of the same
+        reads through owned (memoised) copies of the indices."""
+        perm = np.arange(self.N)[::-1].copy()
+        phases = {}
+
+        def reads(view):
+            def body(ctx, X, phase):
+                for i in range(1000):
+                    idx = perm[i % self.N : i % self.N + 3]
+                    X[idx if view else idx.copy()]
+                phases[view] = phase
+
+            return body
+
+        self._run(reads(True))
+        self._run(reads(False))
+        (log,) = phases[True].reads
+        assert len(phases[False].reads) == 1000
+        assert log.ops == 1000
+        flushes = [aggregate_traffic(phases[view]).flushes for view in (True, False)]
+        assert flushes[0] == flushes[1]
+        assert flushes[0][0][3:5] == (1000, 2 * log.count)
+
+    @pytest.mark.parametrize("view", [True, False])
+    def test_a_phase_with_a_log_never_replays_a_plan(self, view):
+        """Three rounds of the same reads: owned index arrays replay the
+        first round's plan, view reads (logged) never do."""
+        perm = np.arange(self.N)
+        seen = {}
+
+        @ppm_function
+        def kernel(ctx, X):
+            ids = [perm[i : i + 4] if view else perm[i : i + 4].copy() for i in (0, 8)]
+            for _ in range(3):
+                yield ctx.global_phase
+                for idx in ids:
+                    X[idx]
+            seen["rt"] = ctx.runtime
+
+        def main(ppm):
+            ppm.do(1, kernel, ppm.global_shared("x", (self.N, 2)))
+
+        run_ppm(main, Cluster(mkconfig(n_nodes=2, cores_per_node=1)))
+        rt = seen["rt"]
+        plans = (rt.stats_phase_plan_hits, rt.stats_phase_plan_misses)
+        assert plans == ((0, 3) if view else (2, 1))
 
     @pytest.mark.parametrize("kind", ["global", "node"])
     @pytest.mark.parametrize("bad", [[0, 16], [-17, 2]])

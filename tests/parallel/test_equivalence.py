@@ -5,21 +5,25 @@ count, ``executor="process"`` commits bitwise-identical shared arrays
 and reports the identical simulated time as the inline executor.
 Hypothesis sweeps seeds and worker counts over the three Figure-1
 workloads (CG, BFS, multigrid) and a synthetic kernel exercising every
-recorded construct.
+recorded construct; Barnes-Hut, whose data-driven reads go into row
+logs, runs at fixed worker counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.apps.barneshut import make_plummer_cloud, ppm_bh_simulate
 from repro.apps.cg import build_chimney_problem, ppm_cg_solve
 from repro.apps.graph import hashed_graph, ppm_bfs
 from repro.apps.multigrid import build_mg_problem, ppm_mg_solve
-from repro.config import manycore, testing as mkconfig
+from repro.config import franklin, manycore, testing as mkconfig
 from repro.core import run_ppm
 from repro.machine import Cluster
+from repro.obs.events import PhaseTrace
 from repro.parallel.shm import live_ppm_segments
 
 # Process pools fork real processes; a handful of examples with
@@ -109,3 +113,37 @@ class TestAppEquivalence:
         )
         assert t1 == t2
         np.testing.assert_array_equal(u1, u2)
+
+
+def _bh_run(**engine):
+    """One Barnes-Hut step, 256 particles on 8 nodes, traced: the
+    final state, simulated time, wire totals and aggregation rows."""
+    pos, vel, mass = make_plummer_cloud(256, seed=3)
+    cluster = Cluster(franklin(n_nodes=8))
+    trace = PhaseTrace()
+    pos, vel, elapsed = ppm_bh_simulate(
+        pos, vel, mass, cluster, steps=1, trace=trace, **engine
+    )
+    flushes = [tuple(e) for e in trace.by_kind("bundle_flushed")]
+    return (
+        pos.tobytes(), vel.tobytes(), elapsed,
+        cluster.trace.total_messages(), cluster.trace.total_bytes(), flushes,
+    )
+
+
+class TestBarnesHutEquivalence:
+    """The only app whose reads go through view index arrays
+    (``POSM[PERM[s:s + c]]``): each worker ships one row log per
+    (node, variable), and the parent must bundle them into the inline
+    run's traffic, access counts included."""
+
+    @pytest.fixture(scope="class")
+    def inline(self):
+        return _bh_run()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_bitwise_identical(self, inline, workers):
+        got = _bh_run(executor="process", workers=workers)
+        assert got[:5] == inline[:5]
+        assert inline[5] and got[5] == inline[5]
+        assert live_ppm_segments() == []
