@@ -139,7 +139,7 @@ class PpmProgram:
 
     @property
     def trace(self) -> Trace:
-        """The cluster's event trace."""
+        """The cluster's traffic counters."""
         return self.cluster.trace
 
     @property

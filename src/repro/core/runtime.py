@@ -926,24 +926,11 @@ class PpmRuntime:
                     ),
                 )
             )
-        if kind == "global":
-            n_vps = sum(len(vps_by_node[n]) for n in nodes)
-            cluster.trace.record(
-                "ppm_global_phase",
-                -1,
-                t_end,
-                messages=costs.messages,
-                nbytes=costs.nbytes,
-                detail=f"vps={n_vps} collectives={n_contrib}",
-            )
-        else:
-            cluster.trace.record(
-                "ppm_node_phase",
-                node_key,
-                t_end,
-                messages=costs.messages,
-                nbytes=costs.nbytes,
-            )
+        cluster.trace.record(
+            "ppm_global_phase" if kind == "global" else "ppm_node_phase",
+            messages=costs.messages,
+            nbytes=costs.nbytes,
+        )
         if res is not None:
             # Checkpoint when due (its cost lands between phases), or
             # — while fast-forwarding — resume at the restored cut.

@@ -8,14 +8,14 @@ Cray XT4).  It provides:
 * :class:`~repro.machine.network.NetworkModel` — message and collective
   cost formulas (alpha/beta, intra-node, bundling, NIC contention);
 * :class:`~repro.machine.memory.NodeMemory` — per-node shared storage;
-* :class:`~repro.machine.trace.Trace` — event recording and statistics.
+* :class:`~repro.machine.trace.Trace` — per-kind message and byte counters.
 """
 
 from repro.machine.clock import LogicalClock
 from repro.machine.cluster import Cluster, Node
 from repro.machine.memory import NodeMemory
 from repro.machine.network import BundleCost, NetworkModel
-from repro.machine.trace import Trace, TraceEvent
+from repro.machine.trace import Trace
 
 __all__ = [
     "BundleCost",
@@ -25,5 +25,4 @@ __all__ = [
     "Node",
     "NodeMemory",
     "Trace",
-    "TraceEvent",
 ]

@@ -38,12 +38,12 @@ class Node:
 
 class Cluster:
     """The simulated machine: ``n_nodes`` nodes of ``cores_per_node``
-    cores, one network model, and a shared event trace."""
+    cores, one network model, and the traffic counters."""
 
-    def __init__(self, config: MachineConfig, *, trace: Trace | None = None) -> None:
+    def __init__(self, config: MachineConfig) -> None:
         self.config = config
         self.network = NetworkModel(config)
-        self.trace = trace if trace is not None else Trace()
+        self.trace = Trace()
         self.nodes = [Node(i, config.cores_per_node) for i in range(config.n_nodes)]
 
     @property
@@ -85,8 +85,10 @@ class Cluster:
         return rank % self.cores_per_node
 
     def same_node(self, rank_a: int, rank_b: int) -> bool:
-        """True when the two ranks share a physical node."""
-        return self.rank_to_node(rank_a) == self.rank_to_node(rank_b)
+        """True when the two ranks share a physical node (both must be
+        in range: the MPI layer's hot path passes only valid ranks)."""
+        cores = self.config.cores_per_node
+        return rank_a // cores == rank_b // cores
 
     @property
     def elapsed(self) -> float:

@@ -97,16 +97,6 @@ class NetworkModel:
         """Per-message CPU overhead on one endpoint."""
         return self.config.effective_msg_overhead(intra_node)
 
-    def pt2pt_cost(self, nbytes: int, intra_node: bool) -> BundleCost:
-        """Full cost of a single point-to-point message (one endpoint's
-        CPU share; callers charge the other endpoint symmetrically)."""
-        return BundleCost(
-            messages=1,
-            payload_bytes=nbytes,
-            wire_time=self.message_time(nbytes, intra_node),
-            cpu_time=self.message_cpu_overhead(intra_node),
-        )
-
     # ------------------------------------------------------------------
     # Bundled fine-grained transfers (the PPM runtime's key trick)
     # ------------------------------------------------------------------
@@ -257,22 +247,3 @@ class NetworkModel:
                 )
             )
         return t
-
-    def bcast_time(self, participants: int, nbytes: int, intra_node: bool = False) -> float:
-        """Binomial-tree broadcast."""
-        return self.reduce_time(participants, nbytes, intra_node)
-
-    def allgather_time(self, participants: int, nbytes_each: int, intra_node: bool = False) -> float:
-        """Ring allgather: every entity ends up with ``participants *
-        nbytes_each`` bytes; ``participants - 1`` ring steps."""
-        if participants <= 1:
-            return 0.0
-        step = self.message_time(nbytes_each, intra_node)
-        return (participants - 1) * step
-
-    def alltoall_time(self, participants: int, nbytes_each_pair: int, intra_node: bool = False) -> float:
-        """Pairwise-exchange all-to-all (``participants - 1`` rounds)."""
-        if participants <= 1:
-            return 0.0
-        step = self.message_time(nbytes_each_pair, intra_node)
-        return (participants - 1) * step

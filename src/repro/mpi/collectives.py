@@ -149,9 +149,6 @@ class CollectiveEngine:
         results, completion = self._result
         out = results[rank]
         comm.ctx.clock.merge(completion)
-        self.cluster.trace.record(
-            "collective", rank, completion, detail=kind
-        )
         return out
 
     def _simple(self, comm, kind: str, value: object, nbytes_fn: Callable[[list], int], result_fn: Callable[[list], list]) -> object:
@@ -274,8 +271,7 @@ class CollectiveEngine:
                 for j in range(self.size)
             ]
             self.cluster.trace.record(
-                "alltoall", 0, max(entries) + worst,
-                messages=self.size * (self.size - 1), nbytes=total_bytes,
+                "alltoall", messages=self.size * (self.size - 1), nbytes=total_bytes
             )
             return results, max(entries) + worst
 

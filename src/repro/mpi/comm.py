@@ -195,10 +195,7 @@ class Communicator:
         self.ctx.clock.advance(self._cluster.network.message_cpu_overhead(intra))
         arrival = self.ctx.now + wire
         self._mail.post(dest, self.rank, tag, copy_payload(obj), nbytes, arrival)
-        self._cluster.trace.record(
-            "msg", self.rank, arrival, messages=1, nbytes=nbytes,
-            detail=f"send->{dest} tag={tag}",
-        )
+        self._cluster.trace.record("msg", messages=1, nbytes=nbytes)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> object:
         """Blocking receive; returns the payload."""

@@ -440,8 +440,8 @@ def event_from_dict(d: dict) -> Event:
 class EventBus:
     """Append-only event sink with optional subscribers.
 
-    The machine layer's legacy :class:`repro.machine.trace.Trace` and
-    the observability :class:`PhaseTrace` are both built on this bus.
+    :class:`PhaseTrace` is built on this bus (the machine layer's
+    :class:`repro.machine.trace.Trace` keeps counters, not events).
     """
 
     __slots__ = ("_log", "_subscribers")

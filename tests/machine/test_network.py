@@ -167,17 +167,6 @@ class TestCollectiveFormulas:
     def test_allreduce_is_twice_reduce(self, net):
         assert net.allreduce_time(8, 64) == pytest.approx(2 * net.reduce_time(8, 64))
 
-    def test_allgather_ring_steps(self, net):
-        t = net.allgather_time(5, 100)
-        assert t == pytest.approx(4 * net.message_time(100, False))
-
-    def test_allgather_single_participant_free(self, net):
-        assert net.allgather_time(1, 100) == 0.0
-
-    def test_alltoall_rounds(self, net):
-        t = net.alltoall_time(4, 50)
-        assert t == pytest.approx(3 * net.message_time(50, False))
-
     def test_rejects_zero_participants(self, net):
         with pytest.raises(ValueError):
             net.barrier_time(0)

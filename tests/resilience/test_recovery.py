@@ -212,22 +212,18 @@ class TestCrashRecovery:
             summary = ppm.summary()
             assert summary.messages == sum(c.messages for c in commits)
             assert summary.nbytes == sum(c.nbytes for c in commits)
-            records = sum(
-                1 for e in ppm.trace.events if e.kind == "ppm_global_phase"
-            )
-            assert records == len(commits)
             report = RunReport.from_trace(trace)
             for row, ref in zip(report.phases, clean.phases, strict=True):
                 assert (row.vp_count, row.vp_work, row.messages) == (
                     ref.vp_count, ref.vp_work, ref.messages
                 )
-            return records, summary.messages, summary.nbytes
+            return summary.messages, summary.nbytes
 
         # 19 phases; the phase-9 cut re-runs phases 10-11, no cut all 12.
         rolled_back = run(5)
         restarted = run(None)
-        assert rolled_back == (21, 29, 7200)
-        assert restarted == (31, 41, 10272)
+        assert rolled_back == (29, 7200)
+        assert restarted == (41, 10272)
 
     def test_crash_without_checkpoint_restarts_from_scratch(self):
         main = _cg_main()

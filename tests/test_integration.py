@@ -113,7 +113,7 @@ class TestPpmPipeline:
         def kernel(ctx, A):
             yield ctx.node_phase
             yield ctx.global_phase
-            A[ctx.global_rank] = 1.0
+            A[(ctx.global_rank + 2) % 4] = 1.0  # the other node's rows
 
         def main(ppm):
             A = ppm.global_shared("A", 4)
@@ -123,10 +123,16 @@ class TestPpmPipeline:
             return None
 
         cluster = Cluster(mkconfig(n_nodes=2, cores_per_node=2))
-        run_ppm(main, cluster)
-        assert cluster.trace.total_messages("ppm_node_phase") == 0
-        assert len(list(cluster.trace.by_kind("ppm_global_phase"))) == 1
-        assert len(list(cluster.trace.by_kind("ppm_node_phase"))) == 2
+        ppm, _ = run_ppm(main, cluster)
+        summary = ppm.summary()
+        assert (summary.global_phases, summary.node_phases) == (1, 2)
+        assert (summary.messages, summary.nbytes) == (2, 64)
+        trace = cluster.trace
+        counts = lambda kind: (trace.total_messages(kind), trace.total_bytes(kind))
+        assert counts("ppm_node_phase") == (0, 0)
+        # One bundle from each node to the other carries the global phase.
+        assert counts("ppm_global_phase") == (2, 64)
+        assert counts(None) == (2, 64)
 
 
 class TestMpiPipeline:
