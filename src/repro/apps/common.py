@@ -62,8 +62,10 @@ class CsrBlock:
     plain arrays (``data`` a view of ``A.data``, indices in ``A``'s
     dtype).  ``cols`` is owned, so ``X[cols]`` keeps a shared variable's
     memoised access record; it is marked in a bitmap over the block's
-    column hull, O(local nnz + hull).  Common to the PPM and MPI CG, so
-    outside Table 1's per-model line counts.
+    column hull, O(local nnz + hull).  It stays a copy because
+    ``nonzero`` returns a view under numpy 2, and reads through a view
+    index go to the row log, which never replays a phase plan.  Common
+    to the PPM and MPI CG, so outside Table 1's per-model line counts.
     """
 
     __slots__ = ("indptr", "indices", "data", "cols", "shape", "nnz", "dtype")

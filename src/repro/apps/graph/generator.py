@@ -5,12 +5,13 @@ implementation (and every test run) sees the identical structure
 without carrying adjacency data around.  Each vertex draws ``degree``
 pseudo-random out-neighbours; edges are symmetrised, self-loops and
 duplicates removed, and the result stored in CSR form.  The CSR is
-built in numpy, without scipy: both directions of every edge become
-one ``row * n + col`` int64 key, the keys are sorted in place and
-deduplicated, the row boundaries come from one ``searchsorted`` and the
-column indices are the keys' remainders, taken in place.  The hash
-inputs and the edge keys are built in place too, so the build's peak
-memory is a few edge-sized arrays, not a chain of matrix temporaries.
+built in numpy, without scipy, in one int64 buffer of ``2 * n * degree``
+keys: the draws are hashed a chunk at a time into both directions'
+``row * n + col`` keys (a self-loop's into a sentinel that sorts first),
+the buffer is sorted in place, its duplicates compacted forward a chunk
+at a time, the row boundaries come from one ``searchsorted`` and the
+column indices are the keys' remainders, taken in place.  The build's
+peak memory is that buffer plus one chunk; ``indices`` is its prefix.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.apps.common import hash_u64
+
+_CHUNK = 1 << 13  # keys per chunk of the build's temporaries
 
 
 @dataclass(frozen=True)
@@ -69,30 +72,30 @@ def hashed_graph(n: int, degree: int = 4, *, seed: int = 1) -> Graph:
         raise ValueError(f"n must be >= 2, got {n}")
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    src = np.repeat(np.arange(n, dtype=np.int64), degree)
-    key = src.astype(np.uint64)
-    key *= np.uint64(0x9E3779B97F4A7C15)
-    key += np.tile(np.arange(degree, dtype=np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F), n)
-    key += np.uint64(seed)
-    dst = hash_u64(key)
-    del key
-    dst %= np.uint64(n)
-    dst = dst.view(np.int64)  # every value is below n
-    keep = src != dst  # no self-loops
-    src, dst = src[keep], dst[keep]
-    m = src.size
+    m = n * degree
     keys = np.empty(2 * m, dtype=np.int64)
-    np.multiply(src, n, out=keys[:m])
-    keys[:m] += dst
-    np.multiply(dst, n, out=keys[m:])
-    keys[m:] += src
-    del src, dst, keep
+    fwd, bwd = keys[:m].reshape(n, degree), keys[m:].reshape(n, degree)
+    salt = np.arange(degree, dtype=np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    salt += np.uint64(seed)
+    step = max(1, _CHUNK // degree)
+    for lo in range(0, n, step):
+        src = np.arange(lo, min(lo + step, n), dtype=np.int64)[:, None]
+        dst = hash_u64(src.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15) + salt)
+        dst %= np.uint64(n)
+        dst = dst.view(np.int64)  # every value is below n
+        f, b = fwd[lo : lo + step], bwd[lo : lo + step]
+        np.add(src * n, dst, out=f)
+        np.add(dst * n, src, out=b)
+        loop = dst == src  # a self-loop's two keys: a sentinel that sorts first
+        f[loop] = b[loop] = -1
     keys.sort()
-    fresh = np.empty(keys.size, dtype=bool)  # collapse duplicate edges
-    fresh[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-    keys = keys[fresh]
-    del fresh
+    size, last = 0, -1  # collapse duplicate edges, skipping the sentinels
+    for lo in range(int(np.searchsorted(keys, 0)), keys.size, _CHUNK):
+        chunk = keys[lo : lo + _CHUNK]
+        kept, last = chunk[np.diff(chunk, prepend=last) != 0], chunk[-1]
+        keys[size : size + kept.size] = kept
+        size += kept.size
+    keys = keys[:size]
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     return Graph(indptr=indptr, indices=np.remainder(keys, n, out=keys), n=n)
 

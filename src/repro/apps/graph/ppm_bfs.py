@@ -36,6 +36,7 @@ def _bfs_kernel(ctx, graph, DIST):
         if frontier.size:
             nbrs, edges = graph.expand(frontier)
             DIST.accumulate(nbrs, level + 1, op="minimum")
+            del nbrs  # the runtime holds its own copy until the commit
             ctx.work(2 * edges)
         handle = ctx.reduce(int(frontier.size), "sum")
 
@@ -49,7 +50,10 @@ def ppm_bfs(
     trace=None,
     **run_opts,
 ) -> tuple[np.ndarray, float]:
-    """Run the PPM BFS; returns distances and the simulated time."""
+    """Run the PPM BFS; returns distances and the simulated time.
+
+    The runtime owns a level's neighbour rows from the ``accumulate``
+    on, so each VP drops its own array before the barrier."""
 
     def main(ppm):
         DIST = ppm.global_shared("bfs_dist", graph.n, dtype=np.int64, fill=UNREACHED)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +20,7 @@ from repro.apps.graph import (
 from repro.apps.common import hash_u64
 from repro.apps.graph.generator import Graph
 from repro.config import franklin
+from repro.core.runtime import PpmRuntime
 from repro.machine import Cluster
 
 
@@ -105,6 +108,21 @@ class TestGenerator:
             hashed_graph(1)
         with pytest.raises(ValueError):
             hashed_graph(10, degree=0)
+
+    def test_build_peak_is_the_graph_it_returns(self):
+        """The build holds one key buffer plus one chunk's temporaries:
+        its traced peak stays within 1.25x of what the graph keeps alive
+        (``indices`` is a prefix view of that buffer)."""
+        tracemalloc.start()
+        try:
+            g = hashed_graph(20_000, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(
+            (a if a.base is None else a.base).nbytes for a in (g.indptr, g.indices)
+        )
+        assert peak <= 1.25 * kept, (peak, kept)
 
 
 @st.composite
@@ -196,6 +214,25 @@ class TestDistributedAgreement:
         ref = serial_bfs(graph, 42)
         dist, _ = ppm_bfs(graph, 42, Cluster(franklin(n_nodes=2)))
         assert (dist == ref).all()
+
+    @pytest.mark.parametrize(
+        "engine", [{}, {"executor": "process", "workers": 2}], ids=["inline", "process"]
+    )
+    def test_vps_hold_no_neighbour_array_across_the_barrier(self, graph, monkeypatch, engine):
+        """The runtime owns an accumulate's rows from the access on; a
+        VP still holding its ``nbrs`` at the barrier would keep a second
+        copy alive, visible as a live id-keyed memo entry at the commit."""
+        held = []
+        lookup = PpmRuntime._lookup_plan
+
+        def spy(self, signature):
+            held.append(len(self.shared_registry["bfs_dist"]._index_refs))
+            return lookup(self, signature)
+
+        monkeypatch.setattr(PpmRuntime, "_lookup_plan", spy)
+        dist, _ = ppm_bfs(graph, 0, Cluster(franklin(n_nodes=2)), **engine)
+        assert (dist == serial_bfs(graph, 0)).all()
+        assert len(held) > 3 and not any(held), held
 
     def test_ppm_independent_of_vp_count(self, graph):
         d1, _ = ppm_bfs(graph, 0, Cluster(franklin(n_nodes=2)), vp_per_core=1)
