@@ -10,8 +10,19 @@ Each application comes in three forms:
 All three compute the same answer (verified by the test suite); the
 PPM and MPI versions additionally report simulated execution time on
 the configured machine, which is what the figures compare.
+
+An application imports on first use (``repro.apps.cg`` or
+``from repro.apps import cg``), so a process loads only the apps it
+runs: Barnes-Hut and BFS never load scipy, CG loads it when it builds
+its matrix, and collocation, multigrid and SpTRSV load it on import.
 """
 
-from repro.apps import barneshut, cg, collocation, graph, multigrid, sptrsv  # noqa: F401
+import importlib
 
 __all__ = ["barneshut", "cg", "collocation", "graph", "multigrid", "sptrsv"]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

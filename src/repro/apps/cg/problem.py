@@ -10,10 +10,12 @@ diagonally dominant), as a CG solver requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import csr_matrix
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,8 @@ def build_chimney_problem(
     taller than its cross-section).  The right-hand side is a smooth
     deterministic field plus hashed noise, seeded for reproducibility.
     """
+    import scipy.sparse as sp  # here, so importing repro.apps.cg stays scipy-free
+
     ny = nx if ny is None else ny
     nz = 2 * nx if nz is None else nz
     if min(nx, ny, nz) < 1:
@@ -96,7 +100,3 @@ def build_chimney_problem(
     b = np.sin(2 * np.pi * x_coord) + z_coord + 0.01 * rng.standard_normal(n)
     return CgProblem(A=A, b=b, nx=nx, ny=ny, nz=nz)
 
-
-def spmv_flops(nnz: int) -> int:
-    """Flops of one sparse matrix-vector product."""
-    return 2 * nnz

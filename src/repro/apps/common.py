@@ -50,12 +50,6 @@ def hash_unit(x: np.ndarray | int) -> np.ndarray | float:
     return np.asarray(h, dtype=np.float64) / 2.0**64
 
 
-try:  # scipy's csr matvec kernel, minus the operator-dispatch layers.
-    from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-except ImportError:  # pragma: no cover - older/newer scipy layouts
-    _csr_matvec = None
-
-
 class CsrBlock:
     """Rows ``[lo, hi)`` of CSR matrix ``A``, columns renumbered into
     their sorted footprint ``cols``: a rank's or VP's private block as
@@ -94,6 +88,10 @@ class CsrBlock:
         self.shape = (hi - lo, self.cols.size)
 
 
+_UNRESOLVED = object()
+_csr_matvec = _UNRESOLVED  # scipy's kernel, looked up at the first call
+
+
 def csr_matvec(Ac: CsrBlock, v: np.ndarray) -> np.ndarray:
     """``Ac @ v`` for a :class:`CsrBlock` without scipy's per-call
     dispatch overhead.
@@ -102,8 +100,16 @@ def csr_matvec(Ac: CsrBlock, v: np.ndarray) -> np.ndarray:
     exactly zeros + ``csr_matvec``) on the same three arrays, so results
     are bitwise equal; the solver kernels run this thousands of times
     per solve.  When ``v`` shares the block's cached ``dtype`` that is
-    the output dtype, with no ``np.result_type`` call.
+    the output dtype, with no ``np.result_type`` call.  scipy's kernel
+    is looked up at the first call, so importing this module (every app
+    does) does not load scipy.
     """
+    global _csr_matvec
+    if _csr_matvec is _UNRESOLVED:
+        try:  # scipy's csr matvec kernel, minus the operator-dispatch layers.
+            from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
+        except ImportError:  # pragma: no cover - older/newer scipy layouts
+            _csr_matvec = None
     if _csr_matvec is None:
         from scipy.sparse import csr_matrix
 
@@ -114,12 +120,3 @@ def csr_matvec(Ac: CsrBlock, v: np.ndarray) -> np.ndarray:
     _csr_matvec(M, N, Ac.indptr, Ac.indices, Ac.data, v, out)
     return out
 
-
-def dot_flops(n: int) -> int:
-    """Flop count of a length-``n`` dot product."""
-    return 2 * n
-
-
-def axpy_flops(n: int) -> int:
-    """Flop count of ``y += a*x`` over ``n`` elements."""
-    return 2 * n

@@ -802,11 +802,15 @@ class PpmRuntime:
         else:
             certified = backend.round_certified(node_key, vote)
             backend.begin_commit(recorder, node_key)
-        signature = recorder.signature(certified)
-        plan = self._lookup_plan(signature)
+        # A row log's serial is new every phase, so a phase holding one
+        # can never repeat: it builds no signature and keeps no plan.
+        signature = None if recorder.logs else recorder.signature(certified)
+        plan = None if signature is None else self._lookup_plan(signature)
         if plan is None:
             self.stats_phase_plan_misses += 1
-            plan = self._phase_plans[signature] = PhasePlan()
+            plan = PhasePlan()
+            if signature is not None:
+                self._phase_plans[signature] = plan
         else:
             self.stats_phase_plan_hits += 1
         if self.sanitizer is not None and not (certified and self.sanitize_auto):

@@ -139,23 +139,6 @@ class RowSpec:
             r = r[::-1]
         return slice(r.start, r.stop, r.step)
 
-    def bounds(self) -> tuple[int, int]:
-        """Half-open ``[lo, hi)`` hull of the rows (``(0, 0)`` when
-        empty); used by the copy-on-commit overlap test."""
-        if self.array is not None:
-            if self.array.size == 0:
-                return (0, 0)
-            return (int(self.array.min()), int(self.array.max()) + 1)
-        if self.step == 1:
-            if self.stop <= self.start:
-                return (0, 0)
-            return (self.start, self.stop)
-        r = range(self.start, self.stop, self.step)
-        if len(r) == 0:
-            return (0, 0)
-        lo, hi = (r[0], r[-1]) if self.step > 0 else (r[-1], r[0])
-        return (lo, hi + 1)
-
 
 class RowLog(RowSpec):
     """The footprint of a node's reads of a global-shared variable in

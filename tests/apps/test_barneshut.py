@@ -19,6 +19,7 @@ from repro.apps.barneshut import (
     walk_forces,
 )
 from repro.config import franklin
+from repro.core.runtime import PpmRuntime
 from repro.machine import Cluster
 
 
@@ -283,6 +284,31 @@ class TestAgreement:
         drift = np.abs(ref_p - pos).max()
         assert np.abs(mp - ref_p).max() < 0.05 * drift
         assert elapsed > 0
+
+
+class TestPhasePlans:
+    def test_row_log_phases_keep_no_plan(self, monkeypatch):
+        """A walk phase reads through row logs, whose serials are new
+        every phase, so its shape can never repeat: it keeps no plan,
+        and the plans held at the last barrier do not grow with the
+        step count.  It still counts as a miss."""
+        run_phase = PpmRuntime._run_phase
+        seen = []
+
+        def spy(self, *args):
+            run_phase(self, *args)
+            seen.append(
+                (len(self._phase_plans), self.stats_phase_plan_hits, self.stats_phase_plan_misses)
+            )
+
+        monkeypatch.setattr(PpmRuntime, "_run_phase", spy)
+        pos, vel, mass = make_plummer_cloud(512, seed=3)
+        kept = {}
+        for steps in (2, 8):
+            seen.clear()
+            ppm_bh_simulate(pos, vel, mass, Cluster(franklin(n_nodes=4)), steps=steps)
+            kept[steps] = seen[-1]
+        assert kept == {2: (2, 2, 4), 8: (2, 14, 10)}
 
 
 class TestFigure3Shape:
