@@ -13,8 +13,8 @@ the configured machine, which is what the figures compare.
 
 An application imports on first use (``repro.apps.cg`` or
 ``from repro.apps import cg``), so a process loads only the apps it
-runs: Barnes-Hut and BFS never load scipy, CG loads it when it builds
-its matrix, and collocation, multigrid and SpTRSV load it on import.
+runs: CG, Barnes-Hut and BFS never load scipy, and collocation,
+multigrid and SpTRSV load it on import.
 """
 
 import importlib

@@ -10,19 +10,19 @@ diagonally dominant), as a CG solver requires.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
+from repro.apps.common import Csr
 
 
 @dataclass(frozen=True)
 class CgProblem:
-    """A linear system ``A x = b`` plus its grid metadata."""
+    """A linear system ``A x = b`` plus its grid metadata.  ``A`` is a
+    numpy :class:`~repro.apps.common.Csr` with the arrays, dtypes and
+    products scipy's ``csr_matrix`` would hold, so CG loads no scipy."""
 
-    A: csr_matrix
+    A: Csr
     b: np.ndarray
     nx: int
     ny: int
@@ -46,8 +46,6 @@ def build_chimney_problem(
     taller than its cross-section).  The right-hand side is a smooth
     deterministic field plus hashed noise, seeded for reproducibility.
     """
-    import scipy.sparse as sp  # here, so importing repro.apps.cg stays scipy-free
-
     ny = nx if ny is None else ny
     nz = 2 * nx if nz is None else nz
     if min(nx, ny, nz) < 1:
@@ -59,11 +57,10 @@ def build_chimney_problem(
     )
     ix, iy, iz = ix.ravel(), iy.ravel(), iz.ravel()
 
-    rows_list = []
-    cols_list = []
-    vals_list = []
-    # 26 neighbour offsets of the 27-point stencil (the centre is the
-    # diagonal, added afterwards for diagonal dominance).
+    # The diagonal (the centre of the stencil) first, its value filled
+    # in once the off-diagonal row sums are known.
+    rows_list, cols_list, vals_list = [np.arange(n)], [np.arange(n)], [np.zeros(n)]
+    # 26 neighbour offsets of the 27-point stencil.
     for dx in (-1, 0, 1):
         for dy in (-1, 0, 1):
             for dz in (-1, 0, 1):
@@ -83,16 +80,25 @@ def build_chimney_problem(
                 cols_list.append(c)
                 vals_list.append(np.full(r.shape, w))
 
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    vals = np.concatenate(vals_list)
-
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    # Diagonal: strict dominance makes the operator SPD.
-    offdiag_rowsum = np.abs(A).sum(axis=1).A1
-    A = A + sp.diags(offdiag_rowsum + 1.0)
-    A = A.tocsr()
-    A.sort_indices()
+    # The bytes scipy's coo -> csr, ``abs(A).sum(axis=1)`` and
+    # ``A + diags(rowsum + 1.0)`` give: entries sorted by (row, column),
+    # each row's off-diagonal |values| summed by ``np.add.reduceat`` (as
+    # scipy's ``_minor_reduce`` does), the diagonal that sum + 1.0 for
+    # strict dominance, which makes the operator SPD.
+    rows, cols = np.concatenate(rows_list), np.concatenate(cols_list)
+    order = np.lexsort((cols, rows))
+    cols, vals = cols[order], np.concatenate(vals_list)[order]
+    diag = cols == rows[order]
+    off_counts = np.bincount(rows, minlength=n) - 1
+    starts = np.cumsum(off_counts) - off_counts
+    has_off = off_counts > 0
+    rowsum = np.zeros(n)
+    rowsum[has_off] = np.add.reduceat(np.abs(vals[~diag]), starts[has_off])
+    vals[diag] = rowsum + 1.0
+    idx = np.int32 if cols.size <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(n + 1, dtype=idx)
+    np.cumsum(off_counts + 1, out=indptr[1:])
+    A = Csr(vals, cols.astype(idx), indptr, (n, n))
 
     rng = np.random.default_rng(seed)
     x_coord = ix / max(nx - 1, 1)

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
+from repro.apps.common import Csr
 
 
 @dataclass(frozen=True)
@@ -23,13 +21,14 @@ class CgResult:
 
 
 def serial_cg_solve(
-    A: csr_matrix,
+    A: Csr,
     b: np.ndarray,
     *,
     tol: float = 1e-8,
     max_iters: int = 500,
 ) -> CgResult:
-    """Plain (unpreconditioned) CG on a SPD CSR matrix.
+    """Plain (unpreconditioned) CG on a SPD CSR matrix (only ``A @ p``
+    is used, so a scipy matrix serves too).
 
     This is the exact algorithm the PPM and MPI implementations
     distribute, with the same floating-point evaluation order per

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 
 _SPLITMIX_MULT = np.uint64(0x9E3779B97F4A7C15)
@@ -50,19 +53,50 @@ def hash_unit(x: np.ndarray | int) -> np.ndarray | float:
     return np.asarray(h, dtype=np.float64) / 2.0**64
 
 
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """A CSR matrix as scipy stores one: ``data``, ``indices`` and
+    ``indptr``, nothing more, so a kernel argument pickles to the same
+    size.  Row ``i`` holds ``data[indptr[i]:indptr[i + 1]]`` at columns
+    ``indices[...]``.  ``A @ v`` is bitwise equal to scipy's (see
+    :func:`csr_matvec`); whoever needs more of scipy wraps the arrays in
+    a ``scipy.sparse.csr_matrix`` itself.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple[int, int]
+    format: ClassVar[str] = "csr"
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Each stored entry's row, built per call (a :class:`CsrBlock`
+        keeps its own)."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return csr_matvec(self, v)
+
+
 class CsrBlock:
     """Rows ``[lo, hi)`` of CSR matrix ``A``, columns renumbered into
     their sorted footprint ``cols``: a rank's or VP's private block as
-    plain arrays (``data`` a view of ``A.data``, indices in ``A``'s
-    dtype).  ``cols`` is owned, so ``X[cols]`` keeps a shared variable's
-    memoised access record; it is marked in a bitmap over the block's
-    column hull, O(local nnz + hull).  It stays a copy because
-    ``nonzero`` returns a view under numpy 2, and reads through a view
-    index go to the row log, which never replays a phase plan.  Common
+    plain arrays (``data`` a view of ``A.data``; ``cols``, ``indices``
+    and each entry's row ``rows`` int64, so a fancy index needs no cast
+    to intp).  ``cols`` is owned, so ``X[cols]`` keeps a shared
+    variable's memoised access record; it is marked in a bitmap over
+    the block's column hull, O(local nnz + hull).  It must not be the
+    view ``nonzero`` returns under numpy 2: reads through a view index
+    go to the row log, which never replays a phase plan.  Common
     to the PPM and MPI CG, so outside Table 1's per-model line counts.
     """
 
-    __slots__ = ("indptr", "indices", "data", "cols", "shape", "nnz", "dtype")
+    __slots__ = ("indptr", "indices", "data", "rows", "cols", "shape", "nnz")
 
     def __init__(self, A, lo: int, hi: int):
         if getattr(A, "format", None) != "csr":
@@ -72,51 +106,30 @@ class CsrBlock:
         self.indptr = A.indptr[lo : hi + 1] - A.indptr[lo]
         self.data = A.data[s:e]
         self.nnz = e - s
-        self.dtype = A.data.dtype
+        self.rows = np.repeat(np.arange(hi - lo), np.diff(self.indptr))
         if self.nnz:
             c0 = int(glob.min())
             rel = glob - c0
             mark = np.zeros(int(rel.max()) + 1, dtype=bool)
             mark[rel] = True
-            self.cols = mark.nonzero()[0].astype(glob.dtype)
-            self.cols += c0
-            local = mark.cumsum(dtype=glob.dtype)
+            self.cols = mark.nonzero()[0] + c0
+            local = mark.cumsum()
             local -= 1
             self.indices = local[rel]
         else:
-            self.cols, self.indices = glob.copy(), glob
+            self.cols, self.indices = np.zeros(0, np.int64), np.zeros(0, np.int64)
         self.shape = (hi - lo, self.cols.size)
 
 
-_UNRESOLVED = object()
-_csr_matvec = _UNRESOLVED  # scipy's kernel, looked up at the first call
+def csr_matvec(Ac: CsrBlock | Csr, v: np.ndarray) -> np.ndarray:
+    """``Ac @ v`` for a :class:`CsrBlock` or :class:`Csr`, bitwise equal
+    to scipy's.
 
-
-def csr_matvec(Ac: CsrBlock, v: np.ndarray) -> np.ndarray:
-    """``Ac @ v`` for a :class:`CsrBlock` without scipy's per-call
-    dispatch overhead.
-
-    Identical arithmetic to scipy's ``@`` (its ``_matmul_vector`` is
-    exactly zeros + ``csr_matvec``) on the same three arrays, so results
-    are bitwise equal; the solver kernels run this thousands of times
-    per solve.  When ``v`` shares the block's cached ``dtype`` that is
-    the output dtype, with no ``np.result_type`` call.  scipy's kernel
-    is looked up at the first call, so importing this module (every app
-    does) does not load scipy.
+    ``np.bincount`` adds each weight into a zeroed output in input
+    order, which is exactly scipy's ``sum += Ax[jj] * Xx[Aj[jj]]`` loop
+    from +0.0, one row at a time.  ``np.add.reduceat`` would not do:
+    it sums a segment of eight or more entries pairwise, and a stencil
+    row holds up to 27.  The solver kernels run this thousands of times
+    per solve.
     """
-    global _csr_matvec
-    if _csr_matvec is _UNRESOLVED:
-        try:  # scipy's csr matvec kernel, minus the operator-dispatch layers.
-            from scipy.sparse._sparsetools import csr_matvec as _csr_matvec
-        except ImportError:  # pragma: no cover - older/newer scipy layouts
-            _csr_matvec = None
-    if _csr_matvec is None:
-        from scipy.sparse import csr_matrix
-
-        return csr_matrix((Ac.data, Ac.indices, Ac.indptr), shape=Ac.shape) @ v
-    M, N = Ac.shape
-    dtype = Ac.dtype if v.dtype is Ac.dtype else np.result_type(Ac.dtype, v.dtype)
-    out = np.zeros(M, dtype=dtype)
-    _csr_matvec(M, N, Ac.indptr, Ac.indices, Ac.data, v, out)
-    return out
-
+    return np.bincount(Ac.rows, weights=Ac.data * v[Ac.indices], minlength=Ac.shape[0])

@@ -57,7 +57,8 @@ def build_trsv_problem(nx: int, *, seed: int = 2009) -> TrsvProblem:
     matrix (the incomplete-factorisation structure of [20]) plus a
     deterministic right-hand side."""
     cg = build_chimney_problem(nx, seed=seed)
-    lower = sp.tril(cg.A, k=0, format="csr")
+    A = sp.csr_matrix((cg.A.data, cg.A.indices, cg.A.indptr), shape=cg.A.shape)
+    lower = sp.tril(A, k=0, format="csr")
     lower.sort_indices()
     levels = level_schedule(lower)
     return TrsvProblem(L=lower, b=cg.b.copy(), levels=levels)

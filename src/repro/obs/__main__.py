@@ -57,8 +57,7 @@ def cmd_chrome(args: argparse.Namespace) -> int:
 
 
 def cmd_demo(args: argparse.Namespace) -> int:
-    # Imported here, so report rendering stays apart from the apps;
-    # scipy loads with build_chimney_problem, not with the import.
+    # Imported here, so report rendering stays apart from the apps.
     from repro.apps.cg import build_chimney_problem, ppm_cg_solve
     from repro.config import franklin
     from repro.machine import Cluster

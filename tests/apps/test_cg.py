@@ -25,7 +25,47 @@ def problem():
     return build_chimney_problem(6)  # 6x6x12 = 432 rows
 
 
+def scipy_matrix(A):
+    return sp.csr_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+
+
+def scipy_chimney(nx, ny=None, nz=None):
+    """The chimney matrix as scipy assembles it: the reference the numpy
+    assembly must reproduce byte for byte."""
+    ny = nx if ny is None else ny
+    nz = 2 * nx if nz is None else nz
+    ix, iy, iz = (g.ravel() for g in np.meshgrid(
+        np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij"
+    ))
+    rows, cols, vals = [], [], []
+    for dx in (-1, 0, 1):
+        for dy in (-1, 0, 1):
+            for dz in (-1, 0, 1):
+                if dx == dy == dz == 0:
+                    continue
+                jx, jy, jz = ix + dx, iy + dy, iz + dz
+                valid = (jx >= 0) & (jx < nx) & (jy >= 0) & (jy < ny) & (jz >= 0) & (jz < nz)
+                rows.append((ix[valid] * ny + iy[valid]) * nz + iz[valid])
+                cols.append((jx[valid] * ny + jy[valid]) * nz + jz[valid])
+                vals.append(np.full(rows[-1].shape, -1.0 / (dx * dx + dy * dy + dz * dz)))
+    n = nx * ny * nz
+    A = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    ).tocsr()
+    A = (A + sp.diags(np.abs(A).sum(axis=1).A1 + 1.0)).tocsr()
+    A.sort_indices()
+    return A
+
+
 class TestProblemGenerator:
+    @pytest.mark.parametrize("dims", [(12,), (4,), (6, 6, 4), (3, 5, 2), (1,), (2, 1, 1)])
+    def test_numpy_assembly_equals_scipy_bytes(self, dims):
+        A, ref = build_chimney_problem(*dims).A, scipy_chimney(*dims)
+        assert A.shape == ref.shape and A.nnz == ref.nnz
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(A, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
     def test_dimensions(self, problem):
         assert problem.n == 6 * 6 * 12
         assert problem.A.shape == (432, 432)
@@ -39,20 +79,22 @@ class TestProblemGenerator:
         assert nnz_per_row.min() == 8
 
     def test_symmetric(self, problem):
-        d = problem.A - problem.A.T
+        A = scipy_matrix(problem.A)
+        d = A - A.T
         assert abs(d).max() < 1e-12 if d.nnz else True
 
     def test_positive_definite(self, problem):
         # Strict diagonal dominance with positive diagonal implies SPD.
-        diag = problem.A.diagonal()
-        offdiag = np.abs(problem.A).sum(axis=1).A1 - np.abs(diag)
+        A = scipy_matrix(problem.A)
+        diag = A.diagonal()
+        offdiag = np.abs(A).sum(axis=1).A1 - np.abs(diag)
         assert (diag > offdiag).all()
 
     def test_deterministic(self):
         p1 = build_chimney_problem(4)
         p2 = build_chimney_problem(4)
         assert (p1.b == p2.b).all()
-        assert (p1.A != p2.A).nnz == 0
+        assert (scipy_matrix(p1.A) != scipy_matrix(p2.A)).nnz == 0
 
     def test_chimney_default_is_tall(self, problem):
         assert problem.nz == 2 * problem.nx
@@ -70,7 +112,7 @@ class TestSerialCg:
 
     def test_matches_scipy(self, problem):
         res = serial_cg_solve(problem.A, problem.b, tol=1e-10)
-        x_ref = spla.spsolve(problem.A.tocsc(), problem.b)
+        x_ref = spla.spsolve(scipy_matrix(problem.A).tocsc(), problem.b)
         assert np.allclose(res.x, x_ref, atol=1e-7)
 
     def test_residual_history_decreases_overall(self, problem):
