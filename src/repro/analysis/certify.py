@@ -9,10 +9,9 @@ phases (by ``yield`` source line) that are proven conflict-free.
 ``run_ppm(..., sanitize="auto")`` consults the certificate each phase
 round: when every active VP is suspended at a certified yield of the
 certified code object, the dynamic per-phase conflict check is
-skipped and the scheduler may treat the phase's communication as
-certified-overlappable.  Any VP sitting at an uncertified yield — or
-any analysis failure at all — falls back to the full ``"strict"``
-dynamic check, so ``"auto"`` is never less safe than ``"strict"``.
+skipped.  Any VP sitting at an uncertified yield — or any analysis
+failure at all — falls back to the full ``"strict"`` dynamic check,
+so ``"auto"`` is never less safe than ``"strict"``.
 """
 
 from __future__ import annotations

@@ -25,8 +25,7 @@ Diagnostics (docs/DIAGNOSTICS.md#ppm401 .. #ppm404):
 A phase whose write accesses are all proven pairwise disjoint (or
 serialised by a single-rank guard, or blessed same-op accumulates) is
 *certified*: ``run_ppm(..., sanitize="auto")`` skips the dynamic
-sanitizer for it and the scheduler may treat its communication as
-fully overlappable (:mod:`repro.analysis.certify`).
+sanitizer for it (:mod:`repro.analysis.certify`).
 
 Certification additionally requires a statically *uniform phase
 structure* — every VP must reach the same ``yield`` in the same

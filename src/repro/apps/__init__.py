@@ -2,7 +2,7 @@
 
 Each application comes in three forms:
 
-* a **serial reference** (plain numpy/scipy) used to verify numerics;
+* a **serial reference** (plain numpy) used to verify numerics;
 * a **PPM implementation** using the programming model under study;
 * an **MPI implementation** written the way the paper's baselines were
   (explicit neighbour lists, packing/unpacking, collectives).
@@ -13,8 +13,7 @@ the configured machine, which is what the figures compare.
 
 An application imports on first use (``repro.apps.cg`` or
 ``from repro.apps import cg``), so a process loads only the apps it
-runs: CG, Barnes-Hut and BFS never load scipy, and collocation,
-multigrid and SpTRSV load it on import.
+runs.  No app loads scipy: the tests use it as their reference.
 """
 
 import importlib

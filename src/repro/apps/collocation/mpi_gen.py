@@ -24,7 +24,6 @@ messages").
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.collocation.multiscale import MultiscaleProblem, slots_to_coo
 from repro.apps.common import split_range
@@ -147,10 +146,11 @@ def mpi_generate(
     cluster: Cluster,
     *,
     ranks: int | None = None,
-) -> tuple[sp.coo_matrix, float]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
     """Generate the matrix with the MPI baseline on the cluster.
 
-    Returns the assembled sparse matrix and the simulated time.
+    Returns the matrix's COO triple ``(rows, cols, vals)`` and the
+    simulated time.
     """
     size = cluster.total_cores if ranks is None else ranks
     cache_blocks = split_range(problem.cache_total, size)

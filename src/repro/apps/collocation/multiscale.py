@@ -217,12 +217,13 @@ class MultiscaleProblem:
         return 2.0 * self.config.n_terms * nnz
 
 
-def slots_to_coo(problem: MultiscaleProblem, vals: np.ndarray):
+def slots_to_coo(
+    problem: MultiscaleProblem, vals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Assemble a canonical slot array (one column per (level, j)
-    ordinal) into a COO matrix by regenerating the deterministic
-    sparsity pattern.  Shared by the PPM and MPI generators."""
-    import scipy.sparse as sp
-
+    ordinal) into the COO triple ``(rows, cols, vals)`` by regenerating
+    the deterministic sparsity pattern, in :func:`serial_generate`'s
+    entry order.  Shared by the PPM and MPI generators."""
     base = problem.config.base_cols
     rows_all = np.arange(problem.n, dtype=np.int64)
     out_r, out_c, out_v = [], [], []
@@ -233,7 +234,4 @@ def slots_to_coo(problem: MultiscaleProblem, vals: np.ndarray):
         out_r.append(r)
         out_c.append(c)
         out_v.append(vals[r, level * base + slot_j])
-    return sp.coo_matrix(
-        (np.concatenate(out_v), (np.concatenate(out_r), np.concatenate(out_c))),
-        shape=(problem.n, problem.n),
-    )
+    return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_v)

@@ -16,7 +16,6 @@ Structure per level (exactly the paper's description):
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.collocation.multiscale import MultiscaleProblem, slots_to_coo
 from repro.apps.common import split_range
@@ -70,11 +69,11 @@ def ppm_generate(
     vp_per_core: int = 2,
     trace=None,
     **run_opts,
-) -> tuple[sp.coo_matrix, float]:
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], float]:
     """Generate the matrix with PPM on the given cluster.
 
-    Returns the assembled sparse matrix and the simulated generation
-    time.
+    Returns the matrix's COO triple ``(rows, cols, vals)`` and the
+    simulated generation time.
     """
 
     def main(ppm):

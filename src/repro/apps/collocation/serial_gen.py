@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.collocation.multiscale import MultiscaleProblem
 
 
-def serial_generate(problem: MultiscaleProblem) -> sp.coo_matrix:
-    """Generate the full sparse matrix directly.
+def serial_generate(
+    problem: MultiscaleProblem,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generate the full sparse matrix directly, as its COO triple
+    ``(rows, cols, vals)``.
 
     Iterates the levels like the parallel versions: evaluate level
     ``l``'s cache table, then assemble every nonzero whose column
@@ -30,7 +32,4 @@ def serial_generate(problem: MultiscaleProblem) -> sp.coo_matrix:
         out_r.append(r)
         out_c.append(c)
         out_v.append(vals)
-    return sp.coo_matrix(
-        (np.concatenate(out_v), (np.concatenate(out_r), np.concatenate(out_c))),
-        shape=(problem.n, problem.n),
-    )
+    return np.concatenate(out_r), np.concatenate(out_c), np.concatenate(out_v)

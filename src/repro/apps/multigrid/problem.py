@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 #: Weighted-Jacobi relaxation factor (the textbook 2/3).
 JACOBI_WEIGHT = 2.0 / 3.0
@@ -47,16 +46,6 @@ class MgProblem:
     def h(self, level: int) -> float:
         """Mesh width of ``level``."""
         return 1.0 / (self.sizes[level] - 1)
-
-    def operator(self, level: int = 0) -> sp.csr_matrix:
-        """The discrete operator of a level (interior unknowns only);
-        used for direct reference solves and residual checks."""
-        m = self.sizes[level] - 2
-        h2 = self.h(level) ** 2
-        return sp.diags(
-            [np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)],
-            offsets=[-1, 0, 1],
-        ).tocsr() / h2
 
 
 def build_mg_problem(levels: int = 6, *, coarsest: int = 3, seed: int = 7) -> MgProblem:
@@ -148,16 +137,25 @@ def prolong_window(uc_window: np.ndarray, fine_lo: int, count: int) -> np.ndarra
 
 def coarse_solve(f_coarse: np.ndarray, h: float) -> np.ndarray:
     """Direct (Thomas) solve of the coarsest level; returns the full
-    vector including zero boundaries."""
-    m = f_coarse.size - 2
-    A = sp.diags(
-        [np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)],
-        offsets=[-1, 0, 1],
-    ).tocsc() / (h * h)
-    import scipy.sparse.linalg as spla
+    vector including zero boundaries.
 
+    Eliminates ``-u[i-1] + 2 u[i] - u[i+1] = h² f[i]`` top down, then
+    substitutes bottom up: ``sup`` holds the eliminated superdiagonal,
+    ``rhs`` the eliminated right-hand side.
+    """
+    m = f_coarse.size - 2
     u = np.zeros_like(f_coarse)
-    u[1:-1] = spla.spsolve(A, f_coarse[1:-1])
+    sup = np.empty(m)
+    rhs = f_coarse[1:-1] * (h * h)
+    sup[0] = -0.5
+    rhs[0] /= 2.0
+    for i in range(1, m):
+        pivot = 2.0 + sup[i - 1]
+        sup[i] = -1.0 / pivot
+        rhs[i] = (rhs[i] + rhs[i - 1]) / pivot
+    u[m] = rhs[m - 1]
+    for i in range(m - 2, -1, -1):
+        u[i + 1] = rhs[i] - sup[i] * u[i + 2]
     return u
 
 

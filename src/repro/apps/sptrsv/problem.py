@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.apps.cg.problem import build_chimney_problem
+from repro.apps.common import Csr
 
 
 @dataclass(frozen=True)
@@ -15,7 +15,7 @@ class TrsvProblem:
     """A lower-triangular system ``L x = b`` with its wavefront
     schedule."""
 
-    L: sp.csr_matrix
+    L: Csr
     b: np.ndarray
     levels: np.ndarray
     """Dependency level of every row (0 = no off-diagonal deps)."""
@@ -33,7 +33,7 @@ class TrsvProblem:
         return np.nonzero(self.levels == level)[0]
 
 
-def level_schedule(L: sp.csr_matrix) -> np.ndarray:
+def level_schedule(L: Csr) -> np.ndarray:
     """Wavefront levels of a lower-triangular CSR matrix.
 
     ``level[i] = 1 + max(level[j])`` over the off-diagonal dependencies
@@ -57,8 +57,14 @@ def build_trsv_problem(nx: int, *, seed: int = 2009) -> TrsvProblem:
     matrix (the incomplete-factorisation structure of [20]) plus a
     deterministic right-hand side."""
     cg = build_chimney_problem(nx, seed=seed)
-    A = sp.csr_matrix((cg.A.data, cg.A.indices, cg.A.indptr), shape=cg.A.shape)
-    lower = sp.tril(A, k=0, format="csr")
-    lower.sort_indices()
+    A = cg.A
+    # Each stencil row holds its columns sorted, so keeping the entries
+    # at or left of the diagonal gives scipy's ``tril(A, format="csr")``
+    # after ``sort_indices()``, array for array; a row's new start is
+    # the count of kept entries before its old one.
+    keep = A.indices <= A.rows
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    indptr = kept_before[A.indptr].astype(A.indptr.dtype)
+    lower = Csr(A.data[keep], A.indices[keep], indptr, A.shape)
     levels = level_schedule(lower)
     return TrsvProblem(L=lower, b=cg.b.copy(), levels=levels)

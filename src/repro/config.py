@@ -130,14 +130,6 @@ class MachineConfig:
     """Fraction of phase communication the runtime hides under the
     phase's computation (0 disables the overlap optimisation)."""
 
-    certified_overlap_fraction: float | None = None
-    """Overlap fraction for phases carrying a static conflict-freedom
-    certificate (``repro.analysis.certify``).  Certified phases touch
-    provably disjoint rows, so the scheduler may overlap their remote
-    traffic with compute more aggressively than the general
-    ``overlap_fraction``.  ``None`` (default) disables the distinction
-    — certified phases time identically to uncertified ones."""
-
     nic_scheduling: bool = True
     """PPM runtime serialises each node's traffic into one coordinated
     stream, avoiding the NIC contention that uncoordinated per-core MPI
@@ -192,13 +184,6 @@ class MachineConfig:
             raise ConfigError("bundle_max_bytes too small to hold one element")
         if not 0.0 <= self.overlap_fraction <= 1.0:
             raise ConfigError("overlap_fraction must be in [0, 1]")
-        if self.certified_overlap_fraction is not None and not (
-            math.isfinite(self.certified_overlap_fraction)
-            and 0.0 <= self.certified_overlap_fraction <= 1.0
-        ):
-            raise ConfigError(
-                "certified_overlap_fraction must be None or in [0, 1]"
-            )
         # Rates, latencies and overheads must be finite and
         # non-negative.  Zero is legal — degenerate zero-cost machines
         # are a supported test configuration — but a negative or

@@ -224,7 +224,7 @@ class PpmRuntime:
         self.stats_global_phases = 0
         self.stats_node_phases = 0
         #: Phase rounds that ran under a static overlap certificate
-        #: (dynamic conflict check skipped, comm certified-overlappable).
+        #: (under ``sanitize="auto"`` the dynamic conflict check is skipped).
         self.stats_certified_phases = 0
         #: Certificate of the kernel currently inside ``do``, or None.
         self._active_cert = None
@@ -341,15 +341,10 @@ class PpmRuntime:
         default_decl = PhaseDecl(phase, latency_rounds=latency_rounds)
 
         # Static overlap certificate for this kernel: consulted per
-        # phase round to skip the dynamic conflict check, to mark the
-        # phase's comm certified-overlappable and, under the process
-        # backend, to commit in place.
+        # phase round to skip the dynamic conflict check and, under the
+        # process backend, to commit in place.
         self._active_cert = None
-        if (
-            self.sanitize_auto
-            or self.config.certified_overlap_fraction is not None
-            or self.executor == "process"
-        ):
+        if self.sanitize_auto or self.executor == "process":
             self._active_cert = self._kernel_certificate(funcs, args, kwargs)
 
         # Process backend, created lazily at the first do (workers fork
@@ -864,7 +859,6 @@ class PpmRuntime:
                 commit_cpu=commit_cpu.get(node_id, 0.0),
                 comm_cost=comm.get(node_id, ZERO_COST),
                 extra_comm_cpu=in_cpu.get(node_id, 0.0),
-                certified=certified,
             )
             node_timings[node_id] = timing
             arrival = max(arrival, node.clock.now + timing.busy)

@@ -162,27 +162,15 @@ def compose_phase_timing(
     commit_cpu: float,
     comm_cost: BundleCost,
     extra_comm_cpu: float = 0.0,
-    certified: bool = False,
 ) -> PhaseTiming:
     """Combine compute, commit and communication into a node's phase
-    timing, applying NIC scheduling/contention and overlap.
-
-    ``certified`` marks a phase carrying a static conflict-freedom
-    certificate (:mod:`repro.analysis.certify`): its remote traffic
-    touches rows proven disjoint across VPs, so the scheduler may hide
-    ``config.certified_overlap_fraction`` of it under compute instead
-    of the default ``overlap_fraction``.  With the default
-    ``certified_overlap_fraction=None`` the flag changes nothing, so
-    certified and uncertified runs stay time-identical.
-    """
+    timing, applying NIC scheduling/contention and overlap."""
     if config.nic_scheduling:
         factor = 1.0
     else:
         factor = network.contention_factor(config.cores_per_node)
     comm = comm_cost.wire_time * factor + comm_cost.cpu_time + extra_comm_cpu
     fraction = config.overlap_fraction
-    if certified and config.certified_overlap_fraction is not None:
-        fraction = config.certified_overlap_fraction
     if fraction > 0.0:
         overlapped = min(comm, fraction * compute)
     else:

@@ -18,9 +18,9 @@ from repro.analysis.certify import certificate_for
 from repro.apps.cg.problem import build_chimney_problem
 from repro.apps.cg.ppm_cg import ppm_cg_solve
 from repro.apps.common import split_range
+from repro.config import MachineConfig
 from repro.config import testing as mkconfig
 from repro.core import PhaseConflictError, ppm_function, run_ppm
-from repro.core.errors import ConfigError
 from repro.machine import Cluster
 
 
@@ -149,41 +149,16 @@ class TestSanitizeAuto:
 
 
 # ======================================================================
-# Scheduler overlap certificates
+# Certificates never change simulated time
 # ======================================================================
-class TestCertifiedOverlap:
-    def test_default_none_keeps_times_identical(self, config2x2):
+class TestCertificatesDoNotTime:
+    def test_auto_times_identically_to_unsanitized(self, config2x2):
         ppm_plain, _ = run_ppm(chunked_main, Cluster(config2x2))
         ppm_auto, _ = run_ppm(
             chunked_main, Cluster(config2x2), sanitize="auto"
         )
         assert ppm_plain.elapsed == ppm_auto.elapsed
 
-    def test_certified_overlap_speeds_up_certified_runs(self):
-        base = mkconfig(n_nodes=2, cores_per_node=2)
-        boosted = mkconfig(
-            n_nodes=2, cores_per_node=2, certified_overlap_fraction=1.0
-        )
-        assert boosted.certified_overlap_fraction == 1.0
-        ppm_base, out_base = run_ppm(chunked_main, Cluster(base))
-        ppm_fast, out_fast = run_ppm(chunked_main, Cluster(boosted))
-        assert np.array_equal(out_base, out_fast)  # results never change
-        assert ppm_fast.elapsed <= ppm_base.elapsed
-        assert ppm_fast.runtime.stats_certified_phases > 0
-
-    def test_uncertified_phases_keep_baseline_overlap(self):
-        boosted = mkconfig(
-            n_nodes=2, cores_per_node=2, certified_overlap_fraction=1.0
-        )
-        ppm, _ = run_ppm(
-            conflicting_main, Cluster(boosted), sanitize="warn"
-        )
-        assert ppm.runtime.stats_certified_phases == 0
-
-    def test_config_validates_fraction(self):
-        with pytest.raises(ConfigError):
-            mkconfig(n_nodes=1, cores_per_node=1,
-                     certified_overlap_fraction=1.5)
-        with pytest.raises(ConfigError):
-            mkconfig(n_nodes=1, cores_per_node=1,
-                     certified_overlap_fraction=float("nan"))
+    def test_config_has_no_certified_overlap_knob(self):
+        with pytest.raises(TypeError):
+            MachineConfig(certified_overlap_fraction=1.0)

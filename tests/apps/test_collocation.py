@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.apps.collocation import (
     CollocationConfig,
@@ -19,6 +20,13 @@ from repro.machine import Cluster
 @pytest.fixture(scope="module")
 def problem():
     return MultiscaleProblem(CollocationConfig(levels=6))
+
+
+def as_csr(problem, triple):
+    """The generators' ``(rows, cols, vals)`` triple as a scipy matrix,
+    the reference the agreement tests compare in."""
+    rows, cols, vals = triple
+    return sp.coo_matrix((vals, (rows, cols)), shape=(problem.n, problem.n)).tocsr()
 
 
 class TestStructure:
@@ -88,7 +96,7 @@ class TestPattern:
     def test_near_linear_nnz(self):
         """The truncation keeps nnz ~ O(n log n), far below dense."""
         p = MultiscaleProblem(CollocationConfig(levels=8))
-        m = serial_generate(p)
+        m = as_csr(p, serial_generate(p))
         assert m.nnz < 0.1 * p.n * p.n
         assert m.nnz > p.n  # but not trivially sparse
 
@@ -111,24 +119,34 @@ class TestCacheValues:
 class TestAgreement:
     @pytest.mark.parametrize("nodes", [1, 2, 3])
     def test_ppm_matches_serial(self, problem, nodes):
-        ref = serial_generate(problem).tocsr()
+        ref = as_csr(problem, serial_generate(problem))
         m, elapsed = ppm_generate(problem, Cluster(franklin(n_nodes=nodes)))
-        diff = (m.tocsr() - ref)
+        diff = (as_csr(problem, m) - ref)
         assert diff.nnz == 0 or abs(diff).max() < 1e-12
         assert elapsed > 0
 
     @pytest.mark.parametrize("nodes", [1, 2])
     def test_mpi_matches_serial(self, problem, nodes):
-        ref = serial_generate(problem).tocsr()
+        ref = as_csr(problem, serial_generate(problem))
         m, elapsed = mpi_generate(problem, Cluster(franklin(n_nodes=nodes)))
-        diff = (m.tocsr() - ref)
+        diff = (as_csr(problem, m) - ref)
         assert diff.nnz == 0 or abs(diff).max() < 1e-12
         assert elapsed > 0
+
+    def test_parallel_pattern_matches_serial_array_for_array(self, problem):
+        """The slot assembly walks the levels in the serial order, so
+        the PPM and MPI triples hold the serial entries in its order."""
+        rows, cols, _ = serial_generate(problem)
+        for generate in (ppm_generate, mpi_generate):
+            (r, c, v), _ = generate(problem, Cluster(franklin(n_nodes=2)))
+            assert np.array_equal(r, rows) and np.array_equal(c, cols)
+            assert r.dtype == rows.dtype and c.dtype == cols.dtype
+            assert v.shape == rows.shape
 
     def test_ppm_independent_of_vp_count(self, problem):
         m1, _ = ppm_generate(problem, Cluster(franklin(n_nodes=2)), vp_per_core=1)
         m2, _ = ppm_generate(problem, Cluster(franklin(n_nodes=2)), vp_per_core=4)
-        diff = (m1.tocsr() - m2.tocsr())
+        diff = (as_csr(problem, m1) - as_csr(problem, m2))
         assert diff.nnz == 0 or abs(diff).max() < 1e-15
 
 

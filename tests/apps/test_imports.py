@@ -1,8 +1,13 @@
-"""What importing and running an app loads: CG, Barnes-Hut, BFS and the
-analyzer run on numpy alone; scipy loads with the apps that use it.
+"""Every app and the analyzer run on numpy alone; scipy is only the
+tests' reference.
 
 Checked in a fresh interpreter, since the test process has long since
-loaded scipy through the other app tests."""
+loaded scipy through the other app tests; ``sys.modules["scipy"] =
+None`` makes any import of scipy raise, so a stray one fails loudly.
+CG runs in all three forms, Barnes-Hut and BFS under PPM.
+Collocation, multigrid and SpTRSV run serially and, through their
+figure builders at ``tests/bench/test_harness.py``'s ``REDUCED``
+sizes, under PPM and MPI."""
 
 from __future__ import annotations
 
@@ -15,10 +20,16 @@ _SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 _PROGRAM = """
 import sys
 
-import repro, repro.analysis, repro.apps, repro.apps.barneshut, repro.apps.graph, repro.apps.cg
+sys.modules["scipy"] = None
+
+import repro, repro.analysis, repro.apps
 from repro.apps.barneshut import make_plummer_cloud, ppm_bh_simulate
 from repro.apps.cg import build_chimney_problem, mpi_cg_solve, ppm_cg_solve, serial_cg_solve
+from repro.apps.collocation import CollocationConfig, MultiscaleProblem, serial_generate
 from repro.apps.graph import hashed_graph, ppm_bfs
+from repro.apps.multigrid import build_mg_problem, serial_mg_solve
+from repro.apps.sptrsv import build_trsv_problem, serial_trsv
+from repro.bench.figures import ext_multigrid, ext_trsv, fig2_matgen
 
 cluster = lambda: repro.Cluster(repro.franklin(n_nodes=2))
 pos, vel, mass = make_plummer_cloud(256, seed=3)
@@ -29,10 +40,15 @@ ppm_cg_solve(problem, cluster(), max_iters=3, tol=0.0)
 ppm_cg_solve(problem, cluster(), max_iters=3, tol=0.0, executor="process", workers=2)
 mpi_cg_solve(problem, cluster(), max_iters=3, tol=0.0)
 serial_cg_solve(problem.A, problem.b, max_iters=3, tol=0.0)
-assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))[:5]
-
-assert repro.apps.multigrid.__name__ == "repro.apps.multigrid"
-assert "scipy" in sys.modules
+serial_generate(MultiscaleProblem(CollocationConfig(levels=4)))
+serial_mg_solve(build_mg_problem(levels=3), cycles=1)
+serial_trsv(build_trsv_problem(4))
+for result in (
+    fig2_matgen((1, 4, 16), levels=7),
+    ext_multigrid((1, 8), levels=5, cycles=1),
+    ext_trsv(),
+):
+    assert all(holds for _, holds in result.claims), result.claims
 print("ok")
 """
 

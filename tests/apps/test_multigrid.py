@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.apps.multigrid import (
@@ -25,6 +26,15 @@ from repro.machine import Cluster
 @pytest.fixture(scope="module")
 def problem():
     return build_mg_problem(levels=5)  # 129 fine points
+
+
+def operator(m: int, h: float) -> sp.csc_matrix:
+    """The discrete operator on ``m`` interior unknowns of mesh width
+    ``h``: scipy's matrix for the reference direct solves."""
+    return sp.diags(
+        [np.full(m - 1, -1.0), np.full(m, 2.0), np.full(m - 1, -1.0)],
+        offsets=[-1, 0, 1],
+    ).tocsc() / (h * h)
 
 
 class TestHierarchy:
@@ -87,11 +97,24 @@ class TestGridOperators:
         res = (-u[:-2] + 2 * u[1:-1] - u[2:]) / h**2 - f[1:-1]
         assert np.abs(res).max() < 1e-10
 
+    @pytest.mark.parametrize("m", range(1, 32))
+    def test_coarse_solve_matches_spsolve(self, m):
+        """The Thomas solve agrees with SuperLU to rounding.  A positive
+        right-hand side has a positive solution, so no entry cancels
+        to near zero and a relative tolerance per entry is fair."""
+        h = 1.0 / (m + 1)
+        f = np.zeros(m + 2)
+        f[1:-1] = np.random.default_rng(m).uniform(0.5, 1.5, m)
+        u = coarse_solve(f, h)
+        u_ref = np.atleast_1d(spla.spsolve(operator(m, h), f[1:-1]))
+        assert u[0] == 0.0 and u[-1] == 0.0
+        np.testing.assert_allclose(u[1:-1], u_ref, rtol=1e-12, atol=0.0)
+
 
 class TestSerial:
     def test_converges_to_direct_solution(self, problem):
         u, hist = serial_mg_solve(problem, cycles=12)
-        u_ref = spla.spsolve(problem.operator(0).tocsc(), problem.f[1:-1])
+        u_ref = spla.spsolve(operator(problem.n - 2, problem.h(0)), problem.f[1:-1])
         assert np.abs(u[1:-1] - u_ref).max() < 1e-8
 
     def test_textbook_convergence_rate(self, problem):

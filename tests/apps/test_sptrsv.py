@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro.apps.cg import build_chimney_problem
 from repro.apps.sptrsv import (
     build_trsv_problem,
     level_schedule,
@@ -21,6 +22,25 @@ from repro.machine import Cluster
 @pytest.fixture(scope="module")
 def problem():
     return build_trsv_problem(6)  # 432 rows
+
+
+def as_scipy(M) -> sp.csr_matrix:
+    """A numpy ``Csr``'s arrays as scipy's matrix, the reference."""
+    return sp.csr_matrix((M.data, M.indices, M.indptr), shape=M.shape)
+
+
+class TestLowerFactor:
+    @pytest.mark.parametrize("nx", [4, 6, 8])
+    def test_arrays_equal_scipy_tril(self, nx):
+        A = build_chimney_problem(nx).A
+        ref = sp.tril(as_scipy(A), k=0, format="csr")
+        ref.sort_indices()
+        L = build_trsv_problem(nx).L
+        assert L.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(L, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
 
 
 class TestLevelSchedule:
@@ -62,7 +82,7 @@ class TestLevelSchedule:
 class TestSerial:
     def test_matches_scipy(self, problem):
         x = serial_trsv(problem)
-        x_ref = spla.spsolve_triangular(problem.L.tocsr(), problem.b, lower=True)
+        x_ref = spla.spsolve_triangular(as_scipy(problem.L), problem.b, lower=True)
         assert np.allclose(x, x_ref, atol=1e-9)
 
     def test_residual_small(self, problem):

@@ -263,18 +263,6 @@ class TestConfigErrors:
         for a, b in zip(r1, r2):
             np.testing.assert_array_equal(a, b)
 
-    def test_certified_overlap_now_supported(self):
-        ppm1, r1 = run_ppm(main_mixed, _cluster(certified_overlap_fraction=0.5))
-        ppm2, r2 = run_ppm(
-            main_mixed,
-            _cluster(certified_overlap_fraction=0.5),
-            executor="process",
-            workers=2,
-        )
-        for a, b in zip(r1, r2):
-            np.testing.assert_array_equal(a, b)
-        assert ppm1.elapsed == ppm2.elapsed
-
     def test_unpicklable_kernel_ppm501(self):
         lock = threading.Lock()
 
@@ -303,12 +291,13 @@ def main_multi_do(ppm):
 
 class TestSemantics:
     def test_mixed_kernel_matches_inline(self):
-        _, r_inline = run_ppm(main_mixed, _cluster())
-        _, r_proc = run_ppm(
+        ppm_inline, r_inline = run_ppm(main_mixed, _cluster())
+        ppm_proc, r_proc = run_ppm(
             main_mixed, _cluster(), executor="process", workers=3
         )
         for a, b in zip(r_inline, r_proc):
             np.testing.assert_array_equal(a, b)
+        assert ppm_inline.elapsed == ppm_proc.elapsed
 
     @pytest.mark.parametrize("zero_merge", [True, False])
     def test_parent_side_phase_plans_tell_near_misses_apart(
