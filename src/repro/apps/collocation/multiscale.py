@@ -173,10 +173,6 @@ class MultiscaleProblem:
         coeffs = hash_unit(h ^ _P_TERM) - 0.5
         return row_ids, col_ids, cache_idx, coeffs, slot_j
 
-    def row_nnz_upper_bound(self) -> int:
-        """Upper bound of nonzeros per row (all levels)."""
-        return self.config.base_cols * (self.config.levels + 1)
-
     # ------------------------------------------------------------------
     # Cache evaluation (real quadrature)
     # ------------------------------------------------------------------

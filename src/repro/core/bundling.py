@@ -46,10 +46,6 @@ class NodeTraffic:
     def remote_read_elems(self) -> int:
         return sum(p.read_elems for p in self.peers)
 
-    @property
-    def remote_write_elems(self) -> int:
-        return sum(p.write_elems for p in self.peers)
-
 
 class PhaseTraffic(dict):
     """``node id -> NodeTraffic`` for one phase, plus ``flushes``: one

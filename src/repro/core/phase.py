@@ -331,6 +331,9 @@ class PhaseRecorder:
         self.core_costs: dict[int, dict[int, float]] = defaultdict(dict)
         # Matched collective slots, in call order.
         self.collective_slots: list[CollectiveSlot] = []
+        # Under the process backend: a worker's report of this phase
+        # held a row log (the parent's recorder sees it decoded).
+        self.one_shot = False
 
     # ------------------------------------------------------------------
     # Entry points for whoever records on a VP's behalf: the process
@@ -374,7 +377,7 @@ class PhaseRecorder:
         return slot
 
     # ------------------------------------------------------------------
-    def signature(self, certified: bool) -> tuple:
+    def signature(self, certified: bool) -> tuple | None:
         """This phase's *access signature*: everything its traffic,
         communication cost and commit order are functions of, as
         serial numbers — phase kind, latency rounds, certified flag,
@@ -384,9 +387,14 @@ class PhaseRecorder:
         footprint's serial stands for its variable, rows, exactness
         and element count (``_access_record``), so two phases with
         equal signatures bundle, cost and commit identically whatever
-        their values; unmemoised footprints (row logs, tuple and mask
-        writes) carry fresh serials and never compare equal.  Built
-        in a few C-speed passes; holds no spec or array."""
+        their values; unmemoised footprints (tuple and mask writes)
+        carry fresh serials and never compare equal.  A row log's
+        serial is new every phase, so a phase holding one — here or
+        in a worker's report (``one_shot``) — can never repeat and
+        gets ``None``: it keeps no plan.  Built in a few C-speed
+        passes; holds no spec or array."""
+        if self.logs or self.one_shot:
+            return None
         ops = self.write_ops
         return (
             self.kind,

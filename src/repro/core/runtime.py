@@ -797,9 +797,8 @@ class PpmRuntime:
         else:
             certified = backend.round_certified(node_key, vote)
             backend.begin_commit(recorder, node_key)
-        # A row log's serial is new every phase, so a phase holding one
-        # can never repeat: it builds no signature and keeps no plan.
-        signature = None if recorder.logs else recorder.signature(certified)
+        # None for a phase that can never repeat: it keeps no plan.
+        signature = recorder.signature(certified)
         plan = None if signature is None else self._lookup_plan(signature)
         if plan is None:
             self.stats_phase_plan_misses += 1

@@ -48,9 +48,5 @@ class RankContext:
             raise ValueError(f"accesses must be non-negative, got {accesses}")
         self.clock.advance(accesses * self.config.mem_access_time)
 
-    def idle_until(self, t: float) -> None:
-        """Advance the clock to ``t`` if it is behind (synchronisation)."""
-        self.clock.merge(t)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RankContext(rank={self.rank}/{self.size}, node={self.node_id}, t={self.now:.6g})"

@@ -75,15 +75,13 @@ class ProcessBackend:
             self.supervisor.backend = self
             self._pool.supervisor = self.supervisor
         # Per-do state (reset by start_do): the parent's own VP records
-        # (shard 0) by node, and the decode tables, one per forked
-        # worker.
+        # (shard 0) by node.
         self._own_by_node: dict = {}
-        self._arrays: list[dict] = []
-        self._specs: list[dict] = []
         self._coll_outbox: list = []
-        # Worker-held phase plans, parent half: per (worker, plan id)
-        # -> the decoded (runs, node write elems, written targets) a
-        # later "rec_plan" reference resolves to.
+        # Worker phase plans, parent half: per (worker, plan id) -> the
+        # decoded [runs, node write elems, written targets, operation
+        # template] a repeat's plan id resolves to (the template once a
+        # stream of the shape has been shipped).
         self._rec_cache: list[dict] = []
         # (variable, instance) pairs some shard held a live snapshot
         # view of when the copy-on-commit guard was last set.
@@ -149,12 +147,9 @@ class ProcessBackend:
             own = [vp for vp in node_vps if vp.gen is not None]
             if own:
                 self._own_by_node[node_id] = own
-        w = n - 1
-        self._arrays = [{} for _ in range(w)]
-        self._specs = [{} for _ in range(w)]
         self._coll_outbox = []
         self._reports = {}
-        self._rec_cache = [{} for _ in range(w)]
+        self._rec_cache = [{} for _ in range(n - 1)]
         self._replace_views(set())
         if self.supervisor is not None:
             self.supervisor.max_shard = max(
@@ -323,11 +318,10 @@ class ProcessBackend:
                 if self._hold:
                     # Written targets ship with a shape's first round
                     # and are remembered under its plan id.
-                    pid = report.get("rec_plan")
                     self._hold_wtargets.setdefault(node_key, set()).update(
                         report["wtargets"]
-                        if pid is None
-                        else self._rec_cache[w][pid][2]
+                        if "wtargets" in report
+                        else self._rec_cache[w][report["plan"]][2]
                     )
             self._spans.append([w + 1, stepped, rep["host_s"]])
         self._worker_views = views
@@ -415,8 +409,10 @@ class ProcessBackend:
         for w, d in enumerate(self._pool.gather()):
             if d is None:
                 continue
-            if "ops" in d:
-                recorder.write_ops.extend(self._events(w, d["ops"]))
+            if "values" in d:
+                recorder.write_ops.extend(
+                    self._events(self._rec_cache[w].get(d["plan"]), d)
+                )
             elif d["ops_n"]:
                 workers += 1
                 ops_n += d["ops_n"]
@@ -436,8 +432,7 @@ class ProcessBackend:
 
     def _verify_digest(self, w: int, digest: dict) -> None:
         registry = self.rt.shared_registry
-        for name, instance, crc, rows_enc in digest.get("checksums", ()):
-            rows = self._array(w, rows_enc)
+        for name, instance, crc, rows in digest.get("checksums", ()):
             sv = registry[name]
             target = sv._data if instance is None else sv._data[instance]
             here = zlib.crc32(np.ascontiguousarray(target[rows]).tobytes())
@@ -453,84 +448,66 @@ class ProcessBackend:
     # ==================================================================
     # Report decoding
     # ==================================================================
-    def _array(self, w: int, enc):
-        if enc[0] == "n":
-            _tag, iid, arr = enc
-            self._arrays[w][iid] = arr
-            return arr
-        return self._arrays[w][enc[1]]
-
-    def _spec(
-        self, w: int, name: str, enc, *, elems: int = 0, ops: int = 1, exact: bool = True
-    ) -> RowSpec:
-        """The parent's row spec for worker ``w``'s encoded spec — an
-        operation's rows (``exact`` as shipped) or an access footprint
-        (``elems`` and ``ops`` as shipped: a row log decodes once).
-
-        Interned per (variable, element and access counts, exactness,
-        encoded rows), so the spec's serial stands for everything a phase
-        signature reads off it, exactly as an inline footprint's does:
-        iterative kernels reuse the same slices and index arrays phase
-        after phase, and the parent then presents the same serials
-        round after round."""
-        specs = self._specs[w]
-        key = (name, elems, ops, exact, enc if enc[0] == "R" else enc[1][1])
-        spec = specs.get(key)
-        if spec is None:
-            shared = self.rt.shared_registry[name]
-            if enc[0] == "R":
-                spec = RowSpec(*enc[1:], shared=shared, elems=elems)
-            else:
-                spec = RowSpec(array=self._array(w, enc[1]), shared=shared, elems=elems)
-            spec.ops = ops
-            specs[key] = spec
-        elif enc[0] == "A" and enc[1][0] == "n":
-            self._array(w, enc[1])  # keep the decode table consistent
-        return spec
-
-    def _idx(self, w: int, enc):
-        tag, payload = enc
-        if tag == "a":
-            return self._array(w, payload)
-        return payload
-
-    def _events(self, w: int, ops):
-        """Worker ``w``'s encoded operation stream as WriteEvents."""
-        registry = self.rt.shared_registry
-        for name, instance, kind, op, idx_enc, value, spec_enc, rank, exact in ops:
-            yield WriteEvent(
-                registry[name], instance, kind, op, self._idx(w, idx_enc),
-                value, self._spec(w, name, spec_enc, exact=exact), rank, exact,
-            )
+    def _events(self, shape: list | None, msg: dict) -> list:
+        """A worker's shipped operation stream as WriteEvents: ``msg``'s
+        values on the template shipped beside them — kept in ``shape``,
+        the cache entry of the round's plan (None for a round that can
+        never repeat) — or on the one kept there by an earlier stream:
+        the same specs, so a repeated stream commits and signs as the
+        first one did."""
+        ops = msg.get("ops")
+        if ops is None:
+            template = shape[3]
+        else:
+            registry = self.rt.shared_registry
+            template = [
+                (registry[name], instance, kind, op, idx,
+                 RowSpec(*rows, shared=registry[name]), rank, exact)
+                for name, instance, kind, op, idx, rows, rank, exact in ops
+            ]
+            if shape is not None:
+                shape[3] = template
+        return [
+            WriteEvent(sv, instance, kind, op, idx, value, rows, rank, exact)
+            for (sv, instance, kind, op, idx, rows, rank, exact), value
+            in zip(template, msg["values"])
+        ]
 
     def _merge_report(self, recorder, w: int, rep: dict, by_rank: dict) -> None:
-        # Decode the operation stream *first*: the worker encodes ops
-        # before the access records, so an index array's first mention
-        # (the ``("n", iid, arr)`` form later records reference by id)
-        # can live only there.  Held rounds have no ops here — they
-        # ship theirs with the commit reply, which the worker also
-        # encodes last.
-        ops = rep.get("ops")
-        if ops is not None:
-            recorder.write_ops.extend(self._events(w, ops))
         # Resolve the record structure: a repeated phase shape arrives
-        # as a plan reference and resolves to the footprints decoded
-        # when it was new — the same specs, so a steady-state round
-        # extends the recorder's lists and nothing else.
-        pid = rep.get("rec_plan")
-        if pid is not None:
-            runs, nwe, _wtargets = self._rec_cache[w][pid]
-        else:
-            runs = [
-                (
-                    node_id,
-                    [self._spec(w, name, enc, elems=n, ops=k) for name, enc, n, k in reads],
-                    [self._spec(w, name, enc, elems=n, ops=k) for name, enc, n, k in writes],
-                )
-                for node_id, reads, writes in rep["runs"]
+        # as its plan id and resolves to the footprints decoded when it
+        # was new — the same specs, so a steady-state round extends the
+        # recorder's lists and nothing else.  A round with no plan id
+        # held a row log: nothing of it is kept, and the parent's round
+        # can never repeat either.
+        pid = rep["plan"]
+        if "runs" in rep:
+            registry = self.rt.shared_registry
+
+            def footprints(encoded):
+                specs = []
+                for name, rows, elems, ops in encoded:
+                    spec = RowSpec(*rows, shared=registry[name], elems=elems)
+                    spec.ops = ops
+                    specs.append(spec)
+                return specs
+
+            shape = [
+                [
+                    (node_id, footprints(reads), footprints(writes))
+                    for node_id, reads, writes in rep["runs"]
+                ],
+                rep["nwe"], rep.get("wtargets", ()), None,
             ]
-            nwe = rep["nwe"]
-            self._rec_cache[w][rep["rec_new"]] = (runs, nwe, rep.get("wtargets", ()))
+            if pid is None:
+                recorder.one_shot = True
+            else:
+                self._rec_cache[w][pid] = shape
+        else:
+            shape = self._rec_cache[w][pid]
+        runs, nwe = shape[0], shape[1]
+        if "values" in rep:
+            recorder.write_ops.extend(self._events(shape, rep))
         for node_id, reads, writes in runs:
             recorder.absorb(node_id, reads, writes)
         for node_id, n_elem in nwe.items():

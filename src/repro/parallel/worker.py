@@ -15,15 +15,16 @@ the transport around that loop:
   (zero-copy snapshots; see :class:`repro.parallel.shm.ShmRegistry`);
 * each round's recordings are either *encoded* into a compact report
   the parent merges and commits through its unchanged pipeline (ship
-  mode — index arrays are interned per worker so a spec shipped once
-  is later referenced by id), or — when the round carries a static
-  disjointness certificate — *held* worker-side and committed directly
-  into the shared segments on the parent's ``commit`` command, replying
-  with a fixed-size digest instead of the operation stream (zero-merge
-  mode);
+  mode), or — when the round carries a static disjointness
+  certificate — *held* worker-side and committed directly into the
+  shared segments on the parent's ``commit`` command, replying with a
+  fixed-size digest instead of the operation stream (zero-merge mode);
 * a repeated phase *shape* is described once (:class:`_RoundPlan`):
-  its first round ships the access footprints under a plan id, every
-  repeat ships the id and replays the stored commit recipe;
+  its first round ships the access footprints and the operations'
+  indices, as plain arrays and slices, under a plan id; every repeat
+  ships the id (and, in ship mode, the operations' values) and
+  replays the stored commit recipe.  A round holding a row log can
+  never repeat, so it ships in full and gets no id;
 * a buffer is reported as *view-held* only while something still
   references it (:class:`~repro.parallel.shm.ViewProbe`, the probe the
   parent judges its own shard by), so the parent swaps a segment only
@@ -64,54 +65,31 @@ def _ship_exception(exc: BaseException):
     return ("pickled", blob, tb)
 
 
-class _ReportEncoder:
-    """Per-do encoder for one worker's round reports.
+def _vp_states(vps) -> list:
+    """``(global rank, done, next declaration, last cost)`` per VP,
+    what the parent's ``PpmRuntime._replay_step`` takes (a reply
+    pickles each distinct declaration once)."""
+    return [(vp.ctx.global_rank, vp.done, vp.decl, vp.last_cost) for vp in vps]
 
-    Index arrays (row specs and fancy indices) are interned by object
-    identity: the first mention ships the array (``("n", iid, arr)``),
-    later mentions ship a reference (``("r", iid)``).  The table pins
-    every interned array for the do, so an id can never be recycled
-    into a different array mid-do.
-    """
 
-    def __init__(self) -> None:
-        self._known: dict[int, np.ndarray] = {}
-
-    def array(self, arr: np.ndarray):
-        iid = id(arr)
-        if iid in self._known:
-            return ("r", iid)
-        self._known[iid] = arr
-        return ("n", iid, arr)
-
-    def spec(self, spec):
-        if spec.array is None:
-            return ("R", spec.start, spec.stop, spec.step)
-        return ("A", self.array(spec.array))
-
-    def idx(self, idx):
-        if type(idx) is np.ndarray and idx.dtype != np.bool_:
-            return ("a", self.array(idx))
-        return ("v", idx)
-
-    @staticmethod
-    def states(vps) -> list:
-        """``(global rank, done, next declaration, last cost)`` per VP,
-        what the parent's ``PpmRuntime._replay_step`` takes (a reply
-        pickles each distinct declaration once)."""
-        return [(vp.ctx.global_rank, vp.done, vp.decl, vp.last_cost) for vp in vps]
+def _rows(spec) -> tuple:
+    """A row spec as it travels: ``(start, stop, step, index array)``."""
+    return spec.start, spec.stop, spec.step, spec.array
 
 
 class _RoundPlan:
     """What this worker resolved once for one phase shape
     (:meth:`PhaseRecorder.signature`): the id the parent caches its
-    record structure under, the commit recipe, and the rows written
-    per target (:meth:`_WorkerDo._written_rows`)."""
+    record structure under (``None`` for a round that can never
+    repeat), whether the parent has its operation template yet, the
+    commit recipe, and the rows written per target
+    (:meth:`_WorkerDo._written_rows`)."""
 
-    __slots__ = ("pid", "commit", "rows")
+    __slots__ = ("pid", "ops_sent", "commit", "rows")
 
-    def __init__(self, pid: int) -> None:
+    def __init__(self, pid: int | None) -> None:
         self.pid = pid
+        self.ops_sent = False
         self.commit = PhasePlan()
         self.rows: list | None = None
 
@@ -165,7 +143,6 @@ class _WorkerDo:
         # ones its runtime steps, and in rank order.
         self.own = [[vp for vp in vps if vp.gen is not None] for vps in vps_by_node]
         self.vps = [vp for vps in self.own for vp in vps]
-        self.enc = _ReportEncoder()
         # node_key (None = global) -> unresolved collective slots of the
         # previous round, awaiting the parent's commit results.
         self.pending: dict = {}
@@ -247,49 +224,58 @@ class _WorkerDo:
             "host_s": time.perf_counter() - t0,
         }
 
-    def _encode_ops(self, ops: list) -> list:
-        enc = self.enc
-        return [
-            (
-                ev.shared.name,
-                ev.instance,
-                ev.kind,
-                ev.op,
-                enc.idx(ev.idx),
-                ev.value,
-                enc.spec(ev.rows),
-                ev.rank,
-                ev.rows_exact,
-            )
-            for ev in ops
-        ]
+    @staticmethod
+    def _ship_ops(recorder: PhaseRecorder, plan: _RoundPlan) -> dict:
+        """The operation stream as it travels: every operation's value,
+        in stream order, and — until the parent has it under the plan's
+        id — the template the signature fixes: each operation's
+        variable, instance, kind, accumulate op, index, rows, writer
+        rank and exactness."""
+        ops = recorder.write_ops
+        msg = {"values": [ev.value for ev in ops]}
+        if not plan.ops_sent:
+            plan.ops_sent = True
+            msg["ops"] = [
+                (ev.shared.name, ev.instance, ev.kind, ev.op, ev.idx,
+                 _rows(ev.rows), ev.rank, ev.rows_exact)
+                for ev in ops
+            ]
+        return msg
 
     def _encode(self, recorder: PhaseRecorder, stepped: list, hold: bool) -> tuple:
         """One round's report and the plan of its phase shape.  What
         changes round to round always travels: the state of the VPs
         ``stepped``, collective contributions and — unless held — the
-        operation stream.  What the access signature fixes travels
+        operations' values.  What the access signature fixes travels
         once: the shape's first round ships the footprints (and, held,
         the written targets) with the new plan's id, every repeat ships
-        the id alone."""
-        enc = self.enc
+        the id alone.  A round that can never repeat (a row log) ships
+        in full under no id, and its plan is not kept."""
         payload = {
-            "vps": enc.states(stepped),
+            "vps": _vp_states(stepped),
             "colls": [
                 (i, slot.kind, slot.op, [(r, v) for r, v, _h in slot.entries])
                 for i, slot in enumerate(recorder.collective_slots)
                 if slot.entries
             ],
         }
-        if not hold:
-            payload["ops"] = self._encode_ops(recorder.write_ops)
         signature = recorder.signature(hold)
-        plan = self.plans.get(signature)
-        if plan is not None:
-            payload["rec_plan"] = plan.pid
-            return payload, plan
-        plan = self.plans[signature] = _RoundPlan(len(self.plans))
-        payload["rec_new"] = plan.pid
+        plan = None if signature is None else self.plans.get(signature)
+        if plan is None:
+            plan = _RoundPlan(None if signature is None else len(self.plans))
+            if signature is not None:
+                self.plans[signature] = plan
+            self._describe(payload, recorder, hold)
+        payload["plan"] = plan.pid
+        if not hold:
+            payload.update(self._ship_ops(recorder, plan))
+        return payload, plan
+
+    @staticmethod
+    def _describe(payload: dict, recorder: PhaseRecorder, hold: bool) -> None:
+        """What a shape's first round adds: the access footprints per
+        node run, the node-shared write totals and, held, the written
+        targets."""
         if hold:
             # The parent pre-swaps the written targets before the
             # commit command, so it needs the target list (not the
@@ -297,10 +283,10 @@ class _WorkerDo:
             payload["wtargets"] = {
                 (ev.shared.name, ev.instance) for ev in recorder.write_ops
             }
-        # Access footprints travel as (variable, row spec, elements,
-        # access calls), one run per node mark, in recording order.
+        # Access footprints travel as (variable, rows, elements, access
+        # calls), one run per node mark, in recording order.
         def footprints(specs):
-            return [(s.shared.name, enc.spec(s), s.elems, s.ops) for s in specs]
+            return [(s.shared.name, _rows(s), s.elems, s.ops) for s in specs]
 
         runs = payload["runs"] = []
         r0 = w0 = 0
@@ -314,7 +300,6 @@ class _WorkerDo:
             )
             r0, w0 = r1, w1
         payload["nwe"] = dict(recorder.node_write_elems)
-        return payload, plan
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -364,7 +349,7 @@ class _WorkerDo:
         if recorder is None:
             return {"ops_n": 0}
         if decision == "ship":
-            return {"ops": self._encode_ops(recorder.write_ops)}
+            return {"plan": plan.pid, **self._ship_ops(recorder, plan)}
         return self._commit_local(recorder, plan, cmd["verify"])
 
     def _commit_local(
@@ -398,7 +383,7 @@ class _WorkerDo:
                     zlib.crc32(
                         np.ascontiguousarray(_bound_store(sv, instance)[rows]).tobytes()
                     ),
-                    self.enc.array(rows),
+                    rows,
                 )
                 for sv, instance, rows in self._written_rows(recorder, plan)
             ]
@@ -422,7 +407,7 @@ class _WorkerState:
             # Build my shard and run it to its first declarations.
             do = self.do = _WorkerDo(self, payload["common"], payload["shard"])
             do.rt._run_prologues(do.own)
-            return do.enc.states(do.vps)
+            return _vp_states(do.vps)
         if tag == "round":
             return self.do.round(payload)
         if tag == "commit":

@@ -21,8 +21,11 @@ from repro.apps.common import split_range
 from repro.config import testing as mkconfig
 from repro.core import run_ppm
 from repro.core.errors import ParallelConfigError
+from repro.core.runtime import PpmRuntime
 from repro.core.vp import core_of
 from repro.machine import Cluster
+from repro.parallel.backend import ProcessBackend
+from repro.parallel.pool import WorkerPool
 from tests.reference import commit_oracle
 
 
@@ -197,6 +200,28 @@ def main_near_miss(ppm):
     return G.committed, H.committed, N.instance(0).copy(), N.instance(1).copy()
 
 
+def worker_log_kernel(ctx, A, B):
+    """Three rounds of one shape, except that the upper half of the
+    ranks — the forked worker's shard under ``workers=2`` — reads
+    through a view of an index array, which only a row log records."""
+    idx = np.arange(len(A))
+    for step in range(3):
+        yield ctx.global_phase
+        if ctx.global_rank >= ctx.global_vp_count // 2:
+            v = A[idx[1:3]].sum()
+        else:
+            v = A[1:3].sum()
+        B[ctx.global_rank] = v + step
+
+
+def main_worker_log(ppm):
+    A = ppm.global_shared("A", 8)
+    B = ppm.global_shared("B", 8)
+    A[:] = np.arange(8.0)
+    ppm.do(4, worker_log_kernel, A, B)
+    return B.committed.copy()
+
+
 def main_mixed(ppm):
     A = ppm.global_shared("A", 16)
     B = ppm.node_shared("B", 8)
@@ -333,6 +358,53 @@ class TestSemantics:
             assert (rt2.stats_phase_plan_hits, rt2.stats_phase_plan_misses) == (1, 10)
             if zero_merge:
                 assert ppm2.report().zero_merge.commits >= 9  # held rounds
+
+    @pytest.mark.parametrize("zero_merge", [True, False])
+    def test_a_worker_row_log_keeps_no_plan(
+        self, zero_merge, ship_records, monkeypatch
+    ):
+        """Only the worker's shard reads through a view index, so only
+        its recorder holds a row log: its reports carry no plan id, the
+        parent caches nothing for them and builds no signature — no
+        plan is kept on either side, as inline keeps none."""
+        ppm1, r1 = run_ppm(main_worker_log, _cluster())
+        kept, cached, plan_ids = [], [], []
+        run_phase, end_do = PpmRuntime._run_phase, ProcessBackend.end_do
+        gather = WorkerPool.gather
+
+        def running(self, *args):
+            run_phase(self, *args)
+            kept.append(len(self._phase_plans))
+
+        def ending(self):
+            cached.extend(len(c) for c in self._rec_cache)
+            end_do(self)
+
+        def gathering(self):
+            replies = gather(self)
+            plan_ids.extend(
+                report.get("plan")
+                for rep in replies
+                if isinstance(rep, dict) and "groups" in rep
+                for _node_key, report, _flags in rep["groups"]
+            )
+            return replies
+
+        monkeypatch.setattr(PpmRuntime, "_run_phase", running)
+        monkeypatch.setattr(ProcessBackend, "end_do", ending)
+        monkeypatch.setattr(WorkerPool, "gather", gathering)
+        with contextlib.nullcontext() if zero_merge else ship_records():
+            ppm2, r2 = run_ppm(
+                main_worker_log, _cluster(), executor="process", workers=2
+            )
+        np.testing.assert_array_equal(r1, r2)
+        assert ppm1.elapsed == ppm2.elapsed
+        rt1, rt2 = ppm1.runtime, ppm2.runtime
+        assert (rt1.stats_phase_plan_hits, rt1.stats_phase_plan_misses) == (0, 3)
+        assert (rt2.stats_phase_plan_hits, rt2.stats_phase_plan_misses) == (0, 3)
+        assert kept == [0, 0, 0]
+        assert plan_ids == [None, None, None]
+        assert cached == [0]
 
     def test_multi_do_reuses_pool(self):
         ppm1, r1 = run_ppm(main_multi_do, _cluster())

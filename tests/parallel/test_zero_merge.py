@@ -270,9 +270,8 @@ class TestDigestVerify:
 
         be = ProcessBackend.__new__(ProcessBackend)
         be.rt = FakeRT()
-        be._arrays = [{}]
         rows = np.array([0, 3, 5])
-        digest = {"checksums": [("A", None, 0xDEADBEEF, ("n", 1, rows))]}
+        digest = {"checksums": [("A", None, 0xDEADBEEF, rows)]}
         with pytest.raises(RuntimeError, match="digest mismatch"):
             be._verify_digest(0, digest)
 
