@@ -854,6 +854,15 @@ class KernelInterp:
                     return ("tuple", (("nodelo", pk), ("nodehi", pk)))
                 key = ("local_range", name, repr(obj_idx), repr(argv))
                 return ("tuple", (s_sym(key + ("lo",)), s_sym(key + ("hi",))))
+            if attr == "gather":
+                # X.gather(I, starts, counts): reads rows of I, then of
+                # X, neither set known statically.
+                args = [self.eval(a, env, guards, record, stmt) for a in node.args]
+                index = self._as_shared(args[0]) if args else None
+                if index is not None:
+                    self.record("read", *index, SET_TOP, node, stmt, guards, record)
+                self.record("read", name, obj_idx, kind, SET_TOP, node, stmt, guards, record)
+                return TOP
             # other shared-handle methods (.instance(), .snapshot(), ...)
             for a in node.args:
                 self.eval(a, env, guards, record, stmt)

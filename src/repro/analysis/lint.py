@@ -404,24 +404,27 @@ def _collect_accesses(fn: FunctionModel) -> None:
             elif (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "accumulate"
+                and node.func.attr in ("accumulate", "gather")
             ):
                 resolved = _shared_base(node.func.value, shared)
                 if resolved is None:
                     continue
-                name, base = resolved
-                fn.accesses.append(
-                    Access(
-                        name=name,
-                        kind="accumulate",
-                        lineno=node.lineno,
-                        stmt_id=stmt_id,
-                        node=node,
-                        stmt=stmt,
-                        base_dump=ast.dump(base),
-                        branch=branch,
+                kind = "read" if node.func.attr == "gather" else "accumulate"
+                # X.gather(I, ...) reads I, then X.
+                index = _shared_base(node.args[0], shared) if kind == "read" and node.args else None
+                for name, base in filter(None, (index, resolved)):
+                    fn.accesses.append(
+                        Access(
+                            name=name,
+                            kind=kind,
+                            lineno=node.lineno,
+                            stmt_id=stmt_id,
+                            node=node,
+                            stmt=stmt,
+                            base_dump=ast.dump(base),
+                            branch=branch,
+                        )
                     )
-                )
     fn.accesses.sort(key=lambda a: (a.stmt_id, a.lineno))
 
 

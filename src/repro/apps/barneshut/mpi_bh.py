@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.barneshut.octree import RECORD_LEN, build_octree
-from repro.apps.barneshut.traversal import FLOPS_PER_INTERACTION, walk_forces
+from repro.apps.barneshut.traversal import FLOPS_PER_INTERACTION, flat_ranges, walk_forces
 from repro.apps.common import split_range
 from repro.machine import Cluster
 from repro.mpi import run_mpi
@@ -88,8 +88,7 @@ def _bh_rank(comm, pos0, vel0, mass0, blocks, steps, dt, theta, eps, leaf_size):
             result = walk_forces(
                 pos,
                 lambda rows: nodes_r[rows],
-                lambda start, count: perm_r[start : start + count],
-                lambda ids: posm_r[ids],
+                lambda starts, counts: posm_r[perm_r[flat_ranges(starts, counts)]],
                 theta=theta,
                 eps=eps,
             )

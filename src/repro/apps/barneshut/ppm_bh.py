@@ -53,8 +53,7 @@ def _bh_kernel(ctx, POSM, VEL, ACC, TREE, PERM, steps, dt, theta, eps, leaf_size
         result = walk_forces(
             pos_chunk,
             lambda rows: TREE[rows],
-            lambda start, count: PERM[start : start + count],
-            lambda ids: POSM[ids],
+            lambda starts, counts: POSM.gather(PERM, starts, counts),
             theta=theta,
             eps=eps,
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.apps.barneshut.octree import build_octree
-from repro.apps.barneshut.traversal import walk_forces
+from repro.apps.barneshut.traversal import flat_ranges, walk_forces
 
 
 def make_plummer_cloud(
@@ -52,8 +52,7 @@ def bh_forces(
     result = walk_forces(
         pos,
         lambda rows: tree.nodes[rows],
-        lambda start, count: tree.perm[start : start + count],
-        lambda ids: posm[ids],
+        lambda starts, counts: posm[tree.perm[flat_ranges(starts, counts)]],
         theta=theta,
         eps=eps,
     )

@@ -1,7 +1,7 @@
 """Fetch-driven Barnes-Hut traversal.
 
 One traversal engine serves all three implementations; what differs is
-where the tree lives, expressed by three fetch callbacks:
+where the tree lives, expressed by two fetch callbacks:
 
 * serial — direct numpy indexing of the local tree;
 * PPM — the callbacks index global shared arrays, so every fetched
@@ -13,9 +13,9 @@ where the tree lives, expressed by three fetch callbacks:
 The walk is breadth-first and vectorised over a particle chunk:
 each round fetches the unique tree records the frontier needs, adds
 monopole contributions for accepted cells, resolves leaves by direct
-summation, and expands the rest.  A round's leaves are fetched one by
-one, in node order, then all of its leaf pairs are interacted in one
-batch.  Per particle, cells are visited in a deterministic order
+summation, and expands the rest.  A round's leaves are fetched in one
+call, in node order, then all of its leaf pairs are interacted in one
+flat batch.  Per particle, cells are visited in a deterministic order
 independent of the chunking, so all three implementations produce
 bit-identical accelerations.
 """
@@ -53,8 +53,7 @@ class WalkResult:
 def walk_forces(
     pos_chunk: np.ndarray,
     fetch_tree: Callable[[np.ndarray], np.ndarray],
-    fetch_perm: Callable[[int, int], np.ndarray],
-    fetch_posm: Callable[[np.ndarray], np.ndarray],
+    fetch_leaves: Callable[[np.ndarray, np.ndarray], np.ndarray],
     *,
     theta: float = 0.5,
     eps: float = 1e-3,
@@ -62,9 +61,10 @@ def walk_forces(
     """Compute accelerations on ``pos_chunk`` against the tree behind
     the fetch callbacks.
 
-    ``fetch_tree(rows)`` returns tree records; ``fetch_perm(start,
-    count)`` a leaf's slice of the particle permutation;
-    ``fetch_posm(ids)`` rows of the ``(n, 4)`` position+mass table.
+    ``fetch_tree(rows)`` returns tree records; ``fetch_leaves(starts,
+    counts)`` the ``(counts.sum(), 4)`` position+mass rows of the
+    leaves whose particles sit at ``perm[s:s + c]``, leaf after leaf
+    (``posm[perm[flat_ranges(starts, counts)]]`` over local arrays).
     """
     m = pos_chunk.shape[0]
     acc = np.zeros((m, 3))
@@ -80,7 +80,14 @@ def walk_forces(
 
     while pairs_p.size:
         rounds += 1
-        uniq, inv = np.unique(pairs_n, return_inverse=True)
+        # Sorted unique nodes and each pair's slot among them, by a
+        # bitmap over the frontier's node range rather than a sort.
+        lo = int(pairs_n.min())
+        off = pairs_n - lo
+        seen = np.zeros(int(off.max()) + 1, dtype=bool)
+        seen[off] = True
+        uniq = np.flatnonzero(seen) + lo
+        inv = (np.cumsum(seen) - 1)[off]
         recs = np.asarray(fetch_tree(uniq))
         fetched += uniq.size
         R = recs[inv]
@@ -100,54 +107,56 @@ def walk_forces(
         l_idx = np.nonzero(~accept & is_leaf)[0]
         if l_idx.size:
             # Group leaf pairs by tree node so each leaf's particles
-            # are fetched once per round, into a zero-padded table.
+            # are fetched once per round, all leaves in one call.
             l_sorted = l_idx[np.argsort(pairs_n[l_idx], kind="stable")]
             first = np.r_[True, np.diff(pairs_n[l_sorted]) != 0]
             group = np.cumsum(first) - 1
             heads = R[l_sorted[first]]
             pc = heads[:, F_PCOUNT].astype(np.int64)
-            table = np.zeros((pc.size, int(pc.max()), 4))
-            starts = heads[:, F_PSTART].astype(np.int64).tolist()
-            for g, (ps, c) in enumerate(zip(starts, pc.tolist())):
-                ids = np.asarray(fetch_perm(ps, c), dtype=np.int64)
-                table[g, :c] = fetch_posm(ids)
-            fetched += int(pc.sum())
+            rows = np.asarray(fetch_leaves(heads[:, F_PSTART].astype(np.int64), pc))
+            fetched += rows.shape[0]
+            # Then every leaf pair of the round in one flat batch: pair
+            # j meets the rows of its leaf, segment by segment.  A
+            # particle meeting itself has dp == 0, contributing exactly
+            # zero — no special case needed.
             counts = pc[group]
-            interactions += int(counts.sum())
-            # Then every leaf pair of the round in one batch, reusing
-            # the temporaries.  A particle meeting itself has dp == 0,
-            # contributing exactly zero — no special case needed.
+            src = flat_ranges((np.cumsum(pc) - pc)[group], counts)
+            interactions += src.size
+            owner = np.repeat(np.arange(l_sorted.size), counts)
             p_sorted = pairs_p[l_sorted]
-            dp = table[group, :, 0:3]
-            dp -= pos_chunk[p_sorted][:, None, :]
-            rr2 = np.einsum("ijk,ijk->ij", dp, dp)
+            dp = rows[src, 0:3]
+            dp -= pos_chunk[p_sorted[owner]]
+            rr2 = np.einsum("ij,ij->i", dp, dp)
             rr2 += eps2
             inv_r3 = np.sqrt(rr2)
             np.multiply(rr2, inv_r3, out=inv_r3)
-            np.divide(table[group, :, 3], inv_r3, out=inv_r3)
+            np.divide(rows[src, 3], inv_r3, out=inv_r3)
             np.copyto(inv_r3, 0.0, where=~(rr2 > 0.0))
-            np.multiply(dp, inv_r3[:, :, None], out=dp)
-            # Padded slots add -0.0, which leaves every sum's bits
-            # alone; summing the middle axis is sequential, so each
-            # pair's sum equals the unpadded one.
-            pad = np.arange(dp.shape[1]) >= counts[:, None]
-            np.copyto(dp, -0.0, where=pad[:, :, None])
-            np.add.at(acc, p_sorted, dp.sum(axis=1))
+            np.multiply(dp, inv_r3[:, None], out=dp)
+            # bincount adds each pair's terms in order, as the per-leaf
+            # sum does; it starts from +0.0, which changes only the sign
+            # of an all-zero sum, and acc never holds -0.0.
+            sums = np.empty((l_sorted.size, 3))
+            for k in range(3):
+                sums[:, k] = np.bincount(owner, weights=dp[:, k], minlength=l_sorted.size)
+            np.add.at(acc, p_sorted, sums)
 
         e_idx = np.nonzero(~accept & ~is_leaf)[0]
         if e_idx.size:
-            fc = R[e_idx, F_FIRST_CHILD].astype(np.int64)
             nc = R[e_idx, F_NCHILDREN].astype(np.int64)
-            total = int(nc.sum())
-            starts = np.repeat(fc, nc)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(nc) - nc, nc
-            )
             pairs_p = np.repeat(pairs_p[e_idx], nc)
-            pairs_n = starts + within
+            pairs_n = flat_ranges(R[e_idx, F_FIRST_CHILD].astype(np.int64), nc)
         else:
             break
 
     return WalkResult(
         acc=acc, interactions=interactions, rounds=rounds, records_fetched=fetched
     )
+
+
+def flat_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs ``arange(s, s + c)`` of ``zip(starts, counts)``,
+    concatenated, without a Python loop."""
+    out = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out += np.arange(out.size)
+    return out

@@ -154,8 +154,8 @@ class RowLog(RowSpec):
         self.ops = 0
         self.buf = np.empty(64, dtype=np.int64)
 
-    def add(self, rows: np.ndarray, elems: int) -> None:
-        """Append one read's rows (1-D, negatives not yet wrapped)."""
+    def add(self, rows: np.ndarray, elems: int, ops: int = 1) -> None:
+        """Append ``ops`` reads' rows (1-D, negatives not yet wrapped)."""
         n = self.count
         m = n + rows.size
         if m > self.buf.size:  # at least doubles
@@ -163,7 +163,7 @@ class RowLog(RowSpec):
         self.buf[n:m] = rows
         self.count = m
         self.elems += elems
-        self.ops += 1
+        self.ops += ops
 
     def seal(self) -> None:
         """The logged rows become ``array``, negatives wrapped."""
@@ -731,6 +731,45 @@ class GlobalShared(_SharedBase):
         ctx._cost += rt._access_call + n_elem * rt._access_elem
         phase.writes.append(spec)
         phase.write_ops.append(event)
+
+    def gather(self, index: "GlobalShared", starts, counts) -> np.ndarray:
+        """``self[index[s:s + c]]`` for each run of ``zip(starts,
+        counts)``, concatenated into a fresh array (no view of either
+        store).  In a phase it records and charges exactly the 2k reads
+        it stands for, in their order: each run's ``index`` slice, then
+        its rows of ``self``, which join the node's row log (R2)."""
+        starts, counts = np.asarray(starts, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+        if index.dtype.kind not in "iu":
+            raise TypeError(f"gather index {index.name!r} must hold integers")
+        if starts.size and (min(starts.min(), counts.min()) < 0 or (starts + counts).max() > len(index)):
+            raise IndexError(f"index runs out of range for axis of length {len(index)}")
+        pos = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        pos += np.arange(pos.size)
+        rt = self.runtime
+        ctx = rt.cursor
+        if ctx is None:
+            return self._data[index._data[pos]]
+        phase = rt._require_phase()
+        ids, data = index._ro[pos], self._ro
+        try:
+            value = data[ids]
+        except IndexError:
+            raise IndexError(f"row indices out of range for axis of length {len(data)}") from None
+        if not starts.size:
+            return value
+        reads, n0, cost, trailing = phase.reads, len(phase.reads), ctx._cost, self._trailing
+        for s, c in zip(starts.tolist(), counts.tolist()):
+            rows, _, _, _, c_idx = index._access_record(slice(s, s + c), index._ro)
+            reads.append(rows)
+            cost += c_idx
+            cost += self._acall + (c * trailing) * self._elem_rate
+        ctx._cost = cost
+        log = phase.logs.get((ctx.node_id, self))
+        if log is None:  # joins reads where its first per-run read would
+            log = phase.logs[ctx.node_id, self] = RowLog(self)
+            reads.insert(n0 + 1, log)
+        log.add(ids, ids.size * trailing, starts.size)
+        return value
 
     @property
     def committed(self) -> np.ndarray:

@@ -329,6 +329,31 @@ class TestDependenceGraph:
         assert (p[1], p[2], "WAR") in edges   # phase 2 overwrites them
         assert (p[0], p[2], "WAW") in edges
 
+    def test_gather_reads_its_index_variable(self):
+        """``X.gather(I, ...)`` is a read of ``I`` and of ``X``: an index
+        written in one phase and gathered through in the next is a RAW
+        edge on ``I``."""
+        _, summaries = verify(
+            module(
+                """\
+                lo, hi = split_range(64, ctx.global_vp_count)[ctx.global_rank]
+                yield ctx.global_phase
+                I[lo:hi] = 7
+                yield ctx.global_phase
+                rows = X.gather(I, [lo], [hi - lo])
+                """,
+                decls='X = ppm.global_shared("x", 64); I = ppm.global_shared("i", 64)',
+                do="ppm.do(cluster.total_cores(), kernel, X, I)",
+                params="ctx, X, I",
+            )
+        )
+        summary = summaries[0]
+        p = [ph.yield_lineno for ph in summary.phases]
+        edges = {(e.variable, e.src_phase, e.dst_phase, e.kind) for e in summary.edges}
+        assert edges == {("I", p[0], p[1], "RAW")}
+        reads = [(a.variable, a.kind) for a in summary.phases[1].accesses]
+        assert reads == [("I", "read"), ("X", "read")]
+
     def test_disjoint_phases_have_no_edge(self):
         _, summaries = verify(
             module(

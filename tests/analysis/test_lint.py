@@ -310,6 +310,20 @@ class TestStaleReadAfterWrite:
         )
         assert rules_of(found) == ["PPM104"]
 
+    def test_gather_through_a_written_index_flagged(self):
+        """``X.gather(I, ...)`` reads ``I`` too: writing ``I`` earlier
+        in the phase makes the gather's index stale."""
+        src = TEMPLATE.replace("kernel(ctx, X, Y)", "kernel(ctx, X, I)").replace(
+            'Y = ppm.node_shared("y", 100)', 'I = ppm.global_shared("i", 100, dtype=np.int64)'
+        ).replace("kernel, X, Y)", "kernel, X, I)")
+        body = """\
+            yield ctx.global_phase
+            I[0] = 3
+            v = X.gather(I, [0], [1])
+            """
+        found = lint_source(src.format(body=textwrap.indent(textwrap.dedent(body), "    ")), path="case.py")
+        assert [(d.rule, d.line) for d in found] == [("PPM104", 9)]
+
 
 # ======================================================================
 # PPM105 — literal VP count (warn-only)

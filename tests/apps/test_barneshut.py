@@ -18,6 +18,7 @@ from repro.apps.barneshut import (
     serial_bh_simulate,
     walk_forces,
 )
+from repro.apps.barneshut.traversal import flat_ranges
 from repro.config import franklin
 from repro.core.runtime import PpmRuntime
 from repro.machine import Cluster
@@ -140,8 +141,7 @@ class TestForces:
         res = walk_forces(
             np.zeros((0, 3)),
             lambda rows: tree.nodes[rows],
-            lambda s, c: tree.perm[s : s + c],
-            lambda ids: posm[ids],
+            lambda starts, counts: posm[tree.perm[flat_ranges(starts, counts)]],
         )
         assert res.acc.shape == (0, 3)
         assert res.interactions == 0
@@ -194,12 +194,13 @@ def _oracle_walk(pos_chunk, fetch_tree, fetch_perm, fetch_posm, *, theta=0.5, ep
 
 
 class TestBatchedLeavesAreBitwise:
-    """``walk_forces`` interacts a round's leaf pairs in one padded
-    batch; accelerations, statistics and the fetch sequence must equal
-    the per-leaf oracle's exactly, not just closely."""
+    """``walk_forces`` fetches a round's leaves in one call and
+    interacts its leaf pairs in one flat batch; accelerations,
+    statistics and the fetch sequence must equal the per-leaf
+    oracle's exactly, not just closely."""
 
     @staticmethod
-    def _walk(walker, pos, mass, chunk, leaf_size, theta):
+    def _walk(pos, mass, chunk, leaf_size, theta, *, oracle):
         tree = build_octree(pos, mass, leaf_size=leaf_size)
         posm = np.concatenate([pos, mass[:, None]], axis=1)
         calls = []
@@ -212,23 +213,28 @@ class TestBatchedLeavesAreBitwise:
             calls.append(("perm", start, count))
             return tree.perm[start : start + count]
 
-        def fetch_posm(ids):
-            calls.append(("posm", ids.tolist()))
-            return posm[ids]
+        def fetch_leaves(starts, counts):
+            # One call's runs, flattened in order, as the oracle's calls.
+            calls.extend(("perm", s, c) for s, c in zip(starts.tolist(), counts.tolist()))
+            return posm[tree.perm[flat_ranges(starts, counts)]]
 
-        out = walker(pos[chunk], fetch_tree, fetch_perm, fetch_posm, theta=theta)
+        if oracle:
+            out = _oracle_walk(pos[chunk], fetch_tree, fetch_perm, posm.__getitem__, theta=theta)
+        else:
+            out = walk_forces(pos[chunk], fetch_tree, fetch_leaves, theta=theta)
         return out, calls
 
     def _check(self, pos, mass, chunk, leaf_size, theta):
-        res, got = self._walk(walk_forces, pos, mass, chunk, leaf_size, theta)
+        res, got = self._walk(pos, mass, chunk, leaf_size, theta, oracle=False)
         (acc, interactions, rounds, fetched), want = self._walk(
-            _oracle_walk, pos, mass, chunk, leaf_size, theta
+            pos, mass, chunk, leaf_size, theta, oracle=True
         )
         assert res.acc.tobytes() == acc.tobytes()
         assert (res.interactions, res.rounds, res.records_fetched) == (
             interactions, rounds, fetched,
         )
         assert got == want
+        return got
 
     @pytest.mark.parametrize("leaf_size", [1, 4, 16])
     @pytest.mark.parametrize("theta", [0.3, 0.5, 0.9])
@@ -248,6 +254,22 @@ class TestBatchedLeavesAreBitwise:
         pos, _vel, mass = cloud
         pos = np.repeat(pos[:40], 3, axis=0)
         self._check(pos, np.repeat(mass[:40], 3), slice(0, 60), leaf_size, 0.5)
+
+
+    def test_leaf_group_of_one_pair(self):
+        """One particle in a lone far leaf: a round whose only leaf
+        group holds a single pair."""
+        pos = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [0.9, 0.9, 0.9]])
+        mass = np.array([0.5, 0.25, 0.25])
+        got = self._check(pos, mass, slice(2, 3), 1, 0.01)
+        assert sum(c[0] == "perm" for c in got) >= 1
+
+    def test_every_pair_of_a_round_is_a_leaf(self):
+        """A tree that is a single leaf: the first round has no
+        accepted or expanded pair, only leaf pairs."""
+        pos, _vel, mass = make_plummer_cloud(12, seed=5)
+        got = self._check(pos, mass, slice(0, 12), 16, 0.5)
+        assert got == [("tree", [0]), ("perm", 0, 12)]
 
 
 class TestAgreement:

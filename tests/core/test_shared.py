@@ -564,3 +564,103 @@ class TestViewIndexReads:
         assert views_i.tolist() == views_p.tolist() == [1.0] * 8
         assert out_i.tobytes() == out_p.tobytes()
         assert inline.elapsed == proc.elapsed
+
+
+class TestGather:
+    """``X.gather(I, starts, counts)`` stands for the per-run reads
+    ``X[I[s:s + c]]``: the same charge, footprints and row log, in one
+    call."""
+
+    N = 20
+    RUNS = ([3, 0, 9, 9, 4], [2, 5, 0, 3, 1])  # a zero-length run included
+
+    @classmethod
+    def _run(cls, body):
+        """Run ``body(X, I)`` on one VP in a global phase; return what
+        it returned with the VP's charge, the phase and the handles."""
+        seen = {}
+
+        @ppm_function
+        def kernel(ctx, X, I):
+            yield ctx.global_phase
+            seen["value"] = body(X, I)
+            seen["cost"], seen["phase"] = ctx._cost, ctx.runtime.phase
+
+        def main(ppm):
+            X = ppm.global_shared("x", (cls.N, 3))
+            I = ppm.global_shared("i", 12, dtype=np.int64)
+            X[:] = np.arange(3.0 * cls.N).reshape(cls.N, 3)
+            I[:] = np.random.default_rng(4).integers(-cls.N, cls.N, 12)
+            ppm.do(1, kernel, X, I)
+            seen["X"], seen["I"] = X, I
+
+        run_ppm(main, Cluster(mkconfig(n_nodes=1, cores_per_node=1)))
+        return seen
+
+    @staticmethod
+    def _reads(phase):
+        return [
+            (type(r).__name__, r.shared.name, r.start, r.stop, r.step, r.count, r.elems,
+             r.ops, None if r.array is None else r.array.tolist())
+            for r in phase.reads
+        ]
+
+    def test_records_and_charges_as_the_per_run_reads(self):
+        starts, counts = self.RUNS
+        runs = self._run(
+            lambda X, I: np.concatenate([X[I[s : s + c]] for s, c in zip(starts, counts)])
+        )
+        one = self._run(lambda X, I: X.gather(I, np.array(starts), np.array(counts)))
+        assert one["cost"].hex() == runs["cost"].hex()
+        assert self._reads(one["phase"]) == self._reads(runs["phase"])
+        (log,) = [r for r in one["phase"].reads if type(r).__name__ == "RowLog"]
+        assert (log.ops, log.elems) == (5, 3 * sum(counts))
+        assert one["value"].tobytes() == runs["value"].tobytes()
+
+    def test_zero_runs_return_an_empty_table_and_record_nothing(self):
+        empty = np.array([], dtype=np.int64)
+        seen = self._run(lambda X, I: X.gather(I, empty, empty))
+        assert seen["value"].shape == (0, 3)
+        assert seen["phase"].reads == [] and seen["cost"] == 0.0
+
+    def test_out_of_range_raises_naming_the_axis_and_records_nothing(self):
+        seen = []
+
+        @ppm_function
+        def kernel(ctx, X, I):
+            yield ctx.global_phase
+            with pytest.raises(IndexError, match="out of range for axis of length 20"):
+                X.gather(I, [1], [3])  # I[3] is row 20 of X
+            with pytest.raises(IndexError, match="out of range for axis of length 4"):
+                X.gather(I, [2], [3])  # a run past the end of I
+            seen.append((len(ctx.runtime.phase.reads), ctx._cost))
+
+        def main(ppm):
+            X = ppm.global_shared("x", (self.N, 2))
+            I = ppm.global_shared("i", 4, dtype=np.int64)
+            I[:] = [0, 1, 2, self.N]
+            ppm.do(1, kernel, X, I)
+
+        run_ppm(main, Cluster(mkconfig(n_nodes=1, cores_per_node=1)))
+        assert seen == [(0, 0.0)]
+
+    def test_driver_gather_returns_the_plain_rows(self):
+        starts, counts = self.RUNS
+
+        def main(ppm):
+            X = ppm.global_shared("x", (self.N, 2))
+            I = ppm.global_shared("i", 12, dtype=np.int64)
+            X[:] = np.arange(2.0 * self.N).reshape(self.N, 2)
+            I[:] = np.arange(12)[::-1]
+            return X.gather(I, starts, counts), X.committed, I.committed
+
+        _, (got, x, i) = run_ppm(main, Cluster(mkconfig(n_nodes=1, cores_per_node=1)))
+        want = np.concatenate([x[i[s : s + c]] for s, c in zip(starts, counts)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_result_shares_no_memory_and_flags_no_view(self):
+        starts, counts = self.RUNS
+        seen = self._run(lambda X, I: X.gather(I, starts, counts))
+        for h in (seen["X"], seen["I"]):
+            assert not np.may_share_memory(seen["value"], h._data)
+            assert h._views_taken is False

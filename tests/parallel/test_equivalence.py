@@ -132,10 +132,11 @@ def _bh_run(**engine):
 
 
 class TestBarnesHutEquivalence:
-    """The only app whose reads go through view index arrays
-    (``POSM[PERM[s:s + c]]``): each worker ships one row log per
-    (node, variable), and the parent must bundle them into the inline
-    run's traffic, access counts included."""
+    """The only app that reads through a shared index
+    (``POSM.gather(PERM, starts, counts)``, the reads
+    ``POSM[PERM[s:s + c]]`` of a walk round): each worker ships one
+    row log per (node, variable), and the parent must bundle them into
+    the inline run's traffic, access counts included."""
 
     @pytest.fixture(scope="class")
     def inline(self):
